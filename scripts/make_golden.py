@@ -3,7 +3,8 @@
 
 Each case runs `cli.main` in process on one catalog model (written out as
 `examples --dir` writes it) and records the exit code, stdout and stderr
-in tests/golden/<case>.json:
+in tests/golden/<case>.json; a case is named
+<command>.<model>[.<inference>.<policy>], and its first part is the command:
 
   - check --json for every model x {likelihood, frequentist, bayes}
     x {dirac, arbitrary, marginal};

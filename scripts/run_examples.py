@@ -10,13 +10,13 @@ import json
 import sys
 
 from ignorability_lab.catalog import CATALOG
-from ignorability_lab.ignorance import Family
+from ignorability_lab.ignorance import dirac_fix
 from ignorability_lab.inference import (
     BAYESIAN,
     FREQUENTIST,
     LIKELIHOOD_BASED,
-    classify,
     default_estimator,
+    prepare,
 )
 from ignorability_lab.modelfile import parse_model
 from ignorability_lab.reports import to_jsonable
@@ -24,28 +24,20 @@ from ignorability_lab.reports import to_jsonable
 
 def verdicts_for(name: str) -> dict:
     build = parse_model(CATALOG[name]).build()
-    split = (build.v, build.v_bar)
+    # one ignored family serves all three inference types
+    prepared = prepare(
+        build.model, (build.v, build.v_bar), build.scheme, build.target, dirac_fix()
+    )
     out = {}
-    rep = classify(
-        build.model, split, build.scheme, LIKELIHOOD_BASED, build.target
-    )
+    rep = prepared.test(LIKELIHOOD_BASED, None, None, None, None)
     out["likelihood"] = (rep.verdict, rep.alpha)
-    rep = classify(
-        build.model,
-        split,
-        build.scheme,
-        FREQUENTIST,
-        build.target,
-        estimator=default_estimator(build.scheme),
-    )
+    estimator = default_estimator(build.scheme)
+    rep = prepared.test(FREQUENTIST, None, estimator, None, None)
     out["frequentist"] = (rep.verdict, None)
     # Bayesian verdicts are per observation; sweep them all
-    family = Family.from_survey_model(build.model, build.scheme)
     bayes = "ignorable"
-    for x in family.observation_support():
-        rep = classify(
-            build.model, split, build.scheme, BAYESIAN, build.target, x=x
-        )
+    for x in prepared.family.observation_support():
+        rep = prepared.test(BAYESIAN, x, None, None, None)
         if rep.verdict != "ignorable":
             bayes = "informative"
             break

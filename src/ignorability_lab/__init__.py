@@ -69,6 +69,7 @@ from .inference import (
     likelihood,
     likelihood_equivalent,
     posterior_equivalent,
+    prepare,
     rubin_theorem_audit,
     sampling_dist_equivalent,
 )

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import CATALOG
-from .exactprob import EngineError, canonical_key
+from .exactprob import EngineError, canonical_key, pushforward
 from .ignorance import Family
 from .inference import (
     BAYESIAN,
@@ -31,8 +31,8 @@ from .inference import (
     LIKELIHOOD_BASED,
     check_mar,
     check_oar,
-    classify,
     default_estimator,
+    prepare,
     rubin_theorem_audit,
 )
 from .ignorance import dirac_fix, marginal_family, single_arbitrary
@@ -46,7 +46,7 @@ from .sampling import (
     expected_distinct_size,
     expected_size,
     inclusion_probabilities,
-    observation_distribution,
+    observation_fn,
     selection_expectations,
     validate_observation,
 )
@@ -64,7 +64,10 @@ def _decode_literal(value):
     if isinstance(value, list):
         return tuple(_decode_literal(v) for v in value)
     if isinstance(value, str) and _RATIONAL.match(value):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise EngineError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise EngineError(f"float {value!r} in an observation literal; use \"p/q\"")
     return value
@@ -87,20 +90,17 @@ def _load(path: str):
     return parse_model(text).build()
 
 
-def _grid_label(model, text):
-    if text is None:
-        return None
-    value = Fraction(text) if _RATIONAL.match(text) or text.lstrip("-").isdigit() else text
+def _grid_label(text):
     if text.lstrip("-").isdigit():
-        value = int(text)
-    return value
+        return int(text)
+    return _decode_literal(text)
 
 
 def _find_point(model, theta_text, phi_text):
     if theta_text is None and phi_text is None:
         return model.grid[0]
-    wanted_theta = _grid_label(model, theta_text) if theta_text else None
-    wanted_phi = _grid_label(model, phi_text) if phi_text else None
+    wanted_theta = _grid_label(theta_text) if theta_text else None
+    wanted_phi = _grid_label(phi_text) if phi_text else None
     for theta, phi in model.grid:
         if wanted_theta is not None and canonical_key(theta) != canonical_key(wanted_theta):
             continue
@@ -112,14 +112,10 @@ def _find_point(model, theta_text, phi_text):
     )
 
 
-def _all_x(build):
-    family = Family.from_survey_model(build.model, build.scheme)
-    return family.observation_support()
-
-
-def _with_rubin_conditions(build, report, x, mar_variant):
+def _with_rubin_conditions(build, report, x, mar_variant, observations):
     """Append missing-at-random / observed-at-random flags when the model
-    and scheme are in the shape those checks require; skip quietly when not."""
+    and scheme are in the shape those checks require; skip quietly when not.
+    The uniform variants hold at every one of `observations`."""
     from dataclasses import replace
 
     from .inference import NotRubinShape
@@ -128,10 +124,8 @@ def _with_rubin_conditions(build, report, x, mar_variant):
         return report
     try:
         if x is None or mar_variant == "uniform":
-            mar = check_mar(build.model, None, build.scheme, variant="uniform")
-            oar = all(
-                check_oar(build.model, o, build.scheme) for o in _all_x(build)
-            )
+            mar = all(check_mar(build.model, o, build.scheme) for o in observations)
+            oar = all(check_oar(build.model, o, build.scheme) for o in observations)
             variant = "uniform"
         else:
             mar = check_mar(build.model, x, build.scheme)
@@ -150,44 +144,38 @@ def cmd_check(args) -> int:
         "frequentist": FREQUENTIST,
         "bayes": BAYESIAN,
     }[args.inference]
-    policy = POLICIES[args.policy]()
-    split = (build.v, build.v_bar)
     estimator = default_estimator(build.scheme) if inference == FREQUENTIST else None
-
+    x = None
     if args.x is not None:
-        xs = [parse_observation_literal(args.x)]
-        validate_observation(build.model, build.scheme, xs[0])
-    elif inference == BAYESIAN:
-        xs = list(_all_x(build))  # posterior checks are per observation
-    else:
-        # likelihood without a concrete x runs in uniform mode (one alpha
-        # jointly across all observations), which is what --all-x means
-        xs = [None]
+        x = parse_observation_literal(args.x)
+        validate_observation(build.model, build.scheme, x)
+    prepared = prepare(
+        build.model,
+        (build.v, build.v_bar),
+        build.scheme,
+        build.target,
+        POLICIES[args.policy](),
+    )
+    observations = prepared.family.observation_support()
 
     if inference == FREQUENTIST:
         xs = [None]  # estimator-distribution families are observation-free
+    elif x is not None:
+        xs = [x]
+    elif inference == BAYESIAN:
+        xs = list(observations)  # posterior checks are per observation
+    else:
+        # likelihood without a concrete x runs in uniform mode (one alpha
+        # jointly across all observations)
+        xs = [None]
 
-    reports = []
-    for x in xs:
-        reports.append(
-            classify(
-                build.model,
-                split,
-                build.scheme,
-                inference,
-                build.target,
-                x=x,
-                policy=policy,
-                estimator=estimator,
-            )
-        )
+    reports = [prepared.test(inference, o, estimator, None, None) for o in xs]
     reports = [
-        _with_rubin_conditions(build, r, x, args.mar_variant)
-        for x, r in zip(xs, reports)
+        _with_rubin_conditions(build, r, o, args.mar_variant, observations)
+        for o, r in zip(xs, reports)
     ]
     informative = [r for r in reports if r.verdict != IGNORABLE]
     headline = informative[0] if informative else reports[0]
-    verdict = headline.verdict if not informative else informative[0].verdict
     overall = "informative" if informative else "ignorable"
 
     if args.json:
@@ -217,7 +205,7 @@ def cmd_enumerate(args) -> int:
     build = _load(args.model)
     theta, phi = _find_point(build.model, args.theta, args.phi)
     joint = build_joint(build.model, theta, phi)
-    obs = observation_distribution(build.model, theta, phi, build.scheme)
+    obs = pushforward(joint, observation_fn(build.model, phi, build.scheme))
     payload = {
         "type": "enumeration",
         "theta": to_jsonable(theta),
@@ -285,8 +273,9 @@ def cmd_audit_rubin(args) -> int:
         )
     if args.x is not None:
         xs = [parse_observation_literal(args.x)]
+        validate_observation(build.model, build.scheme, xs[0])
     else:
-        xs = list(_all_x(build))
+        xs = Family.from_survey_model(build.model, build.scheme).observation_support()
     reports = [rubin_theorem_audit(build.model, x, build.scheme) for x in xs]
     counterexamples = sum(
         1 for r in reports for a in r.audits if a.counterexample()
@@ -314,6 +303,8 @@ def cmd_audit_rubin(args) -> int:
 
 def cmd_mc_verify(args) -> int:
     build = _load(args.model)
+    if args.draws < 1:
+        raise EngineError(f"--draws must be at least 1, got {args.draws}")
     theta, phi = _find_point(build.model, args.theta, args.phi)
     report = compare_exact_vs_mc(
         build.model,
@@ -368,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--policy", choices=tuple(POLICIES), default="dirac")
     p.add_argument("--x", help="observation literal (JSON)")
-    p.add_argument("--all-x", action="store_true", help="sweep every observation")
     p.add_argument("--mar-variant", choices=("local", "uniform"), default="local")
     p.add_argument("--expect", choices=("ignorable", "informative"))
     p.add_argument("--json", action="store_true")

@@ -57,7 +57,10 @@ def support_cap() -> int:
     raw = os.environ.get(SUPPORT_CAP_ENV)
     if raw is None:
         return DEFAULT_SUPPORT_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise EngineError(f"{SUPPORT_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def check_size(n: int, what: str = "support") -> None:
@@ -268,11 +271,6 @@ class Kernel:
 
     def canonical_key(self):
         return (4, "Kernel", canonical_key(tuple(self.entries)))
-
-
-def constant_kernel(dist: FiniteDist) -> Kernel:
-    """Kernel returning the same distribution for every input."""
-    return Kernel.from_rule(lambda _value: dist)
 
 
 def mix(outer: FiniteDist, k: Kernel) -> FiniteDist:

@@ -37,7 +37,7 @@ from .sampling import (
     SurveyModel,
     build_joint,
     drawn_values,
-    observe,
+    observation_fn,
 )
 
 COMPLEMENT = "complement"
@@ -263,6 +263,7 @@ class Family:
         self.space = tuple(space) if space is not None else self.support
         self.flags = dict(flags or {})
         self._obs_cache: dict = {}
+        self._mass_tables: dict = {}
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
@@ -271,8 +272,7 @@ class Family:
         for theta, phi in m.grid:
             point = (theta, phi)
             laws[point] = build_joint(m, theta, phi)
-            design = m.design_for(phi) if scheme.kind == "values_and_sampled_weights" else None
-            obs_fns[point] = _observe_closure(scheme, m.population, design)
+            obs_fns[point] = observation_fn(m, phi, scheme)
         flags = {"z_contains_y": m.z_contains_y}
         return Family(m.grid, laws, obs_fns, space=m.world_space(), flags=flags)
 
@@ -286,6 +286,15 @@ class Family:
             )
         return self._obs_cache[point]
 
+    def observation_masses(self, point) -> dict:
+        """{canonical_key(x): mass} of the observation distribution at one
+        point; built once and shared by every likelihood lookup."""
+        if point not in self._mass_tables:
+            self._mass_tables[point] = {
+                canonical_key(o): w for o, w in self.observation_dist(point).items
+            }
+        return self._mass_tables[point]
+
     def observation_support(self) -> tuple:
         keyed = {}
         for p in self.points:
@@ -295,10 +304,6 @@ class Family:
 
     def marginal(self, point, rv: RandomVariableRef) -> FiniteDist:
         return pushforward(self.laws[point], rv)
-
-
-def _observe_closure(scheme, population, design):
-    return lambda w: observe(w, scheme, population, design=design)
 
 
 def make_split(

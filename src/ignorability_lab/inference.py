@@ -95,12 +95,11 @@ def likelihood(family_or_model, x, scheme: ObservationScheme | None = None) -> L
 
         validate_observation(family_or_model, scheme, x)
     family = _as_family(family_or_model, scheme)
-    entries = []
     xk = canonical_key(x)
-    for p in family.points:
-        table = {canonical_key(o): w for o, w in family.observation_dist(p).items}
-        entries.append((p, table.get(xk, Fraction(0))))
-    return LikelihoodTable(x=x, entries=tuple(entries))
+    entries = tuple(
+        (p, family.observation_masses(p).get(xk, Fraction(0))) for p in family.points
+    )
+    return LikelihoodTable(x=x, entries=entries)
 
 
 def _as_family(obj, scheme):
@@ -129,23 +128,16 @@ class EquivalenceResult:
     witnesses: tuple
 
 
-def _observation_mass_maps(family: Family) -> dict:
-    return {
-        p: {canonical_key(o): (o, w) for o, w in family.observation_dist(p).items}
-        for p in family.points
-    }
-
-
-def _coarse_table(family: Family, values, xs, mass_maps) -> dict:
+def _coarse_table(family: Family, values, xs) -> dict:
     """table[(value_key, x_key)] = sup over the target preimage of the
     observation mass; the likelihood of a coarsened parameter."""
     table = {}
     for p in family.points:
         vk = canonical_key(values[p])
-        masses = mass_maps[p]
-        for x, xk in xs:
+        masses = family.observation_masses(p)
+        for _x, xk in xs:
             key = (vk, xk)
-            m = masses.get(xk, (x, Fraction(0)))[1]
+            m = masses.get(xk, Fraction(0))
             if key not in table or m > table[key]:
                 table[key] = m
     return table
@@ -176,10 +168,8 @@ def likelihood_equivalent(
             for o in fam.observation_support():
                 keyed.setdefault(canonical_key(o), o)
         xs = [(keyed[k], k) for k in sorted(keyed)]
-    mass_a = _observation_mass_maps(original)
-    mass_b = _observation_mass_maps(ignored)
-    table_a = _coarse_table(original, va, xs, mass_a)
-    table_b = _coarse_table(ignored, vb, xs, mass_b)
+    table_a = _coarse_table(original, va, xs)
+    table_b = _coarse_table(ignored, vb, xs)
     keys = sorted(set(table_a) | set(table_b))
     reprs = {}
     for p in original.points:
@@ -297,8 +287,7 @@ def _posterior_target_dist(family: Family, prior: FiniteDist, target, x) -> Fini
     xk = canonical_key(x)
     weighted = []
     for p, qp in prior.items:
-        mass = {canonical_key(o): w for o, w in family.observation_dist(p).items}
-        lik = mass.get(xk, Fraction(0))
+        lik = family.observation_masses(p).get(xk, Fraction(0))
         if qp * lik > 0:
             weighted.append((p, qp * lik))
     total = sum((w for _, w in weighted), Fraction(0))
@@ -467,9 +456,8 @@ def check_mar(
     """
     scheme = scheme or values_and_mapping()
     if variant == "uniform":
-        return all(
-            check_mar(m, o, scheme, "local") for o in _all_observations(m, scheme)
-        )
+        observations = Family.from_survey_model(m, scheme).observation_support()
+        return all(check_mar(m, o, scheme, "local") for o in observations)
     values, mapping = _extract_values_and_mapping(scheme, x)
     z_of = _z_of_signal(m)
     fixed = _observed_constraints(m, values, mapping)
@@ -517,16 +505,6 @@ def check_oar(
             if len(masses) > 1:
                 return False
     return True
-
-
-def _all_observations(m: SurveyModel, scheme: ObservationScheme):
-    keyed = {}
-    for theta, phi in m.grid:
-        from .sampling import observation_distribution
-
-        for o, _w in observation_distribution(m, theta, phi, scheme).items:
-            keyed.setdefault(canonical_key(o), o)
-    return [keyed[k] for k in sorted(keyed)]
 
 
 @dataclass(frozen=True)
@@ -580,147 +558,112 @@ def rubin_theorem_audit(
     oar = check_oar(m, x, scheme)
     distinct = check_distinct(m.grid) if m.phis else True
 
-    def signal_marginal(theta):
-        return pushforward(m.signal_law[theta], lambda yz: yz[0])
-
     def observed_part(y, mp):
         return (tuple(y[pop.index(k)] for k in mp), mp)
 
-    def ignoring_dist(theta):
-        return pushforward(
-            signal_marginal(theta), lambda y: statistic(observed_part(y, mapping))
-        )
-
-    def joint_y_m(theta, phi):
-        pairs = []
-        for y, w in signal_marginal(theta).items:
-            delta = m.design_for(phi).get(z_of(y))
-            pairs.extend(((y, r), w * wr) for r, wr in delta.items)
-        return dist_new(pairs)
-
-    def k_mass(theta, phi) -> Fraction:
-        return joint_y_m(theta, phi).event_mass(
-            lambda ym: canonical_key(ym[1]) == canonical_key(mapping)
-        )
-
     mk = canonical_key(mapping)
-
-    # 6.1 conclusion: ignoring-distribution equals the correct conditional
-    # distribution given the observed mapping, wherever that mapping has
-    # positive mass.
-    concl_61 = True
-    for theta, phi in m.grid:
-        if k_mass(theta, phi) == 0:
-            continue
-        correct = pushforward(
-            condition(joint_y_m(theta, phi), lambda ym: canonical_key(ym[1]) == mk),
-            lambda ym: statistic(observed_part(ym[0], mapping)),
+    # one signal marginal and one ignoring distribution (kept as its key)
+    # per theta, one (y, r) joint per grid point; every theorem reads these
+    marginals = {t: pushforward(m.signal_law[t], lambda yz: yz[0]) for t in m.thetas}
+    ignoring = {
+        t: canonical_key(
+            pushforward(marginals[t], lambda y: statistic(observed_part(y, mapping)))
         )
-        if canonical_key(correct) != canonical_key(ignoring_dist(theta)):
-            concl_61 = False
-            break
-
-    # 6.2 condition: the mass of the observed mapping given the observed
-    # part is one positive constant; its conclusion counts undefined
-    # conditionals (mapping of zero mass) as failures, which keeps the
-    # equivalence exact in the finite case.
-    cond_62 = True
-    concl_62 = True
-    for theta, phi in m.grid:
-        jm = joint_y_m(theta, phi)
-        by_obs: dict = {}
-        for (y, r), w in jm.items:
-            ok = canonical_key(observed_part(y, mapping))
-            by_obs.setdefault(ok, [Fraction(0), Fraction(0)])
-            by_obs[ok][0] += w
-            if canonical_key(r) == mk:
-                by_obs[ok][1] += w
-        ratios = {twin[1] / twin[0] for twin in by_obs.values()}
-        if len(ratios) != 1 or next(iter(ratios)) == 0:
-            cond_62 = False
-        if k_mass(theta, phi) == 0:
-            concl_62 = False
-            continue
-        correct = pushforward(
-            condition(jm, lambda ym: canonical_key(ym[1]) == mk),
-            lambda ym: statistic(observed_part(ym[0], mapping)),
-        )
-        if canonical_key(correct) != canonical_key(ignoring_dist(theta)):
-            concl_62 = False
-
+        for t in m.thetas
+    }
     # 6.3 hypothesis: the missingness mechanism is degenerate at the
     # observed mapping for every signal of positive mass.
     hyp_63 = True
+    joints = {}
     for theta, phi in m.grid:
-        for y, w in signal_marginal(theta).items:
-            if _selection_mass(m, z_of, phi, y, mapping) != 1:
-                hyp_63 = False
-                break
-        if not hyp_63:
-            break
-    concl_63 = True
-    for theta, phi in m.grid:
-        unconditional = pushforward(
-            joint_y_m(theta, phi),
-            lambda ym: statistic(observed_part(ym[0], ym[1])),
-        )
-        if canonical_key(unconditional) != canonical_key(ignoring_dist(theta)):
-            concl_63 = False
-            break
+        pairs = []
+        for y, w in marginals[theta].items:
+            delta = m.design_for(phi).get(z_of(y))
+            hyp_63 = hyp_63 and delta.mass(mapping) == 1
+            pairs.extend(((y, r), w * wr) for r, wr in delta.items)
+        joints[(theta, phi)] = dist_new(pairs)
+
+    # 6.1 conclusion: the ignoring distribution equals the correct
+    # conditional distribution given the observed mapping, wherever that
+    # mapping has positive mass.  6.2 condition: the mass of the observed
+    # mapping given the observed part is one positive constant; its
+    # conclusion counts undefined conditionals (mapping of zero mass) as
+    # failures, which keeps the equivalence exact in the finite case.
+    # 6.3 conclusion: the unconditional law of the statistic is the
+    # ignoring distribution.
+    concl_61 = cond_62 = concl_62 = concl_63 = True
+    for (theta, _phi), jm in joints.items():
+        by_obs: dict = {}
+        hits = []  # (statistic, mass) of the worlds showing the observed mapping
+        for (y, r), w in jm.items:
+            part = observed_part(y, mapping)
+            twin = by_obs.setdefault(canonical_key(part), [Fraction(0), Fraction(0)])
+            twin[0] += w
+            if canonical_key(r) == mk:
+                twin[1] += w
+                hits.append((statistic(part), w))
+        ratios = {twin[1] / twin[0] for twin in by_obs.values()}
+        if len(ratios) != 1 or next(iter(ratios)) == 0:
+            cond_62 = False
+        k_mass = sum((w for _s, w in hits), Fraction(0))
+        if k_mass == 0:
+            concl_62 = False
+        else:
+            correct = dist_new([(stat, w / k_mass) for stat, w in hits])
+            if canonical_key(correct) != ignoring[theta]:
+                concl_61 = concl_62 = False
+        if concl_63:
+            unconditional = pushforward(
+                jm, lambda ym: statistic(observed_part(ym[0], ym[1]))
+            )
+            concl_63 = canonical_key(unconditional) == ignoring[theta]
 
     # Likelihoods for 7.x: marginal of the observed values, and joint mass
-    # of (values, mapping), both by exact summation over completions.
+    # of (values, mapping), both by exact summation over completions; one
+    # of each per theta and per (theta, phi).
     fixed = _observed_constraints(m, values, mapping)
     thetas = m.thetas
     phis = _phi_points(m)
-
-    def lik(theta) -> Fraction:
-        if fixed is None:
-            return Fraction(0)
-        marg = signal_marginal(theta)
-        return sum(
-            (marg.mass(y) for y in _completions(m, fixed)), Fraction(0)
+    completions = list(_completions(m, fixed)) if fixed is not None else []
+    completion_keys = [canonical_key(y) for y in completions]
+    signal_masses = {}
+    for t in thetas:
+        table = {canonical_key(y): w for y, w in marginals[t].items}
+        signal_masses[t] = [table.get(k, Fraction(0)) for k in completion_keys]
+    selection = {
+        phi: [_selection_mass(m, z_of, phi, y, mapping) for y in completions]
+        for phi in phis
+    }
+    lik = {t: sum(signal_masses[t], Fraction(0)) for t in thetas}
+    lik_full = {
+        (t, phi): sum(
+            (a * b for a, b in zip(signal_masses[t], selection[phi])), Fraction(0)
         )
-
-    def lik_full(theta, phi) -> Fraction:
-        if fixed is None:
-            return Fraction(0)
-        marg = signal_marginal(theta)
-        return sum(
-            (
-                marg.mass(y) * _selection_mass(m, z_of, phi, y, mapping)
-                for y in _completions(m, fixed)
-            ),
-            Fraction(0),
-        )
+        for t in thetas
+        for phi in phis
+    }
 
     grid_set = set(m.grid)
 
     def cross_equal(eligible_phis) -> bool:
         for phi in eligible_phis:
-            for t1 in thetas:
-                for t2 in thetas:
-                    if (t1, phi) not in grid_set or (t2, phi) not in grid_set:
-                        continue
-                    if lik(t1) * lik_full(t2, phi) != lik_full(t1, phi) * lik(t2):
+            on_grid = [t for t in thetas if (t, phi) in grid_set]
+            for t1 in on_grid:
+                for t2 in on_grid:
+                    if lik[t1] * lik_full[t2, phi] != lik_full[t1, phi] * lik[t2]:
                         return False
         return True
 
-    def phi_eligible(phi) -> bool:
-        if fixed is None:
-            return False
-        return all(
-            _selection_mass(m, z_of, phi, y, mapping) > 0
-            for y in _completions(m, fixed)
-        )
+    eligible = [
+        phi for phi in phis if fixed is not None and all(s > 0 for s in selection[phi])
+    ]
+    concl_71 = cross_equal(eligible)
 
-    concl_71 = cross_equal([phi for phi in phis if phi_eligible(phi)])
-
-    pre_72 = all(lik(t) > 0 for t in thetas)
+    pre_72 = all(lik[t] > 0 for t in thetas)
     hyp_72b = True
     if pre_72:
         for phi in phis:
-            ratios = {lik_full(t, phi) / lik(t) for t in thetas}
+            ratios = {lik_full[t, phi] / lik[t] for t in thetas}
             if len(ratios) != 1 or next(iter(ratios)) <= 0:
                 hyp_72b = False
                 break
@@ -783,6 +726,115 @@ def default_estimator(scheme: ObservationScheme):
     return mean
 
 
+@dataclass(frozen=True)
+class PreparedCheck:
+    """The observation-free part of a classification: the original family,
+    the classified split, the ignored family and the transformed target.
+    Built once by `prepare`, then queried by `test` per inference type and
+    observation."""
+
+    model: SurveyModel
+    scheme: ObservationScheme
+    policy: NuisancePolicy
+    family: Family
+    split: ProcessSplit
+    ignored: Family
+    target: object
+    target_star: object
+
+    def test(
+        self, inference_type: str, x, estimator, priors, nuisance_priors
+    ) -> ClassificationReport:
+        """Run the equivalence test of one inference type at x (None for
+        the uniform reading).  The verdict is informative exactly when a
+        witness inequality exists."""
+        family, ignored = self.family, self.ignored
+        if inference_type == LIKELIHOOD_BASED:
+            result = likelihood_equivalent(
+                family, ignored, x, self.target, self.target_star
+            )
+        elif inference_type == FREQUENTIST:
+            if estimator is None:
+                raise EngineError("frequentist classification needs an estimator")
+            result = sampling_dist_equivalent(
+                family, ignored, estimator, self.target, self.target_star
+            )
+        elif inference_type == BAYESIAN:
+            if x is None:
+                raise EngineError("Bayesian classification needs an observation")
+            priors = list(priors) if priors else default_priors(family)
+            if nuisance_priors is None:
+                nuisance_priors = [_uniform_nuisance_prior(ignored)]
+            priors_star = [
+                _product_prior(q, qn, ignored)
+                for q in priors
+                for qn in nuisance_priors
+            ]
+            result = posterior_equivalent(
+                family, ignored, priors, priors_star, self.target, x, self.target_star
+            )
+        else:
+            raise EngineError(f"unknown inference type {inference_type!r}")
+
+        m, policy = self.model, self.policy
+        flags = [
+            ("z_contains_y", m.z_contains_y),
+            ("non_separated_grid", bool(m.phis) and not check_distinct(m.grid)),
+            ("local_vs_uniform", "local" if x is not None else "uniform"),
+            ("policy", policy.kind),
+            ("split_status", self.split.status),
+            ("nuisance", self.split.v_bar.name),
+        ]
+        if policy.kind == "single_arbitrary" and policy.dist is None:
+            flags.append(("arbitrary_default", "uniform over the nuisance image"))
+        if self.scheme.kind == "values_and_sampled_weights":
+            flags.append(
+                ("sampled_weights_convention", "pi computed from the realized design")
+            )
+        if inference_type == BAYESIAN:
+            flags.append(
+                ("nuisance_prior_restriction", "finite user-supplied nuisance priors only")
+            )
+        verdict = IGNORABLE if result.equivalent else INFORMATIVE
+        return ClassificationReport(
+            inference_type=inference_type,
+            verdict=verdict,
+            alpha=result.alpha,
+            witnesses=result.witnesses,
+            flags=tuple(flags),
+        )
+
+
+def prepare(
+    m: SurveyModel,
+    split,
+    scheme: ObservationScheme,
+    target,
+    policy: NuisancePolicy,
+) -> PreparedCheck:
+    """Build the original family, classify the split on its world space,
+    ignore the nuisance process under the policy and carry the target
+    across.  `split` is a ProcessSplit or a (v, v_bar) pair."""
+    family = Family.from_survey_model(m, scheme)
+    if isinstance(split, ProcessSplit):
+        proc_split = split
+    else:
+        v, v_bar = split
+        proc_split = make_split(family, v, v_bar)
+    ignored = ignore_model(family, proc_split, policy)
+    target_star = transform_target(target, family, ignored)
+    return PreparedCheck(
+        model=m,
+        scheme=scheme,
+        policy=policy,
+        family=family,
+        split=proc_split,
+        ignored=ignored,
+        target=target,
+        target_star=target_star,
+    )
+
+
 def classify(
     m: SurveyModel,
     split,
@@ -796,69 +848,9 @@ def classify(
     nuisance_priors=None,
 ) -> ClassificationReport:
     """Decide whether the nuisance process is ignorable for one inference
-    type, by building the ignored family and running the matching
-    equivalence test.  The verdict is informative exactly when a witness
-    inequality exists.
-    """
-    family = Family.from_survey_model(m, scheme)
-    if isinstance(split, ProcessSplit):
-        proc_split = split
-    else:
-        v, v_bar = split
-        proc_split = make_split(family, v, v_bar)
-    policy = policy or dirac_fix()
-    ignored = ignore_model(family, proc_split, policy)
-    target_star = transform_target(target, family, ignored)
-
-    if inference_type == LIKELIHOOD_BASED:
-        result = likelihood_equivalent(family, ignored, x, target, target_star)
-    elif inference_type == FREQUENTIST:
-        if estimator is None:
-            raise EngineError("frequentist classification needs an estimator")
-        result = sampling_dist_equivalent(family, ignored, estimator, target, target_star)
-    elif inference_type == BAYESIAN:
-        if x is None:
-            raise EngineError("Bayesian classification needs an observation")
-        priors = list(priors) if priors else default_priors(family)
-        if nuisance_priors is None:
-            nuisance_priors = [_uniform_nuisance_prior(ignored)]
-        priors_star = [
-            _product_prior(q, qn, ignored)
-            for q in priors
-            for qn in nuisance_priors
-        ]
-        result = posterior_equivalent(
-            family, ignored, priors, priors_star, target, x, target_star
-        )
-    else:
-        raise EngineError(f"unknown inference type {inference_type!r}")
-
-    flags = [
-        ("z_contains_y", m.z_contains_y),
-        ("non_separated_grid", bool(m.phis) and not check_distinct(m.grid)),
-        ("local_vs_uniform", "local" if x is not None else "uniform"),
-        ("policy", policy.kind),
-        ("split_status", proc_split.status),
-        ("nuisance", proc_split.v_bar.name),
-    ]
-    if policy.kind == "single_arbitrary" and policy.dist is None:
-        flags.append(("arbitrary_default", "uniform over the nuisance image"))
-    if scheme.kind == "values_and_sampled_weights":
-        flags.append(
-            ("sampled_weights_convention", "pi computed from the realized design")
-        )
-    if inference_type == BAYESIAN:
-        flags.append(
-            ("nuisance_prior_restriction", "finite user-supplied nuisance priors only")
-        )
-    verdict = IGNORABLE if result.equivalent else INFORMATIVE
-    return ClassificationReport(
-        inference_type=inference_type,
-        verdict=verdict,
-        alpha=result.alpha,
-        witnesses=result.witnesses,
-        flags=tuple(flags),
-    )
+    type: `prepare` the ignored family, then `test` it at x."""
+    prepared = prepare(m, split, scheme, target, policy or dirac_fix())
+    return prepared.test(inference_type, x, estimator, priors, nuisance_priors)
 
 
 def _uniform_nuisance_prior(ignored: Family) -> FiniteDist:

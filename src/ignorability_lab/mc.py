@@ -19,14 +19,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactprob import FiniteDist, canonical_key
+from .exactprob import FiniteDist, canonical_key, pushforward
 from .sampling import (
     ObservationScheme,
     SurveyModel,
     WorldState,
     build_joint,
-    observation_distribution,
-    observe,
+    observation_fn,
 )
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -130,18 +129,12 @@ def compare_exact_vs_mc(
         raise ValueError("draws must be at least 1")
     from .sampling import values_only
 
-    scheme = scheme or values_only()
-    exact = observation_distribution(m, theta, phi, scheme)
+    observe_world = observation_fn(m, phi, scheme or values_only())
     joint = build_joint(m, theta, phi)
-    design = (
-        m.design_for(phi) if scheme.kind == "values_and_sampled_weights" else None
-    )
+    exact = pushforward(joint, observe_world)
     # observations precomputed per world atom; each draw is an index lookup
     outcomes, cutoffs = _thresholds(joint)
-    obs_of = [
-        canonical_key(observe(w, scheme, m.population, design=design))
-        for w in outcomes
-    ]
+    obs_of = [canonical_key(observe_world(w)) for w in outcomes]
     counts: dict = {}
     for i in range(draws):
         key = obs_of[_draw_index(cutoffs, u64(seed, i))]

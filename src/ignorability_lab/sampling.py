@@ -125,7 +125,8 @@ def expected_distinct_size(delta: FiniteDist) -> Fraction:
     units = _drawn_units(delta)
     if units:
         pi = inclusion_probabilities(delta, Population(units))
-        assert value == sum(pi, Fraction(0))
+        if value != sum(pi, Fraction(0)):
+            raise EngineError("expected distinct size differs from the sum of pi_k")
     return value
 
 
@@ -135,7 +136,8 @@ def expected_size(delta: FiniteDist) -> Fraction:
     units = _drawn_units(delta)
     if units:
         ups = selection_expectations(delta, Population(units))
-        assert value == sum(ups, Fraction(0))
+        if value != sum(ups, Fraction(0)):
+            raise EngineError("expected size differs from the sum of upsilon_k")
     return value
 
 
@@ -420,17 +422,19 @@ def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
     return dist_new(pairs)
 
 
+def observation_fn(m: SurveyModel, phi, scheme: ObservationScheme) -> Callable:
+    """The scheme as a function of one world under nuisance point phi; the
+    sampled-weights scheme reads the design at phi."""
+    design = m.design_for(phi) if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS else None
+    return lambda w: observe(w, scheme, m.population, design=design)
+
+
 def observation_distribution(
     m: SurveyModel, theta, phi=None, scheme: ObservationScheme = None
 ) -> FiniteDist:
     """Pushforward of the joint world law through the observation scheme."""
-    if scheme is None:
-        scheme = values_only()
-    design = m.design_for(phi) if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS else None
-    world = build_joint(m, theta, phi)
-    return pushforward(
-        world, lambda w: observe(w, scheme, m.population, design=design)
-    )
+    observe_world = observation_fn(m, phi, scheme or values_only())
+    return pushforward(build_joint(m, theta, phi), observe_world)
 
 
 def validate_observation(m: SurveyModel, scheme: ObservationScheme, x) -> None:

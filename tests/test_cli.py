@@ -132,6 +132,33 @@ class TestInputErrors:
         assert code == 2
         assert "line 5" in err and "use 1/2" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mc-verify", "srs_wor_n3", "--draws", "0"], "--draws"),
+            (["audit-rubin", "srs_wor_n3", "--x", "[1]"], "expected (values, mapping)"),
+            (["check", "srs_wor_n3", "--x", '["1/0"]'], "zero denominator"),
+            (["enumerate", "srs_wor_minimal", "--theta", "1/0"], "zero denominator"),
+        ],
+        ids=[
+            "mc-verify-draws-0",
+            "audit-rubin-x-shape",
+            "check-x-zero-denominator",
+            "enumerate-theta-zero-denominator",
+        ],
+    )
+    def test_bad_argument(self, capsys, models, argv, message):
+        argv = [argv[0], models[argv[1]], *argv[2:]]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
+    def test_bad_support_cap(self, capsys, models, monkeypatch):
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "abc")
+        code, _, err = run(capsys, ["check", models["srs_wor_n3"]])
+        assert code == 2
+        assert err.startswith("error:") and "IGNORABILITY_LAB_MAX_SUPPORT" in err
+
 
 class TestEnumerate:
     def test_human(self, capsys, models):

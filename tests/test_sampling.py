@@ -107,6 +107,20 @@ class TestInclusionProbabilities:
                 delta
             )
 
+    def test_broken_identity_raises_engine_error(self, monkeypatch):
+        # a plain check, so the identities still hold under python -O
+        import ignorability_lab.sampling as sampling
+        from ignorability_lab.exactprob import EngineError
+
+        delta = srs_wr(2, U2)
+        zeros = lambda _delta, pop: (F(0),) * pop.size
+        monkeypatch.setattr(sampling, "inclusion_probabilities", zeros)
+        monkeypatch.setattr(sampling, "selection_expectations", zeros)
+        with pytest.raises(EngineError):
+            expected_distinct_size(delta)
+        with pytest.raises(EngineError):
+            expected_size(delta)
+
 
 def iid_model(population, p, design_dist, thetas=None):
     thetas = thetas or (p,)
