@@ -4,19 +4,29 @@
 Each case runs `cli.main` in process on one catalog model (written out as
 `examples --dir` writes it) and records the exit code, stdout and stderr
 in tests/golden/<case>.json; a case is named
-<command>.<model>[.<inference>.<policy>], and its first part is the command:
+<command>.<model>[.<inference>.<policy>[.mar_uniform]], and its first part
+is the command:
 
   - check --json for every model x {likelihood, frequentist, bayes}
     x {dirac, arbitrary, marginal};
   - enumerate --json and inclusion --json for every model;
-  - audit-rubin --json for every model whose scheme exposes the mapping.
+  - for every model whose scheme exposes the mapping: audit-rubin --json,
+    and check --inference bayes --policy dirac --mar-variant uniform --json.
 
 tests/test_golden.py replays every case and compares byte for byte; it
 never rewrites the files.  Regenerate only on purpose and review the diff:
 
     PYTHONPATH=src python3 scripts/make_golden.py
+
+With --check the corpus is regenerated into a temporary directory and
+compared with tests/golden/ instead; the script lists every case that
+differs, is missing from tests/golden/ or is no longer generated, and exits
+1 if there is any:
+
+    PYTHONPATH=src python3 scripts/make_golden.py --check
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -46,6 +56,9 @@ def cases():
         kind = parse_model(text).build().scheme.kind
         if kind in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
             out.append((f"audit-rubin.{name}", name, ["--json"]))
+            out.append((f"check.{name}.bayes.dirac.mar_uniform", name,
+                        ["--inference", "bayes", "--policy", "dirac",
+                         "--mar-variant", "uniform", "--json"]))
     return out
 
 
@@ -68,17 +81,56 @@ def write_models(directory):
     return paths
 
 
-def main() -> int:
-    os.makedirs(GOLDEN, exist_ok=True)
+def write_corpus(directory, verbose=False):
+    """Run every case and write its record to `directory`/<case>.json."""
+    os.makedirs(directory, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_models(tmp)
         for case, model, args in cases():
             code, stdout, stderr = run_case(case, paths[model], args)
             record = {"model": model, "args": args, "exit": code,
                       "stdout": stdout, "stderr": stderr}
-            with open(os.path.join(GOLDEN, f"{case}.json"), "w", encoding="utf-8") as fh:
+            with open(os.path.join(directory, f"{case}.json"), "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, indent=1, sort_keys=True) + "\n")
-            print(f"{case}: exit {code}")
+            if verbose:
+                print(f"{case}: exit {code}")
+
+
+def _read_corpus(directory):
+    """{case: file bytes} of every record in `directory`."""
+    out = {}
+    for entry in sorted(os.listdir(directory)):
+        if entry.endswith(".json"):
+            with open(os.path.join(directory, entry), "rb") as fh:
+                out[entry[: -len(".json")]] = fh.read()
+    return out
+
+
+def check_corpus() -> int:
+    """Compare a fresh corpus with the committed one; 0 when identical."""
+    committed = _read_corpus(GOLDEN) if os.path.isdir(GOLDEN) else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus(tmp)
+        fresh = _read_corpus(tmp)
+    problems = (
+        [f"differs: {c}" for c in sorted(fresh) if c in committed and fresh[c] != committed[c]]
+        + [f"missing: {c}" for c in sorted(fresh) if c not in committed]
+        + [f"extra: {c}" for c in sorted(committed) if c not in fresh]
+    )
+    for line in problems:
+        print(line)
+    print(f"{len(fresh)} cases generated, {len(committed)} committed, "
+          f"{len(problems)} problem(s)")
+    return 1 if problems else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare a fresh corpus with tests/golden/ instead of writing it")
+    if parser.parse_args(argv).check:
+        return check_corpus()
+    write_corpus(GOLDEN, verbose=True)
     return 0
 
 
