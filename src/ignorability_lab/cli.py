@@ -19,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .catalog import CATALOG
@@ -29,6 +30,7 @@ from .inference import (
     FREQUENTIST,
     IGNORABLE,
     LIKELIHOOD_BASED,
+    NotRubinShape,
     check_mar,
     check_oar,
     default_estimator,
@@ -112,29 +114,18 @@ def _find_point(model, theta_text, phi_text):
     )
 
 
-def _with_rubin_conditions(build, report, x, mar_variant, observations):
-    """Append missing-at-random / observed-at-random flags when the model
-    and scheme are in the shape those checks require; skip quietly when not.
-    The uniform variants hold at every one of `observations`."""
-    from dataclasses import replace
-
-    from .inference import NotRubinShape
-
+def _rubin_flags(build, observations, variant) -> tuple:
+    """Missing-at-random / observed-at-random flags that hold when the
+    condition holds at every one of `observations`; none when the model and
+    scheme are not in the shape those checks require."""
     if build.scheme.kind not in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
-        return report
+        return ()
     try:
-        if x is None or mar_variant == "uniform":
-            mar = all(check_mar(build.model, o, build.scheme) for o in observations)
-            oar = all(check_oar(build.model, o, build.scheme) for o in observations)
-            variant = "uniform"
-        else:
-            mar = check_mar(build.model, x, build.scheme)
-            oar = check_oar(build.model, x, build.scheme)
-            variant = "local"
+        mar = all(check_mar(build.model, o, build.scheme) for o in observations)
+        oar = all(check_oar(build.model, o, build.scheme) for o in observations)
     except NotRubinShape:
-        return report
-    extra = (("mar", mar), ("oar", oar), ("mar_variant", variant))
-    return replace(report, flags=report.flags + extra)
+        return ()
+    return (("mar", mar), ("oar", oar), ("mar_variant", variant))
 
 
 def cmd_check(args) -> int:
@@ -170,10 +161,15 @@ def cmd_check(args) -> int:
         xs = [None]
 
     reports = [prepared.test(inference, o, estimator, None, None) for o in xs]
-    reports = [
-        _with_rubin_conditions(build, r, o, args.mar_variant, observations)
-        for o, r in zip(xs, reports)
-    ]
+    uniform = None  # the same for every report, so computed at most once
+    for k, o in enumerate(xs):
+        if o is None or args.mar_variant == "uniform":
+            if uniform is None:
+                uniform = _rubin_flags(build, observations, "uniform")
+            extra = uniform
+        else:
+            extra = _rubin_flags(build, [o], "local")
+        reports[k] = replace(reports[k], flags=reports[k].flags + extra)
     informative = [r for r in reports if r.verdict != IGNORABLE]
     headline = informative[0] if informative else reports[0]
     overall = "informative" if informative else "ignorable"

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from .exactprob import (
     EngineError,
     FiniteDist,
+    NonUnitMass,
     canonical_key,
+    check_size,
     dist_eq,
-    dist_new,
     point_mass,
     pushforward,
     uniform,
@@ -102,17 +104,101 @@ def composite_rv(refs: Iterable[RandomVariableRef]) -> RandomVariableRef:
 
 
 @dataclass(frozen=True)
+class SplitIndex:
+    """A split's support numbered once, so the ignore path works on ints.
+
+    World ids follow the canonical_key order of the worlds, which is the
+    order of a FiniteDist's items; v_bar-codes follow the canonical_key
+    order of the nuisance values, so `v_bar_values` is the sorted image of
+    v_bar.  `phi[c]` is the compatibility set of v_bar-code c as world ids
+    in id order, and `world_of` inverts w -> (v-code, v_bar-code).
+    """
+
+    worlds: tuple  # world id -> world
+    ids: dict  # canonical_key(world) -> world id
+    v_code: tuple  # world id -> v-code
+    v_bar_code: tuple  # world id -> v_bar-code
+    v_bar_values: tuple  # v_bar-code -> nuisance value
+    v_bar_codes: dict  # canonical_key(nuisance value) -> v_bar-code
+    phi: tuple  # v_bar-code -> tuple of world ids
+    world_of: dict  # (v-code, v_bar-code) -> world id
+
+    @staticmethod
+    def build(keyed: dict, v_bar_values: dict) -> "SplitIndex":
+        """`keyed` maps canonical_key(w) to (w, v key, v_bar key) and
+        `v_bar_values` maps a v_bar key to its value."""
+        order = sorted(keyed)
+        v_bar_keys = sorted(v_bar_values)
+        v_bar_codes = {k: c for c, k in enumerate(v_bar_keys)}
+        v_codes: dict = {}
+        v_code = []
+        v_bar_code = []
+        for k in order:
+            _w, v_key, v_bar_key = keyed[k]
+            v_code.append(v_codes.setdefault(v_key, len(v_codes)))
+            v_bar_code.append(v_bar_codes[v_bar_key])
+        world_of: dict = {}
+        members = [[] for _ in v_codes]  # v-code -> world ids, ascending
+        compatible = [set() for _ in v_bar_keys]  # v_bar-code -> v-codes
+        for i, pair in enumerate(zip(v_code, v_bar_code)):
+            world_of.setdefault(pair, i)
+            members[pair[0]].append(i)
+            compatible[pair[1]].add(pair[0])
+        # splits often share one compatibility set across nuisance values
+        # (a distinct complement has the whole support for every value)
+        shared: dict = {}
+        phi = []
+        for codes in compatible:
+            codes = tuple(sorted(codes))
+            if codes not in shared:
+                shared[codes] = tuple(sorted(i for a in codes for i in members[a]))
+            phi.append(shared[codes])
+        return SplitIndex(
+            worlds=tuple(keyed[k][0] for k in order),
+            ids={k: i for i, k in enumerate(order)},
+            v_code=tuple(v_code),
+            v_bar_code=tuple(v_bar_code),
+            v_bar_values=tuple(v_bar_values[k] for k in v_bar_keys),
+            v_bar_codes=v_bar_codes,
+            phi=tuple(phi),
+            world_of=world_of,
+        )
+
+    def integer_masses(self, law: FiniteDist) -> dict:
+        """{world id: integer} proportional to a law's masses: each mass
+        times their common denominator.  Atoms off the support are left
+        out, as no compatibility set contains them."""
+        denominator = 1
+        for _w, mass in law.items:
+            denominator = lcm(denominator, mass.denominator)
+        ids = self.ids
+        out = {}
+        for w, mass in law.items:
+            i = ids.get(canonical_key(w))
+            if i is not None:
+                out[i] = mass.numerator * (denominator // mass.denominator)
+        return out
+
+
+@dataclass(frozen=True)
 class ProcessSplit:
-    """A (v, v_bar) pair with its computed complement status and the world
-    support it was classified on."""
+    """A (v, v_bar) pair with its computed complement status, the world
+    support it was classified on and that support's index."""
 
     v: RandomVariableRef
     v_bar: RandomVariableRef
     status: str
     support: tuple = field(compare=False)
+    index: SplitIndex = field(compare=False, repr=False)
 
     def is_complement(self) -> bool:
         return self.status in (COMPLEMENT, DISTINCT_COMPLEMENT)
+
+    def v_bar_code(self, value) -> int:
+        code = self.index.v_bar_codes.get(canonical_key(value))
+        if code is None:
+            raise ValueNotInImage(f"{value!r} not in the image of {self.v_bar.name}")
+        return code
 
 
 def variation_independent(h: Callable, h_prime: Callable, support: Iterable) -> bool:
@@ -127,42 +213,44 @@ def variation_independent(h: Callable, h_prime: Callable, support: Iterable) -> 
 def classify_split(
     support: Iterable, v: RandomVariableRef, v_bar: RandomVariableRef
 ) -> ProcessSplit:
-    """Compute the complement status of (v, v_bar) on a world support."""
+    """Compute the complement status of (v, v_bar) on a world support.
+
+    One pass keys every world, its v-value and its v_bar-value; the index
+    built from it decides the status: the split is a complement when
+    distinct worlds give distinct (v, v_bar) pairs, and a distinct one when
+    the pairs also fill the product of the two images."""
     support = tuple(support)
-    seen: dict = {}
-    injective = True
+    keyed: dict = {}
+    v_bar_values: dict = {}
     for w in support:
-        pair = (canonical_key(v(w)), canonical_key(v_bar(w)))
-        if pair in seen and canonical_key(seen[pair]) != canonical_key(w):
-            injective = False
-            break
-        seen[pair] = w
-    if not injective:
+        value = v_bar(w)
+        v_bar_key = canonical_key(value)
+        v_bar_values.setdefault(v_bar_key, value)
+        keyed[canonical_key(w)] = (w, canonical_key(v(w)), v_bar_key)
+    index = SplitIndex.build(keyed, v_bar_values)
+    pairs = len(index.world_of)
+    if pairs < len(index.worlds):
         status = NOT_COMPLEMENT
-    elif variation_independent(v, v_bar, support):
+    elif pairs == len(set(index.v_code)) * len(index.v_bar_values):
         status = DISTINCT_COMPLEMENT
     else:
         status = COMPLEMENT
-    return ProcessSplit(v=v, v_bar=v_bar, status=status, support=support)
+    return ProcessSplit(v=v, v_bar=v_bar, status=status, support=support, index=index)
 
 
 def phi_set(v_bar_value, split: ProcessSplit) -> tuple:
     """Compatibility set for a nuisance value: all worlds whose v-value
-    co-occurs (somewhere on the support) with that nuisance value."""
-    key = canonical_key(v_bar_value)
-    matching = [w for w in split.support if canonical_key(split.v_bar(w)) == key]
-    if not matching:
-        raise ValueNotInImage(f"{v_bar_value!r} not in the image of {split.v_bar.name}")
-    v_keys = {canonical_key(split.v(w)) for w in matching}
-    return tuple(w for w in split.support if canonical_key(split.v(w)) in v_keys)
+    co-occurs (somewhere on the support) with that nuisance value, in
+    canonical_key order."""
+    index = split.index
+    return tuple(index.worlds[i] for i in index.phi[split.v_bar_code(v_bar_value)])
 
 
-def _reconstructor(split: ProcessSplit) -> dict:
-    """The inverse of w -> (v(w), v_bar(w)), as a lookup table."""
-    table = {}
-    for w in split.support:
-        table[(canonical_key(split.v(w)), canonical_key(split.v_bar(w)))] = w
-    return table
+def _require_complement(split: ProcessSplit) -> None:
+    if not split.is_complement():
+        raise NotAComplement(
+            f"({split.v.name}, {split.v_bar.name}) does not separate the support"
+        )
 
 
 def atrandomize(
@@ -174,33 +262,53 @@ def atrandomize(
     the result is the product of the marginals mapped back to worlds, and
     the operator is idempotent there.
     """
-    if not split.is_complement():
-        raise NotAComplement(
-            f"({split.v.name}, {split.v_bar.name}) does not separate the support"
-        )
+    _require_complement(split)
     if nuisance is None:
         nuisance = pushforward(P, split.v_bar)
-    table = _reconstructor(split)
-    pairs = []
-    for v_bar_value, outer_w in nuisance.items:
-        phi = phi_set(v_bar_value, split)
-        phi_keys = {canonical_key(w) for w in phi}
-        conditioned = _condition_on_keys(P, phi_keys, split, v_bar_value)
-        vb_key = canonical_key(v_bar_value)
-        for w, inner_w in conditioned.items:
-            target = table[(canonical_key(split.v(w)), vb_key)]
-            pairs.append((target, outer_w * inner_w))
-    return dist_new(pairs)
+    return _atrandomize_ids(split.index.integer_masses(P), split, nuisance)
 
 
-def _condition_on_keys(P, phi_keys, split, v_bar_value) -> FiniteDist:
-    kept = [(w, mass) for w, mass in P.items if canonical_key(w) in phi_keys]
-    total = sum((mass for _, mass in kept), Fraction(0))
-    if total == 0:
-        raise ZeroMassPhiSet(
-            f"compatibility set of {split.v_bar.name}={v_bar_value!r} has zero mass"
-        )
-    return dist_new([(w, mass / total) for w, mass in kept])
+def _atrandomize_ids(
+    masses: dict, split: ProcessSplit, nuisance: FiniteDist
+) -> FiniteDist:
+    """atrandomize on a law given as `SplitIndex.integer_masses` gives it.
+
+    For each nuisance value b the law is conditioned on Phi(b), and each
+    world w of Phi(b) sends its conditioned mass, times the weight of b, to
+    the world with v-value v(w) and nuisance value b.  Those targets carry
+    the code of b, so every target is reached from one b only: its mass is
+    one fraction of integer sums (the common denominator cancels)."""
+    index = split.index
+    v_code = index.v_code
+    world_of = index.world_of
+    out = [0] * len(index.worlds)
+    pairs = 0
+    for value, outer in nuisance.items:
+        code = split.v_bar_code(value)
+        sums: dict = {}
+        total = kept = 0
+        for i in index.phi[code]:
+            n = masses.get(i)
+            if n is not None:
+                kept += 1
+                total += n
+                target = world_of[(v_code[i], code)]
+                sums[target] = sums.get(target, 0) + n
+        if total == 0:
+            raise ZeroMassPhiSet(
+                f"compatibility set of {split.v_bar.name}={value!r} has zero mass"
+            )
+        check_size(kept)
+        pairs += kept
+        numerator, denominator = outer.numerator, outer.denominator * total
+        for target, n in sums.items():
+            out[target] += Fraction(numerator * n, denominator)
+    check_size(pairs)
+    total = sum((w for _, w in nuisance.items), Fraction(0))
+    if total != 1:
+        raise NonUnitMass(f"weights sum to {total}, expected 1")
+    worlds = index.worlds
+    return FiniteDist(tuple((worlds[i], mass) for i, mass in enumerate(out) if mass))
 
 
 DIRAC_FIX = "dirac_fix"
@@ -327,21 +435,14 @@ def ignore_model(
     single_arbitrary, and the donor label under marginal_family.  Requires
     every original law to put positive mass on every compatibility set.
     """
-    if not split.is_complement():
-        raise NotAComplement(
-            f"({split.v.name}, {split.v_bar.name}) does not separate the support"
-        )
-    image_keyed = {}
-    for w in split.support:
-        value = split.v_bar(w)
-        image_keyed.setdefault(canonical_key(value), value)
-    image = [image_keyed[k] for k in sorted(image_keyed)]
-
+    _require_complement(split)
+    phi = split.index.phi
+    image = split.index.v_bar_values
+    masses = {p: split.index.integer_masses(family.laws[p]) for p in family.points}
     for point in family.points:
-        law = family.laws[point]
-        for value in image:
-            phi_keys = {canonical_key(w) for w in phi_set(value, split)}
-            if not any(canonical_key(w) in phi_keys for w, _ in law.items):
+        law = masses[point]
+        for code, value in enumerate(image):
+            if not any(i in law for i in phi[code]):
                 raise ZeroMassPhiSet(
                     f"law at {point!r} has zero mass on the compatibility set "
                     f"of {split.v_bar.name}={value!r}"
@@ -358,7 +459,7 @@ def ignore_model(
     elif policy.kind == SINGLE_ARBITRARY:
         dist = policy.dist if policy.dist is not None else uniform(image)
         for value, _w in dist.items:
-            if canonical_key(value) not in image_keyed:
+            if canonical_key(value) not in split.index.v_bar_codes:
                 raise ValueNotInImage(
                     f"arbitrary nuisance law puts mass outside the image of "
                     f"{split.v_bar.name}"
@@ -379,7 +480,7 @@ def ignore_model(
     for point, index, nuisance in triples:
         new_point = (point, index)
         points.append(new_point)
-        laws[new_point] = atrandomize(family.laws[point], split, nuisance)
+        laws[new_point] = _atrandomize_ids(masses[point], split, nuisance)
         obs_fns[new_point] = family.obs_fns[point]
     flags = dict(family.flags)
     flags["ignored"] = {

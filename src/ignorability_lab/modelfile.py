@@ -109,6 +109,17 @@ def _tokenize(text: str):
             yield lineno, tokens
 
 
+def _fraction(tok: Token) -> Fraction:
+    """An integer or p/q token as a Fraction; a zero denominator is a
+    located diagnostic."""
+    try:
+        return Fraction(tok.text)
+    except ZeroDivisionError:
+        raise BadRational(
+            f"zero denominator in {tok.text!r}", tok.line, tok.col, "exact-rational"
+        ) from None
+
+
 def _parse_rational(tok: Token) -> Fraction:
     if _DECIMAL.match(tok.text):
         frac = Fraction(tok.text).limit_denominator(10**6)
@@ -119,7 +130,7 @@ def _parse_rational(tok: Token) -> Fraction:
             "exact-rational",
         )
     if _RATIONAL.match(tok.text) or _INTEGER.match(tok.text):
-        return Fraction(tok.text)
+        return _fraction(tok)
     raise BadRational(
         f"not a rational: {tok.text!r}", tok.line, tok.col, "exact-rational"
     )
@@ -139,7 +150,7 @@ def _parse_label(tok: Token):
     if _INTEGER.match(tok.text):
         return int(tok.text)
     if _RATIONAL.match(tok.text):
-        return Fraction(tok.text)
+        return _fraction(tok)
     return tok.text
 
 
@@ -354,6 +365,14 @@ def parse_model(text: str) -> ModelDocument:
             return None
         return found[0]
 
+    def first_value(entry):
+        key, _arg, values = entry
+        if not values:
+            raise SchemaError(
+                f"missing value for key {key.text!r}", key.line, key.col, "key-value"
+            )
+        return values[0]
+
     def check_known_keys(name: str, known, with_arg=()):
         for key, arg, _values in entries(name):
             if arg is None and key.text not in known:
@@ -539,9 +558,9 @@ def parse_model(text: str) -> ModelDocument:
     n = None
     n_entry = single("design", "n", required=False)
     if n_entry:
-        value = _parse_rational(n_entry[2][0])
+        tok = first_value(n_entry)
+        value = _parse_rational(tok)
         if value.denominator != 1 or value < 0:
-            tok = n_entry[2][0]
             raise SchemaError(
                 f"sample size must be a nonnegative integer, got {tok.text!r}",
                 tok.line,
@@ -637,7 +656,15 @@ def parse_model(text: str) -> ModelDocument:
                     tok.col,
                     "unit-exists",
                 )
-        components.append(((_parse_label(arg) if arg else len(components)), mapping))
+        index = _parse_label(arg) if arg else len(components)
+        if isinstance(index, str):
+            raise SchemaError(
+                f"component index {arg.text!r} is not a number",
+                arg.line,
+                arg.col,
+                "component-index",
+            )
+        components.append((index, mapping))
     components.sort(key=lambda kv: kv[0])
     component_maps = tuple(mapping for _i, mapping in components) or None
     weights = []
@@ -700,7 +727,7 @@ def parse_model(text: str) -> ModelDocument:
     unordered = False
     unordered_entry = single("observation", "unordered", required=False)
     if unordered_entry:
-        tok = unordered_entry[2][0]
+        tok = first_value(unordered_entry)
         if tok.text not in ("true", "false"):
             raise SchemaError(
                 "unordered must be true or false", tok.line, tok.col, "boolean"
@@ -726,7 +753,7 @@ def parse_model(text: str) -> ModelDocument:
         check_known_keys("target", ("kind", "unit"))
         kind_entry = single("target", "kind", required=False)
         if kind_entry:
-            tok = kind_entry[2][0]
+            tok = first_value(kind_entry)
             if tok.text not in TARGET_KINDS:
                 raise SchemaError(
                     f"unknown target kind {tok.text!r}",
@@ -737,7 +764,7 @@ def parse_model(text: str) -> ModelDocument:
             target_kind = tok.text
         unit_entry = single("target", "unit", required=False)
         if unit_entry:
-            tok = unit_entry[2][0]
+            tok = first_value(unit_entry)
             target_unit = _parse_label(tok)
             if target_unit not in units:
                 raise SchemaError(

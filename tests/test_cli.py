@@ -117,6 +117,27 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_uniform_mar_flags_computed_once(self, capsys, models, monkeypatch):
+        # one check_mar call per observation, not one per observation pair
+        from ignorability_lab import cli
+
+        calls = []
+        real = cli.check_mar
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_mar", counting)
+        argv = ["check", models["srs_wor_n3"], "--inference", "bayes",
+                "--mar-variant", "uniform", "--json"]
+        code, out, _ = run(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["flags"]["mar"] is True
+        assert payload["observations_checked"] == 24
+        assert len(calls) == 24
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -152,6 +173,24 @@ class TestInputErrors:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "model, old, new, message",
+        [
+            ("srs_wor_minimal", "alphabet = 0 1", "alphabet = 1/0 1", "zero denominator"),
+            ("srs_wor_n3", "unit = 1", "unit = #", "missing value for key 'unit'"),
+            ("bernoulli_mixture", "component 0 = 1", "component ] = 1", "component index"),
+        ],
+        ids=["alphabet-zero-denominator", "value-only-comment", "component-index-word"],
+    )
+    def test_bad_model_file(self, capsys, tmp_path, model, old, new, message):
+        text = CATALOG[model]
+        assert old in text
+        path = tmp_path / "bad.model"
+        path.write_text(text.replace(old, new))
+        code, _, err = run(capsys, ["check", str(path)])
+        assert code == 2
+        assert err.startswith("error: line ") and message in err
 
     def test_bad_support_cap(self, capsys, models, monkeypatch):
         monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "abc")

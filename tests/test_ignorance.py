@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ignorability_lab.exactprob import (
+    ModelTooLarge,
     bernoulli,
     dist_eq,
     dist_new,
@@ -289,6 +290,99 @@ class TestAtrandomizeProperties:
         assert set(pushforward(out, first).support()) <= set(
             pushforward(P, first).support()
         )
+
+
+def _oracle_atrandomize(support, table):
+    """The ignore construction transcribed on dict weights: mix the
+    Phi-conditioned first-coordinate laws against the law's own
+    second-coordinate marginal; `support` is the space the split is
+    classified on, `table` the positive weights."""
+    marginal = {}
+    for (_a, b), w in table.items():
+        marginal[b] = marginal.get(b, F(0)) + w
+    out = {}
+    for b0, outer in marginal.items():
+        compatible = {a for (a, b) in support if b == b0}
+        phi = [(a, b) for (a, b) in support if a in compatible]
+        mass = sum((table.get(p, F(0)) for p in phi), F(0))
+        for (a, b) in phi:
+            if table.get((a, b)):
+                out[(a, b0)] = out.get((a, b0), F(0)) + outer * table[(a, b)] / mass
+    return out
+
+
+pair_supports = st.sets(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=9
+).map(sorted)
+
+
+@st.composite
+def supported_laws(draw):
+    """A support of 2-9 pairs and a law with random rational weights on a
+    nonempty part of it."""
+    support = draw(pair_supports)
+    loads = draw(
+        st.lists(st.integers(0, 9), min_size=len(support), max_size=len(support))
+        .filter(any)
+    )
+    total = sum(loads)
+    table = {w: F(n, total) for w, n in zip(support, loads) if n}
+    return support, table
+
+
+class TestIgnoreProperties:
+    @given(supported_laws())
+    def test_atrandomize_matches_phi_construction(self, case):
+        support, table = case
+        split = classify_split(support, first, second)
+        assert split.is_complement()
+        got = atrandomize(dist_new(list(table.items())), split)
+        want = dist_new(list(_oracle_atrandomize(support, table).items()))
+        # same atoms, same weights, same canonical item order
+        assert got.items == want.items
+
+    @given(pair_supports)
+    def test_phi_set_is_its_definition(self, support):
+        split = classify_split(support, first, second)
+        for b in {w[1] for w in support}:
+            compatible = {w[0] for w in support if w[1] == b}
+            want = tuple(w for w in support if w[0] in compatible)
+            assert phi_set(b, split) == want
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.integers(1, 9), min_size=9, max_size=9),
+    )
+    def test_idempotent_on_distinct_complements(self, n_first, n_second, loads):
+        support = [(a, b) for a in range(n_first) for b in range(n_second)]
+        total = sum(loads[: len(support)])
+        P = dist_new([(w, F(n, total)) for w, n in zip(support, loads)])
+        split = classify_split(support, first, second)
+        assert split.status == DISTINCT_COMPLEMENT
+        once = atrandomize(P, split)
+        assert dist_eq(atrandomize(once, split), once)
+
+
+class TestIgnoreSizeCap:
+    @pytest.mark.parametrize(
+        "policy, cap, message",
+        [
+            # the conditioned pairs of both nuisance values: 3 + 2
+            (marginal_family, 4, "support of size 5 exceeds cap 4"),
+            # the law's own nuisance marginal is built first
+            (marginal_family, 2, "support of size 3 exceeds cap 2"),
+            # Phi(0) is the whole three-point support
+            (dirac_fix, 2, "support of size 3 exceeds cap 2"),
+        ],
+    )
+    def test_cap_below_ignored_law(self, monkeypatch, policy, cap, message):
+        fam = Family(("p",), {"p": uniform(THREE_POINT)}, {"p": lambda w: w[0]})
+        split = make_split(fam, first, second)
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", str(cap))
+        with pytest.raises(ModelTooLarge) as info:
+            ignore_model(fam, split, policy())
+        assert str(info.value) == message
 
 
 class TestTargets:

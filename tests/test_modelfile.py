@@ -166,3 +166,21 @@ class TestInvalidDocuments:
         err = expect_error(text, BadRational, "use 1/4")
         assert err.line == 5
         assert err.col == 13
+
+    def test_zero_denominator_label(self):
+        text = MINIMAL.replace("alphabet = 0 1", "alphabet = 1/0 1")
+        err = expect_error(text, BadRational, "zero denominator in '1/0'")
+        assert err.col == 12
+
+    def test_zero_denominator_mass(self):
+        text = MINIMAL.replace("iid 1/3 = 0:2/3 1:1/3", "iid 1/3 = 0:2/0 1:1/3")
+        expect_error(text, BadRational, "zero denominator in '2/0'")
+
+    def test_value_is_only_a_comment(self):
+        text = CATALOG["srs_wor_n3"].replace("unit = 1", "unit = #")
+        err = expect_error(text, SchemaError, "missing value for key 'unit'")
+        assert err.col == 1
+
+    def test_component_index_not_a_number(self):
+        text = CATALOG["bernoulli_mixture"].replace("component 0 = 1", "component ] = 1")
+        expect_error(text, SchemaError, "component index ']' is not a number")
