@@ -11,7 +11,10 @@ is the command:
     x {dirac, arbitrary, marginal};
   - enumerate --json and inclusion --json for every model;
   - for every model whose scheme exposes the mapping: audit-rubin --json,
-    and check --inference bayes --policy dirac --mar-variant uniform --json.
+    and check --inference bayes --policy dirac --mar-variant uniform --json;
+  - mc-verify --json for every model at its default grid point, with the
+    seed of acceptance criterion 9 and 20,000 draws, and once with a
+    single draw of seed 0 (case mc-verify.<model>.draws1).
 
 tests/test_golden.py replays every case and compares byte for byte; it
 never rewrites the files.  Regenerate only on purpose and review the diff:
@@ -39,6 +42,10 @@ from ignorability_lab.cli import main as cli_main
 from ignorability_lab.modelfile import parse_model
 from ignorability_lab.sampling import VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN
 
+MC_SEED = "20260810"
+MC_DRAWS = "20000"
+MC_SINGLE_DRAW_MODEL = "srs_wor_n3"
+
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "tests", "golden")
 
@@ -59,6 +66,10 @@ def cases():
             out.append((f"check.{name}.bayes.dirac.mar_uniform", name,
                         ["--inference", "bayes", "--policy", "dirac",
                          "--mar-variant", "uniform", "--json"]))
+        out.append((f"mc-verify.{name}", name,
+                    ["--seed", MC_SEED, "--draws", MC_DRAWS, "--json"]))
+    out.append((f"mc-verify.{MC_SINGLE_DRAW_MODEL}.draws1", MC_SINGLE_DRAW_MODEL,
+                ["--seed", "0", "--draws", "1", "--json"]))
     return out
 
 
