@@ -372,6 +372,7 @@ class Family:
         self.flags = dict(flags or {})
         self._obs_cache: dict = {}
         self._mass_tables: dict = {}
+        self._observation_support: tuple | None = None
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
@@ -404,11 +405,15 @@ class Family:
         return self._mass_tables[point]
 
     def observation_support(self) -> tuple:
-        keyed = {}
-        for p in self.points:
-            for x, _m in self.observation_dist(p).items:
-                keyed.setdefault(canonical_key(x), x)
-        return tuple(keyed[k] for k in sorted(keyed))
+        """Every observation with positive mass at some point, in
+        canonical_key order; built once."""
+        if self._observation_support is None:
+            keyed = {}
+            for p in self.points:
+                for x, _m in self.observation_dist(p).items:
+                    keyed.setdefault(canonical_key(x), x)
+            self._observation_support = tuple(keyed[k] for k in sorted(keyed))
+        return self._observation_support
 
     def marginal(self, point, rv: RandomVariableRef) -> FiniteDist:
         return pushforward(self.laws[point], rv)

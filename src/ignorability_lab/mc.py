@@ -16,6 +16,7 @@ appear only at the comparison boundary of the report.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,19 +58,13 @@ def _thresholds(dist: FiniteDist):
     return outcomes, cutoffs
 
 
-def _draw_index(cutoffs, value: int) -> int:
-    import bisect
-
-    return bisect.bisect_left(cutoffs, value)
-
-
 def sample_world(
     m: SurveyModel, theta, phi=None, seed: int = 0, index: int = 0
 ) -> WorldState:
     """Deterministic world draw: inverse CDF of the exact joint at draw
     `index` of stream `seed`."""
     outcomes, cutoffs = _thresholds(build_joint(m, theta, phi))
-    return outcomes[_draw_index(cutoffs, u64(seed, index))]
+    return outcomes[bisect_left(cutoffs, u64(seed, index))]
 
 
 @dataclass(frozen=True)
@@ -132,13 +127,17 @@ def compare_exact_vs_mc(
     observe_world = observation_fn(m, phi, scheme or values_only())
     joint = build_joint(m, theta, phi)
     exact = pushforward(joint, observe_world)
-    # observations precomputed per world atom; each draw is an index lookup
     outcomes, cutoffs = _thresholds(joint)
-    obs_of = [canonical_key(observe_world(w)) for w in outcomes]
-    counts: dict = {}
+    # a draw only bumps its atom's integer; hashing an observation key (a
+    # tuple of Fractions) is paid once per atom hit, not once per draw
+    hits = [0] * len(outcomes)
     for i in range(draws):
-        key = obs_of[_draw_index(cutoffs, u64(seed, i))]
-        counts[key] = counts.get(key, 0) + 1
+        hits[bisect_left(cutoffs, u64(seed, i))] += 1
+    counts: dict = {}
+    for world, n in zip(outcomes, hits):
+        if n:
+            key = canonical_key(observe_world(world))
+            counts[key] = counts.get(key, 0) + n
     cells = []
     for outcome, weight in exact.items:
         key = canonical_key(outcome)

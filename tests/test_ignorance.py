@@ -231,6 +231,19 @@ class TestIgnoreModel:
             )
 
 
+class TestFamily:
+    def test_observation_support_built_once(self, monkeypatch):
+        fam = two_by_two_family()
+        first_call = fam.observation_support()
+        assert first_call == (0, 1)
+
+        def no_rebuild(point):
+            raise AssertionError("observation_dist called again")
+
+        monkeypatch.setattr(fam, "observation_dist", no_rebuild)
+        assert fam.observation_support() is first_call
+
+
 class TestDistinctSplitAlgebra:
     def test_pair_reconstruction_is_bijective(self):
         # on a distinct split the value pair determines the world and every

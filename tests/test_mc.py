@@ -1,16 +1,18 @@
 """Counter-based generator and the exact-vs-simulated cross check."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from ignorability_lab.exactprob import bernoulli, point_mass
+from ignorability_lab.exactprob import bernoulli, canonical_key, point_mass
 from ignorability_lab.designs import constant, select_max, srs_wor
 from ignorability_lab.mc import compare_exact_vs_mc, mix64, sample_world, u64
 from ignorability_lab.sampling import (
     Population,
     SurveyModel,
     iid_signal_dist,
+    observation_fn,
     values_only,
 )
 
@@ -57,6 +59,16 @@ class TestGenerator:
 
     def test_seed_changes_stream(self):
         assert [u64(1, i) for i in range(5)] != [u64(2, i) for i in range(5)]
+
+    def test_published_splitmix64_outputs_for_seed_zero(self):
+        assert [u64(0, i) for i in range(3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    def test_seed_taken_modulo_two_to_the_64(self):
+        assert [u64(-1, i) for i in range(5)] == [u64(2**64 - 1, i) for i in range(5)]
 
 
 class TestSampleWorld:
@@ -109,3 +121,18 @@ class TestCompareExactVsMc:
     def test_draws_validation(self):
         with pytest.raises(ValueError):
             compare_exact_vs_mc(m=point_model(), theta="t", draws=0)
+
+    @pytest.mark.parametrize("make_model", [srs1_model, select_max_model])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_counts_equal_tally_of_sample_world(self, make_model, seed):
+        m, scheme, draws = make_model(), values_only(), 500
+        report = compare_exact_vs_mc(
+            m=m, theta=F(1, 2), scheme=scheme, draws=draws, seed=seed
+        )
+        observe = observation_fn(m, None, scheme)
+        expected = Counter(
+            canonical_key(observe(sample_world(m, F(1, 2), seed=seed, index=i)))
+            for i in range(draws)
+        )
+        counts = {canonical_key(c.outcome): c.count for c in report.cells if c.count}
+        assert counts == dict(expected)
