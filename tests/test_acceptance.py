@@ -6,6 +6,7 @@ independent brute force (plain dict/loop enumeration, no engine calls on
 the checked path) and frozen comparisons against the engine output.
 """
 
+import hashlib
 import itertools
 import time
 from contextlib import contextmanager
@@ -71,7 +72,7 @@ from ignorability_lab.modelfile import (
     emit_model,
     parse_model,
 )
-from ignorability_lab.reports import emit_report
+from ignorability_lab.reports import emit_report, machine_json, rubin_payload
 from ignorability_lab.sampling import (
     Population,
     SurveyModel,
@@ -305,6 +306,11 @@ RUBIN_KERNELS = {
 }
 
 
+# SHA-256 of the sweep's audit payloads (machine JSON, one per line); it
+# pins the MAR/OAR flags and the theorem verdicts of every audited case.
+RUBIN_SWEEP_DIGEST = "03f8de6488e0d96f608c2630c09897369da663c80708d414cb7f29a8464eaf25"
+
+
 def _rubin_model(theta_labels, phi_labels):
     pop = Population((1, 2))
     signal_law = {
@@ -338,6 +344,7 @@ def test_criterion_06_rubin_soundness_sweep():
         ]
         audits = 0
         counterexamples = []
+        digest = hashlib.sha256()  # every payload, in sweep order
         for thetas in theta_grids:
             for phis in phi_grids:
                 m = _rubin_model(thetas, phis)
@@ -345,11 +352,13 @@ def test_criterion_06_rubin_soundness_sweep():
                 for x in fam.observation_support():
                     report = rubin_theorem_audit(m, x, values_and_mapping())
                     audits += 1
+                    digest.update(machine_json(rubin_payload(report)).encode() + b"\n")
                     for name in ("6.1", "6.3", "7.1", "7.2"):
                         if report.audit(name).counterexample():
                             counterexamples.append((thetas, phis, x, name))
         assert audits > 1000
         assert counterexamples == []
+        assert digest.hexdigest() == RUBIN_SWEEP_DIGEST
         assert time.monotonic() - start < 60.0
 
 
