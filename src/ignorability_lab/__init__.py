@@ -70,6 +70,7 @@ from .inference import (
     likelihood_equivalent,
     posterior_equivalent,
     prepare,
+    prepare_rubin,
     rubin_theorem_audit,
     sampling_dist_equivalent,
 )

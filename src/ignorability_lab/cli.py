@@ -8,7 +8,8 @@ Commands:
   mc-verify   seeded simulation cross-check against the exact engine
   examples    emit the built-in example catalog
 
-Exit codes: 0 success, 1 verdict contradicts --expect, 2 input error.
+Exit codes: 0 success, 1 verdict contradicts --expect, 2 input error,
+3 internal error (the traceback goes to stderr).
 Observation literals are JSON: values-only `[1,0]`, values-and-mapping
 `[[1,0],[2,1]]`; strings of the form "p/q" are read as exact rationals.
 """
@@ -19,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,11 +33,9 @@ from .inference import (
     IGNORABLE,
     LIKELIHOOD_BASED,
     NotRubinShape,
-    check_mar,
-    check_oar,
     default_estimator,
     prepare,
-    rubin_theorem_audit,
+    prepare_rubin,
 )
 from .ignorance import dirac_fix, marginal_family, single_arbitrary
 from .mc import compare_exact_vs_mc
@@ -114,15 +114,16 @@ def _find_point(model, theta_text, phi_text):
     )
 
 
-def _rubin_flags(build, observations, variant) -> tuple:
+def _rubin_flags(rubin, observations, variant) -> tuple:
     """Missing-at-random / observed-at-random flags that hold when the
-    condition holds at every one of `observations`; none when the model and
-    scheme are not in the shape those checks require."""
-    if build.scheme.kind not in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
+    condition holds at every one of `observations`, read from the model's
+    Rubin context; none when the model and scheme are not in the shape
+    those checks require (no context, or a query raises NotRubinShape)."""
+    if rubin is None:
         return ()
     try:
-        mar = all(check_mar(build.model, o, build.scheme) for o in observations)
-        oar = all(check_oar(build.model, o, build.scheme) for o in observations)
+        mar = all(rubin.mar(o) for o in observations)
+        oar = all(rubin.oar(o) for o in observations)
     except NotRubinShape:
         return ()
     return (("mar", mar), ("oar", oar), ("mar_variant", variant))
@@ -161,14 +162,18 @@ def cmd_check(args) -> int:
         xs = [None]
 
     reports = [prepared.test(inference, o, estimator, None, None) for o in xs]
+    try:
+        rubin = prepare_rubin(build.model, build.scheme)
+    except NotRubinShape:
+        rubin = None
     uniform = None  # the same for every report, so computed at most once
     for k, o in enumerate(xs):
         if o is None or args.mar_variant == "uniform":
             if uniform is None:
-                uniform = _rubin_flags(build, observations, "uniform")
+                uniform = _rubin_flags(rubin, observations, "uniform")
             extra = uniform
         else:
-            extra = _rubin_flags(build, [o], "local")
+            extra = _rubin_flags(rubin, [o], "local")
         reports[k] = replace(reports[k], flags=reports[k].flags + extra)
     informative = [r for r in reports if r.verdict != IGNORABLE]
     headline = informative[0] if informative else reports[0]
@@ -272,7 +277,8 @@ def cmd_audit_rubin(args) -> int:
         validate_observation(build.model, build.scheme, xs[0])
     else:
         xs = Family.from_survey_model(build.model, build.scheme).observation_support()
-    reports = [rubin_theorem_audit(build.model, x, build.scheme) for x in xs]
+    rubin = prepare_rubin(build.model, build.scheme)
+    reports = [rubin.audit(x) for x in xs]
     counterexamples = sum(
         1 for r in reports for a in r.audits if a.counterexample()
     )
@@ -405,6 +411,9 @@ def main(argv=None) -> int:
     except EngineError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .exactprob import (
     EngineError,
     FiniteDist,
     canonical_key,
+    check_size,
     condition,
     dist_new,
     pushforward,
@@ -48,6 +49,7 @@ from .sampling import (
     SurveyModel,
     VALUES_AND_MAPPING,
     VALUES_MAPPING_DESIGN,
+    validate_observation,
     values_and_mapping,
 )
 
@@ -91,8 +93,6 @@ def likelihood(family_or_model, x, scheme: ObservationScheme | None = None) -> L
     alphabet) is rejected; a well-formed but impossible x simply gets a
     zero table."""
     if isinstance(family_or_model, SurveyModel) and scheme is not None:
-        from .sampling import validate_observation
-
         validate_observation(family_or_model, scheme, x)
     family = _as_family(family_or_model, scheme)
     xk = canonical_key(x)
@@ -250,16 +250,12 @@ def sampling_dist_equivalent(
     reprs = {}
     groups_a: dict = {}
     groups_b: dict = {}
-    for p in original.points:
-        k = canonical_key(va[p])
-        reprs.setdefault(k, va[p])
-        d = pushforward(original.observation_dist(p), estimator)
-        groups_a.setdefault(k, {})[canonical_key(d)] = d
-    for q in ignored.points:
-        k = canonical_key(vb[q])
-        reprs.setdefault(k, vb[q])
-        d = pushforward(ignored.observation_dist(q), estimator)
-        groups_b.setdefault(k, {})[canonical_key(d)] = d
+    for family, values, groups in ((original, va, groups_a), (ignored, vb, groups_b)):
+        for p in family.points:
+            k = canonical_key(values[p])
+            reprs.setdefault(k, values[p])
+            d = pushforward(family.observation_dist(p), estimator)
+            groups.setdefault(k, {})[canonical_key(d)] = d
     witnesses = []
     equivalent = True
     for k in sorted(reprs):
@@ -360,153 +356,6 @@ def check_distinct(grid) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _NotConstant:
-    pass
-
-
-_NOT_CONSTANT = _NotConstant()
-
-
-def _z_of_signal(m: SurveyModel):
-    """The design-variable value as a function of the signal.
-
-    Rubin-style checks need the selection mass given y alone, so z must be
-    a deterministic function of y across the whole family; the function is
-    extended to structural completions via the z-contains-y convention or
-    a constant z."""
-    table = {}
-    constant = None
-    constant_set = False
-    for theta in m.thetas:
-        for (y, z), _w in m.signal_law[theta].items:
-            yk = canonical_key(y)
-            zk = canonical_key(z)
-            if yk in table and canonical_key(table[yk]) != zk:
-                raise NotRubinShape("design variable is not a function of the signal")
-            table[yk] = z
-            if not constant_set:
-                constant, constant_set = z, True
-            elif constant is not _NOT_CONSTANT and canonical_key(constant) != zk:
-                constant = _NOT_CONSTANT
-    def z_of(y):
-        yk = canonical_key(y)
-        if yk in table:
-            return table[yk]
-        if m.z_contains_y:
-            return y
-        if constant is not _NOT_CONSTANT:
-            return constant
-        raise NotRubinShape(f"cannot extend the design variable to signal {y!r}")
-    return z_of
-
-
-def _selection_mass(m: SurveyModel, z_of, phi, y, r) -> Fraction:
-    return m.design_for(phi).get(z_of(y)).mass(r)
-
-
-def _extract_values_and_mapping(scheme: ObservationScheme, x):
-    if scheme.kind not in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
-        raise NotRubinShape(
-            "the observation scheme must expose the selection mapping"
-        )
-    values, mapping = x[0], x[1]
-    return tuple(values), tuple(mapping)
-
-
-def _completions(m: SurveyModel, fixed: dict):
-    """All signals from the alphabet agreeing with the fixed coordinates."""
-    free = [i for i in range(m.population.size) if i not in fixed]
-    for combo in itertools.product(m.alphabet, repeat=len(free)):
-        y = [None] * m.population.size
-        for i, v in fixed.items():
-            y[i] = v
-        for i, v in zip(free, combo):
-            y[i] = v
-        yield tuple(y)
-
-
-def _observed_constraints(m: SurveyModel, values, mapping) -> dict | None:
-    """Fixed signal coordinates implied by the observed draws, or None when
-    the same unit was drawn with two different values (impossible x)."""
-    fixed: dict = {}
-    for v, k in zip(values, mapping):
-        i = m.population.index(k)
-        if i in fixed and canonical_key(fixed[i]) != canonical_key(v):
-            return None
-        fixed[i] = v
-    return fixed
-
-
-def _phi_points(m: SurveyModel):
-    return m.phis if m.phis else (None,)
-
-
-def check_mar(
-    m: SurveyModel,
-    x,
-    scheme: ObservationScheme | None = None,
-    variant: str = "local",
-) -> bool:
-    """Missing at random at the observed (mapping, values).
-
-    For every nuisance grid point there must be one constant equal to the
-    selection mass of the observed mapping across every signal completion
-    compatible with the observed values.  The uniform variant requires the
-    local condition at every positive-mass observation.
-    """
-    scheme = scheme or values_and_mapping()
-    if variant == "uniform":
-        observations = Family.from_survey_model(m, scheme).observation_support()
-        return all(check_mar(m, o, scheme, "local") for o in observations)
-    values, mapping = _extract_values_and_mapping(scheme, x)
-    z_of = _z_of_signal(m)
-    fixed = _observed_constraints(m, values, mapping)
-    if fixed is None:
-        return True
-    for phi in _phi_points(m):
-        masses = {
-            _selection_mass(m, z_of, phi, y, mapping) for y in _completions(m, fixed)
-        }
-        if len(masses) > 1:
-            return False
-    return True
-
-
-def check_oar(
-    m: SurveyModel,
-    x,
-    scheme: ObservationScheme | None = None,
-    complementation=None,
-) -> bool:
-    """Observed at random at the observed mapping.
-
-    For every nuisance point and every value of the unobserved signal part,
-    the selection mass of the observed mapping must not depend on the
-    observed part.  `complementation` names the unobserved coordinates;
-    the default is every unit outside the image of the mapping.
-    """
-    scheme = scheme or values_and_mapping()
-    _values, mapping = _extract_values_and_mapping(scheme, x)
-    if complementation is None:
-        image = set(mapping)
-        unobserved = [
-            i for i, k in enumerate(m.population.labels) if k not in image
-        ]
-    else:
-        unobserved = [m.population.index(k) for k in complementation(mapping)]
-    z_of = _z_of_signal(m)
-    for phi in _phi_points(m):
-        for u0 in itertools.product(m.alphabet, repeat=len(unobserved)):
-            fixed = dict(zip(unobserved, u0))
-            masses = {
-                _selection_mass(m, z_of, phi, y, mapping)
-                for y in _completions(m, fixed)
-            }
-            if len(masses) > 1:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class TheoremAudit:
     theorem: str
@@ -533,150 +382,257 @@ class RubinAuditReport:
         raise KeyError(name)
 
 
-def rubin_theorem_audit(
-    m: SurveyModel,
-    x,
-    scheme: ObservationScheme | None = None,
-    statistic=None,
-) -> RubinAuditReport:
-    """Evaluate hypotheses and conclusions of the classical missing-data
-    theorems by exact enumeration; records the pairs, asserts nothing.
+def _tally(pairs) -> dict:
+    """{key: summed mass} of (key, mass) pairs, in first-seen key order."""
+    out = {}
+    for key, w in pairs:
+        out[key] = out.get(key, 0) + w
+    return out
 
-    The statistic defaults to the identity on (observed values, mapping),
-    the finest statistic, so its distributional equality is equivalent to
-    equality for every statistic.
-    """
-    scheme = scheme or values_and_mapping()
-    values, mapping = _extract_values_and_mapping(scheme, x)
-    if len(set(mapping)) != len(mapping):
-        raise NotRubinShape("the observed mapping repeats a unit")
-    if statistic is None:
-        statistic = lambda obs: obs
-    z_of = _z_of_signal(m)
-    pop = m.population
-    mar = check_mar(m, x, scheme)
-    oar = check_oar(m, x, scheme)
-    distinct = check_distinct(m.grid) if m.phis else True
 
-    def observed_part(y, mp):
-        return (tuple(y[pop.index(k)] for k in mp), mp)
+class RubinContext:
+    """The observation-free part of the missing-data checks on one model,
+    built by `prepare_rubin` and queried by `mar`, `oar` and `audit`.
 
-    mk = canonical_key(mapping)
-    # one signal marginal and one ignoring distribution (kept as its key)
-    # per theta, one (y, r) joint per grid point; every theorem reads these
-    marginals = {t: pushforward(m.signal_law[t], lambda yz: yz[0]) for t in m.thetas}
-    ignoring = {
-        t: canonical_key(
-            pushforward(marginals[t], lambda y: statistic(observed_part(y, mapping)))
+    Signals are the tuples over the alphabet, numbered in product order.
+    z as a function of y, the selection table (phi, signal id) -> {mapping
+    key: mass} (entry by entry) and the audit's tables are built on first
+    use, so a query raises what a fresh context would, in the same order."""
+
+    def __init__(self, m: SurveyModel):
+        self.model = m
+        self.phis = m.phis if m.phis else (None,)
+        n = m.population.size
+        self.signals = tuple(itertools.product(m.alphabet, repeat=n))
+        # the canonical key of each coordinate of each signal
+        self._keys = tuple(
+            itertools.product([canonical_key(a) for a in m.alphabet], repeat=n)
         )
-        for t in m.thetas
-    }
-    # 6.3 hypothesis: the missingness mechanism is degenerate at the
-    # observed mapping for every signal of positive mass.
-    hyp_63 = True
-    joints = {}
-    for theta, phi in m.grid:
-        pairs = []
-        for y, w in marginals[theta].items:
-            delta = m.design_for(phi).get(z_of(y))
-            hyp_63 = hyp_63 and delta.mass(mapping) == 1
-            pairs.extend(((y, r), w * wr) for r, wr in delta.items)
-        joints[(theta, phi)] = dist_new(pairs)
+        self._z = None
+        self._selection = {}
+        self._tables = None
 
-    # 6.1 conclusion: the ignoring distribution equals the correct
-    # conditional distribution given the observed mapping, wherever that
-    # mapping has positive mass.  6.2 condition: the mass of the observed
-    # mapping given the observed part is one positive constant; its
-    # conclusion counts undefined conditionals (mapping of zero mass) as
-    # failures, which keeps the equivalence exact in the finite case.
-    # 6.3 conclusion: the unconditional law of the statistic is the
-    # ignoring distribution.
-    concl_61 = cond_62 = concl_62 = concl_63 = True
-    for (theta, _phi), jm in joints.items():
-        by_obs: dict = {}
-        hits = []  # (statistic, mass) of the worlds showing the observed mapping
-        for (y, r), w in jm.items:
-            part = observed_part(y, mapping)
-            twin = by_obs.setdefault(canonical_key(part), [Fraction(0), Fraction(0)])
-            twin[0] += w
-            if canonical_key(r) == mk:
-                twin[1] += w
-                hits.append((statistic(part), w))
-        ratios = {twin[1] / twin[0] for twin in by_obs.values()}
-        if len(ratios) != 1 or next(iter(ratios)) == 0:
-            cond_62 = False
-        k_mass = sum((w for _s, w in hits), Fraction(0))
-        if k_mass == 0:
-            concl_62 = False
-        else:
-            correct = dist_new([(stat, w / k_mass) for stat, w in hits])
-            if canonical_key(correct) != ignoring[theta]:
+    def _z_of(self):
+        """z as a function of y, which the selection mass given y alone
+        needs; extended to signals of zero mass by the z-contains-y
+        convention or a constant z."""
+        if self._z is None:
+            m = self.model
+            table = {}  # signal key -> (z, key of z)
+            for theta in m.thetas:
+                for (y, z), _w in m.signal_law[theta].items:
+                    zk = canonical_key(z)
+                    if table.setdefault(canonical_key(y), (z, zk))[1] != zk:
+                        raise NotRubinShape("design variable is not a function of the signal")
+            zs = {zk: z for z, zk in table.values()}
+
+            def z_of(y):
+                yk = canonical_key(y)
+                if yk in table:
+                    return table[yk][0]
+                if m.z_contains_y:
+                    return y
+                if len(zs) == 1:
+                    return next(iter(zs.values()))
+                raise NotRubinShape(f"cannot extend the design variable to signal {y!r}")
+
+            self._z = z_of
+        return self._z
+
+    def _selection_of(self, phi, j) -> dict:
+        """{mapping key: mass} of the design at phi given signal j."""
+        table = self._selection.get((phi, j))
+        if table is None:
+            delta = self.model.design_for(phi).get(self._z_of()(self.signals[j]))
+            table = self._selection[phi, j] = {canonical_key(r): w for r, w in delta.items}
+        return table
+
+    def _agreeing(self, values, mapping):
+        """Ids of the signals that agree with the observed draws, or None
+        when one unit was drawn with two different values (impossible x)."""
+        fixed = {}
+        for v, k in zip(values, mapping):
+            vk = canonical_key(v)
+            if fixed.setdefault(self.model.population.index(k), vk) != vk:
+                return None
+        return [
+            j for j, ks in enumerate(self._keys)
+            if all(ks[i] == vk for i, vk in fixed.items())
+        ]
+
+    def _constant(self, mk, ids) -> bool:
+        """The mass of mapping mk is one number across the signals `ids`,
+        at every nuisance point."""
+        return all(
+            len({self._selection_of(phi, j).get(mk, 0) for j in ids}) <= 1 for phi in self.phis
+        )
+
+    def mar(self, x) -> bool:
+        """Missing at random at the observed (values, mapping): for every
+        nuisance point, one selection mass of the observed mapping across
+        every signal that agrees with the observed values."""
+        values, mapping = tuple(x[0]), tuple(x[1])
+        self._z_of()  # z must be a function of y before any unit is looked up
+        ids = self._agreeing(values, mapping)
+        return ids is None or self._constant(canonical_key(mapping), ids)
+
+    def oar(self, x) -> bool:
+        """Observed at random at the observed mapping: for every nuisance
+        point and every value of the units outside the mapping, the
+        selection mass of the mapping does not depend on the values of the
+        units inside it."""
+        _values, mapping = tuple(x[0]), tuple(x[1])
+        image = set(mapping)
+        outside = [i for i, k in enumerate(self.model.population.labels) if k not in image]
+        groups = {}  # values outside the mapping -> ids of the signals with them
+        for j, ks in enumerate(self._keys):
+            groups.setdefault(tuple(ks[i] for i in outside), []).append(j)
+        mk = canonical_key(mapping)
+        return all(self._constant(mk, ids) for ids in groups.values())
+
+    def _audit_tables(self) -> tuple:
+        """(distinct flag, {theta: {signal id: mass}}, {grid point: joint});
+        a joint is its (signal id, mass of y, selection table) rows."""
+        if self._tables is None:
+            m = self.model
+            distinct = check_distinct(m.grid) if m.phis else True
+            ids = {ks: j for j, ks in enumerate(self._keys)}
+            marginals = {
+                t: _tally(
+                    (ids[tuple(canonical_key(v) for v in y)], w)
+                    for (y, _z), w in m.signal_law[t].items
+                )
+                for t in m.thetas
+            }
+            joints = {}
+            for t, phi in m.grid:
+                rows = [(j, w, self._selection_of(phi, j)) for j, w in marginals[t].items()]
+                check_size(sum(len(table) for _j, _w, table in rows))
+                joints[t, phi] = rows
+            self._tables = (distinct, marginals, joints)
+        return self._tables
+
+    def audit(self, x) -> RubinAuditReport:
+        """Evaluate hypotheses and conclusions of the classical missing-data
+        theorems at x by exact enumeration; records the pairs, asserts
+        nothing.  The statistic is the identity on (observed values,
+        mapping), the finest one, so its distributional equality is
+        equivalent to equality for every statistic."""
+        values, mapping = tuple(x[0]), tuple(x[1])
+        if len(set(mapping)) != len(mapping):
+            raise NotRubinShape("the observed mapping repeats a unit")
+        mar, oar = self.mar(x), self.oar(x)
+        distinct, marginals, joints = self._audit_tables()
+        mk = canonical_key(mapping)
+        at = [self.model.population.index(k) for k in mapping]
+        # signal id -> keys of its values along the observed mapping
+        seen = {j: tuple(self._keys[j][i] for i in at) for mg in marginals.values() for j in mg}
+        # the ignoring distribution of each theta: the law of the observed part
+        ignoring = {t: _tally((seen[j], w) for j, w in mg.items()) for t, mg in marginals.items()}
+        # 6.3 hypothesis: the missingness mechanism is degenerate at the
+        # observed mapping for every signal of positive mass.
+        hyp_63 = all(table.get(mk, 0) == 1 for rows in joints.values() for _j, _w, table in rows)
+
+        # 6.1 conclusion: the ignoring distribution equals the correct
+        # conditional distribution given the observed mapping, wherever that
+        # mapping has positive mass.  6.2 condition: the mass of the observed
+        # mapping given the observed part is one positive constant; its
+        # conclusion counts undefined conditionals (mapping of zero mass) as
+        # failures, which keeps the equivalence exact in the finite case.
+        # 6.3 conclusion: the unconditional law of the statistic is the
+        # ignoring distribution.
+        concl_61 = cond_62 = concl_62 = concl_63 = True
+        for (theta, phi), rows in joints.items():
+            law = ignoring[theta]
+            hits = _tally((seen[j], w * table[mk]) for j, w, table in rows if mk in table)
+            ratios = {hits.get(part, 0) / w for part, w in law.items()}
+            if len(ratios) != 1 or 0 in ratios:
+                cond_62 = False
+            k_mass = sum(hits.values(), Fraction(0))
+            if k_mass == 0:
+                concl_62 = False
+            elif {part: w / k_mass for part, w in hits.items()} != law:
                 concl_61 = concl_62 = False
-        if concl_63:
-            unconditional = pushforward(
-                jm, lambda ym: statistic(observed_part(ym[0], ym[1]))
+            # the ignoring law sits on the observed mapping: the unconditional
+            # law equals it iff that mapping has mass 1 and its hits are it
+            concl_63 = concl_63 and k_mass == 1 and hits == law
+
+        # Likelihoods for 7.x: marginal of the observed values, and joint mass
+        # of (values, mapping), both by exact summation over the signals that
+        # agree with x; one of each per theta and per (theta, phi).
+        ids = self._agreeing(values, mapping)
+        completions = ids or []
+        thetas, phis = self.model.thetas, self.phis
+        selection = {
+            phi: [self._selection_of(phi, j).get(mk, 0) for j in completions]
+            for phi in phis
+        }
+        lik, lik_full = {}, {}
+        for t in thetas:
+            masses = [marginals[t].get(j, 0) for j in completions]
+            lik[t] = sum(masses, Fraction(0))
+            for phi in phis:
+                lik_full[t, phi] = sum(
+                    (a * b for a, b in zip(masses, selection[phi])), Fraction(0)
+                )
+        grid = set(self.model.grid)
+
+        def cross_equal(eligible_phis) -> bool:
+            return all(
+                lik[t1] * lik_full[t2, phi] == lik_full[t1, phi] * lik[t2]
+                for phi in eligible_phis
+                for t1 in thetas
+                for t2 in thetas
+                if (t1, phi) in grid and (t2, phi) in grid
             )
-            concl_63 = canonical_key(unconditional) == ignoring[theta]
 
-    # Likelihoods for 7.x: marginal of the observed values, and joint mass
-    # of (values, mapping), both by exact summation over completions; one
-    # of each per theta and per (theta, phi).
-    fixed = _observed_constraints(m, values, mapping)
-    thetas = m.thetas
-    phis = _phi_points(m)
-    completions = list(_completions(m, fixed)) if fixed is not None else []
-    completion_keys = [canonical_key(y) for y in completions]
-    signal_masses = {}
-    for t in thetas:
-        table = {canonical_key(y): w for y, w in marginals[t].items}
-        signal_masses[t] = [table.get(k, Fraction(0)) for k in completion_keys]
-    selection = {
-        phi: [_selection_mass(m, z_of, phi, y, mapping) for y in completions]
-        for phi in phis
-    }
-    lik = {t: sum(signal_masses[t], Fraction(0)) for t in thetas}
-    lik_full = {
-        (t, phi): sum(
-            (a * b for a, b in zip(signal_masses[t], selection[phi])), Fraction(0)
+        eligible = [phi for phi in phis if ids is not None and all(s > 0 for s in selection[phi])]
+        concl_71 = cross_equal(eligible)
+
+        pre_72 = all(lik[t] > 0 for t in thetas)
+        hyp_72b = pre_72 and all(
+            len(ratios) == 1 and next(iter(ratios)) > 0
+            for ratios in ({lik_full[t, phi] / lik[t] for t in thetas} for phi in phis)
         )
-        for t in thetas
-        for phi in phis
-    }
+        concl_72 = cross_equal(phis)
 
-    grid_set = set(m.grid)
+        audits = (
+            TheoremAudit("6.1", mar and oar, concl_61),
+            TheoremAudit("6.2", cond_62, concl_62, notes=(("iff", cond_62 == concl_62),)),
+            TheoremAudit("6.3", hyp_63, concl_63),
+            TheoremAudit("7.1", mar and distinct, concl_71),
+            TheoremAudit("7.2", pre_72 and distinct and hyp_72b, concl_72),
+        )
+        return RubinAuditReport(x=x, mar=mar, oar=oar, distinct=distinct, audits=audits)
 
-    def cross_equal(eligible_phis) -> bool:
-        for phi in eligible_phis:
-            on_grid = [t for t in thetas if (t, phi) in grid_set]
-            for t1 in on_grid:
-                for t2 in on_grid:
-                    if lik[t1] * lik_full[t2, phi] != lik_full[t1, phi] * lik[t2]:
-                        return False
-        return True
 
-    eligible = [
-        phi for phi in phis if fixed is not None and all(s > 0 for s in selection[phi])
-    ]
-    concl_71 = cross_equal(eligible)
+def prepare_rubin(m: SurveyModel, scheme: ObservationScheme) -> RubinContext:
+    """The missing-data context of a model, once the scheme is known to
+    expose the selection mapping; its tables fill in as it is queried."""
+    if scheme.kind not in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
+        raise NotRubinShape("the observation scheme must expose the selection mapping")
+    return RubinContext(m)
 
-    pre_72 = all(lik[t] > 0 for t in thetas)
-    hyp_72b = True
-    if pre_72:
-        for phi in phis:
-            ratios = {lik_full[t, phi] / lik[t] for t in thetas}
-            if len(ratios) != 1 or next(iter(ratios)) <= 0:
-                hyp_72b = False
-                break
-    concl_72 = cross_equal(phis)
 
-    audits = (
-        TheoremAudit("6.1", mar and oar, concl_61),
-        TheoremAudit("6.2", cond_62, concl_62, notes=(("iff", cond_62 == concl_62),)),
-        TheoremAudit("6.3", hyp_63, concl_63),
-        TheoremAudit("7.1", mar and distinct, concl_71),
-        TheoremAudit("7.2", pre_72 and distinct and hyp_72b, concl_72),
-    )
-    return RubinAuditReport(x=x, mar=mar, oar=oar, distinct=distinct, audits=audits)
+def check_mar(m: SurveyModel, x, scheme=None, variant: str = "local") -> bool:
+    """Missing at random at x; the uniform variant requires the local
+    condition at every positive-mass observation."""
+    scheme = scheme or values_and_mapping()
+    if variant != "uniform":
+        return prepare_rubin(m, scheme).mar(x)
+    observations = Family.from_survey_model(m, scheme).observation_support()
+    rubin = prepare_rubin(m, scheme)
+    return all(rubin.mar(o) for o in observations)
+
+
+def check_oar(m: SurveyModel, x, scheme=None) -> bool:
+    """Observed at random at x."""
+    return prepare_rubin(m, scheme or values_and_mapping()).oar(x)
+
+
+def rubin_theorem_audit(m: SurveyModel, x, scheme=None) -> RubinAuditReport:
+    """Audit the missing-data theorems at x."""
+    return prepare_rubin(m, scheme or values_and_mapping()).audit(x)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,30 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def count_rubin(monkeypatch):
+    """Record every Rubin context the CLI prepares and every MAR query made
+    on one."""
+    from ignorability_lab import cli
+
+    contexts, mar_queries = [], []
+    real = cli.prepare_rubin
+
+    def counting(*args):
+        rubin = real(*args)
+        contexts.append(rubin)
+        real_mar = rubin.mar
+
+        def mar(x):
+            mar_queries.append(x)
+            return real_mar(x)
+
+        rubin.mar = mar
+        return rubin
+
+    monkeypatch.setattr(cli, "prepare_rubin", counting)
+    return contexts, mar_queries
+
+
 class TestObservationLiteral:
     def test_nested_lists_to_tuples(self):
         assert parse_observation_literal("[[1,0],[2,1]]") == ((1, 0), (2, 1))
@@ -118,17 +142,9 @@ class TestCheck:
         assert "error" in err
 
     def test_uniform_mar_flags_computed_once(self, capsys, models, monkeypatch):
-        # one check_mar call per observation, not one per observation pair
-        from ignorability_lab import cli
-
-        calls = []
-        real = cli.check_mar
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "check_mar", counting)
+        # one Rubin context per command and one MAR query per observation,
+        # not one per observation pair
+        contexts, mar_queries = count_rubin(monkeypatch)
         argv = ["check", models["srs_wor_n3"], "--inference", "bayes",
                 "--mar-variant", "uniform", "--json"]
         code, out, _ = run(capsys, argv)
@@ -136,7 +152,8 @@ class TestCheck:
         assert code == 0
         assert payload["flags"]["mar"] is True
         assert payload["observations_checked"] == 24
-        assert len(calls) == 24
+        assert len(contexts) == 1
+        assert len(mar_queries) == 24
 
 
 class TestInputErrors:
@@ -198,6 +215,19 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("error:") and "IGNORABILITY_LAB_MAX_SUPPORT" in err
 
+    def test_crash_exits_3(self, capsys, models, monkeypatch):
+        # an internal error must not exit 1, the code of an --expect mismatch
+        from ignorability_lab import cli
+
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_inclusion", crash)
+        code, out, err = run(capsys, ["inclusion", models["poisson"]])
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err and err.rstrip().endswith("RuntimeError: boom")
+
 
 class TestEnumerate:
     def test_human(self, capsys, models):
@@ -258,6 +288,25 @@ class TestAuditRubin:
         code, _, err = run(capsys, ["audit-rubin", models["select_max"]])
         assert code == 2
         assert "mapping" in err
+
+    def test_one_context_and_one_joint_per_grid_point(self, capsys, models, monkeypatch):
+        from ignorability_lab import inference
+
+        contexts, _ = count_rubin(monkeypatch)
+        real = inference.RubinContext._audit_tables
+        builds = []  # joints built by each fresh build of the audit tables
+
+        def counting(self):
+            if self._tables is None:
+                builds.append(len(real(self)[2]))
+            return real(self)
+
+        monkeypatch.setattr(inference.RubinContext, "_audit_tables", counting)
+        code, out, _ = run(capsys, ["audit-rubin", models["srs_wor_n3"], "--json"])
+        assert code == 0
+        assert json.loads(out)["observations"] == 24
+        assert len(contexts) == 1
+        assert builds == [len(contexts[0].model.grid)]
 
 
 class TestMcVerify:

@@ -1,8 +1,10 @@
 """Golden corpus: every recorded command reproduces its exit code, stdout
-and stderr byte for byte.  The files are written only by
-scripts/make_golden.py; this test never rewrites them."""
+and stderr byte for byte, and the committed cases are exactly the ones
+scripts/make_golden.py generates.  The files are written only by that
+script; this test never rewrites them."""
 
 import contextlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -14,6 +16,7 @@ from ignorability_lab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
+MAKE_GOLDEN = Path(__file__).parent.parent / "scripts" / "make_golden.py"
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,17 @@ def model_paths(tmp_path_factory):
 
 def test_corpus_present():
     assert CASES
+
+
+def test_cases_match_generator():
+    spec = importlib.util.spec_from_file_location("make_golden", MAKE_GOLDEN)
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    generated = {case: (model, args) for case, model, args in make_golden.cases()}
+    assert CASES == sorted(generated)
+    for case in CASES:
+        record = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+        assert (record["model"], record["args"]) == generated[case]
 
 
 @pytest.mark.parametrize("case", CASES)

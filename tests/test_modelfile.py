@@ -3,12 +3,15 @@ located diagnostics."""
 
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ignorability_lab.catalog import CATALOG
 from ignorability_lab.ignorance import MarginalFunctional, ParameterFunction
 from ignorability_lab.modelfile import (
     BadRational,
+    ModelFileError,
     ModelSyntaxError,
     SchemaError,
     UnknownDesignVariant,
@@ -184,3 +187,38 @@ class TestInvalidDocuments:
     def test_component_index_not_a_number(self):
         text = CATALOG["bernoulli_mixture"].replace("component 0 = 1", "component ] = 1")
         expect_error(text, SchemaError, "component index ']' is not a number")
+
+
+# Token mutations of the catalog documents: delete, duplicate or swap a
+# whitespace token, or replace it with one of these.
+REPLACEMENTS = ("1/0", "0.5", "#", "]", "=")
+
+
+@st.composite
+def mutated_documents(draw):
+    text = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        slots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+        i, j = draw(st.sampled_from(slots))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap") + REPLACEMENTS))
+        if op == "delete":
+            del lines[i][j]
+        elif op == "duplicate":
+            lines[i].insert(j, lines[i][j])
+        elif op == "swap":
+            k, l = draw(st.sampled_from(slots))
+            lines[i][j], lines[k][l] = lines[k][l], lines[i][j]
+        else:
+            lines[i][j] = op
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    def test_only_located_diagnostics_escape(self, text):
+        try:
+            parse_model(text)
+        except ModelFileError as err:
+            assert err.line >= 1
