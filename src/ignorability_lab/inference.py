@@ -172,10 +172,9 @@ def likelihood_equivalent(
     table_b = _coarse_table(ignored, vb, xs)
     keys = sorted(set(table_a) | set(table_b))
     reprs = {}
-    for p in original.points:
-        reprs.setdefault(canonical_key(va[p]), va[p])
-    for q in ignored.points:
-        reprs.setdefault(canonical_key(vb[q]), vb[q])
+    for family, values in ((original, va), (ignored, vb)):
+        for p in family.points:
+            reprs.setdefault(canonical_key(values[p]), values[p])
     xs_by_key = dict((k, o) for o, k in xs)
 
     alpha = None
@@ -404,10 +403,8 @@ class RubinContext:
         self.phis = m.phis if m.phis else (None,)
         n = m.population.size
         self.signals = tuple(itertools.product(m.alphabet, repeat=n))
-        # the canonical key of each coordinate of each signal
-        self._keys = tuple(
-            itertools.product([canonical_key(a) for a in m.alphabet], repeat=n)
-        )
+        keys = [canonical_key(a) for a in m.alphabet]
+        self._keys = tuple(itertools.product(keys, repeat=n))  # per coordinate
         self._z = None
         self._selection = {}
         self._tables = None
@@ -455,14 +452,11 @@ class RubinContext:
             vk = canonical_key(v)
             if fixed.setdefault(self.model.population.index(k), vk) != vk:
                 return None
-        return [
-            j for j, ks in enumerate(self._keys)
-            if all(ks[i] == vk for i, vk in fixed.items())
-        ]
+        items = fixed.items()
+        return [j for j, ks in enumerate(self._keys) if all(ks[i] == vk for i, vk in items)]
 
     def _constant(self, mk, ids) -> bool:
-        """The mass of mapping mk is one number across the signals `ids`,
-        at every nuisance point."""
+        """Whether mapping mk has one mass across the signals `ids` at every phi."""
         return all(
             len({self._selection_of(phi, j).get(mk, 0) for j in ids}) <= 1 for phi in self.phis
         )
@@ -482,8 +476,7 @@ class RubinContext:
         selection mass of the mapping does not depend on the values of the
         units inside it."""
         _values, mapping = tuple(x[0]), tuple(x[1])
-        image = set(mapping)
-        outside = [i for i, k in enumerate(self.model.population.labels) if k not in image]
+        outside = [i for i, k in enumerate(self.model.population.labels) if k not in mapping]
         groups = {}  # values outside the mapping -> ids of the signals with them
         for j, ks in enumerate(self._keys):
             groups.setdefault(tuple(ks[i] for i in outside), []).append(j)
@@ -540,7 +533,8 @@ class RubinContext:
         # conclusion counts undefined conditionals (mapping of zero mass) as
         # failures, which keeps the equivalence exact in the finite case.
         # 6.3 conclusion: the unconditional law of the statistic is the
-        # ignoring distribution.
+        # ignoring distribution; as that sits on the observed mapping, the
+        # mapping has mass 1 and its hits are the ignoring distribution.
         concl_61 = cond_62 = concl_62 = concl_63 = True
         for (theta, phi), rows in joints.items():
             law = ignoring[theta]
@@ -553,8 +547,6 @@ class RubinContext:
                 concl_62 = False
             elif {part: w / k_mass for part, w in hits.items()} != law:
                 concl_61 = concl_62 = False
-            # the ignoring law sits on the observed mapping: the unconditional
-            # law equals it iff that mapping has mass 1 and its hits are it
             concl_63 = concl_63 and k_mass == 1 and hits == law
 
         # Likelihoods for 7.x: marginal of the observed values, and joint mass
@@ -614,7 +606,12 @@ def prepare_rubin(m: SurveyModel, scheme: ObservationScheme) -> RubinContext:
     return RubinContext(m)
 
 
-def check_mar(m: SurveyModel, x, scheme=None, variant: str = "local") -> bool:
+def check_mar(
+    m: SurveyModel,
+    x,
+    scheme: ObservationScheme | None = None,
+    variant: str = "local",
+) -> bool:
     """Missing at random at x; the uniform variant requires the local
     condition at every positive-mass observation."""
     scheme = scheme or values_and_mapping()
@@ -625,12 +622,14 @@ def check_mar(m: SurveyModel, x, scheme=None, variant: str = "local") -> bool:
     return all(rubin.mar(o) for o in observations)
 
 
-def check_oar(m: SurveyModel, x, scheme=None) -> bool:
+def check_oar(m: SurveyModel, x, scheme: ObservationScheme | None = None) -> bool:
     """Observed at random at x."""
     return prepare_rubin(m, scheme or values_and_mapping()).oar(x)
 
 
-def rubin_theorem_audit(m: SurveyModel, x, scheme=None) -> RubinAuditReport:
+def rubin_theorem_audit(
+    m: SurveyModel, x, scheme: ObservationScheme | None = None
+) -> RubinAuditReport:
     """Audit the missing-data theorems at x."""
     return prepare_rubin(m, scheme or values_and_mapping()).audit(x)
 
