@@ -149,6 +149,8 @@ def cmd_check(args) -> int:
         POLICIES[args.policy](),
     )
     observations = prepared.family.observation_support()
+    if x is not None and prepared.family.observation_code(x) is None:
+        raise EngineError(f"observation {args.x} has zero mass at every grid point")
 
     if inference == FREQUENTIST:
         xs = [None]  # estimator-distribution families are observation-free

@@ -88,13 +88,18 @@ def canonical_key(value):
     Ranks: None < numbers < strings < tuples < keyed objects.  Tuples are
     compared elementwise by key, so nested structures order lexicographically
     over their structural encoding.
+
+    A number keeps its type in the key (a bool becomes its int): no
+    Fraction is built per key.  An int and a Fraction of equal value
+    compare equal and hash equal, so their keys still merge in dicts and
+    sets and sort as the numbers do.
     """
     if value is None:
         return (0,)
     if isinstance(value, bool):
-        return (1, Fraction(int(value)))
+        return (1, int(value))
     if isinstance(value, (int, Fraction)):
-        return (1, Fraction(value))
+        return (1, value)
     if isinstance(value, str):
         return (2, value)
     if isinstance(value, (tuple, list)):
@@ -105,6 +110,15 @@ def canonical_key(value):
     raise IncomparableOutcomes(
         f"outcome {value!r} of type {type(value).__name__} has no canonical order"
     )
+
+
+def sorted_distinct(values: Iterable) -> tuple:
+    """The values with distinct canonical_keys, the first of each kept, in
+    canonical_key order."""
+    keyed = {}
+    for v in values:
+        keyed.setdefault(canonical_key(v), v)
+    return tuple(keyed[k] for k in sorted(keyed))
 
 
 @dataclass(frozen=True)
@@ -238,21 +252,17 @@ class Kernel:
         return Kernel(tuple(pairs), rule)
 
     @staticmethod
-    def from_function(inputs: Iterable, fn: Callable) -> "Kernel":
-        return Kernel.from_mapping({value: fn(value) for value in inputs})
-
-    @staticmethod
     def from_rule(rule: Callable) -> "Kernel":
         return Kernel((), rule)
 
-    def inputs(self) -> tuple:
-        return tuple(v for v, _ in self.entries)
-
     def get(self, value) -> FiniteDist:
-        key = canonical_key(value)
-        for v, dist in self.entries:
-            if canonical_key(v) == key:
-                return dist
+        index = getattr(self, "_index", None)
+        if index is None:  # not a dataclass field: equality and hashing ignore it
+            index = {canonical_key(v): dist for v, dist in self.entries}
+            object.__setattr__(self, "_index", index)
+        dist = index.get(canonical_key(value))
+        if dist is not None:
+            return dist
         if self.rule is not None:
             dist = self.rule(value)
             if not isinstance(dist, FiniteDist):

@@ -19,6 +19,7 @@ product of the two marginals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable
@@ -32,6 +33,7 @@ from .exactprob import (
     dist_eq,
     point_mass,
     pushforward,
+    sorted_distinct,
     uniform,
 )
 from .sampling import (
@@ -360,19 +362,12 @@ class Family:
         self.laws = dict(laws)
         self.obs_fns = dict(obs_fns)
         if support is None:
-            keyed = {}
-            for p in self.points:
-                for w, _m in self.laws[p].items:
-                    keyed.setdefault(canonical_key(w), w)
-            support = tuple(keyed[k] for k in sorted(keyed))
+            support = sorted_distinct(w for p in self.points for w, _m in self.laws[p].items)
         self.support = tuple(support)
         # the measurable space may be larger than the union of supports:
         # zero-probability worlds still shape complements and Phi-sets
         self.space = tuple(space) if space is not None else self.support
         self.flags = dict(flags or {})
-        self._obs_cache: dict = {}
-        self._mass_tables: dict = {}
-        self._observation_support: tuple | None = None
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
@@ -385,38 +380,42 @@ class Family:
         flags = {"z_contains_y": m.z_contains_y}
         return Family(m.grid, laws, obs_fns, space=m.world_space(), flags=flags)
 
-    def law(self, point) -> FiniteDist:
-        return self.laws[point]
-
-    def observation_dist(self, point) -> FiniteDist:
-        if point not in self._obs_cache:
-            self._obs_cache[point] = pushforward(
-                self.laws[point], self.obs_fns[point]
-            )
-        return self._obs_cache[point]
-
-    def observation_masses(self, point) -> dict:
-        """{canonical_key(x): mass} of the observation distribution at one
-        point; built once and shared by every likelihood lookup."""
-        if point not in self._mass_tables:
-            self._mass_tables[point] = {
-                canonical_key(o): w for o, w in self.observation_dist(point).items
-            }
-        return self._mass_tables[point]
+    @cached_property
+    def _interned(self) -> tuple:
+        """(observations, {key: code}, {point: {code: mass}}): every
+        observation numbered once, in canonical_key order, and each point's
+        table filled in one pass over its law; built on first use."""
+        keyed = {}  # canonical_key(x) -> x, first seen
+        raw = []  # per point: {canonical_key(x): mass}
+        for p in self.points:
+            fn, masses = self.obs_fns[p], {}
+            for w, mass in self.laws[p].items:
+                x = fn(w)
+                key = canonical_key(x)
+                keyed.setdefault(key, x)
+                masses[key] = masses.get(key, 0) + mass
+            raw.append(masses)
+        codes = {k: c for c, k in enumerate(sorted(keyed))}
+        tables = {p: {codes[k]: m for k, m in masses.items()} for p, masses in zip(self.points, raw)}
+        return tuple(keyed[k] for k in codes), codes, tables
 
     def observation_support(self) -> tuple:
         """Every observation with positive mass at some point, in
-        canonical_key order; built once."""
-        if self._observation_support is None:
-            keyed = {}
-            for p in self.points:
-                for x, _m in self.observation_dist(p).items:
-                    keyed.setdefault(canonical_key(x), x)
-            self._observation_support = tuple(keyed[k] for k in sorted(keyed))
-        return self._observation_support
+        canonical_key order; the observation of code c is at position c."""
+        return self._interned[0]
 
-    def marginal(self, point, rv: RandomVariableRef) -> FiniteDist:
-        return pushforward(self.laws[point], rv)
+    def observation_code(self, x) -> int | None:
+        """Code of observation x; None when it has zero mass at every point."""
+        return self._interned[1].get(canonical_key(x))
+
+    def observation_table(self, point) -> dict:
+        """{code: mass} of the observation distribution at one point."""
+        return self._interned[2][point]
+
+    def observation_dist(self, point) -> FiniteDist:
+        """The observation distribution at one point, read off its table."""
+        xs, table = self.observation_support(), self.observation_table(point)
+        return FiniteDist(tuple((xs[c], table[c]) for c in sorted(table)))
 
 
 def make_split(
@@ -532,7 +531,7 @@ def target_values(target, family: Family) -> dict:
     """
     if isinstance(target, MarginalFunctional):
         return {
-            p: target.fn(family.marginal(p, target.var)) for p in family.points
+            p: target.fn(pushforward(family.laws[p], target.var)) for p in family.points
         }
     if isinstance(target, ParameterFunction):
         return {p: target.fn(p) for p in family.points}

@@ -30,6 +30,7 @@ from .exactprob import (
     condition,
     dist_new,
     pushforward,
+    sorted_distinct,
     uniform,
 )
 from .ignorance import (
@@ -90,14 +91,15 @@ def likelihood(family_or_model, x, scheme: ObservationScheme | None = None) -> L
     """Mass of {x} under the observation distribution of each grid point.
 
     A malformed x (wrong shape for the scheme, values outside the
-    alphabet) is rejected; a well-formed but impossible x simply gets a
-    zero table."""
+    alphabet) is rejected.  A well-formed x outside the observation
+    support gets a zero table here; the `check` command rejects such an x
+    as an input error before any equivalence test runs."""
     if isinstance(family_or_model, SurveyModel) and scheme is not None:
         validate_observation(family_or_model, scheme, x)
     family = _as_family(family_or_model, scheme)
-    xk = canonical_key(x)
+    code = family.observation_code(x)
     entries = tuple(
-        (p, family.observation_masses(p).get(xk, Fraction(0))) for p in family.points
+        (p, family.observation_table(p).get(code, Fraction(0))) for p in family.points
     )
     return LikelihoodTable(x=x, entries=entries)
 
@@ -128,18 +130,22 @@ class EquivalenceResult:
     witnesses: tuple
 
 
-def _coarse_table(family: Family, values, xs) -> dict:
-    """table[(value_key, x_key)] = sup over the target preimage of the
-    observation mass; the likelihood of a coarsened parameter."""
+def _coarse_table(family: Family, values, rank: dict, xs) -> dict:
+    """{value rank: row}: for each target value, the sup over its preimage
+    of the mass of each observation of `xs`, the likelihood of a coarsened
+    parameter.  `rank` numbers the target values by key."""
+    columns = {family.observation_code(o): j for j, o in enumerate(xs)}
+    zero = Fraction(0)
     table = {}
     for p in family.points:
-        vk = canonical_key(values[p])
-        masses = family.observation_masses(p)
-        for _x, xk in xs:
-            key = (vk, xk)
-            m = masses.get(xk, Fraction(0))
-            if key not in table or m > table[key]:
-                table[key] = m
+        v = rank[canonical_key(values[p])]
+        row = table.get(v)
+        if row is None:
+            row = table[v] = [zero] * len(xs)
+        for code, mass in family.observation_table(p).items():
+            j = columns.get(code)
+            if j is not None and mass > row[j]:
+                row[j] = mass
     return table
 
 
@@ -155,34 +161,33 @@ def likelihood_equivalent(
     With x=None the proportionality constant must be shared across every
     positive-mass observation of either family (uniform reading); with a
     concrete x only that observation's tables are compared (local reading).
+    Target values and compared observations are numbered once, in
+    canonical_key order, and the tables are indexed by those numbers.
     """
     if target_star is None:
         target_star = transform_target(target, original, ignored)
-    va = target_values(target, original)
-    vb = target_values(target_star, ignored)
+    sides = (
+        (original, target_values(target, original)),
+        (ignored, target_values(target_star, ignored)),
+    )
     if x is not None:
-        xs = [(x, canonical_key(x))]
+        xs = (x,)
     else:
-        keyed = {}
-        for fam in (original, ignored):
-            for o in fam.observation_support():
-                keyed.setdefault(canonical_key(o), o)
-        xs = [(keyed[k], k) for k in sorted(keyed)]
-    table_a = _coarse_table(original, va, xs)
-    table_b = _coarse_table(ignored, vb, xs)
-    keys = sorted(set(table_a) | set(table_b))
-    reprs = {}
-    for family, values in ((original, va), (ignored, vb)):
-        for p in family.points:
-            reprs.setdefault(canonical_key(values[p]), values[p])
-    xs_by_key = dict((k, o) for o, k in xs)
+        xs = sorted_distinct(o for family, _values in sides for o in family.observation_support())
+    reprs = sorted_distinct(values[p] for family, values in sides for p in family.points)
+    rank = {canonical_key(v): i for i, v in enumerate(reprs)}
+    table_a, table_b = (_coarse_table(family, values, rank, xs) for family, values in sides)
+    zeros = [Fraction(0)] * len(xs)
+    cells = (
+        ((v, j), a, b)
+        for v in sorted(set(table_a) | set(table_b))
+        for j, (a, b) in enumerate(zip(table_a.get(v, zeros), table_b.get(v, zeros)))
+    )
 
     alpha = None
     violation = None
     any_positive = False
-    for key in keys:
-        a = table_a.get(key, Fraction(0))
-        b = table_b.get(key, Fraction(0))
+    for key, a, b in cells:
         if a == 0 and b == 0:
             continue
         any_positive = True
@@ -203,21 +208,21 @@ def likelihood_equivalent(
             kind="likelihood_tables",
             equal=violation is None,
             detail=(
-                ("original", _table_payload(table_a, reprs, xs_by_key)),
-                ("ignored", _table_payload(table_b, reprs, xs_by_key)),
+                ("original", _table_payload(table_a, reprs, xs)),
+                ("ignored", _table_payload(table_b, reprs, xs)),
             ),
         )
     ]
     if violation is None:
         return EquivalenceResult(True, alpha, tuple(witnesses))
-    key, a, b = violation
+    (v, j), a, b = violation
     witnesses.append(
         Witness(
             kind="proportionality_violation",
             equal=False,
             detail=(
-                ("target_value", reprs[key[0]]),
-                ("observation", xs_by_key[key[1]]),
+                ("target_value", reprs[v]),
+                ("observation", xs[j]),
                 ("original_mass", a),
                 ("ignored_mass", b),
                 ("alpha_so_far", alpha),
@@ -227,10 +232,9 @@ def likelihood_equivalent(
     return EquivalenceResult(False, None, tuple(witnesses))
 
 
-def _table_payload(table, reprs, xs_by_key):
+def _table_payload(table, reprs, xs):
     return tuple(
-        ((reprs[vk], xs_by_key[xk]), mass)
-        for (vk, xk), mass in sorted(table.items())
+        ((reprs[v], xs[j]), mass) for v in sorted(table) for j, mass in enumerate(table[v])
     )
 
 
@@ -279,10 +283,10 @@ def sampling_dist_equivalent(
 def _posterior_target_dist(family: Family, prior: FiniteDist, target, x) -> FiniteDist | None:
     """Posterior distribution of the target given X=x, or None when the
     evidence is zero under this prior."""
-    xk = canonical_key(x)
+    code = family.observation_code(x)
     weighted = []
     for p, qp in prior.items:
-        lik = family.observation_masses(p).get(xk, Fraction(0))
+        lik = family.observation_table(p).get(code, Fraction(0))
         if qp * lik > 0:
             weighted.append((p, qp * lik))
     total = sum((w for _, w in weighted), Fraction(0))
@@ -291,6 +295,7 @@ def _posterior_target_dist(family: Family, prior: FiniteDist, target, x) -> Fini
     posterior = dist_new([(p, w / total) for p, w in weighted])
     if isinstance(target, Predictand):
         pairs = []
+        xk = canonical_key(x)
         for p, w in posterior.items:
             law = condition(
                 family.laws[p], lambda wd, fn=family.obs_fns[p]: canonical_key(fn(wd)) == xk
@@ -809,10 +814,7 @@ def classify(
 
 
 def _uniform_nuisance_prior(ignored: Family) -> FiniteDist:
-    indices = {}
-    for _orig, index in ignored.points:
-        indices.setdefault(canonical_key(index), index)
-    return uniform([indices[k] for k in sorted(indices)])
+    return uniform(sorted_distinct(index for _orig, index in ignored.points))
 
 
 def _product_prior(prior: FiniteDist, nuisance_prior: FiniteDist, ignored: Family) -> FiniteDist:

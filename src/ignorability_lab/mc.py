@@ -129,7 +129,7 @@ def compare_exact_vs_mc(
     exact = pushforward(joint, observe_world)
     outcomes, cutoffs = _thresholds(joint)
     # a draw only bumps its atom's integer; hashing an observation key (a
-    # tuple of Fractions) is paid once per atom hit, not once per draw
+    # nested tuple) is paid once per atom hit, not once per draw
     hits = [0] * len(outcomes)
     for i in range(draws):
         hits[bisect_left(cutoffs, u64(seed, i))] += 1

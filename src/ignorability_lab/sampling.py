@@ -28,6 +28,7 @@ from .exactprob import (
     check_size,
     dist_new,
     pushforward,
+    sorted_distinct,
 )
 
 
@@ -75,10 +76,6 @@ class WorldState:
 
     def canonical_key(self):
         return (4, "WorldState", canonical_key((self.y, self.z, self.r)))
-
-
-def is_injective(r: tuple) -> bool:
-    return len(set(r)) == len(r)
 
 
 def drawn_values(world: WorldState, population: Population) -> tuple:
@@ -316,7 +313,6 @@ class SurveyModel:
         laws = {}
         z_values = []
         z_keys = set()
-        value_set = {}
         n = population.size
         for theta in thetas:
             law = signal_law[theta] if not callable(signal_law) else signal_law(theta)
@@ -327,14 +323,12 @@ class SurveyModel:
                     raise EngineError(
                         f"signal {y!r} does not cover the population exactly"
                     )
-                for v in y:
-                    value_set.setdefault(canonical_key(v), v)
                 zk = canonical_key(z)
                 if zk not in z_keys:
                     z_keys.add(zk)
                     z_values.append(z)
             laws[theta] = law
-        alphabet = tuple(value_set[k] for k in sorted(value_set))
+        alphabet = sorted_distinct(v for law in laws.values() for (y, _z), _w in law.items for v in y)
         if design is not None:
             design = design.materialize(z_values)
         materialized_law = None
@@ -381,26 +375,17 @@ class SurveyModel:
         which is what makes the signal/selection pair a distinct
         complement and gives the ignored model its plain marginals.
         """
-        yz_keyed = {}
-        for theta in self.thetas:
-            for (y, z), _w in self.signal_law[theta].items:
-                yz_keyed.setdefault(canonical_key((y, z)), (y, z))
-        mappings = {}
+        yzs = sorted_distinct(yz for t in self.thetas for yz, _w in self.signal_law[t].items)
         kernels = (
             [self.design]
             if self.design is not None
             else [self.design_law[phi] for phi in self.phis]
         )
-        for kernel in kernels:
-            for _z, delta in kernel.entries:
-                for r, _w in delta.items:
-                    mappings.setdefault(canonical_key(r), r)
-        check_size(len(yz_keyed) * len(mappings), "world space")
-        worlds = [
-            WorldState(y, z, mappings[rk])
-            for _k, (y, z) in sorted(yz_keyed.items())
-            for rk in sorted(mappings)
-        ]
+        mappings = sorted_distinct(
+            r for kernel in kernels for _z, delta in kernel.entries for r, _w in delta.items
+        )
+        check_size(len(yzs) * len(mappings), "world space")
+        worlds = [WorldState(y, z, r) for y, z in yzs for r in mappings]
         return tuple(sorted(worlds, key=canonical_key))
 
 
@@ -441,8 +426,8 @@ def validate_observation(m: SurveyModel, scheme: ObservationScheme, x) -> None:
     """Structural sanity check of an observation literal.
 
     Accepts any observation shaped for the scheme with values from the
-    signal alphabet and units from the population; an impossible-but-well-
-    formed observation is fine (its likelihood is simply zero everywhere).
+    signal alphabet and units from the population, also an impossible one
+    (zero mass everywhere), which `check` then rejects as an input error.
     """
     alphabet_keys = {canonical_key(v) for v in m.alphabet}
 

@@ -209,6 +209,24 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("error: line ") and message in err
 
+    @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
+    def test_impossible_x(self, capsys, models, monkeypatch, inference):
+        # unit 1 drawn twice without replacement: well formed, zero mass at
+        # every grid point; rejected alike for every inference type, before
+        # any equivalence test runs
+        from ignorability_lab.inference import PreparedCheck
+
+        def no_test(*args):
+            raise AssertionError("an equivalence test ran")
+
+        monkeypatch.setattr(PreparedCheck, "test", no_test)
+        argv = ["check", models["srs_wor_n3"], "--inference", inference,
+                "--x", "[[1,1],[1,1]]"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: observation [[1,1],[1,1]] has zero mass at every grid point\n"
+
     def test_bad_support_cap(self, capsys, models, monkeypatch):
         monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "abc")
         code, _, err = run(capsys, ["check", models["srs_wor_n3"]])

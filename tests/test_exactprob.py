@@ -295,3 +295,76 @@ class TestCanonicalKey:
     def test_dist_as_outcome(self):
         outer = uniform([bernoulli(F(1, 2)), bernoulli(F(1, 3))])
         assert len(outer) == 2
+
+
+def fraction_key(value):
+    """Reference key: canonical_key with every bool, int and Fraction
+    wrapped in a Fraction."""
+    if value is None:
+        return (0,)
+    if isinstance(value, bool):
+        return (1, F(int(value)))
+    if isinstance(value, (int, F)):
+        return (1, F(value))
+    if isinstance(value, str):
+        return (2, value)
+    return (3, tuple(fraction_key(v) for v in value))
+
+
+# small ranges, so that equal numbers of different types (True, 1, F(1))
+# turn up often
+canonical_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.text("ab", max_size=2),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+class TestPlainNumberKeys:
+    @given(canonical_values, canonical_values)
+    def test_same_equality_hash_and_order_as_fraction_keys(self, a, b):
+        ka, kb = canonical_key(a), canonical_key(b)
+        ra, rb = fraction_key(a), fraction_key(b)
+        assert ka == ra and hash(ka) == hash(ra)
+        assert (ka == kb) == (ra == rb)
+        if ka == kb:
+            assert hash(ka) == hash(kb)
+        assert (ka < kb) == (ra < rb)
+
+    @given(st.lists(canonical_values, max_size=8))
+    def test_same_sort_and_merge_as_fraction_keys(self, values):
+        positions = range(len(values))
+        assert sorted(positions, key=lambda i: canonical_key(values[i])) == sorted(
+            positions, key=lambda i: fraction_key(values[i])
+        )
+        assert len({canonical_key(v) for v in values}) == len({fraction_key(v) for v in values})
+
+
+class TestKernelIndex:
+    @staticmethod
+    def kernel(rule=None):
+        return Kernel.from_mapping({"a": bernoulli(F(1, 3)), 1: point_mass("r")}, rule=rule)
+
+    def test_lookup_leaves_equality_and_hash(self):
+        k, twin = self.kernel(), self.kernel()
+        assert dist_eq(k.get(F(1)), point_mass("r"))
+        assert dist_eq(k.get(True), point_mass("r"))
+        assert k == twin and hash(k) == hash(twin) and repr(k) == repr(twin)
+        assert {twin: "found"}[k] == "found"
+
+    def test_rule_fallback_and_missing_entry(self):
+        k = self.kernel(rule=lambda v: point_mass(("rule", v)))
+        assert dist_eq(k.get("a"), bernoulli(F(1, 3)))
+        assert dist_eq(k.get("b"), point_mass(("rule", "b")))
+        with pytest.raises(MissingKernelEntry, match="kernel has no entry for 'b'"):
+            self.kernel().get("b")
+        bad = self.kernel(rule=lambda v: "not a dist")
+        assert dist_eq(bad.get("a"), bernoulli(F(1, 3)))
+        with pytest.raises(MissingKernelEntry, match="rule returned non-distribution for 'b'"):
+            bad.get("b")
