@@ -3,15 +3,13 @@
 sample size n varied.
 
 Each rung's model is the `srs_wor_n3` catalog text with `units = 1 .. N`
-and `n = n`.  The script writes the rungs to a directory, runs
+and `n = n`, for the four rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3).  The
+script writes the rungs to a temporary directory, runs
 `check <rung> --inference likelihood --json` on each in a fresh process
 and prints the wall time, the exit code and a SHA-256 of stdout, so two
 checkouts can be compared for speed and for identical output.
 
-Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K] [--out DIR]
-                                                    [RUNG ...]
-A rung is written N,n (for example 5,3); the default is the four rungs
-4,3 5,2 5,3 6,3.
+Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K]
 """
 
 import argparse
@@ -54,29 +52,14 @@ def run_check(path: str) -> tuple:
     return wall, done.returncode, hashlib.sha256(done.stdout).hexdigest()
 
 
-def parse_rung(text: str) -> tuple:
-    try:
-        N, n = (int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"rung {text!r} is not N,n") from None
-    if not 1 <= n <= N:
-        raise argparse.ArgumentTypeError(f"rung {text!r} needs 1 <= n <= N")
-    return N, n
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("rungs", nargs="*", type=parse_rung, metavar="RUNG")
     parser.add_argument("--repeat", type=int, default=1, help="runs per rung")
-    parser.add_argument("--out", help="directory for the rung models (default: a temporary one)")
     args = parser.parse_args(argv)
-    rungs = args.rungs or RUNGS
     with tempfile.TemporaryDirectory() as tmp:
-        out = args.out or tmp
-        os.makedirs(out, exist_ok=True)
         failed = False
-        for N, n in rungs:
-            path = os.path.join(out, f"{BASE}_N{N}_n{n}.model")
+        for N, n in RUNGS:
+            path = os.path.join(tmp, f"{BASE}_N{N}_n{n}.model")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(rung_text(N, n))
             runs = [run_check(path) for _ in range(max(args.repeat, 1))]

@@ -412,11 +412,6 @@ class Family:
         """{code: mass} of the observation distribution at one point."""
         return self._interned[2][point]
 
-    def observation_dist(self, point) -> FiniteDist:
-        """The observation distribution at one point, read off its table."""
-        xs, table = self.observation_support(), self.observation_table(point)
-        return FiniteDist(tuple((xs[c], table[c]) for c in sorted(table)))
-
 
 def make_split(
     family: Family, v: RandomVariableRef, v_bar: RandomVariableRef

@@ -93,7 +93,9 @@ def likelihood(family_or_model, x, scheme: ObservationScheme | None = None) -> L
     A malformed x (wrong shape for the scheme, values outside the
     alphabet) is rejected.  A well-formed x outside the observation
     support gets a zero table here; the `check` command rejects such an x
-    as an input error before any equivalence test runs."""
+    as an input error before any equivalence test runs.  That rule is
+    judged on the original model, so an x that only the ignored family
+    makes possible is an input error too."""
     if isinstance(family_or_model, SurveyModel) and scheme is not None:
         validate_observation(family_or_model, scheme, x)
     family = _as_family(family_or_model, scheme)
@@ -257,7 +259,8 @@ def sampling_dist_equivalent(
         for p in family.points:
             k = canonical_key(values[p])
             reprs.setdefault(k, values[p])
-            d = pushforward(family.observation_dist(p), estimator)
+            xs, table = family.observation_support(), family.observation_table(p)
+            d = dist_new((estimator(xs[c]), table[c]) for c in sorted(table))
             groups.setdefault(k, {})[canonical_key(d)] = d
     witnesses = []
     equivalent = True

@@ -210,22 +210,40 @@ class TestInputErrors:
         assert err.startswith("error: line ") and message in err
 
     @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
-    def test_impossible_x(self, capsys, models, monkeypatch, inference):
-        # unit 1 drawn twice without replacement: well formed, zero mass at
-        # every grid point; rejected alike for every inference type, before
-        # any equivalence test runs
-        from ignorability_lab.inference import PreparedCheck
+    @pytest.mark.parametrize(
+        "case", ["srs-unit-drawn-twice", "select-max-only-after-ignoring"]
+    )
+    def test_impossible_x(self, capsys, tmp_path, models, monkeypatch, inference, case):
+        # well formed, zero mass at every grid point of the model; rejected
+        # alike for every inference type, before any equivalence test runs.
+        # The rule is judged on the original model, so an x that only the
+        # ignored family makes possible is an input error too
+        from ignorability_lab import modelfile
+        from ignorability_lab.inference import PreparedCheck, prepare
+        from ignorability_lab.ignorance import dirac_fix
+
+        if case == "srs-unit-drawn-twice":
+            path, x = models["srs_wor_n3"], "[[1,1],[1,1]]"
+        else:
+            # select_max keeps unit 1 on a tie, so value 1 at unit 2 is
+            # impossible; ignoring the selection spreads it over every unit
+            text = CATALOG["select_max"].replace(
+                "scheme = values_only", "scheme = values_and_mapping"
+            )
+            path, x = str(tmp_path / "select_max_mapping.model"), "[[1],[2]]"
+            (tmp_path / "select_max_mapping.model").write_text(text)
+            b = modelfile.parse_model(text).build()
+            ignored = prepare(b.model, (b.v, b.v_bar), b.scheme, b.target, dirac_fix()).ignored
+            assert ignored.observation_code(parse_observation_literal(x)) is not None
 
         def no_test(*args):
             raise AssertionError("an equivalence test ran")
 
         monkeypatch.setattr(PreparedCheck, "test", no_test)
-        argv = ["check", models["srs_wor_n3"], "--inference", inference,
-                "--x", "[[1,1],[1,1]]"]
-        code, out, err = run(capsys, argv)
+        code, out, err = run(capsys, ["check", path, "--inference", inference, "--x", x])
         assert code == 2
         assert out == ""
-        assert err == "error: observation [[1,1],[1,1]] has zero mass at every grid point\n"
+        assert err == f"error: observation {x} has zero mass at every grid point\n"
 
     def test_bad_support_cap(self, capsys, models, monkeypatch):
         monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "abc")

@@ -232,16 +232,21 @@ class TestIgnoreModel:
 
 
 class TestFamily:
-    def test_observation_support_built_once(self, monkeypatch):
+    def test_observation_support_built_once(self):
         fam = two_by_two_family()
         first_call = fam.observation_support()
         assert first_call == (0, 1)
+        tables = {p: fam.observation_table(p) for p in fam.points}
 
-        def no_rebuild(point):
-            raise AssertionError("observation_dist called again")
+        def no_rebuild(w):
+            raise AssertionError("observation function called again")
 
-        monkeypatch.setattr(fam, "observation_dist", no_rebuild)
+        # the support and every table come from one pass over the laws: no
+        # later lookup evaluates an observation function again
+        fam.obs_fns = {p: no_rebuild for p in fam.points}
         assert fam.observation_support() is first_call
+        assert fam.observation_code(1) == 1
+        assert all(fam.observation_table(p) is tables[p] for p in fam.points)
 
 
 class TestDistinctSplitAlgebra:
