@@ -1,9 +1,12 @@
 """Golden corpus: every recorded command reproduces its exit code, stdout
 and stderr byte for byte, and the committed cases are exactly the ones
 scripts/make_golden.py generates.  The files are written only by that
-script; this test never rewrites them."""
+script; this test never rewrites them.  SHA-256 digests of `check --json`
+on two SRS ladder rungs pin the output of models larger than any in the
+corpus."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -55,3 +58,32 @@ def test_golden(case, model_paths):
     assert code == record["exit"]
     assert out.getvalue() == record["stdout"]
     assert err.getvalue() == record["stderr"]
+
+
+SRS_LADDER = Path(__file__).parent.parent / "scripts" / "srs_ladder.py"
+# SHA-256 of `check --json` stdout on SRS ladder rungs, larger than any
+# catalog model: (N, n, inference, policy) -> digest
+RUNG_DIGESTS = {
+    (4, 3, "likelihood", "dirac"): "3b090eafda66e822257e71eb0b0162c56099bce008d54cbff01d10d4938a586a",
+    (4, 3, "likelihood", "arbitrary"): "db02142826d0c7bb9848885b5518ca1f9ba0fcd6f22cbb9ecc31feda19794970",
+    (4, 3, "likelihood", "marginal"): "7457b831748e8ce73919a12722efa5b26209dfa8f90c7f845b40b39ea88b502b",
+    (4, 3, "frequentist", "dirac"): "5fb9d8f2d839499149d4df44d5542429d8ffc0690687150777adb8ecc44a08c3",
+    (4, 3, "frequentist", "arbitrary"): "b7c03aa98cb156a0724fa8ede2d2ce92feab4303587c5a37bd66e631fabb5eb3",
+    (4, 3, "frequentist", "marginal"): "7556d98f53634b470b5ac61fab2efee5a0fadd4ee378c5129ebd8c6121b3a618",
+    (5, 2, "likelihood", "dirac"): "289487d6f386ec7afaf87d1a9f23edd7f7754130ae2eb2c427c7a9740aad8c50",
+}
+
+
+@pytest.mark.parametrize("N, n, inference, policy", sorted(RUNG_DIGESTS))
+def test_srs_rung_digest(N, n, inference, policy, tmp_path):
+    spec = importlib.util.spec_from_file_location("srs_ladder", SRS_LADDER)
+    srs_ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(srs_ladder)
+    path = tmp_path / f"srs_N{N}_n{n}.model"
+    path.write_text(srs_ladder.rung_text(N, n), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", str(path), "--inference", inference, "--policy", policy, "--json"])
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == RUNG_DIGESTS[N, n, inference, policy]
