@@ -39,8 +39,8 @@ from .exactprob import (
 from .sampling import (
     ObservationScheme,
     SurveyModel,
-    build_joint,
     drawn_values,
+    numbered_joint,
     observation_fn,
 )
 
@@ -107,79 +107,54 @@ def composite_rv(refs: Iterable[RandomVariableRef]) -> RandomVariableRef:
 
 @dataclass(frozen=True)
 class SplitIndex:
-    """A split's support numbered once, so the ignore path works on ints.
+    """A split's worlds numbered once, so the ignore path works on ints.
 
-    World ids follow the canonical_key order of the worlds, which is the
-    order of a FiniteDist's items; v_bar-codes follow the canonical_key
-    order of the nuisance values, so `v_bar_values` is the sorted image of
-    v_bar.  `phi[c]` is the compatibility set of v_bar-code c as world ids
-    in id order, and `world_of` inverts w -> (v-code, v_bar-code).
+    `worlds` are distinct and in canonical_key order; a world's id is its
+    position there.  v_bar-codes follow the canonical_key order of the
+    nuisance values, so `v_bar_values` is the sorted image of v_bar.  The
+    compatibility set of v_bar-code c is the worlds whose v-codes are in
+    `compatible[c]`, and `world_of` inverts w -> (v-code, v_bar-code).
     """
 
     worlds: tuple  # world id -> world
-    ids: dict  # canonical_key(world) -> world id
     v_code: tuple  # world id -> v-code
     v_bar_code: tuple  # world id -> v_bar-code
     v_bar_values: tuple  # v_bar-code -> nuisance value
     v_bar_codes: dict  # canonical_key(nuisance value) -> v_bar-code
-    phi: tuple  # v_bar-code -> tuple of world ids
+    compatible: tuple  # v_bar-code -> ascending v-codes
     world_of: dict  # (v-code, v_bar-code) -> world id
 
     @staticmethod
-    def build(keyed: dict, v_bar_values: dict) -> "SplitIndex":
-        """`keyed` maps canonical_key(w) to (w, v key, v_bar key) and
-        `v_bar_values` maps a v_bar key to its value."""
-        order = sorted(keyed)
-        v_bar_keys = sorted(v_bar_values)
-        v_bar_codes = {k: c for c, k in enumerate(v_bar_keys)}
-        v_codes: dict = {}
-        v_code = []
-        v_bar_code = []
-        for k in order:
-            _w, v_key, v_bar_key = keyed[k]
-            v_code.append(v_codes.setdefault(v_key, len(v_codes)))
-            v_bar_code.append(v_bar_codes[v_bar_key])
+    def build(worlds: tuple, v: Callable, v_bar: Callable) -> "SplitIndex":
+        """Key each world's v- and v_bar-value; `worlds` distinct and sorted."""
+        v_codes, v_bar_values, v_code, v_bar_keys = {}, {}, [], []
+        for w in worlds:
+            v_code.append(v_codes.setdefault(canonical_key(v(w)), len(v_codes)))
+            value = v_bar(w)
+            v_bar_keys.append(canonical_key(value))
+            v_bar_values.setdefault(v_bar_keys[-1], value)
+        ordered = sorted(v_bar_values)
+        v_bar_codes = {k: c for c, k in enumerate(ordered)}
+        v_bar_code = tuple(v_bar_codes[k] for k in v_bar_keys)
         world_of: dict = {}
-        members = [[] for _ in v_codes]  # v-code -> world ids, ascending
-        compatible = [set() for _ in v_bar_keys]  # v_bar-code -> v-codes
+        compatible = [set() for _ in ordered]
         for i, pair in enumerate(zip(v_code, v_bar_code)):
             world_of.setdefault(pair, i)
-            members[pair[0]].append(i)
             compatible[pair[1]].add(pair[0])
-        # splits often share one compatibility set across nuisance values
-        # (a distinct complement has the whole support for every value)
-        shared: dict = {}
-        phi = []
-        for codes in compatible:
-            codes = tuple(sorted(codes))
-            if codes not in shared:
-                shared[codes] = tuple(sorted(i for a in codes for i in members[a]))
-            phi.append(shared[codes])
         return SplitIndex(
-            worlds=tuple(keyed[k][0] for k in order),
-            ids={k: i for i, k in enumerate(order)},
+            worlds=worlds,
             v_code=tuple(v_code),
-            v_bar_code=tuple(v_bar_code),
-            v_bar_values=tuple(v_bar_values[k] for k in v_bar_keys),
+            v_bar_code=v_bar_code,
+            v_bar_values=tuple(v_bar_values[k] for k in ordered),
             v_bar_codes=v_bar_codes,
-            phi=tuple(phi),
+            compatible=tuple(tuple(sorted(codes)) for codes in compatible),
             world_of=world_of,
         )
 
-    def integer_masses(self, law: FiniteDist) -> dict:
-        """{world id: integer} proportional to a law's masses: each mass
-        times their common denominator.  Atoms off the support are left
-        out, as no compatibility set contains them."""
-        denominator = 1
-        for _w, mass in law.items:
-            denominator = lcm(denominator, mass.denominator)
-        ids = self.ids
-        out = {}
-        for w, mass in law.items:
-            i = ids.get(canonical_key(w))
-            if i is not None:
-                out[i] = mass.numerator * (denominator // mass.denominator)
-        return out
+    def ids_of(self, law: FiniteDist) -> tuple:
+        """The id of each atom of a law, None for an atom off the worlds."""
+        ids = {canonical_key(w): i for i, w in enumerate(self.worlds)}
+        return tuple(ids.get(canonical_key(w)) for w, _m in law.items)
 
 
 @dataclass(frozen=True)
@@ -217,19 +192,16 @@ def classify_split(
 ) -> ProcessSplit:
     """Compute the complement status of (v, v_bar) on a world support.
 
-    One pass keys every world, its v-value and its v_bar-value; the index
-    built from it decides the status: the split is a complement when
-    distinct worlds give distinct (v, v_bar) pairs, and a distinct one when
-    the pairs also fill the product of the two images."""
+    The index numbers the distinct worlds in canonical_key order and decides
+    the status: the split is a complement when distinct worlds give distinct
+    (v, v_bar) pairs, and a distinct one when the pairs also fill the
+    product of the two images."""
     support = tuple(support)
-    keyed: dict = {}
-    v_bar_values: dict = {}
-    for w in support:
-        value = v_bar(w)
-        v_bar_key = canonical_key(value)
-        v_bar_values.setdefault(v_bar_key, value)
-        keyed[canonical_key(w)] = (w, canonical_key(v(w)), v_bar_key)
-    index = SplitIndex.build(keyed, v_bar_values)
+    return _classify(support, sorted_distinct(support), v, v_bar)
+
+
+def _classify(support: tuple, worlds: tuple, v, v_bar) -> ProcessSplit:
+    index = SplitIndex.build(worlds, v, v_bar)
     pairs = len(index.world_of)
     if pairs < len(index.worlds):
         status = NOT_COMPLEMENT
@@ -245,7 +217,8 @@ def phi_set(v_bar_value, split: ProcessSplit) -> tuple:
     co-occurs (somewhere on the support) with that nuisance value, in
     canonical_key order."""
     index = split.index
-    return tuple(index.worlds[i] for i in index.phi[split.v_bar_code(v_bar_value)])
+    codes = set(index.compatible[split.v_bar_code(v_bar_value)])
+    return tuple(w for w, a in zip(index.worlds, index.v_code) if a in codes)
 
 
 def _require_complement(split: ProcessSplit) -> None:
@@ -267,50 +240,56 @@ def atrandomize(
     _require_complement(split)
     if nuisance is None:
         nuisance = pushforward(P, split.v_bar)
-    return _atrandomize_ids(split.index.integer_masses(P), split, nuisance)
+    _d, sums = _integer_sums(split.index.ids_of(P), P, split.index.v_code)
+    return _atrandomize_ids(sums, split, nuisance)[1]
 
 
-def _atrandomize_ids(
-    masses: dict, split: ProcessSplit, nuisance: FiniteDist
-) -> FiniteDist:
-    """atrandomize on a law given as `SplitIndex.integer_masses` gives it.
+def _integer_sums(ids: tuple, law: FiniteDist, code: tuple) -> tuple:
+    """(denominator, {code: [integer mass, atoms]}): a law's masses times
+    their common denominator, summed by the per-world `code` of their ids;
+    atoms off the numbering (id None) are left out."""
+    denominator = 1
+    for _w, mass in law.items:
+        denominator = lcm(denominator, mass.denominator)
+    out: dict = {}
+    for i, (_w, mass) in zip(ids, law.items):
+        if i is not None:
+            sums = out.setdefault(code[i], [0, 0])
+            sums[0] += mass.numerator * (denominator // mass.denominator)
+            sums[1] += 1
+    return denominator, out
 
-    For each nuisance value b the law is conditioned on Phi(b), and each
-    world w of Phi(b) sends its conditioned mass, times the weight of b, to
-    the world with v-value v(w) and nuisance value b.  Those targets carry
-    the code of b, so every target is reached from one b only: its mass is
-    one fraction of integer sums (the common denominator cancels)."""
+
+def _atrandomize_ids(sums: dict, split: ProcessSplit, nuisance: FiniteDist) -> tuple:
+    """(world ids, law): atrandomize on a law given by its `_integer_sums`
+    over v-codes.
+
+    For each nuisance value b the law is conditioned on Phi(b); the mass of
+    each v-code a there, times the weight of b, goes to the world (a, b),
+    which no other b reaches: its mass is one fraction of integer sums."""
     index = split.index
-    v_code = index.v_code
-    world_of = index.world_of
-    out = [0] * len(index.worlds)
+    out = {}
     pairs = 0
     for value, outer in nuisance.items:
         code = split.v_bar_code(value)
-        sums: dict = {}
-        total = kept = 0
-        for i in index.phi[code]:
-            n = masses.get(i)
-            if n is not None:
-                kept += 1
-                total += n
-                target = world_of[(v_code[i], code)]
-                sums[target] = sums.get(target, 0) + n
-        if total == 0:
+        present = [a for a in index.compatible[code] if a in sums]
+        if not present:
             raise ZeroMassPhiSet(
                 f"compatibility set of {split.v_bar.name}={value!r} has zero mass"
             )
+        kept = sum(sums[a][1] for a in present)
         check_size(kept)
         pairs += kept
-        numerator, denominator = outer.numerator, outer.denominator * total
-        for target, n in sums.items():
-            out[target] += Fraction(numerator * n, denominator)
+        numerator = outer.numerator
+        denominator = outer.denominator * sum(sums[a][0] for a in present)
+        for a in present:
+            out[index.world_of[a, code]] = Fraction(numerator * sums[a][0], denominator)
     check_size(pairs)
     total = sum((w for _, w in nuisance.items), Fraction(0))
     if total != 1:
         raise NonUnitMass(f"weights sum to {total}, expected 1")
-    worlds = index.worlds
-    return FiniteDist(tuple((worlds[i], mass) for i, mass in enumerate(out) if mass))
+    ids = tuple(sorted(out))
+    return ids, FiniteDist(tuple((index.worlds[i], out[i]) for i in ids))
 
 
 DIRAC_FIX = "dirac_fix"
@@ -355,14 +334,24 @@ class Family:
     original survey model induces one (labels are (theta, phi) grid
     points), and ignoring a process produces another over the same world
     support (labels are (original label, nuisance index) pairs).
+
+    Worlds are numbered once: `worlds` lists them in canonical_key order,
+    `ids[p]` numbers the atoms of `laws[p]`.  An ignored family shares its
+    original's numbering and per-world codes of observations and targets.
     """
 
-    def __init__(self, points, laws, obs_fns, support=None, space=None, flags=None):
+    def __init__(self, points, laws, obs_fns, support=None, space=None, flags=None, numbering=None):
         self.points = tuple(points)
         self.laws = dict(laws)
         self.obs_fns = dict(obs_fns)
+        if numbering is None:  # a hand-built family: number its worlds here
+            worlds = sorted_distinct([*(space or ()), *(w for p in self.points for w, _m in self.laws[p].items)])
+            ids = {canonical_key(w): i for i, w in enumerate(worlds)}
+            numbering = (worlds, {p: tuple(ids[canonical_key(w)] for w, _m in self.laws[p].items) for p in self.points}, {})
+        self.worlds, self.ids, self._coded = numbering
         if support is None:
-            support = sorted_distinct(w for p in self.points for w, _m in self.laws[p].items)
+            used = sorted({i for p in self.points for i in self.ids[p]})
+            support = self.worlds if len(used) == len(self.worlds) else [self.worlds[i] for i in used]
         self.support = tuple(support)
         # the measurable space may be larger than the union of supports:
         # zero-probability worlds still shape complements and Phi-sets
@@ -371,32 +360,57 @@ class Family:
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
-        laws = {}
-        obs_fns = {}
-        for theta, phi in m.grid:
-            point = (theta, phi)
-            laws[point] = build_joint(m, theta, phi)
-            obs_fns[point] = observation_fn(m, phi, scheme)
+        laws, ids, fns = {}, {}, {}  # fns: one observation function per phi
+        for point in m.grid:
+            ids[point], laws[point] = numbered_joint(m, *point)
+            if point[1] not in fns:
+                fns[point[1]] = observation_fn(m, point[1], scheme)
+        obs_fns = {point: fns[point[1]] for point in m.grid}
+        space = m.world_space()
         flags = {"z_contains_y": m.z_contains_y}
-        return Family(m.grid, laws, obs_fns, space=m.world_space(), flags=flags)
+        return Family(m.grid, laws, obs_fns, space=space, flags=flags, numbering=(space, ids, {}))
+
+    def coded(self, fn: Callable) -> tuple:
+        """(world id -> code, code -> value, code -> canonical_key): fn on
+        every numbered world, its values coded in canonical_key order; once
+        per function, shared by the families on this numbering."""
+        if fn not in self._coded:
+            keyed, per_world = {}, []
+            for w in self.worlds:
+                value = fn(w)
+                per_world.append(canonical_key(value))
+                keyed.setdefault(per_world[-1], value)
+            keys = sorted(keyed)
+            codes = {k: c for c, k in enumerate(keys)}
+            self._coded[fn] = (tuple(codes[k] for k in per_world), tuple(keyed[k] for k in keys), tuple(keys))
+        return self._coded[fn]
+
+    def code_sums(self, p, code: tuple) -> dict:
+        """{code: mass} of the law at p, summed by the per-world `code`."""
+        denominator, sums = _integer_sums(self.ids[p], self.laws[p], code)
+        return {c: Fraction(n, denominator) for c, (n, _atoms) in sums.items()}
+
+    def marginal(self, p, code: tuple, values: tuple) -> FiniteDist:
+        """The law at p pushed through a per-world `code` ordered as `values`."""
+        check_size(len(self.ids[p]))
+        sums = self.code_sums(p, code)
+        return FiniteDist(tuple((values[c], sums[c]) for c in sorted(sums)))
 
     @cached_property
     def _interned(self) -> tuple:
         """(observations, {key: code}, {point: {code: mass}}): every
-        observation numbered once, in canonical_key order, and each point's
-        table filled in one pass over its law; built on first use."""
-        keyed = {}  # canonical_key(x) -> x, first seen
-        raw = []  # per point: {canonical_key(x): mass}
+        observation of positive mass numbered once, in canonical_key order,
+        and each point's table summed by per-world codes; built on first use."""
+        keyed = {}  # canonical_key(x) -> x
+        raw = []  # per point: (code -> key, {code: mass}) in its function's codes
         for p in self.points:
-            fn, masses = self.obs_fns[p], {}
-            for w, mass in self.laws[p].items:
-                x = fn(w)
-                key = canonical_key(x)
-                keyed.setdefault(key, x)
-                masses[key] = masses.get(key, 0) + mass
-            raw.append(masses)
+            code, values, keys = self.coded(self.obs_fns[p])
+            masses = self.code_sums(p, code)
+            for c in masses:
+                keyed.setdefault(keys[c], values[c])
+            raw.append((keys, masses))
         codes = {k: c for c, k in enumerate(sorted(keyed))}
-        tables = {p: {codes[k]: m for k, m in masses.items()} for p, masses in zip(self.points, raw)}
+        tables = {p: {codes[keys[c]]: m for c, m in masses.items()} for p, (keys, masses) in zip(self.points, raw)}
         return tuple(keyed[k] for k in codes), codes, tables
 
     def observation_support(self) -> tuple:
@@ -420,7 +434,10 @@ def make_split(
 
     The space is model-global (never per parameter point) and structural:
     it includes zero-probability worlds, so an almost-sure coupling such
-    as a deterministic selection does not change the complement status."""
+    as a deterministic selection does not change the complement status.
+    A space that is the family's numbering is indexed by its world ids."""
+    if family.space is family.worlds:
+        return _classify(family.space, family.worlds, v, v_bar)
     return classify_split(family.space, v, v_bar)
 
 
@@ -435,13 +452,14 @@ def ignore_model(
     every original law to put positive mass on every compatibility set.
     """
     _require_complement(split)
-    phi = split.index.phi
-    image = split.index.v_bar_values
-    masses = {p: split.index.integer_masses(family.laws[p]) for p in family.points}
+    index = split.index
+    # a split on the family's numbering reads its ids, another one keys
+    shared = index.worlds is family.worlds
+    ids = family.ids if shared else {p: index.ids_of(family.laws[p]) for p in family.points}
+    sums = {p: _integer_sums(ids[p], family.laws[p], index.v_code)[1] for p in family.points}
     for point in family.points:
-        law = masses[point]
-        for code, value in enumerate(image):
-            if not any(i in law for i in phi[code]):
+        for code, value in enumerate(index.v_bar_values):
+            if not any(a in sums[point] for a in index.compatible[code]):
                 raise ZeroMassPhiSet(
                     f"law at {point!r} has zero mass on the compatibility set "
                     f"of {split.v_bar.name}={value!r}"
@@ -450,15 +468,11 @@ def ignore_model(
     # (original point, nuisance index, nuisance law) triples; the grid of
     # the ignored family is the set of (point, index) pairs
     if policy.kind == DIRAC_FIX:
-        triples = [
-            (point, value, point_mass(value))
-            for point in family.points
-            for value in image
-        ]
+        triples = [(p, value, point_mass(value)) for p in family.points for value in index.v_bar_values]
     elif policy.kind == SINGLE_ARBITRARY:
-        dist = policy.dist if policy.dist is not None else uniform(image)
+        dist = policy.dist if policy.dist is not None else uniform(index.v_bar_values)
         for value, _w in dist.items:
-            if canonical_key(value) not in split.index.v_bar_codes:
+            if canonical_key(value) not in index.v_bar_codes:
                 raise ValueNotInImage(
                     f"arbitrary nuisance law puts mass outside the image of "
                     f"{split.v_bar.name}"
@@ -469,17 +483,16 @@ def ignore_model(
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
         triples = [
-            (point, point, pushforward(family.laws[point], split.v_bar))
+            (point, point, family.marginal(point, index.v_bar_code, index.v_bar_values)
+             if shared else pushforward(family.laws[point], split.v_bar))
             for point in family.points
         ]
 
-    points = []
-    laws = {}
-    obs_fns = {}
-    for point, index, nuisance in triples:
-        new_point = (point, index)
+    points, laws, new_ids, obs_fns = [], {}, {}, {}
+    for point, nuisance_index, nuisance in triples:
+        new_point = (point, nuisance_index)
         points.append(new_point)
-        laws[new_point] = _atrandomize_ids(masses[point], split, nuisance)
+        new_ids[new_point], laws[new_point] = _atrandomize_ids(sums[point], split, nuisance)
         obs_fns[new_point] = family.obs_fns[point]
     flags = dict(family.flags)
     flags["ignored"] = {
@@ -489,7 +502,8 @@ def ignore_model(
     }
     if policy.kind == SINGLE_ARBITRARY and policy.dist is None:
         flags["ignored"]["arbitrary_default"] = "uniform over the nuisance image"
-    return Family(points, laws, obs_fns, support=family.support, flags=flags)
+    numbering = (index.worlds, new_ids, family._coded if shared else {})
+    return Family(points, laws, obs_fns, support=family.support, flags=flags, numbering=numbering)
 
 
 @dataclass(frozen=True)
@@ -521,13 +535,14 @@ class ParameterFunction:
 def target_values(target, family: Family) -> dict:
     """Evaluate a point-indexed target on every family point.
 
-    Predictands are world functions, not point functions; they have no
-    per-point value and cannot index likelihood or estimator tables.
+    A marginal functional reads each law's marginal from the per-world
+    codes of its variable, in code order.  Predictands are world functions,
+    not point functions; they have no per-point value and cannot index
+    likelihood or estimator tables.
     """
     if isinstance(target, MarginalFunctional):
-        return {
-            p: target.fn(pushforward(family.laws[p], target.var)) for p in family.points
-        }
+        code, values, _keys = family.coded(target.var.fn)
+        return {p: target.fn(family.marginal(p, code, values)) for p in family.points}
     if isinstance(target, ParameterFunction):
         return {p: target.fn(p) for p in family.points}
     raise TargetNotTransformable(

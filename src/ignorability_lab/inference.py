@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exactprob import (
@@ -157,6 +158,7 @@ def likelihood_equivalent(
     x,
     target,
     target_star=None,
+    values=None,
 ) -> EquivalenceResult:
     """Exact proportionality of the two likelihood tables.
 
@@ -165,13 +167,12 @@ def likelihood_equivalent(
     concrete x only that observation's tables are compared (local reading).
     Target values and compared observations are numbered once, in
     canonical_key order, and the tables are indexed by those numbers.
+    `values` are the target's values on the two families, when known.
     """
     if target_star is None:
         target_star = transform_target(target, original, ignored)
-    sides = (
-        (original, target_values(target, original)),
-        (ignored, target_values(target_star, ignored)),
-    )
+    values = values or (target_values(target, original), target_values(target_star, ignored))
+    sides = tuple(zip((original, ignored), values))
     if x is not None:
         xs = (x,)
     else:
@@ -246,12 +247,13 @@ def sampling_dist_equivalent(
     estimator,
     target,
     target_star=None,
+    values=None,
 ) -> EquivalenceResult:
-    """Set equality, per target value, of exact estimator distributions."""
+    """Set equality, per target value, of exact estimator distributions.
+    `values` are the target's values on the two families, when known."""
     if target_star is None:
         target_star = transform_target(target, original, ignored)
-    va = target_values(target, original)
-    vb = target_values(target_star, ignored)
+    va, vb = values or (target_values(target, original), target_values(target_star, ignored))
     reprs = {}
     groups_a: dict = {}
     groups_b: dict = {}
@@ -283,9 +285,9 @@ def sampling_dist_equivalent(
     return EquivalenceResult(equivalent, None, tuple(witnesses))
 
 
-def _posterior_target_dist(family: Family, prior: FiniteDist, target, x) -> FiniteDist | None:
+def _posterior_target_dist(family: Family, prior: FiniteDist, target, x, values) -> FiniteDist | None:
     """Posterior distribution of the target given X=x, or None when the
-    evidence is zero under this prior."""
+    evidence is zero under this prior; `values` are the target's values."""
     code = family.observation_code(x)
     weighted = []
     for p, qp in prior.items:
@@ -305,7 +307,8 @@ def _posterior_target_dist(family: Family, prior: FiniteDist, target, x) -> Fini
             )
             pairs.extend((target.fn(wd), w * m) for wd, m in law.items)
         return dist_new(pairs)
-    values = target_values(target, family)
+    if values is None:
+        values = target_values(target, family)
     return pushforward(posterior, lambda p: values[p])
 
 
@@ -317,25 +320,27 @@ def posterior_equivalent(
     target,
     x,
     target_star=None,
+    values=None,
 ) -> EquivalenceResult:
     """Set equality of posterior target distributions across the prior sets.
 
     Priors with zero evidence at x admit no posterior and are excluded; if
     every original-side prior has zero evidence the inference is impossible
-    and ZeroEvidence is raised.
+    and ZeroEvidence is raised.  `values`: the target's, when known.
     """
     if target_star is None:
         target_star = transform_target(target, original, ignored)
+    values_a, values_b = values or (None, None)
     set_a: dict = {}
     for q in priors:
-        d = _posterior_target_dist(original, q, target, x)
+        d = _posterior_target_dist(original, q, target, x, values_a)
         if d is not None:
             set_a[canonical_key(d)] = d
     if not set_a:
         raise ZeroEvidence("observation has zero mass under every prior")
     set_b: dict = {}
     for q in priors_star:
-        d = _posterior_target_dist(ignored, q, target_star, x)
+        d = _posterior_target_dist(ignored, q, target_star, x, values_b)
         if d is not None:
             set_b[canonical_key(d)] = d
     equal = set(set_a) == set(set_b)
@@ -662,10 +667,6 @@ class ClassificationReport:
         raise KeyError(name)
 
 
-def default_priors(family: Family) -> list:
-    return [uniform(family.points)]
-
-
 def default_estimator(scheme: ObservationScheme):
     """Sample mean of the observed values (0 for an empty sample).
 
@@ -694,7 +695,7 @@ class PreparedCheck:
     """The observation-free part of a classification: the original family,
     the classified split, the ignored family and the transformed target.
     Built once by `prepare`, then queried by `test` per inference type and
-    observation."""
+    observation, which share its target values and default priors."""
 
     model: SurveyModel
     scheme: ObservationScheme
@@ -705,6 +706,22 @@ class PreparedCheck:
     target: object
     target_star: object
 
+    @cached_property
+    def values(self) -> tuple:
+        """The target's values on the original and on the ignored family."""
+        return target_values(self.target, self.family), target_values(self.target_star, self.ignored)
+
+    @cached_property
+    def default_priors(self) -> tuple:
+        """(priors, product priors) of a Bayesian test given none: uniform."""
+        return self._priors(None, None)
+
+    def _priors(self, priors, nuisance_priors) -> tuple:
+        priors = list(priors) if priors else [uniform(self.family.points)]
+        if nuisance_priors is None:
+            nuisance_priors = [uniform(sorted_distinct(index for _orig, index in self.ignored.points))]
+        return priors, [_product_prior(q, qn, self.ignored) for q in priors for qn in nuisance_priors]
+
     def test(
         self, inference_type: str, x, estimator, priors, nuisance_priors
     ) -> ClassificationReport:
@@ -714,27 +731,22 @@ class PreparedCheck:
         family, ignored = self.family, self.ignored
         if inference_type == LIKELIHOOD_BASED:
             result = likelihood_equivalent(
-                family, ignored, x, self.target, self.target_star
+                family, ignored, x, self.target, self.target_star, self.values
             )
         elif inference_type == FREQUENTIST:
             if estimator is None:
                 raise EngineError("frequentist classification needs an estimator")
             result = sampling_dist_equivalent(
-                family, ignored, estimator, self.target, self.target_star
+                family, ignored, estimator, self.target, self.target_star, self.values
             )
         elif inference_type == BAYESIAN:
             if x is None:
                 raise EngineError("Bayesian classification needs an observation")
-            priors = list(priors) if priors else default_priors(family)
-            if nuisance_priors is None:
-                nuisance_priors = [_uniform_nuisance_prior(ignored)]
-            priors_star = [
-                _product_prior(q, qn, ignored)
-                for q in priors
-                for qn in nuisance_priors
-            ]
+            explicit = priors or nuisance_priors is not None
+            priors, priors_star = self._priors(priors, nuisance_priors) if explicit else self.default_priors
+            values = None if isinstance(self.target, Predictand) else self.values
             result = posterior_equivalent(
-                family, ignored, priors, priors_star, self.target, x, self.target_star
+                family, ignored, priors, priors_star, self.target, x, self.target_star, values
             )
         else:
             raise EngineError(f"unknown inference type {inference_type!r}")
@@ -814,10 +826,6 @@ def classify(
     type: `prepare` the ignored family, then `test` it at x."""
     prepared = prepare(m, split, scheme, target, policy or dirac_fix())
     return prepared.test(inference_type, x, estimator, priors, nuisance_priors)
-
-
-def _uniform_nuisance_prior(ignored: Family) -> FiniteDist:
-    return uniform(sorted_distinct(index for _orig, index in ignored.points))
 
 
 def _product_prior(prior: FiniteDist, nuisance_prior: FiniteDist, ignored: Family) -> FiniteDist:

@@ -16,7 +16,8 @@ the `z_contains_y` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -142,7 +143,6 @@ VALUES_ONLY = "values_only"
 VALUES_AND_MAPPING = "values_and_mapping"
 VALUES_MAPPING_DESIGN = "values_mapping_design"
 VALUES_AND_SAMPLED_WEIGHTS = "values_and_sampled_weights"
-CUSTOM = "custom"
 
 SCHEME_KINDS = (
     VALUES_ONLY,
@@ -162,13 +162,9 @@ class ObservationScheme:
 
     kind: str
     unordered: bool = False
-    custom: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind == CUSTOM:
-            if self.custom is None:
-                raise EngineError("custom scheme needs an observation function")
-        elif self.kind not in SCHEME_KINDS:
+        if self.kind not in SCHEME_KINDS:
             raise EngineError(f"unknown observation scheme {self.kind!r}")
 
     def canonical_key(self):
@@ -191,10 +187,6 @@ def values_and_sampled_weights() -> ObservationScheme:
     return ObservationScheme(VALUES_AND_SAMPLED_WEIGHTS)
 
 
-def custom_scheme(fn: Callable) -> ObservationScheme:
-    return ObservationScheme(CUSTOM, custom=fn)
-
-
 def observe(
     world: WorldState,
     scheme: ObservationScheme,
@@ -208,8 +200,6 @@ def observe(
     delta = design(z); it therefore needs the design kernel.
     """
     values = drawn_values(world, population)
-    if scheme.kind == CUSTOM:
-        return scheme.custom(world)
     if scheme.kind == VALUES_ONLY:
         if scheme.unordered:
             return tuple(sorted(values, key=canonical_key))
@@ -364,6 +354,15 @@ class SurveyModel:
             raise GridMiss(f"grid point {point!r} not in model grid")
         return point
 
+    @cached_property
+    def _axes(self) -> tuple:
+        """(sorted (y, z) pairs, sorted mappings, {canonical_key: rank} of
+        each): the two factors of the world space."""
+        kernels = [self.design] if self.design is not None else [self.design_law[phi] for phi in self.phis]
+        yzs = sorted_distinct(yz for t in self.thetas for yz, _w in self.signal_law[t].items)
+        mappings = sorted_distinct(r for k in kernels for _z, delta in k.entries for r, _w in delta.items)
+        return yzs, mappings, *({canonical_key(v): i for i, v in enumerate(vs)} for vs in (yzs, mappings))
+
     def world_space(self) -> tuple:
         """The structural world space: every (y, z) the signal laws can
         produce combined with every selection mapping any design can
@@ -374,44 +373,61 @@ class SurveyModel:
         almost surely, but the underlying space still varies them freely,
         which is what makes the signal/selection pair a distinct
         complement and gives the ignored model its plain marginals.
+
+        The product of the sorted (y, z) pairs and sorted mappings is in
+        canonical_key order: (y, z, r) has id rank(y, z) * |R| + rank(r).
         """
-        yzs = sorted_distinct(yz for t in self.thetas for yz, _w in self.signal_law[t].items)
-        kernels = (
-            [self.design]
-            if self.design is not None
-            else [self.design_law[phi] for phi in self.phis]
-        )
-        mappings = sorted_distinct(
-            r for kernel in kernels for _z, delta in kernel.entries for r, _w in delta.items
-        )
+        yzs, mappings, _, _ = self._axes
         check_size(len(yzs) * len(mappings), "world space")
-        worlds = [WorldState(y, z, r) for y, z in yzs for r in mappings]
-        return tuple(sorted(worlds, key=canonical_key))
+        return tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
 
 
 def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
-    """Exact joint law of the world under one grid point.
+    """Exact joint law of the world under one grid point."""
+    return numbered_joint(m, theta, phi)[1]
+
+
+def numbered_joint(m: SurveyModel, theta, phi=None) -> tuple:
+    """(world ids, law): the exact joint law of the world under one grid
+    point, each atom with its id in `m.world_space()`.
 
     By construction the conditional law of r given (y, z) is the design
     kernel at z, so the structural constraint 'selection reads only z'
-    holds for every model built without the z-contains-y opt-in.
-    """
+    holds for every model built without the z-contains-y opt-in.  Signal
+    and design laws list (y, z) and r in canonical_key order, so the ids
+    come out distinct and ascending, with no merge or sort; the weights
+    w * wr are positive and sum to 1, as the w and the wr do."""
     m.check_point(theta, phi)
-    sig = m.signal_law[theta]
+    _yzs, mappings, yz_rank, r_rank = m._axes
     design = m.design_for(phi)
-    pairs = []
-    for (y, z), w in sig.items:
+    columns = {}  # id(design law) -> (that law, [(rank of r, r, weight)])
+    ids, pairs = [], []
+    for (y, z), w in m.signal_law[theta].items:
         delta = design.get(z)
         check_size(len(pairs) + len(delta.items), "world support")
-        pairs.extend((WorldState(y, z, r), w * wr) for r, wr in delta.items)
-    return dist_new(pairs)
+        if id(delta) not in columns:
+            columns[id(delta)] = (delta, [(r_rank[canonical_key(r)], r, wr) for r, wr in delta.items])
+        base = yz_rank[canonical_key((y, z))] * len(mappings)
+        for j, r, wr in columns[id(delta)][1]:
+            ids.append(base + j)
+            pairs.append((WorldState(y, z, r), w * wr))
+    return tuple(ids), FiniteDist(tuple(pairs))
 
 
 def observation_fn(m: SurveyModel, phi, scheme: ObservationScheme) -> Callable:
     """The scheme as a function of one world under nuisance point phi; the
-    sampled-weights scheme reads the design at phi."""
-    design = m.design_for(phi) if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS else None
-    return lambda w: observe(w, scheme, m.population, design=design)
+    sampled-weights scheme reads the design at phi, with the inclusion
+    probabilities of each of its z computed once."""
+    if scheme.kind != VALUES_AND_SAMPLED_WEIGHTS:
+        return lambda w: observe(w, scheme, m.population)
+    population = m.population
+    pis = {canonical_key(z): inclusion_probabilities(d, population) for z, d in m.design_for(phi).entries}
+
+    def observe_world(w):
+        pi = pis[canonical_key(w.z)]
+        return tuple((v, pi[population.index(k)]) for v, k in zip(drawn_values(w, population), w.r))
+
+    return observe_world
 
 
 def observation_distribution(

@@ -155,6 +155,32 @@ class TestCheck:
         assert len(contexts) == 1
         assert len(mar_queries) == 24
 
+    def test_target_values_computed_once(self, capsys, models, monkeypatch):
+        # an all-observation Bayes check evaluates the marginal target once
+        # per point of each family, not once per observation
+        from ignorability_lab import modelfile
+        from ignorability_lab.ignorance import MarginalFunctional
+
+        calls = []
+        real = modelfile._build_target
+
+        def counting(doc, population):
+            target = real(doc, population)
+
+            def fn(law):
+                calls.append(law)
+                return target.fn(law)
+
+            return MarginalFunctional(target.name, target.var, fn)
+
+        monkeypatch.setattr(modelfile, "_build_target", counting)
+        argv = ["check", models["srs_wor_n3"], "--inference", "bayes", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["observations_checked"] == 24
+        # 2 grid points, and 2 x 6 (point, fixed nuisance value) pairs
+        assert len(calls) == 2 + 12
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):

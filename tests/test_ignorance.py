@@ -1,17 +1,22 @@
 """Complement machinery, compatibility sets, and the ignore transformation."""
 
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from ignorability_lab.catalog import CATALOG
 from ignorability_lab.exactprob import (
     ModelTooLarge,
     bernoulli,
+    canonical_key,
     dist_eq,
     dist_new,
     point_mass,
     product,
     pushforward,
+    sorted_distinct,
     uniform,
 )
 from ignorability_lab.designs import constant, srs_wor
@@ -40,9 +45,12 @@ from ignorability_lab.ignorance import (
     transform_target,
     variation_independent,
 )
+from ignorability_lab.modelfile import parse_model
 from ignorability_lab.sampling import (
     Population,
     SurveyModel,
+    WorldState,
+    build_joint,
     iid_signal_dist,
     values_and_mapping,
 )
@@ -247,6 +255,69 @@ class TestFamily:
         assert fam.observation_support() is first_call
         assert fam.observation_code(1) == 1
         assert all(fam.observation_table(p) is tables[p] for p in fam.points)
+
+
+def _catalog_and_rungs():
+    """(name, model text) of every catalog model and two small SRS rungs."""
+    path = Path(__file__).parent.parent / "scripts" / "srs_ladder.py"
+    spec = importlib.util.spec_from_file_location("srs_ladder", path)
+    srs_ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(srs_ladder)
+    rungs = [(f"srs_N{N}_n{n}", srs_ladder.rung_text(N, n)) for N, n in ((4, 3), (5, 2))]
+    return sorted(CATALOG.items()) + rungs
+
+
+MODELS = _catalog_and_rungs()
+
+
+class TestWorldNumbering:
+    @pytest.mark.parametrize("name, text", MODELS, ids=[name for name, _ in MODELS])
+    def test_world_ids_from_the_space(self, name, text):
+        build = parse_model(text).build()
+        m = build.model
+        space = m.world_space()
+        yzs = sorted_distinct(yz for t in m.thetas for yz, _w in m.signal_law[t].items)
+        kernels = [m.design] if m.design is not None else [m.design_law[phi] for phi in m.phis]
+        mappings = sorted_distinct(
+            r for k in kernels for _z, delta in k.entries for r, _w in delta.items
+        )
+        assert space == tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
+        assert space == tuple(sorted(space, key=canonical_key))
+        for i, (y, z) in enumerate(yzs):
+            for j, r in enumerate(mappings):
+                assert space[i * len(mappings) + j] == WorldState(y, z, r)
+        fam = Family.from_survey_model(m, build.scheme)
+        assert fam.worlds == space and fam.space is fam.worlds
+        for theta, phi in m.grid:
+            law = fam.laws[theta, phi]
+            want = build_joint(m, theta, phi)
+            assert dist_eq(law, want)
+            assert law.items == want.items
+            assert tuple(space[i] for i in fam.ids[theta, phi]) == law.support()
+
+    @pytest.mark.parametrize("policy", [dirac_fix, single_arbitrary, marginal_family])
+    @pytest.mark.parametrize("name, text", MODELS, ids=[name for name, _ in MODELS])
+    def test_tables_match_pushforward(self, name, text, policy):
+        # observation and target tables read from the shared per-world codes
+        # equal the pushforwards of each family's own laws
+        build = parse_model(text).build()
+        fam = Family.from_survey_model(build.model, build.scheme)
+        ignored = ignore_model(fam, make_split(fam, build.v, build.v_bar), policy())
+        for family in (fam, ignored):
+            observed = {
+                p: pushforward(family.laws[p], family.obs_fns[p]) for p in family.points
+            }
+            want = sorted_distinct(x for d in observed.values() for x in d.support())
+            assert family.observation_support() == want
+            for p, d in observed.items():
+                table = family.observation_table(p)
+                assert sorted(table) == [family.observation_code(x) for x in d.support()]
+                assert [table[c] for c in sorted(table)] == list(d.weights())
+            if isinstance(build.target, MarginalFunctional):
+                values = target_values(build.target, family)
+                for p in family.points:
+                    law = pushforward(family.laws[p], build.target.var)
+                    assert values[p] == build.target.fn(law)
 
 
 class TestDistinctSplitAlgebra:

@@ -5,6 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from ignorability_lab import sampling
+from ignorability_lab.catalog import CATALOG
+from ignorability_lab.ignorance import Family
+from ignorability_lab.modelfile import parse_model
+
 from ignorability_lab.exactprob import (
     Kernel,
     bernoulli,
@@ -282,3 +287,23 @@ class TestValidateObservation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(UnknownObservation):
             validate_observation(self.m, values_and_mapping(), ((1, 0), (2,)))
+
+
+def test_sampled_weights_pi_once_per_z(monkeypatch):
+    # the sampled-weights observation computes the inclusion probabilities
+    # of each z of the design once, not once per world
+    build = parse_model(CATALOG["sampled_weights"]).build()
+    m = build.model
+    calls = []
+    real = sampling.inclusion_probabilities
+
+    def counting(delta, population):
+        calls.append(delta)
+        return real(delta, population)
+
+    monkeypatch.setattr(sampling, "inclusion_probabilities", counting)
+    family = Family.from_survey_model(m, build.scheme)
+    assert family.observation_support()
+    phis = m.phis if m.phis else (None,)
+    assert len(calls) == sum(len(m.design_for(phi).entries) for phi in phis)
+    assert len(calls) < len(m.world_space())
