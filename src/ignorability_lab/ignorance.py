@@ -40,7 +40,7 @@ from .sampling import (
     ObservationScheme,
     SurveyModel,
     drawn_values,
-    numbered_joint,
+    numbered_joints,
     observation_fn,
 )
 
@@ -360,12 +360,11 @@ class Family:
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
-        laws, ids, fns = {}, {}, {}  # fns: one observation function per phi
-        for point in m.grid:
-            ids[point], laws[point] = numbered_joint(m, *point)
-            if point[1] not in fns:
-                fns[point[1]] = observation_fn(m, point[1], scheme)
+        joints = numbered_joints(m, m.grid)
+        fns = {phi: observation_fn(m, phi, scheme) for phi in {phi for _theta, phi in m.grid}}
         obs_fns = {point: fns[point[1]] for point in m.grid}
+        laws = {point: law for point, (_ids, law) in joints.items()}
+        ids = {point: ids for point, (ids, _law) in joints.items()}
         space = m.world_space()
         flags = {"z_contains_y": m.z_contains_y}
         return Family(m.grid, laws, obs_fns, space=space, flags=flags, numbering=(space, ids, {}))

@@ -17,7 +17,6 @@ the `z_contains_y` flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -354,7 +353,6 @@ class SurveyModel:
             raise GridMiss(f"grid point {point!r} not in model grid")
         return point
 
-    @cached_property
     def _axes(self) -> tuple:
         """(sorted (y, z) pairs, sorted mappings, {canonical_key: rank} of
         each): the two factors of the world space."""
@@ -377,19 +375,19 @@ class SurveyModel:
         The product of the sorted (y, z) pairs and sorted mappings is in
         canonical_key order: (y, z, r) has id rank(y, z) * |R| + rank(r).
         """
-        yzs, mappings, _, _ = self._axes
+        yzs, mappings, _, _ = self._axes()
         check_size(len(yzs) * len(mappings), "world space")
         return tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
 
 
 def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
     """Exact joint law of the world under one grid point."""
-    return numbered_joint(m, theta, phi)[1]
+    return numbered_joints(m, [(theta, phi)])[theta, phi][1]
 
 
-def numbered_joint(m: SurveyModel, theta, phi=None) -> tuple:
-    """(world ids, law): the exact joint law of the world under one grid
-    point, each atom with its id in `m.world_space()`.
+def numbered_joints(m: SurveyModel, points) -> dict:
+    """{grid point: (world ids, law)}: the exact joint law of the world
+    under each point, each atom with its id in `m.world_space()`.
 
     By construction the conditional law of r given (y, z) is the design
     kernel at z, so the structural constraint 'selection reads only z'
@@ -397,21 +395,24 @@ def numbered_joint(m: SurveyModel, theta, phi=None) -> tuple:
     and design laws list (y, z) and r in canonical_key order, so the ids
     come out distinct and ascending, with no merge or sort; the weights
     w * wr are positive and sum to 1, as the w and the wr do."""
-    m.check_point(theta, phi)
-    _yzs, mappings, yz_rank, r_rank = m._axes
-    design = m.design_for(phi)
+    _yzs, mappings, yz_rank, r_rank = m._axes()
     columns = {}  # id(design law) -> (that law, [(rank of r, r, weight)])
-    ids, pairs = [], []
-    for (y, z), w in m.signal_law[theta].items:
-        delta = design.get(z)
-        check_size(len(pairs) + len(delta.items), "world support")
-        if id(delta) not in columns:
-            columns[id(delta)] = (delta, [(r_rank[canonical_key(r)], r, wr) for r, wr in delta.items])
-        base = yz_rank[canonical_key((y, z))] * len(mappings)
-        for j, r, wr in columns[id(delta)][1]:
-            ids.append(base + j)
-            pairs.append((WorldState(y, z, r), w * wr))
-    return tuple(ids), FiniteDist(tuple(pairs))
+    out = {}
+    for theta, phi in points:
+        m.check_point(theta, phi)
+        design = m.design_for(phi)
+        ids, pairs = [], []
+        for (y, z), w in m.signal_law[theta].items:
+            delta = design.get(z)
+            check_size(len(pairs) + len(delta.items), "world support")
+            if id(delta) not in columns:
+                columns[id(delta)] = (delta, [(r_rank[canonical_key(r)], r, wr) for r, wr in delta.items])
+            base = yz_rank[canonical_key((y, z))] * len(mappings)
+            for j, r, wr in columns[id(delta)][1]:
+                ids.append(base + j)
+                pairs.append((WorldState(y, z, r), w * wr))
+        out[theta, phi] = tuple(ids), FiniteDist(tuple(pairs))
+    return out
 
 
 def observation_fn(m: SurveyModel, phi, scheme: ObservationScheme) -> Callable:

@@ -209,6 +209,18 @@ class TestIgnoreModel:
         for label in ("p", "q"):
             assert dist_eq(ignored.laws[(label, label)], laws[label])
 
+    @pytest.mark.parametrize("policy", [dirac_fix, single_arbitrary, marginal_family])
+    def test_split_made_elsewhere(self, policy):
+        # a split classified on a support of its own is matched to the
+        # family's laws by key and gives the same ignored family
+        fam = two_by_two_family()
+        own = ignore_model(fam, make_split(fam, first, second), policy())
+        other = ignore_model(fam, classify_split(list(SQUARE), first, second), policy())
+        assert other.points == own.points
+        for q in own.points:
+            assert own.laws[q].items == other.laws[q].items
+        assert other.observation_support() == own.observation_support()
+
     def test_single_arbitrary_default_uniform(self):
         fam = two_by_two_family()
         split = make_split(fam, first, second)
