@@ -280,8 +280,7 @@ def _atrandomize_ids(sums: dict, split: ProcessSplit, nuisance: FiniteDist) -> t
         kept = sum(sums[a][1] for a in present)
         check_size(kept)
         pairs += kept
-        numerator = outer.numerator
-        denominator = outer.denominator * sum(sums[a][0] for a in present)
+        numerator, denominator = outer.numerator, outer.denominator * sum(sums[a][0] for a in present)
         for a in present:
             out[index.world_of[a, code]] = Fraction(numerator * sums[a][0], denominator)
     check_size(pairs)
@@ -360,11 +359,9 @@ class Family:
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
-        joints = numbered_joints(m, m.grid)
+        ids, laws = numbered_joints(m, m.grid)
         fns = {phi: observation_fn(m, phi, scheme) for phi in {phi for _theta, phi in m.grid}}
         obs_fns = {point: fns[point[1]] for point in m.grid}
-        laws = {point: law for point, (_ids, law) in joints.items()}
-        ids = {point: ids for point, (ids, _law) in joints.items()}
         space = m.world_space()
         flags = {"z_contains_y": m.z_contains_y}
         return Family(m.grid, laws, obs_fns, space=space, flags=flags, numbering=(space, ids, {}))
@@ -561,10 +558,14 @@ def transform_target(target, family: Family, ignored: Family):
         return target
     if isinstance(target, ParameterFunction):
         mapping = {}
-        originals = [(p, family.laws[p]) for p in family.points]
+
+        def same(p, q) -> bool:  # on one numbering, equal ids and weights
+            if ignored.worlds is family.worlds:
+                return family.ids[p] == ignored.ids[q] and family.laws[p].weights() == ignored.laws[q].weights()
+            return dist_eq(family.laws[p], ignored.laws[q])
+
         for q in ignored.points:
-            law = ignored.laws[q]
-            matches = [p for p, orig in originals if dist_eq(orig, law)]
+            matches = [p for p in family.points if same(p, q)]
             if not matches:
                 raise TargetNotTransformable(
                     f"ignored law at {q!r} equals no original law; the label "

@@ -382,12 +382,12 @@ class SurveyModel:
 
 def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
     """Exact joint law of the world under one grid point."""
-    return numbered_joints(m, [(theta, phi)])[theta, phi][1]
+    return numbered_joints(m, [(theta, phi)])[1][theta, phi]
 
 
-def numbered_joints(m: SurveyModel, points) -> dict:
-    """{grid point: (world ids, law)}: the exact joint law of the world
-    under each point, each atom with its id in `m.world_space()`.
+def numbered_joints(m: SurveyModel, points) -> tuple:
+    """({grid point: world ids}, {grid point: law}): the exact joint law of
+    the world under each point, each atom with its id in `m.world_space()`.
 
     By construction the conditional law of r given (y, z) is the design
     kernel at z, so the structural constraint 'selection reads only z'
@@ -397,7 +397,7 @@ def numbered_joints(m: SurveyModel, points) -> dict:
     w * wr are positive and sum to 1, as the w and the wr do."""
     _yzs, mappings, yz_rank, r_rank = m._axes()
     columns = {}  # id(design law) -> (that law, [(rank of r, r, weight)])
-    out = {}
+    all_ids, laws = {}, {}
     for theta, phi in points:
         m.check_point(theta, phi)
         design = m.design_for(phi)
@@ -411,8 +411,8 @@ def numbered_joints(m: SurveyModel, points) -> dict:
             for j, r, wr in columns[id(delta)][1]:
                 ids.append(base + j)
                 pairs.append((WorldState(y, z, r), w * wr))
-        out[theta, phi] = tuple(ids), FiniteDist(tuple(pairs))
-    return out
+        all_ids[theta, phi], laws[theta, phi] = tuple(ids), FiniteDist(tuple(pairs))
+    return all_ids, laws
 
 
 def observation_fn(m: SurveyModel, phi, scheme: ObservationScheme) -> Callable:

@@ -220,6 +220,15 @@ class TestIgnoreModel:
         for q in own.points:
             assert own.laws[q].items == other.laws[q].items
         assert other.observation_support() == own.observation_support()
+        label = ParameterFunction("index", lambda p: p)
+        outcomes = []
+        for ignored in (own, other):
+            try:
+                restricted = transform_target(label, fam, ignored)
+                outcomes.append({q: restricted.fn(q) for q in ignored.points})
+            except TargetNotTransformable as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
 
     def test_single_arbitrary_default_uniform(self):
         fam = two_by_two_family()
