@@ -40,7 +40,13 @@ from .inference import (
 from .ignorance import dirac_fix, marginal_family, single_arbitrary
 from .mc import compare_exact_vs_mc
 from .modelfile import ModelFileError, parse_model
-from .reports import emit_report, machine_json, to_jsonable
+from .reports import (
+    classification_payload,
+    emit_report,
+    machine_json,
+    rubin_payload,
+    to_jsonable,
+)
 from .sampling import (
     VALUES_AND_MAPPING,
     VALUES_MAPPING_DESIGN,
@@ -182,8 +188,6 @@ def cmd_check(args) -> int:
     overall = "informative" if informative else "ignorable"
 
     if args.json:
-        from .reports import classification_payload
-
         payload = classification_payload(headline)
         payload["verdict"] = overall
         if len(reports) > 1:
@@ -285,8 +289,6 @@ def cmd_audit_rubin(args) -> int:
         1 for r in reports for a in r.audits if a.counterexample()
     )
     if args.json:
-        from .reports import rubin_payload
-
         print(
             machine_json(
                 {
@@ -366,25 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mar-variant", choices=("local", "uniform"), default="local")
     p.add_argument("--expect", choices=("ignorable", "informative"))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("enumerate", help="dump joint and observation laws")
     p.add_argument("model")
     p.add_argument("--theta")
     p.add_argument("--phi")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("inclusion", help="inclusion probabilities and size identities")
     p.add_argument("model")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_inclusion)
 
     p = sub.add_parser("audit-rubin", help="evaluate the missing-data theorems")
     p.add_argument("model")
     p.add_argument("--x", help="observation literal (JSON)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_audit_rubin)
 
     p = sub.add_parser("mc-verify", help="simulation cross-check")
     p.add_argument("model")
@@ -393,20 +391,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta")
     p.add_argument("--phi")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_mc_verify)
 
     p = sub.add_parser("examples", help="emit the built-in example catalog")
     p.add_argument("--name")
     p.add_argument("--dir")
-    p.set_defaults(fn=cmd_examples)
 
     return parser
 
 
+_parser = None  # built by the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up per call, so that a replaced cmd_* function is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except ModelFileError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

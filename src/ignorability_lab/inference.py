@@ -408,7 +408,8 @@ class RubinContext:
 
     Signals are the tuples over the alphabet, numbered in product order.
     z as a function of y, the selection table (phi, signal id) -> {mapping
-    key: mass} (entry by entry) and the audit's tables are built on first
+    key: mass} (entry by entry), the signal groups of `oar` (per set of
+    units outside the mapping) and the audit's tables are built on first
     use, so a query raises what a fresh context would, in the same order."""
 
     def __init__(self, m: SurveyModel):
@@ -420,6 +421,7 @@ class RubinContext:
         self._keys = tuple(itertools.product(keys, repeat=n))  # per coordinate
         self._z = None
         self._selection = {}
+        self._groups = {}
         self._tables = None
 
     def _z_of(self):
@@ -489,12 +491,22 @@ class RubinContext:
         selection mass of the mapping does not depend on the values of the
         units inside it."""
         _values, mapping = tuple(x[0]), tuple(x[1])
-        outside = [i for i, k in enumerate(self.model.population.labels) if k not in mapping]
-        groups = {}  # values outside the mapping -> ids of the signals with them
-        for j, ks in enumerate(self._keys):
-            groups.setdefault(tuple(ks[i] for i in outside), []).append(j)
+        groups = self._groups_of(mapping)
         mk = canonical_key(mapping)
-        return all(self._constant(mk, ids) for ids in groups.values())
+        return all(self._constant(mk, ids) for ids in groups)
+
+    def _groups_of(self, mapping) -> tuple:
+        """Ids of the signals grouped by their values at the units outside
+        `mapping`; the grouping depends only on those units, so it is kept
+        per set of them."""
+        outside = tuple(i for i, k in enumerate(self.model.population.labels) if k not in mapping)
+        groups = self._groups.get(outside)
+        if groups is None:
+            by_values = {}  # values outside the mapping -> ids of the signals with them
+            for j, ks in enumerate(self._keys):
+                by_values.setdefault(tuple(ks[i] for i in outside), []).append(j)
+            groups = self._groups[outside] = tuple(by_values.values())
+        return groups
 
     def _audit_tables(self) -> tuple:
         """(distinct flag, {theta: {signal id: mass}}, {grid point: joint});

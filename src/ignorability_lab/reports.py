@@ -1,8 +1,14 @@
 """Report emission: canonical JSON machine form and aligned human tables.
 
-Rationals serialize as "p/q" strings everywhere (never floats, never bare
-integers), keys are emitted in sorted order, and tuples become arrays, so
-two runs over the same inputs produce byte-identical machine output.
+`machine_json` is the one writer of the canonical form.  Rationals
+serialize as "p/q" strings (never floats, never bare integers) and tuples
+become arrays.  Dict keys are `str(k)`, emitted in sorted order and
+followed by ": ".  Array and object items go one per line, split by ",",
+with one space of indent per level of nesting; empty containers are `[]`
+and `{}`.  The output is ASCII only: every other character is a `\\uXXXX`
+escape.  These are the bytes of `json.dumps(to_jsonable(v),
+sort_keys=True, separators=(",", ": "), indent=1)`, so two runs over the
+same inputs produce byte-identical machine output.
 """
 
 from __future__ import annotations
@@ -20,12 +26,15 @@ from .inference import (
 from .mc import McReport
 from .sampling import WorldState
 
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
 
 def to_jsonable(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _frac(value)
     if isinstance(value, float):
         return value
     if isinstance(value, FiniteDist):
@@ -50,7 +59,67 @@ def to_jsonable(value):
 
 
 def machine_json(payload) -> str:
-    return json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ": "), indent=1)
+    """The canonical JSON of `payload`, written in one pass (see the module
+    docstring for the format)."""
+    out = []
+    _write(payload, out, "\n")
+    return "".join(out)
+
+
+def _write(value, out, newline):
+    """Append the canonical JSON of `value` to `out`; `newline` is a line
+    break followed by the indent of the line `value` starts on.  Types
+    other than the JSON ones and Fraction are converted by `to_jsonable`."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, Fraction):
+        out.append(f'"{_frac(value)}"')
+    elif isinstance(value, float):
+        out.append(_float(value))
+    elif isinstance(value, (tuple, list)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + " "
+        separator = "," + inner
+        out.append("[" + inner)
+        for item in value:
+            _write(item, out, inner)
+            out.append(separator)
+        out[-1] = newline + "]"  # in place of the last item's separator
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in value.items()}  # a later key wins, as in to_jsonable
+        inner = newline + " "
+        separator = "," + inner
+        out.append("{" + inner)
+        for key in sorted(items):
+            out.append(_escape(key) + ": ")
+            _write(items[key], out, inner)
+            out.append(separator)
+        out[-1] = newline + "}"
+    else:
+        _write(to_jsonable(value), out, newline)
+
+
+def _float(value) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
 def _aligned(rows) -> str:

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, JSON output, command wiring."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +293,71 @@ class TestInputErrors:
         assert code == 3
         assert out == ""
         assert "Traceback" in err and err.rstrip().endswith("RuntimeError: boom")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_stdout(case):
+    return json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))["stdout"]
+
+
+def fresh_process_stdout(argv):
+    """stdout of the command run as a new interpreter process."""
+    import ignorability_lab
+
+    src = str(Path(ignorability_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "ignorability_lab", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
+class TestParserReuse:
+    """Several commands in one process share one argument parser."""
+
+    def test_built_once(self, capsys, models, monkeypatch):
+        from ignorability_lab import cli
+
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        for argv in (
+            ["inclusion", models["poisson"], "--json"],
+            ["examples", "--name", "poisson"],
+            ["check", models["poisson"], "--json"],
+        ):
+            code, _, _ = run(capsys, argv)
+            assert code == 0
+        assert len(built) == 1
+
+    def test_sequence_matches_separate_runs(self, capsys, models):
+        path = models["srs_wor_n3"]
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, "--inference", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+        code, out, _ = run(capsys, ["check", path, "--inference", "likelihood", "--policy", "dirac", "--json"])
+        assert code == 0
+        assert out == golden_stdout("check.srs_wor_n3.likelihood.dirac")
+
+        argv = ["check", path, "--x", "[[1,0],[1,2]]", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == fresh_process_stdout(argv)
+
+        code, out, _ = run(capsys, ["enumerate", path, "--json"])
+        assert code == 0
+        assert out == golden_stdout("enumerate.srs_wor_n3")
 
 
 class TestEnumerate:
