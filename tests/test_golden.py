@@ -87,3 +87,25 @@ def test_srs_rung_digest(N, n, inference, policy, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == RUNG_DIGESTS[N, n, inference, policy]
+
+
+# One SHA-256 over `mc-verify --json` stdout of every catalog model at its
+# default grid point, for draw counts on both sides of the simulation's
+# block size and for seeds at both ends of the 64-bit range and below it.
+MC_DRAWS = (1, 7, 4095, 4096, 4097, 10007)
+MC_SEEDS = (0, 20260810, 2**64 - 1, -1)
+MC_DIGEST = "815860924e59c6e96f6791a25b6feb4dd722d6d0272402cd949cfc544e46f53a"
+
+
+def test_mc_verify_digest(model_paths):
+    digest = hashlib.sha256()
+    for name in sorted(model_paths):
+        for draws in MC_DRAWS:
+            for seed in MC_SEEDS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["mc-verify", model_paths[name], "--json",
+                                 "--draws", str(draws), f"--seed={seed}"])
+                assert code == 0
+                digest.update(out.getvalue().encode("utf-8"))
+    assert digest.hexdigest() == MC_DIGEST
