@@ -11,13 +11,22 @@ inverse CDF over the canonical support order, comparing the exact rational
 cumulative weights against u as the exact rational u64/2^64, so streams
 are bit-reproducible and independent of platform float behaviour.  Floats
 appear only at the comparison boundary of the report.
+
+Because draw i is a pure function of (seed, i), `compare_exact_vs_mc`
+evaluates the stream BLOCK draws at a time (`u64_blocks`): each draw is a
+128-bit slot of one Python int, and each slot computes mix64 exactly, so
+its counts equal a tally of `sample_world(..., index=i)` over the draws.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 
 from .exactprob import FiniteDist, canonical_key, pushforward
@@ -42,6 +51,43 @@ def mix64(value: int) -> int:
 
 def u64(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN_GAMMA) & MASK64)
+
+
+BLOCK = 4096  # draws evaluated together by u64_blocks
+
+
+def u64_blocks(seed: int, draws: int):
+    """Yield u64(seed, i) for i = 0 .. draws - 1, in arrays of at most
+    BLOCK draws.
+
+    Draw k of a block is slot k (bits 128k .. 128k + 127) of one int, and
+    each slot runs mix64 on its own state.  No sum or product overflows a
+    slot: the state sums stay below 2^77, and every slot holds a value
+    below 2^64 before each product by a 64-bit constant.  Masking with
+    `lanes` reduces each slot mod 2^64 and drops the bits a right shift
+    moves in from the slot above."""
+    n = min(BLOCK, draws)
+    ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
+    k = array("Q", bytes(16 * n))  # two 64-bit halves per slot
+    k[::2] = array("Q", range(n))
+    if sys.byteorder == "big":
+        k.byteswap()
+    # slot k: k * GOLDEN_GAMMA, reduced mod 2^64 with the block's first state
+    steps = int.from_bytes(k.tobytes(), "little") * GOLDEN_GAMMA
+    lanes = ones * MASK64
+    for first in range(0, draws, BLOCK):
+        n = min(BLOCK, draws - first)
+        if n < BLOCK:
+            cut = (1 << (128 * n)) - 1
+            ones, steps, lanes = ones & cut, steps & cut, lanes & cut
+        z = (steps + ones * ((seed + (first + 1) * GOLDEN_GAMMA) & MASK64)) & lanes
+        z = ((z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
+        z = ((z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB) & lanes
+        z ^= (z >> 31) & lanes
+        block = array("Q", z.to_bytes(16 * n, "little"))[::2]
+        if sys.byteorder == "big":
+            block.byteswap()
+        yield block
 
 
 def _thresholds(dist: FiniteDist):
@@ -128,16 +174,16 @@ def compare_exact_vs_mc(
     joint = build_joint(m, theta, phi)
     exact = pushforward(joint, observe_world)
     outcomes, cutoffs = _thresholds(joint)
-    # a draw only bumps its atom's integer; hashing an observation key (a
+    # a draw only bumps its atom's count; hashing an observation key (a
     # nested tuple) is paid once per atom hit, not once per draw
-    hits = [0] * len(outcomes)
-    for i in range(draws):
-        hits[bisect_left(cutoffs, u64(seed, i))] += 1
+    hits = Counter()
+    atom_of = partial(bisect_left, cutoffs)
+    for block in u64_blocks(seed, draws):
+        hits.update(map(atom_of, block))
     counts: dict = {}
-    for world, n in zip(outcomes, hits):
-        if n:
-            key = canonical_key(observe_world(world))
-            counts[key] = counts.get(key, 0) + n
+    for atom, n in hits.items():
+        key = canonical_key(observe_world(outcomes[atom]))
+        counts[key] = counts.get(key, 0) + n
     cells = []
     for outcome, weight in exact.items:
         key = canonical_key(outcome)

@@ -3,11 +3,20 @@
 from collections import Counter
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ignorability_lab.exactprob import bernoulli, canonical_key, point_mass
 from ignorability_lab.designs import constant, select_max, srs_wor
-from ignorability_lab.mc import compare_exact_vs_mc, mix64, sample_world, u64
+from ignorability_lab.mc import (
+    BLOCK,
+    compare_exact_vs_mc,
+    mix64,
+    sample_world,
+    u64,
+    u64_blocks,
+)
 from ignorability_lab.sampling import (
     Population,
     SurveyModel,
@@ -71,6 +80,18 @@ class TestGenerator:
         assert [u64(-1, i) for i in range(5)] == [u64(2**64 - 1, i) for i in range(5)]
 
 
+class TestBlocks:
+    @settings(deadline=None)
+    @given(st.integers(-(2**70), 2**70), st.integers(0, 3 * BLOCK + 5))
+    def test_blocks_equal_per_draw_stream(self, seed, draws):
+        blocks = list(u64_blocks(seed, draws))
+        assert all(len(b) == BLOCK for b in blocks[:-1])
+        assert [u for b in blocks for u in b] == [u64(seed, i) for i in range(draws)]
+
+    def test_no_draws_yield_nothing(self):
+        assert list(u64_blocks(5, 0)) == []
+
+
 class TestSampleWorld:
     def test_point_model_constant(self):
         m = point_model()
@@ -124,8 +145,8 @@ class TestCompareExactVsMc:
 
     @pytest.mark.parametrize("make_model", [srs1_model, select_max_model])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    def test_counts_equal_tally_of_sample_world(self, make_model, seed):
-        m, scheme, draws = make_model(), values_only(), 500
+    def test_counts_equal_tally_of_sample_world(self, make_model, seed, draws=500):
+        m, scheme = make_model(), values_only()
         report = compare_exact_vs_mc(
             m=m, theta=F(1, 2), scheme=scheme, draws=draws, seed=seed
         )
@@ -136,3 +157,7 @@ class TestCompareExactVsMc:
         )
         counts = {canonical_key(c.outcome): c.count for c in report.cells if c.count}
         assert counts == dict(expected)
+
+    @pytest.mark.parametrize("draws", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_counts_equal_tally_across_a_block_edge(self, draws):
+        self.test_counts_equal_tally_of_sample_world(srs1_model, 2**64 - 1, draws)
