@@ -409,8 +409,10 @@ class RubinContext:
     Signals are the tuples over the alphabet, numbered in product order.
     z as a function of y, the selection table (phi, signal id) -> {mapping
     key: mass} (entry by entry), the signal groups of `oar` (per set of
-    units outside the mapping) and the audit's tables are built on first
-    use, so a query raises what a fresh context would, in the same order."""
+    units outside the mapping), the `oar` flag (per mapping, as it does not
+    depend on the observed values) and the audit's tables are built on
+    first use, so a query raises what a fresh context would, in the same
+    order."""
 
     def __init__(self, m: SurveyModel):
         self.model = m
@@ -422,6 +424,7 @@ class RubinContext:
         self._z = None
         self._selection = {}
         self._groups = {}
+        self._oar = {}
         self._tables = None
 
     def _z_of(self):
@@ -490,10 +493,13 @@ class RubinContext:
         point and every value of the units outside the mapping, the
         selection mass of the mapping does not depend on the values of the
         units inside it."""
-        _values, mapping = tuple(x[0]), tuple(x[1])
-        groups = self._groups_of(mapping)
+        mapping = tuple(x[1])
         mk = canonical_key(mapping)
-        return all(self._constant(mk, ids) for ids in groups)
+        flag = self._oar.get(mk)
+        if flag is None:
+            groups = self._groups_of(mapping)
+            flag = self._oar[mk] = all(self._constant(mk, ids) for ids in groups)
+        return flag
 
     def _groups_of(self, mapping) -> tuple:
         """Ids of the signals grouped by their values at the units outside

@@ -159,6 +159,28 @@ class TestCheck:
         assert len(contexts) == 1
         assert len(mar_queries) == 24
 
+    @pytest.mark.parametrize("extra", [[], ["--inference", "bayes"]])
+    def test_oar_evaluated_once_per_mapping(self, capsys, models, monkeypatch, extra):
+        # the observed-at-random flag depends only on the observed mapping:
+        # srs_wor_n3 has 24 observations over 6 mappings (ordered pairs of
+        # 3 units), both for the uniform flags of a likelihood check and the
+        # per-observation local flags of an all-observation Bayes check
+        from ignorability_lab.inference import RubinContext
+
+        mappings = []
+        real = RubinContext._groups_of
+
+        def counting(self, mapping):
+            mappings.append(mapping)
+            return real(self, mapping)
+
+        monkeypatch.setattr(RubinContext, "_groups_of", counting)
+        code, out, _ = run(capsys, ["check", models["srs_wor_n3"], *extra, "--json"])
+        assert code == 0
+        assert json.loads(out)["flags"]["oar"] is True
+        assert sorted(mappings) == sorted(set(mappings))
+        assert len(mappings) == 6
+
     def test_target_values_computed_once(self, capsys, models, monkeypatch):
         # an all-observation Bayes check evaluates the marginal target once
         # per point of each family, not once per observation
