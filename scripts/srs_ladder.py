@@ -3,11 +3,12 @@
 sample size n varied.
 
 Each rung's model is the `srs_wor_n3` catalog text with `units = 1 .. N`
-and `n = n`, for the four rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3).  The
-script writes the rungs to a temporary directory, runs
+and `n = n`, for the six rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3),
+(7, 3), (8, 3).  The script writes the rungs to a temporary directory, runs
 `check <rung> --inference likelihood --json` on each in a fresh process
 and prints the wall time, the exit code and a SHA-256 of stdout, so two
-checkouts can be compared for speed and for identical output.
+checkouts can be compared for speed and for identical output.  The last
+two rungs take most of the time (86,016 worlds at N=8 n=3).
 
 Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K]
 """
@@ -23,7 +24,7 @@ import time
 import ignorability_lab
 from ignorability_lab.catalog import CATALOG
 
-RUNGS = ((4, 3), (5, 2), (5, 3), (6, 3))
+RUNGS = ((4, 3), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3))
 BASE = "srs_wor_n3"
 
 
