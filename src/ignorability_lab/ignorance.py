@@ -61,6 +61,11 @@ class ValueNotInImage(EngineError):
     """A nuisance value outside the image of the nuisance variable."""
 
 
+class WorldNotInSupport(EngineError):
+    """A law puts mass on a world outside the support a split was
+    classified on."""
+
+
 class TargetNotTransformable(EngineError):
     """No natural counterpart of the target exists in the ignored model."""
 
@@ -152,9 +157,16 @@ class SplitIndex:
         )
 
     def ids_of(self, law: FiniteDist) -> tuple:
-        """The id of each atom of a law, None for an atom off the worlds."""
+        """The id of each atom of a law; an atom off the worlds would lose
+        its mass, so it raises."""
         ids = {canonical_key(w): i for i, w in enumerate(self.worlds)}
-        return tuple(ids.get(canonical_key(w)) for w, _m in law.items)
+        out = []
+        for w, _m in law.items:
+            i = ids.get(canonical_key(w))
+            if i is None:
+                raise WorldNotInSupport(f"law puts mass on {w!r}, which is not a world of the split's support")
+            out.append(i)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -246,17 +258,15 @@ def atrandomize(
 
 def _integer_sums(ids: tuple, law: FiniteDist, code: tuple) -> tuple:
     """(denominator, {code: [integer mass, atoms]}): a law's masses times
-    their common denominator, summed by the per-world `code` of their ids;
-    atoms off the numbering (id None) are left out."""
+    their common denominator, summed by the per-world `code` of their ids."""
     denominator = 1
     for _w, mass in law.items:
         denominator = lcm(denominator, mass.denominator)
     out: dict = {}
     for i, (_w, mass) in zip(ids, law.items):
-        if i is not None:
-            sums = out.setdefault(code[i], [0, 0])
-            sums[0] += mass.numerator * (denominator // mass.denominator)
-            sums[1] += 1
+        sums = out.setdefault(code[i], [0, 0])
+        sums[0] += mass.numerator * (denominator // mass.denominator)
+        sums[1] += 1
     return denominator, out
 
 

@@ -31,6 +31,7 @@ from ignorability_lab.ignorance import (
     RandomVariableRef,
     TargetNotTransformable,
     ValueNotInImage,
+    WorldNotInSupport,
     ZeroMassPhiSet,
     atrandomize,
     classify_split,
@@ -155,6 +156,14 @@ class TestAtrandomize:
         with pytest.raises(ZeroMassPhiSet):
             atrandomize(P, split, nuisance=uniform([0, 1]))
 
+    def test_atom_off_the_split_raises(self):
+        # (1, 0) is not a world of the split's support: its mass has no
+        # compatibility set to go to, so it must not silently vanish
+        split = classify_split(((0, 0), (0, 1)), first, second)
+        P = dist_new([((0, 0), F(1, 4)), ((0, 1), F(1, 4)), ((1, 0), F(1, 2))])
+        with pytest.raises(WorldNotInSupport, match=r"\(1, 0\)"):
+            atrandomize(P, split)
+
 
 def two_by_two_family():
     """Two correlated laws on the square and their projections."""
@@ -229,6 +238,12 @@ class TestIgnoreModel:
             except TargetNotTransformable as error:
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("policy", [dirac_fix, single_arbitrary, marginal_family])
+    def test_split_missing_a_world_of_the_laws(self, policy):
+        fam = two_by_two_family()
+        with pytest.raises(WorldNotInSupport, match=r"\(1, 1\)"):
+            ignore_model(fam, classify_split(THREE_POINT, first, second), policy())
 
     def test_single_arbitrary_default_uniform(self):
         fam = two_by_two_family()
