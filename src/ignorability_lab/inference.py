@@ -19,7 +19,7 @@ Reports always carry the comparisons performed, never a bare verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -398,86 +398,127 @@ def _tally(pairs) -> dict:
     """{key: summed mass} of (key, mass) pairs, in first-seen key order."""
     out = {}
     for key, w in pairs:
-        out[key] = out.get(key, 0) + w
+        out[key] = out[key] + w if key in out else w
     return out
+
+
+# z of a signal of zero mass: the signal itself (z contains y), or none
+_Y, _NO_Z = object(), object()
+
+
+def _mass(row: tuple, rank) -> Fraction | int:
+    """The entry of a selection row at a mapping rank (None: no rank)."""
+    return row[rank] if rank is not None and rank < len(row) else 0
 
 
 class RubinContext:
     """The observation-free part of the missing-data checks on one model,
     built by `prepare_rubin` and queried by `mar`, `oar` and `audit`.
 
-    Signals are the tuples over the alphabet, numbered in product order.
-    z as a function of y, the selection table (phi, signal id) -> {mapping
-    key: mass} (entry by entry), the signal groups of `oar` (per set of
-    units outside the mapping), the `oar` flag (per mapping, as it does not
-    depend on the observed values) and the audit's tables are built on
-    first use, so a query raises what a fresh context would, in the same
-    order."""
+    Signals are the tuples over the alphabet, numbered in product order,
+    so the value of unit i in signal j is digit i of j in base |A|; no
+    signal tuple is kept.  Built on first use and then kept: z per signal
+    id, one selection row per (phi, signal id) holding the masses of the
+    mappings by rank (mappings are ranked as the rows meet them, and rows
+    with equal masses are one tuple), the `oar` flag per mapping rank (it
+    does not depend on the observed values) and the theta marginals as
+    masses per signal id.  Nothing is kept per observed value, and an
+    observed mapping is keyed by `canonical_key` at every query.  A query
+    that raises keeps no entry, so a later query raises what a fresh
+    context would, in the same order."""
 
     def __init__(self, m: SurveyModel):
         self.model = m
         self.phis = m.phis if m.phis else (None,)
-        n = m.population.size
-        self.signals = tuple(itertools.product(m.alphabet, repeat=n))
-        keys = [canonical_key(a) for a in m.alphabet]
-        self._keys = tuple(itertools.product(keys, repeat=n))  # per coordinate
+        n, base = m.population.size, len(m.alphabet)
+        self._base, self._size = base, base**n
+        self._weights = tuple(base ** (n - 1 - i) for i in range(n))  # unit -> id weight
+        self._rank = {canonical_key(a): i for i, a in enumerate(m.alphabet)}
         self._z = None
-        self._selection = {}
-        self._groups = {}
-        self._oar = {}
+        self._rows = [None] * (len(self.phis) * self._size)  # phi position * |signals| + id
+        self._shared = {}  # row -> the one tuple with its masses
+        self._mapping_rank = {}  # canonical_key(mapping) -> rank
+        self._oar = {}  # mapping rank -> flag
         self._tables = None
 
-    def _z_of(self):
-        """z as a function of y, which the selection mass given y alone
-        needs; extended to signals of zero mass by the z-contains-y
-        convention or a constant z."""
+    def _id_of(self, y) -> int:
+        return sum(self._rank[canonical_key(v)] * w for v, w in zip(y, self._weights))
+
+    def _signal(self, j) -> tuple:
+        alphabet, base = self.model.alphabet, self._base
+        return tuple(alphabet[j // w % base] for w in self._weights)
+
+    def _offsets(self, units) -> list:
+        """Ascending id offsets of every value combination at `units`
+        (ascending unit positions)."""
+        offsets = [0]
+        for i in units:
+            w = self._weights[i]
+            offsets = [o + d * w for o in offsets for d in range(self._base)]
+        return offsets
+
+    def _z_of(self) -> tuple:
+        """z of each signal id, which the selection mass given y alone
+        needs: the z the signal laws pair with it; for a signal of zero
+        mass `_Y` by the z-contains-y convention, a constant z, or `_NO_Z`."""
         if self._z is None:
             m = self.model
-            table = {}  # signal key -> (z, key of z)
+            z_of, z_key = {}, {}
             for theta in m.thetas:
                 for (y, z), _w in m.signal_law[theta].items:
-                    zk = canonical_key(z)
-                    if table.setdefault(canonical_key(y), (z, zk))[1] != zk:
+                    j, zk = self._id_of(y), canonical_key(z)
+                    if z_key.setdefault(j, zk) != zk:
                         raise NotRubinShape("design variable is not a function of the signal")
-            zs = {zk: z for z, zk in table.values()}
-
-            def z_of(y):
-                yk = canonical_key(y)
-                if yk in table:
-                    return table[yk][0]
-                if m.z_contains_y:
-                    return y
-                if len(zs) == 1:
-                    return next(iter(zs.values()))
-                raise NotRubinShape(f"cannot extend the design variable to signal {y!r}")
-
-            self._z = z_of
+                    z_of.setdefault(j, z)
+            zs = {z_key[j]: z for j, z in z_of.items()}
+            other = _Y if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else _NO_Z
+            self._z = tuple(z_of.get(j, other) for j in range(self._size))
         return self._z
 
-    def _selection_of(self, phi, j) -> dict:
-        """{mapping key: mass} of the design at phi given signal j."""
-        table = self._selection.get((phi, j))
-        if table is None:
-            delta = self.model.design_for(phi).get(self._z_of()(self.signals[j]))
-            table = self._selection[phi, j] = {canonical_key(r): w for r, w in delta.items}
-        return table
+    def _row(self, p, j) -> tuple:
+        """The masses of the mappings, by rank, under the design at the
+        p-th phi given signal j; trailing zeros are dropped."""
+        row = self._rows[p * self._size + j]
+        if row is None:
+            design = self.model.design_for(self.phis[p])
+            z = self._z_of()[j]
+            if z is _Y:
+                z = self._signal(j)
+            elif z is _NO_Z:
+                raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
+            ranks = self._mapping_rank
+            masses = {ranks.setdefault(canonical_key(r), len(ranks)): w for r, w in design.get(z).items}
+            row = tuple(masses.get(k, 0) for k in range(max(masses) + 1))
+            row = self._rows[p * self._size + j] = self._shared.setdefault(row, row)
+        return row
 
     def _agreeing(self, values, mapping):
-        """Ids of the signals that agree with the observed draws, or None
-        when one unit was drawn with two different values (impossible x)."""
+        """Ids of the signals that agree with the observed draws, ascending,
+        or None when one unit was drawn with two different values
+        (impossible x).  They follow from the drawn values and the id
+        offsets of the units not drawn, so no other signal is looked at."""
         fixed = {}
         for v, k in zip(values, mapping):
             vk = canonical_key(v)
             if fixed.setdefault(self.model.population.index(k), vk) != vk:
                 return None
-        items = fixed.items()
-        return [j for j, ks in enumerate(self._keys) if all(ks[i] == vk for i, vk in items)]
+        ranks = [self._rank.get(vk) for vk in fixed.values()]
+        if None in ranks:
+            return []
+        base = sum(r * self._weights[i] for i, r in zip(fixed, ranks))
+        free = [i for i in range(len(self._weights)) if i not in fixed]
+        return [base + o for o in self._offsets(free)]
 
     def _constant(self, mk, ids) -> bool:
         """Whether mapping mk has one mass across the signals `ids` at every phi."""
-        return all(
-            len({self._selection_of(phi, j).get(mk, 0) for j in ids}) <= 1 for phi in self.phis
-        )
+        kept = self._rows
+        for p in range(len(self.phis)):
+            start = p * self._size
+            rows = [kept[start + j] or self._row(p, j) for j in ids]  # a row is never empty
+            rank = self._mapping_rank.get(mk)  # rows may have ranked mk
+            if rank is not None and len({row[rank] if rank < len(row) else 0 for row in rows}) > 1:
+                return False
+        return True
 
     def mar(self, x) -> bool:
         """Missing at random at the observed (values, mapping): for every
@@ -495,46 +536,47 @@ class RubinContext:
         units inside it."""
         mapping = tuple(x[1])
         mk = canonical_key(mapping)
-        flag = self._oar.get(mk)
+        flag = self._oar.get(self._mapping_rank.get(mk))
         if flag is None:
-            groups = self._groups_of(mapping)
-            flag = self._oar[mk] = all(self._constant(mk, ids) for ids in groups)
+            flag = all(self._constant(mk, ids) for ids in self._groups_of(mapping))
+            rank = self._mapping_rank.get(mk)
+            if rank is not None:  # a mapping no row has is not kept
+                self._oar[rank] = flag
         return flag
 
-    def _groups_of(self, mapping) -> tuple:
+    def _groups_of(self, mapping) -> list:
         """Ids of the signals grouped by their values at the units outside
-        `mapping`; the grouping depends only on those units, so it is kept
-        per set of them."""
-        outside = tuple(i for i, k in enumerate(self.model.population.labels) if k not in mapping)
-        groups = self._groups.get(outside)
-        if groups is None:
-            by_values = {}  # values outside the mapping -> ids of the signals with them
-            for j, ks in enumerate(self._keys):
-                by_values.setdefault(tuple(ks[i] for i in outside), []).append(j)
-            groups = self._groups[outside] = tuple(by_values.values())
-        return groups
+        `mapping`, in order of their first id: the offsets of the units
+        outside, each plus every offset of the units inside."""
+        labels = self.model.population.labels
+        outside = [i for i, k in enumerate(labels) if k not in mapping]
+        inside = self._offsets([i for i, k in enumerate(labels) if k in mapping])
+        return [[o + i for i in inside] for o in self._offsets(outside)]
 
     def _audit_tables(self) -> tuple:
-        """(distinct flag, {theta: {signal id: mass}}, {grid point: joint});
-        a joint is its (signal id, mass of y, selection table) rows."""
+        """(distinct flag, {theta: mass per signal id}, {grid point: joint});
+        a joint is its (signal id, mass of y, selection row) rows.  The flag
+        and the marginals are kept; the joints are rows already kept, so
+        they are put together anew at each call."""
+        m = self.model
         if self._tables is None:
-            m = self.model
             distinct = check_distinct(m.grid) if m.phis else True
-            ids = {ks: j for j, ks in enumerate(self._keys)}
-            marginals = {
-                t: _tally(
-                    (ids[tuple(canonical_key(v) for v in y)], w)
-                    for (y, _z), w in m.signal_law[t].items
-                )
-                for t in m.thetas
-            }
-            joints = {}
-            for t, phi in m.grid:
-                rows = [(j, w, self._selection_of(phi, j)) for j, w in marginals[t].items()]
-                check_size(sum(len(table) for _j, _w, table in rows))
-                joints[t, phi] = rows
-            self._tables = (distinct, marginals, joints)
-        return self._tables
+            marginals = {}
+            for t in m.thetas:
+                masses = [0] * self._size
+                for (y, _z), w in m.signal_law[t].items:
+                    j = self._id_of(y)
+                    masses[j] = masses[j] + w if masses[j] else w  # the law's own masses kept
+                marginals[t] = tuple(masses)
+            self._tables = (distinct, marginals)
+        distinct, marginals = self._tables
+        joints = {}
+        for t, phi in m.grid:
+            p = self.phis.index(phi)
+            rows = [(j, w, self._row(p, j)) for j, w in enumerate(marginals[t]) if w]
+            check_size(sum(len(row) - row.count(0) for _j, _w, row in rows))
+            joints[t, phi] = rows
+        return distinct, marginals, joints
 
     def audit(self, x) -> RubinAuditReport:
         """Evaluate hypotheses and conclusions of the classical missing-data
@@ -549,13 +591,25 @@ class RubinContext:
         distinct, marginals, joints = self._audit_tables()
         mk = canonical_key(mapping)
         at = [self.model.population.index(k) for k in mapping]
-        # signal id -> keys of its values along the observed mapping
-        seen = {j: tuple(self._keys[j][i] for i in at) for mg in marginals.values() for j in mg}
+        # the signals that agree with x, and their selection rows per phi
+        ids = self._agreeing(values, mapping)
+        completions = ids or []
+        phis = range(len(self.phis))
+        completion_rows = [[self._row(p, j) for j in completions] for p in phis]
+        rank = self._mapping_rank.get(mk)  # every row of this audit is built
+        # signal id -> its values along the observed mapping, as digits
+        base, weights = self._base, self._weights
+        seen = {
+            j: tuple(j // weights[i] % base for i in at)
+            for mg in marginals.values() for j, w in enumerate(mg) if w
+        }
         # the ignoring distribution of each theta: the law of the observed part
-        ignoring = {t: _tally((seen[j], w) for j, w in mg.items()) for t, mg in marginals.items()}
+        ignoring = {
+            t: _tally((seen[j], w) for j, w in enumerate(mg) if w) for t, mg in marginals.items()
+        }
         # 6.3 hypothesis: the missingness mechanism is degenerate at the
         # observed mapping for every signal of positive mass.
-        hyp_63 = all(table.get(mk, 0) == 1 for rows in joints.values() for _j, _w, table in rows)
+        hyp_63 = all(_mass(row, rank) == 1 for rows in joints.values() for _j, _w, row in rows)
 
         # 6.1 conclusion: the ignoring distribution equals the correct
         # conditional distribution given the observed mapping, wherever that
@@ -569,7 +623,7 @@ class RubinContext:
         concl_61 = cond_62 = concl_62 = concl_63 = True
         for (theta, phi), rows in joints.items():
             law = ignoring[theta]
-            hits = _tally((seen[j], w * table[mk]) for j, w, table in rows if mk in table)
+            hits = _tally((seen[j], w * s) for j, w, row in rows if (s := _mass(row, rank)))
             ratios = {hits.get(part, 0) / w for part, w in law.items()}
             if len(ratios) != 1 or 0 in ratios:
                 cond_62 = False
@@ -583,16 +637,13 @@ class RubinContext:
         # Likelihoods for 7.x: marginal of the observed values, and joint mass
         # of (values, mapping), both by exact summation over the signals that
         # agree with x; one of each per theta and per (theta, phi).
-        ids = self._agreeing(values, mapping)
-        completions = ids or []
         thetas, phis = self.model.thetas, self.phis
         selection = {
-            phi: [self._selection_of(phi, j).get(mk, 0) for j in completions]
-            for phi in phis
+            phi: [_mass(row, rank) for row in rows] for phi, rows in zip(phis, completion_rows)
         }
         lik, lik_full = {}, {}
         for t in thetas:
-            masses = [marginals[t].get(j, 0) for j in completions]
+            masses = [marginals[t][j] for j in completions]
             lik[t] = sum(masses, Fraction(0))
             for phi in phis:
                 lik_full[t, phi] = sum(
@@ -601,11 +652,11 @@ class RubinContext:
         grid = set(self.model.grid)
 
         def cross_equal(eligible_phis) -> bool:
+            # symmetric in (t1, t2), so each unordered pair is checked once
             return all(
                 lik[t1] * lik_full[t2, phi] == lik_full[t1, phi] * lik[t2]
                 for phi in eligible_phis
-                for t1 in thetas
-                for t2 in thetas
+                for t1, t2 in itertools.combinations(thetas, 2)
                 if (t1, phi) in grid and (t2, phi) in grid
             )
 
@@ -631,10 +682,18 @@ class RubinContext:
 
 def prepare_rubin(m: SurveyModel, scheme: ObservationScheme) -> RubinContext:
     """The missing-data context of a model, once the scheme is known to
-    expose the selection mapping; its tables fill in as it is queried."""
+    expose the selection mapping; its tables fill in as it is queried.
+
+    There is one context per model object, kept in the model's instance
+    dict as `functools.cached_property` keeps a value, and freed with the
+    model.  It reads a field-for-field copy of the model, which holds no
+    context, so the two form no reference cycle."""
     if scheme.kind not in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
         raise NotRubinShape("the observation scheme must expose the selection mapping")
-    return RubinContext(m)
+    context = vars(m).get("_rubin_context")
+    if context is None:
+        context = vars(m)["_rubin_context"] = RubinContext(replace(m))
+    return context
 
 
 def check_mar(

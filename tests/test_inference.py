@@ -1,11 +1,18 @@
 """Likelihoods, missing-at-random checks, equivalence tests, classifier,
 and the missing-data theorem audits."""
 
+import dataclasses
+import gc
+import itertools
+import weakref
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ignorability_lab.exactprob import (
+    EngineError,
     Kernel,
     bernoulli,
     condition,
@@ -42,6 +49,7 @@ from ignorability_lab.inference import (
     INFORMATIVE,
     LIKELIHOOD_BASED,
     NotRubinShape,
+    RubinContext,
     ZeroEvidence,
     check_distinct,
     check_mar,
@@ -51,6 +59,7 @@ from ignorability_lab.inference import (
     likelihood,
     likelihood_equivalent,
     posterior_equivalent,
+    prepare_rubin,
     rubin_theorem_audit,
     sampling_dist_equivalent,
 )
@@ -59,6 +68,7 @@ from ignorability_lab.sampling import (
     SurveyModel,
     iid_signal_dist,
     values_and_mapping,
+    values_mapping_design,
     values_only,
 )
 
@@ -461,3 +471,121 @@ class TestRubinAudit:
             assert audit.counterexample() == (
                 audit.hypothesis_true and not audit.conclusion_true
             )
+
+
+# ---------------------------------------------------------------------------
+# The Rubin context kept on a model: its answers are those of a fresh
+# context, and it lives exactly as long as the model.
+# ---------------------------------------------------------------------------
+
+
+def _kernels(labels):
+    """The sweep's constant and value-dependent kernels, on any units."""
+    census_ = point_mass(labels)
+    first = point_mass(labels[:1])
+    subsets = uniform(
+        [tuple(k for k, bit in zip(labels, bits) if bit)
+         for bits in itertools.product((0, 1), repeat=len(labels))]
+    )
+    return {
+        "census": lambda y: census_,
+        "first_only": lambda y: first,
+        "uniform_subsets": lambda y: subsets,
+        "uniform_singletons": lambda y: uniform([(k,) for k in labels]),
+        "depends_on_first": lambda y: census_ if y[0] == 1 else first,
+        "depends_on_last": lambda y: first if y[-1] == 1 else census_,
+    }
+
+
+@st.composite
+def rubin_shape_models(draw):
+    """1-3 units, an alphabet of 2-3 values, 1-2 thetas with random laws
+    on the signals and z equal to the signal, 1-2 phis from `_kernels`."""
+    labels = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    alphabet = tuple(range(draw(st.integers(2, 3))))
+    signals = list(itertools.product(alphabet, repeat=len(labels)))
+    laws = {}
+    for theta in range(draw(st.integers(1, 2))):
+        loads = draw(st.lists(st.integers(0, 3), min_size=len(signals),
+                              max_size=len(signals)).filter(any))
+        laws[theta] = dist_new(
+            [((y, y), F(k, sum(loads))) for y, k in zip(signals, loads) if k]
+        )
+    kernels = _kernels(labels)
+    phis = draw(st.lists(st.sampled_from(sorted(kernels)), min_size=1, max_size=2, unique=True))
+    model = SurveyModel.create(
+        population=Population(labels),
+        thetas=tuple(laws),
+        signal_law=laws,
+        phis=tuple(phis),
+        design_law={p: Kernel.from_rule(lambda z, fn=kernels[p]: fn(tuple(z))) for p in phis},
+        z_contains_y=True,
+    )
+    return model, labels, alphabet
+
+
+def _answer(query):
+    """A query's report or flag, or the type and message of its error."""
+    try:
+        return query()
+    except EngineError as error:
+        return type(error), str(error)
+
+
+class TestSharedRubinContext:
+    @settings(max_examples=150, deadline=None)
+    @given(rubin_shape_models(), st.data())
+    def test_answers_equal_a_fresh_context(self, case, data):
+        m, labels, alphabet = case
+        support = Family.from_survey_model(m, values_and_mapping()).observation_support()
+        # one or two mappings, each query asking at one of them with 2-3
+        # value tuples: mappings the designs produce, and ones no design
+        # produces, with repeated units, an unknown unit or a float label;
+        # values from the alphabet or outside it
+        units = st.sampled_from(labels + (len(labels) + 1, 1.5))
+        mappings = data.draw(st.lists(
+            st.one_of(st.sampled_from(list(dict.fromkeys(r for _v, r in support))),
+                      st.lists(units, max_size=len(labels) + 1).map(tuple)),
+            min_size=1, max_size=2,
+        ))
+        values = st.one_of(st.sampled_from(alphabet), st.just(len(alphabet)))
+
+        def at(r):
+            return st.lists(st.lists(values, min_size=len(r), max_size=len(r)),
+                            min_size=2, max_size=3).map(lambda vs: [(tuple(v), r) for v in vs])
+
+        observations = st.one_of(st.sampled_from(mappings).flatmap(at),
+                                 st.sampled_from(support).map(lambda x: [x]))
+        schemes = st.sampled_from([values_and_mapping()] * 3 + [values_mapping_design(), values_only()])
+        queries = data.draw(st.lists(
+            st.tuples(st.sampled_from(["mar", "oar", "audit"]), observations, schemes),
+            min_size=3, max_size=8,
+        ))
+        for kind, xs, scheme in queries:
+            for x in xs:
+                got = _answer(lambda: getattr(prepare_rubin(m, scheme), kind)(x))
+                if scheme.kind == "values_only":
+                    want = (NotRubinShape, "the observation scheme must expose the selection mapping")
+                else:
+                    want = _answer(lambda: getattr(RubinContext(m), kind)(x))
+                assert got == want, (kind, x)
+
+    def test_one_context_per_model_object(self):
+        m = rubin_model({"u": uniform_subsets})
+        rubin = prepare_rubin(m, values_and_mapping())
+        assert prepare_rubin(m, values_mapping_design()) is rubin
+        assert prepare_rubin(dataclasses.replace(m), values_and_mapping()) is not rubin
+
+    def test_freed_with_its_model(self):
+        m = rubin_model({"u": uniform_subsets, "k": first_unit_or_both})
+        rubin = prepare_rubin(m, values_and_mapping())
+        for x in Family.from_survey_model(m, values_and_mapping()).observation_support():
+            rubin.audit(x)
+        model_ref, rubin_ref = weakref.ref(m), weakref.ref(rubin)
+        del rubin
+        gc.disable()
+        try:
+            del m  # reference counting alone frees both: no cycle
+            assert model_ref() is None and rubin_ref() is None
+        finally:
+            gc.enable()
