@@ -365,11 +365,20 @@ def parse_model(text: str) -> ModelDocument:
             return None
         return found[0]
 
-    def first_value(entry):
+    def some_values(entry):
         key, _arg, values = entry
         if not values:
             raise SchemaError(
                 f"missing value for key {key.text!r}", key.line, key.col, "key-value"
+            )
+        return values
+
+    def first_value(entry):
+        values = some_values(entry)
+        if len(values) > 1:
+            tok = values[1]
+            raise SchemaError(
+                f"key {entry[0].text!r} takes one value", tok.line, tok.col, "one-value"
             )
         return values[0]
 
@@ -410,7 +419,9 @@ def parse_model(text: str) -> ModelDocument:
     # grids
     require_section("grids")
     check_known_keys("grids", ("theta", "phi", "gamma"))
-    _k, _a, theta_tokens = single("grids", "theta")
+    theta_entry = single("grids", "theta")
+    _k, _a, theta_tokens = theta_entry
+    some_values(theta_entry)
     thetas = tuple(_parse_label(t) for t in theta_tokens)
     if len(set(thetas)) != len(thetas):
         raise SchemaError("duplicate theta label", _k.line, _k.col, "distinct-grid")
@@ -452,7 +463,9 @@ def parse_model(text: str) -> ModelDocument:
     # signal
     require_section("signal")
     check_known_keys("signal", ("alphabet",), with_arg=("iid", "joint"))
-    _k, _a, alpha_tokens = single("signal", "alphabet")
+    alpha_entry = single("signal", "alphabet")
+    _k, _a, alpha_tokens = alpha_entry
+    some_values(alpha_entry)
     alphabet = tuple(_parse_label(t) for t in alpha_tokens)
     if len(set(alphabet)) != len(alphabet):
         raise SchemaError("duplicate alphabet value", _k.line, _k.col, "distinct-values")
@@ -545,8 +558,7 @@ def parse_model(text: str) -> ModelDocument:
         ("variant", "n", "strata", "alloc", "p", "weights"),
         with_arg=("component", "weights"),
     )
-    variant_entry = single("design", "variant")
-    variant_tok = variant_entry[2][0] if variant_entry[2] else variant_entry[0]
+    variant_tok = first_value(single("design", "variant"))
     variant = variant_tok.text
     if variant not in DESIGN_VARIANTS:
         raise UnknownDesignVariant(
@@ -715,8 +727,7 @@ def parse_model(text: str) -> ModelDocument:
     # observation
     require_section("observation")
     check_known_keys("observation", ("scheme", "unordered"))
-    scheme_entry = single("observation", "scheme")
-    scheme_tok = scheme_entry[2][0] if scheme_entry[2] else scheme_entry[0]
+    scheme_tok = first_value(single("observation", "scheme"))
     if scheme_tok.text not in SCHEME_KINDS:
         raise SchemaError(
             f"unknown observation scheme {scheme_tok.text!r}",
@@ -741,10 +752,10 @@ def parse_model(text: str) -> ModelDocument:
         check_known_keys("split", ("v", "v_bar"))
         v_entry = single("split", "v", required=False)
         if v_entry:
-            split_v = tuple(_check_selectors(v_entry[2]))
+            split_v = tuple(_check_selectors(some_values(v_entry)))
         vb_entry = single("split", "v_bar", required=False)
         if vb_entry:
-            split_v_bar = tuple(_check_selectors(vb_entry[2]))
+            split_v_bar = tuple(_check_selectors(some_values(vb_entry)))
 
     # target
     target_kind = "signal_law"

@@ -248,8 +248,9 @@ class TestInputErrors:
             ("srs_wor_minimal", "alphabet = 0 1", "alphabet = 1/0 1", "zero denominator"),
             ("srs_wor_n3", "unit = 1", "unit = #", "missing value for key 'unit'"),
             ("bernoulli_mixture", "component 0 = 1", "component ] = 1", "component index"),
+            ("srs_wor_minimal", "n = 1", "n = 1 2", "key 'n' takes one value"),
         ],
-        ids=["alphabet-zero-denominator", "value-only-comment", "component-index-word"],
+        ids=["alphabet-zero-denominator", "value-only-comment", "component-index-word", "extra-value"],
     )
     def test_bad_model_file(self, capsys, tmp_path, model, old, new, message):
         text = CATALOG[model]

@@ -188,6 +188,55 @@ class TestInvalidDocuments:
         text = CATALOG["bernoulli_mixture"].replace("component 0 = 1", "component ] = 1")
         expect_error(text, SchemaError, "component index ']' is not a number")
 
+    @pytest.mark.parametrize(
+        "model, old, new, col",
+        [
+            ("srs_wor_minimal", "variant = srs_wor", "variant = srs_wor srs_wr", 19),
+            ("srs_wor_minimal", "n = 1", "n = 1 2", 7),
+            ("srs_wor_minimal", "scheme = values_only", "scheme = values_only x", 22),
+            ("unordered_values", "unordered = true", "unordered = true false", 18),
+            ("srs_wor_n3", "kind = unit_expectation", "kind = unit_expectation signal_law", 25),
+            ("srs_wor_n3", "unit = 1", "unit = 1 2", 10),
+        ],
+        ids=["variant", "n", "scheme", "unordered", "kind", "unit"],
+    )
+    def test_extra_value_of_a_one_value_key(self, model, old, new, col):
+        text = CATALOG[model]
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        key = old.split()[0]
+        err = expect_error(text, SchemaError, f"key {key!r} takes one value [one-value]")
+        assert text.splitlines()[err.line - 1] == new
+        assert err.col == col
+
+    @pytest.mark.parametrize("key", ["variant", "scheme"])
+    def test_empty_variant_or_scheme(self, key):
+        lines = MINIMAL.splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(key))
+        text = "\n".join(f"{key} =" if i == lineno else line for i, line in enumerate(lines, 1))
+        err = expect_error(text, SchemaError, f"missing value for key {key!r} [key-value]")
+        assert (err.line, err.col) == (lineno, 1)
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ("srs_wor_minimal", "theta"),
+            ("srs_wor_minimal", "alphabet"),
+            ("srs_wor_n3", "v"),
+            ("srs_wor_n3", "v_bar"),
+        ],
+    )
+    def test_empty_list_key(self, model, key):
+        lines = CATALOG[model].splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.split()[:2] == [key, "="])
+        text = "\n".join(f"{key} =" if i == lineno else line for i, line in enumerate(lines, 1))
+        err = expect_error(text, SchemaError, f"missing value for key {key!r} [key-value]")
+        assert (err.line, err.col) == (lineno, 1)
+
+    def test_empty_units_keeps_its_rule(self):
+        err = expect_error(MINIMAL.replace("units = 1 2", "units ="), SchemaError, "[nonempty]")
+        assert (err.line, err.col) == (2, 1)
+
 
 # Token mutations of the catalog documents: delete, duplicate or swap a
 # whitespace token, or replace it with one of these.
