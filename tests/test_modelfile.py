@@ -1,6 +1,8 @@
 """Model document parser and emitter: golden corpus round-trips and
 located diagnostics."""
 
+import hashlib
+import random
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -271,3 +273,92 @@ class TestMutatedDocuments:
             parse_model(text)
         except ModelFileError as err:
             assert err.line >= 1
+
+
+# Every diagnostic rule the parser can report.
+RULES = {
+    "alloc-pair", "boolean", "component-index", "distinct-grid", "distinct-units",
+    "distinct-values", "exact-rational", "gamma-in-grid", "gamma-pair", "integer-size",
+    "key-value", "known-key", "known-scheme", "known-section", "known-selector",
+    "known-target", "known-variant", "law-theta", "mass-pair", "nonempty",
+    "nonnegative-mass", "one-law-per-theta", "one-value", "p-cover", "required-key",
+    "required-section", "section-header", "section-required", "signal-covers-population",
+    "strata-cover", "unique-key", "unique-section", "unit-exists", "unit-mass",
+    "value-in-alphabet", "variant-params", "weights-cover",
+}
+DIGEST_REPLACEMENTS = ("1/0", "0.5", "#", "]", "=", "-", "x", "0", "-1", "1:1", "[x", "0:-1")
+DIAGNOSTICS_DIGEST = "145e02db4f7bee7d07aa26f658d5c24b53f02b13519f8bad145d81135a0884c9"
+
+
+def _render(lines):
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def _mutants(lines):
+    """Every single-token delete, duplicate, swap with the next token of
+    its line and replacement, every deleted or duplicated line and every
+    deleted section of one document given as token lists."""
+    for i, line in enumerate(lines):
+        for j, tok in enumerate(line):
+            variants = [line[:j] + line[j + 1:], line[:j] + [tok] + line[j:]]
+            if j + 1 < len(line):
+                variants.append(line[:j] + [line[j + 1], tok] + line[j + 2:])
+            variants += [line[:j] + [new] + line[j + 1:] for new in DIGEST_REPLACEMENTS]
+            for variant in variants:
+                yield lines[:i] + [variant] + lines[i + 1:]
+    for i in range(len(lines)):
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
+    heads = [i for i, line in enumerate(lines) if line and line[0].startswith("[")]
+    for start, end in zip(heads, heads[1:] + [len(lines)]):
+        yield lines[:start] + lines[end:]
+
+
+def _random_mutant(rng, lines):
+    lines = [list(line) for line in lines]
+    for _ in range(rng.randint(2, 3)):
+        slots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+        i, j = rng.choice(slots)
+        op = rng.choice(("delete", "duplicate", "swap") + DIGEST_REPLACEMENTS)
+        if op == "delete":
+            del lines[i][j]
+        elif op == "duplicate":
+            lines[i].insert(j, lines[i][j])
+        elif op == "swap":
+            k, l = rng.choice(slots)
+            lines[i][j], lines[k][l] = lines[k][l], lines[i][j]
+        else:
+            lines[i][j] = op
+    return lines
+
+
+def diagnostics_corpus():
+    """The single mutants of every catalog document, and 3,000 documents
+    with 2-3 random token mutations each."""
+    documents = [[line.split() for line in CATALOG[name].splitlines()] for name in sorted(CATALOG)]
+    for lines in documents:
+        for mutant in _mutants(lines):
+            yield _render(mutant)
+    rng = random.Random(12)
+    for _ in range(3000):
+        yield _render(_random_mutant(rng, rng.choice(documents)))
+
+
+def test_diagnostics_digest():
+    # one SHA-256 over the outcome of every corpus document: the parsed
+    # document's repr, or the diagnostic's class, location, rule and text
+    digest = hashlib.sha256()
+    rules = set()
+    count = 0
+    for text in diagnostics_corpus():
+        count += 1
+        try:
+            outcome = repr(parse_model(text))
+        except ModelFileError as err:
+            rules.add(err.rule)
+            outcome = f"{type(err).__name__} {err.line} {err.col} {err.rule} {err}"
+        digest.update(outcome.encode("utf-8") + b"\n")
+    assert count == 11_377
+    assert len(RULES) == 37
+    assert rules == RULES
+    assert digest.hexdigest() == DIAGNOSTICS_DIGEST
