@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactprob import EngineError, dist_new
+from .exactprob import EngineError, dist_new, expectation
 from .designs import DesignSpec
 from .ignorance import (
     MarginalFunctional,
@@ -55,6 +55,7 @@ from .sampling import (
     Population,
     SCHEME_KINDS,
     SurveyModel,
+    iid_signal_dist,
     signal_dist_from_table,
 )
 
@@ -92,13 +93,17 @@ class Token:
     col: int
 
 
-_DECIMAL = re.compile(r"^-?\d+\.\d+$")
-_INTEGER = re.compile(r"^-?\d+$")
-_RATIONAL = re.compile(r"^-?\d+/\d+$")
+_START = Token("", 1, 1)  # where a missing section or key is reported
+_NUMBER = re.compile(r"-?\d+(?:([./])\d+)?")
+
+
+def _error(tok: Token, rule: str, message: str, kind=SchemaError) -> ModelFileError:
+    """The diagnostic located at a token."""
+    return kind(message, tok.line, tok.col, rule)
 
 
 def _tokenize(text: str):
-    """Yield (line_number, [tokens]) with comments stripped."""
+    """Yield the token list of each line that has any, comments stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         tokens = [
@@ -106,57 +111,138 @@ def _tokenize(text: str):
             for mat in re.finditer(r"\S+", line)
         ]
         if tokens:
-            yield lineno, tokens
-
-
-def _fraction(tok: Token) -> Fraction:
-    """An integer or p/q token as a Fraction; a zero denominator is a
-    located diagnostic."""
-    try:
-        return Fraction(tok.text)
-    except ZeroDivisionError:
-        raise BadRational(
-            f"zero denominator in {tok.text!r}", tok.line, tok.col, "exact-rational"
-        ) from None
-
-
-def _parse_rational(tok: Token) -> Fraction:
-    if _DECIMAL.match(tok.text):
-        frac = Fraction(tok.text).limit_denominator(10**6)
-        raise BadRational(
-            f"decimal literal {tok.text!r}; use {frac.numerator}/{frac.denominator}",
-            tok.line,
-            tok.col,
-            "exact-rational",
-        )
-    if _RATIONAL.match(tok.text) or _INTEGER.match(tok.text):
-        return _fraction(tok)
-    raise BadRational(
-        f"not a rational: {tok.text!r}", tok.line, tok.col, "exact-rational"
-    )
+            yield tokens
 
 
 def _parse_label(tok: Token):
     """Grid/unit/alphabet labels: integers stay integers, p/q becomes an
     exact rational, decimals are rejected, anything else is a word."""
-    if _DECIMAL.match(tok.text):
+    number = _NUMBER.fullmatch(tok.text)
+    if number is None:
+        return tok.text
+    if number[1] == ".":
         frac = Fraction(tok.text).limit_denominator(10**6)
-        raise BadRational(
-            f"decimal literal {tok.text!r}; use {frac.numerator}/{frac.denominator}",
-            tok.line,
-            tok.col,
-            "exact-rational",
-        )
-    if _INTEGER.match(tok.text):
+        message = f"decimal literal {tok.text!r}; use {frac.numerator}/{frac.denominator}"
+        raise _error(tok, "exact-rational", message, BadRational)
+    if number[1] is None:
         return int(tok.text)
-    if _RATIONAL.match(tok.text):
-        return _fraction(tok)
+    try:
+        return Fraction(tok.text)
+    except ZeroDivisionError:
+        raise _error(tok, "exact-rational", f"zero denominator in {tok.text!r}", BadRational) from None
+
+
+def _parse_rational(tok: Token) -> Fraction:
+    value = _parse_label(tok)
+    if isinstance(value, str):
+        raise _error(tok, "exact-rational", f"not a rational: {tok.text!r}", BadRational)
+    return Fraction(value)
+
+
+def _size(tok: Token, at: Token, message: str) -> int:
+    """A nonnegative integer token; a violation is reported at `at`."""
+    value = _parse_rational(tok)
+    if value.denominator != 1 or value < 0:
+        raise _error(at, "integer-size", message)
+    return int(value)
+
+
+def _pair(tok: Token, rule: str, message: str, last=False):
+    """The two halves of a `left:right` token, split at its first colon (or
+    its last), each located in the source."""
+    left, colon, right = tok.text.rpartition(":") if last else tok.text.partition(":")
+    if not colon:
+        raise _error(tok, rule, message)
+    return Token(left, tok.line, tok.col), Token(right, tok.line, tok.col + len(left) + 1)
+
+
+def _choose(tok: Token, choices, noun: str, rule: str, kind=SchemaError, hint=""):
+    """The token's text, which must name one of the choices."""
+    if tok.text not in choices:
+        raise _error(tok, rule, f"unknown {noun} {tok.text!r}{hint}", kind)
     return tok.text
 
 
-SPLIT_VOCABULARY = ("signal", "design_variable", "selection", "values_on_sample")
+# split selector -> the random variable it names, given the population
+_SELECTORS = {
+    "signal": lambda population: signal_rv(),
+    "design_variable": lambda population: design_variable_rv(),
+    "selection": lambda population: selection_rv(),
+    "values_on_sample": values_on_sample_rv,
+}
+SPLIT_VOCABULARY = tuple(_SELECTORS)
 TARGET_KINDS = ("unit_expectation", "signal_law", "grid_label", "population_mean")
 DESIGN_VARIANTS = ("srs_wor", "srs_wr", "stratified", "poisson", "select_max", "mixture")
+
+# section -> key -> (argument: "no", "needs" or "may"; values: "one", "some" or "any")
+_KEYS = {
+    "population": {"units": ("no", "any")},
+    "grids": {"theta": ("no", "some"), "phi": ("no", "any"), "gamma": ("no", "any")},
+    "signal": {"alphabet": ("no", "some"), "iid": ("needs", "any"), "joint": ("needs", "any")},
+    "design": {
+        "variant": ("no", "one"),
+        "n": ("no", "one"),
+        "strata": ("no", "any"),
+        "alloc": ("no", "any"),
+        "p": ("no", "any"),
+        "component": ("needs", "any"),
+        "weights": ("may", "any"),
+    },
+    "observation": {"scheme": ("no", "one"), "unordered": ("no", "one")},
+    "split": {"v": ("no", "some"), "v_bar": ("no", "some")},
+    "target": {"kind": ("no", "one"), "unit": ("no", "one")},
+}
+# required section -> its required key
+_REQUIRED = {
+    "population": "units",
+    "grids": "theta",
+    "signal": "alphabet",
+    "design": "variant",
+    "observation": "scheme",
+}
+
+
+class _Section:
+    """The (key, argument, values) entries of one section, checked against
+    its row of `_KEYS` as they are read."""
+
+    def __init__(self, sections: dict, name: str):
+        if name in _REQUIRED and name not in sections:
+            raise _error(_START, "required-section", f"missing required section [{name}]")
+        self.name = name
+        self.entries = sections.get(name, [])
+        for key, arg, _values in self.entries:
+            argument = _KEYS[name].get(key.text, ("unknown",))[0]
+            if arg is None and argument not in ("no", "may"):
+                raise _error(key, "known-key", f"unknown key {key.text!r} in [{name}]")
+            if arg is not None and argument not in ("needs", "may"):
+                raise _error(key, "known-key", f"key {key.text!r} does not take an argument in [{name}]")
+
+    def get(self, key: str):
+        """The entry of a key written without argument, or None."""
+        found = [e for e in self.entries if e[0].text == key and e[1] is None]
+        if len(found) > 1:
+            raise _error(found[1][0], "unique-key", f"duplicate key {key!r} in [{self.name}]")
+        if not found:
+            if _REQUIRED.get(self.name) == key:
+                raise _error(_START, "required-key", f"missing key {key!r} in [{self.name}]")
+            return None
+        tok, _arg, values = found[0]
+        arity = _KEYS[self.name][key][1]
+        if not values and arity != "any":
+            raise _error(tok, "key-value", f"missing value for key {key!r}")
+        if arity == "one" and len(values) > 1:
+            raise _error(values[1], "one-value", f"key {key!r} takes one value")
+        return found[0]
+
+    def value(self, key: str):
+        """The value token of a one-value key, or None."""
+        entry = self.get(key)
+        return entry[2][0] if entry else None
+
+    def each(self, *keys):
+        """The entries of these keys, in document order."""
+        return [e for e in self.entries if e[0].text in keys]
 
 
 @dataclass(frozen=True)
@@ -205,8 +291,6 @@ class ModelDocument:
         for theta, kind, table in self.signal:
             if kind == "iid":
                 unit = dist_new(list(table))
-                from .sampling import iid_signal_dist
-
                 signal_law[theta] = iid_signal_dist(population, unit, z_of=z_of)
             else:
                 signal_law[theta] = signal_dist_from_table(list(table), z_of=z_of)
@@ -241,22 +325,10 @@ class BuildResult:
 
 
 def _build_selector(names, population) -> RandomVariableRef:
-    refs = []
-    for name in names:
-        if name == "signal":
-            refs.append(signal_rv())
-        elif name == "design_variable":
-            refs.append(design_variable_rv())
-        elif name == "selection":
-            refs.append(selection_rv())
-        elif name == "values_on_sample":
-            refs.append(values_on_sample_rv(population))
-    return composite_rv(refs)
+    return composite_rv([_SELECTORS[name](population) for name in names])
 
 
 def _build_target(doc: ModelDocument, population: Population):
-    from .exactprob import expectation
-
     if doc.target_kind == "signal_law":
         return MarginalFunctional("signal_law", signal_rv(), lambda d: d)
     if doc.target_kind == "unit_expectation":
@@ -277,513 +349,200 @@ def _build_target(doc: ModelDocument, population: Population):
     raise EngineError(f"unknown target kind {doc.target_kind!r}")
 
 
-_SECTIONS = (
-    "population",
-    "grids",
-    "signal",
-    "design",
-    "observation",
-    "split",
-    "target",
-)
-
-
 def parse_model(text: str) -> ModelDocument:
     """Parse a model document, raising located diagnostics."""
     sections: dict = {}
     current = None
-    for lineno, tokens in _tokenize(text):
+    for tokens in _tokenize(text):
         head = tokens[0]
         if head.text.startswith("["):
             name = " ".join(t.text for t in tokens)
             if not name.endswith("]"):
-                raise ModelSyntaxError(
-                    f"unterminated section header {name!r}",
-                    head.line,
-                    head.col,
-                    "section-header",
-                )
+                message = f"unterminated section header {name!r}"
+                raise _error(head, "section-header", message, ModelSyntaxError)
             name = name[1:-1]
-            if name not in _SECTIONS:
-                raise SchemaError(
-                    f"unknown section [{name}]", head.line, head.col, "known-section"
-                )
+            if name not in _KEYS:
+                raise _error(head, "known-section", f"unknown section [{name}]")
             if name in sections:
-                raise SchemaError(
-                    f"duplicate section [{name}]", head.line, head.col, "unique-section"
-                )
-            sections[name] = []
-            current = name
+                raise _error(head, "unique-section", f"duplicate section [{name}]")
+            current = sections[name] = []
             continue
         if current is None:
-            raise ModelSyntaxError(
-                f"content before any section: {head.text!r}",
-                head.line,
-                head.col,
-                "section-required",
-            )
-        try:
-            eq = next(i for i, t in enumerate(tokens) if t.text == "=")
-        except StopIteration:
-            raise ModelSyntaxError(
-                "expected 'key = value'", head.line, head.col, "key-value"
-            ) from None
+            message = f"content before any section: {head.text!r}"
+            raise _error(head, "section-required", message, ModelSyntaxError)
+        eq = next((i for i, t in enumerate(tokens) if t.text == "="), None)
+        if eq is None:
+            raise _error(head, "key-value", "expected 'key = value'", ModelSyntaxError)
         if eq == 0 or eq > 2:
-            raise ModelSyntaxError(
-                "expected 'key [argument] = value'",
-                head.line,
-                head.col,
-                "key-value",
-            )
-        key = tokens[0]
-        arg = tokens[1] if eq == 2 else None
-        values = tokens[eq + 1 :]
-        sections[current].append((key, arg, values))
+            raise _error(head, "key-value", "expected 'key [argument] = value'", ModelSyntaxError)
+        current.append((head, tokens[1] if eq == 2 else None, tokens[eq + 1 :]))
 
-    def require_section(name: str):
-        if name not in sections:
-            raise SchemaError(
-                f"missing required section [{name}]", 1, 1, "required-section"
-            )
-        return sections[name]
-
-    def entries(name: str):
-        return sections.get(name, [])
-
-    def single(name: str, key: str, required=True):
-        found = [e for e in entries(name) if e[0].text == key and e[1] is None]
-        if len(found) > 1:
-            tok = found[1][0]
-            raise SchemaError(
-                f"duplicate key {key!r} in [{name}]", tok.line, tok.col, "unique-key"
-            )
-        if not found:
-            if required:
-                raise SchemaError(
-                    f"missing key {key!r} in [{name}]", 1, 1, "required-key"
-                )
-            return None
-        return found[0]
-
-    def some_values(entry):
-        key, _arg, values = entry
-        if not values:
-            raise SchemaError(
-                f"missing value for key {key.text!r}", key.line, key.col, "key-value"
-            )
-        return values
-
-    def first_value(entry):
-        values = some_values(entry)
-        if len(values) > 1:
-            tok = values[1]
-            raise SchemaError(
-                f"key {entry[0].text!r} takes one value", tok.line, tok.col, "one-value"
-            )
-        return values[0]
-
-    def check_known_keys(name: str, known, with_arg=()):
-        for key, arg, _values in entries(name):
-            if arg is None and key.text not in known:
-                raise SchemaError(
-                    f"unknown key {key.text!r} in [{name}]",
-                    key.line,
-                    key.col,
-                    "known-key",
-                )
-            if arg is not None and key.text not in with_arg:
-                raise SchemaError(
-                    f"key {key.text!r} does not take an argument in [{name}]",
-                    key.line,
-                    key.col,
-                    "known-key",
-                )
-
-    # population
-    require_section("population")
-    check_known_keys("population", ("units",))
-    _key, _arg, unit_tokens = single("population", "units")
+    population = _Section(sections, "population")
+    key, _arg, unit_tokens = population.get("units")
     units = []
-    seen = set()
     for tok in unit_tokens:
         label = _parse_label(tok)
-        if label in seen:
-            raise SchemaError(
-                f"duplicate unit label {label!r}", tok.line, tok.col, "distinct-units"
-            )
-        seen.add(label)
+        if label in units:
+            raise _error(tok, "distinct-units", f"duplicate unit label {label!r}")
         units.append(label)
     if not units:
-        raise SchemaError("population has no units", _key.line, _key.col, "nonempty")
+        raise _error(key, "nonempty", "population has no units")
 
-    # grids
-    require_section("grids")
-    check_known_keys("grids", ("theta", "phi", "gamma"))
-    theta_entry = single("grids", "theta")
-    _k, _a, theta_tokens = theta_entry
-    some_values(theta_entry)
-    thetas = tuple(_parse_label(t) for t in theta_tokens)
+    grids = _Section(sections, "grids")
+    key, _arg, theta_tokens = grids.get("theta")
+    thetas = tuple(map(_parse_label, theta_tokens))
     if len(set(thetas)) != len(thetas):
-        raise SchemaError("duplicate theta label", _k.line, _k.col, "distinct-grid")
-    phi_entry = single("grids", "phi", required=False)
-    phis = ()
-    if phi_entry:
-        phis = tuple(_parse_label(t) for t in phi_entry[2])
+        raise _error(key, "distinct-grid", "duplicate theta label")
+    entry = grids.get("phi")
+    phis = tuple(map(_parse_label, entry[2])) if entry else ()
     gamma = None
-    gamma_entry = single("grids", "gamma", required=False)
-    if gamma_entry:
+    entry = grids.get("gamma")
+    if entry:
         gamma = []
-        for tok in gamma_entry[2]:
-            if ":" not in tok.text:
-                raise SchemaError(
-                    "gamma entries are theta:phi pairs", tok.line, tok.col, "gamma-pair"
-                )
-            left, right = tok.text.split(":", 1)
-            tpair = (
-                _parse_label(Token(left, tok.line, tok.col)),
-                _parse_label(Token(right, tok.line, tok.col + len(left) + 1)),
-            )
-            if tpair[0] not in thetas:
-                raise SchemaError(
-                    f"gamma theta {left!r} not in the theta grid",
-                    tok.line,
-                    tok.col,
-                    "gamma-in-grid",
-                )
-            if phis and tpair[1] not in phis:
-                raise SchemaError(
-                    f"gamma phi {right!r} not in the phi grid",
-                    tok.line,
-                    tok.col,
-                    "gamma-in-grid",
-                )
-            gamma.append(tpair)
+        for tok in entry[2]:
+            left, right = _pair(tok, "gamma-pair", "gamma entries are theta:phi pairs")
+            pair = (_parse_label(left), _parse_label(right))
+            if pair[0] not in thetas:
+                raise _error(tok, "gamma-in-grid", f"gamma theta {left.text!r} not in the theta grid")
+            if phis and pair[1] not in phis:
+                raise _error(tok, "gamma-in-grid", f"gamma phi {right.text!r} not in the phi grid")
+            gamma.append(pair)
         gamma = tuple(gamma)
 
-    # signal
-    require_section("signal")
-    check_known_keys("signal", ("alphabet",), with_arg=("iid", "joint"))
-    alpha_entry = single("signal", "alphabet")
-    _k, _a, alpha_tokens = alpha_entry
-    some_values(alpha_entry)
-    alphabet = tuple(_parse_label(t) for t in alpha_tokens)
+    signal = _Section(sections, "signal")
+    key, _arg, alpha_tokens = signal.get("alphabet")
+    alphabet = tuple(map(_parse_label, alpha_tokens))
     if len(set(alphabet)) != len(alphabet):
-        raise SchemaError("duplicate alphabet value", _k.line, _k.col, "distinct-values")
-    signal = []
-    covered = set()
-    for key, arg, values in entries("signal"):
-        if key.text not in ("iid", "joint"):
-            continue
-        if arg is None:
-            raise SchemaError(
-                f"{key.text!r} needs a theta argument", key.line, key.col, "law-theta"
-            )
+        raise _error(key, "distinct-values", "duplicate alphabet value")
+    laws = {}
+    for key, arg, values in signal.each("iid", "joint"):
         theta = _parse_label(arg)
         if theta not in thetas:
-            raise SchemaError(
-                f"signal law for unknown theta {arg.text!r}",
-                arg.line,
-                arg.col,
-                "law-theta",
-            )
-        if theta in covered:
-            raise SchemaError(
-                f"second signal law for theta {arg.text!r}",
-                arg.line,
-                arg.col,
-                "one-law-per-theta",
-            )
-        covered.add(theta)
+            raise _error(arg, "law-theta", f"signal law for unknown theta {arg.text!r}")
+        if theta in laws:
+            raise _error(arg, "one-law-per-theta", f"second signal law for theta {arg.text!r}")
         table = []
         for tok in values:
-            if ":" not in tok.text:
-                raise SchemaError(
-                    "expected value:mass pairs", tok.line, tok.col, "mass-pair"
-                )
-            left, right = tok.text.rsplit(":", 1)
-            mass = _parse_rational(Token(right, tok.line, tok.col + len(left) + 1))
+            left, right = _pair(tok, "mass-pair", "expected value:mass pairs", last=True)
+            mass = _parse_rational(right)
             if mass < 0:
-                raise SchemaError(
-                    f"negative mass {right}", tok.line, tok.col, "nonnegative-mass"
-                )
+                raise _error(tok, "nonnegative-mass", f"negative mass {right.text}")
             if key.text == "iid":
-                value = _parse_label(Token(left, tok.line, tok.col))
+                value = _parse_label(left)
                 if value not in alphabet:
-                    raise SchemaError(
-                        f"value {left!r} not in the alphabet",
-                        tok.line,
-                        tok.col,
-                        "value-in-alphabet",
-                    )
+                    raise _error(tok, "value-in-alphabet", f"value {left.text!r} not in the alphabet")
                 table.append((value, mass))
-            else:
-                parts = left.split(",")
-                if len(parts) != len(units):
-                    raise SchemaError(
-                        f"signal {left!r} does not cover the population",
-                        tok.line,
-                        tok.col,
-                        "signal-covers-population",
-                    )
-                y = tuple(_parse_label(Token(p, tok.line, tok.col)) for p in parts)
-                for v in y:
-                    if v not in alphabet:
-                        raise SchemaError(
-                            f"value {v!r} not in the alphabet",
-                            tok.line,
-                            tok.col,
-                            "value-in-alphabet",
-                        )
-                table.append((y, mass))
+                continue
+            parts = left.text.split(",")
+            if len(parts) != len(units):
+                message = f"signal {left.text!r} does not cover the population"
+                raise _error(tok, "signal-covers-population", message)
+            y = tuple(_parse_label(Token(part, tok.line, tok.col)) for part in parts)
+            for value in y:
+                if value not in alphabet:
+                    raise _error(tok, "value-in-alphabet", f"value {value!r} not in the alphabet")
+            table.append((y, mass))
         total = sum((m for _v, m in table), Fraction(0))
         if total != 1:
-            raise SchemaError(
-                f"signal masses for theta {arg.text!r} sum to {total}, expected 1",
-                arg.line,
-                arg.col,
-                "unit-mass",
-            )
-        signal.append((theta, key.text, tuple(table)))
+            raise _error(arg, "unit-mass", f"signal masses for theta {arg.text!r} sum to {total}, expected 1")
+        laws[theta] = (theta, key.text, tuple(table))
     for theta in thetas:
-        if theta not in covered:
-            raise SchemaError(
-                f"theta {theta!r} has no signal law", 1, 1, "one-law-per-theta"
-            )
-    signal.sort(key=lambda row: thetas.index(row[0]))
+        if theta not in laws:
+            raise _error(_START, "one-law-per-theta", f"theta {theta!r} has no signal law")
 
-    # design
-    require_section("design")
-    check_known_keys(
-        "design",
-        ("variant", "n", "strata", "alloc", "p", "weights"),
-        with_arg=("component", "weights"),
-    )
-    variant_tok = first_value(single("design", "variant"))
-    variant = variant_tok.text
-    if variant not in DESIGN_VARIANTS:
-        raise UnknownDesignVariant(
-            f"unknown design variant {variant!r}",
-            variant_tok.line,
-            variant_tok.col,
-            "known-variant",
-        )
+    design = _Section(sections, "design")
+    variant_tok = design.value("variant")
+    variant = _choose(variant_tok, DESIGN_VARIANTS, "design variant", "known-variant", UnknownDesignVariant)
     n = None
-    n_entry = single("design", "n", required=False)
-    if n_entry:
-        tok = first_value(n_entry)
-        value = _parse_rational(tok)
-        if value.denominator != 1 or value < 0:
-            raise SchemaError(
-                f"sample size must be a nonnegative integer, got {tok.text!r}",
-                tok.line,
-                tok.col,
-                "integer-size",
-            )
-        n = int(value)
+    tok = design.value("n")
+    if tok is not None:
+        n = _size(tok, tok, f"sample size must be a nonnegative integer, got {tok.text!r}")
     if variant in ("srs_wor", "srs_wr") and n is None:
-        raise SchemaError(
-            f"variant {variant!r} needs a sample size n",
-            variant_tok.line,
-            variant_tok.col,
-            "variant-params",
-        )
+        raise _error(variant_tok, "variant-params", f"variant {variant!r} needs a sample size n")
     strata = None
-    strata_entry = single("design", "strata", required=False)
-    if strata_entry:
-        strata = tuple(_parse_label(t) for t in strata_entry[2])
+    entry = design.get("strata")
+    if entry:
+        strata = tuple(map(_parse_label, entry[2]))
         if len(strata) != len(units):
-            tok = strata_entry[0]
-            raise SchemaError(
-                "one stratum id per unit required", tok.line, tok.col, "strata-cover"
-            )
+            raise _error(entry[0], "strata-cover", "one stratum id per unit required")
     alloc = None
-    alloc_entry = single("design", "alloc", required=False)
-    if alloc_entry:
+    entry = design.get("alloc")
+    if entry:
         alloc = []
-        for tok in alloc_entry[2]:
-            if ":" not in tok.text:
-                raise SchemaError(
-                    "alloc entries are stratum:count pairs",
-                    tok.line,
-                    tok.col,
-                    "alloc-pair",
-                )
-            left, right = tok.text.split(":", 1)
-            count = _parse_rational(Token(right, tok.line, tok.col + len(left) + 1))
-            if count.denominator != 1 or count < 0:
-                raise SchemaError(
-                    "allocation counts must be nonnegative integers",
-                    tok.line,
-                    tok.col,
-                    "integer-size",
-                )
-            alloc.append((_parse_label(Token(left, tok.line, tok.col)), int(count)))
+        for tok in entry[2]:
+            left, right = _pair(tok, "alloc-pair", "alloc entries are stratum:count pairs")
+            count = _size(right, tok, "allocation counts must be nonnegative integers")
+            alloc.append((_parse_label(left), count))
         alloc = tuple(alloc)
     if variant == "stratified" and (strata is None or alloc is None):
-        raise SchemaError(
-            "stratified design needs strata and alloc",
-            variant_tok.line,
-            variant_tok.col,
-            "variant-params",
-        )
+        raise _error(variant_tok, "variant-params", "stratified design needs strata and alloc")
     p = None
-    p_entry = single("design", "p", required=False)
-    if p_entry:
-        p = tuple(_parse_rational(t) for t in p_entry[2])
+    entry = design.get("p")
+    if entry:
+        p = tuple(map(_parse_rational, entry[2]))
         if len(p) != len(units):
-            tok = p_entry[0]
-            raise SchemaError(
-                "one inclusion probability per unit required",
-                tok.line,
-                tok.col,
-                "p-cover",
-            )
+            raise _error(entry[0], "p-cover", "one inclusion probability per unit required")
     if variant == "poisson" and p is None:
-        raise SchemaError(
-            "poisson design needs per-unit probabilities p",
-            variant_tok.line,
-            variant_tok.col,
-            "variant-params",
-        )
+        raise _error(variant_tok, "variant-params", "poisson design needs per-unit probabilities p")
     components = []
-    for key, arg, values in entries("design"):
-        if key.text != "component":
-            continue
+    for key, arg, values in design.each("component"):
         if variant != "mixture":
-            raise SchemaError(
-                "components only belong to mixture designs",
-                key.line,
-                key.col,
-                "variant-params",
-            )
-        mapping = tuple(
-            _parse_label(t) for t in values if t.text != "-"
-        )
+            raise _error(key, "variant-params", "components only belong to mixture designs")
+        mapping = tuple(_parse_label(t) for t in values if t.text != "-")
         for label in mapping:
             if label not in units:
-                tok = values[0]
-                raise SchemaError(
-                    f"component unit {label!r} not in the population",
-                    tok.line,
-                    tok.col,
-                    "unit-exists",
-                )
-        index = _parse_label(arg) if arg else len(components)
+                raise _error(values[0], "unit-exists", f"component unit {label!r} not in the population")
+        index = _parse_label(arg)
         if isinstance(index, str):
-            raise SchemaError(
-                f"component index {arg.text!r} is not a number",
-                arg.line,
-                arg.col,
-                "component-index",
-            )
+            raise _error(arg, "component-index", f"component index {arg.text!r} is not a number")
         components.append((index, mapping))
     components.sort(key=lambda kv: kv[0])
     component_maps = tuple(mapping for _i, mapping in components) or None
     weights = []
-    for key, arg, values in entries("design"):
-        if key.text != "weights":
-            continue
+    for key, arg, values in design.each("weights"):
         if variant != "mixture":
-            raise SchemaError(
-                "weights only belong to mixture designs",
-                key.line,
-                key.col,
-                "variant-params",
-            )
+            raise _error(key, "variant-params", "weights only belong to mixture designs")
         label = _parse_label(arg) if arg is not None else None
-        ws = tuple(_parse_rational(t) for t in values)
+        ws = tuple(map(_parse_rational, values))
         if component_maps is None or len(ws) != len(component_maps):
-            raise SchemaError(
-                "one weight per component required", key.line, key.col, "weights-cover"
-            )
+            raise _error(key, "weights-cover", "one weight per component required")
         if sum(ws, Fraction(0)) != 1:
-            raise SchemaError(
-                "mixture weights must sum to 1", key.line, key.col, "unit-mass"
-            )
+            raise _error(key, "unit-mass", "mixture weights must sum to 1")
         weights.append((label, ws))
     if variant == "mixture":
         if not weights:
-            raise SchemaError(
-                "mixture design needs weights",
-                variant_tok.line,
-                variant_tok.col,
-                "variant-params",
-            )
-        labels_needed = phis if phis else thetas
+            raise _error(variant_tok, "variant-params", "mixture design needs weights")
         given = [lab for lab, _ in weights]
         if given == [None]:
-            weights = [(lab, weights[0][1]) for lab in labels_needed]
+            weights = [(lab, weights[0][1]) for lab in phis or thetas]
         else:
-            for lab in labels_needed:
+            for lab in phis or thetas:
                 if lab not in given:
-                    raise SchemaError(
-                        f"no mixture weights for grid label {lab!r}",
-                        variant_tok.line,
-                        variant_tok.col,
-                        "weights-cover",
-                    )
-    weights = tuple(weights) or None
+                    raise _error(variant_tok, "weights-cover", f"no mixture weights for grid label {lab!r}")
 
-    # observation
-    require_section("observation")
-    check_known_keys("observation", ("scheme", "unordered"))
-    scheme_tok = first_value(single("observation", "scheme"))
-    if scheme_tok.text not in SCHEME_KINDS:
-        raise SchemaError(
-            f"unknown observation scheme {scheme_tok.text!r}",
-            scheme_tok.line,
-            scheme_tok.col,
-            "known-scheme",
-        )
-    unordered = False
-    unordered_entry = single("observation", "unordered", required=False)
-    if unordered_entry:
-        tok = first_value(unordered_entry)
-        if tok.text not in ("true", "false"):
-            raise SchemaError(
-                "unordered must be true or false", tok.line, tok.col, "boolean"
-            )
-        unordered = tok.text == "true"
+    observation = _Section(sections, "observation")
+    scheme = _choose(observation.value("scheme"), SCHEME_KINDS, "observation scheme", "known-scheme")
+    tok = observation.value("unordered")
+    if tok is not None and tok.text not in ("true", "false"):
+        raise _error(tok, "boolean", "unordered must be true or false")
+    unordered = tok is not None and tok.text == "true"
 
-    # split
-    split_v = ("signal",)
-    split_v_bar = ("selection",)
-    if "split" in sections:
-        check_known_keys("split", ("v", "v_bar"))
-        v_entry = single("split", "v", required=False)
-        if v_entry:
-            split_v = tuple(_check_selectors(some_values(v_entry)))
-        vb_entry = single("split", "v_bar", required=False)
-        if vb_entry:
-            split_v_bar = tuple(_check_selectors(some_values(vb_entry)))
+    split = _Section(sections, "split")
+    hint = f"; choose from {', '.join(SPLIT_VOCABULARY)}"
+    selectors = {"v": ("signal",), "v_bar": ("selection",)}
+    for key in selectors:
+        entry = split.get(key)
+        if entry:
+            choices = (_choose(t, _SELECTORS, "split selector", "known-selector", hint=hint) for t in entry[2])
+            selectors[key] = tuple(choices)
 
-    # target
-    target_kind = "signal_law"
-    target_unit = None
-    if "target" in sections:
-        check_known_keys("target", ("kind", "unit"))
-        kind_entry = single("target", "kind", required=False)
-        if kind_entry:
-            tok = first_value(kind_entry)
-            if tok.text not in TARGET_KINDS:
-                raise SchemaError(
-                    f"unknown target kind {tok.text!r}",
-                    tok.line,
-                    tok.col,
-                    "known-target",
-                )
-            target_kind = tok.text
-        unit_entry = single("target", "unit", required=False)
-        if unit_entry:
-            tok = first_value(unit_entry)
-            target_unit = _parse_label(tok)
-            if target_unit not in units:
-                raise SchemaError(
-                    f"target unit {target_unit!r} not in the population",
-                    tok.line,
-                    tok.col,
-                    "unit-exists",
-                )
+    target = _Section(sections, "target")
+    tok = target.value("kind")
+    target_kind = "signal_law" if tok is None else _choose(tok, TARGET_KINDS, "target kind", "known-target")
+    tok = target.value("unit")
+    target_unit = None if tok is None else _parse_label(tok)
+    if tok is not None and target_unit not in units:
+        raise _error(tok, "unit-exists", f"target unit {target_unit!r} not in the population")
 
     return ModelDocument(
         units=tuple(units),
@@ -791,36 +550,21 @@ def parse_model(text: str) -> ModelDocument:
         phis=phis,
         gamma=gamma,
         alphabet=alphabet,
-        signal=tuple(signal),
+        signal=tuple(laws[theta] for theta in thetas),
         variant=variant,
         n=n,
         strata=strata,
         alloc=alloc,
         p=p,
         components=component_maps,
-        weights=weights,
-        scheme_kind=scheme_tok.text,
+        weights=tuple(weights) or None,
+        scheme_kind=scheme,
         unordered=unordered,
-        split_v=split_v,
-        split_v_bar=split_v_bar,
+        split_v=selectors["v"],
+        split_v_bar=selectors["v_bar"],
         target_kind=target_kind,
         target_unit=target_unit,
     )
-
-
-def _check_selectors(tokens):
-    out = []
-    for tok in tokens:
-        if tok.text not in SPLIT_VOCABULARY:
-            raise SchemaError(
-                f"unknown split selector {tok.text!r}; choose from "
-                f"{', '.join(SPLIT_VOCABULARY)}",
-                tok.line,
-                tok.col,
-                "known-selector",
-            )
-        out.append(tok.text)
-    return out
 
 
 def _fmt(value) -> str:
