@@ -39,7 +39,7 @@ from .inference import (
 )
 from .ignorance import dirac_fix, marginal_family, single_arbitrary
 from .mc import compare_exact_vs_mc
-from .modelfile import ModelFileError, parse_model
+from .modelfile import parse_model
 from .reports import (
     classification_payload,
     emit_report,
@@ -411,9 +411,6 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except ModelFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except EngineError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
