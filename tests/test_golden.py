@@ -2,7 +2,7 @@
 and stderr byte for byte, and the committed cases are exactly the ones
 scripts/make_golden.py generates.  The files are written only by that
 script; this test never rewrites them.  SHA-256 digests of `check --json`
-on two SRS ladder rungs pin the output of models larger than any in the
+on three SRS ladder rungs pin the output of models larger than any in the
 corpus."""
 
 import contextlib
@@ -71,6 +71,7 @@ RUNG_DIGESTS = {
     (4, 3, "frequentist", "arbitrary"): "b7c03aa98cb156a0724fa8ede2d2ce92feab4303587c5a37bd66e631fabb5eb3",
     (4, 3, "frequentist", "marginal"): "7556d98f53634b470b5ac61fab2efee5a0fadd4ee378c5129ebd8c6121b3a618",
     (5, 2, "likelihood", "dirac"): "289487d6f386ec7afaf87d1a9f23edd7f7754130ae2eb2c427c7a9740aad8c50",
+    (7, 3, "likelihood", "dirac"): "2b5c6d6b8cf08436416a6d32c7b0fa48407721b0debc5fddad8f8e5d0f2f63e8",
 }
 
 
