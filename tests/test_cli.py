@@ -250,7 +250,12 @@ class TestInputErrors:
             ("bernoulli_mixture", "component 0 = 1", "component ] = 1", "component index"),
             ("srs_wor_minimal", "n = 1", "n = 1 2", "key 'n' takes one value"),
         ],
-        ids=["alphabet-zero-denominator", "value-only-comment", "component-index-word", "extra-value"],
+        ids=[
+            "alphabet-zero-denominator",
+            "value-only-comment",
+            "component-index-word",
+            "extra-value",
+        ],
     )
     def test_bad_model_file(self, capsys, tmp_path, model, old, new, message):
         text = CATALOG[model]

@@ -286,7 +286,7 @@ RULES = {
     "strata-cover", "unique-key", "unique-section", "unit-exists", "unit-mass",
     "value-in-alphabet", "variant-params", "weights-cover",
 }
-DIGEST_REPLACEMENTS = ("1/0", "0.5", "#", "]", "=", "-", "x", "0", "-1", "1:1", "[x", "0:-1")
+DIGEST_REPLACEMENTS = REPLACEMENTS + ("-", "x", "0", "-1", "1:1", "[x", "0:-1")
 DIAGNOSTICS_DIGEST = "145e02db4f7bee7d07aa26f658d5c24b53f02b13519f8bad145d81135a0884c9"
 
 
