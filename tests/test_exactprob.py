@@ -1,5 +1,7 @@
 """Exact-probability kernel: frozen examples and algebraic properties."""
 
+from collections import namedtuple
+from enum import IntEnum
 from fractions import Fraction as F
 
 import pytest
@@ -326,6 +328,66 @@ canonical_values = st.recursive(
 )
 
 
+def isinstance_chain_key(value):
+    """Frozen reference: canonical_key as one isinstance chain, the form it
+    had before any exact-type shortcut."""
+    if value is None:
+        return (0,)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, F)):
+        return (1, value)
+    if isinstance(value, str):
+        return (2, value)
+    if isinstance(value, (tuple, list)):
+        return (3, tuple(isinstance_chain_key(v) for v in value))
+    method = getattr(value, "canonical_key", None)
+    if method is not None:
+        return method()
+    raise IncomparableOutcomes(f"no canonical order for {value!r}")
+
+
+def same_key(a, b) -> bool:
+    """Equal keys built from the same types all the way down (so an IntEnum
+    member kept in a key does not pass for its plain int)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_key(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+class Level(IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+class Half(F):
+    """A Fraction subclass."""
+
+
+Pair = namedtuple("Pair", "left right")
+
+# bools, IntEnum members, Fraction subclasses, namedtuples and lists, nested
+subclassed_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 2),
+        st.sampled_from(list(Level)),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3).map(Half),
+        st.text("ab", max_size=2),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.tuples(inner, inner).map(lambda t: Pair(*t)),
+    ),
+    max_leaves=8,
+)
+
+
 class TestPlainNumberKeys:
     @given(canonical_values, canonical_values)
     def test_same_equality_hash_and_order_as_fraction_keys(self, a, b):
@@ -344,6 +406,11 @@ class TestPlainNumberKeys:
             positions, key=lambda i: fraction_key(values[i])
         )
         assert len({canonical_key(v) for v in values}) == len({fraction_key(v) for v in values})
+
+    @given(subclassed_values)
+    def test_subclasses_keep_the_key_of_the_isinstance_chain(self, value):
+        key, frozen = canonical_key(value), isinstance_chain_key(value)
+        assert same_key(key, frozen) and hash(key) == hash(frozen)
 
 
 class TestKernelIndex:
