@@ -93,7 +93,18 @@ def canonical_key(value):
     Fraction is built per key.  An int and a Fraction of equal value
     compare equal and hash equal, so their keys still merge in dicts and
     sets and sort as the numbers do.
+
+    The four common exact types are tested first; every other value,
+    subclasses of those included, takes the isinstance chain below and
+    gets the key that chain gives.
     """
+    cls = type(value)
+    if cls is tuple:
+        return (3, tuple([canonical_key(v) for v in value]))
+    if cls is int or cls is Fraction:
+        return (1, value)
+    if cls is str:
+        return (2, value)
     if value is None:
         return (0,)
     if isinstance(value, bool):

@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .exactprob import (
@@ -37,7 +39,11 @@ from .exactprob import (
     uniform,
 )
 from .sampling import (
+    VALUES_AND_MAPPING,
+    VALUES_AND_SAMPLED_WEIGHTS,
+    VALUES_ONLY,
     ObservationScheme,
+    Population,
     SurveyModel,
     drawn_values,
     numbered_joints,
@@ -72,10 +78,18 @@ class TargetNotTransformable(EngineError):
 
 @dataclass(frozen=True)
 class RandomVariableRef:
-    """Named evaluator on world states."""
+    """Named evaluator on world states.
+
+    `reads` declares what of a world (y, z, r) the value depends on, so
+    that a family numbered on the two axes of its world ids codes the
+    variable once per axis value instead of once per world: "yz" (only y
+    and z), "r" (only the mapping), a `Population` (the values y takes at
+    the units r draws, in draw order) or a tuple of declared variables (the
+    tuple of their values).  None declares nothing: every world is keyed."""
 
     name: str
     fn: Callable = field(compare=False)
+    reads: object = field(default=None, compare=False)
 
     def __call__(self, world):
         return self.fn(world)
@@ -85,20 +99,20 @@ class RandomVariableRef:
 
 
 def signal_rv() -> RandomVariableRef:
-    return RandomVariableRef("signal", lambda w: w.y)
+    return RandomVariableRef("signal", lambda w: w.y, "yz")
 
 
 def design_variable_rv() -> RandomVariableRef:
-    return RandomVariableRef("design_variable", lambda w: w.z)
+    return RandomVariableRef("design_variable", lambda w: w.z, "yz")
 
 
 def selection_rv() -> RandomVariableRef:
-    return RandomVariableRef("selection", lambda w: w.r)
+    return RandomVariableRef("selection", lambda w: w.r, "r")
 
 
 def values_on_sample_rv(population) -> RandomVariableRef:
     return RandomVariableRef(
-        "values_on_sample", lambda w: drawn_values(w, population)
+        "values_on_sample", lambda w: drawn_values(w, population), population
     )
 
 
@@ -107,7 +121,80 @@ def composite_rv(refs: Iterable[RandomVariableRef]) -> RandomVariableRef:
     if len(refs) == 1:
         return refs[0]
     name = "(" + ",".join(r.name for r in refs) + ")"
-    return RandomVariableRef(name, lambda w: tuple(r(w) for r in refs))
+    reads = refs if all(r.reads is not None for r in refs) else None
+    return RandomVariableRef(name, lambda w: tuple(r(w) for r in refs), reads)
+
+
+def _observation_rv(m: SurveyModel, scheme: ObservationScheme):
+    """The observation under a scheme that does not read the design, one
+    function for every phi: the values in draw order, or the values with
+    the mapping, as declared variables; any other as `observation_fn`."""
+    if scheme.kind == VALUES_ONLY and not scheme.unordered:
+        return values_on_sample_rv(m.population)
+    if scheme.kind == VALUES_AND_MAPPING:
+        return composite_rv([values_on_sample_rv(m.population), selection_rv()])
+    return observation_fn(m, None, scheme)
+
+
+def _ranks(values) -> list:
+    """The rank of each value's canonical_key among the distinct ones."""
+    keys = [canonical_key(v) for v in values]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+def _picker(positions) -> Callable:
+    """Function of a tuple giving its items at `positions` as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda t: tuple(t[p] for p in positions)
+
+
+def _axis_keys(worlds: tuple, fn: Callable, reads, axes: tuple) -> list | None:
+    """One sort key per world, equal where the canonical_keys of the
+    values of `fn` are equal and ordered as they are, read off the two axes
+    (|(y, z) pairs|, |mappings|) of world ids rank(y, z) * |mappings| +
+    rank(r); None when `reads` declares nothing."""
+    n_yz, n_r = axes
+    if reads == "yz":  # one rank per (y, z) pair, repeated over its mappings
+        return list(chain.from_iterable(repeat(k, n_r) for k in _ranks(fn(w) for w in worlds[::n_r])))
+    if reads == "r":  # one rank per mapping, the same for every (y, z) pair
+        return _ranks(fn(w) for w in worlds[:n_r]) * n_yz
+    if isinstance(reads, Population):  # unit value ranks picked along each mapping
+        ys = [w.y for w in worlds[::n_r]]
+        ranks = iter(_ranks(v for y in ys for v in y))
+        ys = [tuple(next(ranks) for _v in y) for y in ys]
+        picks = [_picker([reads.index(k) for k in w.r]) for w in worlds[:n_r]]
+        return [pick(y) for y in ys for pick in picks]
+    if isinstance(reads, tuple):  # a tuple orders by its parts in turn
+        parts = [_axis_keys(worlds, r.fn, r.reads, axes) for r in reads]
+        return None if None in parts else list(zip(*parts))
+    return None
+
+
+def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
+    """(world id -> code, code -> value, code -> canonical_key): `var` (a
+    RandomVariableRef or a world function) on every world, its values
+    coded in canonical_key order; a code's value is the one at its first
+    world.  A declared variable on worlds numbered by `axes` is coded from
+    the axes; any other is keyed world by world, which is the reference."""
+    fn, reads = (var.fn, var.reads) if isinstance(var, RandomVariableRef) else (var, None)
+    keys = _axis_keys(worlds, fn, reads, axes) if axes is not None else None
+    if keys is None:
+        keyed, keys = {}, []
+        for w in worlds:
+            value = fn(w)
+            keys.append(canonical_key(value))
+            keyed.setdefault(keys[-1], value)
+        ordered = sorted(keyed)
+        values, canonical = tuple(keyed[k] for k in ordered), tuple(ordered)
+    else:  # the lowest id of each key: the later, lower ids overwrite
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        ordered = sorted(first)
+        values = tuple(fn(worlds[first[k]]) for k in ordered)
+        canonical = tuple(canonical_key(v) for v in values)
+    codes = {k: c for c, k in enumerate(ordered)}
+    return tuple(map(codes.__getitem__, keys)), values, canonical
 
 
 @dataclass(frozen=True)
@@ -115,8 +202,8 @@ class SplitIndex:
     """A split's worlds numbered once, so the ignore path works on ints.
 
     `worlds` are distinct and in canonical_key order; a world's id is its
-    position there.  v_bar-codes follow the canonical_key order of the
-    nuisance values, so `v_bar_values` is the sorted image of v_bar.  The
+    position there.  v- and v_bar-codes follow the canonical_key order of
+    the values, so `v_bar_values` is the sorted image of v_bar.  The
     compatibility set of v_bar-code c is the worlds whose v-codes are in
     `compatible[c]`, and `world_of` inverts w -> (v-code, v_bar-code).
     """
@@ -130,28 +217,23 @@ class SplitIndex:
     world_of: dict  # (v-code, v_bar-code) -> world id
 
     @staticmethod
-    def build(worlds: tuple, v: Callable, v_bar: Callable) -> "SplitIndex":
-        """Key each world's v- and v_bar-value; `worlds` distinct and sorted."""
-        v_codes, v_bar_values, v_code, v_bar_keys = {}, {}, [], []
-        for w in worlds:
-            v_code.append(v_codes.setdefault(canonical_key(v(w)), len(v_codes)))
-            value = v_bar(w)
-            v_bar_keys.append(canonical_key(value))
-            v_bar_values.setdefault(v_bar_keys[-1], value)
-        ordered = sorted(v_bar_values)
-        v_bar_codes = {k: c for c, k in enumerate(ordered)}
-        v_bar_code = tuple(v_bar_codes[k] for k in v_bar_keys)
-        world_of: dict = {}
-        compatible = [set() for _ in ordered]
-        for i, pair in enumerate(zip(v_code, v_bar_code)):
-            world_of.setdefault(pair, i)
-            compatible[pair[1]].add(pair[0])
+    def build(worlds: tuple, v, v_bar, axes: tuple | None = None) -> "SplitIndex":
+        """Code each world's v- and v_bar-value (see `_code`); `worlds`
+        distinct and sorted, numbered by `axes` when given."""
+        v_code = _code(worlds, v, axes)[0]
+        v_bar_code, v_bar_values, v_bar_keys = _code(worlds, v_bar, axes)
+        pairs = tuple(zip(v_code, v_bar_code))
+        # the lowest id of each pair: the later, lower ids overwrite
+        world_of = dict(zip(reversed(pairs), range(len(pairs) - 1, -1, -1)))
+        compatible = [set() for _ in v_bar_values]
+        for a, b in world_of:
+            compatible[b].add(a)
         return SplitIndex(
             worlds=worlds,
-            v_code=tuple(v_code),
+            v_code=v_code,
             v_bar_code=v_bar_code,
-            v_bar_values=tuple(v_bar_values[k] for k in ordered),
-            v_bar_codes=v_bar_codes,
+            v_bar_values=v_bar_values,
+            v_bar_codes={k: c for c, k in enumerate(v_bar_keys)},
             compatible=tuple(tuple(sorted(codes)) for codes in compatible),
             world_of=world_of,
         )
@@ -212,8 +294,8 @@ def classify_split(
     return _classify(support, sorted_distinct(support), v, v_bar)
 
 
-def _classify(support: tuple, worlds: tuple, v, v_bar) -> ProcessSplit:
-    index = SplitIndex.build(worlds, v, v_bar)
+def _classify(support: tuple, worlds: tuple, v, v_bar, axes: tuple | None = None) -> ProcessSplit:
+    index = SplitIndex.build(worlds, v, v_bar, axes)
     pairs = len(index.world_of)
     if pairs < len(index.worlds):
         status = NOT_COMPLEMENT
@@ -345,19 +427,24 @@ class Family:
     support (labels are (original label, nuisance index) pairs).
 
     Worlds are numbered once: `worlds` lists them in canonical_key order,
-    `ids[p]` numbers the atoms of `laws[p]`.  An ignored family shares its
-    original's numbering and per-world codes of observations and targets.
+    `ids[p]` numbers the atoms of `laws[p]`.  A survey model's family also
+    keeps the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so
+    that declared variables are coded per axis (see `_code`).  An ignored
+    family shares its original's numbering and per-world codes of
+    observations and targets; `v_classes` is (per-world v-code, {point:
+    class}) when points of one class have equal laws of v.
     """
 
-    def __init__(self, points, laws, obs_fns, support=None, space=None, flags=None, numbering=None):
+    def __init__(self, points, laws, obs_fns, support=None, space=None, flags=None, numbering=None, v_classes=None):
         self.points = tuple(points)
         self.laws = dict(laws)
         self.obs_fns = dict(obs_fns)
         if numbering is None:  # a hand-built family: number its worlds here
             worlds = sorted_distinct([*(space or ()), *(w for p in self.points for w, _m in self.laws[p].items)])
             ids = {canonical_key(w): i for i, w in enumerate(worlds)}
-            numbering = (worlds, {p: tuple(ids[canonical_key(w)] for w, _m in self.laws[p].items) for p in self.points}, {})
-        self.worlds, self.ids, self._coded = numbering
+            numbering = (worlds, {p: tuple(ids[canonical_key(w)] for w, _m in self.laws[p].items) for p in self.points}, {}, None)
+        self.worlds, self.ids, self._coded, self.axes = numbering
+        self.v_classes = v_classes
         if support is None:
             used = sorted({i for p in self.points for i in self.ids[p]})
             support = self.worlds if len(used) == len(self.worlds) else [self.worlds[i] for i in used]
@@ -369,27 +456,37 @@ class Family:
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
-        ids, laws = numbered_joints(m, m.grid)
-        fns = {phi: observation_fn(m, phi, scheme) for phi in {phi for _theta, phi in m.grid}}
+        axes = m._axes()
+        ids, laws = numbered_joints(m, m.grid, axes)
+        phis = {phi for _theta, phi in m.grid}
+        if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS:  # reads the design at phi
+            fns = {phi: observation_fn(m, phi, scheme) for phi in phis}
+        else:
+            fns = dict.fromkeys(phis, _observation_rv(m, scheme))
         obs_fns = {point: fns[point[1]] for point in m.grid}
-        space = m.world_space()
+        space = m.world_space(axes)
         flags = {"z_contains_y": m.z_contains_y}
-        return Family(m.grid, laws, obs_fns, space=space, flags=flags, numbering=(space, ids, {}))
+        numbering = (space, ids, {}, (len(axes[0]), len(axes[1])))
+        return Family(m.grid, laws, obs_fns, space=space, flags=flags, numbering=numbering)
 
-    def coded(self, fn: Callable) -> tuple:
-        """(world id -> code, code -> value, code -> canonical_key): fn on
-        every numbered world, its values coded in canonical_key order; once
-        per function, shared by the families on this numbering."""
+    def coded(self, var) -> tuple:
+        """(world id -> code, code -> value, code -> canonical_key): `var`
+        (a RandomVariableRef or a world function) on every numbered world,
+        its values coded in canonical_key order (see `_code`); once per
+        function, shared by the families on this numbering."""
+        fn = var.fn if isinstance(var, RandomVariableRef) else var
         if fn not in self._coded:
-            keyed, per_world = {}, []
-            for w in self.worlds:
-                value = fn(w)
-                per_world.append(canonical_key(value))
-                keyed.setdefault(per_world[-1], value)
-            keys = sorted(keyed)
-            codes = {k: c for c, k in enumerate(keys)}
-            self._coded[fn] = (tuple(codes[k] for k in per_world), tuple(keyed[k] for k in keys), tuple(keys))
+            self._coded[fn] = _code(self.worlds, var, self.axes)
         return self._coded[fn]
+
+    def _same_marginals(self, code: tuple) -> dict:
+        """{point: class}, where the laws of one class have one marginal
+        through the per-world `code`: the `v_classes` when `code` is a
+        function of the v-code, else none."""
+        if self.v_classes is None:
+            return {}
+        v_code, classes = self.v_classes
+        return classes if len(set(zip(v_code, code))) == len(set(v_code)) else {}
 
     def code_sums(self, p, code: tuple) -> dict:
         """{code: mass} of the law at p, summed by the per-world `code`."""
@@ -443,7 +540,7 @@ def make_split(
     as a deterministic selection does not change the complement status.
     A space that is the family's numbering is indexed by its world ids."""
     if family.space is family.worlds:
-        return _classify(family.space, family.worlds, v, v_bar)
+        return _classify(family.space, family.worlds, v, v_bar, family.axes)
     return classify_split(family.space, v, v_bar)
 
 
@@ -473,8 +570,13 @@ def ignore_model(
 
     # (original point, nuisance index, nuisance law) triples; the grid of
     # the ignored family is the set of (point, index) pairs
+    v_classes = None
     if policy.kind == DIRAC_FIX:
         triples = [(p, value, point_mass(value)) for p in family.points for value in index.v_bar_values]
+        # a Dirac law is its point's law of v conditioned on a compatibility
+        # set, so the laws of one point on equal sets have one law of v
+        v_classes = (index.v_code, {(p, value): (p, index.compatible[c])
+                                    for p in family.points for c, value in enumerate(index.v_bar_values)})
     elif policy.kind == SINGLE_ARBITRARY:
         dist = policy.dist if policy.dist is not None else uniform(index.v_bar_values)
         for value, _w in dist.items:
@@ -508,8 +610,8 @@ def ignore_model(
     }
     if policy.kind == SINGLE_ARBITRARY and policy.dist is None:
         flags["ignored"]["arbitrary_default"] = "uniform over the nuisance image"
-    numbering = (index.worlds, new_ids, family._coded if shared else {})
-    return Family(points, laws, obs_fns, support=family.support, flags=flags, numbering=numbering)
+    numbering = (index.worlds, new_ids, *((family._coded, family.axes) if shared else ({}, None)))
+    return Family(points, laws, obs_fns, support=family.support, flags=flags, numbering=numbering, v_classes=v_classes)
 
 
 @dataclass(frozen=True)
@@ -547,8 +649,14 @@ def target_values(target, family: Family) -> dict:
     likelihood or estimator tables.
     """
     if isinstance(target, MarginalFunctional):
-        code, values, _keys = family.coded(target.var.fn)
-        return {p: target.fn(family.marginal(p, code, values)) for p in family.points}
+        code, values, _keys = family.coded(target.var)
+        classes, by_class, out = family._same_marginals(code), {}, {}
+        for p in family.points:
+            key = classes.get(p, p)
+            if key not in by_class:
+                by_class[key] = target.fn(family.marginal(p, code, values))
+            out[p] = by_class[key]
+        return out
     if isinstance(target, ParameterFunction):
         return {p: target.fn(p) for p in family.points}
     raise TargetNotTransformable(

@@ -361,7 +361,7 @@ class SurveyModel:
         mappings = sorted_distinct(r for k in kernels for _z, delta in k.entries for r, _w in delta.items)
         return yzs, mappings, *({canonical_key(v): i for i, v in enumerate(vs)} for vs in (yzs, mappings))
 
-    def world_space(self) -> tuple:
+    def world_space(self, axes: tuple | None = None) -> tuple:
         """The structural world space: every (y, z) the signal laws can
         produce combined with every selection mapping any design can
         produce, including zero-probability combinations.
@@ -374,8 +374,9 @@ class SurveyModel:
 
         The product of the sorted (y, z) pairs and sorted mappings is in
         canonical_key order: (y, z, r) has id rank(y, z) * |R| + rank(r).
+        `axes` is `_axes()`, when the caller already has it.
         """
-        yzs, mappings, _, _ = self._axes()
+        yzs, mappings, _, _ = axes or self._axes()
         check_size(len(yzs) * len(mappings), "world space")
         return tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
 
@@ -385,7 +386,7 @@ def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
     return numbered_joints(m, [(theta, phi)])[1][theta, phi]
 
 
-def numbered_joints(m: SurveyModel, points) -> tuple:
+def numbered_joints(m: SurveyModel, points, axes: tuple | None = None) -> tuple:
     """({grid point: world ids}, {grid point: law}): the exact joint law of
     the world under each point, each atom with its id in `m.world_space()`.
 
@@ -394,8 +395,9 @@ def numbered_joints(m: SurveyModel, points) -> tuple:
     holds for every model built without the z-contains-y opt-in.  Signal
     and design laws list (y, z) and r in canonical_key order, so the ids
     come out distinct and ascending, with no merge or sort; the weights
-    w * wr are positive and sum to 1, as the w and the wr do."""
-    _yzs, mappings, yz_rank, r_rank = m._axes()
+    w * wr are positive and sum to 1, as the w and the wr do.  `axes` is
+    `m._axes()`, when the caller already has it."""
+    _yzs, mappings, yz_rank, r_rank = axes or m._axes()
     columns = {}  # id(design law) -> (that law, [(rank of r, r, weight)])
     all_ids, laws = {}, {}
     for theta, phi in points:

@@ -203,8 +203,10 @@ class TestCheck:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["observations_checked"] == 24
-        # 2 grid points, and 2 x 6 (point, fixed nuisance value) pairs
-        assert len(calls) == 2 + 12
+        # 2 grid points, and of the 2 x 6 (point, fixed nuisance value)
+        # pairs one per point: their laws of the signal are the point's law
+        # conditioned on one compatibility set, the whole signal image
+        assert len(calls) == 2 + 2
 
 
 class TestInputErrors:
