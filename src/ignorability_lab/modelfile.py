@@ -177,7 +177,7 @@ DESIGN_VARIANTS = ("srs_wor", "srs_wr", "stratified", "poisson", "select_max", "
 # section -> key -> (argument: "no", "needs" or "may"; values: "one", "some" or "any")
 _KEYS = {
     "population": {"units": ("no", "any")},
-    "grids": {"theta": ("no", "some"), "phi": ("no", "any"), "gamma": ("no", "any")},
+    "grids": {"theta": ("no", "some"), "phi": ("no", "any"), "gamma": ("no", "some")},
     "signal": {"alphabet": ("no", "some"), "iid": ("needs", "any"), "joint": ("needs", "any")},
     "design": {
         "variant": ("no", "one"),
@@ -476,6 +476,11 @@ def parse_model(text: str) -> ModelDocument:
         alloc = tuple(alloc)
     if variant == "stratified" and (strata is None or alloc is None):
         raise _error(variant_tok, "variant-params", "stratified design needs strata and alloc")
+    if variant == "stratified":
+        allocated = {h for h, _count in alloc}
+        for h in strata:
+            if h not in allocated:
+                raise _error(entry[0], "alloc-cover", f"stratum {h!r} has no allocation")
     p = None
     entry = design.get("p")
     if entry:

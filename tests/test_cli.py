@@ -251,12 +251,16 @@ class TestInputErrors:
             ("srs_wor_n3", "unit = 1", "unit = #", "missing value for key 'unit'"),
             ("bernoulli_mixture", "component 0 = 1", "component ] = 1", "component index"),
             ("srs_wor_minimal", "n = 1", "n = 1 2", "key 'n' takes one value"),
+            ("bernoulli_mixture", "gamma = 1/3:1/3 1/2:1/2", "gamma =", "line 9, col 1: missing value for key 'gamma'"),
+            ("stratified", "alloc = 1:1 2:1", "alloc = 1:1", "line 14, col 1: stratum 2 has no allocation"),
         ],
         ids=[
             "alphabet-zero-denominator",
             "value-only-comment",
             "component-index-word",
             "extra-value",
+            "pairless-gamma",
+            "uncovered-stratum",
         ],
     )
     def test_bad_model_file(self, capsys, tmp_path, model, old, new, message):

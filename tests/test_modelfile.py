@@ -155,6 +155,19 @@ class TestInvalidDocuments:
         )
         expect_error(text, SchemaError, "not in the theta grid")
 
+    def test_gamma_without_pairs(self):
+        text = CATALOG["bernoulli_mixture"].replace("gamma = 1/3:1/3 1/2:1/2", "gamma =")
+        err = expect_error(text, SchemaError, "missing value for key 'gamma' [key-value]")
+        assert text.splitlines()[err.line - 1] == "gamma ="
+        assert err.col == 1
+
+    @pytest.mark.parametrize("alloc, stratum", [("alloc =", 1), ("alloc = 1:1", 2), ("alloc = 2:1", 1)])
+    def test_stratum_without_allocation(self, alloc, stratum):
+        text = CATALOG["stratified"].replace("alloc = 1:1 2:1", alloc)
+        err = expect_error(text, SchemaError, f"stratum {stratum} has no allocation [alloc-cover]")
+        assert text.splitlines()[err.line - 1] == alloc
+        assert err.col == 1
+
     def test_mixture_weights_wrong_arity(self):
         text = CATALOG["bernoulli_mixture"].replace(
             "weights 1/3 = 1/6 1/6 2/3", "weights 1/3 = 1/6 1/6"
@@ -277,7 +290,7 @@ class TestMutatedDocuments:
 
 # Every diagnostic rule the parser can report.
 RULES = {
-    "alloc-pair", "boolean", "component-index", "distinct-grid", "distinct-units",
+    "alloc-cover", "alloc-pair", "boolean", "component-index", "distinct-grid", "distinct-units",
     "distinct-values", "exact-rational", "gamma-in-grid", "gamma-pair", "integer-size",
     "key-value", "known-key", "known-scheme", "known-section", "known-selector",
     "known-target", "known-variant", "law-theta", "mass-pair", "nonempty",
@@ -287,7 +300,7 @@ RULES = {
     "value-in-alphabet", "variant-params", "weights-cover",
 }
 DIGEST_REPLACEMENTS = REPLACEMENTS + ("-", "x", "0", "-1", "1:1", "[x", "0:-1")
-DIAGNOSTICS_DIGEST = "145e02db4f7bee7d07aa26f658d5c24b53f02b13519f8bad145d81135a0884c9"
+DIAGNOSTICS_DIGEST = "b026c9b0251dea40ef1709d9a04761792376988376f109868465049024c60898"
 
 
 def _render(lines):
@@ -359,6 +372,6 @@ def test_diagnostics_digest():
             outcome = f"{type(err).__name__} {err.line} {err.col} {err.rule} {err}"
         digest.update(outcome.encode("utf-8") + b"\n")
     assert count == 11_377
-    assert len(RULES) == 37
+    assert len(RULES) == 38
     assert rules == RULES
     assert digest.hexdigest() == DIAGNOSTICS_DIGEST
