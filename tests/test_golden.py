@@ -6,16 +6,19 @@ on three SRS ladder rungs pin the output of models larger than any in the
 corpus."""
 
 import contextlib
+import cProfile
 import hashlib
 import importlib.util
 import io
 import json
+import pstats
 from pathlib import Path
 
 import pytest
 
 from ignorability_lab.catalog import CATALOG
 from ignorability_lab.cli import main
+from ignorability_lab.exactprob import canonical_key
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -88,6 +91,33 @@ def test_srs_rung_digest(N, n, inference, policy, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == RUNG_DIGESTS[N, n, inference, policy]
+
+
+# canonical_key calls, recursive ones included, during an in-process
+# `check --inference likelihood --json` on the SRS rung N=5 n=3.  Keying
+# every world of the space made 88,640; coding the declared variables and
+# observations from the two axes of the world ids keeps them under half.
+RUNG_KEY_CALLS_BOUND = 88_640 // 2
+
+
+def test_srs_rung_keys_per_axis_not_per_world(tmp_path):
+    spec = importlib.util.spec_from_file_location("srs_ladder", SRS_LADDER)
+    srs_ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(srs_ladder)
+    path = tmp_path / "srs_N5_n3.model"
+    path.write_text(srs_ladder.rung_text(5, 3), encoding="utf-8")
+    profile = cProfile.Profile()
+    with contextlib.redirect_stdout(io.StringIO()):
+        profile.enable()
+        try:
+            code = main(["check", str(path), "--inference", "likelihood", "--json"])
+        finally:
+            profile.disable()
+    assert code == 0
+    key = canonical_key.__code__
+    where = (key.co_filename, key.co_firstlineno, key.co_name)
+    calls = sum(stat[1] for func, stat in pstats.Stats(profile).stats.items() if func == where)
+    assert 0 < calls <= RUNG_KEY_CALLS_BOUND
 
 
 # One SHA-256 over `mc-verify --json` stdout of every catalog model at its
