@@ -420,9 +420,9 @@ class RubinContext:
     signal tuple is kept.  Built on first use and then kept: z per signal
     id, one selection row per (phi, signal id) holding the masses of the
     mappings by rank (mappings are ranked as the rows meet them; a row is
-    built once per (phi, design law object), so a constant design builds
-    one, and rows with equal masses are one tuple), the `oar` flag per mapping rank (it
-    does not depend on the observed values) and the theta marginals as
+    built once per design law object, so a constant design builds one, and
+    rows with equal masses are one tuple), the `oar` flag per mapping rank
+    (it does not depend on the observed values) and the theta marginals as
     masses per signal id.  Nothing is kept per observed value, and an
     observed mapping is keyed by `canonical_key` at every query.  A query
     that raises keeps no entry, so a later query raises what a fresh
@@ -438,7 +438,8 @@ class RubinContext:
         self._z = None
         self._rows = [None] * (len(self.phis) * self._size)  # phi position * |signals| + id
         self._shared = {}  # row -> the one tuple with its masses
-        self._by_law = {}  # (phi position, id(design law)) -> (that law, its row)
+        self._law_rows = {}  # id(design law) -> its row
+        self._laws = []  # those laws, kept so that no id is reused
         self._mapping_rank = {}  # canonical_key(mapping) -> rank
         self._oar = {}  # mapping rank -> flag
         self._tables = None
@@ -489,13 +490,14 @@ class RubinContext:
             elif z is _NO_Z:
                 raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
             delta = design.get(z)
-            built = self._by_law.get((p, id(delta)))
-            if built is None:
+            row = self._law_rows.get(id(delta))
+            if row is None:
                 ranks = self._mapping_rank
                 masses = {ranks.setdefault(canonical_key(r), len(ranks)): w for r, w in delta.items}
                 row = tuple(masses.get(k, 0) for k in range(max(masses) + 1))
-                built = self._by_law[p, id(delta)] = (delta, self._shared.setdefault(row, row))
-            row = self._rows[p * self._size + j] = built[1]
+                row = self._law_rows[id(delta)] = self._shared.setdefault(row, row)
+                self._laws.append(delta)
+            self._rows[p * self._size + j] = row
         return row
 
     def _agreeing(self, values, mapping):

@@ -570,6 +570,15 @@ class TestSharedRubinContext:
                     want = _answer(lambda: getattr(RubinContext(m), kind)(x))
                 assert got == want, (kind, x)
 
+    def test_one_row_per_design_law_object(self):
+        # a constant design gives every signal one law object, so one row is
+        # built for all of them; select-the-max gives one law per signal
+        for m, laws in ((srs_model(U3, 2), 1), (select_max_model(U3), 8)):
+            rubin = prepare_rubin(m, values_and_mapping())
+            for x in Family.from_survey_model(m, values_and_mapping()).observation_support():
+                rubin.mar(x)
+            assert len(rubin._laws) == laws
+
     def test_one_context_per_model_object(self):
         m = rubin_model({"u": uniform_subsets})
         rubin = prepare_rubin(m, values_and_mapping())
