@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -161,9 +161,9 @@ def _axis_keys(worlds: tuple, fn: Callable, reads, axes: tuple) -> list | None:
     if reads == "r":  # one rank per mapping, the same for every (y, z) pair
         return _ranks(fn(w) for w in worlds[:n_r]) * n_yz
     if isinstance(reads, Population):  # unit value ranks picked along each mapping
-        ys = [w.y for w in worlds[::n_r]]
-        ranks = iter(_ranks(v for y in ys for v in y))
-        ys = [tuple(next(ranks) for _v in y) for y in ys]
+        heads = worlds[::n_r]
+        ranks = iter(_ranks(v for w in heads for v in w.y))
+        ys = [tuple(islice(ranks, len(w.y))) for w in heads]
         picks = [_picker([reads.index(k) for k in w.r]) for w in worlds[:n_r]]
         return [pick(y) for y in ys for pick in picks]
     if isinstance(reads, tuple):  # a tuple orders by its parts in turn
