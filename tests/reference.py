@@ -1,0 +1,90 @@
+"""A deliberately naive ignore transformation, the reference the engine is
+checked against.
+
+Laws are dicts {world: Fraction}.  Compatibility sets are found by scanning
+the space, and each law is conditioned on them and re-mixed against a
+nuisance law by the paper's three policies.  Nothing is numbered, keyed or
+cached: worlds and values are compared by Python equality, so an input must
+not mix values that are equal across types (1 and Fraction(1), 1 and True).
+"""
+
+from fractions import Fraction
+
+from ignorability_lab.sampling import SurveyModel, WorldState
+
+
+def survey_family(m: SurveyModel) -> tuple:
+    """(space, {grid point: law}) of a survey model: every (y, z) of a
+    signal law with every mapping of a design, zero-probability worlds
+    included, and each point's joint law of (y, z) and then r given z."""
+    kernels = [m.design] if m.design is not None else [m.design_law[phi] for phi in m.phis]
+    yzs = list(dict.fromkeys(yz for theta in m.thetas for yz, _w in m.signal_law[theta].items))
+    mappings = list(dict.fromkeys(r for k in kernels for _z, delta in k.entries for r, _w in delta.items))
+    space = [WorldState(y, z, r) for y, z in yzs for r in mappings]
+    laws = {}
+    for theta, phi in m.grid:
+        kernel = m.design if phi is None else m.design_law[phi]
+        law = {}
+        for (y, z), w in m.signal_law[theta].items:
+            for r, wr in _design_at(kernel, z).items:
+                law[WorldState(y, z, r)] = law.get(WorldState(y, z, r), Fraction(0)) + w * wr
+        laws[theta, phi] = law
+    return space, laws
+
+
+def _design_at(kernel, z):
+    for value, delta in kernel.entries:
+        if value == z:
+            return delta
+    return kernel.rule(z)
+
+
+def phi_set(space, v, v_bar, b) -> list:
+    """The worlds whose v-value occurs somewhere on the space with the
+    nuisance value b."""
+    compatible = [v(w) for w in space if v_bar(w) == b]
+    return [w for w in space if v(w) in compatible]
+
+
+def ignore(space, points, laws, v, v_bar, policy, dist=None):
+    """{(point, nuisance index): {world: mass}} of the ignored family, or
+    the name of the engine error the case must raise.
+
+    `policy` is "dirac_fix", "single_arbitrary" (with `dist`, a dict on
+    nuisance values, or uniform on the image) or "marginal_family"."""
+    space = list(dict.fromkeys(space))
+    pairs = [(v(w), v_bar(w)) for w in space]
+    if any(pairs.count(pair) > 1 for pair in pairs):
+        return "NotAComplement"
+    image = list(dict.fromkeys(b for _a, b in pairs))
+    for p in points:
+        for b in image:
+            if not any(laws[p].get(w) for w in phi_set(space, v, v_bar, b)):
+                return "ZeroMassPhiSet"
+    if policy == "dirac_fix":
+        nuisances = [(p, b, {b: Fraction(1)}) for p in points for b in image]
+    elif policy == "single_arbitrary":
+        if dist is None:
+            dist = {b: Fraction(1, len(image)) for b in image}
+        if any(b not in image for b in dist):
+            return "ValueNotInImage"
+        nuisances = [(p, "arbitrary", dist) for p in points]
+    else:
+        nuisances = []
+        for p in points:
+            marginal = {}
+            for w, mass in laws[p].items():
+                marginal[v_bar(w)] = marginal.get(v_bar(w), Fraction(0)) + mass
+            nuisances.append((p, p, marginal))
+    out = {}
+    for p, index, nuisance in nuisances:
+        law = {}
+        for b, weight in nuisance.items():
+            phi = phi_set(space, v, v_bar, b)
+            total = sum(laws[p].get(w, Fraction(0)) for w in phi)
+            for w in phi:
+                if laws[p].get(w):
+                    target = next(u for u in space if (v(u), v_bar(u)) == (v(w), b))
+                    law[target] = law.get(target, Fraction(0)) + weight * laws[p][w] / total
+        out[p, index] = law
+    return out
