@@ -160,9 +160,6 @@ class FiniteDist:
     def event_mass(self, event: Callable) -> Fraction:
         return sum((w for o, w in self.items if event(o)), Fraction(0))
 
-    def to_mapping(self) -> dict:
-        return dict(self.items)
-
     def __len__(self) -> int:
         return len(self.items)
 

@@ -32,9 +32,7 @@ from .exactprob import (
     NonUnitMass,
     canonical_key,
     check_size,
-    dist_eq,
     point_mass,
-    pushforward,
     sorted_distinct,
     uniform,
 )
@@ -253,13 +251,12 @@ class SplitIndex:
 
 @dataclass(frozen=True)
 class ProcessSplit:
-    """A (v, v_bar) pair with its computed complement status, the world
-    support it was classified on and that support's index."""
+    """A (v, v_bar) pair with its computed complement status and the index
+    of the worlds it was classified on."""
 
     v: RandomVariableRef
     v_bar: RandomVariableRef
     status: str
-    support: tuple = field(compare=False)
     index: SplitIndex = field(compare=False, repr=False)
 
     def is_complement(self) -> bool:
@@ -290,11 +287,10 @@ def classify_split(
     the status: the split is a complement when distinct worlds give distinct
     (v, v_bar) pairs, and a distinct one when the pairs also fill the
     product of the two images."""
-    support = tuple(support)
-    return _classify(support, sorted_distinct(support), v, v_bar)
+    return _classify(sorted_distinct(support), v, v_bar)
 
 
-def _classify(support: tuple, worlds: tuple, v, v_bar, axes: tuple | None = None) -> ProcessSplit:
+def _classify(worlds: tuple, v, v_bar, axes: tuple | None = None) -> ProcessSplit:
     index = SplitIndex.build(worlds, v, v_bar, axes)
     pairs = len(index.world_of)
     if pairs < len(index.worlds):
@@ -303,7 +299,7 @@ def _classify(support: tuple, worlds: tuple, v, v_bar, axes: tuple | None = None
         status = DISTINCT_COMPLEMENT
     else:
         status = COMPLEMENT
-    return ProcessSplit(v=v, v_bar=v_bar, status=status, support=support, index=index)
+    return ProcessSplit(v=v, v_bar=v_bar, status=status, index=index)
 
 
 def phi_set(v_bar_value, split: ProcessSplit) -> tuple:
@@ -332,9 +328,11 @@ def atrandomize(
     the operator is idempotent there.
     """
     _require_complement(split)
+    index = split.index
+    ids = index.ids_of(P)
     if nuisance is None:
-        nuisance = pushforward(P, split.v_bar)
-    _d, sums = _integer_sums(split.index.ids_of(P), P, split.index.v_code)
+        nuisance = _marginal(ids, P, index.v_bar_code, index.v_bar_values)
+    _d, sums = _integer_sums(ids, P, index.v_code)
     return _atrandomize_ids(sums, split, nuisance)[1]
 
 
@@ -350,6 +348,13 @@ def _integer_sums(ids: tuple, law: FiniteDist, code: tuple) -> tuple:
         sums[0] += mass.numerator * (denominator // mass.denominator)
         sums[1] += 1
     return denominator, out
+
+
+def _marginal(ids: tuple, law: FiniteDist, code: tuple, values: tuple) -> FiniteDist:
+    """A law with atom `ids` pushed through a per-world `code` ordered as `values`."""
+    check_size(len(ids))
+    denominator, sums = _integer_sums(ids, law, code)
+    return FiniteDist(tuple((values[c], Fraction(sums[c][0], denominator)) for c in sorted(sums)))
 
 
 def _atrandomize_ids(sums: dict, split: ProcessSplit, nuisance: FiniteDist) -> tuple:
@@ -426,7 +431,8 @@ class Family:
     points), and ignoring a process produces another over the same world
     support (labels are (original label, nuisance index) pairs).
 
-    Worlds are numbered once: `worlds` lists them in canonical_key order,
+    Worlds are numbered once: `worlds` lists them in canonical_key order
+    (for a hand-built family, those of `space` and of the laws' atoms), and
     `ids[p]` numbers the atoms of `laws[p]`.  A survey model's family also
     keeps the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so
     that declared variables are coded per axis (see `_code`).  An ignored
@@ -435,23 +441,18 @@ class Family:
     class}) when points of one class have equal laws of v.
     """
 
-    def __init__(self, points, laws, obs_fns, support=None, space=None, flags=None, numbering=None, v_classes=None):
+    def __init__(self, points, laws, obs_fns, space=None, flags=None, numbering=None, v_classes=None):
         self.points = tuple(points)
         self.laws = dict(laws)
         self.obs_fns = dict(obs_fns)
         if numbering is None:  # a hand-built family: number its worlds here
+            # the measurable space may be larger than the union of supports:
+            # zero-probability worlds still shape complements and Phi-sets
             worlds = sorted_distinct([*(space or ()), *(w for p in self.points for w, _m in self.laws[p].items)])
             ids = {canonical_key(w): i for i, w in enumerate(worlds)}
             numbering = (worlds, {p: tuple(ids[canonical_key(w)] for w, _m in self.laws[p].items) for p in self.points}, {}, None)
         self.worlds, self.ids, self._coded, self.axes = numbering
         self.v_classes = v_classes
-        if support is None:
-            used = sorted({i for p in self.points for i in self.ids[p]})
-            support = self.worlds if len(used) == len(self.worlds) else [self.worlds[i] for i in used]
-        self.support = tuple(support)
-        # the measurable space may be larger than the union of supports:
-        # zero-probability worlds still shape complements and Phi-sets
-        self.space = tuple(space) if space is not None else self.support
         self.flags = dict(flags or {})
 
     @staticmethod
@@ -464,10 +465,9 @@ class Family:
         else:
             fns = dict.fromkeys(phis, _observation_rv(m, scheme))
         obs_fns = {point: fns[point[1]] for point in m.grid}
-        space = m.world_space(axes)
         flags = {"z_contains_y": m.z_contains_y}
-        numbering = (space, ids, {}, (len(axes[0]), len(axes[1])))
-        return Family(m.grid, laws, obs_fns, space=space, flags=flags, numbering=numbering)
+        numbering = (m.world_space(axes), ids, {}, (len(axes[0]), len(axes[1])))
+        return Family(m.grid, laws, obs_fns, flags=flags, numbering=numbering)
 
     def coded(self, var) -> tuple:
         """(world id -> code, code -> value, code -> canonical_key): `var`
@@ -488,17 +488,6 @@ class Family:
         v_code, classes = self.v_classes
         return classes if len(set(zip(v_code, code))) == len(set(v_code)) else {}
 
-    def code_sums(self, p, code: tuple) -> dict:
-        """{code: mass} of the law at p, summed by the per-world `code`."""
-        denominator, sums = _integer_sums(self.ids[p], self.laws[p], code)
-        return {c: Fraction(n, denominator) for c, (n, _atoms) in sums.items()}
-
-    def marginal(self, p, code: tuple, values: tuple) -> FiniteDist:
-        """The law at p pushed through a per-world `code` ordered as `values`."""
-        check_size(len(self.ids[p]))
-        sums = self.code_sums(p, code)
-        return FiniteDist(tuple((values[c], sums[c]) for c in sorted(sums)))
-
     @cached_property
     def _interned(self) -> tuple:
         """(observations, {key: code}, {point: {code: mass}}): every
@@ -508,7 +497,8 @@ class Family:
         raw = []  # per point: (code -> key, {code: mass}) in its function's codes
         for p in self.points:
             code, values, keys = self.coded(self.obs_fns[p])
-            masses = self.code_sums(p, code)
+            denominator, sums = _integer_sums(self.ids[p], self.laws[p], code)
+            masses = {c: Fraction(n, denominator) for c, (n, _atoms) in sums.items()}
             for c in masses:
                 keyed.setdefault(keys[c], values[c])
             raw.append((keys, masses))
@@ -520,6 +510,11 @@ class Family:
         """Every observation with positive mass at some point, in
         canonical_key order; the observation of code c is at position c."""
         return self._interned[0]
+
+    def observation_codes(self) -> dict:
+        """{canonical_key(observation): code} of every observation with
+        positive mass at some point, in code order."""
+        return self._interned[1]
 
     def observation_code(self, x) -> int | None:
         """Code of observation x; None when it has zero mass at every point."""
@@ -533,15 +528,12 @@ class Family:
 def make_split(
     family: Family, v: RandomVariableRef, v_bar: RandomVariableRef
 ) -> ProcessSplit:
-    """Classify (v, v_bar) on the family's world space.
+    """Classify (v, v_bar) on the family's worlds, indexed by their ids.
 
-    The space is model-global (never per parameter point) and structural:
-    it includes zero-probability worlds, so an almost-sure coupling such
-    as a deterministic selection does not change the complement status.
-    A space that is the family's numbering is indexed by its world ids."""
-    if family.space is family.worlds:
-        return _classify(family.space, family.worlds, v, v_bar, family.axes)
-    return classify_split(family.space, v, v_bar)
+    The worlds are model-global (never per parameter point) and structural:
+    they include zero-probability worlds, so an almost-sure coupling such
+    as a deterministic selection does not change the complement status."""
+    return _classify(family.worlds, v, v_bar, family.axes)
 
 
 def ignore_model(
@@ -552,14 +544,24 @@ def ignore_model(
     New labels are (original label, nuisance index) pairs; the nuisance
     index is the fixed value under dirac_fix, the marker "arbitrary" under
     single_arbitrary, and the donor label under marginal_family.  Requires
-    every original law to put positive mass on every compatibility set.
+    every original law to put positive mass on every compatibility set,
+    and a split classified elsewhere to be on the family's worlds.
     """
     _require_complement(split)
+    if split.index.worlds is not family.worlds:  # made elsewhere: map it once
+        for p in family.points:  # a law atom off the split's worlds raises
+            split.index.ids_of(family.laws[p])
+        theirs, ours = ({canonical_key(w): w for w in ws} for ws in (split.index.worlds, family.worlds))
+        odd = sorted(theirs.keys() ^ ours.keys())
+        if odd:
+            side, w = ("split", theirs[odd[0]]) if odd[0] in theirs else ("family", ours[odd[0]])
+            raise EngineError(
+                f"the split was classified on other worlds than the family's: {w!r} is a world of "
+                f"the {side} only; pass that support as Family(..., space=...) and split with make_split"
+            )
+        split = make_split(family, split.v, split.v_bar)
     index = split.index
-    # a split on the family's numbering reads its ids, another one keys
-    shared = index.worlds is family.worlds
-    ids = family.ids if shared else {p: index.ids_of(family.laws[p]) for p in family.points}
-    sums = {p: _integer_sums(ids[p], family.laws[p], index.v_code)[1] for p in family.points}
+    sums = {p: _integer_sums(family.ids[p], family.laws[p], index.v_code)[1] for p in family.points}
     for point in family.points:
         for code, value in enumerate(index.v_bar_values):
             if not any(a in sums[point] for a in index.compatible[code]):
@@ -591,9 +593,8 @@ def ignore_model(
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
         triples = [
-            (point, point, family.marginal(point, index.v_bar_code, index.v_bar_values)
-             if shared else pushforward(family.laws[point], split.v_bar))
-            for point in family.points
+            (p, p, _marginal(family.ids[p], family.laws[p], index.v_bar_code, index.v_bar_values))
+            for p in family.points
         ]
 
     points, laws, new_ids, obs_fns = [], {}, {}, {}
@@ -610,8 +611,8 @@ def ignore_model(
     }
     if policy.kind == SINGLE_ARBITRARY and policy.dist is None:
         flags["ignored"]["arbitrary_default"] = "uniform over the nuisance image"
-    numbering = (index.worlds, new_ids, *((family._coded, family.axes) if shared else ({}, None)))
-    return Family(points, laws, obs_fns, support=family.support, flags=flags, numbering=numbering, v_classes=v_classes)
+    numbering = (family.worlds, new_ids, family._coded, family.axes)
+    return Family(points, laws, obs_fns, flags=flags, numbering=numbering, v_classes=v_classes)
 
 
 @dataclass(frozen=True)
@@ -654,7 +655,7 @@ def target_values(target, family: Family) -> dict:
         for p in family.points:
             key = classes.get(p, p)
             if key not in by_class:
-                by_class[key] = target.fn(family.marginal(p, code, values))
+                by_class[key] = target.fn(_marginal(family.ids[p], family.laws[p], code, values))
             out[p] = by_class[key]
         return out
     if isinstance(target, ParameterFunction):
@@ -676,14 +677,10 @@ def transform_target(target, family: Family, ignored: Family):
         return target
     if isinstance(target, ParameterFunction):
         mapping = {}
-
-        def same(p, q) -> bool:  # on one numbering, equal ids and weights
-            if ignored.worlds is family.worlds:
-                return family.ids[p] == ignored.ids[q] and family.laws[p].weights() == ignored.laws[q].weights()
-            return dist_eq(family.laws[p], ignored.laws[q])
-
         for q in ignored.points:
-            matches = [p for p in family.points if same(p, q)]
+            # on the one numbering of both families: equal ids and weights
+            matches = [p for p in family.points if family.ids[p] == ignored.ids[q]
+                       and family.laws[p].weights() == ignored.laws[q].weights()]
             if not matches:
                 raise TargetNotTransformable(
                     f"ignored law at {q!r} equals no original law; the label "

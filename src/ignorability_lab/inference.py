@@ -84,9 +84,6 @@ class LikelihoodTable:
     x: object
     entries: tuple  # ((point, Fraction), ...)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
 
 def likelihood(family_or_model, x, scheme: ObservationScheme | None = None) -> LikelihoodTable:
     """Mass of {x} under the observation distribution of each grid point.
@@ -133,18 +130,18 @@ class EquivalenceResult:
     witnesses: tuple
 
 
-def _coarse_table(family: Family, values, rank: dict, xs) -> dict:
+def _coarse_table(family: Family, values, rank: dict, columns: dict, width: int) -> dict:
     """{value rank: row}: for each target value, the sup over its preimage
-    of the mass of each observation of `xs`, the likelihood of a coarsened
-    parameter.  `rank` numbers the target values by key."""
-    columns = {family.observation_code(o): j for j, o in enumerate(xs)}
+    of the mass of each compared observation, the likelihood of a coarsened
+    parameter.  `rank` numbers the target values by key, and `columns` maps
+    the family's observation codes to the `width` compared observations."""
     zero = Fraction(0)
     table = {}
     for p in family.points:
         v = rank[canonical_key(values[p])]
         row = table.get(v)
         if row is None:
-            row = table[v] = [zero] * len(xs)
+            row = table[v] = [zero] * width
         for code, mass in family.observation_table(p).items():
             j = columns.get(code)
             if j is not None and mass > row[j]:
@@ -175,11 +172,16 @@ def likelihood_equivalent(
     sides = tuple(zip((original, ignored), values))
     if x is not None:
         xs = (x,)
-    else:
-        xs = sorted_distinct(o for family, _values in sides for o in family.observation_support())
+        columns = [{family.observation_code(x): 0} for family in (original, ignored)]
+    else:  # merged from the interned keys; an observation of the original is its own
+        codes = [family.observation_codes() for family in (original, ignored)]
+        keys = sorted(codes[0].keys() | codes[1].keys())
+        xs = tuple(original.observation_support()[codes[0][k]] if k in codes[0]
+                   else ignored.observation_support()[codes[1][k]] for k in keys)
+        columns = [{table[k]: j for j, k in enumerate(keys) if k in table} for table in codes]
     reprs = sorted_distinct(values[p] for family, values in sides for p in family.points)
     rank = {canonical_key(v): i for i, v in enumerate(reprs)}
-    table_a, table_b = (_coarse_table(family, values, rank, xs) for family, values in sides)
+    table_a, table_b = (_coarse_table(family, values, rank, cols, len(xs)) for (family, values), cols in zip(sides, columns))
     zeros = [Fraction(0)] * len(xs)
     cells = (
         ((v, j), a, b)

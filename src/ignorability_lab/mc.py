@@ -150,10 +150,6 @@ class McReport:
     def cells_outside(self) -> int:
         return sum(1 for c in self.cells if not c.within)
 
-    @property
-    def all_within(self) -> bool:
-        return self.cells_outside == 0
-
 
 def compare_exact_vs_mc(
     m: SurveyModel,

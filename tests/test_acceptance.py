@@ -190,7 +190,7 @@ def test_criterion_03_select_max_informative():
 
         m = _select_max_model()
         obs = observation_distribution(m, "u", scheme=values_only())
-        assert obs.to_mapping() == oracle
+        assert dict(obs.items) == oracle
         marginal = {(1,): F(1, 2), (2,): F(1, 2)}
 
         target = MarginalFunctional("signal_law", signal_rv(), lambda d: d)
@@ -415,7 +415,7 @@ def test_criterion_08_atrandomize_algebra():
                 P = dist_new(list(zip(support, weights)))
                 got = atrandomize(P, split)
                 want = _oracle_atrandomize(dict(zip(support, weights)))
-                assert got.to_mapping() == want
+                assert dict(got.items) == want
                 if split.status == DISTINCT_COMPLEMENT:
                     margins = pushforward(P, first), pushforward(P, second)
                     produced = dist_new(
@@ -432,7 +432,7 @@ def test_criterion_08_atrandomize_algebra():
         # 4/9, 1/3, 2/9
         split = classify_split(((0, 0), (0, 1), (1, 0)), first, second)
         got = atrandomize(uniform([(0, 0), (0, 1), (1, 0)]), split)
-        assert got.to_mapping() == {
+        assert dict(got.items) == {
             (0, 0): F(4, 9),
             (0, 1): F(1, 3),
             (1, 0): F(2, 9),

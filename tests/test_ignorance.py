@@ -1,13 +1,16 @@
 """Complement machinery, compatibility sets, and the ignore transformation."""
 
 import importlib.util
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import reference
 from ignorability_lab.catalog import CATALOG
 from ignorability_lab.exactprob import (
+    EngineError,
     ModelTooLarge,
     bernoulli,
     canonical_key,
@@ -245,6 +248,46 @@ class TestIgnoreModel:
         with pytest.raises(WorldNotInSupport, match=r"\(1, 1\)"):
             ignore_model(fam, classify_split(THREE_POINT, first, second), policy())
 
+    @pytest.mark.parametrize("split_support, space, world", [
+        # the split has a world the family lacks
+        ((*SQUARE, (2, 0)), None, r"\(2, 0\) is a world of the split only"),
+        # the family's space has a zero-mass world the split lacks
+        (SQUARE, (*SQUARE, (2, 2)), r"\(2, 2\) is a world of the family only"),
+    ], ids=["split_only", "family_only"])
+    def test_split_on_other_worlds_is_refused(self, split_support, space, world):
+        fam = two_by_two_family()
+        fam = Family(fam.points, fam.laws, fam.obs_fns, space=space)
+        split = classify_split(split_support, first, second)
+        with pytest.raises(EngineError, match=world + r".*Family\(\.\.\., space=\.\.\.\).*make_split"):
+            ignore_model(fam, split, dirac_fix())
+
+    def test_space_and_make_split_match_the_reference(self):
+        # 400 random families on 2-9 pair supports under each policy: a
+        # support passed as the space and split by make_split ignores as the
+        # naive reference does on that support
+        rng = random.Random(20261018)
+        pairs = [(a, b) for a in range(3) for b in range(3)]
+        outcomes = set()
+        for _ in range(400):
+            support = sorted(rng.sample(pairs, rng.randint(2, 9)))
+            laws = {}
+            for p in ("p", "q"):
+                loads = [rng.randint(0, 9) for _ in support]
+                loads[rng.randrange(len(support))] += 1
+                laws[p] = {w: F(n, sum(loads)) for w, n in zip(support, loads) if n}
+            fam = Family(("p", "q"), {p: dist_new(list(law.items())) for p, law in laws.items()},
+                         {"p": first, "q": first}, space=support)
+            for policy in (dirac_fix, single_arbitrary, marginal_family):
+                want = reference.ignore(support, ("p", "q"), laws, first, second, policy().kind)
+                try:
+                    ignored = ignore_model(fam, make_split(fam, first, second), policy())
+                    got = {q: dict(ignored.laws[q].items) for q in ignored.points}
+                except ZeroMassPhiSet as err:
+                    got = type(err).__name__
+                assert got == want
+                outcomes.add(got if isinstance(got, str) else policy().kind)
+        assert outcomes == {"ZeroMassPhiSet", "dirac_fix", "single_arbitrary", "marginal_family"}
+
     def test_single_arbitrary_default_uniform(self):
         fam = two_by_two_family()
         split = make_split(fam, first, second)
@@ -323,7 +366,8 @@ class TestWorldNumbering:
             for j, r in enumerate(mappings):
                 assert space[i * len(mappings) + j] == WorldState(y, z, r)
         fam = Family.from_survey_model(m, build.scheme)
-        assert fam.worlds == space and fam.space is fam.worlds
+        assert fam.worlds == space
+        assert make_split(fam, build.v, build.v_bar).index.worlds is fam.worlds
         for theta, phi in m.grid:
             law = fam.laws[theta, phi]
             want = build_joint(m, theta, phi)

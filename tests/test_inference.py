@@ -173,17 +173,17 @@ class TestLikelihood:
             signal_law={F(1, 3): iid_signal_dist(U2, bernoulli(F(1, 3)))},
             design=constant(census(U2)),
         )
-        table = likelihood(m, ((1, 0), (1, 2)), values_and_mapping()).as_dict()
+        table = dict(likelihood(m, ((1, 0), (1, 2)), values_and_mapping()).entries)
         assert table[(F(1, 3), None)] == F(2, 9)
 
     def test_impossible_observation_all_zero(self):
         m = srs_model(U2, 1)
-        table = likelihood(m, ((1, 0), (2, 1)), values_and_mapping()).as_dict()
+        table = dict(likelihood(m, ((1, 0), (2, 1)), values_and_mapping()).entries)
         assert set(table.values()) == {F(0)}
 
     def test_mixture_worked_value(self):
         m = bernoulli_mixture_model()
-        table = likelihood(m, ((1,), (1,)), values_and_mapping()).as_dict()
+        table = dict(likelihood(m, ((1,), (1,)), values_and_mapping()).entries)
         assert table[(F(1, 2), F(1, 2))] == F(1, 8)
         assert table[(F(1, 3), F(1, 3))] == F(1, 18)
 

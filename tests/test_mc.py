@@ -119,7 +119,7 @@ class TestSampleWorld:
 class TestCompareExactVsMc:
     def test_single_draw_within_band(self):
         report = compare_exact_vs_mc(m=srs1_model(), theta=F(1, 2), draws=1, seed=0)
-        assert report.all_within or report.three_sigma_bound >= 0.5
+        assert report.cells_outside == 0 or report.three_sigma_bound >= 0.5
 
     def test_select_max_three_quarters(self):
         report = compare_exact_vs_mc(
@@ -128,7 +128,7 @@ class TestCompareExactVsMc:
         )
         cell = next(c for c in report.cells if c.outcome == (1,))
         assert cell.exact == F(3, 4)
-        assert report.all_within
+        assert report.cells_outside == 0
 
     def test_deterministic_model_zero_deviation(self):
         report = compare_exact_vs_mc(m=point_model(), theta="t", draws=500, seed=1)
