@@ -174,11 +174,10 @@ def likelihood_equivalent(
         xs = (x,)
         columns = [{family.observation_code(x): 0} for family in (original, ignored)]
     else:  # merged from the interned keys; an observation of the original is its own
-        codes = [family.observation_codes() for family in (original, ignored)]
-        keys = sorted(codes[0].keys() | codes[1].keys())
-        xs = tuple(original.observation_support()[codes[0][k]] if k in codes[0]
-                   else ignored.observation_support()[codes[1][k]] for k in keys)
-        columns = [{table[k]: j for j, k in enumerate(keys) if k in table} for table in codes]
+        (xa, ca), (xb, cb) = ((f.observation_support(), f.observation_codes()) for f in (original, ignored))
+        keys = sorted(ca.keys() | cb.keys())
+        xs = tuple(xa[ca[k]] if k in ca else xb[cb[k]] for k in keys)
+        columns = [{table[k]: j for j, k in enumerate(keys) if k in table} for table in (ca, cb)]
     reprs = sorted_distinct(values[p] for family, values in sides for p in family.points)
     rank = {canonical_key(v): i for i, v in enumerate(reprs)}
     table_a, table_b = (_coarse_table(family, values, rank, cols, len(xs)) for (family, values), cols in zip(sides, columns))
