@@ -85,7 +85,7 @@ def main() -> int:
                     if name != "6.2" and audit.counterexample():
                         counterexamples.append((thetas, phis, x, name))
     elapsed = time.monotonic() - start
-    print(f"models audited over {audits} observations in {elapsed:.1f}s\n")
+    print(f"models audited over {audits} observations in {elapsed * 1000:.0f} ms\n")
     print("theorem  hyp-true  hyp&concl  concl-true  total")
     for name in THEOREMS:
         hh, hc, ch, total = stats[name]

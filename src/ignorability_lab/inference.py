@@ -423,11 +423,12 @@ class RubinContext:
     mappings by rank (mappings are ranked as the rows meet them; a row is
     built once per design law object, so a constant design builds one, and
     rows with equal masses are one tuple), the `oar` flag per mapping rank
-    (it does not depend on the observed values) and the theta marginals as
-    masses per signal id.  Nothing is kept per observed value, and an
-    observed mapping is keyed by `canonical_key` at every query.  A query
-    that raises keeps no entry, so a later query raises what a fresh
-    context would, in the same order."""
+    (it does not depend on the observed values), the theta marginals as
+    masses per signal id, the audit's joints with their support sizes, and
+    the 6.x flags of the audit per mapping.  Nothing is kept per observed
+    value, and an observed mapping is keyed by `canonical_key` at every
+    query.  A query that raises keeps no entry, so a later query raises
+    what a fresh context would, in the same order."""
 
     def __init__(self, m: SurveyModel):
         self.model = m
@@ -444,6 +445,7 @@ class RubinContext:
         self._mapping_rank = {}  # canonical_key(mapping) -> rank
         self._oar = {}  # mapping rank -> flag
         self._tables = None
+        self._flags = {}  # canonical_key(mapping) -> its 6.x flags
 
     def _id_of(self, y) -> int:
         return sum(self._rank[canonical_key(v)] * w for v, w in zip(y, self._weights))
@@ -506,6 +508,7 @@ class RubinContext:
         or None when one unit was drawn with two different values
         (impossible x).  They follow from the drawn values and the id
         offsets of the units not drawn, so no other signal is looked at."""
+        self._z_of()  # z must be a function of y before any unit is looked up
         fixed = {}
         for v, k in zip(values, mapping):
             vk = canonical_key(v)
@@ -519,13 +522,14 @@ class RubinContext:
         return [base + o for o in self._offsets(free)]
 
     def _constant(self, mk, ids) -> bool:
-        """Whether mapping mk has one mass across the signals `ids` at every phi."""
+        """Whether mapping mk has one mass across the signals `ids` at every
+        phi; rows are interned, so each distinct row is read once."""
         kept = self._rows
         for p in range(len(self.phis)):
             start = p * self._size
-            rows = [kept[start + j] or self._row(p, j) for j in ids]  # a row is never empty
+            rows = {id(r): r for r in (kept[start + j] or self._row(p, j) for j in ids)}
             rank = self._mapping_rank.get(mk)  # rows may have ranked mk
-            if rank is not None and len({row[rank] if rank < len(row) else 0 for row in rows}) > 1:
+            if rank is not None and len(rows) > 1 and len({_mass(r, rank) for r in rows.values()}) > 1:
                 return False
         return True
 
@@ -533,9 +537,8 @@ class RubinContext:
         """Missing at random at the observed (values, mapping): for every
         nuisance point, one selection mass of the observed mapping across
         every signal that agrees with the observed values."""
-        values, mapping = tuple(x[0]), tuple(x[1])
-        self._z_of()  # z must be a function of y before any unit is looked up
-        ids = self._agreeing(values, mapping)
+        mapping = tuple(x[1])
+        ids = self._agreeing(tuple(x[0]), mapping)
         return ids is None or self._constant(canonical_key(mapping), ids)
 
     def oar(self, x) -> bool:
@@ -563,12 +566,12 @@ class RubinContext:
         return [[o + i for i in inside] for o in self._offsets(outside)]
 
     def _audit_tables(self) -> tuple:
-        """(distinct flag, {theta: mass per signal id}, {grid point: joint});
-        a joint is its (signal id, mass of y, selection row) rows.  The flag
-        and the marginals are kept; the joints are rows already kept, so
-        they are put together anew at each call."""
-        m = self.model
+        """(distinct flag, {theta: mass per signal id}, {grid point: joint}),
+        built on the first call and kept; a joint is its (signal id, mass of
+        y, selection row) rows.  The support size of each joint is kept too
+        and checked against the cap at every call."""
         if self._tables is None:
+            m = self.model
             distinct = check_distinct(m.grid) if m.phis else True
             marginals = {}
             for t in m.thetas:
@@ -577,35 +580,24 @@ class RubinContext:
                     j = self._id_of(y)
                     masses[j] = masses[j] + w if masses[j] else w  # the law's own masses kept
                 marginals[t] = tuple(masses)
-            self._tables = (distinct, marginals)
-        distinct, marginals = self._tables
-        joints = {}
-        for t, phi in m.grid:
-            p = self.phis.index(phi)
-            rows = [(j, w, self._row(p, j)) for j, w in enumerate(marginals[t]) if w]
-            check_size(sum(len(row) - row.count(0) for _j, _w, row in rows))
-            joints[t, phi] = rows
-        return distinct, marginals, joints
+            joints, sizes = {}, []
+            for t, phi in m.grid:
+                p = self.phis.index(phi)
+                rows = joints[t, phi] = [(j, w, self._row(p, j)) for j, w in enumerate(marginals[t]) if w]
+                sizes.append(sum(len(row) - row.count(0) for _j, _w, row in rows))
+                check_size(sizes[-1])
+            self._tables = (distinct, marginals, joints), sizes
+        for size in self._tables[1]:
+            check_size(size)
+        return self._tables[0]
 
-    def audit(self, x) -> RubinAuditReport:
-        """Evaluate hypotheses and conclusions of the classical missing-data
-        theorems at x by exact enumeration; records the pairs, asserts
-        nothing.  The statistic is the identity on (observed values,
-        mapping), the finest one, so its distributional equality is
-        equivalent to equality for every statistic."""
-        values, mapping = tuple(x[0]), tuple(x[1])
-        if len(set(mapping)) != len(mapping):
-            raise NotRubinShape("the observed mapping repeats a unit")
-        mar, oar = self.mar(x), self.oar(x)
-        distinct, marginals, joints = self._audit_tables()
-        mk = canonical_key(mapping)
+    def _mapping_flags(self, mapping, mk) -> tuple:
+        """(6.1 conclusion, 6.2 condition, 6.2 conclusion, 6.3 hypothesis,
+        6.3 conclusion) at an observed mapping.  They read the mapping and
+        the kept audit tables only, so they are kept per mapping."""
+        _distinct, marginals, joints = self._tables[0]
+        rank = self._mapping_rank.get(mk)  # every joint row is built
         at = [self.model.population.index(k) for k in mapping]
-        # the signals that agree with x, and their selection rows per phi
-        ids = self._agreeing(values, mapping)
-        completions = ids or []
-        phis = range(len(self.phis))
-        completion_rows = [[self._row(p, j) for j in completions] for p in phis]
-        rank = self._mapping_rank.get(mk)  # every row of this audit is built
         # signal id -> its values along the observed mapping, as digits
         base, weights = self._base, self._weights
         seen = {
@@ -642,11 +634,32 @@ class RubinContext:
             elif {part: w / k_mass for part, w in hits.items()} != law:
                 concl_61 = concl_62 = False
             concl_63 = concl_63 and k_mass == 1 and hits == law
+        return self._flags.setdefault(mk, (concl_61, cond_62, concl_62, hyp_63, concl_63))
+
+    def audit(self, x) -> RubinAuditReport:
+        """Evaluate hypotheses and conclusions of the classical missing-data
+        theorems at x by exact enumeration; records the pairs, asserts
+        nothing.  The statistic is the identity on (observed values,
+        mapping), the finest one, so its distributional equality is
+        equivalent to equality for every statistic."""
+        values, mapping = tuple(x[0]), tuple(x[1])
+        if len(set(mapping)) != len(mapping):
+            raise NotRubinShape("the observed mapping repeats a unit")
+        # the signals that agree with x, shared by MAR and the likelihoods
+        ids = self._agreeing(values, mapping)
+        mk = canonical_key(mapping)
+        mar = ids is None or self._constant(mk, ids)
+        oar = self.oar(x)
+        distinct, marginals, _joints = self._audit_tables()
+        completions = ids or []
+        thetas, phis = self.model.thetas, self.phis
+        completion_rows = [[self._row(p, j) for j in completions] for p in range(len(phis))]
+        concl_61, cond_62, concl_62, hyp_63, concl_63 = self._flags.get(mk) or self._mapping_flags(mapping, mk)
+        rank = self._mapping_rank.get(mk)  # every row of this audit is built
 
         # Likelihoods for 7.x: marginal of the observed values, and joint mass
         # of (values, mapping), both by exact summation over the signals that
         # agree with x; one of each per theta and per (theta, phi).
-        thetas, phis = self.model.thetas, self.phis
         selection = {
             phi: [_mass(row, rank) for row in rows] for phi, rows in zip(phis, completion_rows)
         }

@@ -472,6 +472,24 @@ class TestAuditRubin:
         assert len(contexts) == 1
         assert builds == [len(contexts[0].model.grid)]
 
+    def test_mapping_flags_built_once_per_mapping(self, capsys, models, monkeypatch):
+        # the 6.x flags read only the observed mapping: srs_wor_n3 has 24
+        # observations over 6 mappings (ordered pairs of 3 units)
+        from ignorability_lab.inference import RubinContext
+
+        mappings = []
+        real = RubinContext._mapping_flags
+
+        def counting(self, mapping, mk):
+            mappings.append(mapping)
+            return real(self, mapping, mk)
+
+        monkeypatch.setattr(RubinContext, "_mapping_flags", counting)
+        code, out, _ = run(capsys, ["audit-rubin", models["srs_wor_n3"], "--json"])
+        assert code == 0
+        assert json.loads(out)["observations"] == 24
+        assert len(set(mappings)) == len(mappings) == 6
+
 
 class TestMcVerify:
     def test_small_run(self, capsys, models):

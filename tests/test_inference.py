@@ -11,9 +11,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from test_axes import survey_models
+
 from ignorability_lab.exactprob import (
     EngineError,
     Kernel,
+    ModelTooLarge,
     bernoulli,
     condition,
     dist_eq,
@@ -49,6 +52,7 @@ from ignorability_lab.inference import (
     INFORMATIVE,
     LIKELIHOOD_BASED,
     NotRubinShape,
+    RubinAuditReport,
     RubinContext,
     ZeroEvidence,
     check_distinct,
@@ -569,6 +573,33 @@ class TestSharedRubinContext:
                 else:
                     want = _answer(lambda: getattr(RubinContext(m), kind)(x))
                 assert got == want, (kind, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(survey_models(), st.data())
+    def test_random_models_audit_as_a_fresh_context(self, case, data):
+        # every positive-mass observation, in a drawn order, on the model's
+        # one context: each answer is a fresh context's at that observation
+        # alone, and no theorem the audit claims has a counterexample
+        m, _scheme, _policy = case
+        scheme = values_and_mapping()
+        rubin = prepare_rubin(m, scheme)
+        support = Family.from_survey_model(m, scheme).observation_support()
+        for x in data.draw(st.permutations(support)):
+            got = _answer(lambda: rubin.audit(x))
+            assert got == _answer(lambda: RubinContext(dataclasses.replace(m)).audit(x)), x
+            if isinstance(got, RubinAuditReport):
+                assert dict(got.audit("6.2").notes)["iff"] is True, x
+                assert not any(a.counterexample() for a in got.audits if a.theorem != "6.2"), x
+
+    def test_kept_tables_still_check_the_support_cap(self, monkeypatch):
+        # the second audit of a mapping reads only kept tables and flags;
+        # a cap lowered in between still stops it
+        rubin = prepare_rubin(rubin_model({"u": uniform_subsets}), values_and_mapping())
+        x = ((1,), (1,))
+        rubin.audit(x)
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "15")
+        with pytest.raises(ModelTooLarge, match="support of size 16 exceeds cap 15"):
+            rubin.audit(x)
 
     def test_one_row_per_design_law_object(self):
         # a constant design gives every signal one law object, so one row is
