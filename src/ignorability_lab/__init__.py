@@ -6,15 +6,11 @@ from .exactprob import (
     Kernel,
     bernoulli,
     condition,
-    dist_eq,
     dist_new,
     expectation,
-    joint,
-    mix,
     point_mass,
     product,
     pushforward,
-    total_variation,
     uniform,
 )
 from .sampling import (
@@ -49,7 +45,6 @@ from .ignorance import (
     ParameterFunction,
     Predictand,
     atrandomize,
-    classify_split,
     dirac_fix,
     ignore_model,
     make_split,
@@ -66,7 +61,6 @@ from .inference import (
     check_oar,
     classify,
     default_estimator,
-    likelihood,
     likelihood_equivalent,
     posterior_equivalent,
     prepare,

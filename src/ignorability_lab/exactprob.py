@@ -291,26 +291,6 @@ class Kernel:
         return (4, "Kernel", canonical_key(tuple(self.entries)))
 
 
-def mix(outer: FiniteDist, k: Kernel) -> FiniteDist:
-    """Compound distribution: weight(b) = sum_a outer(a) * k(a)(b)."""
-    pairs = []
-    for a, w in outer.items:
-        inner = k.get(a)
-        check_size(len(pairs) + len(inner.items), "mixture support")
-        pairs.extend((b, w * wb) for b, wb in inner.items)
-    return dist_new(pairs)
-
-
-def joint(outer: FiniteDist, k: Kernel) -> FiniteDist:
-    """Joint distribution of (a, b) with a ~ outer and b ~ k(a)."""
-    pairs = []
-    for a, w in outer.items:
-        inner = k.get(a)
-        check_size(len(pairs) + len(inner.items), "joint support")
-        pairs.extend(((a, b), w * wb) for b, wb in inner.items)
-    return dist_new(pairs)
-
-
 def product(a: FiniteDist, b: FiniteDist) -> FiniteDist:
     """Independent product on pairs; both marginals recover the factors."""
     check_size(len(a.items) * len(b.items), "product support")
@@ -321,21 +301,3 @@ def product(a: FiniteDist, b: FiniteDist) -> FiniteDist:
 
 def expectation(d: FiniteDist, f: Callable) -> Fraction:
     return sum((as_rational(f(o)) * w for o, w in d.items), Fraction(0))
-
-
-def dist_eq(a: FiniteDist, b: FiniteDist) -> bool:
-    """Structural equality of canonical forms."""
-    ka = tuple((canonical_key(o), w) for o, w in a.items)
-    kb = tuple((canonical_key(o), w) for o, w in b.items)
-    return ka == kb
-
-
-def total_variation(a: FiniteDist, b: FiniteDist) -> Fraction:
-    ma = {canonical_key(o): w for o, w in a.items}
-    mb = {canonical_key(o): w for o, w in b.items}
-    keys = set(ma) | set(mb)
-    diff = sum(
-        (abs(ma.get(k, Fraction(0)) - mb.get(k, Fraction(0))) for k in keys),
-        Fraction(0),
-    )
-    return diff / 2

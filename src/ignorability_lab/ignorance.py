@@ -278,30 +278,6 @@ def variation_independent(h: Callable, h_prime: Callable, support: Iterable) -> 
     return len(pairs) == len(left) * len(right)
 
 
-def classify_split(
-    support: Iterable, v: RandomVariableRef, v_bar: RandomVariableRef
-) -> ProcessSplit:
-    """Compute the complement status of (v, v_bar) on a world support.
-
-    The index numbers the distinct worlds in canonical_key order and decides
-    the status: the split is a complement when distinct worlds give distinct
-    (v, v_bar) pairs, and a distinct one when the pairs also fill the
-    product of the two images."""
-    return _classify(sorted_distinct(support), v, v_bar)
-
-
-def _classify(worlds: tuple, v, v_bar, axes: tuple | None = None) -> ProcessSplit:
-    index = SplitIndex.build(worlds, v, v_bar, axes)
-    pairs = len(index.world_of)
-    if pairs < len(index.worlds):
-        status = NOT_COMPLEMENT
-    elif pairs == len(set(index.v_code)) * len(index.v_bar_values):
-        status = DISTINCT_COMPLEMENT
-    else:
-        status = COMPLEMENT
-    return ProcessSplit(v=v, v_bar=v_bar, status=status, index=index)
-
-
 def phi_set(v_bar_value, split: ProcessSplit) -> tuple:
     """Compatibility set for a nuisance value: all worlds whose v-value
     co-occurs (somewhere on the support) with that nuisance value, in
@@ -528,12 +504,25 @@ class Family:
 def make_split(
     family: Family, v: RandomVariableRef, v_bar: RandomVariableRef
 ) -> ProcessSplit:
-    """Classify (v, v_bar) on the family's worlds, indexed by their ids.
+    """Classify (v, v_bar) on the family's worlds, indexed by their ids;
+    the one way to split.  A bare support is split as
+    `make_split(Family((), {}, {}, space=support), v, v_bar)`.
 
     The worlds are model-global (never per parameter point) and structural:
     they include zero-probability worlds, so an almost-sure coupling such
-    as a deterministic selection does not change the complement status."""
-    return _classify(family.worlds, v, v_bar, family.axes)
+    as a deterministic selection does not change the complement status.
+    The split is a complement when distinct worlds give distinct (v, v_bar)
+    pairs, and a distinct one when the pairs also fill the product of the
+    two images."""
+    index = SplitIndex.build(family.worlds, v, v_bar, family.axes)
+    pairs = len(index.world_of)
+    if pairs < len(index.worlds):
+        status = NOT_COMPLEMENT
+    elif pairs == len(set(index.v_code)) * len(index.v_bar_values):
+        status = DISTINCT_COMPLEMENT
+    else:
+        status = COMPLEMENT
+    return ProcessSplit(v=v, v_bar=v_bar, status=status, index=index)
 
 
 def ignore_model(
@@ -545,21 +534,12 @@ def ignore_model(
     index is the fixed value under dirac_fix, the marker "arbitrary" under
     single_arbitrary, and the donor label under marginal_family.  Requires
     every original law to put positive mass on every compatibility set,
-    and a split classified elsewhere to be on the family's worlds.
+    and the split to be made by `make_split` on this family's worlds tuple,
+    which an ignored family shares with its original.
     """
     _require_complement(split)
-    if split.index.worlds is not family.worlds:  # made elsewhere: map it once
-        for p in family.points:  # a law atom off the split's worlds raises
-            split.index.ids_of(family.laws[p])
-        theirs, ours = ({canonical_key(w): w for w in ws} for ws in (split.index.worlds, family.worlds))
-        odd = sorted(theirs.keys() ^ ours.keys())
-        if odd:
-            side, w = ("split", theirs[odd[0]]) if odd[0] in theirs else ("family", ours[odd[0]])
-            raise EngineError(
-                f"the split was classified on other worlds than the family's: {w!r} is a world of "
-                f"the {side} only; pass that support as Family(..., space=...) and split with make_split"
-            )
-        split = make_split(family, split.v, split.v_bar)
+    if split.index.worlds is not family.worlds:
+        raise EngineError("the split was not made on this family; split it with make_split(family, v, v_bar)")
     index = split.index
     sums = {p: _integer_sums(family.ids[p], family.laws[p], index.v_code)[1] for p in family.points}
     for point in family.points:

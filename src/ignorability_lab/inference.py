@@ -51,7 +51,6 @@ from .sampling import (
     SurveyModel,
     VALUES_AND_MAPPING,
     VALUES_MAPPING_DESIGN,
-    validate_observation,
     values_and_mapping,
 )
 
@@ -75,43 +74,6 @@ BAYESIAN = "bayes"
 
 IGNORABLE = "ignorable"
 INFORMATIVE = "informative"
-
-
-@dataclass(frozen=True)
-class LikelihoodTable:
-    """Exact likelihood of each family point for a fixed observation."""
-
-    x: object
-    entries: tuple  # ((point, Fraction), ...)
-
-
-def likelihood(family_or_model, x, scheme: ObservationScheme | None = None) -> LikelihoodTable:
-    """Mass of {x} under the observation distribution of each grid point.
-
-    A malformed x (wrong shape for the scheme, values outside the
-    alphabet) is rejected.  A well-formed x outside the observation
-    support gets a zero table here; the `check` command rejects such an x
-    as an input error before any equivalence test runs.  That rule is
-    judged on the original model, so an x that only the ignored family
-    makes possible is an input error too."""
-    if isinstance(family_or_model, SurveyModel) and scheme is not None:
-        validate_observation(family_or_model, scheme, x)
-    family = _as_family(family_or_model, scheme)
-    code = family.observation_code(x)
-    entries = tuple(
-        (p, family.observation_table(p).get(code, Fraction(0))) for p in family.points
-    )
-    return LikelihoodTable(x=x, entries=entries)
-
-
-def _as_family(obj, scheme):
-    if isinstance(obj, Family):
-        return obj
-    if isinstance(obj, SurveyModel):
-        if scheme is None:
-            raise EngineError("an observation scheme is required with a model")
-        return Family.from_survey_model(obj, scheme)
-    raise EngineError(f"expected a Family or SurveyModel, got {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -568,8 +530,8 @@ class RubinContext:
     def _audit_tables(self) -> tuple:
         """(distinct flag, {theta: mass per signal id}, {grid point: joint}),
         built on the first call and kept; a joint is its (signal id, mass of
-        y, selection row) rows.  The support size of each joint is kept too
-        and checked against the cap at every call."""
+        y, selection row) rows.  The largest support size of the joints is
+        kept too and checked against the cap once per call."""
         if self._tables is None:
             m = self.model
             distinct = check_distinct(m.grid) if m.phis else True
@@ -580,15 +542,15 @@ class RubinContext:
                     j = self._id_of(y)
                     masses[j] = masses[j] + w if masses[j] else w  # the law's own masses kept
                 marginals[t] = tuple(masses)
-            joints, sizes = {}, []
+            joints, largest = {}, 0
             for t, phi in m.grid:
                 p = self.phis.index(phi)
                 rows = joints[t, phi] = [(j, w, self._row(p, j)) for j, w in enumerate(marginals[t]) if w]
-                sizes.append(sum(len(row) - row.count(0) for _j, _w, row in rows))
-                check_size(sizes[-1])
-            self._tables = (distinct, marginals, joints), sizes
-        for size in self._tables[1]:
-            check_size(size)
+                size = sum(len(row) - row.count(0) for _j, _w, row in rows)
+                check_size(size)
+                largest = max(largest, size)
+            self._tables = (distinct, marginals, joints), largest
+        check_size(self._tables[1])
         return self._tables[0]
 
     def _mapping_flags(self, mapping, mk) -> tuple:
@@ -726,8 +688,10 @@ def check_mar(
 ) -> bool:
     """Missing at random at x; the uniform variant requires the local
     condition at every positive-mass observation."""
+    if variant not in ("local", "uniform"):
+        raise EngineError(f"unknown MAR variant {variant!r}; expected 'local' or 'uniform'")
     scheme = scheme or values_and_mapping()
-    if variant != "uniform":
+    if variant == "local":
         return prepare_rubin(m, scheme).mar(x)
     observations = Family.from_survey_model(m, scheme).observation_support()
     rubin = prepare_rubin(m, scheme)
@@ -881,20 +845,16 @@ class PreparedCheck:
 
 def prepare(
     m: SurveyModel,
-    split,
+    split: tuple,
     scheme: ObservationScheme,
     target,
     policy: NuisancePolicy,
 ) -> PreparedCheck:
-    """Build the original family, classify the split on its world space,
-    ignore the nuisance process under the policy and carry the target
-    across.  `split` is a ProcessSplit or a (v, v_bar) pair."""
+    """Build the original family, split it by the (v, v_bar) pair with
+    `make_split`, ignore the nuisance process under the policy and carry
+    the target across."""
     family = Family.from_survey_model(m, scheme)
-    if isinstance(split, ProcessSplit):
-        proc_split = split
-    else:
-        v, v_bar = split
-        proc_split = make_split(family, v, v_bar)
+    proc_split = make_split(family, *split)
     ignored = ignore_model(family, proc_split, policy)
     target_star = transform_target(target, family, ignored)
     return PreparedCheck(

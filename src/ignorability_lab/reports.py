@@ -18,11 +18,7 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from .exactprob import FiniteDist
-from .inference import (
-    ClassificationReport,
-    LikelihoodTable,
-    RubinAuditReport,
-)
+from .inference import ClassificationReport, RubinAuditReport
 from .mc import McReport
 from .sampling import WorldState
 
@@ -253,16 +249,6 @@ def emit_report(report, json_form: bool = False) -> str:
         payload, human = mc_payload(report), mc_human(report)
     elif isinstance(report, RubinAuditReport):
         payload, human = rubin_payload(report), rubin_human(report)
-    elif isinstance(report, LikelihoodTable):
-        payload = {
-            "type": "likelihood",
-            "x": to_jsonable(report.x),
-            "entries": [[to_jsonable(p), to_jsonable(v)] for p, v in report.entries],
-        }
-        human = _aligned(
-            [["point", "likelihood"]]
-            + [[_compact(p), _frac(v)] for p, v in report.entries]
-        )
     elif isinstance(report, dict):
         payload, human = report, _aligned([[k, _compact(v)] for k, v in report.items()])
     else:

@@ -1,15 +1,22 @@
-"""A deliberately naive ignore transformation, the reference the engine is
-checked against.
+"""A deliberately naive ignore transformation and likelihood test, the
+reference the engine is checked against.
 
 Laws are dicts {world: Fraction}.  Compatibility sets are found by scanning
 the space, and each law is conditioned on them and re-mixed against a
-nuisance law by the paper's three policies.  Nothing is numbered, keyed or
-cached: worlds and values are compared by Python equality, so an input must
-not mix values that are equal across types (1 and Fraction(1), 1 and True).
+nuisance law by the paper's three policies.  Likelihood tables are read off
+the laws by summing the mass of each observation.  Nothing is numbered,
+keyed or cached: worlds and values are compared by Python equality, so an
+input must not mix values that are equal across types (1 and Fraction(1),
+1 and True).
+
+`dist_eq` and `split_on` at the end are shorthands for the tests over the
+engine's own entries; the reference functions do not use them.
 """
 
 from fractions import Fraction
 
+from ignorability_lab.exactprob import canonical_key
+from ignorability_lab.ignorance import Family, make_split
 from ignorability_lab.sampling import SurveyModel, WorldState
 
 
@@ -88,3 +95,59 @@ def ignore(space, points, laws, v, v_bar, policy, dist=None):
                     law[target] = law.get(target, Fraction(0)) + weight * laws[p][w] / total
         out[p, index] = law
     return out
+
+
+def likelihood_table(laws, obs, values, xs) -> dict:
+    """{target value: [likelihood of each x in xs]}: for each target value,
+    the sup over its preimage of the mass each point's law puts on x.
+    `laws`, `obs` (a world function) and `values` are per point."""
+    table = {}
+    for p, law in laws.items():
+        masses = {}
+        for w, mass in law.items():
+            x = obs[p](w)
+            masses[x] = masses.get(x, Fraction(0)) + mass
+        row = table.setdefault(values[p], [Fraction(0)] * len(xs))
+        for j, x in enumerate(xs):
+            row[j] = max(row[j], masses.get(x, Fraction(0)))
+    return table
+
+
+def likelihood_equivalent(original, ignored, x=None):
+    """(equivalent, alpha) of the likelihood test between two families,
+    each given as (laws, obs, values), or "EmptyTables" when no cell of
+    either table is positive.  The tables must be proportional with one
+    alpha > 0, jointly over every observation of positive mass in either
+    family (x None, uniform) or at x alone (local)."""
+    if x is None:
+        xs = []
+        for laws, obs, _values in (original, ignored):
+            for p, law in laws.items():
+                for w, mass in law.items():
+                    if mass and obs[p](w) not in xs:
+                        xs.append(obs[p](w))
+    else:
+        xs = [x]
+    a, b = (likelihood_table(*family, xs) for family in (original, ignored))
+    zeros = [Fraction(0)] * len(xs)
+    ratios = set()
+    for value in a.keys() | b.keys():
+        for mass_a, mass_b in zip(a.get(value, zeros), b.get(value, zeros)):
+            if mass_a == 0 and mass_b == 0:
+                continue
+            if mass_a == 0 or mass_b == 0:
+                return False, None
+            ratios.add(mass_b / mass_a)
+    if not ratios:
+        return "EmptyTables"
+    return (True, ratios.pop()) if len(ratios) == 1 else (False, None)
+
+
+def dist_eq(a, b) -> bool:
+    """The engine's law equality: equal canonical forms."""
+    return canonical_key(a) == canonical_key(b)
+
+
+def split_on(support, v, v_bar):
+    """`make_split` on a bare support: a family with no points over it."""
+    return make_split(Family((), {}, {}, space=support), v, v_bar)

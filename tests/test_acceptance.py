@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference import dist_eq, split_on
 from ignorability_lab.catalog import CATALOG
 from ignorability_lab.designs import (
     census,
@@ -31,7 +32,6 @@ from ignorability_lab.exactprob import (
     bernoulli,
     canonical_key,
     condition,
-    dist_eq,
     dist_new,
     point_mass,
     pushforward,
@@ -43,7 +43,6 @@ from ignorability_lab.ignorance import (
     MarginalFunctional,
     RandomVariableRef,
     atrandomize,
-    classify_split,
     composite_rv,
     design_variable_rv,
     dirac_fix,
@@ -410,7 +409,7 @@ def test_criterion_08_atrandomize_algebra():
         }
         checked = 0
         for support in supports:
-            split = classify_split(support, first, second)
+            split = split_on(support, first, second)
             for weights in weight_patterns[len(support)]:
                 P = dist_new(list(zip(support, weights)))
                 got = atrandomize(P, split)
@@ -430,7 +429,7 @@ def test_criterion_08_atrandomize_algebra():
                 checked += 1
         # the worked three-point table: uniform weights redistribute to
         # 4/9, 1/3, 2/9
-        split = classify_split(((0, 0), (0, 1), (1, 0)), first, second)
+        split = split_on(((0, 0), (0, 1), (1, 0)), first, second)
         got = atrandomize(uniform([(0, 0), (0, 1), (1, 0)]), split)
         assert dict(got.items) == {
             (0, 0): F(4, 9),

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference import dist_eq
 from ignorability_lab.exactprob import (
-    dist_eq,
     dist_new,
     point_mass,
     pushforward,

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 
 from test_axes import survey_models
 
+from reference import dist_eq
 from ignorability_lab.exactprob import (
     EngineError,
     Kernel,
     ModelTooLarge,
     bernoulli,
     condition,
-    dist_eq,
     dist_new,
     expectation,
     point_mass,
@@ -60,7 +60,6 @@ from ignorability_lab.inference import (
     check_oar,
     classify,
     default_estimator,
-    likelihood,
     likelihood_equivalent,
     posterior_equivalent,
     prepare_rubin,
@@ -169,6 +168,12 @@ def signal_law_target():
     return MarginalFunctional("signal_law", signal_rv(), lambda d: d)
 
 
+def likelihood_table(m, x, scheme=values_and_mapping()):
+    """{grid point: mass of x} from the family's observation tables."""
+    family = Family.from_survey_model(m, scheme)
+    return {p: family.observation_table(p).get(family.observation_code(x), 0) for p in family.points}
+
+
 class TestLikelihood:
     def test_census_product_mass(self):
         m = SurveyModel.create(
@@ -177,17 +182,17 @@ class TestLikelihood:
             signal_law={F(1, 3): iid_signal_dist(U2, bernoulli(F(1, 3)))},
             design=constant(census(U2)),
         )
-        table = dict(likelihood(m, ((1, 0), (1, 2)), values_and_mapping()).entries)
+        table = likelihood_table(m, ((1, 0), (1, 2)))
         assert table[(F(1, 3), None)] == F(2, 9)
 
     def test_impossible_observation_all_zero(self):
         m = srs_model(U2, 1)
-        table = dict(likelihood(m, ((1, 0), (2, 1)), values_and_mapping()).entries)
+        table = likelihood_table(m, ((1, 0), (2, 1)))
         assert set(table.values()) == {F(0)}
 
     def test_mixture_worked_value(self):
         m = bernoulli_mixture_model()
-        table = dict(likelihood(m, ((1,), (1,)), values_and_mapping()).entries)
+        table = likelihood_table(m, ((1,), (1,)))
         assert table[(F(1, 2), F(1, 2))] == F(1, 8)
         assert table[(F(1, 3), F(1, 3))] == F(1, 18)
 
@@ -211,6 +216,12 @@ class TestCheckMar:
     def test_uniform_variant_catches_bad_x(self):
         m = select_max_model(values=(1, 2))
         assert not check_mar(m, None, values_and_mapping(), variant="uniform")
+
+    @pytest.mark.parametrize("variant", ["Uniform", "global", ""])
+    def test_unknown_variant_is_refused(self, variant):
+        m = select_max_model(values=(1, 2))
+        with pytest.raises(EngineError, match=f"unknown MAR variant '{variant}'"):
+            check_mar(m, ((1,), (1,)), values_and_mapping(), variant=variant)
 
 
 class TestCheckOar:

@@ -1,6 +1,7 @@
-"""The engine's ignore transformation against the naive one in reference.py:
-the same ignored laws, points and failures on random hand-built families
-and on random survey models."""
+"""The engine's ignore transformation and likelihood test against the naive
+ones in reference.py: the same ignored laws, points and failures on random
+hand-built families and on random survey models, and the same verdict and
+alpha of the likelihood test."""
 
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from test_axes import splits, survey_models
 from ignorability_lab.exactprob import dist_new
 from ignorability_lab.ignorance import (
     Family,
+    MarginalFunctional,
     NotAComplement,
     RandomVariableRef,
     ValueNotInImage,
@@ -21,8 +23,12 @@ from ignorability_lab.ignorance import (
     ignore_model,
     make_split,
     marginal_family,
+    selection_rv,
+    signal_rv,
     single_arbitrary,
 )
+from ignorability_lab.inference import EmptyTables, likelihood_equivalent
+from ignorability_lab.sampling import observe
 
 first = RandomVariableRef("first", lambda w: w[0])
 second = RandomVariableRef("second", lambda w: w[1])
@@ -90,3 +96,46 @@ def test_survey_models(case, data):
     space, laws = reference.survey_family(m)
     want = reference.ignore(space, m.grid, laws, v, v_bar, policy().kind)
     assert engine_outcome(Family.from_survey_model(m, scheme), v, v_bar, policy()) == want
+
+
+def reference_side(m, scheme, laws, var, grid_point):
+    """(laws, obs, values) of one family for reference.likelihood_equivalent:
+    each point's observation is the scheme applied to one world under the
+    design at the phi of its `grid_point`, and its target value the law of
+    `var`, as a set of (value, mass) pairs."""
+    obs, values = {}, {}
+    for point, law in laws.items():
+        design = m.design_for(grid_point(point)[1])
+        obs[point] = lambda w, design=design: observe(w, scheme, m.population, design)
+        marginal = {}
+        for w, mass in law.items():
+            marginal[var(w)] = marginal.get(var(w), F(0)) + mass
+        values[point] = frozenset(marginal.items())
+    return laws, obs, values
+
+
+@settings(max_examples=100, deadline=None)
+@given(survey_models(), st.data())
+def test_likelihood_test_on_survey_models(case, data):
+    m, scheme, policy = case
+    v, v_bar = data.draw(st.sampled_from(splits(m.population)))
+    var = data.draw(st.sampled_from((signal_rv(), selection_rv())))
+    space, laws = reference.survey_family(m)
+    ignored_laws = reference.ignore(space, m.grid, laws, v, v_bar, policy().kind)
+    if isinstance(ignored_laws, str):  # the ignore failures are compared above
+        return
+    original = reference_side(m, scheme, laws, var, lambda p: p)
+    ignored = reference_side(m, scheme, ignored_laws, var, lambda q: q[0])
+    xs = sorted({obs(w) for p, obs in original[1].items() for w in original[0][p]}, key=repr)
+    x = data.draw(st.sampled_from([None, *xs]))
+    want = reference.likelihood_equivalent(original, ignored, x)
+
+    family = Family.from_survey_model(m, scheme)
+    ignored_family = ignore_model(family, make_split(family, v, v_bar), policy())
+    target = MarginalFunctional("law", var, lambda d: d)
+    try:
+        result = likelihood_equivalent(family, ignored_family, x, target)
+        got = (result.equivalent, result.alpha)
+    except EmptyTables as err:
+        got = type(err).__name__
+    assert got == want

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference import dist_eq
 from ignorability_lab import sampling
 from ignorability_lab.catalog import CATALOG
 from ignorability_lab.ignorance import Family
@@ -14,7 +15,6 @@ from ignorability_lab.exactprob import (
     Kernel,
     bernoulli,
     condition,
-    dist_eq,
     dist_new,
     point_mass,
     pushforward,
