@@ -5,10 +5,12 @@ sample size n varied.
 Each rung's model is the `srs_wor_n3` catalog text with `units = 1 .. N`
 and `n = n`, for the six rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3),
 (7, 3), (8, 3).  The script writes the rungs to a temporary directory, runs
-`check <rung> --inference likelihood --json` on each in a fresh process
-and prints the wall time, the exit code and a SHA-256 of stdout, so two
-checkouts can be compared for speed and for identical output.  The last
-two rungs take most of the time (86,016 worlds at N=8 n=3).
+`check <rung> --inference likelihood --json` on each in a fresh process,
+and then `check <rung> --inference bayes --json` (every observation, 960
+at N=6 n=3) on N=6 n=3.  It prints the wall time, the exit code and a
+SHA-256 of stdout of each row, so two checkouts can be compared for speed
+and for identical output.  The last two likelihood rows take most of the
+time (86,016 worlds at N=8 n=3).
 
 Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K]
 """
@@ -25,6 +27,8 @@ import ignorability_lab
 from ignorability_lab.catalog import CATALOG
 
 RUNGS = ((4, 3), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3))
+# (N, n, inference) of every row
+ROWS = tuple((N, n, "likelihood") for N, n in RUNGS) + ((6, 3, "bayes"),)
 BASE = "srs_wor_n3"
 
 
@@ -40,13 +44,13 @@ def rung_text(N: int, n: int) -> str:
     return text
 
 
-def run_check(path: str) -> tuple:
+def run_check(path: str, inference: str) -> tuple:
     """(wall seconds, exit code, SHA-256 of stdout) of one fresh check."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ignorability_lab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     argv = [sys.executable, "-m", "ignorability_lab.cli", "check", path,
-            "--inference", "likelihood", "--json"]
+            "--inference", inference, "--json"]
     start = time.perf_counter()
     done = subprocess.run(argv, stdout=subprocess.PIPE, env=env)
     wall = time.perf_counter() - start
@@ -59,18 +63,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         failed = False
-        for N, n in RUNGS:
+        for N, n, inference in ROWS:
             path = os.path.join(tmp, f"{BASE}_N{N}_n{n}.model")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(rung_text(N, n))
-            runs = [run_check(path) for _ in range(max(args.repeat, 1))]
+            runs = [run_check(path, inference) for _ in range(max(args.repeat, 1))]
             walls = ", ".join(f"{wall:.2f}" for wall, _code, _digest in runs)
             codes = sorted({code for _wall, code, _digest in runs})
             digests = sorted({digest for _wall, _code, digest in runs})
             failed = failed or codes != [0] or len(digests) > 1
             digest = digests[0] if len(digests) == 1 else "differs between runs"
             code = ",".join(str(c) for c in codes)
-            print(f"N={N} n={n}  wall_s {walls}  exit {code}  sha256 {digest}", flush=True)
+            print(f"N={N} n={n} {inference}  wall_s {walls}  exit {code}  sha256 {digest}", flush=True)
     return 1 if failed else 0
 
 

@@ -1,10 +1,11 @@
-"""A deliberately naive ignore transformation and likelihood test, the
-reference the engine is checked against.
+"""A deliberately naive ignore transformation and the paper's three
+equivalence tests, the reference the engine is checked against.
 
 Laws are dicts {world: Fraction}.  Compatibility sets are found by scanning
 the space, and each law is conditioned on them and re-mixed against a
-nuisance law by the paper's three policies.  Likelihood tables are read off
-the laws by summing the mass of each observation.  Nothing is numbered,
+nuisance law by the paper's three policies.  Likelihood tables, estimator
+distributions and posteriors are read off the laws by summing the mass of
+each observation.  Nothing is numbered,
 keyed or cached: worlds and values are compared by Python equality, so an
 input must not mix values that are equal across types (1 and Fraction(1),
 1 and True).
@@ -97,16 +98,21 @@ def ignore(space, points, laws, v, v_bar, policy, dist=None):
     return out
 
 
+def _observation_law(law, obs) -> dict:
+    """{observation: mass} of one law through a world function."""
+    masses = {}
+    for w, mass in law.items():
+        masses[obs(w)] = masses.get(obs(w), Fraction(0)) + mass
+    return masses
+
+
 def likelihood_table(laws, obs, values, xs) -> dict:
     """{target value: [likelihood of each x in xs]}: for each target value,
     the sup over its preimage of the mass each point's law puts on x.
     `laws`, `obs` (a world function) and `values` are per point."""
     table = {}
     for p, law in laws.items():
-        masses = {}
-        for w, mass in law.items():
-            x = obs[p](w)
-            masses[x] = masses.get(x, Fraction(0)) + mass
+        masses = _observation_law(law, obs[p])
         row = table.setdefault(values[p], [Fraction(0)] * len(xs))
         for j, x in enumerate(xs):
             row[j] = max(row[j], masses.get(x, Fraction(0)))
@@ -120,12 +126,9 @@ def likelihood_equivalent(original, ignored, x=None):
     alpha > 0, jointly over every observation of positive mass in either
     family (x None, uniform) or at x alone (local)."""
     if x is None:
-        xs = []
-        for laws, obs, _values in (original, ignored):
-            for p, law in laws.items():
-                for w, mass in law.items():
-                    if mass and obs[p](w) not in xs:
-                        xs.append(obs[p](w))
+        xs = list(dict.fromkeys(
+            obs[p](w) for laws, obs, _values in (original, ignored) for p, law in laws.items() for w in law
+        ))
     else:
         xs = [x]
     a, b = (likelihood_table(*family, xs) for family in (original, ignored))
@@ -141,6 +144,59 @@ def likelihood_equivalent(original, ignored, x=None):
     if not ratios:
         return "EmptyTables"
     return (True, ratios.pop()) if len(ratios) == 1 else (False, None)
+
+
+def estimator_sets(laws, obs, values, estimator) -> dict:
+    """{target value: set of estimator distributions}: each point's law of
+    the estimator of its observation, as a frozenset of (estimate, mass)
+    pairs, collected over the points of each target value."""
+    sets = {}
+    for p, law in laws.items():
+        dist = {}
+        for x, mass in _observation_law(law, obs[p]).items():
+            dist[estimator(x)] = dist.get(estimator(x), Fraction(0)) + mass
+        sets.setdefault(values[p], set()).add(frozenset(dist.items()))
+    return sets
+
+
+def sampling_dist_equivalent(original, ignored, estimator) -> tuple:
+    """(equivalent, {target value: (original set, ignored set)}) of the
+    frequentist test between two families, each given as (laws, obs,
+    values): per target value of either family, the sets of estimator
+    distributions over its preimage must be equal."""
+    a, b = (estimator_sets(*family, estimator) for family in (original, ignored))
+    sets = {value: (a.get(value, set()), b.get(value, set())) for value in a.keys() | b.keys()}
+    return all(sa == sb for sa, sb in sets.values()), sets
+
+
+def posterior_set(laws, obs, values, priors, x) -> set:
+    """The posterior target distributions given x, one per prior (a dict
+    {point: mass}) with positive evidence, each a frozenset of (target
+    value, mass) pairs: prior times likelihood, normalised, pushed through
+    the point's target value."""
+    out = set()
+    for prior in priors:
+        weights = {p: q * _observation_law(laws[p], obs[p]).get(x, Fraction(0)) for p, q in prior.items()}
+        evidence = sum(weights.values(), Fraction(0))
+        if evidence == 0:
+            continue
+        dist = {}
+        for p, w in weights.items():
+            if w:
+                dist[values[p]] = dist.get(values[p], Fraction(0)) + w / evidence
+        out.add(frozenset(dist.items()))
+    return out
+
+
+def posterior_equivalent(original, ignored, priors, priors_star, x):
+    """(equal, original set, ignored set) of the Bayes test at x, each
+    family given as (laws, obs, values) with its own priors, or
+    "ZeroEvidence" when x has zero evidence under every original prior."""
+    set_a = posterior_set(*original, priors, x)
+    if not set_a:
+        return "ZeroEvidence"
+    set_b = posterior_set(*ignored, priors_star, x)
+    return set_a == set_b, set_a, set_b
 
 
 def dist_eq(a, b) -> bool:

@@ -165,19 +165,31 @@ def first_unit_decides(population, alphabet):
     return Kernel.from_rule(lambda z: one if z[0] == alphabet[0] else every)
 
 
+def value_poisson(population, alphabet):
+    """A stochastic value-dependent kernel: each unit is drawn on its own,
+    with probability 1/2 when it holds the lowest value and 1/3 otherwise,
+    so the columns of different z have different denominators."""
+    return Kernel.from_rule(lambda z: designs.poisson([F(1, 2) if v == alphabet[0] else F(1, 3) for v in z], population))
+
+
+DESIGNS = ("srs_wor", "srs_wr", "poisson", "census", "select_max", "first_unit", "value_poisson", "mixture")
+
+
 @st.composite
 def survey_models(draw):
-    """Small random models: 1-3 units, 2-3 values, iid or table laws,
-    constant, value-dependent or per-phi designs."""
-    population = Population(tuple(range(1, draw(st.integers(1, 3)) + 1)))
+    """Small random models: 1-3 units, 2-3 values, 1-3 iid or table laws,
+    constant, value-dependent or per-phi designs.  Schemes that expose the
+    mapping, uniform designs and the Dirac policy are drawn more often, so
+    that ignoring often rescales every likelihood by one alpha other than 1."""
+    population = Population(tuple(range(1, draw(st.sampled_from((1, 2, 2, 3))) + 1)))
     N = population.size
     alphabet = draw(st.lists(st.sampled_from(ALPHABETS), min_size=2, max_size=3, unique=True))
-    design = draw(st.sampled_from(("srs_wor", "srs_wr", "poisson", "census", "select_max", "first_unit", "mixture")))
-    z_contains_y = design in ("select_max", "first_unit")
+    design = draw(st.sampled_from(("srs_wor", "srs_wr") * 2 + DESIGNS))
+    z_contains_y = design in ("select_max", "first_unit", "value_poisson")
     z_of = (lambda y: y) if z_contains_y else None
     loads = st.integers(0, 3)
     laws = {}
-    for theta in range(draw(st.integers(1, 2))):
+    for theta in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
             weights = draw(st.lists(loads, min_size=len(alphabet), max_size=len(alphabet)).filter(any))
             unit = dist_new([(a, F(w, sum(weights))) for a, w in zip(alphabet, weights)])
@@ -188,9 +200,9 @@ def survey_models(draw):
             laws[theta] = signal_dist_from_table([(y, F(w, sum(weights))) for y, w in zip(ys, weights)], z_of)
     kwargs = {}
     if design == "srs_wor":
-        kwargs["design"] = designs.constant(designs.srs_wor(draw(st.integers(0, N)), population))
+        kwargs["design"] = designs.constant(designs.srs_wor(draw(st.integers(1, N) | st.integers(0, N)), population))
     elif design == "srs_wr":
-        kwargs["design"] = designs.constant(designs.srs_wr(draw(st.integers(0, 2)), population))
+        kwargs["design"] = designs.constant(designs.srs_wr(draw(st.integers(1, 2) | st.integers(0, 2)), population))
     elif design == "poisson":
         p = draw(st.lists(st.sampled_from((0, F(1, 3), F(1, 2), 1)), min_size=N, max_size=N))
         kwargs["design"] = designs.constant(designs.poisson(p, population))
@@ -200,6 +212,8 @@ def survey_models(draw):
         kwargs["design"] = designs.select_max(population)
     elif design == "first_unit":
         kwargs["design"] = first_unit_decides(population, sorted(alphabet, key=str))
+    elif design == "value_poisson":
+        kwargs["design"] = value_poisson(population, sorted(alphabet, key=str))
     else:
         components = [designs.fixed_design(population.labels[:k]) for k in range(1, N + 1)]
         phis = ("a", "b")
@@ -208,7 +222,8 @@ def survey_models(draw):
         kwargs["phis"] = phis
         kwargs["design_law"] = designs.mixture_design(weights, components)
     m = SurveyModel.create(population, tuple(laws), laws, z_contains_y=z_contains_y, **kwargs)
-    return m, draw(st.sampled_from(SCHEMES)), draw(st.sampled_from(POLICIES))
+    scheme = draw(st.sampled_from((values_and_mapping(), values_mapping_design(), *SCHEMES)))
+    return m, scheme, draw(st.sampled_from((dirac_fix, *POLICIES)))
 
 
 @settings(max_examples=60, deadline=None)

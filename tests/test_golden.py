@@ -2,7 +2,7 @@
 and stderr byte for byte, and the committed cases are exactly the ones
 scripts/make_golden.py generates.  The files are written only by that
 script; this test never rewrites them.  SHA-256 digests of `check --json`
-on three SRS ladder rungs pin the output of models larger than any in the
+on four SRS ladder rungs, the all-observation Bayes check included, pin the output of models larger than any in the
 corpus."""
 
 import contextlib
@@ -73,7 +73,11 @@ RUNG_DIGESTS = {
     (4, 3, "frequentist", "dirac"): "5fb9d8f2d839499149d4df44d5542429d8ffc0690687150777adb8ecc44a08c3",
     (4, 3, "frequentist", "arbitrary"): "b7c03aa98cb156a0724fa8ede2d2ce92feab4303587c5a37bd66e631fabb5eb3",
     (4, 3, "frequentist", "marginal"): "7556d98f53634b470b5ac61fab2efee5a0fadd4ee378c5129ebd8c6121b3a618",
+    (4, 3, "bayes", "dirac"): "d9b73d846de1c4a2ce9d33659b3c3b2249e4f65071d1b24d65bc19220538b370",
+    (4, 3, "bayes", "arbitrary"): "17474b5cb24464232ec79faa88d32ec38c47ce12d7a79774b3f02f901af6c253",
+    (4, 3, "bayes", "marginal"): "2d6b6e1d49600a7fae333750ddf0f7b7845c2c337a9df1e6ee007a7d8be466e7",
     (5, 2, "likelihood", "dirac"): "289487d6f386ec7afaf87d1a9f23edd7f7754130ae2eb2c427c7a9740aad8c50",
+    (5, 3, "bayes", "dirac"): "757a42991fc60711cfe0f318fe4afff3892d866c870768e03bee23916394a066",
     (7, 3, "likelihood", "dirac"): "2b5c6d6b8cf08436416a6d32c7b0fa48407721b0debc5fddad8f8e5d0f2f63e8",
 }
 

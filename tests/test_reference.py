@@ -1,7 +1,8 @@
-"""The engine's ignore transformation and likelihood test against the naive
-ones in reference.py: the same ignored laws, points and failures on random
-hand-built families and on random survey models, and the same verdict and
-alpha of the likelihood test."""
+"""The engine's ignore transformation and equivalence tests against the
+naive ones in reference.py: the same ignored laws, points and failures on
+random hand-built families and on random survey models, the same verdict
+and alpha of the likelihood test, and the same verdicts and witness sets of
+the frequentist and Bayes tests."""
 
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 import reference
 from test_axes import splits, survey_models
 
-from ignorability_lab.exactprob import dist_new
+from ignorability_lab.exactprob import FiniteDist, dist_new
 from ignorability_lab.ignorance import (
     Family,
     MarginalFunctional,
@@ -27,7 +28,13 @@ from ignorability_lab.ignorance import (
     signal_rv,
     single_arbitrary,
 )
-from ignorability_lab.inference import EmptyTables, likelihood_equivalent
+from ignorability_lab.inference import (
+    EmptyTables,
+    ZeroEvidence,
+    likelihood_equivalent,
+    posterior_equivalent,
+    sampling_dist_equivalent,
+)
 from ignorability_lab.sampling import observe
 
 first = RandomVariableRef("first", lambda w: w[0])
@@ -114,28 +121,132 @@ def reference_side(m, scheme, laws, var, grid_point):
     return laws, obs, values
 
 
-@settings(max_examples=100, deadline=None)
-@given(survey_models(), st.data())
-def test_likelihood_test_on_survey_models(case, data):
+def ignored_sides(case, data):
+    """A random split and marginal-functional target on a survey model, and
+    both families twice: as (laws, obs, values) for the reference and as
+    engine families, with the target; None when ignoring fails (the ignore
+    failures are compared above)."""
     m, scheme, policy = case
     v, v_bar = data.draw(st.sampled_from(splits(m.population)))
     var = data.draw(st.sampled_from((signal_rv(), selection_rv())))
     space, laws = reference.survey_family(m)
     ignored_laws = reference.ignore(space, m.grid, laws, v, v_bar, policy().kind)
-    if isinstance(ignored_laws, str):  # the ignore failures are compared above
-        return
+    if isinstance(ignored_laws, str):
+        return None
     original = reference_side(m, scheme, laws, var, lambda p: p)
     ignored = reference_side(m, scheme, ignored_laws, var, lambda q: q[0])
-    xs = sorted({obs(w) for p, obs in original[1].items() for w in original[0][p]}, key=repr)
-    x = data.draw(st.sampled_from([None, *xs]))
-    want = reference.likelihood_equivalent(original, ignored, x)
-
     family = Family.from_survey_model(m, scheme)
     ignored_family = ignore_model(family, make_split(family, v, v_bar), policy())
     target = MarginalFunctional("law", var, lambda d: d)
+    return original, ignored, family, ignored_family, target
+
+
+def observations(side) -> list:
+    """Every observation of positive mass under one reference family."""
+    laws, obs, _values = side
+    return sorted({obs[p](w) for p in laws for w in laws[p]}, key=repr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(survey_models(), st.data())
+def test_likelihood_test_on_survey_models(case, data):
+    sides = ignored_sides(case, data)
+    if sides is None:
+        return
+    original, ignored, family, ignored_family, target = sides
+    x = data.draw(st.sampled_from([None, *observations(original)]))
+    want = reference.likelihood_equivalent(original, ignored, x)
     try:
         result = likelihood_equivalent(family, ignored_family, x, target)
         got = (result.equivalent, result.alpha)
     except EmptyTables as err:
         got = type(err).__name__
     assert got == want
+
+
+def as_set(dist) -> frozenset:
+    """A law of the engine as the reference writes it: a frozenset of
+    (outcome, mass) pairs, an outcome that is a law written the same way."""
+    return frozenset((as_set(o) if isinstance(o, FiniteDist) else o, w) for o, w in dist.items)
+
+
+def values_part(scheme, x) -> tuple:
+    if scheme.kind == "values_only":
+        return x
+    if scheme.kind == "values_and_sampled_weights":
+        return tuple(v for v, _pi in x)
+    return x[0]
+
+
+# estimators of any alphabet: the first drawn value, and the number of
+# distinct drawn values; both merge observations
+ESTIMATORS = (
+    lambda scheme: lambda x: values_part(scheme, x)[:1],
+    lambda scheme: lambda x: len(set(values_part(scheme, x))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(survey_models(), st.data())
+def test_frequentist_test_on_survey_models(case, data):
+    sides = ignored_sides(case, data)
+    if sides is None:
+        return
+    original, ignored, family, ignored_family, target = sides
+    estimator = data.draw(st.sampled_from(ESTIMATORS))(case[1])
+    equivalent, sets = reference.sampling_dist_equivalent(original, ignored, estimator)
+    result = sampling_dist_equivalent(family, ignored_family, estimator, target)
+    assert result.equivalent == equivalent
+    got = {}
+    for witness in result.witnesses:
+        detail = dict(witness.detail)
+        pair = ({as_set(d) for d in detail["original"]}, {as_set(d) for d in detail["ignored"]})
+        assert witness.equal == (pair[0] == pair[1])
+        got[as_set(detail["target_value"])] = pair
+    assert got == sets
+
+
+@st.composite
+def priors_on(draw, points):
+    """1-2 priors on the points, each uniform or with random loads, as
+    {point: mass} dicts."""
+    priors = []
+    for _ in range(draw(st.integers(1, 2))):
+        loads = [1] * len(points)
+        if draw(st.booleans()):
+            loads = draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)).filter(any))
+        priors.append({p: F(n, sum(loads)) for p, n in zip(points, loads)})
+    return priors
+
+
+def product_prior(prior, points) -> dict:
+    """The prior of each ignored point (p, index): the prior of p times a
+    uniform law on the nuisance indices, renormalised on the points."""
+    indices = {index for _p, index in points}
+    weights = {q: prior[q[0]] / len(indices) for q in points}
+    total = sum(weights.values())
+    return {q: w / total for q, w in weights.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(survey_models(), st.data())
+def test_bayes_test_on_survey_models(case, data):
+    sides = ignored_sides(case, data)
+    if sides is None:
+        return
+    original, ignored, family, ignored_family, target = sides
+    priors = data.draw(priors_on(family.points))
+    priors_star = [product_prior(q, ignored_family.points) for q in priors]
+    engine_priors = [[dist_new(list(q.items())) for q in side] for side in (priors, priors_star)]
+    for x in observations(original):
+        want = reference.posterior_equivalent(original, ignored, priors, priors_star, x)
+        try:
+            result = posterior_equivalent(family, ignored_family, *engine_priors, target, x)
+        except ZeroEvidence as err:
+            assert want == type(err).__name__
+            continue
+        (witness,) = result.witnesses
+        detail = dict(witness.detail)
+        got = ({as_set(d) for d in detail["original"]}, {as_set(d) for d in detail["ignored"]})
+        assert (result.equivalent, *got) == want
+        assert witness.equal == result.equivalent and detail["observation"] == x
