@@ -158,47 +158,44 @@ def cmd_check(args) -> int:
     if x is not None and prepared.family.observation_code(x) is None:
         raise EngineError(f"observation {args.x} has zero mass at every grid point")
 
-    if inference == FREQUENTIST:
-        xs = [None]  # estimator-distribution families are observation-free
-    elif x is not None:
-        xs = [x]
-    elif inference == BAYESIAN:
-        xs = list(observations)  # posterior checks are per observation
-    else:
-        # likelihood without a concrete x runs in uniform mode (one alpha
-        # jointly across all observations)
-        xs = [None]
-
-    reports = [prepared.test(inference, o, estimator, None, None) for o in xs]
+    verdicts = None
+    if inference == BAYESIAN and x is None:
+        # posterior checks are per observation: every verdict from one pass
+        # over the columns, the report of the headline observation only (the
+        # first informative one, or the first one)
+        verdicts = prepared.posterior_verdicts()
+        x = observations[verdicts.index(False) if False in verdicts else 0]
+    # estimator-distribution families are observation-free, and likelihood
+    # without a concrete x runs in uniform mode (one alpha jointly across
+    # all observations)
+    o = None if inference == FREQUENTIST else x
+    headline = prepared.test(inference, o, estimator, None, None)
+    if verdicts is None:
+        verdicts = [headline.verdict == IGNORABLE]
+    informative = verdicts.count(False)
     try:
         rubin = prepare_rubin(build.model, build.scheme)
     except NotRubinShape:
         rubin = None
-    uniform = None  # the same for every report, so computed at most once
-    for k, o in enumerate(xs):
-        if o is None or args.mar_variant == "uniform":
-            if uniform is None:
-                uniform = _rubin_flags(rubin, observations, "uniform")
-            extra = uniform
-        else:
-            extra = _rubin_flags(rubin, [o], "local")
-        reports[k] = replace(reports[k], flags=reports[k].flags + extra)
-    informative = [r for r in reports if r.verdict != IGNORABLE]
-    headline = informative[0] if informative else reports[0]
+    if o is None or args.mar_variant == "uniform":
+        extra = _rubin_flags(rubin, observations, "uniform")
+    else:
+        extra = _rubin_flags(rubin, [o], "local")
+    headline = replace(headline, flags=headline.flags + extra)
     overall = "informative" if informative else "ignorable"
 
     if args.json:
         payload = classification_payload(headline)
         payload["verdict"] = overall
-        if len(reports) > 1:
-            payload["observations_checked"] = len(reports)
-            payload["informative_observations"] = len(informative)
+        if len(verdicts) > 1:
+            payload["observations_checked"] = len(verdicts)
+            payload["informative_observations"] = informative
         print(machine_json(payload))
     else:
-        if len(reports) > 1:
+        if len(verdicts) > 1:
             print(
-                f"checked {len(reports)} observations: "
-                f"{len(informative)} informative"
+                f"checked {len(verdicts)} observations: "
+                f"{informative} informative"
             )
         print(emit_report(headline))
         if informative:

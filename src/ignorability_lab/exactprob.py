@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 DEFAULT_SUPPORT_CAP = 10**6
@@ -71,6 +72,8 @@ def check_size(n: int, what: str = "support") -> None:
 
 def as_rational(value) -> Fraction:
     """Coerce to an exact Fraction.  Floats are rejected, never rounded."""
+    if type(value) is Fraction:  # immutable: no copy needed
+        return value
     if isinstance(value, bool):
         raise IncomparableOutcomes("bool is not a probability value")
     if isinstance(value, (int, Fraction)):
@@ -130,6 +133,20 @@ def sorted_distinct(values: Iterable) -> tuple:
     for v in values:
         keyed.setdefault(canonical_key(v), v)
     return tuple(keyed[k] for k in sorted(keyed))
+
+
+def integer_masses(weights) -> tuple:
+    """(numerators, denominator): Fractions as integers over their lcm."""
+    denominator = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denominator // w.denominator) for w in weights], denominator
+
+
+def reduced(ids, numerators, denominator) -> tuple:
+    """The integer mass vector (ids, numerators, denominator) of a law over
+    the gcd of its numerators, which sum to the denominator: equal laws on
+    equal ids give equal vectors."""
+    g = gcd(*numerators)
+    return tuple(ids), tuple(n // g for n in numerators), denominator // g
 
 
 @dataclass(frozen=True)

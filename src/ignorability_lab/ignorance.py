@@ -18,6 +18,7 @@ product of the two marginals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -32,7 +33,9 @@ from .exactprob import (
     NonUnitMass,
     canonical_key,
     check_size,
+    integer_masses,
     point_mass,
+    reduced,
     sorted_distinct,
     uniform,
 )
@@ -44,7 +47,7 @@ from .sampling import (
     Population,
     SurveyModel,
     drawn_values,
-    numbered_joints,
+    joint_masses,
     observation_fn,
 )
 
@@ -305,63 +308,70 @@ def atrandomize(
     """
     _require_complement(split)
     index = split.index
-    ids = index.ids_of(P)
+    vector = (index.ids_of(P), *integer_masses(P.weights()))
     if nuisance is None:
-        nuisance = _marginal(ids, P, index.v_bar_code, index.v_bar_values)
-    _d, sums = _integer_sums(ids, P, index.v_code)
-    return _atrandomize_ids(sums, split, nuisance)[1]
+        nuisance = _law(index.v_bar_values, _marginal(vector, index.v_bar_code))
+    return _law(index.worlds, _atrandomize_ids(_v_sums(vector, index), split, nuisance))
 
 
-def _integer_sums(ids: tuple, law: FiniteDist, code: tuple) -> tuple:
-    """(denominator, {code: [integer mass, atoms]}): a law's masses times
-    their common denominator, summed by the per-world `code` of their ids."""
-    denominator = 1
-    for _w, mass in law.items:
-        denominator = lcm(denominator, mass.denominator)
+def _law(worlds: tuple, vector: tuple) -> FiniteDist:
+    """The law of an integer mass vector (ids, numerators, denominator) on
+    `worlds`, or on any values numbered as its ids."""
+    ids, numerators, denominator = vector
+    return FiniteDist(tuple((worlds[i], Fraction(n, denominator)) for i, n in zip(ids, numerators)))
+
+
+def _integer_sums(vector: tuple, code: tuple) -> dict:
+    """{code: integer mass}: an integer mass vector's numerators summed by
+    the per-world `code` of their ids."""
     out: dict = {}
-    for i, (_w, mass) in zip(ids, law.items):
-        sums = out.setdefault(code[i], [0, 0])
-        sums[0] += mass.numerator * (denominator // mass.denominator)
-        sums[1] += 1
-    return denominator, out
+    for i, n in zip(vector[0], vector[1]):
+        out[code[i]] = out.get(code[i], 0) + n
+    return out
 
 
-def _marginal(ids: tuple, law: FiniteDist, code: tuple, values: tuple) -> FiniteDist:
-    """A law with atom `ids` pushed through a per-world `code` ordered as `values`."""
-    check_size(len(ids))
-    denominator, sums = _integer_sums(ids, law, code)
-    return FiniteDist(tuple((values[c], Fraction(sums[c][0], denominator)) for c in sorted(sums)))
+def _v_sums(vector: tuple, index: SplitIndex) -> tuple:
+    """({v-code: integer mass}, {v-code: atoms}) of an integer mass vector."""
+    return _integer_sums(vector, index.v_code), Counter(map(index.v_code.__getitem__, vector[0]))
 
 
-def _atrandomize_ids(sums: dict, split: ProcessSplit, nuisance: FiniteDist) -> tuple:
-    """(world ids, law): atrandomize on a law given by its `_integer_sums`
-    over v-codes.
+def _marginal(vector: tuple, code: tuple) -> tuple:
+    """The reduced integer mass vector on codes of an integer mass vector
+    pushed through a per-world `code`."""
+    check_size(len(vector[0]))
+    sums = _integer_sums(vector, code)
+    return reduced(sorted(sums), [sums[c] for c in sorted(sums)], vector[2])
 
-    For each nuisance value b the law is conditioned on Phi(b); the mass of
+
+def _atrandomize_ids(v_sums: tuple, split: ProcessSplit, nuisance: FiniteDist) -> tuple:
+    """The integer mass vector of atrandomize on a law given by its
+    `_v_sums`.
+
+    For each nuisance value b the law is conditioned on Phi(b): the mass of
     each v-code a there, times the weight of b, goes to the world (a, b),
-    which no other b reaches: its mass is one fraction of integer sums."""
-    index = split.index
-    out = {}
+    which no other b reaches.  The Dirac-fixed law at b is the sums on
+    Phi(b) over their total."""
+    index, (sums, atoms) = split.index, v_sums
+    weights, weights_denominator = integer_masses(nuisance.weights())
+    parts = []  # per nuisance value: (its weight, its Phi-set total, [(world id, sum)])
     pairs = 0
-    for value, outer in nuisance.items:
+    for (value, _w), weight in zip(nuisance.items, weights):
         code = split.v_bar_code(value)
         present = [a for a in index.compatible[code] if a in sums]
         if not present:
             raise ZeroMassPhiSet(
                 f"compatibility set of {split.v_bar.name}={value!r} has zero mass"
             )
-        kept = sum(sums[a][1] for a in present)
+        kept = sum(atoms[a] for a in present)
         check_size(kept)
         pairs += kept
-        numerator, denominator = outer.numerator, outer.denominator * sum(sums[a][0] for a in present)
-        for a in present:
-            out[index.world_of[a, code]] = Fraction(numerator * sums[a][0], denominator)
+        parts.append((weight, sum(sums[a] for a in present), [(index.world_of[a, code], sums[a]) for a in present]))
     check_size(pairs)
-    total = sum((w for _, w in nuisance.items), Fraction(0))
-    if total != 1:
-        raise NonUnitMass(f"weights sum to {total}, expected 1")
-    ids = tuple(sorted(out))
-    return ids, FiniteDist(tuple((index.worlds[i], out[i]) for i in ids))
+    if sum(weights) != weights_denominator:
+        raise NonUnitMass(f"weights sum to {Fraction(sum(weights), weights_denominator)}, expected 1")
+    denominator = lcm(*(total for _weight, total, _masses in parts))
+    masses = sorted((i, weight * (denominator // total) * n) for weight, total, masses in parts for i, n in masses)
+    return reduced([i for i, _n in masses], [n for _i, n in masses], weights_denominator * denominator)
 
 
 DIRAC_FIX = "dirac_fix"
@@ -408,33 +418,44 @@ class Family:
     support (labels are (original label, nuisance index) pairs).
 
     Worlds are numbered once: `worlds` lists them in canonical_key order
-    (for a hand-built family, those of `space` and of the laws' atoms), and
-    `ids[p]` numbers the atoms of `laws[p]`.  A survey model's family also
-    keeps the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so
-    that declared variables are coded per axis (see `_code`).  An ignored
-    family shares its original's numbering and per-world codes of
-    observations and targets; `v_classes` is (per-world v-code, {point:
-    class}) when points of one class have equal laws of v.
+    (for a hand-built family, those of `space` and of its `laws`' atoms;
+    a family given its numbering takes laws None), and `masses[p]` is the
+    reduced integer mass vector (ids, numerators, denominator) of each law,
+    of which `laws` and `ids` are views.  A survey model's family also keeps
+    the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so that
+    declared variables are coded per axis (see `_code`).  An ignored family
+    shares its original's numbering and per-world codes of observations and
+    targets.
     """
 
-    def __init__(self, points, laws, obs_fns, space=None, flags=None, numbering=None, v_classes=None):
+    def __init__(self, points, laws, obs_fns, space=None, flags=None, numbering=None):
         self.points = tuple(points)
-        self.laws = dict(laws)
         self.obs_fns = dict(obs_fns)
         if numbering is None:  # a hand-built family: number its worlds here
+            self.laws = dict(laws)
             # the measurable space may be larger than the union of supports:
             # zero-probability worlds still shape complements and Phi-sets
             worlds = sorted_distinct([*(space or ()), *(w for p in self.points for w, _m in self.laws[p].items)])
             ids = {canonical_key(w): i for i, w in enumerate(worlds)}
-            numbering = (worlds, {p: tuple(ids[canonical_key(w)] for w, _m in self.laws[p].items) for p in self.points}, {}, None)
-        self.worlds, self.ids, self._coded, self.axes = numbering
-        self.v_classes = v_classes
+            masses = {p: reduced([ids[canonical_key(w)] for w, _m in self.laws[p].items], *integer_masses(self.laws[p].weights()))
+                      for p in self.points}
+            numbering = (worlds, masses, {}, None)
+        self.worlds, self.masses, self._coded, self.axes = numbering
         self.flags = dict(flags or {})
+        self._tables = {}  # point -> its observation table of Fractions
+
+    @cached_property
+    def laws(self) -> dict:
+        return {p: _law(self.worlds, self.masses[p]) for p in self.points}
+
+    @property
+    def ids(self) -> dict:
+        return {p: self.masses[p][0] for p in self.points}
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
         axes = m._axes()
-        ids, laws = numbered_joints(m, m.grid, axes)
+        masses = joint_masses(m, m.grid, axes)
         phis = {phi for _theta, phi in m.grid}
         if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS:  # reads the design at phi
             fns = {phi: observation_fn(m, phi, scheme) for phi in phis}
@@ -442,8 +463,8 @@ class Family:
             fns = dict.fromkeys(phis, _observation_rv(m, scheme))
         obs_fns = {point: fns[point[1]] for point in m.grid}
         flags = {"z_contains_y": m.z_contains_y}
-        numbering = (m.world_space(axes), ids, {}, (len(axes[0]), len(axes[1])))
-        return Family(m.grid, laws, obs_fns, flags=flags, numbering=numbering)
+        numbering = (m.world_space(axes), masses, {}, (len(axes[0]), len(axes[1])))
+        return Family(m.grid, None, obs_fns, flags=flags, numbering=numbering)
 
     def coded(self, var) -> tuple:
         """(world id -> code, code -> value, code -> canonical_key): `var`
@@ -455,31 +476,23 @@ class Family:
             self._coded[fn] = _code(self.worlds, var, self.axes)
         return self._coded[fn]
 
-    def _same_marginals(self, code: tuple) -> dict:
-        """{point: class}, where the laws of one class have one marginal
-        through the per-world `code`: the `v_classes` when `code` is a
-        function of the v-code, else none."""
-        if self.v_classes is None:
-            return {}
-        v_code, classes = self.v_classes
-        return classes if len(set(zip(v_code, code))) == len(set(v_code)) else {}
-
     @cached_property
     def _interned(self) -> tuple:
-        """(observations, {key: code}, {point: {code: mass}}): every
-        observation of positive mass numbered once, in canonical_key order,
-        and each point's table summed by per-world codes; built on first use."""
+        """(observations, {key: code}, {point: (denominator, {code: integer
+        mass})}): every observation of positive mass numbered once, in
+        canonical_key order, and each point's table summed by per-world
+        codes over its law's denominator; built on first use."""
         keyed = {}  # canonical_key(x) -> x
         raw = []  # per point: (code -> key, {code: mass}) in its function's codes
         for p in self.points:
             code, values, keys = self.coded(self.obs_fns[p])
-            denominator, sums = _integer_sums(self.ids[p], self.laws[p], code)
-            masses = {c: Fraction(n, denominator) for c, (n, _atoms) in sums.items()}
-            for c in masses:
+            sums = _integer_sums(self.masses[p], code)
+            for c in sums:
                 keyed.setdefault(keys[c], values[c])
-            raw.append((keys, masses))
+            raw.append((keys, sums))
         codes = {k: c for c, k in enumerate(sorted(keyed))}
-        tables = {p: {codes[keys[c]]: m for c, m in masses.items()} for p, (keys, masses) in zip(self.points, raw)}
+        tables = {p: (self.masses[p][2], {codes[keys[c]]: n for c, n in sums.items()})
+                  for p, (keys, sums) in zip(self.points, raw)}
         return tuple(keyed[k] for k in codes), codes, tables
 
     def observation_support(self) -> tuple:
@@ -496,9 +509,17 @@ class Family:
         """Code of observation x; None when it has zero mass at every point."""
         return self._interned[1].get(canonical_key(x))
 
+    def observation_sums(self, point) -> tuple:
+        """(denominator, {code: integer mass}) of `observation_table`."""
+        return self._interned[2][point]
+
     def observation_table(self, point) -> dict:
         """{code: mass} of the observation distribution at one point."""
-        return self._interned[2][point]
+        table = self._tables.get(point)
+        if table is None:
+            denominator, sums = self._interned[2][point]
+            table = self._tables[point] = {c: Fraction(n, denominator) for c, n in sums.items()}
+        return table
 
 
 def make_split(
@@ -541,10 +562,10 @@ def ignore_model(
     if split.index.worlds is not family.worlds:
         raise EngineError("the split was not made on this family; split it with make_split(family, v, v_bar)")
     index = split.index
-    sums = {p: _integer_sums(family.ids[p], family.laws[p], index.v_code)[1] for p in family.points}
+    sums = {p: _v_sums(family.masses[p], index) for p in family.points}
     for point in family.points:
         for code, value in enumerate(index.v_bar_values):
-            if not any(a in sums[point] for a in index.compatible[code]):
+            if not any(a in sums[point][0] for a in index.compatible[code]):
                 raise ZeroMassPhiSet(
                     f"law at {point!r} has zero mass on the compatibility set "
                     f"of {split.v_bar.name}={value!r}"
@@ -552,13 +573,9 @@ def ignore_model(
 
     # (original point, nuisance index, nuisance law) triples; the grid of
     # the ignored family is the set of (point, index) pairs
-    v_classes = None
     if policy.kind == DIRAC_FIX:
-        triples = [(p, value, point_mass(value)) for p in family.points for value in index.v_bar_values]
-        # a Dirac law is its point's law of v conditioned on a compatibility
-        # set, so the laws of one point on equal sets have one law of v
-        v_classes = (index.v_code, {(p, value): (p, index.compatible[c])
-                                    for p in family.points for c, value in enumerate(index.v_bar_values)})
+        diracs = [(value, point_mass(value)) for value in index.v_bar_values]
+        triples = [(p, value, dirac) for p in family.points for value, dirac in diracs]
     elif policy.kind == SINGLE_ARBITRARY:
         dist = policy.dist if policy.dist is not None else uniform(index.v_bar_values)
         for value, _w in dist.items:
@@ -573,15 +590,15 @@ def ignore_model(
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
         triples = [
-            (p, p, _marginal(family.ids[p], family.laws[p], index.v_bar_code, index.v_bar_values))
+            (p, p, _law(index.v_bar_values, _marginal(family.masses[p], index.v_bar_code)))
             for p in family.points
         ]
 
-    points, laws, new_ids, obs_fns = [], {}, {}, {}
+    points, masses, obs_fns = [], {}, {}
     for point, nuisance_index, nuisance in triples:
         new_point = (point, nuisance_index)
         points.append(new_point)
-        new_ids[new_point], laws[new_point] = _atrandomize_ids(sums[point], split, nuisance)
+        masses[new_point] = _atrandomize_ids(sums[point], split, nuisance)
         obs_fns[new_point] = family.obs_fns[point]
     flags = dict(family.flags)
     flags["ignored"] = {
@@ -591,8 +608,8 @@ def ignore_model(
     }
     if policy.kind == SINGLE_ARBITRARY and policy.dist is None:
         flags["ignored"]["arbitrary_default"] = "uniform over the nuisance image"
-    numbering = (family.worlds, new_ids, family._coded, family.axes)
-    return Family(points, laws, obs_fns, flags=flags, numbering=numbering, v_classes=v_classes)
+    numbering = (family.worlds, masses, family._coded, family.axes)
+    return Family(points, None, obs_fns, flags=flags, numbering=numbering)
 
 
 @dataclass(frozen=True)
@@ -625,18 +642,19 @@ def target_values(target, family: Family) -> dict:
     """Evaluate a point-indexed target on every family point.
 
     A marginal functional reads each law's marginal from the per-world
-    codes of its variable, in code order.  Predictands are world functions,
+    codes of its variable, in code order, and is evaluated once per
+    distinct marginal.  Predictands are world functions,
     not point functions; they have no per-point value and cannot index
     likelihood or estimator tables.
     """
     if isinstance(target, MarginalFunctional):
         code, values, _keys = family.coded(target.var)
-        classes, by_class, out = family._same_marginals(code), {}, {}
+        by_marginal, out = {}, {}
         for p in family.points:
-            key = classes.get(p, p)
-            if key not in by_class:
-                by_class[key] = target.fn(_marginal(family.ids[p], family.laws[p], code, values))
-            out[p] = by_class[key]
+            marginal = _marginal(family.masses[p], code)
+            if marginal not in by_marginal:
+                by_marginal[marginal] = target.fn(_law(values, marginal))
+            out[p] = by_marginal[marginal]
         return out
     if isinstance(target, ParameterFunction):
         return {p: target.fn(p) for p in family.points}
@@ -658,9 +676,9 @@ def transform_target(target, family: Family, ignored: Family):
     if isinstance(target, ParameterFunction):
         mapping = {}
         for q in ignored.points:
-            # on the one numbering of both families: equal ids and weights
-            matches = [p for p in family.points if family.ids[p] == ignored.ids[q]
-                       and family.laws[p].weights() == ignored.laws[q].weights()]
+            # on the one numbering of both families, equal laws have equal
+            # reduced mass vectors
+            matches = [p for p in family.points if family.masses[p] == ignored.masses[q]]
             if not matches:
                 raise TargetNotTransformable(
                     f"ignored law at {q!r} equals no original law; the label "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Callable, Iterable
 
 from .exactprob import (
@@ -27,7 +28,9 @@ from .exactprob import (
     canonical_key,
     check_size,
     dist_new,
+    integer_masses,
     pushforward,
+    reduced,
     sorted_distinct,
 )
 
@@ -226,13 +229,12 @@ def iid_signal_dist(
 
     z_of = z_of or (lambda y: None)
     check_size(len(unit_dist.items) ** population.size, "signal support")
+    masses, denominator = integer_masses(unit_dist.weights())
+    denominator **= population.size
     pairs = []
-    for combo in itertools.product(unit_dist.items, repeat=population.size):
-        y = tuple(v for v, _ in combo)
-        weight = Fraction(1)
-        for _v, w in combo:
-            weight *= w
-        pairs.append(((y, z_of(y)), weight))
+    for combo in itertools.product(range(len(masses)), repeat=population.size):
+        y = tuple(unit_dist.items[i][0] for i in combo)
+        pairs.append(((y, z_of(y)), Fraction(prod(masses[i] for i in combo), denominator)))
     return dist_new(pairs)
 
 
@@ -382,39 +384,52 @@ class SurveyModel:
 
 
 def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
-    """Exact joint law of the world under one grid point."""
-    return numbered_joints(m, [(theta, phi)])[1][theta, phi]
+    """Exact joint law of the world under one grid point: its
+    `joint_masses` with each id made a world and each mass a Fraction."""
+    axes = m._axes()
+    yzs, mappings, _, _ = axes
+    ids, numerators, denominator = joint_masses(m, [(theta, phi)], axes)[theta, phi]
+    worlds = (WorldState(*yzs[i // len(mappings)], mappings[i % len(mappings)]) for i in ids)
+    return FiniteDist(tuple((w, Fraction(n, denominator)) for w, n in zip(worlds, numerators)))
 
 
-def numbered_joints(m: SurveyModel, points, axes: tuple | None = None) -> tuple:
-    """({grid point: world ids}, {grid point: law}): the exact joint law of
-    the world under each point, each atom with its id in `m.world_space()`.
+def joint_masses(m: SurveyModel, points, axes: tuple | None = None) -> dict:
+    """{grid point: (world ids, numerators, denominator)}: the exact joint
+    law of the world under each point, p(y, z) p(r | z), as a reduced
+    integer mass vector (see `reduced`) on the ids of `m.world_space()`.
 
-    By construction the conditional law of r given (y, z) is the design
-    kernel at z, so the structural constraint 'selection reads only z'
-    holds for every model built without the z-contains-y opt-in.  Signal
-    and design laws list (y, z) and r in canonical_key order, so the ids
-    come out distinct and ascending, with no merge or sort; the weights
-    w * wr are positive and sum to 1, as the w and the wr do.  `axes` is
-    `m._axes()`, when the caller already has it."""
+    The signal law is scaled over the lcm of its denominators and each
+    design column over its own, so each mass is an integer product.  The
+    law of r given (y, z) is the design kernel at z, so 'selection reads
+    only z' holds for every model built without the z-contains-y opt-in.
+    (y, z) and r come in canonical_key order, so the ids are distinct and
+    ascending.  `axes` is `m._axes()`, when the caller already has it."""
     _yzs, mappings, yz_rank, r_rank = axes or m._axes()
-    columns = {}  # id(design law) -> (that law, [(rank of r, r, weight)])
-    all_ids, laws = {}, {}
+    columns = {}  # id(design law) -> (that law, ranks of its r, integer masses, denominator)
+    out = {}
     for theta, phi in points:
         m.check_point(theta, phi)
         design = m.design_for(phi)
-        ids, pairs = [], []
-        for (y, z), w in m.signal_law[theta].items:
+        law = m.signal_law[theta]
+        signal, signal_denominator = integer_masses(law.weights())
+        rows, size = [], 0
+        for ((y, z), _w), a in zip(law.items, signal):
             delta = design.get(z)
-            check_size(len(pairs) + len(delta.items), "world support")
-            if id(delta) not in columns:
-                columns[id(delta)] = (delta, [(r_rank[canonical_key(r)], r, wr) for r, wr in delta.items])
-            base = yz_rank[canonical_key((y, z))] * len(mappings)
-            for j, r, wr in columns[id(delta)][1]:
-                ids.append(base + j)
-                pairs.append((WorldState(y, z, r), w * wr))
-        all_ids[theta, phi], laws[theta, phi] = tuple(ids), FiniteDist(tuple(pairs))
-    return all_ids, laws
+            check_size(size + len(delta.items), "world support")
+            size += len(delta.items)
+            column = columns.get(id(delta))
+            if column is None:
+                ranks = [r_rank[canonical_key(r)] for r, _w in delta.items]
+                column = columns[id(delta)] = (delta, ranks, *integer_masses(delta.weights()))
+            rows.append((yz_rank[canonical_key((y, z))] * len(mappings), a, column))
+        denominator = lcm(*(column[3] for _base, _a, column in rows))
+        ids, numerators = [], []
+        for base, a, (_delta, ranks, masses, column_denominator) in rows:
+            factor = a * (denominator // column_denominator)
+            ids.extend([base + j for j in ranks])
+            numerators.extend([factor * b for b in masses])
+        out[theta, phi] = reduced(ids, numerators, signal_denominator * denominator)
+    return out
 
 
 def observation_fn(m: SurveyModel, phi, scheme: ObservationScheme) -> Callable:

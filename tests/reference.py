@@ -169,33 +169,34 @@ def sampling_dist_equivalent(original, ignored, estimator) -> tuple:
     return all(sa == sb for sa, sb in sets.values()), sets
 
 
-def posterior_set(laws, obs, values, priors, x) -> set:
+def posterior_set(laws, obs, values, priors, x, predictand=None) -> set:
     """The posterior target distributions given x, one per prior (a dict
     {point: mass}) with positive evidence, each a frozenset of (target
-    value, mass) pairs: prior times likelihood, normalised, pushed through
-    the point's target value."""
+    value, mass) pairs: the prior mass of each point times the mass of each
+    of its worlds observed as x, summed by the point's target value (or by
+    the `predictand` of the world) and normalised."""
     out = set()
     for prior in priors:
-        weights = {p: q * _observation_law(laws[p], obs[p]).get(x, Fraction(0)) for p, q in prior.items()}
-        evidence = sum(weights.values(), Fraction(0))
-        if evidence == 0:
-            continue
         dist = {}
-        for p, w in weights.items():
-            if w:
-                dist[values[p]] = dist.get(values[p], Fraction(0)) + w / evidence
-        out.add(frozenset(dist.items()))
+        for p, q in prior.items():
+            for w, mass in laws[p].items():
+                if q and obs[p](w) == x:
+                    t = predictand(w) if predictand else values[p]
+                    dist[t] = dist.get(t, Fraction(0)) + q * mass
+        evidence = sum(dist.values(), Fraction(0))
+        if evidence:
+            out.add(frozenset((t, m / evidence) for t, m in dist.items()))
     return out
 
 
-def posterior_equivalent(original, ignored, priors, priors_star, x):
+def posterior_equivalent(original, ignored, priors, priors_star, x, predictand=None):
     """(equal, original set, ignored set) of the Bayes test at x, each
     family given as (laws, obs, values) with its own priors, or
     "ZeroEvidence" when x has zero evidence under every original prior."""
-    set_a = posterior_set(*original, priors, x)
+    set_a = posterior_set(*original, priors, x, predictand)
     if not set_a:
         return "ZeroEvidence"
-    set_b = posterior_set(*ignored, priors_star, x)
+    set_b = posterior_set(*ignored, priors_star, x, predictand)
     return set_a == set_b, set_a, set_b
 
 

@@ -12,6 +12,7 @@ import importlib.util
 import io
 import json
 import pstats
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -97,16 +98,9 @@ def test_srs_rung_digest(N, n, inference, policy, tmp_path):
     assert digest == RUNG_DIGESTS[N, n, inference, policy]
 
 
-# canonical_key calls, recursive ones included, during an in-process
-# `check --inference likelihood --json` on the SRS rung N=5 n=3.  Keying
-# every world of the space made 88,640; coding the declared variables and
-# observations from the two axes of the world ids made 34,232, and merging
-# the two families' interned observation keys, instead of keying every
-# observation again, makes 16,952.
-RUNG_KEY_CALLS_BOUND = 25_000
-
-
-def test_srs_rung_keys_per_axis_not_per_world(tmp_path):
+def _rung_calls(tmp_path, function) -> int:
+    """Calls of `function`, recursive ones included, during an in-process
+    `check --inference likelihood --json` on the SRS rung N=5 n=3."""
     spec = importlib.util.spec_from_file_location("srs_ladder", SRS_LADDER)
     srs_ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(srs_ladder)
@@ -120,10 +114,30 @@ def test_srs_rung_keys_per_axis_not_per_world(tmp_path):
         finally:
             profile.disable()
     assert code == 0
-    key = canonical_key.__code__
-    where = (key.co_filename, key.co_firstlineno, key.co_name)
-    calls = sum(stat[1] for func, stat in pstats.Stats(profile).stats.items() if func == where)
-    assert 0 < calls <= RUNG_KEY_CALLS_BOUND
+    where = (function.__code__.co_filename, function.__code__.co_firstlineno, function.__code__.co_name)
+    return sum(stat[1] for func, stat in pstats.Stats(profile).stats.items() if func == where)
+
+
+# canonical_key calls on that rung.  Keying every world of the space made
+# 88,640; coding the declared variables and observations from the two axes
+# of the world ids made 34,232, and merging the two families' interned
+# observation keys, instead of keying every observation again, makes 16,952.
+RUNG_KEY_CALLS_BOUND = 25_000
+
+
+def test_srs_rung_keys_per_axis_not_per_world(tmp_path):
+    assert 0 < _rung_calls(tmp_path, canonical_key) <= RUNG_KEY_CALLS_BOUND
+
+
+# Fraction constructions on that rung, those of Fraction arithmetic
+# included.  Laws of Fractions from the joint to the verdict made 12,464;
+# integer mass vectors, which build Fractions only for the emitted values,
+# the signal laws and the target marginals, make 2,834.
+RUNG_FRACTION_CALLS_BOUND = 3_500
+
+
+def test_srs_rung_fractions_only_at_the_boundary(tmp_path):
+    assert 0 < _rung_calls(tmp_path, Fraction.__new__) <= RUNG_FRACTION_CALLS_BOUND
 
 
 # One SHA-256 over `mc-verify --json` stdout of every catalog model at its

@@ -17,6 +17,7 @@ from ignorability_lab.ignorance import (
     Family,
     MarginalFunctional,
     NotAComplement,
+    Predictand,
     RandomVariableRef,
     ValueNotInImage,
     ZeroMassPhiSet,
@@ -33,6 +34,7 @@ from ignorability_lab.inference import (
     ZeroEvidence,
     likelihood_equivalent,
     posterior_equivalent,
+    prepare,
     sampling_dist_equivalent,
 )
 from ignorability_lab.sampling import observe
@@ -124,8 +126,8 @@ def reference_side(m, scheme, laws, var, grid_point):
 def ignored_sides(case, data):
     """A random split and marginal-functional target on a survey model, and
     both families twice: as (laws, obs, values) for the reference and as
-    engine families, with the target; None when ignoring fails (the ignore
-    failures are compared above)."""
+    engine families, with the target and the split; None when ignoring
+    fails (the ignore failures are compared above)."""
     m, scheme, policy = case
     v, v_bar = data.draw(st.sampled_from(splits(m.population)))
     var = data.draw(st.sampled_from((signal_rv(), selection_rv())))
@@ -138,7 +140,7 @@ def ignored_sides(case, data):
     family = Family.from_survey_model(m, scheme)
     ignored_family = ignore_model(family, make_split(family, v, v_bar), policy())
     target = MarginalFunctional("law", var, lambda d: d)
-    return original, ignored, family, ignored_family, target
+    return original, ignored, family, ignored_family, target, (v, v_bar)
 
 
 def observations(side) -> list:
@@ -153,7 +155,7 @@ def test_likelihood_test_on_survey_models(case, data):
     sides = ignored_sides(case, data)
     if sides is None:
         return
-    original, ignored, family, ignored_family, target = sides
+    original, ignored, family, ignored_family, target, _split = sides
     x = data.draw(st.sampled_from([None, *observations(original)]))
     want = reference.likelihood_equivalent(original, ignored, x)
     try:
@@ -192,7 +194,7 @@ def test_frequentist_test_on_survey_models(case, data):
     sides = ignored_sides(case, data)
     if sides is None:
         return
-    original, ignored, family, ignored_family, target = sides
+    original, ignored, family, ignored_family, target, _split = sides
     estimator = data.draw(st.sampled_from(ESTIMATORS))(case[1])
     equivalent, sets = reference.sampling_dist_equivalent(original, ignored, estimator)
     result = sampling_dist_equivalent(family, ignored_family, estimator, target)
@@ -228,18 +230,24 @@ def product_prior(prior, points) -> dict:
     return {q: w / total for q, w in weights.items()}
 
 
+# a world function as the target: the value of the first unit
+FIRST_UNIT = Predictand("first_unit", lambda w: w.y[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(survey_models(), st.data())
 def test_bayes_test_on_survey_models(case, data):
     sides = ignored_sides(case, data)
     if sides is None:
         return
-    original, ignored, family, ignored_family, target = sides
+    original, ignored, family, ignored_family, target, split = sides
+    predictand = data.draw(st.sampled_from((None, FIRST_UNIT)))
+    target = predictand or target
     priors = data.draw(priors_on(family.points))
     priors_star = [product_prior(q, ignored_family.points) for q in priors]
     engine_priors = [[dist_new(list(q.items())) for q in side] for side in (priors, priors_star)]
     for x in observations(original):
-        want = reference.posterior_equivalent(original, ignored, priors, priors_star, x)
+        want = reference.posterior_equivalent(original, ignored, priors, priors_star, x, predictand and predictand.fn)
         try:
             result = posterior_equivalent(family, ignored_family, *engine_priors, target, x)
         except ZeroEvidence as err:
@@ -250,3 +258,11 @@ def test_bayes_test_on_survey_models(case, data):
         got = ({as_set(d) for d in detail["original"]}, {as_set(d) for d in detail["ignored"]})
         assert (result.equivalent, *got) == want
         assert witness.equal == result.equivalent and detail["observation"] == x
+
+    # every observation at once, under the default uniform priors
+    m, scheme, policy = case
+    prepared = prepare(m, split, scheme, target, policy())
+    uniform = [{p: F(1, len(points)) for p in points} for points in (family.points, ignored_family.points)]
+    want = [reference.posterior_equivalent(original, ignored, *([q] for q in uniform), x, predictand and predictand.fn)[0]
+            for x in family.observation_support()]
+    assert prepared.posterior_verdicts() == want
