@@ -332,7 +332,9 @@ def posterior_equivalent(
     if target_star is None:
         target_star = transform_target(target, original, ignored)
     families = (original, ignored)
-    reprs, ranks = _posterior_ranks(families, target, target_star, values)
+    if values is None and not isinstance(target, Predictand):
+        values = (target_values(target, original), target_values(target_star, ignored))
+    reprs, ranks = _ranked(zip(families, values)) if values else (None, None)
     columns = [[_columns(f, q) for q in qs] for f, qs in zip(families, (priors, priors_star))]
     found = _posterior_sets(families, columns, (target, target_star), x, [f.observation_code(x) for f in families], ranks)
     sets = [tuple(sorted((d if ranks is None else _dist([reprs[r] for r in d[0]], *d[1:]) for d in side.values()),
@@ -341,13 +343,6 @@ def posterior_equivalent(
     detail = (("observation", x), ("original", sets[0]), ("ignored", sets[1]))
     return EquivalenceResult(equal, None, (Witness("posterior_sets", equal, detail),))
 
-
-def _posterior_ranks(families, target, target_star, values) -> tuple:
-    """(target values, [{point: rank}]) of `_ranked`, or (None, None) for a
-    predictand, which has no per-point value."""
-    if isinstance(target, Predictand):
-        return None, None
-    return _ranked(zip(families, values or (target_values(target, families[0]), target_values(target_star, families[1]))))
 
 
 def check_distinct(grid) -> bool:
@@ -819,7 +814,7 @@ class PreparedCheck:
         test at every observation in one pass over the columns (see
         `_columns`), with no witness built."""
         families = (self.family, self.ignored)
-        _reprs, ranks = _posterior_ranks(families, self.target, self.target_star, self.values)
+        ranks = _ranked(zip(families, self.values))[1] if self.values else None
         columns = [[_columns(f, q) for q in qs] for f, qs in zip(families, self.default_priors)]
         xs, codes_b = self.family.observation_support(), self.ignored.observation_codes()
         found = (_posterior_sets(families, columns, (self.target, self.target_star), xs[c], (c, codes_b.get(k)), ranks)
