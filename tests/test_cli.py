@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, JSON output, command wiring."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ignorability_lab.catalog import CATALOG
 from ignorability_lab.cli import main, parse_observation_literal
@@ -209,6 +213,27 @@ class TestCheck:
         # conditioned on one compatibility set, the whole signal image
         assert len(calls) == 2 + 2
 
+    @pytest.mark.parametrize("policy", ["dirac", "arbitrary", "marginal"])
+    @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
+    def test_target_values_computed_once_per_shape(self, capsys, models, monkeypatch, inference, policy):
+        # every (inference, policy) shape evaluates the marginal target once
+        # per distinct law of the signal of each family: 2 on each side
+        from ignorability_lab import modelfile
+        from ignorability_lab.ignorance import MarginalFunctional
+
+        calls = []
+        real = modelfile._build_target
+
+        def counting(doc, population):
+            target = real(doc, population)
+            return MarginalFunctional(target.name, target.var, lambda law: calls.append(law) or target.fn(law))
+
+        monkeypatch.setattr(modelfile, "_build_target", counting)
+        argv = ["check", models["srs_wor_n3"], "--inference", inference, "--policy", policy, "--json"]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert len(calls) == 4
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -392,6 +417,57 @@ class TestParserReuse:
         code, out, _ = run(capsys, ["enumerate", path, "--json"])
         assert code == 0
         assert out == golden_stdout("enumerate.srs_wor_n3")
+
+
+@pytest.fixture(scope="module")
+def catalog_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("catalog")
+    for name, text in CATALOG.items():
+        (folder / f"{name}.model").write_text(text)
+    return {name: str(folder / f"{name}.model") for name in CATALOG}
+
+
+CHECKS = [
+    (name, "--inference", inference, "--policy", policy)
+    for name in CATALOG
+    for inference in ("likelihood", "frequentist", "bayes")
+    for policy in ("dirac", "arbitrary", "marginal")
+]
+OTHERS = [
+    *CHECKS,
+    ("srs_wor_n3", "--x", "[[1,0],[1,2]]"),
+    *((name,) for name in ("select_max", "srs_wr_duplicates", "sampled_weights")),
+]
+
+
+def captured_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestRepeatedCommands:
+    """A command run twice in one process prints the same bytes, whatever
+    ran between: no per-process store (the argument parser, a model's Rubin
+    context, a family's target values) leaks from one command into another."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(CHECKS),
+        between=st.lists(
+            st.tuples(st.sampled_from(["check", "enumerate", "audit-rubin", "inclusion"]), st.sampled_from(OTHERS)),
+            max_size=3,
+        ),
+    )
+    def test_check_json_repeats(self, catalog_paths, command, between):
+        def argv(name, *rest, verb="check"):
+            return [verb, catalog_paths[name], *(rest if verb == "check" else ()), "--json"]
+
+        first = captured_run(argv(*command))
+        for verb, (name, *rest) in between:
+            captured_run(argv(name, *rest, verb=verb))
+        assert captured_run(argv(*command)) == first
 
 
 class TestEnumerate:

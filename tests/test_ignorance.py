@@ -588,6 +588,34 @@ class TestTargets:
         assert t_star.fn(("p", "p")) == "p"
         assert t_star.fn(("q", "q")) == "q"
 
+    @pytest.mark.parametrize("raises", ["on_the_second_law", "on_the_first_call"])
+    def test_raising_target_leaves_no_values(self, raises):
+        # a target that raises part way through leaves nothing behind: the
+        # next query evaluates every law afresh, and raises again or gives
+        # the value of every point
+        fam = two_by_two_family()
+        q_law = pushforward(fam.laws["q"], first)
+        calls = []
+
+        def fn(d):
+            calls.append(d)
+            if dist_eq(d, q_law) if raises == "on_the_second_law" else len(calls) == 1:
+                raise ValueError("no value")
+            return d
+
+        t = MarginalFunctional("first_law", first, fn)
+        with pytest.raises(ValueError):
+            target_values(t, fam)
+        if raises == "on_the_second_law":
+            with pytest.raises(ValueError):
+                target_values(t, fam)
+            assert len(calls) == 2 + 2
+        else:
+            values = target_values(t, fam)
+            assert sorted(values) == ["p", "q"]
+            for p in fam.points:
+                assert dist_eq(values[p], pushforward(fam.laws[p], first))
+
     def test_predictand_has_no_point_value(self):
         fam = two_by_two_family()
         with pytest.raises(TargetNotTransformable):
