@@ -263,11 +263,3 @@ CATALOG = {
     "unordered_values": UNORDERED_VALUES,
     "correlated_joint": CORRELATED_JOINT,
 }
-
-
-def example(name: str) -> str:
-    return CATALOG[name]
-
-
-def names() -> tuple:
-    return tuple(CATALOG)

@@ -421,14 +421,14 @@ class Family:
     (for a hand-built family, those of `space` and of its `laws`' atoms;
     a family given its numbering takes laws None), and `masses[p]` is the
     reduced integer mass vector (ids, numerators, denominator) of each law,
-    of which `laws` and `ids` are views.  A survey model's family also keeps
+    of which `laws` is a view.  A survey model's family also keeps
     the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so that
     declared variables are coded per axis (see `_code`).  An ignored family
     shares its original's numbering and per-world codes of observations and
-    targets.
+    targets; each family keeps its own values of marginal targets.
     """
 
-    def __init__(self, points, laws, obs_fns, space=None, flags=None, numbering=None):
+    def __init__(self, points, laws, obs_fns, space=None, numbering=None):
         self.points = tuple(points)
         self.obs_fns = dict(obs_fns)
         if numbering is None:  # a hand-built family: number its worlds here
@@ -441,16 +441,11 @@ class Family:
                       for p in self.points}
             numbering = (worlds, masses, {}, None)
         self.worlds, self.masses, self._coded, self.axes = numbering
-        self.flags = dict(flags or {})
-        self._tables = {}  # point -> its observation table of Fractions
+        self._values = {}  # (target function, variable function) -> {point: value}
 
     @cached_property
     def laws(self) -> dict:
         return {p: _law(self.worlds, self.masses[p]) for p in self.points}
-
-    @property
-    def ids(self) -> dict:
-        return {p: self.masses[p][0] for p in self.points}
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
@@ -462,9 +457,8 @@ class Family:
         else:
             fns = dict.fromkeys(phis, _observation_rv(m, scheme))
         obs_fns = {point: fns[point[1]] for point in m.grid}
-        flags = {"z_contains_y": m.z_contains_y}
         numbering = (m.world_space(axes), masses, {}, (len(axes[0]), len(axes[1])))
-        return Family(m.grid, None, obs_fns, flags=flags, numbering=numbering)
+        return Family(m.grid, None, obs_fns, numbering=numbering)
 
     def coded(self, var) -> tuple:
         """(world id -> code, code -> value, code -> canonical_key): `var`
@@ -510,16 +504,9 @@ class Family:
         return self._interned[1].get(canonical_key(x))
 
     def observation_sums(self, point) -> tuple:
-        """(denominator, {code: integer mass}) of `observation_table`."""
+        """(denominator, {code: integer mass}): the observation distribution
+        at one point, each code's mass over the denominator."""
         return self._interned[2][point]
-
-    def observation_table(self, point) -> dict:
-        """{code: mass} of the observation distribution at one point."""
-        table = self._tables.get(point)
-        if table is None:
-            denominator, sums = self._interned[2][point]
-            table = self._tables[point] = {c: Fraction(n, denominator) for c, n in sums.items()}
-        return table
 
 
 def make_split(
@@ -600,16 +587,8 @@ def ignore_model(
         points.append(new_point)
         masses[new_point] = _atrandomize_ids(sums[point], split, nuisance)
         obs_fns[new_point] = family.obs_fns[point]
-    flags = dict(family.flags)
-    flags["ignored"] = {
-        "nuisance": split.v_bar.name,
-        "policy": policy.kind,
-        "split_status": split.status,
-    }
-    if policy.kind == SINGLE_ARBITRARY and policy.dist is None:
-        flags["ignored"]["arbitrary_default"] = "uniform over the nuisance image"
     numbering = (family.worlds, masses, family._coded, family.axes)
-    return Family(points, None, obs_fns, flags=flags, numbering=numbering)
+    return Family(points, None, obs_fns, numbering=numbering)
 
 
 @dataclass(frozen=True)
@@ -643,19 +622,24 @@ def target_values(target, family: Family) -> dict:
 
     A marginal functional reads each law's marginal from the per-world
     codes of its variable, in code order, and is evaluated once per
-    distinct marginal.  Predictands are world functions,
-    not point functions; they have no per-point value and cannot index
-    likelihood or estimator tables.
+    distinct marginal; the family keeps the values per pair of functions,
+    stored only once every point has its value.  Predictands are world
+    functions, not point functions; they have no per-point value and
+    cannot index likelihood or estimator tables.
     """
     if isinstance(target, MarginalFunctional):
-        code, values, _keys = family.coded(target.var)
-        by_marginal, out = {}, {}
-        for p in family.points:
-            marginal = _marginal(family.masses[p], code)
-            if marginal not in by_marginal:
-                by_marginal[marginal] = target.fn(_law(values, marginal))
-            out[p] = by_marginal[marginal]
-        return out
+        var = target.var
+        key = (target.fn, var.fn if isinstance(var, RandomVariableRef) else var)
+        if key not in family._values:
+            code, values, _keys = family.coded(var)
+            by_marginal, out = {}, {}
+            for p in family.points:
+                marginal = _marginal(family.masses[p], code)
+                if marginal not in by_marginal:
+                    by_marginal[marginal] = target.fn(_law(values, marginal))
+                out[p] = by_marginal[marginal]
+            family._values[key] = out
+        return family._values[key]
     if isinstance(target, ParameterFunction):
         return {p: target.fn(p) for p in family.points}
     raise TargetNotTransformable(

@@ -93,11 +93,14 @@ class EquivalenceResult:
     witnesses: tuple
 
 
-def _ranked(sides) -> tuple:
-    """(values, [{point: rank}]): the values of (family, {point: value})
-    sides numbered in canonical_key order, the first of each key kept, and
-    each point's rank per side; a value shared by points is keyed once."""
-    sides = tuple(sides)
+def _ranked(original: Family, ignored: Family, target) -> tuple:
+    """(values, [{point: rank}]): the values of the target on the original
+    family and of its counterpart (`transform_target`) on the ignored one,
+    numbered in canonical_key order, the first of each key kept, and each
+    point's rank per family; a value shared by points is keyed once.  Each
+    family keeps a marginal target's values (see `target_values`)."""
+    target_star = transform_target(target, original, ignored)
+    sides = ((original, target_values(target, original)), (ignored, target_values(target_star, ignored)))
     keys, keyed = {}, {}  # id(value) -> canonical_key(value); canonical_key -> value
     for family, values in sides:
         for p in family.points:
@@ -128,14 +131,7 @@ def _coarse_table(family: Family, ranks: dict, columns: dict, width: int) -> dic
     return table
 
 
-def likelihood_equivalent(
-    original: Family,
-    ignored: Family,
-    x,
-    target,
-    target_star=None,
-    values=None,
-) -> EquivalenceResult:
+def likelihood_equivalent(original: Family, ignored: Family, x, target) -> EquivalenceResult:
     """Exact proportionality of the two likelihood tables.
 
     With x=None the proportionality constant must be shared across every
@@ -143,11 +139,8 @@ def likelihood_equivalent(
     concrete x only that observation's tables are compared (local reading).
     Target values and compared observations are numbered once, in
     canonical_key order, and the tables are indexed by those numbers.
-    `values` are the target's values on the two families, when known.
     """
-    if target_star is None:
-        target_star = transform_target(target, original, ignored)
-    values = values or (target_values(target, original), target_values(target_star, ignored))
+    reprs, ranks = _ranked(original, ignored, target)
     if x is not None:
         xs = (x,)
         columns = [{family.observation_code(x): 0} for family in (original, ignored)]
@@ -156,7 +149,6 @@ def likelihood_equivalent(
         keys = sorted(ca.keys() | cb.keys())
         xs = tuple(xa[ca[k]] if k in ca else xb[cb[k]] for k in keys)
         columns = [{table[k]: j for j, k in enumerate(keys) if k in table} for table in (ca, cb)]
-    reprs, ranks = _ranked(zip((original, ignored), values))
     table_a, table_b = (_coarse_table(f, r, cols, len(xs)) for f, r, cols in zip((original, ignored), ranks, columns))
     zeros = [(0, 1)] * len(xs)
     cells = (
@@ -218,23 +210,12 @@ def _table_payload(table, reprs, xs):
     return tuple(((reprs[v], xs[j]), Fraction(*cell)) for v in sorted(table) for j, cell in enumerate(table[v]))
 
 
-def sampling_dist_equivalent(
-    original: Family,
-    ignored: Family,
-    estimator,
-    target,
-    target_star=None,
-    values=None,
-) -> EquivalenceResult:
+def sampling_dist_equivalent(original: Family, ignored: Family, estimator, target) -> EquivalenceResult:
     """Set equality, per target value, of exact estimator distributions.
     The estimator is evaluated once per observation of each family, and a
     point's distribution is keyed by its reduced integer mass vector on the
-    estimates' keys.  `values`: the target's values on the two families,
-    when known."""
-    if target_star is None:
-        target_star = transform_target(target, original, ignored)
-    values = values or (target_values(target, original), target_values(target_star, ignored))
-    reprs, ranks = _ranked(zip((original, ignored), values))
+    estimates' keys."""
+    reprs, ranks = _ranked(original, ignored, target)
     groups = ({}, {})  # per family: {value rank: {key: law}}
     for family, rank, group in zip((original, ignored), ranks, groups):
         estimates = [estimator(x) for x in family.observation_support()]
@@ -284,16 +265,17 @@ def _columns(family: Family, prior: FiniteDist) -> dict:
     return columns
 
 
-def _posterior_sets(families, columns, targets, x, codes, ranks) -> list:
+def _posterior_sets(families, columns, target, x, codes, ranks) -> list:
     """[{key: law}] of the original and the ignored family at the
     observation x of `codes` (its code in each family, or None): the
     posterior target law under each prior with positive evidence, keyed so
-    that equal laws have equal keys.  A predictand's law (`ranks` None)
-    mixes each point's law conditioned on x; any other is the reduced
-    integer mass vector of the posterior on the value `ranks` of the points.
+    that equal laws have equal keys.  A predictand's law (`ranks` None,
+    `target` the predictand) mixes each point's law conditioned on x; any
+    other is the reduced integer mass vector of the posterior on the value
+    `ranks` of the points.
     Raises ZeroEvidence when no original prior has positive evidence."""
     out = []
-    for family, by_prior, target, code, rank in zip(families, columns, targets, codes, ranks or (None, None)):
+    for family, by_prior, code, rank in zip(families, columns, codes, ranks or (None, None)):
         found = {}
         for column in (by_code[code] for by_code in by_prior if code in by_code):
             if rank is None:
@@ -312,31 +294,19 @@ def _posterior_sets(families, columns, targets, x, codes, ranks) -> list:
     return out
 
 
-def posterior_equivalent(
-    original: Family,
-    ignored: Family,
-    priors,
-    priors_star,
-    target,
-    x,
-    target_star=None,
-    values=None,
-) -> EquivalenceResult:
+def posterior_equivalent(original: Family, ignored: Family, priors, priors_star, target, x) -> EquivalenceResult:
     """Set equality of posterior target distributions across the prior sets.
 
     Priors with zero evidence at x admit no posterior and are excluded; if
     every original-side prior has zero evidence the inference is impossible
     and ZeroEvidence is raised.  Each family's posteriors are read from its
-    columns per prior (see `_columns`).  `values`: the target's, when known.
+    columns per prior (see `_columns`).  A predictand, a function of the
+    world, is its own counterpart.
     """
-    if target_star is None:
-        target_star = transform_target(target, original, ignored)
     families = (original, ignored)
-    if values is None and not isinstance(target, Predictand):
-        values = (target_values(target, original), target_values(target_star, ignored))
-    reprs, ranks = _ranked(zip(families, values)) if values else (None, None)
+    reprs, ranks = (None, None) if isinstance(target, Predictand) else _ranked(original, ignored, target)
     columns = [[_columns(f, q) for q in qs] for f, qs in zip(families, (priors, priors_star))]
-    found = _posterior_sets(families, columns, (target, target_star), x, [f.observation_code(x) for f in families], ranks)
+    found = _posterior_sets(families, columns, target, x, [f.observation_code(x) for f in families], ranks)
     sets = [tuple(sorted((d if ranks is None else _dist([reprs[r] for r in d[0]], *d[1:]) for d in side.values()),
                          key=canonical_key)) for side in found]
     equal = found[0].keys() == found[1].keys()
@@ -784,7 +754,7 @@ class PreparedCheck:
     """The observation-free part of a classification: the original family,
     the classified split, the ignored family and the transformed target.
     Built once by `prepare`, then queried by `test` per inference type and
-    observation, which share its target values and default priors."""
+    observation, which share its default priors."""
 
     model: SurveyModel
     scheme: ObservationScheme
@@ -796,14 +766,6 @@ class PreparedCheck:
     target_star: object
 
     @cached_property
-    def values(self) -> tuple | None:
-        """The target's values on the original and on the ignored family;
-        None for a predictand, which has no per-point value."""
-        if isinstance(self.target, Predictand):
-            return None
-        return target_values(self.target, self.family), target_values(self.target_star, self.ignored)
-
-    @cached_property
     def default_priors(self) -> tuple:
         """(priors, product priors) of a Bayesian test given none: uniform."""
         return self._priors(None, None)
@@ -813,11 +775,11 @@ class PreparedCheck:
         each observation of the original family, in code order: the Bayes
         test at every observation in one pass over the columns (see
         `_columns`), with no witness built."""
-        families = (self.family, self.ignored)
-        ranks = _ranked(zip(families, self.values))[1] if self.values else None
+        families, target = (self.family, self.ignored), self.target
+        ranks = None if isinstance(target, Predictand) else _ranked(*families, target)[1]
         columns = [[_columns(f, q) for q in qs] for f, qs in zip(families, self.default_priors)]
         xs, codes_b = self.family.observation_support(), self.ignored.observation_codes()
-        found = (_posterior_sets(families, columns, (self.target, self.target_star), xs[c], (c, codes_b.get(k)), ranks)
+        found = (_posterior_sets(families, columns, target, xs[c], (c, codes_b.get(k)), ranks)
                  for k, c in self.family.observation_codes().items())
         return [a.keys() == b.keys() for a, b in found]
 
@@ -835,23 +797,17 @@ class PreparedCheck:
         witness inequality exists."""
         family, ignored = self.family, self.ignored
         if inference_type == LIKELIHOOD_BASED:
-            result = likelihood_equivalent(
-                family, ignored, x, self.target, self.target_star, self.values
-            )
+            result = likelihood_equivalent(family, ignored, x, self.target)
         elif inference_type == FREQUENTIST:
             if estimator is None:
                 raise EngineError("frequentist classification needs an estimator")
-            result = sampling_dist_equivalent(
-                family, ignored, estimator, self.target, self.target_star, self.values
-            )
+            result = sampling_dist_equivalent(family, ignored, estimator, self.target)
         elif inference_type == BAYESIAN:
             if x is None:
                 raise EngineError("Bayesian classification needs an observation")
             explicit = priors or nuisance_priors is not None
             priors, priors_star = self._priors(priors, nuisance_priors) if explicit else self.default_priors
-            result = posterior_equivalent(
-                family, ignored, priors, priors_star, self.target, x, self.target_star, self.values
-            )
+            result = posterior_equivalent(family, ignored, priors, priors_star, self.target, x)
         else:
             raise EngineError(f"unknown inference type {inference_type!r}")
 

@@ -242,17 +242,14 @@ def rubin_human(report: RubinAuditReport) -> str:
 
 
 def emit_report(report, json_form: bool = False) -> str:
-    """Render any engine report; canonical JSON under json_form."""
+    """Render a classification, Monte Carlo or Rubin audit report;
+    canonical JSON under json_form."""
     if isinstance(report, ClassificationReport):
         payload, human = classification_payload(report), classification_human(report)
     elif isinstance(report, McReport):
         payload, human = mc_payload(report), mc_human(report)
-    elif isinstance(report, RubinAuditReport):
-        payload, human = rubin_payload(report), rubin_human(report)
-    elif isinstance(report, dict):
-        payload, human = report, _aligned([[k, _compact(v)] for k, v in report.items()])
     else:
-        payload, human = to_jsonable(report), str(report)
+        payload, human = rubin_payload(report), rubin_human(report)
     return machine_json(payload) if json_form else human
 
 

@@ -98,7 +98,7 @@ def check_declared_equals_plain(m, scheme, policy):
     reference.obs_fns = {p: plain(fn) if isinstance(fn, RandomVariableRef) else fn
                          for p, fn in reference.obs_fns.items()}
     assert repr(fam.observation_support()) == repr(reference.observation_support())
-    assert all(fam.observation_table(p) == reference.observation_table(p) for p in fam.points)
+    assert all(fam.observation_sums(p) == reference.observation_sums(p) for p in fam.points)
 
     target = MarginalFunctional("signal_law", signal_rv(), lambda d: d)
     for v, v_bar in splits(population):
