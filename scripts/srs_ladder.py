@@ -8,9 +8,10 @@ and `n = n`, for the six rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3),
 `check <rung> --inference likelihood --json` on each in a fresh process,
 and then `check <rung> --inference bayes --json` (every observation, 960
 at N=6 n=3) on N=6 n=3.  It prints the wall time, the exit code and a
-SHA-256 of stdout of each row, so two checkouts can be compared for speed
-and for identical output.  The last two likelihood rows take most of the
-time (86,016 worlds at N=8 n=3).
+SHA-256 of stdout of each row, and `ok` when the digest is the one recorded
+in DIGESTS or `DIFFERS` when it is not; it exits 1 when a row differs,
+fails or prints different bytes on a repeat.  The last two likelihood rows
+take most of the time (86,016 worlds at N=8 n=3).
 
 Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K]
 """
@@ -29,6 +30,16 @@ from ignorability_lab.catalog import CATALOG
 RUNGS = ((4, 3), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3))
 # (N, n, inference) of every row
 ROWS = tuple((N, n, "likelihood") for N, n in RUNGS) + ((6, 3, "bayes"),)
+# SHA-256 of the stdout of each row
+DIGESTS = {
+    (4, 3, "likelihood"): "3b090eafda66e822257e71eb0b0162c56099bce008d54cbff01d10d4938a586a",
+    (5, 2, "likelihood"): "289487d6f386ec7afaf87d1a9f23edd7f7754130ae2eb2c427c7a9740aad8c50",
+    (5, 3, "likelihood"): "b90bab53048df08ef676309a2dd0fe95fbd23e834e4f505b22f9cc94c5fab0d1",
+    (6, 3, "likelihood"): "0b5577ea258934aaafc854421857ec165d46c4c0992e586d1ece252d5a9ce62b",
+    (7, 3, "likelihood"): "2b5c6d6b8cf08436416a6d32c7b0fa48407721b0debc5fddad8f8e5d0f2f63e8",
+    (8, 3, "likelihood"): "6a3c669fae6be21aea3ccc66789324b65cabff537455ab675458e588ad8bde17",
+    (6, 3, "bayes"): "5466d03dc70bc46cb85ad36ec73865dd08cd158fada94c9ae5dc1663822c9242",
+}
 BASE = "srs_wor_n3"
 
 
@@ -71,10 +82,11 @@ def main(argv=None) -> int:
             walls = ", ".join(f"{wall:.2f}" for wall, _code, _digest in runs)
             codes = sorted({code for _wall, code, _digest in runs})
             digests = sorted({digest for _wall, _code, digest in runs})
-            failed = failed or codes != [0] or len(digests) > 1
+            verdict = "ok" if digests == [DIGESTS[N, n, inference]] else "DIFFERS"
+            failed = failed or codes != [0] or verdict != "ok"
             digest = digests[0] if len(digests) == 1 else "differs between runs"
             code = ",".join(str(c) for c in codes)
-            print(f"N={N} n={n} {inference}  wall_s {walls}  exit {code}  sha256 {digest}", flush=True)
+            print(f"N={N} n={n} {inference}  wall_s {walls}  exit {code}  sha256 {digest}  {verdict}", flush=True)
     return 1 if failed else 0
 
 
