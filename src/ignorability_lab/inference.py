@@ -740,11 +740,17 @@ def default_estimator(scheme: ObservationScheme):
             return tuple(v for v, _pi in x)
         return x[0]
 
+    def number(v) -> Fraction:
+        try:
+            return Fraction(v)
+        except (TypeError, ValueError):
+            raise EngineError(f"the sample mean needs numeric values; observed value {v!r} is not a number") from None
+
     def mean(x):
         values = values_part(x)
         if not values:
             return Fraction(0)
-        return Fraction(sum(Fraction(v) for v in values), len(values))
+        return Fraction(sum(map(number, values)), len(values))
 
     return mean
 

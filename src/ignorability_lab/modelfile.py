@@ -542,12 +542,16 @@ def parse_model(text: str) -> ModelDocument:
             selectors[key] = tuple(choices)
 
     target = _Section(sections, "target")
-    tok = target.value("kind")
-    target_kind = "signal_law" if tok is None else _choose(tok, TARGET_KINDS, "target kind", "known-target")
+    kind_tok = target.value("kind")
+    target_kind = "signal_law" if kind_tok is None else _choose(kind_tok, TARGET_KINDS, "target kind", "known-target")
     tok = target.value("unit")
     target_unit = None if tok is None else _parse_label(tok)
     if tok is not None and target_unit not in units:
         raise _error(tok, "unit-exists", f"target unit {target_unit!r} not in the population")
+    word = next((v for v in alphabet if isinstance(v, str)), None)
+    if target_kind in ("unit_expectation", "population_mean") and word is not None:
+        message = f"target kind {target_kind!r} averages signal values; alphabet value {word!r} is not a number"
+        raise _error(kind_tok, "numeric-alphabet", message)
 
     return ModelDocument(
         units=tuple(units),

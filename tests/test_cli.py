@@ -298,6 +298,27 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("error: line ") and message in err
 
+    @pytest.mark.parametrize(
+        "inference, kind, message",
+        [
+            ("frequentist", None, "the sample mean needs numeric values; observed value 'hi' is not a number"),
+            *((inference, kind, f"line 20, col 8: target kind '{kind}' averages signal values; "
+                                "alphabet value 'lo' is not a number [numeric-alphabet]")
+              for kind in ("unit_expectation", "population_mean")
+              for inference in ("likelihood", "frequentist", "bayes")),
+        ],
+    )
+    def test_word_alphabet(self, capsys, tmp_path, inference, kind, message):
+        # a target or estimator that averages signal values refuses words
+        text = CATALOG["srs_wor_minimal"].replace("alphabet = 0 1", "alphabet = lo hi")
+        text = text.replace("0:2/3 1:1/3", "lo:2/3 hi:1/3").replace("0:1/3 1:2/3", "lo:1/3 hi:2/3")
+        if kind is not None:
+            text += f"\n[target]\nkind = {kind}\n"
+        path = tmp_path / "words.model"
+        path.write_text(text)
+        code, out, err = run(capsys, ["check", str(path), "--inference", inference])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
     @pytest.mark.parametrize(
         "case", ["srs-unit-drawn-twice", "select-max-only-after-ignoring"]

@@ -135,6 +135,13 @@ class TestInvalidDocuments:
         text = MINIMAL + "\n[target]\nkind = unit_expectation\nunit = 9\n"
         expect_error(text, SchemaError, "not in the population")
 
+    @pytest.mark.parametrize("kind", ["unit_expectation", "population_mean"])
+    def test_averaging_target_needs_numeric_alphabet(self, kind):
+        words = MINIMAL.replace("alphabet = 0 1", "alphabet = 0 hi").replace("1:", "hi:")
+        parse_model(words + "\n[target]\nkind = signal_law\n")  # a word alphabet is valid
+        err = expect_error(words + f"\n[target]\nkind = {kind}\n", SchemaError, "alphabet value 'hi' is not a number")
+        assert (err.line, err.col, err.rule) == (20, 8, "numeric-alphabet")
+
     def test_syntax_no_equals(self):
         text = MINIMAL.replace("units = 1 2", "units 1 2")
         expect_error(text, ModelSyntaxError, "key")
@@ -294,13 +301,13 @@ RULES = {
     "distinct-values", "exact-rational", "gamma-in-grid", "gamma-pair", "integer-size",
     "key-value", "known-key", "known-scheme", "known-section", "known-selector",
     "known-target", "known-variant", "law-theta", "mass-pair", "nonempty",
-    "nonnegative-mass", "one-law-per-theta", "one-value", "p-cover", "required-key",
-    "required-section", "section-header", "section-required", "signal-covers-population",
+    "nonnegative-mass", "numeric-alphabet", "one-law-per-theta", "one-value", "p-cover",
+    "required-key", "required-section", "section-header", "section-required", "signal-covers-population",
     "strata-cover", "unique-key", "unique-section", "unit-exists", "unit-mass",
     "value-in-alphabet", "variant-params", "weights-cover",
 }
 DIGEST_REPLACEMENTS = REPLACEMENTS + ("-", "x", "0", "-1", "1:1", "[x", "0:-1")
-DIAGNOSTICS_DIGEST = "b026c9b0251dea40ef1709d9a04761792376988376f109868465049024c60898"
+DIAGNOSTICS_DIGEST = "87f297d6e0acf2c6c308c4659a96759ca33594cc3cd794d2f61e06f4e16c1c0e"
 
 
 def _render(lines):
@@ -372,6 +379,6 @@ def test_diagnostics_digest():
             outcome = f"{type(err).__name__} {err.line} {err.col} {err.rule} {err}"
         digest.update(outcome.encode("utf-8") + b"\n")
     assert count == 11_377
-    assert len(RULES) == 38
+    assert len(RULES) == 39
     assert rules == RULES
     assert digest.hexdigest() == DIAGNOSTICS_DIGEST
