@@ -144,6 +144,34 @@ class TestCheck:
         assert code == 0
         assert "ignorable" in out
 
+    @pytest.mark.parametrize(
+        "model, informative, overall",
+        [("srs_wor_n3", "24 observations: 0 informative", ""),
+         ("bernoulli_mixture", "8 observations: 8 informative", "\noverall verdict: informative\n")],
+    )
+    def test_bayes_all_x_human(self, capsys, models, model, informative, overall):
+        # the human form of an all-observation Bayes check: the count line,
+        # the headline report, and the overall verdict when one differs
+        argv = ["check", models[model], "--inference", "bayes"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.startswith(f"checked {informative}\ninference ")
+        assert out.endswith("\n" + overall) and out.count("overall verdict") == bool(overall)
+
+    @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
+    def test_population_mean_target(self, capsys, tmp_path, inference):
+        # a world function has no per-point value: only the Bayes test,
+        # which conditions each world on the observation, can use it
+        text = CATALOG["srs_wor_n3"].replace("kind = unit_expectation\nunit = 1\n", "kind = population_mean\n")
+        path = tmp_path / "population_mean.model"
+        path.write_text(text)
+        code, out, err = run(capsys, ["check", str(path), "--inference", inference, "--json"])
+        if inference == "bayes":
+            assert (code, err) == (0, "")
+            assert json.loads(out)["observations_checked"] == 24
+        else:
+            assert (code, out, err) == (2, "", "error: target 'population_mean' has no per-point value\n")
+
     def test_malformed_x_is_input_error(self, capsys, models):
         code, _, err = run(capsys, ["check", models["srs_wor_minimal"], "--x", "[9]"])
         assert code == 2
@@ -297,6 +325,41 @@ class TestInputErrors:
         code, _, err = run(capsys, ["check", str(path)])
         assert code == 2
         assert err.startswith("error: line ") and message in err
+
+    @pytest.mark.parametrize(
+        "scheme, x, message",
+        [
+            ("values_mapping_design", "[[0,0],[1,2],null]", None),
+            ("values_mapping_design", "[[0,0],[1,2]]", "expected (values, mapping, z)"),
+            ("values_mapping_design", "[0,[1,2],null]", "values part must be a tuple, got 0"),
+            ("values_mapping_design", "[[0,7],[1,2],null]", "value 7 not in the signal alphabet"),
+            ("values_mapping_design", "[[0,0],1,null]", "mapping part must be a tuple, got 1"),
+            ("values_mapping_design", "[[0,0],[1,9],null]", "unit 9 not in the population"),
+            ("values_mapping_design", "[[0],[1,2],null]", "values and mapping lengths differ"),
+            ("values_and_sampled_weights", '[[0,"1/4"]]', None),
+            ("values_and_sampled_weights", "0", "expected tuple of (value, weight) pairs"),
+            ("values_and_sampled_weights", "[0]", "expected (value, weight) pairs"),
+            ("values_and_sampled_weights", "[[0]]", "expected (value, weight) pairs"),
+            ("values_and_sampled_weights", '[[7,"1/4"]]', "value 7 not in the signal alphabet"),
+            ("values_and_sampled_weights", '[[0,"1/3"]]', 'observation [[0,"1/3"]] has zero mass at every grid point'),
+        ],
+    )
+    def test_x_under_design_schemes(self, capsys, tmp_path, scheme, x, message):
+        # --x under the schemes that expose the design: (values, mapping, z)
+        # on srs_wor_n3, and (value, inclusion probability) pairs on the
+        # Poisson design of sampled_weights
+        if scheme == "values_mapping_design":
+            text = CATALOG["srs_wor_n3"].replace("scheme = values_and_mapping", f"scheme = {scheme}")
+        else:
+            text = CATALOG["sampled_weights"]
+        path = tmp_path / "design_scheme.model"
+        path.write_text(text)
+        code, out, err = run(capsys, ["check", str(path), "--x", x, "--json"])
+        if message is None:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["witnesses"][0]["detail"]["original"]
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "inference, kind, message",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from ignorability_lab.catalog import CATALOG
+from ignorability_lab.exactprob import canonical_key
 from ignorability_lab.ignorance import MarginalFunctional, ParameterFunction
 from ignorability_lab.modelfile import (
     BadRational,
@@ -283,6 +284,37 @@ def mutated_documents(draw):
         else:
             lines[i][j] = op
     return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+MIXTURE = CATALOG["bernoulli_mixture"]
+NO_PHI = MIXTURE.replace("phi = 1/3 1/2\n", "").replace("gamma = 1/3:1/3 1/2:1/2\n", "")
+
+
+class TestMixtureKeyedByTheta:
+    """A mixture design with no phi grid is keyed by the theta labels,
+    which become its phi labels; the grid is their full product unless
+    gamma is given."""
+
+    def test_weights_per_theta_label(self):
+        m = parse_model(NO_PHI).build().model
+        assert m.phis == m.thetas == (F(1, 3), F(1, 2))
+        assert m.grid == tuple((t, phi) for t in m.thetas for phi in m.phis)
+        declared = parse_model(MIXTURE).build().model  # the same weights under phi labels
+        for label in m.phis:
+            assert canonical_key(m.design_for(label)) == canonical_key(declared.design_for(label))
+
+    def test_gamma_restricts_the_grid(self):
+        text = NO_PHI.replace("theta = 1/3 1/2\n", "theta = 1/3 1/2\ngamma = 1/3:1/3 1/2:1/2\n")
+        m = parse_model(text).build().model
+        assert m.grid == ((F(1, 3), F(1, 3)), (F(1, 2), F(1, 2)))
+        assert m == parse_model(MIXTURE).build().model
+
+    def test_unlabelled_weights_go_to_every_label(self):
+        text = NO_PHI.replace("weights 1/3 = 1/6 1/6 2/3\nweights 1/2 = 1/4 1/4 1/2\n", "weights = 1/4 1/4 1/2\n")
+        m = parse_model(text).build().model
+        assert m.phis == m.thetas and len(m.grid) == 4
+        want = canonical_key(parse_model(MIXTURE).build().model.design_for(F(1, 2)))
+        assert all(canonical_key(m.design_for(label)) == want for label in m.phis)
 
 
 class TestMutatedDocuments:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 import reference
 from test_axes import splits, survey_models
 
+from ignorability_lab.catalog import CATALOG
 from ignorability_lab.exactprob import FiniteDist, dist_new
 from ignorability_lab.ignorance import (
     Family,
@@ -37,6 +38,7 @@ from ignorability_lab.inference import (
     prepare,
     sampling_dist_equivalent,
 )
+from ignorability_lab.modelfile import parse_model
 from ignorability_lab.sampling import observe
 
 first = RandomVariableRef("first", lambda w: w[0])
@@ -266,3 +268,28 @@ def test_bayes_test_on_survey_models(case, data):
     want = [reference.posterior_equivalent(original, ignored, *([q] for q in uniform), x, predictand and predictand.fn)[0]
             for x in family.observation_support()]
     assert prepared.posterior_verdicts() == want
+
+
+def test_population_mean_from_a_model_file():
+    # the population_mean target a model file builds, a world function, in
+    # an all-observation Bayes check of srs_wor_n3 under the default
+    # uniform priors: every verdict, and the headline's posterior sets
+    text = CATALOG["srs_wor_n3"].replace("kind = unit_expectation\nunit = 1\n", "kind = population_mean\n")
+    build = parse_model(text).build()
+    m, target = build.model, build.target
+    assert isinstance(target, Predictand)
+    space, laws = reference.survey_family(m)
+    ignored_laws = reference.ignore(space, m.grid, laws, build.v, build.v_bar, "dirac_fix")
+    original = reference_side(m, build.scheme, laws, signal_rv(), lambda p: p)
+    ignored = reference_side(m, build.scheme, ignored_laws, signal_rv(), lambda q: q[0])
+    prepared = prepare(m, (build.v, build.v_bar), build.scheme, target, dirac_fix())
+    uniform = [{p: F(1, len(side[0])) for p in side[0]} for side in (original, ignored)]
+    xs = prepared.family.observation_support()
+    want = [reference.posterior_equivalent(original, ignored, *([q] for q in uniform), x, target.fn) for x in xs]
+    verdicts = prepared.posterior_verdicts()
+    assert verdicts == [w[0] for w in want]
+    assert len(xs) == 24 and all(verdicts)  # simple random sampling is ignorable
+    (witness,) = prepared.test("bayes", xs[0], None, None, None).witnesses
+    detail = dict(witness.detail)
+    got = ({as_set(d) for d in detail["original"]}, {as_set(d) for d in detail["ignored"]})
+    assert (witness.equal, *got) == want[0]
