@@ -9,7 +9,8 @@ Commands:
   examples    emit the built-in example catalog
 
 Exit codes: 0 success, 1 verdict contradicts --expect, 2 input error,
-3 internal error (the traceback goes to stderr).
+3 internal error (the traceback goes to stderr), 141 stdout closed by its
+reader (128 + SIGPIPE; nothing goes to stderr).
 Observation literals are JSON: values-only `[1,0]`, values-and-mapping
 `[[1,0],[2,1]]`; strings of the form "p/q" are read as exact rationals.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import traceback
@@ -330,8 +332,6 @@ def cmd_examples(args) -> int:
         print(CATALOG[args.name], end="")
         return 0
     if args.dir:
-        import os
-
         os.makedirs(args.dir, exist_ok=True)
         for name, text in CATALOG.items():
             path = os.path.join(args.dir, f"{name}.model")
@@ -407,7 +407,15 @@ def main(argv=None) -> int:
     # looked up per call, so that a replaced cmd_* function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end as a process killed by SIGPIPE
+        # would, and point stdout at devnull so that the flush at exit
+        # finds no broken pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except EngineError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,9 +13,14 @@ are bit-reproducible and independent of platform float behaviour.  Floats
 appear only at the comparison boundary of the report.
 
 Because draw i is a pure function of (seed, i), `compare_exact_vs_mc`
-evaluates the stream BLOCK draws at a time (`u64_blocks`): each draw is a
-128-bit slot of one Python int, and each slot computes mix64 exactly, so
-its counts equal a tally of `sample_world(..., index=i)` over the draws.
+evaluates the stream BLOCK draws at a time: each draw is a 128-bit slot of
+one Python int, and each slot computes mix64 exactly.  `tally` counts the
+draws per atom in buckets of their top byte: a bucket that no threshold
+splits lies inside one atom, so its draws are counted in C and credited
+to that atom at once, and only the draws of split buckets are bisected.
+When split buckets hold half of the u-space or more, bucketing would save
+little, and every draw is bisected.  Either way the counts equal a tally
+of `sample_world(..., index=i)` over the draws.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate, compress
 from fractions import Fraction
 
 from .exactprob import FiniteDist, canonical_key, pushforward
@@ -53,19 +59,19 @@ def u64(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN_GAMMA) & MASK64)
 
 
-BLOCK = 4096  # draws evaluated together by u64_blocks
+BLOCK = 4096  # draws evaluated together, one slot of one int each
 
 
-def u64_blocks(seed: int, draws: int):
-    """Yield u64(seed, i) for i = 0 .. draws - 1, in arrays of at most
-    BLOCK draws.
+def _slot_bytes(seed: int, draws: int):
+    """Yield u64(seed, i) for i = 0 .. draws - 1 as the little-endian bytes
+    of 128-bit slots, at most BLOCK slots at a time: draw k of a block is
+    bytes 16k .. 16k + 7, its top byte byte 16k + 7.
 
-    Draw k of a block is slot k (bits 128k .. 128k + 127) of one int, and
-    each slot runs mix64 on its own state.  No sum or product overflows a
-    slot: the state sums stay below 2^77, and every slot holds a value
-    below 2^64 before each product by a 64-bit constant.  Masking with
-    `lanes` reduces each slot mod 2^64 and drops the bits a right shift
-    moves in from the slot above."""
+    Each slot of one int runs mix64 on its own state.  No sum or product
+    overflows a slot: the state sums stay below 2^77, and every slot holds
+    a value below 2^64 before each product by a 64-bit constant.  Masking
+    with `lanes` reduces each slot mod 2^64 and drops the bits a right
+    shift moves in from the slot above."""
     n = min(BLOCK, draws)
     ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
     k = array("Q", bytes(16 * n))  # two 64-bit halves per slot
@@ -84,10 +90,62 @@ def u64_blocks(seed: int, draws: int):
         z = ((z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
         z = ((z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB) & lanes
         z ^= (z >> 31) & lanes
-        block = array("Q", z.to_bytes(16 * n, "little"))[::2]
-        if sys.byteorder == "big":
-            block.byteswap()
-        yield block
+        yield z.to_bytes(16 * n, "little")
+
+
+def _draws_of(raw: bytes) -> array:
+    block = array("Q", raw)[::2]
+    if sys.byteorder == "big":
+        block.byteswap()
+    return block
+
+
+def u64_blocks(seed: int, draws: int):
+    """Yield u64(seed, i) for i = 0 .. draws - 1, in arrays of at most
+    BLOCK draws."""
+    return map(_draws_of, _slot_bytes(seed, draws))
+
+
+LOW56 = (1 << 56) - 1
+
+
+def tally(cutoffs: list, seed: int, draws: int) -> Counter:
+    """Hits per atom of draws 0 .. draws - 1 of stream `seed`: atom a is
+    hit by a draw u with cutoffs[a - 1] < u <= cutoffs[a], that is by
+    bisect_left(cutoffs, u) for non-decreasing `cutoffs`.
+
+    Top byte b of a draw puts it in bucket [b * 2^56, (b + 1) * 2^56 - 1].
+    A cutoff below its bucket's top splits the bucket between two atoms;
+    every draw of an unsplit bucket hits the atom that follows the cutoffs
+    of the buckets below it.  So the draws are counted per top byte, and
+    only those in split buckets are bisected.  When split buckets make up
+    half of the u-space or more, every draw is bisected."""
+    atom_of = partial(bisect_left, cutoffs)
+    hits = Counter()
+    split = bytearray(256)  # 1 at the top byte of every split bucket
+    count = 0
+    for t in cutoffs:
+        if (t + 1) & LOW56 and not split[t >> 56]:
+            split[t >> 56] = 1
+            count += 1
+            if count == 128:
+                for block in u64_blocks(seed, draws):
+                    hits.update(map(atom_of, block))
+                return hits
+    per_top = Counter()
+    bisect_some = any(split)
+    for raw in _slot_bytes(seed, draws):
+        tops = raw[7::16]
+        per_top.update(tops)
+        if bisect_some:
+            hits.update(map(atom_of, compress(_draws_of(raw), tops.translate(split))))
+    # cutoffs below bucket b: the atom of every draw of an unsplit bucket b
+    cutoff_tops = Counter(t >> 56 for t in cutoffs)
+    below = list(accumulate((cutoff_tops[b] for b in range(255)), initial=0))
+    for b, n in per_top.items():
+        if not split[b]:
+            hits[below[b]] += n
+    return hits
 
 
 def _thresholds(dist: FiniteDist):
@@ -172,12 +230,8 @@ def compare_exact_vs_mc(
     outcomes, cutoffs = _thresholds(joint)
     # a draw only bumps its atom's count; hashing an observation key (a
     # nested tuple) is paid once per atom hit, not once per draw
-    hits = Counter()
-    atom_of = partial(bisect_left, cutoffs)
-    for block in u64_blocks(seed, draws):
-        hits.update(map(atom_of, block))
     counts: dict = {}
-    for atom, n in hits.items():
+    for atom, n in tally(cutoffs, seed, draws).items():
         key = canonical_key(observe_world(outcomes[atom]))
         counts[key] = counts.get(key, 0) + n
     cells = []

@@ -211,12 +211,15 @@ class _Section:
             raise _error(_START, "required-section", f"missing required section [{name}]")
         self.name = name
         self.entries = sections.get(name, [])
-        for key, arg, _values in self.entries:
-            argument = _KEYS[name].get(key.text, ("unknown",))[0]
+        for key, arg, values in self.entries:
+            argument, arity = _KEYS[name].get(key.text, ("unknown", None))
             if arg is None and argument not in ("no", "may"):
                 raise _error(key, "known-key", f"unknown key {key.text!r} in [{name}]")
             if arg is not None and argument not in ("needs", "may"):
                 raise _error(key, "known-key", f"key {key.text!r} does not take an argument in [{name}]")
+            equals = next((v for v in values if v.text == "="), None)
+            if equals is not None and arity != "one":
+                raise _error(equals, "key-value", f"unexpected '=' among the values of key {key.text!r}")
 
     def get(self, key: str):
         """The entry of a key written without argument, or None."""

@@ -445,17 +445,51 @@ def golden_stdout(case):
     return json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))["stdout"]
 
 
-def fresh_process_stdout(argv):
-    """stdout of the command run as a new interpreter process."""
+def fresh_process_env():
+    """The environment of a new interpreter process that imports this
+    package."""
     import ignorability_lab
 
     src = str(Path(ignorability_lab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def fresh_process_stdout(argv):
+    """stdout of the command run as a new interpreter process."""
     done = subprocess.run(
         [sys.executable, "-m", "ignorability_lab", *argv],
-        env=env, capture_output=True, text=True, check=True,
+        env=fresh_process_env(), capture_output=True, text=True, check=True,
     )
     return done.stdout
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command with exit code
+    141 and nothing on stderr, with stdout buffered as it is by default."""
+
+    def run_closing(self, argv, lines_read):
+        env = fresh_process_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ignorability_lab", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=120)
+        return proc.returncode, err
+
+    def test_closed_while_writing(self, models):
+        # the stdout of this check is larger than a pipe holds, so the
+        # command is still writing when the reader goes away
+        assert len(golden_stdout("check.stratified.likelihood.dirac")) > 2**17
+        assert self.run_closing(["check", models["stratified"], "--json"], 1) == (141, b"")
+
+    def test_closed_before_the_first_write(self):
+        # the output waits in the buffer, which the flush at exit would
+        # write to the closed pipe again
+        assert self.run_closing(["examples", "--name", "select_max"], 0) == (141, b"")
 
 
 class TestParserReuse:

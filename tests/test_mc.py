@@ -1,5 +1,6 @@
 """Counter-based generator and the exact-vs-simulated cross check."""
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
 
@@ -7,6 +8,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from ignorability_lab import mc
+from ignorability_lab.catalog import CATALOG
 from ignorability_lab.exactprob import bernoulli, canonical_key, point_mass
 from ignorability_lab.designs import constant, select_max, srs_wor
 from ignorability_lab.mc import (
@@ -14,9 +17,11 @@ from ignorability_lab.mc import (
     compare_exact_vs_mc,
     mix64,
     sample_world,
+    tally,
     u64,
     u64_blocks,
 )
+from ignorability_lab.modelfile import parse_model
 from ignorability_lab.sampling import (
     Population,
     SurveyModel,
@@ -161,3 +166,80 @@ class TestCompareExactVsMc:
     @pytest.mark.parametrize("draws", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_counts_equal_tally_across_a_block_edge(self, draws):
         self.test_counts_equal_tally_of_sample_world(srs1_model, 2**64 - 1, draws)
+
+
+TOP = 2**64 - 1
+
+
+def bisected_tally(cutoffs, seed, draws):
+    return Counter(bisect_left(cutoffs, u) for block in u64_blocks(seed, draws) for u in block)
+
+
+def split_buckets(cutoffs):
+    """Top bytes whose bucket [b * 2^56, (b + 1) * 2^56 - 1] holds draws of
+    two atoms."""
+    return {b for b in range(256) if bisect_left(cutoffs, b << 56) != bisect_left(cutoffs, ((b + 1) << 56) - 1)}
+
+
+@st.composite
+def cutoff_sets(draw):
+    """Non-decreasing cutoffs ending at 2^64 - 1: bucket edges, runs of tiny
+    atoms inside one bucket, and one random cutoff in each of up to 256
+    buckets, so that from none to every bucket is split."""
+    edges = draw(st.lists(st.integers(1, 256), max_size=6))
+    cutoffs = [b << 56 for b in edges if b < 256] + [(b << 56) - 1 for b in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, TOP - 64))
+        cutoffs += [start + k for k in draw(st.lists(st.integers(0, 63), min_size=2, max_size=8))]
+    for b in draw(st.sets(st.integers(0, 255), max_size=256)):
+        cutoffs.append((b << 56) + draw(st.integers(0, (1 << 56) - 1)))
+    return sorted(cutoffs) + [TOP]
+
+
+class TestTally:
+    @settings(deadline=None, max_examples=150)
+    @given(cutoff_sets(), st.integers(-(2**64), 2**64), st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1]))
+    def test_equals_a_bisection_per_draw(self, cutoffs, seed, draws):
+        assert tally(cutoffs, seed, draws) == bisected_tally(cutoffs, seed, draws)
+
+    @pytest.mark.parametrize(
+        "cutoffs, split",
+        [
+            ([TOP], 0),
+            ([(b << 56) - 1 for b in range(1, 257)], 0),
+            ([b << 56 for b in range(1, 256)] + [TOP], 255),
+            ([(5 << 56) + k for k in range(6)] + [TOP], 1),
+            ([(b << 56) + 1 for b in range(127)] + [TOP], 127),
+            ([(b << 56) + 1 for b in range(128)] + [TOP], 128),
+            ([(b << 56) - 2 for b in range(1, 201)] + [TOP], 200),
+        ],
+        ids=["one-atom", "bucket-tops", "bucket-bottoms", "tiny-atoms", "split-127", "split-128", "split-200"],
+    )
+    @pytest.mark.parametrize("draws", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_shapes(self, cutoffs, split, draws):
+        assert len(split_buckets(cutoffs)) == split
+        assert tally(cutoffs, 11, draws) == bisected_tally(cutoffs, 11, draws)
+
+
+def bisections(monkeypatch, name, draws):
+    """Draws bisected by `compare_exact_vs_mc` on a catalog model at its
+    first grid point, and that joint's split buckets."""
+    build = parse_model(CATALOG[name]).build()
+    theta, phi = build.model.grid[0]
+    calls = []
+    monkeypatch.setattr(mc, "bisect_left", lambda a, x: calls.append(x) or bisect_left(a, x))
+    compare_exact_vs_mc(build.model, theta, phi, scheme=build.scheme, draws=draws, seed=20260810)
+    _outcomes, cutoffs = mc._thresholds(mc.build_joint(build.model, theta, phi))
+    return len(calls), len(split_buckets(cutoffs))
+
+
+class TestTallyWork:
+    def test_no_bisection_without_split_buckets(self, monkeypatch):
+        assert bisections(monkeypatch, "select_max", 100_000) == (0, 0)
+
+    def test_split_bucket_draws_only(self, monkeypatch):
+        # 47 of 256 buckets split: 18,359 draws expected, 122 the binomial
+        # standard deviation; the slack is eight of them
+        calls, split = bisections(monkeypatch, "srs_wor_n3", 100_000)
+        assert split == 47
+        assert 0 < calls <= 100_000 * split // 256 + 1_000

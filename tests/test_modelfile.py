@@ -232,6 +232,25 @@ class TestInvalidDocuments:
         assert text.splitlines()[err.line - 1] == new
         assert err.col == col
 
+    @pytest.mark.parametrize(
+        "model, old, new, col",
+        [
+            ("srs_wor_minimal", "alphabet = 0 1", "alphabet = = 0 1", 12),
+            ("srs_wor_minimal", "units = 1 2", "units = 1 2 =", 13),
+            ("bernoulli_mixture", "component 0 = 1", "component 0 = = 1", 15),
+            ("srs_wor_minimal", "iid 1/3 = 0:2/3 1:1/3", "iid 1/3 = 0:2/3 = 1:1/3", 17),
+        ],
+        ids=["alphabet", "units", "component", "iid"],
+    )
+    def test_equals_sign_among_list_values(self, model, old, new, col):
+        text = CATALOG[model]
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        key = old.split()[0]
+        err = expect_error(text, SchemaError, f"unexpected '=' among the values of key {key!r} [key-value]")
+        assert text.splitlines()[err.line - 1] == new
+        assert err.col == col
+
     @pytest.mark.parametrize("key", ["variant", "scheme"])
     def test_empty_variant_or_scheme(self, key):
         lines = MINIMAL.splitlines()
@@ -339,7 +358,7 @@ RULES = {
     "value-in-alphabet", "variant-params", "weights-cover",
 }
 DIGEST_REPLACEMENTS = REPLACEMENTS + ("-", "x", "0", "-1", "1:1", "[x", "0:-1")
-DIAGNOSTICS_DIGEST = "87f297d6e0acf2c6c308c4659a96759ca33594cc3cd794d2f61e06f4e16c1c0e"
+DIAGNOSTICS_DIGEST = "0611a66da8a5c678ad68b6dace60edb38fb1fad3336a804ad31fe9aae0197155"
 
 
 def _render(lines):
@@ -348,8 +367,9 @@ def _render(lines):
 
 def _mutants(lines):
     """Every single-token delete, duplicate, swap with the next token of
-    its line and replacement, every deleted or duplicated line and every
-    deleted section of one document given as token lists."""
+    its line and replacement, every line with the word `x` added at its
+    end, every deleted or duplicated line and every deleted section of one
+    document given as token lists."""
     for i, line in enumerate(lines):
         for j, tok in enumerate(line):
             variants = [line[:j] + line[j + 1:], line[:j] + [tok] + line[j:]]
@@ -359,6 +379,7 @@ def _mutants(lines):
             for variant in variants:
                 yield lines[:i] + [variant] + lines[i + 1:]
     for i in range(len(lines)):
+        yield lines[:i] + [lines[i] + ["x"]] + lines[i + 1:]
         yield lines[:i] + lines[i + 1:]
         yield lines[:i + 1] + lines[i:]
     heads = [i for i, line in enumerate(lines) if line and line[0].startswith("[")]
@@ -410,7 +431,7 @@ def test_diagnostics_digest():
             rules.add(err.rule)
             outcome = f"{type(err).__name__} {err.line} {err.col} {err.rule} {err}"
         digest.update(outcome.encode("utf-8") + b"\n")
-    assert count == 11_377
+    assert count == 11_592
     assert len(RULES) == 39
     assert rules == RULES
     assert digest.hexdigest() == DIAGNOSTICS_DIGEST
