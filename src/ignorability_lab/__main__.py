@@ -1,5 +1,3 @@
-import sys
+from .cli import console
 
-from .cli import main
-
-sys.exit(main())
+console()

@@ -411,10 +411,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader closed stdout: end as a process killed by SIGPIPE
-        # would, and point stdout at devnull so that the flush at exit
-        # finds no broken pipe either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout: end as a process killed by SIGPIPE would
         return 141
     except EngineError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -424,5 +421,17 @@ def main(argv=None) -> int:
         return 3
 
 
+def console() -> None:
+    """Process entry: exit with the code of `main`.  When the reader
+    closed stdout, stdout's descriptor is pointed at devnull first, so
+    that the flush at interpreter exit finds no broken pipe either."""
+    code = main()
+    if code == 141:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

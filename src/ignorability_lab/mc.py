@@ -17,10 +17,9 @@ evaluates the stream BLOCK draws at a time: each draw is a 128-bit slot of
 one Python int, and each slot computes mix64 exactly.  `tally` counts the
 draws per atom in buckets of their top byte: a bucket that no threshold
 splits lies inside one atom, so its draws are counted in C and credited
-to that atom at once, and only the draws of split buckets are bisected.
-When split buckets hold half of the u-space or more, bucketing would save
-little, and every draw is bisected.  Either way the counts equal a tally
-of `sample_world(..., index=i)` over the draws.
+to that atom at once.  Only the draws of split buckets are bisected, each
+between the atoms of its bucket's least and greatest value.  The counts
+equal a tally of `sample_world(..., index=i)` over the draws.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, compress
+from itertools import compress, repeat
 from fractions import Fraction
 
 from .exactprob import FiniteDist, canonical_key, pushforward
@@ -106,45 +104,40 @@ def u64_blocks(seed: int, draws: int):
     return map(_draws_of, _slot_bytes(seed, draws))
 
 
-LOW56 = (1 << 56) - 1
-
-
 def tally(cutoffs: list, seed: int, draws: int) -> Counter:
     """Hits per atom of draws 0 .. draws - 1 of stream `seed`: atom a is
     hit by a draw u with cutoffs[a - 1] < u <= cutoffs[a], that is by
     bisect_left(cutoffs, u) for non-decreasing `cutoffs`.
 
-    Top byte b of a draw puts it in bucket [b * 2^56, (b + 1) * 2^56 - 1].
-    A cutoff below its bucket's top splits the bucket between two atoms;
-    every draw of an unsplit bucket hits the atom that follows the cutoffs
-    of the buckets below it.  So the draws are counted per top byte, and
-    only those in split buckets are bisected.  When split buckets make up
-    half of the u-space or more, every draw is bisected."""
-    atom_of = partial(bisect_left, cutoffs)
+    Top byte b of a draw puts it in bucket [b * 2^56, (b + 1) * 2^56 - 1],
+    whose draws hit atoms first[b] .. last[b] only.  Where the two are
+    equal the bucket is unsplit, and its draws are counted per top byte;
+    the draws of split buckets are bisected between first[b] and last[b]."""
+    # the atoms of each bucket's least and greatest value: the counts of
+    # the cutoffs below them
+    first = [bisect_right(cutoffs, (b << 56) - 1) for b in range(256)]
+    last = [bisect_right(cutoffs, ((b + 1) << 56) - 2) for b in range(256)]
+    split = bytes(map(int.__ne__, first, last))  # 1 at each split top byte
+    split_tops = bytes(compress(range(256), split))
+    unsplit_tops = bytes(b for b in range(256) if not split[b])
     hits = Counter()
-    split = bytearray(256)  # 1 at the top byte of every split bucket
-    count = 0
-    for t in cutoffs:
-        if (t + 1) & LOW56 and not split[t >> 56]:
-            split[t >> 56] = 1
-            count += 1
-            if count == 128:
-                for block in u64_blocks(seed, draws):
-                    hits.update(map(atom_of, block))
-                return hits
     per_top = Counter()
-    bisect_some = any(split)
     for raw in _slot_bytes(seed, draws):
         tops = raw[7::16]
-        per_top.update(tops)
-        if bisect_some:
-            hits.update(map(atom_of, compress(_draws_of(raw), tops.translate(split))))
-    # cutoffs below bucket b: the atom of every draw of an unsplit bucket b
-    cutoff_tops = Counter(t >> 56 for t in cutoffs)
-    below = list(accumulate((cutoff_tops[b] for b in range(255)), initial=0))
+        per_top.update(tops.translate(None, split_tops))
+        split_draw_tops = tops.translate(None, unsplit_tops)
+        if split_draw_tops:
+            hits.update(
+                map(
+                    bisect_left,
+                    repeat(cutoffs),
+                    compress(_draws_of(raw), tops.translate(split)),
+                    map(first.__getitem__, split_draw_tops),
+                    map(last.__getitem__, split_draw_tops),
+                )
+            )
     for b, n in per_top.items():
-        if not split[b]:
-            hits[below[b]] += n
+        hits[first[b]] += n
     return hits
 
 

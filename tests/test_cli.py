@@ -491,6 +491,20 @@ class TestClosedStdout:
         # write to the closed pipe again
         assert self.run_closing(["examples", "--name", "select_max"], 0) == (141, b"")
 
+    def test_main_leaves_the_descriptors_alone(self, monkeypatch):
+        # in-process callers keep their stdout: only the process entry
+        # points it at devnull
+        from ignorability_lab import cli
+
+        def closed(args):
+            raise BrokenPipeError
+
+        dup2, moved = os.dup2, []
+        monkeypatch.setattr(cli, "cmd_examples", closed)
+        monkeypatch.setattr(os, "dup2", lambda *fds: moved.append(fds) or dup2(*fds))
+        assert cli.main(["examples"]) == 141
+        assert moved == []
+
 
 class TestParserReuse:
     """Several commands in one process share one argument parser."""

@@ -209,11 +209,11 @@ class TestTally:
             ([(b << 56) - 1 for b in range(1, 257)], 0),
             ([b << 56 for b in range(1, 256)] + [TOP], 255),
             ([(5 << 56) + k for k in range(6)] + [TOP], 1),
-            ([(b << 56) + 1 for b in range(127)] + [TOP], 127),
-            ([(b << 56) + 1 for b in range(128)] + [TOP], 128),
             ([(b << 56) - 2 for b in range(1, 201)] + [TOP], 200),
+            ([(b << 56) + 1 for b in range(256)] + [TOP], 256),
+            ([(b << 56) + (k << 52) for b in range(256) for k in range(16)] + [TOP], 256),
         ],
-        ids=["one-atom", "bucket-tops", "bucket-bottoms", "tiny-atoms", "split-127", "split-128", "split-200"],
+        ids=["one-atom", "bucket-tops", "bucket-bottoms", "tiny-atoms", "split-200", "split-all", "many-per-bucket"],
     )
     @pytest.mark.parametrize("draws", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_shapes(self, cutoffs, split, draws):
@@ -227,7 +227,7 @@ def bisections(monkeypatch, name, draws):
     build = parse_model(CATALOG[name]).build()
     theta, phi = build.model.grid[0]
     calls = []
-    monkeypatch.setattr(mc, "bisect_left", lambda a, x: calls.append(x) or bisect_left(a, x))
+    monkeypatch.setattr(mc, "bisect_left", lambda a, x, *bounds: calls.append(x) or bisect_left(a, x, *bounds))
     compare_exact_vs_mc(build.model, theta, phi, scheme=build.scheme, draws=draws, seed=20260810)
     _outcomes, cutoffs = mc._thresholds(mc.build_joint(build.model, theta, phi))
     return len(calls), len(split_buckets(cutoffs))
