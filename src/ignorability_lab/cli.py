@@ -70,9 +70,16 @@ POLICIES = {
 }
 
 
-def _decode_literal(value):
+# levels of an observation literal: far more than any scheme's observations
+# have, and far fewer than the interpreter's recursion limit
+_MAX_NESTING = 100
+
+
+def _decode_literal(value, levels=_MAX_NESTING):
     if isinstance(value, list):
-        return tuple(_decode_literal(v) for v in value)
+        if not levels:
+            raise EngineError(f"observation literal nested deeper than {_MAX_NESTING} levels")
+        return tuple(_decode_literal(v, levels - 1) for v in value)
     if isinstance(value, str) and _RATIONAL.match(value):
         try:
             return Fraction(value)
@@ -80,6 +87,8 @@ def _decode_literal(value):
             raise EngineError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise EngineError(f"float {value!r} in an observation literal; use \"p/q\"")
+    if isinstance(value, bool):
+        raise EngineError(f"boolean {json.dumps(value)} in an observation literal")
     return value
 
 
@@ -88,6 +97,8 @@ def parse_observation_literal(text: str):
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise EngineError(f"observation literal is not valid JSON: {err}") from None
+    except RecursionError:
+        raise EngineError(f"observation literal nested deeper than {_MAX_NESTING} levels") from None
     return _decode_literal(raw)
 
 
@@ -95,7 +106,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise EngineError(f"cannot read model file: {err}") from None
     return parse_model(text).build()
 
@@ -332,12 +343,15 @@ def cmd_examples(args) -> int:
         print(CATALOG[args.name], end="")
         return 0
     if args.dir:
-        os.makedirs(args.dir, exist_ok=True)
-        for name, text in CATALOG.items():
-            path = os.path.join(args.dir, f"{name}.model")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(path)
+        paths = {name: os.path.join(args.dir, f"{name}.model") for name in CATALOG}
+        try:
+            os.makedirs(args.dir, exist_ok=True)
+            for name, path in paths.items():
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(CATALOG[name])
+        except OSError as err:
+            raise EngineError(f"cannot write the examples: {err}") from None
+        print("\n".join(paths.values()))
         return 0
     for name, text in CATALOG.items():
         print(f"# --- {name} ---")

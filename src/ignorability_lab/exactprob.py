@@ -149,6 +149,23 @@ def reduced(ids, numerators, denominator) -> tuple:
     return tuple(ids), tuple(n // g for n in numerators), denominator // g
 
 
+def summed(pairs, denominator) -> tuple:
+    """The reduced integer mass vector of (key, integer mass) pairs, summed
+    by key in key order, over a denominator."""
+    sums = {}
+    for k, n in pairs:
+        sums[k] = sums.get(k, 0) + n
+    order = sorted(sums)
+    return reduced(order, [sums[k] for k in order], denominator)
+
+
+def vector_law(outcomes, vector) -> FiniteDist:
+    """The law of an integer mass vector (ids, numerators, denominator) on
+    the outcomes its ids index, `outcomes[i]` the outcome of id i."""
+    ids, numerators, denominator = vector
+    return FiniteDist(tuple((outcomes[i], Fraction(n, denominator)) for i, n in zip(ids, numerators)))
+
+
 @dataclass(frozen=True)
 class FiniteDist:
     """Exact probability distribution on a finite support.

@@ -18,7 +18,6 @@ product of the two marginals.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -34,10 +33,10 @@ from .exactprob import (
     canonical_key,
     check_size,
     integer_masses,
-    point_mass,
     reduced,
     sorted_distinct,
-    uniform,
+    summed,
+    vector_law,
 )
 from .sampling import (
     VALUES_AND_MAPPING,
@@ -309,16 +308,8 @@ def atrandomize(
     _require_complement(split)
     index = split.index
     vector = (index.ids_of(P), *integer_masses(P.weights()))
-    if nuisance is None:
-        nuisance = _law(index.v_bar_values, _marginal(vector, index.v_bar_code))
-    return _law(index.worlds, _atrandomize_ids(_v_sums(vector, index), split, nuisance))
-
-
-def _law(worlds: tuple, vector: tuple) -> FiniteDist:
-    """The law of an integer mass vector (ids, numerators, denominator) on
-    `worlds`, or on any values numbered as its ids."""
-    ids, numerators, denominator = vector
-    return FiniteDist(tuple((worlds[i], Fraction(n, denominator)) for i, n in zip(ids, numerators)))
+    law = _marginal(vector, index.v_bar_code) if nuisance is None else _nuisance_law(nuisance, split)
+    return vector_law(index.worlds, _atrandomize_ids(_restrictions(vector, index), split, law))
 
 
 def _integer_sums(vector: tuple, code: tuple) -> dict:
@@ -330,47 +321,59 @@ def _integer_sums(vector: tuple, code: tuple) -> dict:
     return out
 
 
-def _v_sums(vector: tuple, index: SplitIndex) -> tuple:
-    """({v-code: integer mass}, {v-code: atoms}) of an integer mass vector."""
-    return _integer_sums(vector, index.v_code), Counter(map(index.v_code.__getitem__, vector[0]))
-
-
 def _marginal(vector: tuple, code: tuple) -> tuple:
     """The reduced integer mass vector on codes of an integer mass vector
     pushed through a per-world `code`."""
     check_size(len(vector[0]))
-    sums = _integer_sums(vector, code)
-    return reduced(sorted(sums), [sums[c] for c in sorted(sums)], vector[2])
+    return summed(zip(map(code.__getitem__, vector[0]), vector[1]), vector[2])
 
 
-def _atrandomize_ids(v_sums: tuple, split: ProcessSplit, nuisance: FiniteDist) -> tuple:
+def _nuisance_law(dist: FiniteDist, split: ProcessSplit) -> tuple:
+    """A nuisance law given as a distribution, as integer weights on
+    v_bar-codes (codes, weights, denominator); raises ValueNotInImage for a
+    value off the image and NonUnitMass when the weights do not sum to 1."""
+    codes = [split.v_bar_code(value) for value in dist.support()]
+    weights, denominator = integer_masses(dist.weights())
+    if sum(weights) != denominator:
+        raise NonUnitMass(f"weights sum to {Fraction(sum(weights), denominator)}, expected 1")
+    return codes, weights, denominator
+
+
+def _restrictions(vector: tuple, index: SplitIndex) -> list:
+    """Per v_bar-code b: (total, [(v-code a, integer mass)]), a law's
+    numerators summed per v-code on the compatibility set Phi(b), the
+    v-codes ascending; empty where the law puts no mass on Phi(b).  Each
+    distinct compatibility set is scanned once, and the codes that share it
+    share its restriction."""
+    sums = _integer_sums(vector, index.v_code)
+    scanned, out = {}, []
+    for codes in index.compatible:
+        part = scanned.get(codes)
+        if part is None:
+            kept = [(a, sums[a]) for a in codes if a in sums]
+            check_size(len(kept))
+            part = scanned[codes] = (sum(n for _a, n in kept), kept)
+        out.append(part)
+    return out
+
+
+def _atrandomize_ids(parts: list, split: ProcessSplit, nuisance: tuple) -> tuple:
     """The integer mass vector of atrandomize on a law given by its
-    `_v_sums`.
+    `_restrictions`, against a nuisance law of integer weights on
+    v_bar-codes.
 
-    For each nuisance value b the law is conditioned on Phi(b): the mass of
+    For each nuisance code b the law is conditioned on Phi(b): the mass of
     each v-code a there, times the weight of b, goes to the world (a, b),
-    which no other b reaches.  The Dirac-fixed law at b is the sums on
-    Phi(b) over their total."""
-    index, (sums, atoms) = split.index, v_sums
-    weights, weights_denominator = integer_masses(nuisance.weights())
-    parts = []  # per nuisance value: (its weight, its Phi-set total, [(world id, sum)])
-    pairs = 0
-    for (value, _w), weight in zip(nuisance.items, weights):
-        code = split.v_bar_code(value)
-        present = [a for a in index.compatible[code] if a in sums]
-        if not present:
-            raise ZeroMassPhiSet(
-                f"compatibility set of {split.v_bar.name}={value!r} has zero mass"
-            )
-        kept = sum(atoms[a] for a in present)
-        check_size(kept)
-        pairs += kept
-        parts.append((weight, sum(sums[a] for a in present), [(index.world_of[a, code], sums[a]) for a in present]))
-    check_size(pairs)
-    if sum(weights) != weights_denominator:
-        raise NonUnitMass(f"weights sum to {Fraction(sum(weights), weights_denominator)}, expected 1")
-    denominator = lcm(*(total for _weight, total, _masses in parts))
-    masses = sorted((i, weight * (denominator // total) * n) for weight, total, masses in parts for i, n in masses)
+    which no other b reaches.  The Dirac-fixed law at b is the restriction
+    to Phi(b) over its total."""
+    index, (codes, weights, weights_denominator) = split.index, nuisance
+    for b in codes:
+        if not parts[b][1]:
+            raise ZeroMassPhiSet(f"compatibility set of {split.v_bar.name}={index.v_bar_values[b]!r} has zero mass")
+    check_size(sum(len(parts[b][1]) for b in codes))
+    denominator = lcm(*(parts[b][0] for b in codes))
+    masses = sorted((index.world_of[a, b], weight * (denominator // parts[b][0]) * n)
+                    for b, weight in zip(codes, weights) for a, n in parts[b][1])
     return reduced([i for i, _n in masses], [n for _i, n in masses], weights_denominator * denominator)
 
 
@@ -445,7 +448,7 @@ class Family:
 
     @cached_property
     def laws(self) -> dict:
-        return {p: _law(self.worlds, self.masses[p]) for p in self.points}
+        return {p: vector_law(self.worlds, self.masses[p]) for p in self.points}
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
@@ -549,46 +552,32 @@ def ignore_model(
     if split.index.worlds is not family.worlds:
         raise EngineError("the split was not made on this family; split it with make_split(family, v, v_bar)")
     index = split.index
-    sums = {p: _v_sums(family.masses[p], index) for p in family.points}
+    parts = {p: _restrictions(family.masses[p], index) for p in family.points}
     for point in family.points:
-        for code, value in enumerate(index.v_bar_values):
-            if not any(a in sums[point][0] for a in index.compatible[code]):
-                raise ZeroMassPhiSet(
-                    f"law at {point!r} has zero mass on the compatibility set "
-                    f"of {split.v_bar.name}={value!r}"
-                )
+        empty = next((code for code, (_total, kept) in enumerate(parts[point]) if not kept), None)
+        if empty is not None:
+            raise ZeroMassPhiSet(f"law at {point!r} has zero mass on the compatibility set "
+                                 f"of {split.v_bar.name}={index.v_bar_values[empty]!r}")
 
-    # (original point, nuisance index, nuisance law) triples; the grid of
-    # the ignored family is the set of (point, index) pairs
+    # (original point, nuisance index, nuisance law) triples, each law
+    # integer weights on v_bar-codes; the grid of the ignored family is the
+    # set of (point, index) pairs
     if policy.kind == DIRAC_FIX:
-        diracs = [(value, point_mass(value)) for value in index.v_bar_values]
-        triples = [(p, value, dirac) for p in family.points for value, dirac in diracs]
+        triples = [(p, value, ((code,), (1,), 1)) for p in family.points
+                   for code, value in enumerate(index.v_bar_values)]
     elif policy.kind == SINGLE_ARBITRARY:
-        dist = policy.dist if policy.dist is not None else uniform(index.v_bar_values)
-        for value, _w in dist.items:
-            if canonical_key(value) not in index.v_bar_codes:
-                raise ValueNotInImage(
-                    f"arbitrary nuisance law puts mass outside the image of "
-                    f"{split.v_bar.name}"
-                )
-        triples = [(point, "arbitrary", dist) for point in family.points]
+        k = len(index.v_bar_values)
+        law = (range(k), (1,) * k, k) if policy.dist is None else _nuisance_law(policy.dist, split)
+        triples = [(point, "arbitrary", law) for point in family.points]
     else:
         # each law re-randomized against its own nuisance marginal; under a
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
-        triples = [
-            (p, p, _law(index.v_bar_values, _marginal(family.masses[p], index.v_bar_code)))
-            for p in family.points
-        ]
+        triples = [(p, p, _marginal(family.masses[p], index.v_bar_code)) for p in family.points]
 
-    points, masses, obs_fns = [], {}, {}
-    for point, nuisance_index, nuisance in triples:
-        new_point = (point, nuisance_index)
-        points.append(new_point)
-        masses[new_point] = _atrandomize_ids(sums[point], split, nuisance)
-        obs_fns[new_point] = family.obs_fns[point]
-    numbering = (family.worlds, masses, family._coded, family.axes)
-    return Family(points, None, obs_fns, numbering=numbering)
+    masses = {(p, i): _atrandomize_ids(parts[p], split, law) for p, i, law in triples}
+    obs_fns = {(p, i): family.obs_fns[p] for p, i, _law in triples}
+    return Family(list(masses), None, obs_fns, numbering=(family.worlds, masses, family._coded, family.axes))
 
 
 @dataclass(frozen=True)
@@ -636,7 +625,7 @@ def target_values(target, family: Family) -> dict:
             for p in family.points:
                 marginal = _marginal(family.masses[p], code)
                 if marginal not in by_marginal:
-                    by_marginal[marginal] = target.fn(_law(values, marginal))
+                    by_marginal[marginal] = target.fn(vector_law(values, marginal))
                 out[p] = by_marginal[marginal]
             family._values[key] = out
         return family._values[key]

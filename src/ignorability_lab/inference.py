@@ -31,9 +31,10 @@ from .exactprob import (
     check_size,
     condition,
     dist_new,
-    reduced,
     sorted_distinct,
+    summed,
     uniform,
+    vector_law,
 )
 from .ignorance import (
     Family,
@@ -223,9 +224,9 @@ def sampling_dist_equivalent(original: Family, ignored: Family, estimator, targe
         first = dict(zip(reversed(keys), reversed(estimates)))  # key -> the estimate of its lowest code
         for p in family.points:
             denominator, sums = family.observation_sums(p)
-            key = _summed(((keys[c], n) for c, n in sums.items()), denominator)
+            key = summed(((keys[c], n) for c, n in sums.items()), denominator)
             if key not in group.setdefault(rank[p], {}):
-                group[rank[p]][key] = _dist([first[k] for k in key[0]], *key[1:])
+                group[rank[p]][key] = vector_law(first, key)
     witnesses = []
     for v in sorted(groups[0].keys() | groups[1].keys()):
         da, db = (group.get(v, {}) for group in groups)
@@ -233,21 +234,6 @@ def sampling_dist_equivalent(original: Family, ignored: Family, estimator, targe
         detail = (("target_value", reprs[v]), ("original", sets[0]), ("ignored", sets[1]))
         witnesses.append(Witness("estimator_distribution_sets", da.keys() == db.keys(), detail))
     return EquivalenceResult(all(w.equal for w in witnesses), None, tuple(witnesses))
-
-
-def _summed(pairs, denominator) -> tuple:
-    """The reduced integer mass vector of (key, integer mass) pairs, summed
-    by key in key order, over a denominator."""
-    sums = {}
-    for k, n in pairs:
-        sums[k] = sums.get(k, 0) + n
-    order = sorted(sums)
-    return reduced(order, [sums[k] for k in order], denominator)
-
-
-def _dist(outcomes, numerators, denominator) -> FiniteDist:
-    """The law of outcomes with integer masses over a denominator."""
-    return FiniteDist(tuple((o, Fraction(n, denominator)) for o, n in zip(outcomes, numerators)))
 
 
 def _columns(family: Family, prior: FiniteDist) -> dict:
@@ -286,7 +272,7 @@ def _posterior_sets(families, columns, target, x, codes, ranks) -> list:
                 law = dist_new(pairs)
                 key = canonical_key(law)
             else:
-                law = key = _summed(((rank[p], w) for p, w in column), sum(w for _p, w in column))
+                law = key = summed(((rank[p], w) for p, w in column), sum(w for _p, w in column))
             found.setdefault(key, law)
         if not found and not out:
             raise ZeroEvidence("observation has zero mass under every prior")
@@ -307,7 +293,7 @@ def posterior_equivalent(original: Family, ignored: Family, priors, priors_star,
     reprs, ranks = (None, None) if isinstance(target, Predictand) else _ranked(original, ignored, target)
     columns = [[_columns(f, q) for q in qs] for f, qs in zip(families, (priors, priors_star))]
     found = _posterior_sets(families, columns, target, x, [f.observation_code(x) for f in families], ranks)
-    sets = [tuple(sorted((d if ranks is None else _dist([reprs[r] for r in d[0]], *d[1:]) for d in side.values()),
+    sets = [tuple(sorted((d if ranks is None else vector_law(reprs, d) for d in side.values()),
                          key=canonical_key)) for side in found]
     equal = found[0].keys() == found[1].keys()
     detail = (("observation", x), ("original", sets[0]), ("ignored", sets[1]))
@@ -758,9 +744,10 @@ def default_estimator(scheme: ObservationScheme):
 @dataclass(frozen=True)
 class PreparedCheck:
     """The observation-free part of a classification: the original family,
-    the classified split, the ignored family and the transformed target.
-    Built once by `prepare`, then queried by `test` per inference type and
-    observation, which share its default priors."""
+    the classified split, the ignored family and the target, which each
+    test carries across (see `_ranked`).  Built once by `prepare`, then
+    queried by `test` per inference type and observation, which share its
+    default priors."""
 
     model: SurveyModel
     scheme: ObservationScheme
@@ -769,7 +756,6 @@ class PreparedCheck:
     split: ProcessSplit
     ignored: Family
     target: object
-    target_star: object
 
     @cached_property
     def default_priors(self) -> tuple:
@@ -854,22 +840,11 @@ def prepare(
     policy: NuisancePolicy,
 ) -> PreparedCheck:
     """Build the original family, split it by the (v, v_bar) pair with
-    `make_split`, ignore the nuisance process under the policy and carry
-    the target across."""
+    `make_split` and ignore the nuisance process under the policy."""
     family = Family.from_survey_model(m, scheme)
     proc_split = make_split(family, *split)
-    ignored = ignore_model(family, proc_split, policy)
-    target_star = transform_target(target, family, ignored)
-    return PreparedCheck(
-        model=m,
-        scheme=scheme,
-        policy=policy,
-        family=family,
-        split=proc_split,
-        ignored=ignored,
-        target=target,
-        target_star=target_star,
-    )
+    return PreparedCheck(model=m, scheme=scheme, policy=policy, family=family, split=proc_split,
+                         ignored=ignore_model(family, proc_split, policy), target=target)
 
 
 def classify(

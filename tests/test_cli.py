@@ -418,6 +418,52 @@ class TestInputErrors:
         assert out == ""
         assert err == f"error: observation {x} has zero mass at every grid point\n"
 
+    @pytest.mark.parametrize("command", ["check", "audit-rubin"])
+    @pytest.mark.parametrize("x", ["[[true,1],[1,2]]", "[[1,1],[false,2]]"])
+    def test_boolean_in_x(self, capsys, models, command, x):
+        # a JSON boolean is not the number 1 or 0 of the alphabet or the units
+        code, out, err = run(capsys, [command, models["srs_wor_n3"], "--x", x])
+        word = "true" if "true" in x else "false"
+        assert (code, out, err) == (2, "", f"error: boolean {word} in an observation literal\n")
+
+    @pytest.mark.parametrize("command", ["check", "audit-rubin"])
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            # decoded, then refused by the shape check
+            (100, "expected (values, mapping)"),
+            # refused before the decoder's or the JSON parser's recursion limit
+            *((depth, "observation literal nested deeper than 100 levels") for depth in (101, 330, 5000)),
+        ],
+    )
+    def test_deeply_nested_x(self, capsys, models, command, depth, message):
+        x = "[" * depth + "]" * depth
+        code, out, err = run(capsys, [command, models["srs_wor_n3"], "--x", x])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_model_file_not_utf8(self, capsys, tmp_path):
+        # a Latin-1 comment
+        text = CATALOG["srs_wor_n3"]
+        assert "labels" in text
+        path = tmp_path / "latin1.model"
+        path.write_bytes(text.replace("labels", "\xe9tiquettes").encode("latin-1"))
+        code, out, err = run(capsys, ["check", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read model file: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
+    def test_label_target_that_does_not_restrict(self, capsys, tmp_path, inference):
+        # every Dirac-fixed law of srs_wor_n3 is a new law, so the grid label
+        # has no counterpart in the ignored family; bayes checks every x
+        text = CATALOG["srs_wor_n3"].replace("kind = unit_expectation\nunit = 1\n", "kind = grid_label\n")
+        assert "kind = grid_label" in text
+        path = tmp_path / "grid_label.model"
+        path.write_text(text)
+        code, out, err = run(capsys, ["check", str(path), "--inference", inference])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ignored law at ") and err.endswith("the label target does not restrict\n")
+
     def test_bad_support_cap(self, capsys, models, monkeypatch):
         monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "abc")
         code, _, err = run(capsys, ["check", models["srs_wor_n3"]])
@@ -743,6 +789,20 @@ class TestExamples:
         assert code == 0
         written = out.strip().splitlines()
         assert len(written) == len(CATALOG)
+
+    @pytest.mark.parametrize("where", ["under_a_file", "a_file", "a_model_path_is_a_directory"])
+    def test_unwritable_dir(self, capsys, tmp_path, where):
+        (tmp_path / "file").write_text("")
+        if where == "under_a_file":
+            target = tmp_path / "file" / "ex"
+        elif where == "a_file":
+            target = tmp_path / "file"
+        else:
+            target = tmp_path / "ex"
+            (target / f"{next(iter(CATALOG))}.model").mkdir(parents=True)
+        code, out, err = run(capsys, ["examples", "--dir", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write the examples: [Errno ") and err.count("\n") == 1
 
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, ["examples", "--name", "nope"])

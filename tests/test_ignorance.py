@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -158,6 +159,19 @@ class TestAtrandomize:
         P = dist_new([((0, 0), F(1))])
         with pytest.raises(ZeroMassPhiSet):
             atrandomize(P, split, nuisance=uniform([0, 1]))
+
+    def test_nuisance_law_off_a_zero_mass_phi_set(self):
+        # Phi(2) = {(2, 2)} has zero mass, but a nuisance law with no weight
+        # on 2 never conditions on it: the law is conditioned on the sets it
+        # weights.  Phi(0) = {(0, 0), (1, 0), (1, 1)}, Phi(1) = {(1, 1)}
+        split = split_on(((0, 0), (1, 0), (1, 1), (2, 2)), first, second)
+        P = dist_new([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
+        fixed = atrandomize(P, split, nuisance=point_mass(0))
+        assert dist_eq(fixed, dist_new([((0, 0), F(1, 2)), ((1, 0), F(1, 2))]))
+        mixed = atrandomize(P, split, nuisance=uniform([0, 1]))
+        assert dist_eq(mixed, dist_new([((0, 0), F(1, 4)), ((1, 0), F(1, 4)), ((1, 1), F(1, 2))]))
+        with pytest.raises(ZeroMassPhiSet):
+            atrandomize(P, split, nuisance=uniform([0, 2]))
 
     def test_atom_off_the_split_raises(self):
         # (1, 0) is not a world of the split's support: its mass has no
@@ -527,16 +541,59 @@ class TestIgnoreProperties:
         assert dist_eq(atrandomize(once, split), once)
 
 
+class TestCompatibilityPass:
+    """Each law's restriction to each distinct compatibility set is built by
+    one scan of that set, shared by every nuisance value that has it."""
+
+    @staticmethod
+    def counted(split):
+        """The split with each compatibility set a tuple that counts the
+        scans of all of them in `scans`."""
+        scans = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                scans.append(self)
+                return super().__iter__()
+
+        index = replace(split.index, compatible=tuple(Counted(c) for c in split.index.compatible))
+        return replace(split, index=index), scans
+
+    @pytest.mark.parametrize("policy", [dirac_fix, single_arbitrary, marginal_family])
+    def test_one_scan_per_law_on_a_distinct_complement(self, policy):
+        # three nuisance values share the one compatibility set
+        support = [(a, b) for a in range(2) for b in range(3)]
+        laws = {p: dist_new([(w, F(n, sum(loads))) for w, n in zip(support, loads)])
+                for p, loads in (("p", (1, 2, 3, 4, 5, 6)), ("q", (6, 1, 1, 1, 1, 2)))}
+        fam = Family(("p", "q"), laws, {p: first for p in laws})
+        split = make_split(fam, first, second)
+        assert split.status == DISTINCT_COMPLEMENT and len(split.index.v_bar_values) == 3
+        counted, scans = self.counted(split)
+        ignored = ignore_model(fam, counted, policy())
+        assert len(scans) == 2
+        assert ignored.masses == ignore_model(fam, split, policy()).masses
+
+    def test_one_scan_per_distinct_set(self):
+        # Phi(0) = Phi(1) over first values {0, 1}, Phi(2) over {2}: two
+        # distinct sets, scanned once each by atrandomize
+        split = split_on(((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)), first, second)
+        P = dist_new([((0, 0), F(1, 4)), ((1, 1), F(1, 4)), ((2, 2), F(1, 2))])
+        counted, scans = self.counted(split)
+        assert dist_eq(atrandomize(P, counted, nuisance=point_mass(1)), atrandomize(P, split, nuisance=point_mass(1)))
+        assert len(scans) == 2
+
+
 class TestIgnoreSizeCap:
     @pytest.mark.parametrize(
         "policy, cap, message",
         [
-            # the conditioned pairs of both nuisance values: 3 + 2
-            (marginal_family, 4, "support of size 5 exceeds cap 4"),
-            # the law's own nuisance marginal is built first
+            # the restriction to Phi(0), whose v-codes are both first values
+            (dirac_fix, 1, "support of size 2 exceeds cap 1"),
+            # the mixed law: two worlds from Phi(0), one from Phi(1)
+            (single_arbitrary, 2, "support of size 3 exceeds cap 2"),
+            # the law's own nuisance marginal, over its three atoms, is built
+            # before the mixed law of 2 + 1 worlds
             (marginal_family, 2, "support of size 3 exceeds cap 2"),
-            # Phi(0) is the whole three-point support
-            (dirac_fix, 2, "support of size 3 exceeds cap 2"),
         ],
     )
     def test_cap_below_ignored_law(self, monkeypatch, policy, cap, message):
