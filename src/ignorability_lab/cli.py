@@ -225,10 +225,10 @@ def cmd_enumerate(args) -> int:
     obs = pushforward(joint, observation_fn(build.model, phi, build.scheme))
     payload = {
         "type": "enumeration",
-        "theta": to_jsonable(theta),
-        "phi": to_jsonable(phi),
-        "joint": to_jsonable(joint),
-        "observation": to_jsonable(obs),
+        "theta": theta,
+        "phi": phi,
+        "joint": joint,
+        "observation": obs,
     }
     if args.json:
         print(machine_json(payload))
@@ -256,21 +256,21 @@ def cmd_inclusion(args) -> int:
             ups = selection_expectations(delta, pop)
             blocks.append(
                 {
-                    "phi": to_jsonable(phi),
-                    "z": to_jsonable(z),
-                    "pi": to_jsonable(pi),
-                    "upsilon": to_jsonable(ups),
-                    "sum_pi": to_jsonable(sum(pi, Fraction(0))),
-                    "expected_distinct_size": to_jsonable(expected_distinct_size(delta)),
-                    "sum_upsilon": to_jsonable(sum(ups, Fraction(0))),
-                    "expected_size": to_jsonable(expected_size(delta)),
+                    "phi": phi,
+                    "z": z,
+                    "pi": pi,
+                    "upsilon": ups,
+                    "sum_pi": sum(pi, Fraction(0)),
+                    "expected_distinct_size": expected_distinct_size(delta),
+                    "sum_upsilon": sum(ups, Fraction(0)),
+                    "expected_size": expected_size(delta),
                 }
             )
-    payload = {"type": "inclusion", "population": to_jsonable(pop.labels), "designs": blocks}
+    payload = {"type": "inclusion", "population": pop.labels, "designs": blocks}
     if args.json:
         print(machine_json(payload))
     else:
-        for b in blocks:
+        for b in to_jsonable(blocks):  # the human form prints the JSON values
             print(f"phi={b['phi']} z={b['z']}")
             for k, pi_k, u_k in zip(pop.labels, b["pi"], b["upsilon"]):
                 print(f"  unit {k}: pi={pi_k} upsilon={u_k}")

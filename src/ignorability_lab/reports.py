@@ -8,13 +8,15 @@ with one space of indent per level of nesting; empty containers are `[]`
 and `{}`.  The output is ASCII only: every other character is a `\\uXXXX`
 escape.  These are the bytes of `json.dumps(to_jsonable(v),
 sort_keys=True, separators=(",", ": "), indent=1)`, so two runs over the
-same inputs produce byte-identical machine output.
+same inputs produce byte-identical machine output.  The writer handles
+`FiniteDist` and `WorldState` itself, with no `to_jsonable` copy, and
+renders each repeated law or world object once per call at each indent.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .exactprob import FiniteDist
@@ -46,11 +48,9 @@ def to_jsonable(value):
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if is_dataclass(value):
-        return {
-            k: to_jsonable(v)
-            for k, v in asdict(value).items()
-            if not callable(v)
-        }
+        # field by field: `asdict` would turn a nested law into {"items": ...}
+        attributes = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {k: to_jsonable(v) for k, v in attributes if not callable(v)}
     return repr(value)
 
 
@@ -58,15 +58,64 @@ def machine_json(payload) -> str:
     """The canonical JSON of `payload`, written in one pass (see the module
     docstring for the format)."""
     out = []
-    _write(payload, out, "\n")
+    _write(payload, out, "\n", {})
     return "".join(out)
 
 
-def _write(value, out, newline):
+def _write(value, out, newline, memo):
     """Append the canonical JSON of `value` to `out`; `newline` is a line
-    break followed by the indent of the line `value` starts on.  Types
-    other than the JSON ones and Fraction are converted by `to_jsonable`."""
-    if isinstance(value, str):
+    break followed by the indent of the line `value` starts on.  `memo`
+    maps (id, newline) of a law or world already written in this call to
+    (the value, its text).  Exact types are tested first; subclasses and
+    the remaining JSON types take the `isinstance` chain, and other types
+    are converted by `to_jsonable`."""
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is Fraction:
+        out.append(f'"{value.numerator}/{value.denominator}"')
+    elif kind is tuple or kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + " "
+        separator = "," + inner
+        out.append("[" + inner)
+        for item in value:
+            if type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write(item, out, inner, memo)
+            out.append(separator)
+        out[-1] = newline + "]"  # in place of the last item's separator
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in value.items()}  # a later key wins, as in to_jsonable
+        inner = newline + " "
+        separator = "," + inner
+        out.append("{" + inner)
+        for key in sorted(items):
+            out.append(_escape(key) + ": ")
+            _write(items[key], out, inner, memo)
+            out.append(separator)
+        out[-1] = newline + "}"
+    elif kind is FiniteDist or kind is WorldState:
+        entry = memo.get((id(value), newline))
+        if entry is None:
+            text = []
+            _write(
+                {"dist": value.items} if kind is FiniteDist
+                else {"r": value.r, "y": value.y, "z": value.z},
+                text, newline, memo,
+            )
+            # holding `value` keeps its id from being reused in this call
+            entry = memo[id(value), newline] = (value, "".join(text))
+        out.append(entry[1])
+    elif isinstance(value, str):
         out.append(_escape(value))
     elif value is None:
         out.append("null")
@@ -81,31 +130,11 @@ def _write(value, out, newline):
     elif isinstance(value, float):
         out.append(_float(value))
     elif isinstance(value, (tuple, list)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + " "
-        separator = "," + inner
-        out.append("[" + inner)
-        for item in value:
-            _write(item, out, inner)
-            out.append(separator)
-        out[-1] = newline + "]"  # in place of the last item's separator
+        _write(list(value), out, newline, memo)
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        items = {str(k): v for k, v in value.items()}  # a later key wins, as in to_jsonable
-        inner = newline + " "
-        separator = "," + inner
-        out.append("{" + inner)
-        for key in sorted(items):
-            out.append(_escape(key) + ": ")
-            _write(items[key], out, inner)
-            out.append(separator)
-        out[-1] = newline + "}"
+        _write(dict(value.items()), out, newline, memo)
     else:
-        _write(to_jsonable(value), out, newline)
+        _write(to_jsonable(value), out, newline, memo)
 
 
 def _float(value) -> str:
@@ -172,8 +201,8 @@ def mc_payload(report: McReport) -> dict:
         "cells_outside": report.cells_outside,
         "cells": [
             {
-                "outcome": to_jsonable(c.outcome),
-                "exact": to_jsonable(c.exact),
+                "outcome": c.outcome,
+                "exact": c.exact,
                 "count": c.count,
                 "frequency": repr(c.frequency),
                 "band": repr(c.band),
@@ -208,7 +237,7 @@ def mc_human(report: McReport) -> str:
 def rubin_payload(report: RubinAuditReport) -> dict:
     return {
         "type": "rubin_audit",
-        "x": to_jsonable(report.x),
+        "x": report.x,
         "mar": report.mar,
         "oar": report.oar,
         "distinct": report.distinct,

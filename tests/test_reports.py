@@ -1,6 +1,9 @@
 """Canonical JSON: the one-pass writer `machine_json` against the standard
 library's encoder over `to_jsonable`."""
 
+import collections
+import dataclasses
+import enum
 import json
 from fractions import Fraction
 
@@ -74,3 +77,57 @@ def test_engine_types():
     law = FiniteDist(((world, Fraction(1, 2)), ((0, 1), Fraction(1, 2))))
     assert machine_json(law) == reference(law)
     assert machine_json([float("nan"), float("-inf"), 0.5]) == "[\n NaN,\n -Infinity,\n 0.5\n]"
+
+
+@st.composite
+def shared_engine_values(draw):
+    """A payload in which one world and one law that holds it each appear
+    several times, at different depths and so at different indents."""
+    short = st.lists(scalars, max_size=3).map(tuple)
+    world = WorldState(draw(short), draw(scalars), draw(short))
+    law = FiniteDist(((world, Fraction(1, 3)), (draw(scalars), Fraction(2, 3))))
+    leaves = st.one_of(scalars, st.just(law), st.just(world))
+    rest = draw(st.recursive(leaves, containers, max_leaves=25))
+    return [law, world, {"a": [law, (world,)], "b": {"c": [[law]]}}, rest, law]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_engine_values())
+def test_repeated_law_and_world_match_the_reference(value):
+    assert machine_json(value) == reference(value)
+
+
+def test_subclasses_take_the_general_path():
+    class Colour(enum.IntEnum):
+        RED = 3
+
+    class Label(str):
+        pass
+
+    Pair = collections.namedtuple("Pair", "left right")
+    value = collections.OrderedDict(
+        [("z", Colour.RED), (Label("k"), Pair(Label("é"), True)), (2, [False, Colour.RED])]
+    )
+    assert machine_json(value) == reference(value)
+    assert machine_json(value) == (
+        '{\n "2": [\n  false,\n  3\n ],\n "k": [\n  "\\u00e9",\n  true\n ],\n "z": 3\n}'
+    )
+
+
+def test_two_calls_give_the_same_bytes():
+    world = WorldState((1, 0), 2, (1,))
+    law = FiniteDist(((world, Fraction(1, 2)), ((0, 1), Fraction(1, 2))))
+    payload = {"rows": [[law, world]] * 3, "law": law, "deep": [[[law]]]}
+    first = machine_json(payload)
+    assert machine_json(payload) == first == reference(payload)
+
+
+def test_to_jsonable_converts_a_nested_law_field_by_field():
+    @dataclasses.dataclass(frozen=True)
+    class Box:
+        law: FiniteDist
+        rule: object = len  # a callable field is left out
+
+    law = FiniteDist((((0, 1), Fraction(1, 4)), ((1, 0), Fraction(3, 4))))
+    assert to_jsonable(Box(law)) == {"law": to_jsonable(law)}
+    assert machine_json(Box(law)) == machine_json({"law": law})
