@@ -8,9 +8,16 @@ hypotheses and conclusion hold.  A counterexample row would mean the
 audit found hypotheses true and conclusion false somewhere; the engine's
 soundness claim is that this never happens.
 
-Usage: python scripts/rubin_sweep.py
+It also prints a SHA-256 over the audits' machine JSON payloads, one line
+each in sweep order, and `ok` when it is the one recorded in DIGEST or
+`DIFFERS` when it is not; it exits 1 on a counterexample or a differing
+digest.  The sweep is acceptance criterion 6's: the same models in the
+same order, so DIGEST is that criterion's digest.
+
+Usage: PYTHONPATH=src python3 scripts/rubin_sweep.py
 """
 
+import hashlib
 import itertools
 import sys
 import time
@@ -19,6 +26,7 @@ from fractions import Fraction as F
 from ignorability_lab.exactprob import Kernel, dist_new, point_mass, uniform
 from ignorability_lab.ignorance import Family
 from ignorability_lab.inference import rubin_theorem_audit
+from ignorability_lab.reports import machine_json, rubin_payload
 from ignorability_lab.sampling import (
     Population,
     SurveyModel,
@@ -42,6 +50,8 @@ KERNELS = {
 }
 
 THEOREMS = ("6.1", "6.2", "6.3", "7.1", "7.2")
+# SHA-256 of the audit payloads of the sweep
+DIGEST = "03f8de6488e0d96f608c2630c09897369da663c80708d414cb7f29a8464eaf25"
 
 
 def build_model(thetas, phis):
@@ -68,13 +78,15 @@ def main() -> int:
     stats = {name: [0, 0, 0, 0] for name in THEOREMS}  # hh, hc, ch, cc buckets
     audits = 0
     counterexamples = []
-    for thetas in grids(sorted(SIGNALS)):
+    digest = hashlib.sha256()
+    for thetas in grids(list(SIGNALS)):  # in the order listed
         for phis in grids(sorted(KERNELS)):
             model = build_model(thetas, phis)
             family = Family.from_survey_model(model, values_and_mapping())
             for x in family.observation_support():
                 report = rubin_theorem_audit(model, x, values_and_mapping())
                 audits += 1
+                digest.update(machine_json(rubin_payload(report)).encode() + b"\n")
                 for name in THEOREMS:
                     audit = report.audit(name)
                     row = stats[name]
@@ -90,13 +102,15 @@ def main() -> int:
     for name in THEOREMS:
         hh, hc, ch, total = stats[name]
         print(f"{name:<7}  {hh:>8}  {hc:>9}  {ch:>10}  {total:>5}")
+    verdict = "ok" if digest.hexdigest() == DIGEST else "DIFFERS"
+    print(f"\nsha256 {digest.hexdigest()}  {verdict}")
     if counterexamples:
         print("\nCOUNTEREXAMPLES FOUND:")
         for row in counterexamples:
             print("  ", row)
         return 1
     print("\nno counterexamples: every audited implication held")
-    return 0
+    return 0 if verdict == "ok" else 1
 
 
 if __name__ == "__main__":

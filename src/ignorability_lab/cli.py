@@ -321,6 +321,8 @@ def cmd_mc_verify(args) -> int:
     build = _load(args.model)
     if args.draws < 1:
         raise EngineError(f"--draws must be at least 1, got {args.draws}")
+    if not 0 <= args.seed < 2**64:
+        raise EngineError(f"--seed must be in 0 .. 2^64 - 1, got {args.seed}")
     theta, phi = _find_point(build.model, args.theta, args.phi)
     report = compare_exact_vs_mc(
         build.model,

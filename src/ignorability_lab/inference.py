@@ -368,11 +368,12 @@ class RubinContext:
     built once per design law object, so a constant design builds one, and
     rows with equal masses are one tuple), the `oar` flag per mapping rank
     (it does not depend on the observed values), the theta marginals as
-    masses per signal id, the audit's joints with their support sizes, and
-    the 6.x flags of the audit per mapping.  Nothing is kept per observed
-    value, and an observed mapping is keyed by `canonical_key` at every
-    query.  A query that raises keeps no entry, so a later query raises
-    what a fresh context would, in the same order."""
+    integer numerators per signal id over one denominator per theta, the
+    audit's joints with their support sizes, and the 6.x flags of the audit
+    per mapping.  Nothing is kept per observed value, and an observed
+    mapping is keyed by `canonical_key` at every query.  A query that
+    raises keeps no entry, so a later query raises what a fresh context
+    would, in the same order."""
 
     def __init__(self, m: SurveyModel):
         self.model = m
@@ -473,7 +474,8 @@ class RubinContext:
             start = p * self._size
             rows = {id(r): r for r in (kept[start + j] or self._row(p, j) for j in ids)}
             rank = self._mapping_rank.get(mk)  # rows may have ranked mk
-            if rank is not None and len(rows) > 1 and len({_mass(r, rank) for r in rows.values()}) > 1:
+            first = _mass(next(iter(rows.values()), ()), rank)  # ==, as hashing a Fraction is slow
+            if any(_mass(r, rank) != first for r in rows.values()):
                 return False
         return True
 
@@ -510,24 +512,24 @@ class RubinContext:
         return [[o + i for i in inside] for o in self._offsets(outside)]
 
     def _audit_tables(self) -> tuple:
-        """(distinct flag, {theta: mass per signal id}, {grid point: joint}),
-        built on the first call and kept; a joint is its (signal id, mass of
-        y, selection row) rows.  The largest support size of the joints is
+        """(distinct flag, {theta: (d, numerator per signal id)}, {grid point:
+        joint}), built on the first call and kept; d is the lcm of the
+        denominators of theta's law, and a joint is its (signal id, numerator
+        of y, selection row) rows.  The largest support size of the joints is
         kept too and checked against the cap once per call."""
         if self._tables is None:
             m = self.model
             distinct = check_distinct(m.grid) if m.phis else True
             marginals = {}
             for t in m.thetas:
-                masses = [0] * self._size
+                d, masses = lcm(*(w.denominator for _yz, w in m.signal_law[t].items)), [0] * self._size
                 for (y, _z), w in m.signal_law[t].items:
-                    j = self._id_of(y)
-                    masses[j] = masses[j] + w if masses[j] else w  # the law's own masses kept
-                marginals[t] = tuple(masses)
+                    masses[self._id_of(y)] += w.numerator * (d // w.denominator)
+                marginals[t] = (d, tuple(masses))
             joints, largest = {}, 0
             for t, phi in m.grid:
                 p = self.phis.index(phi)
-                rows = joints[t, phi] = [(j, w, self._row(p, j)) for j, w in enumerate(marginals[t]) if w]
+                rows = joints[t, phi] = [(j, w, self._row(p, j)) for j, w in enumerate(marginals[t][1]) if w]
                 size = sum(len(row) - row.count(0) for _j, _w, row in rows)
                 check_size(size)
                 largest = max(largest, size)
@@ -544,14 +546,10 @@ class RubinContext:
         at = [self.model.population.index(k) for k in mapping]
         # signal id -> its values along the observed mapping, as digits
         base, weights = self._base, self._weights
-        seen = {
-            j: tuple(j // weights[i] % base for i in at)
-            for mg in marginals.values() for j, w in enumerate(mg) if w
-        }
-        # the ignoring distribution of each theta: the law of the observed part
-        ignoring = {
-            t: _tally((seen[j], w) for j, w in enumerate(mg) if w) for t, mg in marginals.items()
-        }
+        seen = {j: tuple(j // weights[i] % base for i in at)
+                for _d, mg in marginals.values() for j, w in enumerate(mg) if w}
+        # the ignoring distribution of each theta (the law of the observed part) over its d
+        ignoring = {t: _tally((seen[j], w) for j, w in enumerate(mg) if w) for t, (_d, mg) in marginals.items()}
         # 6.3 hypothesis: the missingness mechanism is degenerate at the
         # observed mapping for every signal of positive mass.
         hyp_63 = all(_mass(row, rank) == 1 for rows in joints.values() for _j, _w, row in rows)
@@ -565,19 +563,22 @@ class RubinContext:
         # 6.3 conclusion: the unconditional law of the statistic is the
         # ignoring distribution; as that sits on the observed mapping, the
         # mapping has mass 1 and its hits are the ignoring distribution.
+        # The hits (no part outside the law) and their sum k are numerators
+        # over d*e, e the lcm of the denominators of the mapping's masses.
         concl_61 = cond_62 = concl_62 = concl_63 = True
         for (theta, phi), rows in joints.items():
-            law = ignoring[theta]
-            hits = _tally((seen[j], w * s) for j, w, row in rows if (s := _mass(row, rank)))
-            ratios = {hits.get(part, 0) / w for part, w in law.items()}
-            if len(ratios) != 1 or 0 in ratios:
-                cond_62 = False
-            k_mass = sum(hits.values(), Fraction(0))
-            if k_mass == 0:
+            d, law = marginals[theta][0], ignoring[theta]
+            masses = [(j, w, _mass(row, rank)) for j, w, row in rows]
+            e = lcm(*(s.denominator for _j, _w, s in masses))
+            hits = _tally((seen[j], w * s.numerator * (e // s.denominator)) for j, w, s in masses if s)
+            k, (p0, w0) = sum(hits.values()), next(iter(law.items()))
+            h0 = hits.get(p0, 0)  # each part's ratio hits/law is the first part's
+            cond_62 = cond_62 and h0 > 0 and all(hits.get(part, 0) * w0 == h0 * w for part, w in law.items())
+            if k == 0:
                 concl_62 = False
-            elif {part: w / k_mass for part, w in hits.items()} != law:
+            elif any(hits.get(part, 0) * d != w * k for part, w in law.items()):
                 concl_61 = concl_62 = False
-            concl_63 = concl_63 and k_mass == 1 and hits == law
+            concl_63 = concl_63 and all(hits.get(part, 0) == w * e for part, w in law.items())
         return self._flags.setdefault(mk, (concl_61, cond_62, concl_62, hyp_63, concl_63))
 
     def audit(self, x) -> RubinAuditReport:
@@ -603,26 +604,22 @@ class RubinContext:
 
         # Likelihoods for 7.x: marginal of the observed values, and joint mass
         # of (values, mapping), both by exact summation over the signals that
-        # agree with x; one of each per theta and per (theta, phi).
-        selection = {
-            phi: [_mass(row, rank) for row in rows] for phi, rows in zip(phis, completion_rows)
-        }
-        lik, lik_full = {}, {}
-        for t in thetas:
-            masses = [marginals[t][j] for j in completions]
-            lik[t] = sum(masses, Fraction(0))
-            for phi in phis:
-                lik_full[t, phi] = sum(
-                    (a * b for a, b in zip(masses, selection[phi])), Fraction(0)
-                )
+        # agree with x; one of each per theta and per (theta, phi), as integers
+        # over d_t and d_t * e, e the lcm of the denominators of the selection
+        # masses at phi; the scales cancel from every cross product below.
+        masses = {phi: [_mass(row, rank) for row in rows] for phi, rows in zip(phis, completion_rows)}
+        e = {phi: lcm(*(s.denominator for s in ms)) for phi, ms in masses.items()}
+        selection = {phi: [s.numerator * (e[phi] // s.denominator) for s in ms] for phi, ms in masses.items()}
+        agreeing = {t: [marginals[t][1][j] for j in completions] for t in thetas}
+        lik = {t: sum(ns) for t, ns in agreeing.items()}
+        lik_full = {(t, phi): sum(a * b for a, b in zip(agreeing[t], selection[phi])) for t in thetas for phi in phis}
         grid = set(self.model.grid)
 
         def cross_equal(eligible_phis) -> bool:
             # symmetric in (t1, t2), so each unordered pair is checked once
             return all(
                 lik[t1] * lik_full[t2, phi] == lik_full[t1, phi] * lik[t2]
-                for phi in eligible_phis
-                for t1, t2 in itertools.combinations(thetas, 2)
+                for phi in eligible_phis for t1, t2 in itertools.combinations(thetas, 2)
                 if (t1, phi) in grid and (t2, phi) in grid
             )
 
@@ -630,9 +627,10 @@ class RubinContext:
         concl_71 = cross_equal(eligible)
 
         pre_72 = all(lik[t] > 0 for t in thetas)
+        t0 = thetas[0]  # one positive ratio lik_full / lik per phi: each theta's is t0's
         hyp_72b = pre_72 and all(
-            len(ratios) == 1 and next(iter(ratios)) > 0
-            for ratios in ({lik_full[t, phi] / lik[t] for t in thetas} for phi in phis)
+            lik_full[t0, phi] > 0 and all(lik_full[t, phi] * lik[t0] == lik_full[t0, phi] * lik[t] for t in thetas)
+            for phi in phis
         )
         concl_72 = cross_equal(phis)
 

@@ -8,12 +8,14 @@ distributions and posteriors are read off the laws by summing the mass of
 each observation.  Nothing is numbered,
 keyed or cached: worlds and values are compared by Python equality, so an
 input must not mix values that are equal across types (1 and Fraction(1),
-1 and True).
+1 and True).  `rubin_audit` does the same for the missing-data theorems:
+it enumerates every signal and reads each theorem off its definition.
 
 `dist_eq` and `split_on` at the end are shorthands for the tests over the
 engine's own entries; the reference functions do not use them.
 """
 
+import itertools
 from fractions import Fraction
 
 from ignorability_lab.exactprob import canonical_key
@@ -198,6 +200,106 @@ def posterior_equivalent(original, ignored, priors, priors_star, x, predictand=N
         return "ZeroEvidence"
     set_b = posterior_set(*ignored, priors_star, x, predictand)
     return set_a == set_b, set_a, set_b
+
+
+def rubin_audit(m: SurveyModel, x) -> tuple:
+    """(mar, oar, distinct, (theorem, hypothesis, conclusion, notes) of
+    6.1, 6.2, 6.3, 7.1 and 7.2) of the missing-data theorems at x = (values,
+    mapping), or "NotRubinShape" when the mapping repeats a unit or a signal
+    has two design variables or none.
+
+    Every signal over the alphabet is enumerated, with its mass p[t][y]
+    under each theta and the mass pi(phi, y) its design gives the observed
+    mapping.  A signal of mass zero everywhere takes z = y when z contains
+    y, else the one z every signal shares; the engine asks for it only when
+    a query reads that signal, so this refuses more models than the engine.
+    """
+    values, mapping = tuple(x[0]), tuple(x[1])
+    if len(set(mapping)) != len(mapping):
+        return "NotRubinShape"
+    labels = m.population.labels
+    laws = [m.signal_law[t] for t in m.thetas]
+    alphabet = list(dict.fromkeys(v for law in laws for (y, _z), _w in law.items for v in y))
+    signals = list(itertools.product(alphabet, repeat=len(labels)))
+    p, z_of = {t: {} for t in m.thetas}, {}
+    for t, law in zip(m.thetas, laws):
+        for (y, z), w in law.items:
+            if z_of.setdefault(y, z) != z:
+                return "NotRubinShape"
+            p[t][y] = p[t].get(y, Fraction(0)) + w
+    shared = []  # the distinct design variables of the signals
+    for z in z_of.values():
+        if z not in shared:
+            shared.append(z)
+    for y in signals:
+        if y not in z_of:
+            if not m.z_contains_y and len(shared) != 1:
+                return "NotRubinShape"
+            z_of[y] = y if m.z_contains_y else shared[0]
+    phis = m.phis or (None,)
+
+    def pi(phi, y):
+        kernel = m.design if phi is None else m.design_law[phi]
+        return sum((w for r, w in _design_at(kernel, z_of[y]).items if r == mapping), Fraction(0))
+
+    at = [labels.index(k) for k in mapping]
+    completions = [y for y in signals if all(y[i] == v for i, v in zip(at, values))]
+    mar = all(len({pi(phi, y) for y in completions}) <= 1 for phi in phis)
+    outside = [i for i in range(len(labels)) if i not in at]
+    oar = all(
+        len({pi(phi, y) for y in signals if all(y[i] == u[i] for i in outside)}) == 1
+        for phi in phis for u in signals
+    )
+    grid = list(m.grid)
+    distinct = not m.phis or all((t, phi) in grid for t, _ in grid for _, phi in grid)
+
+    # 6.x at each grid point: the ignoring law of the observed part y[at]
+    # against its law jointly with the observed mapping (hits), of total k
+    concl_61 = cond_62 = concl_62 = hyp_63 = concl_63 = True
+    for t, phi in grid:
+        law, hits = {}, {}
+        for y, w in p[t].items():
+            part = tuple(y[i] for i in at)
+            law[part] = law.get(part, Fraction(0)) + w
+            if pi(phi, y):
+                hits[part] = hits.get(part, Fraction(0)) + w * pi(phi, y)
+            hyp_63 = hyp_63 and pi(phi, y) == 1
+        k = sum(hits.values(), Fraction(0))
+        conditional = {part: h / k for part, h in hits.items()} if k else None
+        concl_61 = concl_61 and (k == 0 or conditional == law)
+        ratios = {hits.get(part, Fraction(0)) / w for part, w in law.items()}
+        cond_62 = cond_62 and len(ratios) == 1 and 0 not in ratios
+        concl_62 = concl_62 and conditional == law
+        concl_63 = concl_63 and k == 1 and hits == law
+
+    # 7.x: the likelihood of the observed values alone and jointly with the
+    # mapping, summed over the completions of x
+    lik = {t: sum((p[t].get(y, Fraction(0)) for y in completions), Fraction(0)) for t in m.thetas}
+    full = {
+        (t, phi): sum((p[t].get(y, Fraction(0)) * pi(phi, y) for y in completions), Fraction(0))
+        for t in m.thetas for phi in phis
+    }
+
+    def proportional(at_phis):
+        return all(
+            lik[t1] * full[t2, phi] == full[t1, phi] * lik[t2]
+            for phi in at_phis for t1 in m.thetas for t2 in m.thetas
+            if (t1, phi) in grid and (t2, phi) in grid
+        )
+
+    pre_72 = all(lik[t] > 0 for t in m.thetas)
+    hyp_72b = pre_72 and all(
+        len(ratios) == 1 and min(ratios) > 0
+        for ratios in ({full[t, phi] / lik[t] for t in m.thetas} for phi in phis)
+    )
+    return (
+        mar, oar, distinct,
+        ("6.1", mar and oar, concl_61, ()),
+        ("6.2", cond_62, concl_62, (("iff", cond_62 == concl_62),)),
+        ("6.3", hyp_63, concl_63, ()),
+        ("7.1", mar and distinct, proportional([phi for phi in phis if all(pi(phi, y) > 0 for y in completions)]), ()),
+        ("7.2", pre_72 and distinct and hyp_72b, proportional(phis), ()),
+    )
 
 
 def dist_eq(a, b) -> bool:

@@ -281,12 +281,16 @@ class TestInputErrors:
         "argv, message",
         [
             (["mc-verify", "srs_wor_n3", "--draws", "0"], "--draws"),
+            (["mc-verify", "srs_wor_n3", "--seed=-1"], "--seed must be in 0 .. 2^64 - 1, got -1"),
+            (["mc-verify", "srs_wor_n3", f"--seed={2**64}"], f"--seed must be in 0 .. 2^64 - 1, got {2**64}"),
             (["audit-rubin", "srs_wor_n3", "--x", "[1]"], "expected (values, mapping)"),
             (["check", "srs_wor_n3", "--x", '["1/0"]'], "zero denominator"),
             (["enumerate", "srs_wor_minimal", "--theta", "1/0"], "zero denominator"),
         ],
         ids=[
             "mc-verify-draws-0",
+            "mc-verify-seed-minus-1",
+            "mc-verify-seed-2-to-the-64",
             "audit-rubin-x-shape",
             "check-x-zero-denominator",
             "enumerate-theta-zero-denominator",

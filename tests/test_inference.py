@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from test_axes import survey_models
 
-from reference import dist_eq
+from reference import dist_eq, rubin_audit
 from ignorability_lab.exactprob import (
     EngineError,
     Kernel,
@@ -641,3 +641,56 @@ class TestSharedRubinContext:
             assert model_ref() is None and rubin_ref() is None
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The Rubin audit against the reference one, which enumerates every signal
+# and reads each theorem off its definition with Fractions.
+# ---------------------------------------------------------------------------
+
+
+def _audit_outcome(m, x) -> tuple | str:
+    """The engine's audit at x in the reference's form, or the name of the
+    error it raised."""
+    try:
+        report = rubin_theorem_audit(m, x, values_and_mapping())
+    except NotRubinShape as error:
+        return type(error).__name__
+    audits = ((a.theorem, a.hypothesis_true, a.conclusion_true, a.notes) for a in report.audits)
+    return (report.mar, report.oar, report.distinct, *audits)
+
+
+class TestRubinAuditAgainstReference:
+    def _check_every_support_point(self, m):
+        for x in Family.from_survey_model(m, values_and_mapping()).observation_support():
+            assert _audit_outcome(m, x) == rubin_audit(m, x), x
+
+    @settings(max_examples=150, deadline=None)
+    @given(rubin_shape_models())
+    def test_rubin_shape_models(self, case):
+        self._check_every_support_point(case[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(survey_models())
+    def test_random_survey_models(self, case):
+        self._check_every_support_point(case[0])
+
+    @pytest.mark.parametrize("m", [
+        bernoulli_mixture_model(),
+        rubin_model({"u": uniform_subsets, "k": first_unit_or_both, "d": drop_by_second},
+                    grid=((F(1, 3), "u"), (F(1, 3), "k"), (F(1, 2), "k"), (F(1, 2), "d"))),
+    ], ids=["diagonal", "staircase"])
+    def test_grids_that_are_not_products(self, m):
+        self._check_every_support_point(m)
+
+    def test_masses_of_a_mapping_over_different_denominators(self):
+        # the mass of (1,) is 1/2 or 1/3 by the observed value
+        halves_or_thirds = lambda y: uniform([(1,), (1, 2)]) if y[0] == 0 else uniform([(), (1,), (1, 2)])
+        self._check_every_support_point(rubin_model({"m": halves_or_thirds, "u": uniform_subsets}))
+
+    def test_three_selection_rows_across_the_completions(self):
+        # three rows by the value of unit 2, the first two giving (1,) the
+        # same mass: only the third row breaks missing at random
+        rows = (uniform([(1,), (2,)]), uniform([(1,), (1, 2)]), point_mass((1, 2)))
+        signals = {F(1, 3): iid_signal_dist(U2, uniform([0, 1, 2]), z_of=lambda y: y)}
+        self._check_every_support_point(rubin_model({"r": lambda y: rows[y[1]]}, signals))
