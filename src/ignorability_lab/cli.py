@@ -50,8 +50,6 @@ from .reports import (
     to_jsonable,
 )
 from .sampling import (
-    VALUES_AND_MAPPING,
-    VALUES_MAPPING_DESIGN,
     build_joint,
     expected_distinct_size,
     expected_size,
@@ -150,12 +148,7 @@ def _rubin_flags(rubin, observations, variant) -> tuple:
 
 def cmd_check(args) -> int:
     build = _load(args.model)
-    inference = {
-        "likelihood": LIKELIHOOD_BASED,
-        "frequentist": FREQUENTIST,
-        "bayes": BAYESIAN,
-    }[args.inference]
-    estimator = default_estimator(build.scheme) if inference == FREQUENTIST else None
+    estimator = default_estimator(build.scheme) if args.inference == FREQUENTIST else None
     x = None
     if args.x is not None:
         x = parse_observation_literal(args.x)
@@ -172,7 +165,7 @@ def cmd_check(args) -> int:
         raise EngineError(f"observation {args.x} has zero mass at every grid point")
 
     verdicts = None
-    if inference == BAYESIAN and x is None:
+    if args.inference == BAYESIAN and x is None:
         # posterior checks are per observation: every verdict from one pass
         # over the columns, the report of the headline observation only (the
         # first informative one, or the first one)
@@ -181,8 +174,8 @@ def cmd_check(args) -> int:
     # estimator-distribution families are observation-free, and likelihood
     # without a concrete x runs in uniform mode (one alpha jointly across
     # all observations)
-    o = None if inference == FREQUENTIST else x
-    headline = prepared.test(inference, o, estimator, None, None)
+    o = None if args.inference == FREQUENTIST else x
+    headline = prepared.test(args.inference, o, estimator, None, None)
     if verdicts is None:
         verdicts = [headline.verdict == IGNORABLE]
     informative = verdicts.count(False)
@@ -284,16 +277,12 @@ def cmd_inclusion(args) -> int:
 
 def cmd_audit_rubin(args) -> int:
     build = _load(args.model)
-    if build.scheme.kind not in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
-        raise EngineError(
-            "audit-rubin needs an observation scheme exposing the mapping"
-        )
+    rubin = prepare_rubin(build.model, build.scheme)
     if args.x is not None:
         xs = [parse_observation_literal(args.x)]
         validate_observation(build.model, build.scheme, xs[0])
     else:
         xs = Family.from_survey_model(build.model, build.scheme).observation_support()
-    rubin = prepare_rubin(build.model, build.scheme)
     reports = [rubin.audit(x) for x in xs]
     counterexamples = sum(
         1 for r in reports for a in r.audits if a.counterexample()
@@ -373,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument(
         "--inference",
-        choices=("likelihood", "frequentist", "bayes"),
-        default="likelihood",
+        choices=(LIKELIHOOD_BASED, FREQUENTIST, BAYESIAN),
+        default=LIKELIHOOD_BASED,
     )
     p.add_argument("--policy", choices=tuple(POLICIES), default="dirac")
     p.add_argument("--x", help="observation literal (JSON)")

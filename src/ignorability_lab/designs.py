@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -194,46 +193,6 @@ def fixed_design(mapping: tuple) -> FiniteDist:
 def census(population: Population) -> FiniteDist:
     """Every unit drawn exactly once, in label order."""
     return point_mass(tuple(population.labels))
-
-
-@dataclass(frozen=True)
-class DesignSpec:
-    """Declarative design description used by model files and the catalog."""
-
-    variant: str
-    n: int | None = None
-    strata: tuple | None = None
-    alloc: tuple | None = None  # ((stratum, n_h), ...)
-    p: tuple | None = None
-    components: tuple | None = None  # selection mappings
-    weights: tuple | None = None  # ((label, (w, ...)), ...)
-
-    def build(self, population: Population):
-        """Return (design kernel or None, per-phi design law or None,
-        z-for-signal factory, z_contains_y flag).
-
-        The z factory maps a signal tuple to the z value the model should
-        pair with it (None for z-free designs)."""
-        if self.variant == "srs_wor":
-            dist = srs_wor(self.n, population)
-            return constant(dist), None, lambda y: None, False
-        if self.variant == "srs_wr":
-            dist = srs_wr(self.n, population)
-            return constant(dist), None, lambda y: None, False
-        if self.variant == "poisson":
-            dist = poisson(self.p, population)
-            return constant(dist), None, lambda y: None, False
-        if self.variant == "stratified":
-            kernel = stratified(self.strata, dict(self.alloc), population)
-            strata = tuple(self.strata)
-            return kernel, None, lambda y: strata, False
-        if self.variant == "select_max":
-            return select_max(population), None, lambda y: y, True
-        if self.variant == "mixture":
-            comps = [fixed_design(c) for c in self.components]
-            law = mixture_design(dict(self.weights), comps)
-            return None, law, lambda y: None, False
-        raise EngineError(f"unknown design variant {self.variant!r}")
 
 
 def constant(dist: FiniteDist) -> Kernel:

@@ -452,15 +452,14 @@ class Family:
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
-        axes = m._axes()
-        masses = joint_masses(m, m.grid, axes)
+        masses = joint_masses(m, m.grid)
         phis = {phi for _theta, phi in m.grid}
         if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS:  # reads the design at phi
             fns = {phi: observation_fn(m, phi, scheme) for phi in phis}
         else:
             fns = dict.fromkeys(phis, _observation_rv(m, scheme))
         obs_fns = {point: fns[point[1]] for point in m.grid}
-        numbering = (m.world_space(axes), masses, {}, (len(axes[0]), len(axes[1])))
+        numbering = (m.world_space(), masses, {}, tuple(map(len, m.axes)))
         return Family(m.grid, None, obs_fns, numbering=numbering)
 
     def coded(self, var) -> tuple:

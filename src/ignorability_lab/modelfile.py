@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactprob import EngineError, dist_new, expectation
-from .designs import DesignSpec
+from .designs import constant, fixed_design, mixture_design, poisson, select_max, srs_wor, srs_wr, stratified
 from .ignorance import (
     MarginalFunctional,
     ParameterFunction,
@@ -54,6 +54,7 @@ from .sampling import (
     ObservationScheme,
     Population,
     SCHEME_KINDS,
+    VALUES_ONLY,
     SurveyModel,
     iid_signal_dist,
     signal_dist_from_table,
@@ -100,6 +101,12 @@ _NUMBER = re.compile(r"-?\d+(?:([./])\d+)?")
 def _error(tok: Token, rule: str, message: str, kind=SchemaError) -> ModelFileError:
     """The diagnostic located at a token."""
     return kind(message, tok.line, tok.col, rule)
+
+
+def _show(value) -> str:
+    """A parsed label as a diagnostic writes it: a rational as `p/q`, the
+    way documents write it, anything else as its repr."""
+    return _fmt(value) if isinstance(value, Fraction) else repr(value)
 
 
 def _tokenize(text: str):
@@ -275,21 +282,27 @@ class ModelDocument:
     def build(self):
         """Materialize the document into engine objects."""
         population = Population(self.units)
-        weights = None
-        if self.variant == "mixture":
-            labels = self.phis if self.phis else self.thetas
+        design, design_law, phis, z_of = None, None, self.phis, None
+        if self.variant == "srs_wor":
+            design = constant(srs_wor(self.n, population))
+        elif self.variant == "srs_wr":
+            design = constant(srs_wr(self.n, population))
+        elif self.variant == "poisson":
+            design = constant(poisson(self.p, population))
+        elif self.variant == "stratified":
+            strata = tuple(self.strata)
+            design = stratified(strata, dict(self.alloc), population)
+            z_of = lambda y: strata
+        elif self.variant == "select_max":
+            design = select_max(population)
+            z_of = lambda y: y
+        elif self.variant == "mixture":
+            phis = self.phis or self.thetas
             table = dict(self.weights)
-            weights = tuple((lab, table[lab]) for lab in labels)
-        spec = DesignSpec(
-            variant=self.variant,
-            n=self.n,
-            strata=self.strata,
-            alloc=self.alloc,
-            p=self.p,
-            components=self.components,
-            weights=weights,
-        )
-        design, design_law, z_of, z_contains_y = spec.build(population)
+            components = [fixed_design(c) for c in self.components]
+            design_law = mixture_design({label: table[label] for label in phis}, components)
+        else:
+            raise EngineError(f"unknown design variant {self.variant!r}")
         signal_law = {}
         for theta, kind, table in self.signal:
             if kind == "iid":
@@ -297,10 +310,6 @@ class ModelDocument:
                 signal_law[theta] = iid_signal_dist(population, unit, z_of=z_of)
             else:
                 signal_law[theta] = signal_dist_from_table(list(table), z_of=z_of)
-        phis = self.phis
-        if self.variant == "mixture" and not phis:
-            phis = self.thetas
-            design_law = {t: design_law[t] for t in phis}
         model = SurveyModel.create(
             population=population,
             thetas=self.thetas,
@@ -309,7 +318,7 @@ class ModelDocument:
             phis=phis,
             design_law=design_law,
             grid=self.gamma,
-            z_contains_y=z_contains_y,
+            z_contains_y=self.variant == "select_max",
         )
         scheme = ObservationScheme(self.scheme_kind, unordered=self.unordered)
         v = _build_selector(self.split_v, population)
@@ -386,7 +395,7 @@ def parse_model(text: str) -> ModelDocument:
     for tok in unit_tokens:
         label = _parse_label(tok)
         if label in units:
-            raise _error(tok, "distinct-units", f"duplicate unit label {label!r}")
+            raise _error(tok, "distinct-units", f"duplicate unit label {_show(label)}")
         units.append(label)
     if not units:
         raise _error(key, "nonempty", "population has no units")
@@ -443,7 +452,7 @@ def parse_model(text: str) -> ModelDocument:
             y = tuple(_parse_label(Token(part, tok.line, tok.col)) for part in parts)
             for value in y:
                 if value not in alphabet:
-                    raise _error(tok, "value-in-alphabet", f"value {value!r} not in the alphabet")
+                    raise _error(tok, "value-in-alphabet", f"value {_show(value)} not in the alphabet")
             table.append((y, mass))
         total = sum((m for _v, m in table), Fraction(0))
         if total != 1:
@@ -451,7 +460,7 @@ def parse_model(text: str) -> ModelDocument:
         laws[theta] = (theta, key.text, tuple(table))
     for theta in thetas:
         if theta not in laws:
-            raise _error(_START, "one-law-per-theta", f"theta {theta!r} has no signal law")
+            raise _error(_START, "one-law-per-theta", f"theta {_show(theta)} has no signal law")
 
     design = _Section(sections, "design")
     variant_tok = design.value("variant")
@@ -483,7 +492,7 @@ def parse_model(text: str) -> ModelDocument:
         allocated = {h for h, _count in alloc}
         for h in strata:
             if h not in allocated:
-                raise _error(entry[0], "alloc-cover", f"stratum {h!r} has no allocation")
+                raise _error(entry[0], "alloc-cover", f"stratum {_show(h)} has no allocation")
     p = None
     entry = design.get("p")
     if entry:
@@ -499,10 +508,12 @@ def parse_model(text: str) -> ModelDocument:
         mapping = tuple(_parse_label(t) for t in values if t.text != "-")
         for label in mapping:
             if label not in units:
-                raise _error(values[0], "unit-exists", f"component unit {label!r} not in the population")
+                raise _error(values[0], "unit-exists", f"component unit {_show(label)} not in the population")
         index = _parse_label(arg)
         if isinstance(index, str):
             raise _error(arg, "component-index", f"component index {arg.text!r} is not a number")
+        if index in (i for i, _mapping in components):
+            raise _error(arg, "unique-component", f"duplicate component index {arg.text!r}")
         components.append((index, mapping))
     components.sort(key=lambda kv: kv[0])
     component_maps = tuple(mapping for _i, mapping in components) or None
@@ -511,6 +522,13 @@ def parse_model(text: str) -> ModelDocument:
         if variant != "mixture":
             raise _error(key, "variant-params", "weights only belong to mixture designs")
         label = _parse_label(arg) if arg is not None else None
+        if label is not None and label not in (phis or thetas):
+            raise _error(arg, "weights-in-grid", f"weights label {arg.text!r} not in the grid")
+        if label in (lab for lab, _ws in weights):
+            message = f"duplicate weights line for label {arg.text!r}" if arg else "duplicate unlabelled weights line"
+            raise _error(arg or key, "unique-weights", message)
+        if weights and (label is None) != (weights[0][0] is None):
+            raise _error(key, "unlabelled-weights", "unlabelled weights line beside labelled ones")
         ws = tuple(map(_parse_rational, values))
         if component_maps is None or len(ws) != len(component_maps):
             raise _error(key, "weights-cover", "one weight per component required")
@@ -526,7 +544,7 @@ def parse_model(text: str) -> ModelDocument:
         else:
             for lab in phis or thetas:
                 if lab not in given:
-                    raise _error(variant_tok, "weights-cover", f"no mixture weights for grid label {lab!r}")
+                    raise _error(variant_tok, "weights-cover", f"no mixture weights for grid label {_show(lab)}")
 
     observation = _Section(sections, "observation")
     scheme = _choose(observation.value("scheme"), SCHEME_KINDS, "observation scheme", "known-scheme")
@@ -534,6 +552,8 @@ def parse_model(text: str) -> ModelDocument:
     if tok is not None and tok.text not in ("true", "false"):
         raise _error(tok, "boolean", "unordered must be true or false")
     unordered = tok is not None and tok.text == "true"
+    if unordered and scheme != VALUES_ONLY:
+        raise _error(tok, "unordered-scheme", f"unordered applies to the {VALUES_ONLY} scheme, not {scheme}")
 
     split = _Section(sections, "split")
     hint = f"; choose from {', '.join(SPLIT_VOCABULARY)}"
@@ -550,7 +570,7 @@ def parse_model(text: str) -> ModelDocument:
     tok = target.value("unit")
     target_unit = None if tok is None else _parse_label(tok)
     if tok is not None and target_unit not in units:
-        raise _error(tok, "unit-exists", f"target unit {target_unit!r} not in the population")
+        raise _error(tok, "unit-exists", f"target unit {_show(target_unit)} not in the population")
     word = next((v for v in alphabet if isinstance(v, str)), None)
     if target_kind in ("unit_expectation", "population_mean") and word is not None:
         message = f"target kind {target_kind!r} averages signal values; alphabet value {word!r} is not a number"

@@ -17,6 +17,7 @@ the `z_contains_y` flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Iterable
@@ -355,15 +356,16 @@ class SurveyModel:
             raise GridMiss(f"grid point {point!r} not in model grid")
         return point
 
-    def _axes(self) -> tuple:
-        """(sorted (y, z) pairs, sorted mappings, {canonical_key: rank} of
-        each): the two factors of the world space."""
+    @cached_property
+    def axes(self) -> tuple:
+        """(sorted (y, z) pairs, sorted mappings): the two factors of the
+        world space, worked out once per model and kept in its instance
+        dict."""
         kernels = [self.design] if self.design is not None else [self.design_law[phi] for phi in self.phis]
         yzs = sorted_distinct(yz for t in self.thetas for yz, _w in self.signal_law[t].items)
-        mappings = sorted_distinct(r for k in kernels for _z, delta in k.entries for r, _w in delta.items)
-        return yzs, mappings, *({canonical_key(v): i for i, v in enumerate(vs)} for vs in (yzs, mappings))
+        return yzs, sorted_distinct(r for k in kernels for _z, delta in k.entries for r, _w in delta.items)
 
-    def world_space(self, axes: tuple | None = None) -> tuple:
+    def world_space(self) -> tuple:
         """The structural world space: every (y, z) the signal laws can
         produce combined with every selection mapping any design can
         produce, including zero-probability combinations.
@@ -376,9 +378,8 @@ class SurveyModel:
 
         The product of the sorted (y, z) pairs and sorted mappings is in
         canonical_key order: (y, z, r) has id rank(y, z) * |R| + rank(r).
-        `axes` is `_axes()`, when the caller already has it.
         """
-        yzs, mappings, _, _ = axes or self._axes()
+        yzs, mappings = self.axes
         check_size(len(yzs) * len(mappings), "world space")
         return tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
 
@@ -386,14 +387,13 @@ class SurveyModel:
 def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
     """Exact joint law of the world under one grid point: its
     `joint_masses` with each id made a world and each mass a Fraction."""
-    axes = m._axes()
-    yzs, mappings, _, _ = axes
-    ids, numerators, denominator = joint_masses(m, [(theta, phi)], axes)[theta, phi]
+    yzs, mappings = m.axes
+    ids, numerators, denominator = joint_masses(m, [(theta, phi)])[theta, phi]
     worlds = (WorldState(*yzs[i // len(mappings)], mappings[i % len(mappings)]) for i in ids)
     return FiniteDist(tuple((w, Fraction(n, denominator)) for w, n in zip(worlds, numerators)))
 
 
-def joint_masses(m: SurveyModel, points, axes: tuple | None = None) -> dict:
+def joint_masses(m: SurveyModel, points) -> dict:
     """{grid point: (world ids, numerators, denominator)}: the exact joint
     law of the world under each point, p(y, z) p(r | z), as a reduced
     integer mass vector (see `reduced`) on the ids of `m.world_space()`.
@@ -403,8 +403,10 @@ def joint_masses(m: SurveyModel, points, axes: tuple | None = None) -> dict:
     law of r given (y, z) is the design kernel at z, so 'selection reads
     only z' holds for every model built without the z-contains-y opt-in.
     (y, z) and r come in canonical_key order, so the ids are distinct and
-    ascending.  `axes` is `m._axes()`, when the caller already has it."""
-    _yzs, mappings, yz_rank, r_rank = axes or m._axes()
+    ascending."""
+    mappings = m.axes[1]
+    # ranked per call: kept on the model, these keys would live as long as it
+    yz_rank, r_rank = ({canonical_key(v): i for i, v in enumerate(vs)} for vs in m.axes)
     columns = {}  # id(design law) -> (that law, ranks of its r, integer masses, denominator)
     out = {}
     for theta, phi in points:

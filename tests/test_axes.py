@@ -176,11 +176,20 @@ DESIGNS = ("srs_wor", "srs_wr", "poisson", "census", "select_max", "first_unit",
 
 
 @st.composite
+def grids(draw, thetas, phis):
+    """Each theta paired with a nonempty set of the phis: the grid is a
+    product only when every theta has the same set."""
+    chosen = {theta: draw(st.sets(st.sampled_from(phis), min_size=1)) for theta in thetas}
+    return tuple((theta, phi) for theta in thetas for phi in phis if phi in chosen[theta])
+
+
+@st.composite
 def survey_models(draw):
     """Small random models: 1-3 units, 2-3 values, 1-3 iid or table laws,
-    constant, value-dependent or per-phi designs.  Schemes that expose the
-    mapping, uniform designs and the Dirac policy are drawn more often, so
-    that ignoring often rescales every likelihood by one alpha other than 1."""
+    constant, value-dependent or per-phi designs, the last on a grid that
+    need not be a product.  Schemes that expose the mapping, uniform
+    designs and the Dirac policy are drawn more often, so that ignoring
+    often rescales every likelihood by one alpha other than 1."""
     population = Population(tuple(range(1, draw(st.sampled_from((1, 2, 2, 3))) + 1)))
     N = population.size
     alphabet = draw(st.lists(st.sampled_from(ALPHABETS), min_size=2, max_size=3, unique=True))
@@ -221,6 +230,7 @@ def survey_models(draw):
         weights = {phi: [w / sum(ws) for w in ws] for phi, ws in weights.items()}
         kwargs["phis"] = phis
         kwargs["design_law"] = designs.mixture_design(weights, components)
+        kwargs["grid"] = draw(grids(tuple(laws), phis))
     m = SurveyModel.create(population, tuple(laws), laws, z_contains_y=z_contains_y, **kwargs)
     scheme = draw(st.sampled_from((values_and_mapping(), values_mapping_design(), *SCHEMES)))
     return m, scheme, draw(st.sampled_from((dirac_fix, *POLICIES)))

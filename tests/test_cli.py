@@ -286,6 +286,7 @@ class TestInputErrors:
             (["audit-rubin", "srs_wor_n3", "--x", "[1]"], "expected (values, mapping)"),
             (["check", "srs_wor_n3", "--x", '["1/0"]'], "zero denominator"),
             (["enumerate", "srs_wor_minimal", "--theta", "1/0"], "zero denominator"),
+            (["check", "srs_wor_minimal", "--x", "[1.5]"], 'float 1.5 in an observation literal; use "p/q"'),
         ],
         ids=[
             "mc-verify-draws-0",
@@ -294,6 +295,7 @@ class TestInputErrors:
             "audit-rubin-x-shape",
             "check-x-zero-denominator",
             "enumerate-theta-zero-denominator",
+            "check-x-float",
         ],
     )
     def test_bad_argument(self, capsys, models, argv, message):
@@ -652,6 +654,17 @@ class TestRepeatedCommands:
         assert captured_run(argv(*command)) == first
 
 
+# the mixture's phi labels 1/3 and 1/2 written as the integers 1 and 2
+INTEGER_PHI = (
+    ("phi = 1/3 1/2", "phi = 1 2"),
+    ("gamma = 1/3:1/3 1/2:1/2", "gamma = 1/3:1 1/2:2"),
+    ("weights 1/3 =", "weights 1 ="),
+    ("weights 1/2 =", "weights 2 ="),
+)
+# the minimal model's theta labels 1/3 and 2/3 written as the integers 1 and 2
+INTEGER_THETA = (("theta = 1/3 2/3", "theta = 1 2"), ("iid 1/3 =", "iid 1 ="), ("iid 2/3 =", "iid 2 ="))
+
+
 class TestEnumerate:
     def test_human(self, capsys, models):
         code, out, _ = run(
@@ -674,6 +687,32 @@ class TestEnumerate:
             capsys, ["enumerate", models["srs_wor_minimal"], "--theta", "1/5"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "model, edits, args, point",
+        [
+            ("bernoulli_mixture", (), ["--phi", "1/2"], ["1/2", "1/2"]),
+            ("bernoulli_mixture", INTEGER_PHI, ["--phi", "2"], ["1/2", 2]),
+            ("bernoulli_mixture", INTEGER_PHI, ["--theta", "1/2", "--phi", "2"], ["1/2", 2]),
+            ("srs_wor_minimal", INTEGER_THETA, ["--theta", "2"], [2, None]),
+            ("srs_wor_minimal", INTEGER_THETA, ["--theta", "-1"], None),
+        ],
+        ids=["phi-skips-a-point", "integer-phi", "integer-phi-and-theta", "integer-theta", "negative-integer-theta"],
+    )
+    def test_grid_point_from_labels(self, capsys, tmp_path, model, edits, args, point):
+        text = CATALOG[model]
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "grid.model"
+        path.write_text(text)
+        code, out, err = run(capsys, ["enumerate", str(path), *args, "--json"])
+        if point is None:
+            assert code == 2 and "not in the model" in err
+        else:
+            assert code == 0
+            payload = json.loads(out)
+            assert [payload["theta"], payload["phi"]] == point
 
 
 class TestInclusion:

@@ -8,6 +8,7 @@ import pytest
 
 from reference import dist_eq
 from ignorability_lab.exactprob import (
+    EngineError,
     dist_new,
     point_mass,
     pushforward,
@@ -242,3 +243,23 @@ class TestSizeIdentities:
             assert sum(selection_expectations(delta, pop), F(0)) == (
                 expected_size(delta)
             )
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: srs_wr(-1, U2), EngineError, "sample size must be nonnegative"),
+        (lambda: stratified_dist((1,), {1: 1}, U2), EngineError, "stratum map must cover the population exactly"),
+        (lambda: stratified_dist((1, 2), {1: 1}, U2), InfeasibleAllocation, "strata without allocation: [2]"),
+        (lambda: poisson([F(1, 2)], U2), EngineError, "one inclusion probability per unit required"),
+        (lambda: select_max(U2).get((1,)), EngineError, "select_max expects z to be the full signal"),
+        (lambda: mixture_design({1: (1,)}, [census(U2), census(U2)]), NonUnitMixture,
+         "one weight per component required"),
+    ],
+    ids=["srs-wr-negative-n", "strata-cover", "strata-without-allocation", "poisson-cover", "select-max-z",
+         "mixture-arity"],
+)
+def test_malformed_design_arguments(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

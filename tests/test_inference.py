@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from test_axes import survey_models
+from test_axes import grids, survey_models
 
 from reference import dist_eq, rubin_audit
 from ignorability_lab.exactprob import (
@@ -516,7 +516,8 @@ def _kernels(labels):
 @st.composite
 def rubin_shape_models(draw):
     """1-3 units, an alphabet of 2-3 values, 1-2 thetas with random laws
-    on the signals and z equal to the signal, 1-2 phis from `_kernels`."""
+    on the signals and z equal to the signal, 1-2 phis from `_kernels`, on
+    a grid that need not be a product."""
     labels = tuple(range(1, draw(st.integers(1, 3)) + 1))
     alphabet = tuple(range(draw(st.integers(2, 3))))
     signals = list(itertools.product(alphabet, repeat=len(labels)))
@@ -535,6 +536,7 @@ def rubin_shape_models(draw):
         signal_law=laws,
         phis=tuple(phis),
         design_law={p: Kernel.from_rule(lambda z, fn=kernels[p]: fn(tuple(z))) for p in phis},
+        grid=draw(grids(tuple(laws), tuple(phis))),
         z_contains_y=True,
     )
     return model, labels, alphabet

@@ -3,6 +3,7 @@ located diagnostics."""
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from ignorability_lab.catalog import CATALOG
-from ignorability_lab.exactprob import canonical_key
+from ignorability_lab.exactprob import EngineError, canonical_key
 from ignorability_lab.ignorance import MarginalFunctional, ParameterFunction
 from ignorability_lab.modelfile import (
     BadRational,
@@ -21,6 +22,7 @@ from ignorability_lab.modelfile import (
     emit_model,
     parse_model,
 )
+from ignorability_lab.sampling import SCHEME_KINDS
 
 MINIMAL = CATALOG["srs_wor_minimal"]
 
@@ -120,9 +122,66 @@ class TestInvalidDocuments:
         text = MINIMAL.replace("iid 1/3", "iid 1/5")
         expect_error(text, SchemaError, "unknown theta")
 
+    def test_hand_built_unknown_variant(self):
+        doc = replace(parse_model(MINIMAL), variant="cluster")
+        with pytest.raises(EngineError, match="unknown design variant 'cluster'"):
+            doc.build()
+
     def test_missing_law_for_theta(self):
         text = MINIMAL.replace("iid 2/3 = 0:1/3 1:2/3\n", "")
-        expect_error(text, SchemaError, "no signal law")
+        expect_error(text, SchemaError, "theta 2/3 has no signal law")
+
+    @pytest.mark.parametrize(
+        "model, old, new, message",
+        [
+            ("srs_wor_minimal", "units = 1 2", "units = 1/2 1/2", "duplicate unit label 1/2"),
+            ("srs_wor_minimal", "units = 1 2", "units = a a", "duplicate unit label 'a'"),
+            ("bernoulli_mixture", "component 0 = 1", "component 0 = 1/2", "component unit 1/2 not in the population"),
+            ("srs_wor_n3", "unit = 1", "unit = 3/2", "target unit 3/2 not in the population"),
+            ("bernoulli_mixture", "weights 1/2 = 1/4 1/4 1/2\n", "", "no mixture weights for grid label 1/2"),
+            ("correlated_joint", "joint even = 0,0:", "joint even = 1/2,0:", "value 1/2 not in the alphabet"),
+        ],
+        ids=["unit-rational", "unit-word", "component-unit", "target-unit", "weights-label", "joint-value"],
+    )
+    def test_labels_written_as_in_the_document(self, model, old, new, message):
+        text = CATALOG[model]
+        assert text.count(old) == 1
+        expect_error(text.replace(old, new), SchemaError, message)
+
+    @pytest.mark.parametrize(
+        "old, new, rule, message, bad_line, col",
+        [
+            ("weights 1/2 = 1/4 1/4 1/2", "weights 1/2 = 1/4 1/4 1/2\nweights 1/3 = 0 0 1",
+             "unique-weights", "duplicate weights line for label '1/3'", "weights 1/3 = 0 0 1", 9),
+            ("weights 1/3 = 1/6 1/6 2/3\nweights 1/2 = 1/4 1/4 1/2", "weights = 1/6 1/6 2/3\nweights = 1/4 1/4 1/2",
+             "unique-weights", "duplicate unlabelled weights line", "weights = 1/4 1/4 1/2", 1),
+            ("weights 1/2 = 1/4 1/4 1/2", "weights 1/5 = 1/4 1/4 1/2",
+             "weights-in-grid", "weights label '1/5' not in the grid", "weights 1/5 = 1/4 1/4 1/2", 9),
+            ("weights 1/2 = 1/4 1/4 1/2", "weights = 1/4 1/4 1/2",
+             "unlabelled-weights", "unlabelled weights line beside labelled ones", "weights = 1/4 1/4 1/2", 1),
+            ("weights 1/3 = 1/6 1/6 2/3", "weights = 1/6 1/6 2/3",
+             "unlabelled-weights", "unlabelled weights line beside labelled ones", "weights 1/2 = 1/4 1/4 1/2", 1),
+            ("component 1 = 2", "component 0 = 2",
+             "unique-component", "duplicate component index '0'", "component 0 = 2", 11),
+        ],
+        ids=["second-labelled", "second-unlabelled", "label-off-grid", "unlabelled-after", "unlabelled-before",
+             "component-index"],
+    )
+    def test_mixture_lines_that_clash(self, old, new, rule, message, bad_line, col):
+        assert MIXTURE.count(old) == 1
+        text = MIXTURE.replace(old, new)
+        err = expect_error(text, SchemaError, f"{message} [{rule}]")
+        assert text.splitlines()[err.line - 1] == bad_line
+        assert err.col == col
+
+    @pytest.mark.parametrize("scheme", ["values_and_mapping", "values_mapping_design", "values_and_sampled_weights"])
+    def test_unordered_needs_values_only(self, scheme):
+        text = CATALOG["unordered_values"].replace("scheme = values_only", f"scheme = {scheme}")
+        message = f"unordered applies to the values_only scheme, not {scheme} [unordered-scheme]"
+        err = expect_error(text, SchemaError, message)
+        assert text.splitlines()[err.line - 1] == "unordered = true"
+        assert err.col == 13
+        parse_model(text.replace("unordered = true", "unordered = false"))  # the default stays valid
 
     def test_unknown_split_selector(self):
         text = MINIMAL + "\n[split]\nv = signal\nv_bar = weather\n"
@@ -354,11 +413,12 @@ RULES = {
     "known-target", "known-variant", "law-theta", "mass-pair", "nonempty",
     "nonnegative-mass", "numeric-alphabet", "one-law-per-theta", "one-value", "p-cover",
     "required-key", "required-section", "section-header", "section-required", "signal-covers-population",
-    "strata-cover", "unique-key", "unique-section", "unit-exists", "unit-mass",
-    "value-in-alphabet", "variant-params", "weights-cover",
+    "strata-cover", "unique-component", "unique-key", "unique-section", "unique-weights", "unit-exists",
+    "unit-mass", "unlabelled-weights", "unordered-scheme", "value-in-alphabet", "variant-params",
+    "weights-cover", "weights-in-grid",
 }
 DIGEST_REPLACEMENTS = REPLACEMENTS + ("-", "x", "0", "-1", "1:1", "[x", "0:-1")
-DIAGNOSTICS_DIGEST = "0611a66da8a5c678ad68b6dace60edb38fb1fad3336a804ad31fe9aae0197155"
+DIAGNOSTICS_DIGEST = "934c7466df53316cddfe8c28f332939c124ef274bb56e3f4c83e810d860eb2ec"
 
 
 def _render(lines):
@@ -369,7 +429,8 @@ def _mutants(lines):
     """Every single-token delete, duplicate, swap with the next token of
     its line and replacement, every line with the word `x` added at its
     end, every deleted or duplicated line and every deleted section of one
-    document given as token lists."""
+    document given as token lists, and the document under each other
+    observation scheme."""
     for i, line in enumerate(lines):
         for j, tok in enumerate(line):
             variants = [line[:j] + line[j + 1:], line[:j] + [tok] + line[j:]]
@@ -385,6 +446,10 @@ def _mutants(lines):
     heads = [i for i, line in enumerate(lines) if line and line[0].startswith("[")]
     for start, end in zip(heads, heads[1:] + [len(lines)]):
         yield lines[:start] + lines[end:]
+    i = next(i for i, line in enumerate(lines) if line[:2] == ["scheme", "="])
+    for kind in SCHEME_KINDS:
+        if kind != lines[i][2]:
+            yield lines[:i] + [["scheme", "=", kind]] + lines[i + 1:]
 
 
 def _random_mutant(rng, lines):
@@ -431,7 +496,7 @@ def test_diagnostics_digest():
             rules.add(err.rule)
             outcome = f"{type(err).__name__} {err.line} {err.col} {err.rule} {err}"
         digest.update(outcome.encode("utf-8") + b"\n")
-    assert count == 11_592
-    assert len(RULES) == 39
+    assert count == 11_625
+    assert len(RULES) == 44
     assert rules == RULES
     assert digest.hexdigest() == DIAGNOSTICS_DIGEST

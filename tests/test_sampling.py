@@ -12,6 +12,7 @@ from ignorability_lab.ignorance import Family
 from ignorability_lab.modelfile import parse_model
 
 from ignorability_lab.exactprob import (
+    EngineError,
     Kernel,
     bernoulli,
     condition,
@@ -307,3 +308,42 @@ def test_sampled_weights_pi_once_per_z(monkeypatch):
     phis = m.phis if m.phis else (None,)
     assert len(calls) == sum(len(m.design_for(phi).entries) for phi in phis)
     assert len(calls) < len(m.world_space())
+
+
+LAW = point_mass(((1, 0), None))
+DESIGN = constant(point_mass((2,)))
+
+
+def per_phi_model():
+    return SurveyModel.create(population=U2, thetas=("t",), signal_law={"t": LAW}, phis=("p",), design_law={"p": DESIGN})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Population(()), EngineError, "population must have at least one unit"),
+        (lambda: Population((1, 1)), EngineError, "population labels must be distinct"),
+        (lambda: sampling.ObservationScheme("everything"), EngineError, "unknown observation scheme 'everything'"),
+        (lambda: SurveyModel.create(U2, (), {}, design=DESIGN), GridMiss, "theta grid is empty"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}), EngineError,
+         "model needs a design kernel or a per-phi design law"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}, design=DESIGN, phis=("p",)), EngineError,
+         "phi grid given without a design law"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": "law"}, design=DESIGN), EngineError,
+         "signal law for 't' is not a FiniteDist"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": point_mass(((1,), None))}, design=DESIGN), EngineError,
+         "signal (1,) does not cover the population exactly"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}, design=DESIGN, grid=(("u", None),)), GridMiss,
+         "grid theta 'u' not in theta grid"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}, phis=("p",), design_law={"p": DESIGN},
+                                    grid=(("t", "q"),)), GridMiss, "grid phi 'q' not in phi grid"),
+        (lambda: per_phi_model().design_for(), GridMiss, "model has per-phi designs; phi required"),
+        (lambda: per_phi_model().design_for("q"), GridMiss, "phi 'q' not in design law"),
+    ],
+    ids=["empty-population", "repeated-unit", "unknown-scheme", "empty-theta-grid", "no-design", "phi-without-law",
+         "law-not-a-dist", "signal-short", "grid-theta", "grid-phi", "phi-required", "phi-unknown"],
+)
+def test_malformed_model_parts(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
