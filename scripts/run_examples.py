@@ -10,9 +10,9 @@ import json
 import sys
 
 from ignorability_lab.catalog import CATALOG
+from ignorability_lab.exactprob import EngineError
 from ignorability_lab.ignorance import dirac_fix
 from ignorability_lab.inference import (
-    BAYESIAN,
     FREQUENTIST,
     LIKELIHOOD_BASED,
     default_estimator,
@@ -34,13 +34,9 @@ def verdicts_for(name: str) -> dict:
     estimator = default_estimator(build.scheme)
     rep = prepared.test(FREQUENTIST, None, estimator, None, None)
     out["frequentist"] = (rep.verdict, None)
-    # Bayesian verdicts are per observation; sweep them all
-    bayes = "ignorable"
-    for x in prepared.family.observation_support():
-        rep = prepared.test(BAYESIAN, x, None, None, None)
-        if rep.verdict != "ignorable":
-            bayes = "informative"
-            break
+    # Bayesian verdicts are per observation: all of them in one pass, as
+    # `check --inference bayes` without --x reads them
+    bayes = "ignorable" if all(prepared.posterior_verdicts()) else "informative"
     out["bayes"] = (bayes, None)
     return out
 
@@ -53,7 +49,7 @@ def main() -> int:
     for name in sorted(CATALOG):
         try:
             results = verdicts_for(name)
-        except Exception as err:  # some targets do not fit every inference
+        except EngineError as err:  # some targets do not fit every inference
             rows.append((name, "-", f"skipped: {err}", ""))
             continue
         for inference, (verdict, alpha) in results.items():

@@ -135,6 +135,18 @@ def sorted_distinct(values: Iterable) -> tuple:
     return tuple(keyed[k] for k in sorted(keyed))
 
 
+def numbering(keys: list) -> tuple:
+    """(codes, firsts): the code of each key among the distinct keys in
+    sorted order, and by code the position of its first occurrence.  Each
+    key is hashed once: keys are numbered by first sight, then remapped."""
+    seen = {}
+    numbers = [seen.setdefault(k, len(seen)) for k in keys]
+    order = sorted(range(len(seen)), key=list(seen).__getitem__)  # code -> number
+    code = dict(zip(order, range(len(order))))
+    first = dict(zip(reversed(numbers), range(len(numbers) - 1, -1, -1)))  # the later, lower positions overwrite
+    return [code[n] for n in numbers], [first[n] for n in order]
+
+
 def integer_masses(weights) -> tuple:
     """(numerators, denominator): Fractions as integers over their lcm."""
     denominator = lcm(*(w.denominator for w in weights))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -33,6 +33,7 @@ from .exactprob import (
     canonical_key,
     check_size,
     integer_masses,
+    numbering,
     reduced,
     sorted_distinct,
     summed,
@@ -180,21 +181,16 @@ def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
     the axes; any other is keyed world by world, which is the reference."""
     fn, reads = (var.fn, var.reads) if isinstance(var, RandomVariableRef) else (var, None)
     keys = _axis_keys(worlds, fn, reads, axes) if axes is not None else None
-    if keys is None:
-        keyed, keys = {}, []
-        for w in worlds:
-            value = fn(w)
-            keys.append(canonical_key(value))
-            keyed.setdefault(keys[-1], value)
-        ordered = sorted(keyed)
-        values, canonical = tuple(keyed[k] for k in ordered), tuple(ordered)
-    else:  # the lowest id of each key: the later, lower ids overwrite
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        ordered = sorted(first)
-        values = tuple(fn(worlds[first[k]]) for k in ordered)
-        canonical = tuple(canonical_key(v) for v in values)
+    if keys is None:  # each world's key hashed once
+        values = [fn(w) for w in worlds]
+        keys = [canonical_key(v) for v in values]
+        codes, firsts = numbering(keys)
+        return tuple(codes), tuple(values[i] for i in firsts), tuple(keys[i] for i in firsts)
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # the later, lower ids overwrite
+    ordered = sorted(first)
+    values = tuple(fn(worlds[first[k]]) for k in ordered)
     codes = {k: c for c, k in enumerate(ordered)}
-    return tuple(map(codes.__getitem__, keys)), values, canonical
+    return tuple(map(codes.__getitem__, keys)), values, tuple(canonical_key(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -340,19 +336,20 @@ def _nuisance_law(dist: FiniteDist, split: ProcessSplit) -> tuple:
 
 
 def _restrictions(vector: tuple, index: SplitIndex) -> list:
-    """Per v_bar-code b: (total, [(v-code a, integer mass)]), a law's
-    numerators summed per v-code on the compatibility set Phi(b), the
-    v-codes ascending; empty where the law puts no mass on Phi(b).  Each
-    distinct compatibility set is scanned once, and the codes that share it
-    share its restriction."""
+    """Per v_bar-code b: (total, {v-code a: integer mass}), a law's
+    numerators summed per v-code on the compatibility set Phi(b), divided by
+    their gcd, the v-codes ascending; empty where the law puts no mass on
+    Phi(b).  Each distinct compatibility set is scanned and reduced once,
+    and the codes that share it share its restriction."""
     sums = _integer_sums(vector, index.v_code)
     scanned, out = {}, []
     for codes in index.compatible:
         part = scanned.get(codes)
         if part is None:
-            kept = [(a, sums[a]) for a in codes if a in sums]
+            kept = {a: sums[a] for a in codes if a in sums}
             check_size(len(kept))
-            part = scanned[codes] = (sum(n for _a, n in kept), kept)
+            g = gcd(*kept.values()) or 1
+            part = scanned[codes] = (sum(kept.values()) // g, {a: n // g for a, n in kept.items()})
         out.append(part)
     return out
 
@@ -373,7 +370,7 @@ def _atrandomize_ids(parts: list, split: ProcessSplit, nuisance: tuple) -> tuple
     check_size(sum(len(parts[b][1]) for b in codes))
     denominator = lcm(*(parts[b][0] for b in codes))
     masses = sorted((index.world_of[a, b], weight * (denominator // parts[b][0]) * n)
-                    for b, weight in zip(codes, weights) for a, n in parts[b][1])
+                    for b, weight in zip(codes, weights) for a, n in parts[b][1].items())
     return reduced([i for i, _n in masses], [n for _i, n in masses], weights_denominator * denominator)
 
 
@@ -424,11 +421,12 @@ class Family:
     (for a hand-built family, those of `space` and of its `laws`' atoms;
     a family given its numbering takes laws None), and `masses[p]` is the
     reduced integer mass vector (ids, numerators, denominator) of each law,
-    of which `laws` is a view.  A survey model's family also keeps
-    the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so that
-    declared variables are coded per axis (see `_code`).  An ignored family
-    shares its original's numbering and per-world codes of observations and
-    targets; each family keeps its own values of marginal targets.
+    in point order, of which `laws` is a view.  A survey model's family
+    also keeps the `axes` of its numbering, (|(y, z) pairs|, |mappings|),
+    so that declared variables are coded per axis (see `_code`).  An
+    ignored family shares its original's numbering and per-world codes of
+    observations and targets; each family keeps its own values of marginal
+    targets.
     """
 
     def __init__(self, points, laws, obs_fns, space=None, numbering=None):
@@ -476,20 +474,28 @@ class Family:
     def _interned(self) -> tuple:
         """(observations, {key: code}, {point: (denominator, {code: integer
         mass})}): every observation of positive mass numbered once, in
-        canonical_key order, and each point's table summed by per-world
-        codes over its law's denominator; built on first use."""
-        keyed = {}  # canonical_key(x) -> x
-        raw = []  # per point: (code -> key, {code: mass}) in its function's codes
-        for p in self.points:
-            code, values, keys = self.coded(self.obs_fns[p])
-            sums = _integer_sums(self.masses[p], code)
-            for c in sums:
-                keyed.setdefault(keys[c], values[c])
-            raw.append((keys, sums))
-        codes = {k: c for c, k in enumerate(sorted(keyed))}
-        tables = {p: (self.masses[p][2], {codes[keys[c]]: n for c, n in sums.items()})
-                  for p, (keys, sums) in zip(self.points, raw)}
-        return tuple(keyed[k] for k in codes), codes, tables
+        canonical_key order, each key's value that of the first point with
+        mass on it, and each point's table summed by per-world codes over its
+        law's denominator; built on first use.  Keys are merged once per
+        observation function, and tables are re-coded through a list."""
+        codings = [self.coded(self.obs_fns[p]) for p in self.masses]
+        vectors = list(self.masses.values())
+        sums = [_integer_sums(vector, coding[0]) for vector, coding in zip(vectors, codings)]
+        found, met = [], {}  # (coding, code) in the order of their first point; id(coding) -> (coding, codes)
+        for coding, s in zip(codings, sums):
+            codes = met.setdefault(id(coding), (coding, set()))[1]
+            found.extend((coding, c) for c in s.keys() - codes)  # one coding's codes have distinct keys
+            codes.update(s)
+        # one coding's codes are already in canonical_key order
+        merged, firsts = numbering([c if len(met) == 1 else coding[2][c] for coding, c in found])
+        recode = {i: [None] * len(coding[2]) for i, (coding, _codes) in met.items()}
+        for (coding, c), code in zip(found, merged):
+            recode[id(coding)][c] = code
+        tables = {p: (vector[2], {to[c]: n for c, n in s.items()})
+                  for p, vector, coding, s in zip(self.masses, vectors, codings, sums) for to in (recode[id(coding)],)}
+        kept = [found[j] for j in firsts]  # the first (coding, code) of each merged code
+        return (tuple(coding[1][c] for coding, c in kept),
+                {coding[2][c]: code for code, (coding, c) in enumerate(kept)}, tables)
 
     def observation_support(self) -> tuple:
         """Every observation with positive mass at some point, in
@@ -551,31 +557,37 @@ def ignore_model(
     if split.index.worlds is not family.worlds:
         raise EngineError("the split was not made on this family; split it with make_split(family, v, v_bar)")
     index = split.index
-    parts = {p: _restrictions(family.masses[p], index) for p in family.points}
-    for point in family.points:
-        empty = next((code for code, (_total, kept) in enumerate(parts[point]) if not kept), None)
+    parts = {p: _restrictions(vector, index) for p, vector in family.masses.items()}
+    for point, restrictions in parts.items():
+        empty = next((code for code, (_total, kept) in enumerate(restrictions) if not kept), None)
         if empty is not None:
             raise ZeroMassPhiSet(f"law at {point!r} has zero mass on the compatibility set "
                                  f"of {split.v_bar.name}={index.v_bar_values[empty]!r}")
 
-    # (original point, nuisance index, nuisance law) triples, each law
-    # integer weights on v_bar-codes; the grid of the ignored family is the
-    # set of (point, index) pairs
+    # the grid of the ignored family is the set of (original point,
+    # nuisance index) pairs; a nuisance law is integer weights on v_bar-codes
     if policy.kind == DIRAC_FIX:
-        triples = [(p, value, ((code,), (1,), 1)) for p in family.points
-                   for code, value in enumerate(index.v_bar_values)]
+        # the law fixed at b is Phi(b)'s reduced restriction, put on the
+        # ascending ids of the worlds (a, b)
+        ascending = [[] for _b in index.v_bar_values]  # b -> [(world id, v-code)]
+        for i, (a, b) in enumerate(zip(index.v_code, index.v_bar_code)):
+            ascending[b].append((i, a))
+        masses = {}
+        for p, restrictions in parts.items():
+            for b, (total, kept) in enumerate(restrictions):
+                pairs = ((i, kept[a]) for i, a in ascending[b] if a in kept)
+                masses[p, index.v_bar_values[b]] = (*zip(*pairs), total)
     elif policy.kind == SINGLE_ARBITRARY:
         k = len(index.v_bar_values)
         law = (range(k), (1,) * k, k) if policy.dist is None else _nuisance_law(policy.dist, split)
-        triples = [(point, "arbitrary", law) for point in family.points]
+        masses = {(p, "arbitrary"): _atrandomize_ids(restrictions, split, law) for p, restrictions in parts.items()}
     else:
         # each law re-randomized against its own nuisance marginal; under a
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
-        triples = [(p, p, _marginal(family.masses[p], index.v_bar_code)) for p in family.points]
-
-    masses = {(p, i): _atrandomize_ids(parts[p], split, law) for p, i, law in triples}
-    obs_fns = {(p, i): family.obs_fns[p] for p, i, _law in triples}
+        masses = {(p, p): _atrandomize_ids(restrictions, split, _marginal(family.masses[p], index.v_bar_code))
+                  for p, restrictions in parts.items()}
+    obs_fns = {q: family.obs_fns[q[0]] for q in masses}
     return Family(list(masses), None, obs_fns, numbering=(family.worlds, masses, family._coded, family.axes))
 
 
@@ -606,7 +618,8 @@ class ParameterFunction:
 
 
 def target_values(target, family: Family) -> dict:
-    """Evaluate a point-indexed target on every family point.
+    """Evaluate a point-indexed target on every family point: {point:
+    value} in point order.
 
     A marginal functional reads each law's marginal from the per-world
     codes of its variable, in code order, and is evaluated once per
@@ -621,8 +634,8 @@ def target_values(target, family: Family) -> dict:
         if key not in family._values:
             code, values, _keys = family.coded(var)
             by_marginal, out = {}, {}
-            for p in family.points:
-                marginal = _marginal(family.masses[p], code)
+            for p, vector in family.masses.items():
+                marginal = _marginal(vector, code)
                 if marginal not in by_marginal:
                     by_marginal[marginal] = target.fn(vector_law(values, marginal))
                 out[p] = by_marginal[marginal]

@@ -31,6 +31,7 @@ from .exactprob import (
     check_size,
     condition,
     dist_new,
+    numbering,
     sorted_distinct,
     summed,
     uniform,
@@ -98,18 +99,16 @@ def _ranked(original: Family, ignored: Family, target) -> tuple:
     """(values, [{point: rank}]): the values of the target on the original
     family and of its counterpart (`transform_target`) on the ignored one,
     numbered in canonical_key order, the first of each key kept, and each
-    point's rank per family; a value shared by points is keyed once.  Each
-    family keeps a marginal target's values (see `target_values`)."""
+    point's rank per family; each value object is keyed once, and a point
+    costs one lookup of its id.  Each family keeps a marginal target's
+    values (see `target_values`)."""
     target_star = transform_target(target, original, ignored)
     sides = ((original, target_values(target, original)), (ignored, target_values(target_star, ignored)))
-    keys, keyed = {}, {}  # id(value) -> canonical_key(value); canonical_key -> value
-    for family, values in sides:
-        for p in family.points:
-            k = keys.get(id(values[p])) or keys.setdefault(id(values[p]), canonical_key(values[p]))
-            keyed.setdefault(k, values[p])
-    rank = {k: i for i, k in enumerate(sorted(keyed))}
-    return (tuple(keyed[k] for k in rank),
-            [{p: rank[keys[id(values[p])]] for p in family.points} for family, values in sides])
+    objects = {id(v): v for _family, values in sides for v in values.values()}
+    ranks, firsts = numbering([canonical_key(v) for v in objects.values()])
+    by_id, reprs = dict(zip(objects, ranks)), list(objects.values())
+    return (tuple(reprs[i] for i in firsts),
+            [dict(zip(values, (by_id[id(v)] for v in values.values()))) for _family, values in sides])
 
 
 def _coarse_table(family: Family, ranks: dict, columns: dict, width: int) -> dict:
@@ -147,9 +146,9 @@ def likelihood_equivalent(original: Family, ignored: Family, x, target) -> Equiv
         columns = [{family.observation_code(x): 0} for family in (original, ignored)]
     else:  # merged from the interned keys; an observation of the original is its own
         (xa, ca), (xb, cb) = ((f.observation_support(), f.observation_codes()) for f in (original, ignored))
-        keys = sorted(ca.keys() | cb.keys())
-        xs = tuple(xa[ca[k]] if k in ca else xb[cb[k]] for k in keys)
-        columns = [{table[k]: j for j, k in enumerate(keys) if k in table} for table in (ca, cb)]
+        merged, firsts = numbering([*ca, *cb])  # the keys of each family in code order
+        xs = tuple((xa + xb)[i] for i in firsts)
+        columns = [dict(enumerate(merged[:len(ca)])), dict(enumerate(merged[len(ca):]))]
     table_a, table_b = (_coarse_table(f, r, cols, len(xs)) for f, r, cols in zip((original, ignored), ranks, columns))
     zeros = [(0, 1)] * len(xs)
     cells = (
@@ -213,18 +212,22 @@ def _table_payload(table, reprs, xs):
 
 def sampling_dist_equivalent(original: Family, ignored: Family, estimator, target) -> EquivalenceResult:
     """Set equality, per target value, of exact estimator distributions.
-    The estimator is evaluated once per observation of each family, and a
-    point's distribution is keyed by its reduced integer mass vector on the
-    estimates' keys."""
+    The estimator is evaluated once per observation object (the families
+    share their codings), the estimates of both are numbered once, and a
+    point's distribution is keyed by its reduced integer mass vector on
+    those numbers."""
     reprs, ranks = _ranked(original, ignored, target)
+    supports = [family.observation_support() for family in (original, ignored)]
+    observations = {id(x): x for x in itertools.chain(*supports)}
+    estimates = {i: estimator(x) for i, x in observations.items()}
+    numbered = dict(zip(estimates, numbering([canonical_key(e) for e in estimates.values()])[0]))
     groups = ({}, {})  # per family: {value rank: {key: law}}
-    for family, rank, group in zip((original, ignored), ranks, groups):
-        estimates = [estimator(x) for x in family.observation_support()]
-        keys = [canonical_key(e) for e in estimates]
-        first = dict(zip(reversed(keys), reversed(estimates)))  # key -> the estimate of its lowest code
+    for family, xs, rank, group in zip((original, ignored), supports, ranks, groups):
+        codes = [numbered[id(x)] for x in xs]
+        first = dict(zip(reversed(codes), (estimates[id(x)] for x in reversed(xs))))  # the estimate of the lowest code
         for p in family.points:
             denominator, sums = family.observation_sums(p)
-            key = summed(((keys[c], n) for c, n in sums.items()), denominator)
+            key = summed(((codes[c], n) for c, n in sums.items()), denominator)
             if key not in group.setdefault(rank[p], {}):
                 group[rank[p]][key] = vector_law(first, key)
     witnesses = []

@@ -13,6 +13,8 @@ it enumerates every signal and reads each theorem off its definition.
 
 `dist_eq` and `split_on` at the end are shorthands for the tests over the
 engine's own entries; the reference functions do not use them.
+`first_of_each_key` states the rule the engine's numberings keep when
+values of different types share a canonical_key.
 """
 
 import itertools
@@ -310,3 +312,14 @@ def dist_eq(a, b) -> bool:
 def split_on(support, v, v_bar):
     """`make_split` on a bare support: a family with no points over it."""
     return make_split(Family((), {}, {}, space=support), v, v_bar)
+
+
+def first_of_each_key(values) -> list:
+    """The first of `values` with each canonical_key, in canonical_key
+    order: the value an engine numbering keeps for a key that values of
+    different types share (1 and Fraction(1))."""
+    firsts = []
+    for v in values:
+        if all(canonical_key(u) != canonical_key(v) for u in firsts):
+            firsts.append(v)
+    return sorted(firsts, key=canonical_key)

@@ -388,32 +388,42 @@ class TestInputErrors:
         code, out, err = run(capsys, ["check", str(path), "--inference", inference])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
-    @pytest.mark.parametrize(
-        "case", ["srs-unit-drawn-twice", "select-max-only-after-ignoring"]
-    )
-    def test_impossible_x(self, capsys, tmp_path, models, monkeypatch, inference, case):
-        # well formed, zero mass at every grid point of the model; rejected
-        # alike for every inference type, before any equivalence test runs.
-        # The rule is judged on the original model, so an x that only the
-        # ignored family makes possible is an input error too
+    @staticmethod
+    def impossible_x(case, tmp_path, models) -> tuple:
+        """(model path, x) of a well-formed x of zero mass at every grid
+        point of the model.  The rule is judged on the original model, so
+        an x that only the ignored family makes possible is an input error
+        too."""
         from ignorability_lab import modelfile
-        from ignorability_lab.inference import PreparedCheck, prepare
+        from ignorability_lab.inference import prepare
         from ignorability_lab.ignorance import dirac_fix
 
         if case == "srs-unit-drawn-twice":
-            path, x = models["srs_wor_n3"], "[[1,1],[1,1]]"
-        else:
-            # select_max keeps unit 1 on a tie, so value 1 at unit 2 is
-            # impossible; ignoring the selection spreads it over every unit
-            text = CATALOG["select_max"].replace(
-                "scheme = values_only", "scheme = values_and_mapping"
-            )
-            path, x = str(tmp_path / "select_max_mapping.model"), "[[1],[2]]"
-            (tmp_path / "select_max_mapping.model").write_text(text)
-            b = modelfile.parse_model(text).build()
-            ignored = prepare(b.model, (b.v, b.v_bar), b.scheme, b.target, dirac_fix()).ignored
-            assert ignored.observation_code(parse_observation_literal(x)) is not None
+            return models["srs_wor_n3"], "[[1,1],[1,1]]"
+        if case == "census-empty-sample":
+            return models["census"], "[[],[]]"
+        # select_max keeps unit 1 on a tie, so value 1 at unit 2 is
+        # impossible; ignoring the selection spreads it over every unit
+        text = CATALOG["select_max"].replace(
+            "scheme = values_only", "scheme = values_and_mapping"
+        )
+        path, x = str(tmp_path / "select_max_mapping.model"), "[[1],[2]]"
+        (tmp_path / "select_max_mapping.model").write_text(text)
+        b = modelfile.parse_model(text).build()
+        ignored = prepare(b.model, (b.v, b.v_bar), b.scheme, b.target, dirac_fix()).ignored
+        assert ignored.observation_code(parse_observation_literal(x)) is not None
+        return path, x
+
+    IMPOSSIBLE_X = ["srs-unit-drawn-twice", "select-max-only-after-ignoring", "census-empty-sample"]
+
+    @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
+    @pytest.mark.parametrize("case", IMPOSSIBLE_X)
+    def test_impossible_x(self, capsys, tmp_path, models, monkeypatch, inference, case):
+        # rejected alike for every inference type, before any equivalence
+        # test runs
+        from ignorability_lab.inference import PreparedCheck
+
+        path, x = self.impossible_x(case, tmp_path, models)
 
         def no_test(*args):
             raise AssertionError("an equivalence test ran")
@@ -423,6 +433,20 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err == f"error: observation {x} has zero mass at every grid point\n"
+
+    @pytest.mark.parametrize("case", IMPOSSIBLE_X)
+    def test_impossible_x_audit_rubin(self, capsys, tmp_path, models, monkeypatch, case):
+        # the same x and message as `check`, before any theorem is audited
+        from ignorability_lab.inference import RubinContext
+
+        path, x = self.impossible_x(case, tmp_path, models)
+
+        def no_audit(*args):
+            raise AssertionError("an audit ran")
+
+        monkeypatch.setattr(RubinContext, "audit", no_audit)
+        code, out, err = run(capsys, ["audit-rubin", path, "--x", x])
+        assert (code, out, err) == (2, "", f"error: observation {x} has zero mass at every grid point\n")
 
     @pytest.mark.parametrize("command", ["check", "audit-rubin"])
     @pytest.mark.parametrize("x", ["[[true,1],[1,2]]", "[[1,1],[false,2]]"])

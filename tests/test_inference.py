@@ -4,6 +4,7 @@ and the missing-data theorem audits."""
 import dataclasses
 import gc
 import itertools
+import random
 import weakref
 from fractions import Fraction as F
 
@@ -13,15 +14,18 @@ from hypothesis import given, settings
 
 from test_axes import grids, survey_models
 
-from reference import dist_eq, rubin_audit
+import reference
+from reference import dist_eq, first_of_each_key, rubin_audit
 from ignorability_lab.exactprob import (
     EngineError,
     Kernel,
     ModelTooLarge,
     bernoulli,
+    canonical_key,
     condition,
     dist_new,
     expectation,
+    numbering,
     point_mass,
     pushforward,
     uniform,
@@ -38,6 +42,8 @@ from ignorability_lab.designs import (
 from ignorability_lab.ignorance import (
     Family,
     MarginalFunctional,
+    RandomVariableRef,
+    _code,
     composite_rv,
     design_variable_rv,
     make_split,
@@ -55,6 +61,7 @@ from ignorability_lab.inference import (
     RubinAuditReport,
     RubinContext,
     ZeroEvidence,
+    _ranked,
     check_distinct,
     check_mar,
     check_oar,
@@ -325,6 +332,85 @@ class TestSamplingDistEquivalent:
         est = lambda x: x[0]
         res = sampling_dist_equivalent(fam, ignored, est, signal_law_target())
         assert not res.equivalent
+
+
+def typed(values) -> list:
+    """Values with their types, so that 1 and Fraction(1) differ."""
+    return [(type(v), v) for v in values]
+
+
+def mixed_family(laws, obs=lambda w: w) -> Family:
+    """A hand-built family over the worlds "a", "b", "c"; `laws` maps a
+    point to a law and `obs` is one observation function or one per point."""
+    return Family(laws, laws, obs if isinstance(obs, dict) else dict.fromkeys(laws, obs), space="abc")
+
+
+class TestKeepFirst:
+    """Values of different types that share a canonical_key (1 and
+    Fraction(1)) are numbered once, and each numbering keeps the first of
+    them in its own order: (family, point) order for target values, point
+    order for observations, code order for estimates."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_numbering(self, seed):
+        rng = random.Random(seed)
+        values = [rng.choice((int, F))(rng.randrange(4)) for _ in range(rng.randrange(12))]
+        keys = [canonical_key(v) for v in values]
+        codes, firsts = numbering(keys)
+        distinct = sorted(set(keys))
+        assert codes == [distinct.index(k) for k in keys]
+        assert typed(values[i] for i in firsts) == typed(first_of_each_key(values))
+
+    def test_world_by_world_code(self):
+        worlds = ("a", "b", "c", "d")
+        as_number = {"a": F(2), "b": 1, "c": 2, "d": F(1)}.__getitem__
+        codes, values, keys = _code(worlds, as_number)
+        assert codes == (1, 0, 1, 0)
+        assert typed(values) == typed(first_of_each_key(map(as_number, worlds))) == [(int, 1), (F, 2)]
+        assert keys == tuple(canonical_key(v) for v in values)
+
+    def test_ranked_target_values(self):
+        # the number of atoms of the world law, a Fraction when "a" is one
+        size = MarginalFunctional("size", RandomVariableRef("world", lambda w: w),
+                                  lambda law: F(len(law)) if law.items[0][0] == "a" else len(law))
+        original = mixed_family({"p1": uniform("bc"), "p2": uniform("ab"), "p3": point_mass("a"), "p4": point_mass("c")})
+        ignored = mixed_family({"q1": point_mass("b"), "q2": uniform("abc"), "q3": uniform("bc")})
+        reprs, (ranks_a, ranks_b) = _ranked(original, ignored, size)
+        seen = [size.fn(f.laws[p]) for f in (original, ignored) for p in f.points]
+        assert typed(reprs) == typed(first_of_each_key(seen)) == [(F, 1), (int, 2), (F, 3)]
+        assert ranks_a == {"p1": 1, "p2": 1, "p3": 0, "p4": 0}
+        assert ranks_b == {"q1": 0, "q2": 2, "q3": 1}
+
+    def test_interned_observations(self):
+        # two observation functions; key 2 is first met at p2 through the
+        # second one, though the first one reaches it later at p3
+        as_int = {"a": 1, "b": 2, "c": 3}.__getitem__
+        as_fraction = {"a": F(1), "b": F(2), "c": F(3)}.__getitem__
+        obs = {"p1": as_int, "p2": as_fraction, "p3": as_int}
+        fam = mixed_family({"p1": point_mass("a"), "p2": uniform("ab"), "p3": uniform("bc")}, obs)
+        seen = [obs[p](w) for p in fam.points for w in fam.laws[p].support()]
+        assert typed(fam.observation_support()) == typed(first_of_each_key(seen)) == [(int, 1), (F, 2), (int, 3)]
+        assert fam.observation_codes() == {canonical_key(v): c for c, v in enumerate((1, 2, 3))}
+        assert [fam.observation_sums(p) for p in fam.points] == [(1, {0: 1}), (2, {0: 1, 1: 1}), (2, {1: 1, 2: 1})]
+
+    def test_estimator_numbering(self):
+        # estimates 1 and Fraction(1) share a key; each family's laws show
+        # the estimate of its lowest observation code with that key
+        estimate = {1: F(1), 2: 1, 3: 2}.__getitem__
+        as_int = {"a": 1, "b": 2, "c": 3}.__getitem__
+        original = mixed_family({"p1": uniform("ab"), "p2": uniform("bc")}, as_int)
+        ignored = mixed_family({"q1": uniform("bc")}, as_int)
+        constant = MarginalFunctional("zero", RandomVariableRef("world", lambda w: w), lambda law: 0)
+        res = sampling_dist_equivalent(original, ignored, estimate, constant)
+        for side, fam in (("original", original), ("ignored", ignored)):
+            kept = {canonical_key(e): e for e in first_of_each_key(map(estimate, fam.observation_support()))}
+            shown = [e for law in dict(res.witnesses[0].detail)[side] for e, _w in law.items]
+            assert typed(shown) == typed(kept[canonical_key(e)] for e in shown)
+        sets = {side: [typed(law.support()) for law in laws] for side, laws in res.witnesses[0].detail[1:]}
+        assert sets == {"original": [[(F, 1), (int, 2)], [(F, 1)]], "ignored": [[(int, 1), (int, 2)]]}
+        families = [({p: dict(f.laws[p].items) for p in f.points}, f.obs_fns, dict.fromkeys(f.points, 0))
+                    for f in (original, ignored)]
+        assert res.equivalent is reference.sampling_dist_equivalent(*families, estimate)[0] is False
 
 
 class TestPosteriorEquivalent:
