@@ -60,6 +60,7 @@ from .sampling import (
 )
 
 _RATIONAL = re.compile(r"^-?\d+/\d+$")
+_ZERO_MASS = "observation {} has zero mass at every grid point"  # an impossible --x
 
 POLICIES = {
     "dirac": dirac_fix,
@@ -162,7 +163,7 @@ def cmd_check(args) -> int:
     )
     observations = prepared.family.observation_support()
     if x is not None and prepared.family.observation_code(x) is None:
-        raise EngineError(f"observation {args.x} has zero mass at every grid point")
+        raise EngineError(_ZERO_MASS.format(args.x))
 
     verdicts = None
     if args.inference == BAYESIAN and x is None:
@@ -278,13 +279,13 @@ def cmd_inclusion(args) -> int:
 def cmd_audit_rubin(args) -> int:
     build = _load(args.model)
     rubin = prepare_rubin(build.model, build.scheme)
-    x = None if args.x is None else parse_observation_literal(args.x)
-    if x is not None:
-        validate_observation(build.model, build.scheme, x)
-    family = Family.from_survey_model(build.model, build.scheme)
-    if x is not None and family.observation_code(x) is None:  # as `check` refuses it
-        raise EngineError(f"observation {args.x} has zero mass at every grid point")
-    xs = family.observation_support() if x is None else [x]
+    if args.x is not None:
+        xs = [parse_observation_literal(args.x)]
+        validate_observation(build.model, build.scheme, xs[0])
+        if not rubin.possible(xs[0]):
+            raise EngineError(_ZERO_MASS.format(args.x))
+    else:
+        xs = Family.from_survey_model(build.model, build.scheme).observation_support()
     reports = [rubin.audit(x) for x in xs]
     counterexamples = sum(
         1 for r in reports for a in r.audits if a.counterexample()

@@ -136,15 +136,13 @@ def sorted_distinct(values: Iterable) -> tuple:
 
 
 def numbering(keys: list) -> tuple:
-    """(codes, firsts): the code of each key among the distinct keys in
-    sorted order, and by code the position of its first occurrence.  Each
-    key is hashed once: keys are numbered by first sight, then remapped."""
-    seen = {}
-    numbers = [seen.setdefault(k, len(seen)) for k in keys]
-    order = sorted(range(len(seen)), key=list(seen).__getitem__)  # code -> number
-    code = dict(zip(order, range(len(order))))
-    first = dict(zip(reversed(numbers), range(len(numbers) - 1, -1, -1)))  # the later, lower positions overwrite
-    return [code[n] for n in numbers], [first[n] for n in order]
+    """(codes, firsts): each key's code among the distinct keys, sorted,
+    and by code the position where it first occurs; one hash per key."""
+    first = {}
+    positions = [first.setdefault(k, i) for i, k in enumerate(keys)]  # each key's first position
+    firsts = sorted(first.values(), key=keys.__getitem__)
+    code = {i: c for c, i in enumerate(firsts)}
+    return [code[i] for i in positions], firsts
 
 
 def integer_masses(weights) -> tuple:

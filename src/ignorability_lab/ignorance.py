@@ -139,9 +139,7 @@ def _observation_rv(m: SurveyModel, scheme: ObservationScheme):
 
 def _ranks(values) -> list:
     """The rank of each value's canonical_key among the distinct ones."""
-    keys = [canonical_key(v) for v in values]
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
+    return numbering([canonical_key(v) for v in values])[0]
 
 
 def _picker(positions) -> Callable:
@@ -181,16 +179,13 @@ def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
     the axes; any other is keyed world by world, which is the reference."""
     fn, reads = (var.fn, var.reads) if isinstance(var, RandomVariableRef) else (var, None)
     keys = _axis_keys(worlds, fn, reads, axes) if axes is not None else None
-    if keys is None:  # each world's key hashed once
+    values = None
+    if keys is None:  # keyed world by world
         values = [fn(w) for w in worlds]
         keys = [canonical_key(v) for v in values]
-        codes, firsts = numbering(keys)
-        return tuple(codes), tuple(values[i] for i in firsts), tuple(keys[i] for i in firsts)
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # the later, lower ids overwrite
-    ordered = sorted(first)
-    values = tuple(fn(worlds[first[k]]) for k in ordered)
-    codes = {k: c for c, k in enumerate(ordered)}
-    return tuple(map(codes.__getitem__, keys)), values, tuple(canonical_key(v) for v in values)
+    codes, firsts = numbering(keys)
+    values = tuple(fn(worlds[i]) if values is None else values[i] for i in firsts)
+    return tuple(codes), values, tuple(map(canonical_key, values))
 
 
 @dataclass(frozen=True)
@@ -422,11 +417,10 @@ class Family:
     a family given its numbering takes laws None), and `masses[p]` is the
     reduced integer mass vector (ids, numerators, denominator) of each law,
     in point order, of which `laws` is a view.  A survey model's family
-    also keeps the `axes` of its numbering, (|(y, z) pairs|, |mappings|),
-    so that declared variables are coded per axis (see `_code`).  An
-    ignored family shares its original's numbering and per-world codes of
-    observations and targets; each family keeps its own values of marginal
-    targets.
+    keeps the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so
+    that declared variables are coded per axis (see `_code`).  An ignored
+    family shares its original's numbering and per-world codes of
+    observations and targets; each keeps its own values of marginal targets.
     """
 
     def __init__(self, points, laws, obs_fns, space=None, numbering=None):
@@ -477,22 +471,21 @@ class Family:
         canonical_key order, each key's value that of the first point with
         mass on it, and each point's table summed by per-world codes over its
         law's denominator; built on first use.  Keys are merged once per
-        observation function, and tables are re-coded through a list."""
+        observation function, and tables are re-coded through a map."""
         codings = [self.coded(self.obs_fns[p]) for p in self.masses]
         vectors = list(self.masses.values())
         sums = [_integer_sums(vector, coding[0]) for vector, coding in zip(vectors, codings)]
-        found, met = [], {}  # (coding, code) in the order of their first point; id(coding) -> (coding, codes)
+        seen = {id(coding): set() for coding in codings}  # per coding: its codes met so far
+        found = []  # (coding, code) of positive mass, in the order of their first point
         for coding, s in zip(codings, sums):
-            codes = met.setdefault(id(coding), (coding, set()))[1]
-            found.extend((coding, c) for c in s.keys() - codes)  # one coding's codes have distinct keys
-            codes.update(s)
-        # one coding's codes are already in canonical_key order
-        merged, firsts = numbering([c if len(met) == 1 else coding[2][c] for coding, c in found])
-        recode = {i: [None] * len(coding[2]) for i, (coding, _codes) in met.items()}
+            found.extend((coding, c) for c in s.keys() - seen[id(coding)])  # one coding's codes have distinct keys
+            seen[id(coding)].update(s)
+        merged, firsts = numbering([coding[2][c] for coding, c in found])
+        recode = {i: {} for i in seen}  # per coding: its codes -> merged codes
         for (coding, c), code in zip(found, merged):
             recode[id(coding)][c] = code
-        tables = {p: (vector[2], {to[c]: n for c, n in s.items()})
-                  for p, vector, coding, s in zip(self.masses, vectors, codings, sums) for to in (recode[id(coding)],)}
+        tables = {p: (vector[2], {recode[id(coding)][c]: n for c, n in s.items()})
+                  for p, vector, coding, s in zip(self.masses, vectors, codings, sums)}
         kept = [found[j] for j in firsts]  # the first (coding, code) of each merged code
         return (tuple(coding[1][c] for coding, c in kept),
                 {coding[2][c]: code for code, (coding, c) in enumerate(kept)}, tables)
@@ -618,8 +611,7 @@ class ParameterFunction:
 
 
 def target_values(target, family: Family) -> dict:
-    """Evaluate a point-indexed target on every family point: {point:
-    value} in point order.
+    """{point: value} of a point-indexed target, in point order.
 
     A marginal functional reads each law's marginal from the per-world
     codes of its variable, in code order, and is evaluated once per

@@ -505,6 +505,15 @@ class RubinContext:
                 self._oar[rank] = flag
         return flag
 
+    def possible(self, x) -> bool:
+        """Whether x has positive mass at some grid point: a signal of positive
+        mass there agrees with x (and its z) and the design draws x's mapping."""
+        ids, zs = self._agreeing(tuple(x[0]), tuple(x[1])) or (), self._z_of()
+        marginals, rank = self._audit_tables()[1], self._mapping_rank.get(canonical_key(tuple(x[1])))
+        return any(marginals[t][1][j] and _mass(self._row(self.phis.index(phi), j), rank)
+                   and (len(x) == 2 or canonical_key(zs[j]) == canonical_key(x[2]))
+                   for t, phi in self.model.grid for j in ids)
+
     def _groups_of(self, mapping) -> list:
         """Ids of the signals grouped by their values at the units outside
         `mapping`, in order of their first id: the offsets of the units

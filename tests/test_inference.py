@@ -691,6 +691,25 @@ class TestSharedRubinContext:
                 assert dict(got.audit("6.2").notes)["iff"] is True, x
                 assert not any(a.counterexample() for a in got.audits if a.theorem != "6.2"), x
 
+    @settings(max_examples=300, deadline=None)
+    @given(survey_models())
+    def test_possible_is_positive_mass_on_the_family(self, case):
+        # every (values, mapping) the world space produces, with every z
+        # its signals pair with under the design-observing scheme; possible
+        # or not, the context agrees with the family's observation codes
+        m, _scheme, _policy = case
+        worlds = m.world_space()
+        zs = {canonical_key(w.z): w.z for w in worlds}.values()
+        for scheme in (values_and_mapping(), values_mapping_design()):
+            family, rubin = Family.from_survey_model(m, scheme), prepare_rubin(m, scheme)
+            xs = {(tuple(w.y[m.population.index(k)] for k in w.r), w.r) for w in worlds}
+            if scheme.kind == "values_mapping_design":
+                xs = {(v, r, z) for v, r in xs for z in zs}
+            for x in xs:
+                got = _answer(lambda: rubin.possible(x))
+                if not isinstance(got, tuple):  # a model not in the Rubin shape raises
+                    assert got == (family.observation_code(x) is not None), (scheme.kind, x)
+
     def test_kept_tables_still_check_the_support_cap(self, monkeypatch):
         # the second audit of a mapping reads only kept tables and flags;
         # a cap lowered in between still stops it
