@@ -361,7 +361,7 @@ def _mass(row: tuple, rank) -> Fraction | int:
 
 class RubinContext:
     """The observation-free part of the missing-data checks on one model,
-    built by `prepare_rubin` and queried by `mar`, `oar` and `audit`.
+    built by `prepare_rubin` and queried by `mar`, `oar`, `possible` and `audit`.
 
     Signals are the tuples over the alphabet, numbered in product order,
     so the value of unit i in signal j is digit i of j in base |A|; no
