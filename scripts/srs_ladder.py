@@ -13,7 +13,12 @@ in DIGESTS or `DIFFERS` when it is not; it exits 1 when a row differs,
 fails or prints different bytes on a repeat.  The last two likelihood rows
 take most of the time (86,016 worlds at N=8 n=3).
 
-Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K]
+With --large it then runs the likelihood rows N=9 n=3 (258,048 worlds)
+and N=10 n=3 (737,280 worlds, the last rung under the default support
+cap), which take seconds each and several hundred MB; they are not part
+of the default run.
+
+Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K] [--large]
 """
 
 import argparse
@@ -30,6 +35,8 @@ from ignorability_lab.catalog import CATALOG
 RUNGS = ((4, 3), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3))
 # (N, n, inference) of every row
 ROWS = tuple((N, n, "likelihood") for N, n in RUNGS) + ((6, 3, "bayes"),)
+# the rows that --large adds
+LARGE_ROWS = ((9, 3, "likelihood"), (10, 3, "likelihood"))
 # SHA-256 of the stdout of each row
 DIGESTS = {
     (4, 3, "likelihood"): "3b090eafda66e822257e71eb0b0162c56099bce008d54cbff01d10d4938a586a",
@@ -39,6 +46,8 @@ DIGESTS = {
     (7, 3, "likelihood"): "2b5c6d6b8cf08436416a6d32c7b0fa48407721b0debc5fddad8f8e5d0f2f63e8",
     (8, 3, "likelihood"): "6a3c669fae6be21aea3ccc66789324b65cabff537455ab675458e588ad8bde17",
     (6, 3, "bayes"): "5466d03dc70bc46cb85ad36ec73865dd08cd158fada94c9ae5dc1663822c9242",
+    (9, 3, "likelihood"): "f522b98ac54c9081308e343f93997c982695bbbba379ec8e6502442686a4325d",
+    (10, 3, "likelihood"): "7b17208f782c3f3d20c8c6d920e637bc4f7f2e9194eee4d99059a665da594508",
 }
 BASE = "srs_wor_n3"
 
@@ -71,10 +80,11 @@ def run_check(path: str, inference: str) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="runs per rung")
+    parser.add_argument("--large", action="store_true", help="also run N=9 n=3 and N=10 n=3")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         failed = False
-        for N, n, inference in ROWS:
+        for N, n, inference in ROWS + (LARGE_ROWS if args.large else ()):
             path = os.path.join(tmp, f"{BASE}_N{N}_n{n}.model")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(rung_text(N, n))

@@ -64,8 +64,8 @@ def support_cap() -> int:
         raise EngineError(f"{SUPPORT_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def check_size(n: int, what: str = "support") -> None:
-    cap = support_cap()
+def check_size(n: int, what: str = "support", cap: int | None = None) -> None:
+    cap = support_cap() if cap is None else cap
     if n > cap:
         raise ModelTooLarge(f"{what} of size {n} exceeds cap {cap}")
 

@@ -37,6 +37,7 @@ from .exactprob import (
     reduced,
     sorted_distinct,
     summed,
+    support_cap,
     vector_law,
 )
 from .sampling import (
@@ -336,13 +337,13 @@ def _restrictions(vector: tuple, index: SplitIndex) -> list:
     their gcd, the v-codes ascending; empty where the law puts no mass on
     Phi(b).  Each distinct compatibility set is scanned and reduced once,
     and the codes that share it share its restriction."""
-    sums = _integer_sums(vector, index.v_code)
+    sums, cap = _integer_sums(vector, index.v_code), support_cap()
     scanned, out = {}, []
     for codes in index.compatible:
         part = scanned.get(codes)
         if part is None:
             kept = {a: sums[a] for a in codes if a in sums}
-            check_size(len(kept))
+            check_size(len(kept), cap=cap)
             g = gcd(*kept.values()) or 1
             part = scanned[codes] = (sum(kept.values()) // g, {a: n // g for a, n in kept.items()})
         out.append(part)

@@ -19,6 +19,7 @@ Reports always carry the comparisons performed, never a bare verdict.
 from __future__ import annotations
 
 import itertools
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -350,13 +351,9 @@ def _tally(pairs) -> dict:
     return out
 
 
-# z of a signal of zero mass: the signal itself (z contains y), or none
-_Y, _NO_Z = object(), object()
-
-
-def _mass(row: tuple, rank) -> Fraction | int:
-    """The entry of a selection row at a mapping rank (None: no rank)."""
-    return row[rank] if rank is not None and rank < len(row) else 0
+# z of a signal of zero mass: the signal itself (z contains y), or none;
+# the column entry of a signal whose selection row raises
+_Y, _NO_Z, _MARK = object(), object(), -1
 
 
 class RubinContext:
@@ -366,17 +363,16 @@ class RubinContext:
     Signals are the tuples over the alphabet, numbered in product order,
     so the value of unit i in signal j is digit i of j in base |A|; no
     signal tuple is kept.  Built on first use and then kept: z per signal
-    id, one selection row per (phi, signal id) holding the masses of the
-    mappings by rank (mappings are ranked as the rows meet them; a row is
-    built once per design law object, so a constant design builds one, and
-    rows with equal masses are one tuple), the `oar` flag per mapping rank
-    (it does not depend on the observed values), the theta marginals as
-    integer numerators per signal id over one denominator per theta, the
-    audit's joints with their support sizes, and the 6.x flags of the audit
-    per mapping.  Nothing is kept per observed value, and an observed
-    mapping is keyed by `canonical_key` at every query.  A query that
-    raises keeps no entry, so a later query raises what a fresh context
-    would, in the same order."""
+    id; each signal's selection row at a phi (mappings by rank, one row
+    per design law object, equal rows one tuple); one selection column per
+    (phi, observed mapping), its mass for every signal id as an integer
+    over one scale, one value when flat; the `oar` and 6.x flags per
+    mapping; the theta marginals as integer numerators per signal id over
+    one denominator per theta; the audit's joints.  Nothing is kept per
+    observed value.  A row that raises is not kept and its column entry is
+    `_MARK`; a query that reaches a mark among its own ids builds that row
+    again, so it raises what a fresh context raises, in the same order:
+    phi by phi, ids ascending."""
 
     def __init__(self, m: SurveyModel):
         self.model = m
@@ -386,12 +382,13 @@ class RubinContext:
         self._weights = tuple(base ** (n - 1 - i) for i in range(n))  # unit -> id weight
         self._rank = {canonical_key(a): i for i, a in enumerate(m.alphabet)}
         self._z = None
-        self._rows = [None] * (len(self.phis) * self._size)  # phi position * |signals| + id
+        self._at = [None] * len(self.phis)  # per phi position: `_rows_at`
         self._shared = {}  # row -> the one tuple with its masses
         self._law_rows = {}  # id(design law) -> its row
         self._laws = []  # those laws, kept so that no id is reused
         self._mapping_rank = {}  # canonical_key(mapping) -> rank
-        self._oar = {}  # mapping rank -> flag
+        self._columns = {}  # (phi position, canonical_key(mapping)) -> column
+        self._oar = {}  # canonical_key(mapping) -> flag
         self._tables = None
         self._flags = {}  # canonical_key(mapping) -> its 6.x flags
 
@@ -429,27 +426,59 @@ class RubinContext:
             self._z = tuple(z_of.get(j, other) for j in range(self._size))
         return self._z
 
-    def _row(self, p, j) -> tuple:
+    def _build_row(self, p, j) -> tuple:
         """The masses of the mappings, by rank, under the design at the
         p-th phi given signal j; trailing zeros are dropped."""
-        row = self._rows[p * self._size + j]
+        design = self.model.design_for(self.phis[p])
+        z = self._z_of()[j]
+        if z is _Y:
+            z = self._signal(j)
+        elif z is _NO_Z:
+            raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
+        delta = design.get(z)
+        row = self._law_rows.get(id(delta))
         if row is None:
-            design = self.model.design_for(self.phis[p])
-            z = self._z_of()[j]
-            if z is _Y:
-                z = self._signal(j)
-            elif z is _NO_Z:
-                raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
-            delta = design.get(z)
-            row = self._law_rows.get(id(delta))
-            if row is None:
-                ranks = self._mapping_rank
-                masses = {ranks.setdefault(canonical_key(r), len(ranks)): w for r, w in delta.items}
-                row = tuple(masses.get(k, 0) for k in range(max(masses) + 1))
-                row = self._law_rows[id(delta)] = self._shared.setdefault(row, row)
-                self._laws.append(delta)
-            self._rows[p * self._size + j] = row
+            ranks = self._mapping_rank
+            masses = {ranks.setdefault(canonical_key(r), len(ranks)): w for r, w in delta.items}
+            row = tuple(masses.get(k, 0) for k in range(max(masses) + 1))
+            row = self._law_rows[id(delta)] = self._shared.setdefault(row, row)
+            self._laws.append(delta)
         return row
+
+    def _rows_at(self, p) -> tuple:
+        """(each signal id's row, None where it raises; the distinct rows) at the p-th phi."""
+        if self._at[p] is None:
+            self._z_of()  # when z is not a function of y, every row raises that
+            rows = [None] * self._size
+            for j in range(self._size):
+                with suppress(Exception):
+                    rows[j] = self._build_row(p, j)
+            self._at[p] = rows, list({id(r): r for r in rows}.values())
+        return self._at[p]
+
+    def _column(self, p, mk) -> tuple:
+        """(scale, entries) of mapping mk at the p-th phi, scale the lcm of its
+        denominators in the distinct rows: one int when flat, else by id."""
+        column = self._columns.get((p, mk))
+        if column is None:
+            rows, distinct = self._rows_at(p)
+            rank = self._mapping_rank.get(mk)  # every row at p is built
+            masses = {id(r): r[rank] if rank is not None and rank < len(r) else 0 for r in distinct if r is not None}
+            scale = lcm(*(s.denominator for s in masses.values()))
+            scaled = {k: s.numerator * (scale // s.denominator) for k, s in masses.items()}
+            flat = None not in distinct and len(set(scaled.values())) < 2  # id(None) is no row's id
+            entries = scaled.popitem()[1] if flat else tuple(scaled.get(id(r), _MARK) for r in rows)
+            column = self._columns[p, mk] = (scale, entries)
+        return column
+
+    def _entries(self, p, mk, ids) -> tuple:
+        """(scale, [entry at each of `ids`]) of mk's column at the p-th phi;
+        at a mark, the first marked row is built again and raises."""
+        scale, entries = self._column(p, mk)
+        got = [entries] * len(ids) if type(entries) is int else list(map(entries.__getitem__, ids))
+        if _MARK in got:
+            self._build_row(p, ids[got.index(_MARK)])
+        return scale, got
 
     def _agreeing(self, values, mapping):
         """Ids of the signals that agree with the observed draws, ascending,
@@ -471,16 +500,9 @@ class RubinContext:
 
     def _constant(self, mk, ids) -> bool:
         """Whether mapping mk has one mass across the signals `ids` at every
-        phi; rows are interned, so each distinct row is read once."""
-        kept = self._rows
-        for p in range(len(self.phis)):
-            start = p * self._size
-            rows = {id(r): r for r in (kept[start + j] or self._row(p, j) for j in ids)}
-            rank = self._mapping_rank.get(mk)  # rows may have ranked mk
-            first = _mass(next(iter(rows.values()), ()), rank)  # ==, as hashing a Fraction is slow
-            if any(_mass(r, rank) != first for r in rows.values()):
-                return False
-        return True
+        phi; a flat column holds at once."""
+        return all(type(self._column(p, mk)[1]) is int or len(set(self._entries(p, mk, ids)[1])) < 2
+                   for p in range(len(self.phis)))
 
     def mar(self, x) -> bool:
         """Missing at random at the observed (values, mapping): for every
@@ -495,24 +517,21 @@ class RubinContext:
         point and every value of the units outside the mapping, the
         selection mass of the mapping does not depend on the values of the
         units inside it."""
-        mapping = tuple(x[1])
-        mk = canonical_key(mapping)
-        flag = self._oar.get(self._mapping_rank.get(mk))
-        if flag is None:
-            flag = all(self._constant(mk, ids) for ids in self._groups_of(mapping))
-            rank = self._mapping_rank.get(mk)
-            if rank is not None:  # a mapping no row has is not kept
-                self._oar[rank] = flag
-        return flag
+        return self._oar_of(tuple(x[1]), canonical_key(tuple(x[1])))
+
+    def _oar_of(self, mapping, mk) -> bool:
+        if mk not in self._oar:
+            self._oar[mk] = all(self._constant(mk, ids) for ids in self._groups_of(mapping))
+        return self._oar[mk]
 
     def possible(self, x) -> bool:
         """Whether x has positive mass at some grid point: a signal of positive
         mass there agrees with x (and its z) and the design draws x's mapping."""
-        ids, zs = self._agreeing(tuple(x[0]), tuple(x[1])) or (), self._z_of()
-        marginals, rank = self._audit_tables()[1], self._mapping_rank.get(canonical_key(tuple(x[1])))
-        return any(marginals[t][1][j] and _mass(self._row(self.phis.index(phi), j), rank)
-                   and (len(x) == 2 or canonical_key(zs[j]) == canonical_key(x[2]))
-                   for t, phi in self.model.grid for j in ids)
+        ids, zs = set(self._agreeing(tuple(x[0]), tuple(x[1])) or ()), self._z_of()
+        _distinct, _marginals, joints = self._audit_tables()
+        mk = canonical_key(tuple(x[1]))
+        return any(j in ids and s > 0 and (len(x) == 2 or canonical_key(zs[j]) == canonical_key(x[2]))
+                   for p, positive, _ws in joints.values() for j, s in zip(positive, self._entries(p, mk, positive)[1]))
 
     def _groups_of(self, mapping) -> list:
         """Ids of the signals grouped by their values at the units outside
@@ -526,9 +545,10 @@ class RubinContext:
     def _audit_tables(self) -> tuple:
         """(distinct flag, {theta: (d, numerator per signal id)}, {grid point:
         joint}), built on the first call and kept; d is the lcm of the
-        denominators of theta's law, and a joint is its (signal id, numerator
-        of y, selection row) rows.  The largest support size of the joints is
-        kept too and checked against the cap once per call."""
+        denominators of theta's law, and a joint is (phi position, ids of
+        the signals of positive mass, their numerators), which a mapping's
+        column completes.  The largest support size of the joints is kept
+        too and checked against the cap once per call."""
         if self._tables is None:
             m = self.model
             distinct = check_distinct(m.grid) if m.phis else True
@@ -540,9 +560,10 @@ class RubinContext:
                 marginals[t] = (d, tuple(masses))
             joints, largest = {}, 0
             for t, phi in m.grid:
-                p = self.phis.index(phi)
-                rows = joints[t, phi] = [(j, w, self._row(p, j)) for j, w in enumerate(marginals[t][1]) if w]
-                size = sum(len(row) - row.count(0) for _j, _w, row in rows)
+                p, mg = self.phis.index(phi), marginals[t][1]
+                ids, rows = [j for j, w in enumerate(mg) if w], self._rows_at(p)[0]
+                joints[t, phi] = (p, ids, [mg[j] for j in ids])
+                size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j) for j in ids))
                 check_size(size)
                 largest = max(largest, size)
             self._tables = (distinct, marginals, joints), largest
@@ -551,10 +572,9 @@ class RubinContext:
 
     def _mapping_flags(self, mapping, mk) -> tuple:
         """(6.1 conclusion, 6.2 condition, 6.2 conclusion, 6.3 hypothesis,
-        6.3 conclusion) at an observed mapping.  They read the mapping and
-        the kept audit tables only, so they are kept per mapping."""
+        6.3 conclusion) at an observed mapping.  They read the mapping, its
+        columns and the kept audit tables only, so they are kept per mapping."""
         _distinct, marginals, joints = self._tables[0]
-        rank = self._mapping_rank.get(mk)  # every joint row is built
         at = [self.model.population.index(k) for k in mapping]
         # signal id -> its values along the observed mapping, as digits
         base, weights = self._base, self._weights
@@ -562,27 +582,25 @@ class RubinContext:
                 for _d, mg in marginals.values() for j, w in enumerate(mg) if w}
         # the ignoring distribution of each theta (the law of the observed part) over its d
         ignoring = {t: _tally((seen[j], w) for j, w in enumerate(mg) if w) for t, (_d, mg) in marginals.items()}
-        # 6.3 hypothesis: the missingness mechanism is degenerate at the
-        # observed mapping for every signal of positive mass.
-        hyp_63 = all(_mass(row, rank) == 1 for rows in joints.values() for _j, _w, row in rows)
 
-        # 6.1 conclusion: the ignoring distribution equals the correct
-        # conditional distribution given the observed mapping, wherever that
-        # mapping has positive mass.  6.2 condition: the mass of the observed
-        # mapping given the observed part is one positive constant; its
-        # conclusion counts undefined conditionals (mapping of zero mass) as
-        # failures, which keeps the equivalence exact in the finite case.
-        # 6.3 conclusion: the unconditional law of the statistic is the
-        # ignoring distribution; as that sits on the observed mapping, the
-        # mapping has mass 1 and its hits are the ignoring distribution.
-        # The hits (no part outside the law) and their sum k are numerators
-        # over d*e, e the lcm of the denominators of the mapping's masses.
-        concl_61 = cond_62 = concl_62 = concl_63 = True
-        for (theta, phi), rows in joints.items():
+        # 6.3 hypothesis: the missingness mechanism is degenerate (entry e,
+        # the column's scale) at the observed mapping for every signal of
+        # positive mass.  6.1 conclusion: the ignoring distribution equals
+        # the correct conditional distribution given the observed mapping,
+        # wherever that mapping has positive mass.  6.2 condition: the mass
+        # of the observed mapping given the observed part is one positive
+        # constant; its conclusion counts undefined conditionals (mapping
+        # of zero mass) as failures, which keeps the equivalence exact in
+        # the finite case.  6.3 conclusion: the unconditional law of the
+        # statistic is the ignoring distribution, so the mapping has mass 1
+        # and its hits are that law.  The hits (no part outside the law)
+        # and their sum k are numerators over d*e.
+        concl_61 = cond_62 = concl_62 = hyp_63 = concl_63 = True
+        for (theta, _phi), (p, ids, ws) in joints.items():
+            e, entries = self._entries(p, mk, ids)
             d, law = marginals[theta][0], ignoring[theta]
-            masses = [(j, w, _mass(row, rank)) for j, w, row in rows]
-            e = lcm(*(s.denominator for _j, _w, s in masses))
-            hits = _tally((seen[j], w * s.numerator * (e // s.denominator)) for j, w, s in masses if s)
+            hyp_63 = hyp_63 and entries.count(e) == len(entries)
+            hits = _tally((seen[j], w * s) for j, w, s in zip(ids, ws, entries) if s)
             k, (p0, w0) = sum(hits.values()), next(iter(law.items()))
             h0 = hits.get(p0, 0)  # each part's ratio hits/law is the first part's
             cond_62 = cond_62 and h0 > 0 and all(hits.get(part, 0) * w0 == h0 * w for part, w in law.items())
@@ -606,36 +624,31 @@ class RubinContext:
         ids = self._agreeing(values, mapping)
         mk = canonical_key(mapping)
         mar = ids is None or self._constant(mk, ids)
-        oar = self.oar(x)
-        distinct, marginals, _joints = self._audit_tables()
-        completions = ids or []
-        thetas, phis = self.model.thetas, self.phis
-        completion_rows = [[self._row(p, j) for j in completions] for p in range(len(phis))]
+        oar = self._oar_of(mapping, mk)
+        distinct, marginals, joints = self._audit_tables()
+        completions, thetas, phis = ids or [], self.model.thetas, self.phis
+        selection = [self._entries(p, mk, completions)[1] for p in range(len(phis))]
         concl_61, cond_62, concl_62, hyp_63, concl_63 = self._flags.get(mk) or self._mapping_flags(mapping, mk)
-        rank = self._mapping_rank.get(mk)  # every row of this audit is built
 
         # Likelihoods for 7.x: marginal of the observed values, and joint mass
         # of (values, mapping), both by exact summation over the signals that
         # agree with x; one of each per theta and per (theta, phi), as integers
-        # over d_t and d_t * e, e the lcm of the denominators of the selection
-        # masses at phi; the scales cancel from every cross product below.
-        masses = {phi: [_mass(row, rank) for row in rows] for phi, rows in zip(phis, completion_rows)}
-        e = {phi: lcm(*(s.denominator for s in ms)) for phi, ms in masses.items()}
-        selection = {phi: [s.numerator * (e[phi] // s.denominator) for s in ms] for phi, ms in masses.items()}
+        # over d_t and d_t times the column's scale at phi; the scales cancel
+        # from every cross product below.
         agreeing = {t: [marginals[t][1][j] for j in completions] for t in thetas}
         lik = {t: sum(ns) for t, ns in agreeing.items()}
-        lik_full = {(t, phi): sum(a * b for a, b in zip(agreeing[t], selection[phi])) for t in thetas for phi in phis}
-        grid = set(self.model.grid)
+        lik_full = {(t, phi): sum(a * b for a, b in zip(agreeing[t], s))
+                    for t in thetas for phi, s in zip(phis, selection)}
 
         def cross_equal(eligible_phis) -> bool:
             # symmetric in (t1, t2), so each unordered pair is checked once
             return all(
                 lik[t1] * lik_full[t2, phi] == lik_full[t1, phi] * lik[t2]
                 for phi in eligible_phis for t1, t2 in itertools.combinations(thetas, 2)
-                if (t1, phi) in grid and (t2, phi) in grid
+                if (t1, phi) in joints and (t2, phi) in joints
             )
 
-        eligible = [phi for phi in phis if ids is not None and all(s > 0 for s in selection[phi])]
+        eligible = [phi for phi, s in zip(phis, selection) if ids is not None and all(e > 0 for e in s)]
         concl_71 = cross_equal(eligible)
 
         pre_72 = all(lik[t] > 0 for t in thetas)

@@ -33,6 +33,7 @@ from .exactprob import (
     pushforward,
     reduced,
     sorted_distinct,
+    support_cap,
 )
 
 
@@ -408,7 +409,7 @@ def joint_masses(m: SurveyModel, points) -> dict:
     # ranked per call: kept on the model, these keys would live as long as it
     yz_rank, r_rank = ({canonical_key(v): i for i, v in enumerate(vs)} for vs in m.axes)
     columns = {}  # id(design law) -> (that law, ranks of its r, integer masses, denominator)
-    out = {}
+    out, cap = {}, support_cap()
     for theta, phi in points:
         m.check_point(theta, phi)
         design = m.design_for(phi)
@@ -417,7 +418,7 @@ def joint_masses(m: SurveyModel, points) -> dict:
         rows, size = [], 0
         for ((y, z), _w), a in zip(law.items, signal):
             delta = design.get(z)
-            check_size(size + len(delta.items), "world support")
+            check_size(size + len(delta.items), "world support", cap)
             size += len(delta.items)
             column = columns.get(id(delta))
             if column is None:

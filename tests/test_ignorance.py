@@ -540,6 +540,27 @@ class TestIgnoreProperties:
         once = atrandomize(P, split)
         assert dist_eq(atrandomize(once, split), once)
 
+    @given(st.data())
+    def test_marginal_policy_returns_independent_laws_unchanged(self, data):
+        # 1-4 points, each law the product of its own margins on the full
+        # product space, no two points with the same pair of margins; the
+        # nuisance margins put mass on every value, so every compatibility
+        # set has mass
+        n_first, n_second = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+        def margin(size, low):
+            return st.lists(st.integers(low, 4), min_size=size, max_size=size).filter(any).map(
+                lambda loads: tuple(F(n, sum(loads)) for n in loads))
+
+        margins = data.draw(st.lists(st.tuples(margin(n_first, 0), margin(n_second, 1)),
+                                     min_size=1, max_size=4, unique=True))
+        laws = {p: product(dist_new(enumerate(mv)), dist_new(enumerate(mb))) for p, (mv, mb) in enumerate(margins)}
+        space = [(a, b) for a in range(n_first) for b in range(n_second)]
+        fam = Family(tuple(laws), laws, {p: (lambda w: w[0]) for p in laws}, space=space)
+        ignored = ignore_model(fam, make_split(fam, first, second), marginal_family())
+        for p in fam.points:
+            assert ignored.masses[(p, p)] == fam.masses[p]
+
 
 class TestCompatibilityPass:
     """Each law's restriction to each distinct compatibility set is built by

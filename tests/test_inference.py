@@ -628,6 +628,42 @@ def rubin_shape_models(draw):
     return model, labels, alphabet
 
 
+@st.composite
+def raising_row_models(draw):
+    """2-3 units, the alphabet (0, 1), 1-2 thetas whose laws share a support
+    that misses some signal, 1-2 phis from `_kernels`, so that the selection
+    row of a signal of zero mass raises.  Either z is one of two values, a
+    function of y, so such a signal has no z (NotRubinShape), or z contains
+    y and each design is a table over the signals of positive mass with no
+    rule (MissingKernelEntry)."""
+    labels = tuple(range(1, draw(st.integers(2, 3)) + 1))
+    signals = list(itertools.product((0, 1), repeat=len(labels)))
+    support = draw(st.lists(st.sampled_from(signals), min_size=2, max_size=len(signals) - 1, unique=True)
+                   .filter(lambda ys: {v for y in ys for v in y} == {0, 1}))
+    no_z = draw(st.booleans())
+    if no_z:
+        zs = draw(st.lists(st.sampled_from("ab"), min_size=len(support), max_size=len(support))
+                  .filter(lambda zs: len(set(zs)) == 2))
+    else:
+        zs = support
+    laws = {}
+    for theta in range(draw(st.integers(1, 2))):
+        loads = draw(st.lists(st.integers(1, 3), min_size=len(support), max_size=len(support)))
+        laws[theta] = dist_new([((y, z), F(k, sum(loads))) for y, z, k in zip(support, zs, loads)])
+    kernels = _kernels(labels)
+    phis = draw(st.lists(st.sampled_from(sorted(kernels)), min_size=1, max_size=2, unique=True))
+    model = SurveyModel.create(
+        population=Population(labels),
+        thetas=tuple(laws),
+        signal_law=laws,
+        phis=tuple(phis),
+        design_law={p: Kernel.from_mapping({z: kernels[p](y) for y, z in zip(support, zs)}) for p in phis},
+        grid=draw(grids(tuple(laws), tuple(phis))),
+        z_contains_y=not no_z,
+    )
+    return model, labels, (0, 1)
+
+
 def _answer(query):
     """A query's report or flag, or the type and message of its error."""
     try:
@@ -636,43 +672,54 @@ def _answer(query):
         return type(error), str(error)
 
 
+def _queries(data, m, labels, alphabet) -> list:
+    """2-8 (kind, observations, scheme) queries on the model m: mar, oar,
+    possible or audit, under a scheme that may not expose the mapping."""
+    support = Family.from_survey_model(m, values_and_mapping()).observation_support()
+    # one or two mappings, each query asking at one of them with 2-3
+    # value tuples: mappings the designs produce, and ones no design
+    # produces, with repeated units, an unknown unit or a float label;
+    # values from the alphabet or outside it
+    units = st.sampled_from(labels + (len(labels) + 1, 1.5))
+    mappings = data.draw(st.lists(
+        st.one_of(st.sampled_from(list(dict.fromkeys(r for _v, r in support))),
+                  st.lists(units, max_size=len(labels) + 1).map(tuple)),
+        min_size=1, max_size=2,
+    ))
+    values = st.one_of(st.sampled_from(alphabet), st.just(len(alphabet)))
+
+    def at(r):
+        return st.lists(st.lists(values, min_size=len(r), max_size=len(r)),
+                        min_size=2, max_size=3).map(lambda vs: [(tuple(v), r) for v in vs])
+
+    observations = st.one_of(st.sampled_from(mappings).flatmap(at),
+                             st.sampled_from(support).map(lambda x: [x]))
+    schemes = st.sampled_from([values_and_mapping()] * 3 + [values_mapping_design(), values_only()])
+    return data.draw(st.lists(
+        st.tuples(st.sampled_from(["mar", "oar", "possible", "audit"]), observations, schemes),
+        min_size=3, max_size=8,
+    ))
+
+
+def _assert_as_fresh(m, queries):
+    """Each query's answer on the model's one context is a fresh context's
+    answer to that query alone."""
+    for kind, xs, scheme in queries:
+        for x in xs:
+            got = _answer(lambda: getattr(prepare_rubin(m, scheme), kind)(x))
+            if scheme.kind == "values_only":
+                want = (NotRubinShape, "the observation scheme must expose the selection mapping")
+            else:
+                want = _answer(lambda: getattr(RubinContext(m), kind)(x))
+            assert got == want, (kind, x)
+
+
 class TestSharedRubinContext:
     @settings(max_examples=150, deadline=None)
     @given(rubin_shape_models(), st.data())
     def test_answers_equal_a_fresh_context(self, case, data):
         m, labels, alphabet = case
-        support = Family.from_survey_model(m, values_and_mapping()).observation_support()
-        # one or two mappings, each query asking at one of them with 2-3
-        # value tuples: mappings the designs produce, and ones no design
-        # produces, with repeated units, an unknown unit or a float label;
-        # values from the alphabet or outside it
-        units = st.sampled_from(labels + (len(labels) + 1, 1.5))
-        mappings = data.draw(st.lists(
-            st.one_of(st.sampled_from(list(dict.fromkeys(r for _v, r in support))),
-                      st.lists(units, max_size=len(labels) + 1).map(tuple)),
-            min_size=1, max_size=2,
-        ))
-        values = st.one_of(st.sampled_from(alphabet), st.just(len(alphabet)))
-
-        def at(r):
-            return st.lists(st.lists(values, min_size=len(r), max_size=len(r)),
-                            min_size=2, max_size=3).map(lambda vs: [(tuple(v), r) for v in vs])
-
-        observations = st.one_of(st.sampled_from(mappings).flatmap(at),
-                                 st.sampled_from(support).map(lambda x: [x]))
-        schemes = st.sampled_from([values_and_mapping()] * 3 + [values_mapping_design(), values_only()])
-        queries = data.draw(st.lists(
-            st.tuples(st.sampled_from(["mar", "oar", "audit"]), observations, schemes),
-            min_size=3, max_size=8,
-        ))
-        for kind, xs, scheme in queries:
-            for x in xs:
-                got = _answer(lambda: getattr(prepare_rubin(m, scheme), kind)(x))
-                if scheme.kind == "values_only":
-                    want = (NotRubinShape, "the observation scheme must expose the selection mapping")
-                else:
-                    want = _answer(lambda: getattr(RubinContext(m), kind)(x))
-                assert got == want, (kind, x)
+        _assert_as_fresh(m, _queries(data, m, labels, alphabet))
 
     @settings(max_examples=300, deadline=None)
     @given(survey_models(), st.data())
@@ -709,6 +756,30 @@ class TestSharedRubinContext:
                 got = _answer(lambda: rubin.possible(x))
                 if not isinstance(got, tuple):  # a model not in the Rubin shape raises
                     assert got == (family.observation_code(x) is not None), (scheme.kind, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raising_row_models(), st.data())
+    def test_rows_that_raise_answer_as_a_fresh_context(self, case, data):
+        # a query that reaches a zero-mass signal's row raises what a fresh
+        # context raises, however many queries came before it
+        m, labels, alphabet = case
+        _assert_as_fresh(m, _queries(data, m, labels, alphabet))
+
+    @settings(max_examples=100, deadline=None)
+    @given(raising_row_models())
+    def test_mar_raises_where_a_zero_mass_signal_agrees(self, case):
+        # every row at the first phi is built before comparing, so on one
+        # shared context MAR raises exactly where a signal of zero mass
+        # agrees with the observed values
+        m, labels, alphabet = case
+        rubin = prepare_rubin(m, values_and_mapping())
+        positive = {y for law in m.signal_law.values() for (y, _z), _w in law.items}
+        signals = list(itertools.product(alphabet, repeat=len(labels)))
+        for r in dict.fromkeys(r for _v, r in Family.from_survey_model(m, values_and_mapping()).observation_support()):
+            for values in itertools.product(alphabet, repeat=len(r)):
+                agreeing = [y for y in signals if all(y[labels.index(k)] == v for v, k in zip(values, r))]
+                raised = isinstance(_answer(lambda: rubin.mar((values, r))), tuple)
+                assert raised == any(y not in positive for y in agreeing), (values, r)
 
     def test_kept_tables_still_check_the_support_cap(self, monkeypatch):
         # the second audit of a mapping reads only kept tables and flags;
