@@ -172,12 +172,13 @@ def _axis_keys(worlds: tuple, fn: Callable, reads, axes: tuple) -> list | None:
     return None
 
 
-def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
-    """(world id -> code, code -> value, code -> canonical_key): `var` (a
-    RandomVariableRef or a world function) on every world, its values
-    coded in canonical_key order; a code's value is the one at its first
-    world.  A declared variable on worlds numbered by `axes` is coded from
-    the axes; any other is keyed world by world, which is the reference."""
+def _numbered(worlds: tuple, var, axes: tuple | None = None) -> tuple:
+    """(world id -> code, code -> its first world id, var's function, its
+    value per world or None): `var` (a RandomVariableRef or a world
+    function) on every world, its values coded in canonical_key order.  A
+    declared variable on worlds numbered by `axes` is coded from the axes
+    and no value is kept; any other is keyed world by world, which is the
+    reference."""
     fn, reads = (var.fn, var.reads) if isinstance(var, RandomVariableRef) else (var, None)
     keys = _axis_keys(worlds, fn, reads, axes) if axes is not None else None
     values = None
@@ -185,8 +186,15 @@ def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
         values = [fn(w) for w in worlds]
         keys = [canonical_key(v) for v in values]
     codes, firsts = numbering(keys)
+    return tuple(codes), firsts, fn, values
+
+
+def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
+    """(world id -> code, code -> value, code -> canonical_key) of `var`
+    (see `_numbered`); a code's value is the one at its first world."""
+    codes, firsts, fn, values = _numbered(worlds, var, axes)
     values = tuple(fn(worlds[i]) if values is None else values[i] for i in firsts)
-    return tuple(codes), values, tuple(map(canonical_key, values))
+    return codes, values, tuple(map(canonical_key, values))
 
 
 @dataclass(frozen=True)
@@ -210,9 +218,10 @@ class SplitIndex:
 
     @staticmethod
     def build(worlds: tuple, v, v_bar, axes: tuple | None = None) -> "SplitIndex":
-        """Code each world's v- and v_bar-value (see `_code`); `worlds`
-        distinct and sorted, numbered by `axes` when given."""
-        v_code = _code(worlds, v, axes)[0]
+        """Code each world's v- and v_bar-value (see `_code`; v's values
+        are not kept, so only its codes are made); `worlds` distinct and
+        sorted, numbered by `axes` when given."""
+        v_code = _numbered(worlds, v, axes)[0]
         v_bar_code, v_bar_values, v_bar_keys = _code(worlds, v_bar, axes)
         pairs = tuple(zip(v_code, v_bar_code))
         # the lowest id of each pair: the later, lower ids overwrite

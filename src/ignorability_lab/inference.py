@@ -24,6 +24,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from operator import mul
+from typing import Iterator
 
 from .exactprob import (
     EngineError,
@@ -355,6 +357,28 @@ def _tally(pairs) -> dict:
 # the column entry of a signal whose selection row raises
 _Y, _NO_Z, _MARK = object(), object(), -1
 
+# the one record of each (theorem, hypothesis, conclusion): records are
+# immutable, so every report shares them; 6.2 notes whether the two agree
+_RECORDS = {(name, h, c): TheoremAudit(name, h, c, (("iff", h == c),) if name == "6.2" else ())
+            for name in ("6.1", "6.2", "6.3", "7.1", "7.2") for h in (False, True) for c in (False, True)}
+
+
+class _Mapping:
+    """What a context keeps per observed mapping, laid out on its first
+    query: its key and each draw's unit position (None for a unit outside
+    the population); then, as queries need them, the id offsets of the
+    units it leaves free (by the number of draws an x gives it, which is
+    the mapping's length but for a short values tuple), its selection
+    column at each phi position (its mass for every signal id as an
+    integer over one scale, one int when flat), whether every column is
+    flat, its `oar` flag and its 6.x flags."""
+
+    __slots__ = ("key", "at", "offsets", "columns", "flat", "oar", "flags")
+
+    def __init__(self, key, at, n_phis):
+        self.key, self.at, self.columns, self.offsets = key, at, [None] * n_phis, {}
+        self.flat = self.oar = self.flags = None
+
 
 class RubinContext:
     """The observation-free part of the missing-data checks on one model,
@@ -364,15 +388,18 @@ class RubinContext:
     so the value of unit i in signal j is digit i of j in base |A|; no
     signal tuple is kept.  Built on first use and then kept: z per signal
     id; each signal's selection row at a phi (mappings by rank, one row
-    per design law object, equal rows one tuple); one selection column per
-    (phi, observed mapping), its mass for every signal id as an integer
-    over one scale, one value when flat; the `oar` and 6.x flags per
-    mapping; the theta marginals as integer numerators per signal id over
-    one denominator per theta; the audit's joints.  Nothing is kept per
-    observed value.  A row that raises is not kept and its column entry is
+    per design law object, equal rows one tuple); a `_Mapping` record per
+    observed mapping; the theta marginals as integer numerators per signal
+    id over one denominator per theta; the audit's joints.  A query keys
+    only the drawn values, and a mapping whose columns are all flat
+    answers `mar` and `oar` without them.  Nothing is kept per observed
+    value.  A row that raises is not kept and its column entry is
     `_MARK`; a query that reaches a mark among its own ids builds that row
     again, so it raises what a fresh context raises, in the same order:
-    phi by phi, ids ascending."""
+    phi by phi, ids ascending.  Draws
+    are checked in draw order, each value keyed before its unit is looked
+    up, after z is found to be a function of y; a mapping that cannot be
+    keyed raises where a fresh context keys it."""
 
     def __init__(self, m: SurveyModel):
         self.model = m
@@ -387,10 +414,8 @@ class RubinContext:
         self._law_rows = {}  # id(design law) -> its row
         self._laws = []  # those laws, kept so that no id is reused
         self._mapping_rank = {}  # canonical_key(mapping) -> rank
-        self._columns = {}  # (phi position, canonical_key(mapping)) -> column
-        self._oar = {}  # canonical_key(mapping) -> flag
+        self._mappings = {}  # canonical_key(mapping) -> its `_Mapping`
         self._tables = None
-        self._flags = {}  # canonical_key(mapping) -> its 6.x flags
 
     def _id_of(self, y) -> int:
         return sum(self._rank[canonical_key(v)] * w for v, w in zip(y, self._weights))
@@ -456,132 +481,187 @@ class RubinContext:
             self._at[p] = rows, list({id(r): r for r in rows}.values())
         return self._at[p]
 
-    def _column(self, p, mk) -> tuple:
-        """(scale, entries) of mapping mk at the p-th phi, scale the lcm of its
-        denominators in the distinct rows: one int when flat, else by id."""
-        column = self._columns.get((p, mk))
+    def _mapping(self, mapping) -> _Mapping:
+        """The record of an observed mapping, laid out on its first query.
+        Laying out raises nothing: a unit outside the population raises
+        when its draw is checked, and a mapping that cannot be keyed gets
+        a record of key None, not kept, on which `_keyed` raises."""
+        try:
+            key = canonical_key(mapping)
+        except EngineError:
+            key = None
+        record = self._mappings.get(key)
+        if record is None:
+            labels = self.model.population.labels
+            at = tuple(labels.index(k) if k in labels else None for k in mapping)
+            record = _Mapping(key, at, len(self.phis))
+            if key is not None:
+                self._mappings[key] = record
+        return record
+
+    @staticmethod
+    def _keyed(record, mapping) -> _Mapping:
+        """The record, once its mapping is known to have a key; where a fresh
+        context keys the mapping, one that has none raises."""
+        if record.key is None:
+            canonical_key(mapping)
+        return record
+
+    def _column(self, record, p) -> tuple:
+        """(scale, entries) of the mapping at the p-th phi, scale the lcm of
+        its denominators in the distinct rows: one int when flat, else by id."""
+        column = record.columns[p]
         if column is None:
             rows, distinct = self._rows_at(p)
-            rank = self._mapping_rank.get(mk)  # every row at p is built
+            rank = self._mapping_rank.get(record.key)  # every row at p is built
             masses = {id(r): r[rank] if rank is not None and rank < len(r) else 0 for r in distinct if r is not None}
             scale = lcm(*(s.denominator for s in masses.values()))
             scaled = {k: s.numerator * (scale // s.denominator) for k, s in masses.items()}
             flat = None not in distinct and len(set(scaled.values())) < 2  # id(None) is no row's id
             entries = scaled.popitem()[1] if flat else tuple(scaled.get(id(r), _MARK) for r in rows)
-            column = self._columns[p, mk] = (scale, entries)
+            column = record.columns[p] = (scale, entries)
         return column
 
-    def _entries(self, p, mk, ids) -> tuple:
-        """(scale, [entry at each of `ids`]) of mk's column at the p-th phi;
-        at a mark, the first marked row is built again and raises."""
-        scale, entries = self._column(p, mk)
+    def _entries(self, record, p, ids) -> tuple:
+        """(scale, [entry at each of `ids`]) of the mapping's column at the
+        p-th phi; at a mark, the first marked row is built again and raises."""
+        scale, entries = self._column(record, p)
         got = [entries] * len(ids) if type(entries) is int else list(map(entries.__getitem__, ids))
         if _MARK in got:
             self._build_row(p, ids[got.index(_MARK)])
         return scale, got
 
-    def _agreeing(self, values, mapping):
-        """Ids of the signals that agree with the observed draws, ascending,
-        or None when one unit was drawn with two different values
-        (impossible x).  They follow from the drawn values and the id
-        offsets of the units not drawn, so no other signal is looked at."""
+    def _flat(self, record) -> bool:
+        """Whether the mapping's column is flat at every phi: its mass is then
+        one constant wherever it is looked at."""
+        if record.flat is None:
+            record.flat = all(type(self._column(record, p)[1]) is int for p in range(len(self.phis)))
+        return record.flat
+
+    def _drawn(self, values, mapping, record) -> dict | None:
+        """{unit position: value key} of the observed draws, or None when one
+        unit was drawn with two different values (impossible x); each value
+        is keyed, and its unit looked up, in draw order."""
         self._z_of()  # z must be a function of y before any unit is looked up
         fixed = {}
-        for v, k in zip(values, mapping):
+        for v, i, k in zip(values, record.at, mapping):
             vk = canonical_key(v)
-            if fixed.setdefault(self.model.population.index(k), vk) != vk:
+            if i is None:
+                self.model.population.index(k)  # a unit outside the population raises
+            if fixed.setdefault(i, vk) != vk:
                 return None
-        ranks = [self._rank.get(vk) for vk in fixed.values()]
-        if None in ranks:
-            return []
-        base = sum(r * self._weights[i] for i, r in zip(fixed, ranks))
-        free = [i for i in range(len(self._weights)) if i not in fixed]
-        return [base + o for o in self._offsets(free)]
+        return fixed
 
-    def _constant(self, mk, ids) -> bool:
-        """Whether mapping mk has one mass across the signals `ids` at every
+    def _ids(self, fixed, record, drawn) -> list:
+        """Ids of the signals that agree with the `drawn` draws `fixed` of
+        the mapping, ascending: the drawn values' id plus each id offset of
+        the units not drawn, so no other signal is looked at."""
+        base, rank, weights = 0, self._rank, self._weights
+        for i, vk in fixed.items():
+            r = rank.get(vk)
+            if r is None:  # a value outside the alphabet
+                return []
+            base += r * weights[i]
+        drawn = min(drawn, len(record.at))  # fewer values than units: the rest are free too
+        offsets = record.offsets.get(drawn)
+        if offsets is None:
+            offsets = record.offsets[drawn] = self._offsets([i for i in range(len(weights)) if i not in fixed])
+        return [base + o for o in offsets]
+
+    def _constant(self, record, ids) -> bool:
+        """Whether the mapping has one mass across the signals `ids` at every
         phi; a flat column holds at once."""
-        return all(type(self._column(p, mk)[1]) is int or len(set(self._entries(p, mk, ids)[1])) < 2
+        return all(type(self._column(record, p)[1]) is int or len(set(self._entries(record, p, ids)[1])) < 2
                    for p in range(len(self.phis)))
 
     def mar(self, x) -> bool:
         """Missing at random at the observed (values, mapping): for every
         nuisance point, one selection mass of the observed mapping across
         every signal that agrees with the observed values."""
-        mapping = tuple(x[1])
-        ids = self._agreeing(tuple(x[0]), mapping)
-        return ids is None or self._constant(canonical_key(mapping), ids)
+        mapping, values = tuple(x[1]), tuple(x[0])
+        record = self._mapping(mapping)
+        fixed = self._drawn(values, mapping, record)
+        if fixed is None:
+            return True
+        self._keyed(record, mapping)
+        return self._flat(record) or self._constant(record, self._ids(fixed, record, len(values)))
 
     def oar(self, x) -> bool:
         """Observed at random at the observed mapping: for every nuisance
         point and every value of the units outside the mapping, the
         selection mass of the mapping does not depend on the values of the
         units inside it."""
-        return self._oar_of(tuple(x[1]), canonical_key(tuple(x[1])))
+        mapping = tuple(x[1])
+        return self._oar_of(self._keyed(self._mapping(mapping), mapping), mapping)
 
-    def _oar_of(self, mapping, mk) -> bool:
-        if mk not in self._oar:
-            self._oar[mk] = all(self._constant(mk, ids) for ids in self._groups_of(mapping))
-        return self._oar[mk]
+    def _oar_of(self, record, mapping) -> bool:
+        if record.oar is None:
+            groups = self._groups_of(mapping)
+            record.oar = self._flat(record) or all(self._constant(record, ids) for ids in groups)
+        return record.oar
 
     def possible(self, x) -> bool:
         """Whether x has positive mass at some grid point: a signal of positive
         mass there agrees with x (and its z) and the design draws x's mapping."""
-        ids, zs = set(self._agreeing(tuple(x[0]), tuple(x[1])) or ()), self._z_of()
-        _distinct, _marginals, joints = self._audit_tables()
-        mk = canonical_key(tuple(x[1]))
+        values, mapping = tuple(x[0]), tuple(x[1])
+        record = self._mapping(mapping)
+        fixed = self._drawn(values, mapping, record)
+        ids, zs = set(() if fixed is None else self._ids(fixed, record, len(values))), self._z_of()
+        joints = self._audit_tables()[2]
+        self._keyed(record, mapping)
         return any(j in ids and s > 0 and (len(x) == 2 or canonical_key(zs[j]) == canonical_key(x[2]))
-                   for p, positive, _ws in joints.values() for j, s in zip(positive, self._entries(p, mk, positive)[1]))
+                   for _t, p, positive, _ws in joints for j, s in zip(positive, self._entries(record, p, positive)[1]))
 
-    def _groups_of(self, mapping) -> list:
+    def _groups_of(self, mapping) -> Iterator[list]:
         """Ids of the signals grouped by their values at the units outside
-        `mapping`, in order of their first id: the offsets of the units
-        outside, each plus every offset of the units inside."""
+        `mapping`, one group at a time in order of their first id: the
+        offsets of the units outside, each plus every offset of the units
+        inside.  Nothing is built before the first group is asked for."""
         labels = self.model.population.labels
         outside = [i for i, k in enumerate(labels) if k not in mapping]
         inside = self._offsets([i for i, k in enumerate(labels) if k in mapping])
-        return [[o + i for i in inside] for o in self._offsets(outside)]
+        for o in self._offsets(outside):
+            yield [o + i for i in inside]
 
     def _audit_tables(self) -> tuple:
-        """(distinct flag, {theta: (d, numerator per signal id)}, {grid point:
-        joint}), built on the first call and kept; d is the lcm of the
-        denominators of theta's law, and a joint is (phi position, ids of
-        the signals of positive mass, their numerators), which a mapping's
-        column completes.  The largest support size of the joints is kept
-        too and checked against the cap once per call."""
+        """(distinct flag, [(d, numerator per signal id)] by theta position,
+        [joint] in grid order, [theta positions on the grid] by phi
+        position), built on the first call and kept; d is the lcm of the
+        denominators of theta's law, and a joint is (theta position, phi
+        position, ids of the signals of positive mass, their numerators),
+        which a mapping's column completes.  The largest support size of
+        the joints is kept too and checked against the cap once per call."""
         if self._tables is None:
             m = self.model
             distinct = check_distinct(m.grid) if m.phis else True
-            marginals = {}
+            marginals = []
             for t in m.thetas:
                 d, masses = lcm(*(w.denominator for _yz, w in m.signal_law[t].items)), [0] * self._size
                 for (y, _z), w in m.signal_law[t].items:
                     masses[self._id_of(y)] += w.numerator * (d // w.denominator)
-                marginals[t] = (d, tuple(masses))
-            joints, largest = {}, 0
+                marginals.append((d, tuple(masses)))
+            joints, on_grid, largest = [], [[] for _ in self.phis], 0
             for t, phi in m.grid:
-                p, mg = self.phis.index(phi), marginals[t][1]
+                ti, p = m.thetas.index(t), self.phis.index(phi)
+                mg = marginals[ti][1]
                 ids, rows = [j for j, w in enumerate(mg) if w], self._rows_at(p)[0]
-                joints[t, phi] = (p, ids, [mg[j] for j in ids])
+                joints.append((ti, p, ids, [mg[j] for j in ids]))
+                on_grid[p].append(ti)
                 size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j) for j in ids))
                 check_size(size)
                 largest = max(largest, size)
-            self._tables = (distinct, marginals, joints), largest
+            self._tables = (distinct, marginals, joints, on_grid), largest
         check_size(self._tables[1])
         return self._tables[0]
 
-    def _mapping_flags(self, mapping, mk) -> tuple:
+    def _mapping_flags(self, mapping, record) -> tuple:
         """(6.1 conclusion, 6.2 condition, 6.2 conclusion, 6.3 hypothesis,
         6.3 conclusion) at an observed mapping.  They read the mapping, its
         columns and the kept audit tables only, so they are kept per mapping."""
-        _distinct, marginals, joints = self._tables[0]
-        at = [self.model.population.index(k) for k in mapping]
-        # signal id -> its values along the observed mapping, as digits
-        base, weights = self._base, self._weights
-        seen = {j: tuple(j // weights[i] % base for i in at)
-                for _d, mg in marginals.values() for j, w in enumerate(mg) if w}
-        # the ignoring distribution of each theta (the law of the observed part) over its d
-        ignoring = {t: _tally((seen[j], w) for j, w in enumerate(mg) if w) for t, (_d, mg) in marginals.items()}
+        _distinct, marginals, joints, _on_grid = self._tables[0]
+        if None in record.at:  # a unit outside the population raises here
+            self.model.population.index(mapping[record.at.index(None)])
+        seen = ignoring = None
 
         # 6.3 hypothesis: the missingness mechanism is degenerate (entry e,
         # the column's scale) at the observed mapping for every signal of
@@ -594,11 +674,25 @@ class RubinContext:
         # the finite case.  6.3 conclusion: the unconditional law of the
         # statistic is the ignoring distribution, so the mapping has mass 1
         # and its hits are that law.  The hits (no part outside the law)
-        # and their sum k are numerators over d*e.
+        # and their sum k are numerators over d*e.  At a flat column of
+        # entry s the hits are s times the law: each condition and
+        # conclusion then reads s alone.
         concl_61 = cond_62 = concl_62 = hyp_63 = concl_63 = True
-        for (theta, _phi), (p, ids, ws) in joints.items():
-            e, entries = self._entries(p, mk, ids)
-            d, law = marginals[theta][0], ignoring[theta]
+        for ti, p, ids, ws in joints:
+            e, entry = self._column(record, p)
+            if type(entry) is int:
+                cond_62, concl_62 = cond_62 and entry > 0, concl_62 and entry > 0
+                hyp_63, concl_63 = hyp_63 and entry == e, concl_63 and entry == e
+                continue
+            if seen is None:
+                # signal id -> its values along the observed mapping, as digits
+                base, weights = self._base, self._weights
+                seen = {j: tuple(j // weights[i] % base for i in record.at)
+                        for _d, mg in marginals for j, w in enumerate(mg) if w}
+                # the ignoring distribution of each theta (the law of the observed part) over its d
+                ignoring = [_tally((seen[j], w) for j, w in enumerate(mg) if w) for _d, mg in marginals]
+            entries = self._entries(record, p, ids)[1]
+            d, law = marginals[ti][0], ignoring[ti]
             hyp_63 = hyp_63 and entries.count(e) == len(entries)
             hits = _tally((seen[j], w * s) for j, w, s in zip(ids, ws, entries) if s)
             k, (p0, w0) = sum(hits.values()), next(iter(law.items()))
@@ -609,7 +703,8 @@ class RubinContext:
             elif any(hits.get(part, 0) * d != w * k for part, w in law.items()):
                 concl_61 = concl_62 = False
             concl_63 = concl_63 and all(hits.get(part, 0) == w * e for part, w in law.items())
-        return self._flags.setdefault(mk, (concl_61, cond_62, concl_62, hyp_63, concl_63))
+        record.flags = (concl_61, cond_62, concl_62, hyp_63, concl_63)
+        return record.flags
 
     def audit(self, x) -> RubinAuditReport:
         """Evaluate hypotheses and conclusions of the classical missing-data
@@ -621,50 +716,53 @@ class RubinContext:
         if len(set(mapping)) != len(mapping):
             raise NotRubinShape("the observed mapping repeats a unit")
         # the signals that agree with x, shared by MAR and the likelihoods
-        ids = self._agreeing(values, mapping)
-        mk = canonical_key(mapping)
-        mar = ids is None or self._constant(mk, ids)
-        oar = self._oar_of(mapping, mk)
-        distinct, marginals, joints = self._audit_tables()
-        completions, thetas, phis = ids or [], self.model.thetas, self.phis
-        selection = [self._entries(p, mk, completions)[1] for p in range(len(phis))]
-        concl_61, cond_62, concl_62, hyp_63, concl_63 = self._flags.get(mk) or self._mapping_flags(mapping, mk)
+        record = self._mapping(mapping)
+        fixed = self._drawn(values, mapping, record)
+        ids = None if fixed is None else self._ids(fixed, record, len(values))
+        self._keyed(record, mapping)
+        mar = ids is None or self._flat(record) or self._constant(record, ids)
+        oar = self._oar_of(record, mapping)
+        distinct, marginals, _joints, on_grid = self._audit_tables()
+        completions = ids or []
 
         # Likelihoods for 7.x: marginal of the observed values, and joint mass
         # of (values, mapping), both by exact summation over the signals that
-        # agree with x; one of each per theta and per (theta, phi), as integers
-        # over d_t and d_t times the column's scale at phi; the scales cancel
-        # from every cross product below.
-        agreeing = {t: [marginals[t][1][j] for j in completions] for t in thetas}
-        lik = {t: sum(ns) for t, ns in agreeing.items()}
-        lik_full = {(t, phi): sum(a * b for a, b in zip(agreeing[t], s))
-                    for t in thetas for phi, s in zip(phis, selection)}
-
-        def cross_equal(eligible_phis) -> bool:
-            # symmetric in (t1, t2), so each unordered pair is checked once
-            return all(
-                lik[t1] * lik_full[t2, phi] == lik_full[t1, phi] * lik[t2]
-                for phi in eligible_phis for t1, t2 in itertools.combinations(thetas, 2)
-                if (t1, phi) in joints and (t2, phi) in joints
-            )
-
-        eligible = [phi for phi, s in zip(phis, selection) if ids is not None and all(e > 0 for e in s)]
-        concl_71 = cross_equal(eligible)
-
-        pre_72 = all(lik[t] > 0 for t in thetas)
-        t0 = thetas[0]  # one positive ratio lik_full / lik per phi: each theta's is t0's
-        hyp_72b = pre_72 and all(
-            lik_full[t0, phi] > 0 and all(lik_full[t, phi] * lik[t0] == lik_full[t0, phi] * lik[t] for t in thetas)
-            for phi in phis
-        )
-        concl_72 = cross_equal(phis)
+        # agree with x; one per theta position, and one per theta position at
+        # each phi, as integers over d_t and d_t times the column's scale at
+        # phi; the scales cancel from every cross product below.  At a flat
+        # column each joint mass is the entry times the marginal, so every
+        # cross product holds there and the one ratio is the entry.
+        # Elsewhere a theta of zero likelihood has zero joint mass and passes
+        # against any other, and among the rest equal cross products make
+        # equal ratios, so each grid theta is checked against the first of
+        # positive likelihood.
+        agreeing = [[mg[j] for j in completions] for _d, mg in marginals]
+        lik = [sum(ns) for ns in agreeing]
+        concl_71 = concl_72 = hyp_72b = True
+        for p in range(len(self.phis)):
+            entries = self._column(record, p)[1]
+            if type(entries) is int:
+                hyp_72b = hyp_72b and entries > 0
+                continue
+            s = self._entries(record, p, completions)[1]
+            row = [sum(map(mul, ns, s)) for ns in agreeing]
+            t0 = next((t for t in on_grid[p] if lik[t]), None)
+            proportional = t0 is None or all(lik[t0] * row[t] == row[t0] * lik[t] for t in on_grid[p])
+            concl_72 = concl_72 and proportional
+            if ids is not None and all(e > 0 for e in s):
+                concl_71 = concl_71 and proportional
+            # one positive ratio row / lik: each theta's is the first theta's
+            hyp_72b = hyp_72b and row[0] > 0 and all(f * lik[0] == row[0] * n for f, n in zip(row, lik))
+        concl_61, cond_62, concl_62, hyp_63, concl_63 = record.flags or self._mapping_flags(mapping, record)
+        pre_72 = all(n > 0 for n in lik)
+        hyp_72b = pre_72 and hyp_72b
 
         audits = (
-            TheoremAudit("6.1", mar and oar, concl_61),
-            TheoremAudit("6.2", cond_62, concl_62, notes=(("iff", cond_62 == concl_62),)),
-            TheoremAudit("6.3", hyp_63, concl_63),
-            TheoremAudit("7.1", mar and distinct, concl_71),
-            TheoremAudit("7.2", pre_72 and distinct and hyp_72b, concl_72),
+            _RECORDS["6.1", mar and oar, concl_61],
+            _RECORDS["6.2", cond_62, concl_62],
+            _RECORDS["6.3", hyp_63, concl_63],
+            _RECORDS["7.1", mar and distinct, concl_71],
+            _RECORDS["7.2", pre_72 and distinct and hyp_72b, concl_72],
         )
         return RubinAuditReport(x=x, mar=mar, oar=oar, distinct=distinct, audits=audits)
 

@@ -396,27 +396,35 @@ def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
 
 def joint_masses(m: SurveyModel, points) -> dict:
     """{grid point: (world ids, numerators, denominator)}: the exact joint
-    law of the world under each point, p(y, z) p(r | z), as a reduced
-    integer mass vector (see `reduced`) on the ids of `m.world_space()`.
+    law of the world under each of `points`, grid points of m, p(y, z)
+    p(r | z), as a reduced integer mass vector (see `reduced`) on the ids
+    of `m.world_space()`.  Each point is tested against the grid, after
+    the support cap is read, unless `points` is `m.grid` itself.
 
-    The signal law is scaled over the lcm of its denominators and each
-    design column over its own, so each mass is an integer product.  The
-    law of r given (y, z) is the design kernel at z, so 'selection reads
-    only z' holds for every model built without the z-contains-y opt-in.
-    (y, z) and r come in canonical_key order, so the ids are distinct and
-    ascending."""
+    Each theta's signal law is keyed and scaled over the lcm of its
+    denominators once per call, and each design column over its own, so
+    each mass is an integer product.  The law of r given (y, z) is the
+    design kernel at z, so 'selection reads only z' holds for every model
+    built without the z-contains-y opt-in.  (y, z) and r come in
+    canonical_key order, so the ids are distinct and ascending."""
     mappings = m.axes[1]
     # ranked per call: kept on the model, these keys would live as long as it
     yz_rank, r_rank = ({canonical_key(v): i for i, v in enumerate(vs)} for vs in m.axes)
+    signals = {}  # theta -> ((id of its first world, integer mass, z) per (y, z), denominator)
     columns = {}  # id(design law) -> (that law, ranks of its r, integer masses, denominator)
     out, cap = {}, support_cap()
     for theta, phi in points:
-        m.check_point(theta, phi)
+        if points is not m.grid:  # the grid itself needs no test
+            m.check_point(theta, phi)
         design = m.design_for(phi)
-        law = m.signal_law[theta]
-        signal, signal_denominator = integer_masses(law.weights())
+        signal = signals.get(theta)
+        if signal is None:
+            law = m.signal_law[theta]
+            masses, denominator = integer_masses(law.weights())
+            signal = signals[theta] = ([(yz_rank[canonical_key(yz)] * len(mappings), a, yz[1])
+                                        for (yz, _w), a in zip(law.items, masses)], denominator)
         rows, size = [], 0
-        for ((y, z), _w), a in zip(law.items, signal):
+        for base, a, z in signal[0]:
             delta = design.get(z)
             check_size(size + len(delta.items), "world support", cap)
             size += len(delta.items)
@@ -424,14 +432,14 @@ def joint_masses(m: SurveyModel, points) -> dict:
             if column is None:
                 ranks = [r_rank[canonical_key(r)] for r, _w in delta.items]
                 column = columns[id(delta)] = (delta, ranks, *integer_masses(delta.weights()))
-            rows.append((yz_rank[canonical_key((y, z))] * len(mappings), a, column))
+            rows.append((base, a, column))
         denominator = lcm(*(column[3] for _base, _a, column in rows))
         ids, numerators = [], []
         for base, a, (_delta, ranks, masses, column_denominator) in rows:
             factor = a * (denominator // column_denominator)
             ids.extend([base + j for j in ranks])
             numerators.extend([factor * b for b in masses])
-        out[theta, phi] = reduced(ids, numerators, signal_denominator * denominator)
+        out[theta, phi] = reduced(ids, numerators, signal[1] * denominator)
     return out
 
 

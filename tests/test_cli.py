@@ -213,6 +213,31 @@ class TestCheck:
         assert json.loads(out)["flags"]["oar"] is True
         assert len(set(mappings)) == len(mappings) == (1 if extra else 6)
 
+    @pytest.mark.parametrize("name, flags, constant_calls", [("srs_wor_n3", True, 0), ("select_max", False, 3)])
+    def test_flat_columns_skip_the_constant_test(self, capsys, tmp_path, monkeypatch, name, flags, constant_calls):
+        # srs draws each sample with one mass whatever the values, so every
+        # selection column of srs_wor_n3 is flat and the uniform flags of a
+        # likelihood check (the only Rubin queries `check` makes) read mar
+        # and oar off each mapping with no `_constant` test; select_max,
+        # observed with its mapping, keeps by the values and is tested
+        from ignorability_lab.inference import RubinContext
+
+        calls = []
+        real = RubinContext._constant
+
+        def counting(self, record, ids):
+            calls.append(ids)
+            return real(self, record, ids)
+
+        monkeypatch.setattr(RubinContext, "_constant", counting)
+        path = tmp_path / f"{name}.model"
+        path.write_text(CATALOG[name].replace("scheme = values_only", "scheme = values_and_mapping"))
+        code, out, _ = run(capsys, ["check", str(path), "--json"])
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["flags"]["mar"], payload["flags"]["oar"]) == (flags, flags)
+        assert len(calls) == constant_calls
+
     def test_target_values_computed_once(self, capsys, models, monkeypatch):
         # an all-observation Bayes check evaluates the marginal target once
         # per point of each family, not once per observation

@@ -781,6 +781,37 @@ class TestSharedRubinContext:
                 raised = isinstance(_answer(lambda: rubin.mar((values, r))), tuple)
                 assert raised == any(y not in positive for y in agreeing), (values, r)
 
+    @pytest.mark.parametrize("x, want", [
+        # each value is keyed before its unit is looked up
+        (((F(1, 2), 0), (1, 7)), {"mar": "unit label 7", "oar": True, "possible": "unit label 7", "audit": "unit label 7"}),
+        (((0.5, 0), (1, 7)), {"mar": "0.5", "oar": True, "possible": "0.5", "audit": "0.5"}),
+        (((0, 1), (1, 1)), {"mar": True, "oar": True, "possible": False, "audit": "repeats"}),
+        (((2,), (1,)), {"mar": True, "oar": False, "possible": False}),
+        # a float unit equal to a label is found, then the mapping has no key
+        (((0,), (1.0,)), {"mar": "1.0", "oar": "1.0", "possible": "1.0", "audit": "1.0"}),
+        # the unit with no value is free: (0, 0) and (0, 1) agree
+        (((0,), (1, 2)), {"mar": False, "oar": False, "possible": True}),
+        # an unknown unit with no value is not looked up until the 6.x flags
+        (((0,), (1, 7)), {"mar": True, "oar": True, "possible": False, "audit": "unit label 7"}),
+    ], ids=["fraction-value-unknown-unit", "float-value-unknown-unit", "unit-drawn-twice",
+            "value-outside-alphabet", "float-unit", "fewer-values-than-units", "unknown-unit-without-value"])
+    def test_malformed_observations_answer_as_a_fresh_context(self, x, want):
+        # each query at x on a context that already answered x's mapping
+        # (every query at in-alphabet values) is a fresh context's answer:
+        # the result, or the error's type and message
+        m = rubin_model({"u": uniform_subsets, "k": first_unit_or_both, "d": drop_by_second})
+        kinds = ("mar", "oar", "possible", "audit")
+        used = RubinContext(m)
+        for kind in kinds:
+            _answer(lambda: getattr(used, kind)((tuple(0 for _ in x[1]), x[1])))
+        for kind in kinds:
+            fresh = _answer(lambda: getattr(RubinContext(m), kind)(x))
+            assert _answer(lambda: getattr(used, kind)(x)) == fresh, kind
+            if isinstance(want.get(kind), str):
+                assert isinstance(fresh, tuple) and want[kind] in fresh[1], kind
+            elif kind in want:
+                assert fresh is want[kind], kind
+
     def test_kept_tables_still_check_the_support_cap(self, monkeypatch):
         # the second audit of a mapping reads only kept tables and flags;
         # a cap lowered in between still stops it

@@ -160,6 +160,17 @@ class TestBuildJoint:
         with pytest.raises(GridMiss):
             build_joint(m, F(1, 3))
 
+    def test_malformed_cap_reported_before_grid_miss(self, monkeypatch):
+        # the cap is read once per call, before the first point is tested
+        m = iid_model(U2, F(1, 2), srs_wor(1, U2))
+        with pytest.raises(GridMiss, match=r"grid point \(Fraction\(1, 3\), None\) not in model grid"):
+            sampling.joint_masses(m, [(F(1, 2), None), (F(1, 3), None)])
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "abc")
+        for build in (lambda: build_joint(m, F(1, 3)), lambda: sampling.joint_masses(m, [(F(1, 3), None)])):
+            with pytest.raises(EngineError, match="IGNORABILITY_LAB_MAX_SUPPORT must be an integer") as caught:
+                build()
+            assert not isinstance(caught.value, GridMiss)
+
     def test_conditional_selection_law_reads_only_z(self):
         # two z values route to different designs; conditioning the joint
         # on (y, z) must return the kernel at z for every y
