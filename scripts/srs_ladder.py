@@ -8,7 +8,8 @@ and `n = n`, for the six rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3),
 `check <rung> --inference likelihood --json` on each in a fresh process,
 and then `check <rung> --inference bayes --json` (every observation, 960
 at N=6 n=3) on N=6 n=3.  It prints the wall time, the exit code and a
-SHA-256 of stdout of each row, and `ok` when the digest is the one recorded
+SHA-256 of stdout of each row, with the child's peak resident set size
+(`max_rss_mb`, from `os.wait4`), and `ok` when the digest is the one recorded
 in DIGESTS or `DIFFERS` when it is not; it exits 1 when a row differs,
 fails or prints different bytes on a repeat.  The last two likelihood rows
 take most of the time (86,016 worlds at N=8 n=3).
@@ -65,16 +66,20 @@ def rung_text(N: int, n: int) -> str:
 
 
 def run_check(path: str, inference: str) -> tuple:
-    """(wall seconds, exit code, SHA-256 of stdout) of one fresh check."""
+    """(wall seconds, exit code, SHA-256 of stdout, peak RSS in MB) of one
+    fresh check; the peak is the child's own, read from `os.wait4`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ignorability_lab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     argv = [sys.executable, "-m", "ignorability_lab.cli", "check", path,
             "--inference", inference, "--json"]
     start = time.perf_counter()
-    done = subprocess.run(argv, stdout=subprocess.PIPE, env=env)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env) as child:
+        out = child.stdout.read()
+        _pid, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
     wall = time.perf_counter() - start
-    return wall, done.returncode, hashlib.sha256(done.stdout).hexdigest()
+    return wall, child.returncode, hashlib.sha256(out).hexdigest(), usage.ru_maxrss / 1024
 
 
 def main(argv=None) -> int:
@@ -89,14 +94,15 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(rung_text(N, n))
             runs = [run_check(path, inference) for _ in range(max(args.repeat, 1))]
-            walls = ", ".join(f"{wall:.2f}" for wall, _code, _digest in runs)
-            codes = sorted({code for _wall, code, _digest in runs})
-            digests = sorted({digest for _wall, _code, digest in runs})
+            walls = ", ".join(f"{wall:.2f}" for wall, _code, _digest, _rss in runs)
+            peaks = ", ".join(f"{rss:.0f}" for _wall, _code, _digest, rss in runs)
+            codes = sorted({code for _wall, code, _digest, _rss in runs})
+            digests = sorted({digest for _wall, _code, digest, _rss in runs})
             verdict = "ok" if digests == [DIGESTS[N, n, inference]] else "DIFFERS"
             failed = failed or codes != [0] or verdict != "ok"
             digest = digests[0] if len(digests) == 1 else "differs between runs"
             code = ",".join(str(c) for c in codes)
-            print(f"N={N} n={n} {inference}  wall_s {walls}  exit {code}  sha256 {digest}  {verdict}", flush=True)
+            print(f"N={N} n={n} {inference}  wall_s {walls}  max_rss_mb {peaks}  exit {code}  sha256 {digest}  {verdict}", flush=True)
     return 1 if failed else 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -205,7 +205,8 @@ class SplitIndex:
     position there.  v- and v_bar-codes follow the canonical_key order of
     the values, so `v_bar_values` is the sorted image of v_bar.  The
     compatibility set of v_bar-code c is the worlds whose v-codes are in
-    `compatible[c]`, and `world_of` inverts w -> (v-code, v_bar-code).
+    `compatible[c]`, and `worlds_of[c]` lists the worlds of v_bar-code c
+    as their ids, ascending, and their v-codes.
     """
 
     worlds: tuple  # world id -> world
@@ -214,7 +215,7 @@ class SplitIndex:
     v_bar_values: tuple  # v_bar-code -> nuisance value
     v_bar_codes: dict  # canonical_key(nuisance value) -> v_bar-code
     compatible: tuple  # v_bar-code -> ascending v-codes
-    world_of: dict  # (v-code, v_bar-code) -> world id
+    worlds_of: tuple  # v_bar-code -> (ascending world ids, their v-codes)
 
     @staticmethod
     def build(worlds: tuple, v, v_bar, axes: tuple | None = None) -> "SplitIndex":
@@ -223,20 +224,17 @@ class SplitIndex:
         sorted, numbered by `axes` when given."""
         v_code = _numbered(worlds, v, axes)[0]
         v_bar_code, v_bar_values, v_bar_keys = _code(worlds, v_bar, axes)
-        pairs = tuple(zip(v_code, v_bar_code))
-        # the lowest id of each pair: the later, lower ids overwrite
-        world_of = dict(zip(reversed(pairs), range(len(pairs) - 1, -1, -1)))
-        compatible = [set() for _ in v_bar_values]
-        for a, b in world_of:
-            compatible[b].add(a)
+        order = sorted(range(len(worlds)), key=v_bar_code.__getitem__)  # stable: ids ascend per code
+        runs = (tuple(run) for _b, run in groupby(order, v_bar_code.__getitem__))
+        worlds_of = tuple((ids, tuple(map(v_code.__getitem__, ids))) for ids in runs)
         return SplitIndex(
             worlds=worlds,
             v_code=v_code,
             v_bar_code=v_bar_code,
             v_bar_values=v_bar_values,
             v_bar_codes={k: c for c, k in enumerate(v_bar_keys)},
-            compatible=tuple(tuple(sorted(codes)) for codes in compatible),
-            world_of=world_of,
+            compatible=tuple(tuple(sorted(set(codes))) for _ids, codes in worlds_of),
+            worlds_of=worlds_of,
         )
 
     def ids_of(self, law: FiniteDist) -> tuple:
@@ -366,17 +364,22 @@ def _atrandomize_ids(parts: list, split: ProcessSplit, nuisance: tuple) -> tuple
 
     For each nuisance code b the law is conditioned on Phi(b): the mass of
     each v-code a there, times the weight of b, goes to the world (a, b),
-    which no other b reaches.  The Dirac-fixed law at b is the restriction
-    to Phi(b) over its total."""
+    which no other b reaches.  The Dirac-fixed law at b, `((b,), (1,), 1)`,
+    is the restriction to Phi(b) over its total."""
     index, (codes, weights, weights_denominator) = split.index, nuisance
     for b in codes:
         if not parts[b][1]:
             raise ZeroMassPhiSet(f"compatibility set of {split.v_bar.name}={index.v_bar_values[b]!r} has zero mass")
     check_size(sum(len(parts[b][1]) for b in codes))
     denominator = lcm(*(parts[b][0] for b in codes))
-    masses = sorted((index.world_of[a, b], weight * (denominator // parts[b][0]) * n)
-                    for b, weight in zip(codes, weights) for a, n in parts[b][1].items())
-    return reduced([i for i, _n in masses], [n for _i, n in masses], weights_denominator * denominator)
+    masses = []
+    for b, weight in zip(codes, weights):
+        total, kept = parts[b]
+        scale = weight * (denominator // total)
+        masses.extend((i, scale * kept[a]) for i, a in zip(*index.worlds_of[b]) if a in kept)
+    if len(codes) > 1:  # the worlds of one code are already in id order
+        masses.sort()
+    return reduced(*zip(*masses), weights_denominator * denominator)
 
 
 DIRAC_FIX = "dirac_fix"
@@ -534,7 +537,7 @@ def make_split(
     pairs, and a distinct one when the pairs also fill the product of the
     two images."""
     index = SplitIndex.build(family.worlds, v, v_bar, family.axes)
-    pairs = len(index.world_of)
+    pairs = sum(map(len, index.compatible))  # distinct (v, v_bar) pairs
     if pairs < len(index.worlds):
         status = NOT_COMPLEMENT
     elif pairs == len(set(index.v_code)) * len(index.v_bar_values):
@@ -568,28 +571,22 @@ def ignore_model(
                                  f"of {split.v_bar.name}={index.v_bar_values[empty]!r}")
 
     # the grid of the ignored family is the set of (original point,
-    # nuisance index) pairs; a nuisance law is integer weights on v_bar-codes
+    # nuisance index) pairs; `laws` gives each point its (nuisance index,
+    # nuisance law) pairs, a nuisance law being integer weights on v_bar-codes
     if policy.kind == DIRAC_FIX:
-        # the law fixed at b is Phi(b)'s reduced restriction, put on the
-        # ascending ids of the worlds (a, b)
-        ascending = [[] for _b in index.v_bar_values]  # b -> [(world id, v-code)]
-        for i, (a, b) in enumerate(zip(index.v_code, index.v_bar_code)):
-            ascending[b].append((i, a))
-        masses = {}
-        for p, restrictions in parts.items():
-            for b, (total, kept) in enumerate(restrictions):
-                pairs = ((i, kept[a]) for i, a in ascending[b] if a in kept)
-                masses[p, index.v_bar_values[b]] = (*zip(*pairs), total)
+        fixed = [(value, ((b,), (1,), 1)) for b, value in enumerate(index.v_bar_values)]
+        laws = (fixed for _p in parts)
     elif policy.kind == SINGLE_ARBITRARY:
         k = len(index.v_bar_values)
         law = (range(k), (1,) * k, k) if policy.dist is None else _nuisance_law(policy.dist, split)
-        masses = {(p, "arbitrary"): _atrandomize_ids(restrictions, split, law) for p, restrictions in parts.items()}
+        laws = ([("arbitrary", law)] for _p in parts)
     else:
         # each law re-randomized against its own nuisance marginal; under a
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
-        masses = {(p, p): _atrandomize_ids(restrictions, split, _marginal(family.masses[p], index.v_bar_code))
-                  for p, restrictions in parts.items()}
+        laws = ([(p, _marginal(family.masses[p], index.v_bar_code))] for p in parts)
+    masses = {(p, label): _atrandomize_ids(restrictions, split, law)
+              for (p, restrictions), pairs in zip(parts.items(), laws) for label, law in pairs}
     obs_fns = {q: family.obs_fns[q[0]] for q in masses}
     return Family(list(masses), None, obs_fns, numbering=(family.worlds, masses, family._coded, family.axes))
 

@@ -783,22 +783,9 @@ def prepare_rubin(m: SurveyModel, scheme: ObservationScheme) -> RubinContext:
     return context
 
 
-def check_mar(
-    m: SurveyModel,
-    x,
-    scheme: ObservationScheme | None = None,
-    variant: str = "local",
-) -> bool:
-    """Missing at random at x; the uniform variant requires the local
-    condition at every positive-mass observation."""
-    if variant not in ("local", "uniform"):
-        raise EngineError(f"unknown MAR variant {variant!r}; expected 'local' or 'uniform'")
-    scheme = scheme or values_and_mapping()
-    if variant == "local":
-        return prepare_rubin(m, scheme).mar(x)
-    observations = Family.from_survey_model(m, scheme).observation_support()
-    rubin = prepare_rubin(m, scheme)
-    return all(rubin.mar(o) for o in observations)
+def check_mar(m: SurveyModel, x, scheme: ObservationScheme | None = None) -> bool:
+    """Missing at random (local) at x."""
+    return prepare_rubin(m, scheme or values_and_mapping()).mar(x)
 
 
 def check_oar(m: SurveyModel, x, scheme: ObservationScheme | None = None) -> bool:

@@ -109,7 +109,7 @@ def check_declared_equals_plain(m, scheme, policy):
         assert index.worlds is ref.worlds
         assert (index.v_code, index.v_bar_code, index.compatible) == (ref.v_code, ref.v_bar_code, ref.compatible)
         assert repr(index.v_bar_values) == repr(ref.v_bar_values)
-        assert index.v_bar_codes == ref.v_bar_codes and index.world_of == ref.world_of
+        assert index.v_bar_codes == ref.v_bar_codes and index.worlds_of == ref.worlds_of
         if not split.is_complement():
             continue
         ignored = outcome(lambda: ignore_model(fam, split, policy()))

@@ -441,7 +441,7 @@ def canonical_key_of(dist):
     return canonical_key(dist)
 
 
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 
@@ -560,6 +560,45 @@ class TestIgnoreProperties:
         ignored = ignore_model(fam, make_split(fam, first, second), marginal_family())
         for p in fam.points:
             assert ignored.masses[(p, p)] == fam.masses[p]
+
+
+@st.composite
+def split_supports(draw):
+    """A support of (a, b, c) triples to split by (a, b): 2-9 distinct
+    pairs with c = 0, and up to two of them again with c = 1, which makes
+    two worlds share a pair."""
+    pairs = draw(pair_supports)
+    doubled = draw(st.sets(st.sampled_from(pairs), max_size=2))
+    return sorted([(a, b, 0) for a, b in pairs] + [(a, b, 1) for a, b in doubled])
+
+
+class TestSplitLayout:
+    """`make_split`'s status and the split's per-nuisance layout against
+    their definitions."""
+
+    @given(split_supports())
+    @example([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)])  # a distinct complement
+    @example([(0, 0, 0), (0, 1, 0), (1, 0, 0)])  # a plain complement
+    @example([(0, 0, 0), (0, 0, 1), (1, 1, 0)])  # two worlds share a pair
+    def test_status_and_worlds_of_are_their_definitions(self, support):
+        split = split_on(support, first, second)
+        pairs = {(a, b) for a, b, _c in support}
+        if len(pairs) < len(support):
+            status = NOT_COMPLEMENT
+        elif len(pairs) == len({a for a, _b in pairs}) * len({b for _a, b in pairs}):
+            status = DISTINCT_COMPLEMENT
+        else:
+            status = COMPLEMENT
+        assert split.status == status
+        # worlds of nuisance value b: their ids ascending, with the rank of
+        # each one's first value among the distinct first values
+        index, firsts = split.index, sorted({a for a, _b, _c in support})
+        assert index.worlds == tuple(support)
+        assert index.v_bar_values == tuple(sorted({b for _a, b, _c in support}))
+        for code, b in enumerate(index.v_bar_values):
+            ids = tuple(i for i, w in enumerate(support) if w[1] == b)
+            assert index.worlds_of[code] == (ids, tuple(firsts.index(support[i][0]) for i in ids))
+        assert len(index.worlds_of) == len(index.v_bar_values)
 
 
 class TestCompatibilityPass:

@@ -16,6 +16,7 @@ from test_axes import grids, survey_models
 
 import reference
 from reference import dist_eq, first_of_each_key, rubin_audit
+from ignorability_lab.cli import _rubin_flags
 from ignorability_lab.exactprob import (
     EngineError,
     Kernel,
@@ -205,11 +206,18 @@ class TestLikelihood:
         assert table[(F(1, 3), F(1, 3))] == F(1, 18)
 
 
+def uniform_mar(m, scheme):
+    """The uniform MAR flag as `check` reports it: local MAR at every
+    positive-mass observation."""
+    observations = Family.from_survey_model(m, scheme).observation_support()
+    return dict(_rubin_flags(prepare_rubin(m, scheme), observations, "uniform"))["mar"]
+
+
 class TestCheckMar:
     def test_y_free_kernel_always_mar(self):
         m = srs_model(U2, 1)
         assert check_mar(m, ((1,), (2,)), values_and_mapping())
-        assert check_mar(m, None, values_and_mapping(), variant="uniform")
+        assert uniform_mar(m, values_and_mapping())
 
     def test_select_max_observed_top_value(self):
         m = select_max_model(values=(1, 2))
@@ -223,13 +231,7 @@ class TestCheckMar:
 
     def test_uniform_variant_catches_bad_x(self):
         m = select_max_model(values=(1, 2))
-        assert not check_mar(m, None, values_and_mapping(), variant="uniform")
-
-    @pytest.mark.parametrize("variant", ["Uniform", "global", ""])
-    def test_unknown_variant_is_refused(self, variant):
-        m = select_max_model(values=(1, 2))
-        with pytest.raises(EngineError, match=f"unknown MAR variant '{variant}'"):
-            check_mar(m, ((1,), (1,)), values_and_mapping(), variant=variant)
+        assert not uniform_mar(m, values_and_mapping())
 
 
 class TestCheckOar:
