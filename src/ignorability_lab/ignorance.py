@@ -237,17 +237,18 @@ class SplitIndex:
             worlds_of=worlds_of,
         )
 
+    @cached_property
+    def _ids(self) -> dict:  # {canonical_key(world): id}, built on first use
+        return {canonical_key(w): i for i, w in enumerate(self.worlds)}
+
     def ids_of(self, law: FiniteDist) -> tuple:
         """The id of each atom of a law; an atom off the worlds would lose
         its mass, so it raises."""
-        ids = {canonical_key(w): i for i, w in enumerate(self.worlds)}
-        out = []
-        for w, _m in law.items:
-            i = ids.get(canonical_key(w))
-            if i is None:
-                raise WorldNotInSupport(f"law puts mass on {w!r}, which is not a world of the split's support")
-            out.append(i)
-        return tuple(out)
+        ids = tuple(self._ids.get(canonical_key(w)) for w, _m in law.items)
+        if None in ids:
+            w = law.items[ids.index(None)][0]
+            raise WorldNotInSupport(f"law puts mass on {w!r}, which is not a world of the split's support")
+        return ids
 
 
 @dataclass(frozen=True)
@@ -480,11 +481,11 @@ class Family:
     @cached_property
     def _interned(self) -> tuple:
         """(observations, {key: code}, {point: (denominator, {code: integer
-        mass})}): every observation of positive mass numbered once, in
-        canonical_key order, each key's value that of the first point with
-        mass on it, and each point's table summed by per-world codes over its
-        law's denominator; built on first use.  Keys are merged once per
-        observation function, and tables are re-coded through a map."""
+        mass})}, {point: {per-world code: code}}): every observation of
+        positive mass numbered once, in canonical_key order, each key's value
+        that of the first point with mass on it, and each point's table summed
+        by per-world codes over its law's denominator, then re-coded through
+        its map; built on first use, keys merged once per observation function."""
         codings = [self.coded(self.obs_fns[p]) for p in self.masses]
         vectors = list(self.masses.values())
         sums = [_integer_sums(vector, coding[0]) for vector, coding in zip(vectors, codings)]
@@ -501,7 +502,8 @@ class Family:
                   for p, vector, coding, s in zip(self.masses, vectors, codings, sums)}
         kept = [found[j] for j in firsts]  # the first (coding, code) of each merged code
         return (tuple(coding[1][c] for coding, c in kept),
-                {coding[2][c]: code for code, (coding, c) in enumerate(kept)}, tables)
+                {coding[2][c]: code for code, (coding, c) in enumerate(kept)}, tables,
+                {p: recode[id(coding)] for p, coding in zip(self.masses, codings)})
 
     def observation_support(self) -> tuple:
         """Every observation with positive mass at some point, in
@@ -521,6 +523,15 @@ class Family:
         """(denominator, {code: integer mass}): the observation distribution
         at one point, each code's mass over the denominator."""
         return self._interned[2][point]
+
+    def joint_sums(self, code: tuple) -> dict:
+        """{point: (denominator, {(observation code, code): integer mass})}:
+        each point's observation table split by a per-world `code`."""
+        pairs = {}  # per observation coding: each world's (observation code, code)
+        for p, recode in self._interned[3].items():
+            if id(recode) not in pairs:
+                pairs[id(recode)] = tuple(zip(map(recode.get, self.coded(self.obs_fns[p])[0]), code))
+        return {p: (v[2], _integer_sums(v, pairs[id(self._interned[3][p])])) for p, v in self.masses.items()}
 
 
 def make_split(

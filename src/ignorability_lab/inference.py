@@ -32,7 +32,6 @@ from .exactprob import (
     FiniteDist,
     canonical_key,
     check_size,
-    condition,
     dist_new,
     numbering,
     sorted_distinct,
@@ -242,44 +241,45 @@ def sampling_dist_equivalent(original: Family, ignored: Family, estimator, targe
     return EquivalenceResult(all(w.equal for w in witnesses), None, tuple(witnesses))
 
 
-def _columns(family: Family, prior: FiniteDist) -> dict:
-    """{observation code: [(point, weight)]}: the family's observation
-    tables turned into columns under one prior, in prior order, each weight
-    the prior mass of a point times its likelihood of the observation in
-    integers over one denominator; a column's sum is the evidence."""
-    sums = [(p, q, *family.observation_sums(p)) for p, q in prior.items]
-    denominator = lcm(*(q.denominator * d for _p, q, d, _s in sums))
+def _target_columns(families, priors, target) -> tuple:
+    """(target values, per family its `_columns` under each prior): a point
+    target's code is its value's rank (see `_ranked`), a predictand's its
+    value's code per world, shared by both families (see `Family.coded`)."""
+    if isinstance(target, Predictand):
+        if families[0].worlds is not families[1].worlds:
+            raise EngineError("a predictand compares families on one numbering, as ignore_model builds")
+        code, reprs, _keys = families[0].coded(target.fn)
+        tables = [f.joint_sums(code) for f in families]
+    else:
+        reprs, ranks = _ranked(*families, target)
+        tables = [{p: (d, {(c, rank[p]): n for c, n in sums.items()})
+                   for p in f.points for d, sums in [f.observation_sums(p)]} for f, rank in zip(families, ranks)]
+    return reprs, [[_columns(table, q) for q in qs] for table, qs in zip(tables, priors)]
+
+
+def _columns(tables: dict, prior: FiniteDist) -> dict:
+    """{observation code: [(target code, weight)]}: per-point tables
+    {point: (denominator, {(observation code, target code): integer mass})}
+    under one prior, in prior order, each weight a point's prior mass times
+    its mass in integers over one denominator; a column's sum is the evidence."""
+    denominator = lcm(*(q.denominator * tables[p][0] for p, q in prior.items))
     columns = {}
-    for p, q, d, table in sums:
+    for p, q in prior.items:
+        d, table = tables[p]
         factor = q.numerator * (denominator // (q.denominator * d))
-        for code, n in table.items():
-            columns.setdefault(code, []).append((p, factor * n))
+        for (code, t), n in table.items():
+            columns.setdefault(code, []).append((t, factor * n))
     return columns
 
 
-def _posterior_sets(families, columns, target, x, codes, ranks) -> list:
-    """[{key: law}] of the original and the ignored family at the
-    observation x of `codes` (its code in each family, or None): the
-    posterior target law under each prior with positive evidence, keyed so
-    that equal laws have equal keys.  A predictand's law (`ranks` None,
-    `target` the predictand) mixes each point's law conditioned on x; any
-    other is the reduced integer mass vector of the posterior on the value
-    `ranks` of the points.
-    Raises ZeroEvidence when no original prior has positive evidence."""
+def _posterior_sets(columns, codes) -> list:
+    """[{vector}] per family at the observation of `codes` (its code in each
+    family, or None): the reduced integer mass vector on target codes of the
+    posterior under each prior with positive evidence.  Raises ZeroEvidence
+    when no original prior has any."""
     out = []
-    for family, by_prior, code, rank in zip(families, columns, codes, ranks or (None, None)):
-        found = {}
-        for column in (by_code[code] for by_code in by_prior if code in by_code):
-            if rank is None:
-                pairs, xk, total = [], canonical_key(x), sum(w for _p, w in column)
-                for p, w in column:
-                    law = condition(family.laws[p], lambda wd, fn=family.obs_fns[p]: canonical_key(fn(wd)) == xk)
-                    pairs.extend((target.fn(wd), Fraction(w, total) * m) for wd, m in law.items)
-                law = dist_new(pairs)
-                key = canonical_key(law)
-            else:
-                law = key = summed(((rank[p], w) for p, w in column), sum(w for _p, w in column))
-            found.setdefault(key, law)
+    for by_prior, code in zip(columns, codes):
+        found = {summed(column, sum(w for _t, w in column)) for column in (c[code] for c in by_prior if code in c)}
         if not found and not out:
             raise ZeroEvidence("observation has zero mass under every prior")
         out.append(found)
@@ -287,29 +287,21 @@ def _posterior_sets(families, columns, target, x, codes, ranks) -> list:
 
 
 def posterior_equivalent(original: Family, ignored: Family, priors, priors_star, target, x) -> EquivalenceResult:
-    """Set equality of posterior target distributions across the prior sets.
-
-    Priors with zero evidence at x admit no posterior and are excluded; if
-    every original-side prior has zero evidence the inference is impossible
-    and ZeroEvidence is raised.  Each family's posteriors are read from its
-    columns per prior (see `_columns`).  A predictand, a function of the
-    world, is its own counterpart.
-    """
+    """Set equality of posterior target distributions across the prior sets,
+    read from each family's columns per prior (see `_target_columns`):
+    priors with zero evidence at x are excluded, and ZeroEvidence is raised
+    when every original-side prior has zero evidence."""
     families = (original, ignored)
-    reprs, ranks = (None, None) if isinstance(target, Predictand) else _ranked(original, ignored, target)
-    columns = [[_columns(f, q) for q in qs] for f, qs in zip(families, (priors, priors_star))]
-    found = _posterior_sets(families, columns, target, x, [f.observation_code(x) for f in families], ranks)
-    sets = [tuple(sorted((d if ranks is None else vector_law(reprs, d) for d in side.values()),
-                         key=canonical_key)) for side in found]
-    equal = found[0].keys() == found[1].keys()
+    reprs, columns = _target_columns(families, (priors, priors_star), target)
+    found = _posterior_sets(columns, [f.observation_code(x) for f in families])
+    sets = [tuple(sorted((vector_law(reprs, d) for d in side), key=canonical_key)) for side in found]
+    equal = found[0] == found[1]
     detail = (("observation", x), ("original", sets[0]), ("ignored", sets[1]))
     return EquivalenceResult(equal, None, (Witness("posterior_sets", equal, detail),))
 
 
-
 def check_distinct(grid) -> bool:
     """Variation independence of the two parameter coordinates on the grid."""
-    grid = tuple(grid)
     return variation_independent(lambda g: g[0], lambda g: g[1], grid)
 
 
@@ -873,15 +865,12 @@ class PreparedCheck:
     def posterior_verdicts(self) -> list:
         """Whether the posterior sets under the default priors are equal at
         each observation of the original family, in code order: the Bayes
-        test at every observation in one pass over the columns (see
-        `_columns`), with no witness built."""
-        families, target = (self.family, self.ignored), self.target
-        ranks = None if isinstance(target, Predictand) else _ranked(*families, target)[1]
-        columns = [[_columns(f, q) for q in qs] for f, qs in zip(families, self.default_priors)]
-        xs, codes_b = self.family.observation_support(), self.ignored.observation_codes()
-        found = (_posterior_sets(families, columns, target, xs[c], (c, codes_b.get(k)), ranks)
-                 for k, c in self.family.observation_codes().items())
-        return [a.keys() == b.keys() for a, b in found]
+        test at every observation in one pass over the columns, with no
+        witness built."""
+        _reprs, columns = _target_columns((self.family, self.ignored), self.default_priors, self.target)
+        codes_b = self.ignored.observation_codes()
+        found = (_posterior_sets(columns, (c, codes_b.get(k))) for k, c in self.family.observation_codes().items())
+        return [a == b for a, b in found]
 
     def _priors(self, priors, nuisance_priors) -> tuple:
         priors = list(priors) if priors else [uniform(self.family.points)]

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, command wiring."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -55,6 +56,57 @@ def count_rubin(monkeypatch):
 
     monkeypatch.setattr(cli, "prepare_rubin", counting)
     return contexts, mar_queries
+
+
+def population_mean_text(name: str) -> str:
+    """A catalog model's text with its target, where it has one (the last
+    section), replaced by `population_mean`; `srs_N5_n2` is `srs_wor_n3`
+    with five units."""
+    if name == "srs_N5_n2":
+        return population_mean_text("srs_wor_n3").replace("units = 1 2 3\n", "units = 1 2 3 4 5\n")
+    return CATALOG[name].partition("[target]")[0] + "[target]\nkind = population_mean\n"
+
+
+# SHA-256 of `check --inference bayes --policy <policy> --json` stdout on
+# every catalog model with a population_mean target, and on the SRS rung
+# N=5 n=2: (model, policy) -> digest.  select_max, and bernoulli_mixture
+# under dirac and arbitrary, are informative
+POPULATION_MEAN_DIGESTS = {
+    ("srs_wor_minimal", "dirac"): "2a892ba4f849c3c977a52ed17d5fc3752a7d41247c717a409d62dbb5cbea42d1",
+    ("srs_wor_minimal", "marginal"): "63eb7cb188a2d8d901df9ab6b68046651742e565e4ef36ada769f8e20a5b7d63",
+    ("srs_wor_minimal", "arbitrary"): "8e93c766ab247d117fd2fa60c975faabbebfa0d73a7498588c5d03be64d5511b",
+    ("srs_wor_n3", "dirac"): "a270e35010b0a9f75bbd76dc0c27cfabf4569cfabf35b9e413218555e07348c8",
+    ("srs_wor_n3", "marginal"): "9ac3aaa8b72a9cbfcbecbbf9cc5108d433e7f52da7da371da2884669e4ee5f4b",
+    ("srs_wor_n3", "arbitrary"): "bb50e9cf1e8c968d2d828ea075ba8a32fefdd5caa2a4f7ff6c8dda6533ad7a46",
+    ("srs_wr_duplicates", "dirac"): "41e7d84f12f098458700ffb7f7ff5f2cefe01dc602392b172971ca0601c821e2",
+    ("srs_wr_duplicates", "marginal"): "384d10ce06a93c71580be023a47c57c59495087dedd62ece622a5d256bc1ebd4",
+    ("srs_wr_duplicates", "arbitrary"): "ab1b07dfe937cbbd465e43e1d0042dff16c116e9a8911858800bea762fa003e8",
+    ("select_max", "dirac"): "0d5ffa387c0c2e5e1ca7836e055d68fc6d09f6a3253a5098028bb72f1edceca3",
+    ("select_max", "marginal"): "4037344106dca034285a0708f43077851864614cc9f703aacfac4bd74930504f",
+    ("select_max", "arbitrary"): "1b397184c4999b8b3f028c4df47f41cb79d682e1f9df50d72189562b33cf6fff",
+    ("bernoulli_mixture", "dirac"): "10e1b5967421118c1400dd5e678523381640612fe3823b50f846b1f49ef8c426",
+    ("bernoulli_mixture", "marginal"): "64d5451211cdd1b7b237e54b885f1071ddbfcd6c893efc3d4705caa63cd8cb4f",
+    ("bernoulli_mixture", "arbitrary"): "8e8a388af3422cee843e3bce50e77228572ce2be5952f737589e9f231a75fb75",
+    ("stratified", "dirac"): "666a47efb601afb095ec9c7c898b673961b5805b47a73ba9a2b088feff0dc857",
+    ("stratified", "marginal"): "5a44d6a644ad532aa361b0271b7e11342ca429b9909b56031b06199df230c177",
+    ("stratified", "arbitrary"): "5b2e44d14340d96ef4a8d74fcb55975fe043be1b0f065c807d960b79102d049a",
+    ("poisson", "dirac"): "66dcad39cf2a4a4f23de6505cb5b4a1bfa90347125b54c62176d611336617d1f",
+    ("poisson", "marginal"): "cea5b103b1687de62cfdec37c6689875ee27b134bcace1b1d92fa26d545721b3",
+    ("poisson", "arbitrary"): "41a328051909f2b9e3219c8a513c392929d494aab2cb2df680ca20da9e470ec0",
+    ("census", "dirac"): "9645defc26654be22e1be1c39c07376d1087e5645bceb8a855edd11010c05c2b",
+    ("census", "marginal"): "f61ed1014d296808395afb67a7c15834ba04e00f55f5d273734f108d84c1ed60",
+    ("census", "arbitrary"): "bd1128a4f9ccf1a176eb29d228db7614501dafbc2c81e3fdd576312d457e24fc",
+    ("sampled_weights", "dirac"): "1270e43fcee5dba485f421c449ba77893fd441df5282943e7a47130505e8f3a4",
+    ("sampled_weights", "marginal"): "e8221ca2c275b0263fc772c6eab4f28e474b04d606049f3a12eab96b83e50086",
+    ("sampled_weights", "arbitrary"): "d4458cb2da48119c41443f9a9d982bbf22870276c082a3e74298cab7206491a0",
+    ("unordered_values", "dirac"): "e95ca7811c9002824f81ab42b01d522ac05d25b131205f51d32befec9690aa89",
+    ("unordered_values", "marginal"): "13d53e40b6cc60f76d893c1085a0576c96c316f62e66c432595d046124604cbe",
+    ("unordered_values", "arbitrary"): "e35c22ed1a5fcb11151e3d2906c4e8c6cc838c4dc5a9b6c4308b835244cb5ebe",
+    ("correlated_joint", "dirac"): "aa1255c63e07fce30360af232a96423bcb8b630d0f1d65fe1771aaaf85e530ad",
+    ("correlated_joint", "marginal"): "8205978fbb1274eb9d06b62046e4cd8686b307621c44ac838403724c831eb054",
+    ("correlated_joint", "arbitrary"): "4af58ee2ab2bdc3d80332402f7110e0a935b008792d9d0fc1daca58dadf4e6d0",
+    ("srs_N5_n2", "dirac"): "dd54493d6c4ccbbb590179742bc4fcb51b72c813874a56775433bd971fa66df4",
+}
 
 
 class TestObservationLiteral:
@@ -161,16 +213,25 @@ class TestCheck:
     @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
     def test_population_mean_target(self, capsys, tmp_path, inference):
         # a world function has no per-point value: only the Bayes test,
-        # which conditions each world on the observation, can use it
+        # which reads the posterior law of its value, can use it
         text = CATALOG["srs_wor_n3"].replace("kind = unit_expectation\nunit = 1\n", "kind = population_mean\n")
         path = tmp_path / "population_mean.model"
         path.write_text(text)
         code, out, err = run(capsys, ["check", str(path), "--inference", inference, "--json"])
-        if inference == "bayes":
-            assert (code, err) == (0, "")
-            assert json.loads(out)["observations_checked"] == 24
-        else:
+        if inference != "bayes":
             assert (code, out, err) == (2, "", "error: target 'population_mean' has no per-point value\n")
+            return
+        assert (code, err) == (0, "")
+        assert json.loads(out)["observations_checked"] == 24
+        # the bytes of every all-observation Bayes check with this target
+        digests = {}
+        for (name, policy), want in POPULATION_MEAN_DIGESTS.items():
+            path = tmp_path / f"{name}.model"
+            path.write_text(population_mean_text(name))
+            code, out, err = run(capsys, ["check", str(path), "--inference", "bayes", "--policy", policy, "--json"])
+            assert (code, err) == (0, "")
+            digests[name, policy] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digests == POPULATION_MEAN_DIGESTS
 
     def test_malformed_x_is_input_error(self, capsys, models):
         code, _, err = run(capsys, ["check", models["srs_wor_minimal"], "--x", "[9]"])

@@ -456,6 +456,39 @@ class TestPosteriorEquivalent:
                 fam, fam, [prior], [prior], e_y1_target(U2), ((1, 0), (2, 1))
             )
 
+    @staticmethod
+    def mixed_predictand_sides() -> tuple:
+        """A hand-built family on worlds (a, b), observed a, its Dirac-fixed
+        ignored family, and the predictand b, an int where a is 0 and an
+        equal Fraction where a is 1."""
+        from ignorability_lab.ignorance import Predictand, dirac_fix, ignore_model
+
+        worlds = [(a, b) for a in (0, 1) for b in (0, 1)]
+        laws = {"p": uniform(worlds), "q": dist_new(zip(worlds, (F(1, 8), F(3, 8), F(3, 8), F(1, 8))))}
+        fam = Family(list(laws), laws, dict.fromkeys(laws, lambda w: w[0]))
+        split = make_split(fam, RandomVariableRef("a", lambda w: w[0]), RandomVariableRef("b", lambda w: w[1]))
+        predictand = Predictand("b", lambda w: w[1] if w[0] == 0 else F(w[1]))
+        return fam, ignore_model(fam, split, dirac_fix()), predictand
+
+    def test_predictand_values_are_those_of_the_first_world(self):
+        # a predictand is coded once per world, and a value shown is the one
+        # at the first world of its code: the int, also where the posterior
+        # puts mass only on worlds whose value is the Fraction
+        fam, ignored, predictand = self.mixed_predictand_sides()
+        priors = [uniform(fam.points)], [uniform(ignored.points)]
+        res = posterior_equivalent(fam, ignored, *priors, predictand, 1)
+        shown = [o for _side, laws in res.witnesses[0].detail[1:] for law in laws for o in law.support()]
+        assert shown and all(type(o) is int for o in shown)
+
+    def test_predictand_needs_one_numbering(self):
+        # a predictand's codes are per world: two families on different
+        # worlds cannot share them
+        fam, _ignored, predictand = self.mixed_predictand_sides()
+        other = Family(fam.points, fam.laws, fam.obs_fns, space=[(2, 0)])
+        prior = [uniform(fam.points)]
+        with pytest.raises(EngineError, match="one numbering"):
+            posterior_equivalent(fam, other, prior, prior, predictand, 0)
+
 
 class TestClassify:
     def test_srs_ignorable_likelihood_and_frequentist(self):

@@ -7,6 +7,7 @@ the frequentist and Bayes tests."""
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import reference
@@ -270,11 +271,23 @@ def test_bayes_test_on_survey_models(case, data):
     assert prepared.posterior_verdicts() == want
 
 
-def test_population_mean_from_a_model_file():
+POPULATION_MEAN_MODELS = {
+    # (model text, number of observations)
+    "srs_wor_n3": (CATALOG["srs_wor_n3"].replace("kind = unit_expectation\nunit = 1\n", "kind = population_mean\n"),
+                   24),
+    # one observation function per phi, their observations merged in one coding
+    "bernoulli_mixture_sampled_weights": (
+        CATALOG["bernoulli_mixture"].replace("scheme = values_and_mapping", "scheme = values_and_sampled_weights")
+        + "\n[target]\nkind = population_mean\n", 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POPULATION_MEAN_MODELS))
+def test_population_mean_from_a_model_file(name):
     # the population_mean target a model file builds, a world function, in
-    # an all-observation Bayes check of srs_wor_n3 under the default
-    # uniform priors: every verdict, and the headline's posterior sets
-    text = CATALOG["srs_wor_n3"].replace("kind = unit_expectation\nunit = 1\n", "kind = population_mean\n")
+    # an all-observation Bayes check under the default uniform priors:
+    # every verdict, and the headline's posterior sets
+    text, n_observations = POPULATION_MEAN_MODELS[name]
     build = parse_model(text).build()
     m, target = build.model, build.target
     assert isinstance(target, Predictand)
@@ -288,7 +301,7 @@ def test_population_mean_from_a_model_file():
     want = [reference.posterior_equivalent(original, ignored, *([q] for q in uniform), x, target.fn) for x in xs]
     verdicts = prepared.posterior_verdicts()
     assert verdicts == [w[0] for w in want]
-    assert len(xs) == 24 and all(verdicts)  # simple random sampling is ignorable
+    assert len(xs) == n_observations and all(verdicts)  # both are ignorable under dirac_fix
     (witness,) = prepared.test("bayes", xs[0], None, None, None).witnesses
     detail = dict(witness.detail)
     got = ({as_set(d) for d in detail["original"]}, {as_set(d) for d in detail["ignored"]})
