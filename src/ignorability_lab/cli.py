@@ -242,9 +242,7 @@ def cmd_inclusion(args) -> int:
     m = build.model
     pop = m.population
     blocks = []
-    phis = m.phis if m.phis else (None,)
-    for phi in phis:
-        kernel = m.design_for(phi)
+    for phi, kernel in m.designs.items():
         for z, delta in kernel.entries:
             pi = inclusion_probabilities(delta, pop)
             ups = selection_expectations(delta, pop)

@@ -159,12 +159,18 @@ def reduced(ids, numerators, denominator) -> tuple:
     return tuple(ids), tuple(n // g for n in numerators), denominator // g
 
 
-def summed(pairs, denominator) -> tuple:
-    """The reduced integer mass vector of (key, integer mass) pairs, summed
-    by key in key order, over a denominator."""
+def key_sums(pairs) -> dict:
+    """{key: summed mass} of (key, mass) pairs, in first-seen key order."""
     sums = {}
     for k, n in pairs:
         sums[k] = sums.get(k, 0) + n
+    return sums
+
+
+def summed(pairs, denominator) -> tuple:
+    """The reduced integer mass vector of (key, integer mass) pairs, summed
+    by key in key order, over a denominator."""
+    sums = key_sums(pairs)
     order = sorted(sums)
     return reduced(order, [sums[k] for k in order], denominator)
 

@@ -434,7 +434,7 @@ class Family:
     keeps the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so
     that declared variables are coded per axis (see `_code`).  An ignored
     family shares its original's numbering and per-world codes of
-    observations and targets; each keeps its own values of marginal targets.
+    observations and targets.
     """
 
     def __init__(self, points, laws, obs_fns, space=None, numbering=None):
@@ -450,7 +450,6 @@ class Family:
                       for p in self.points}
             numbering = (worlds, masses, {}, None)
         self.worlds, self.masses, self._coded, self.axes = numbering
-        self._values = {}  # (target function, variable function) -> {point: value}
 
     @cached_property
     def laws(self) -> dict:
@@ -633,24 +632,19 @@ def target_values(target, family: Family) -> dict:
 
     A marginal functional reads each law's marginal from the per-world
     codes of its variable, in code order, and is evaluated once per
-    distinct marginal; the family keeps the values per pair of functions,
-    stored only once every point has its value.  Predictands are world
-    functions, not point functions; they have no per-point value and
-    cannot index likelihood or estimator tables.
+    distinct marginal.  Predictands are world functions, not point
+    functions; they have no per-point value and cannot index likelihood or
+    estimator tables.
     """
     if isinstance(target, MarginalFunctional):
-        var = target.var
-        key = (target.fn, var.fn if isinstance(var, RandomVariableRef) else var)
-        if key not in family._values:
-            code, values, _keys = family.coded(var)
-            by_marginal, out = {}, {}
-            for p, vector in family.masses.items():
-                marginal = _marginal(vector, code)
-                if marginal not in by_marginal:
-                    by_marginal[marginal] = target.fn(vector_law(values, marginal))
-                out[p] = by_marginal[marginal]
-            family._values[key] = out
-        return family._values[key]
+        code, values, _keys = family.coded(target.var)
+        by_marginal, out = {}, {}
+        for p, vector in family.masses.items():
+            marginal = _marginal(vector, code)
+            if marginal not in by_marginal:
+                by_marginal[marginal] = target.fn(vector_law(values, marginal))
+            out[p] = by_marginal[marginal]
+        return out
     if isinstance(target, ParameterFunction):
         return {p: target.fn(p) for p in family.points}
     raise TargetNotTransformable(

@@ -33,6 +33,7 @@ from .exactprob import (
     canonical_key,
     check_size,
     dist_new,
+    key_sums,
     numbering,
     sorted_distinct,
     summed,
@@ -102,8 +103,8 @@ def _ranked(original: Family, ignored: Family, target) -> tuple:
     family and of its counterpart (`transform_target`) on the ignored one,
     numbered in canonical_key order, the first of each key kept, and each
     point's rank per family; each value object is keyed once, and a point
-    costs one lookup of its id.  Each family keeps a marginal target's
-    values (see `target_values`)."""
+    costs one lookup of its id.  The target is evaluated on each call (see
+    `target_values`), so a check builds its ranks once per test."""
     target_star = transform_target(target, original, ignored)
     sides = ((original, target_values(target, original)), (ignored, target_values(target_star, ignored)))
     objects = {id(v): v for _family, values in sides for v in values.values()}
@@ -292,7 +293,11 @@ def posterior_equivalent(original: Family, ignored: Family, priors, priors_star,
     priors with zero evidence at x are excluded, and ZeroEvidence is raised
     when every original-side prior has zero evidence."""
     families = (original, ignored)
-    reprs, columns = _target_columns(families, (priors, priors_star), target)
+    return _posterior_witness(families, *_target_columns(families, (priors, priors_star), target), x)
+
+
+def _posterior_witness(families, reprs, columns, x) -> EquivalenceResult:
+    """The posterior-set comparison at x of columns built by `_target_columns`."""
     found = _posterior_sets(columns, [f.observation_code(x) for f in families])
     sets = [tuple(sorted((vector_law(reprs, d) for d in side), key=canonical_key)) for side in found]
     equal = found[0] == found[1]
@@ -335,14 +340,6 @@ class RubinAuditReport:
             if a.theorem == name:
                 return a
         raise KeyError(name)
-
-
-def _tally(pairs) -> dict:
-    """{key: summed mass} of (key, mass) pairs, in first-seen key order."""
-    out = {}
-    for key, w in pairs:
-        out[key] = out[key] + w if key in out else w
-    return out
 
 
 # z of a signal of zero mass: the signal itself (z contains y), or none;
@@ -395,12 +392,12 @@ class RubinContext:
 
     def __init__(self, m: SurveyModel):
         self.model = m
-        self.phis = m.phis if m.phis else (None,)
+        self.phis = tuple(m.designs)
         n, base = m.population.size, len(m.alphabet)
         self._base, self._size = base, base**n
         self._weights = tuple(base ** (n - 1 - i) for i in range(n))  # unit -> id weight
         self._rank = {canonical_key(a): i for i, a in enumerate(m.alphabet)}
-        self._z = None
+        self._z = self._marginals = None  # built by `_z_of`
         self._at = [None] * len(self.phis)  # per phi position: `_rows_at`
         self._shared = {}  # row -> the one tuple with its masses
         self._law_rows = {}  # id(design law) -> its row
@@ -428,18 +425,25 @@ class RubinContext:
     def _z_of(self) -> tuple:
         """z of each signal id, which the selection mass given y alone
         needs: the z the signal laws pair with it; for a signal of zero
-        mass `_Y` by the z-contains-y convention, a constant z, or `_NO_Z`."""
+        mass `_Y` by the z-contains-y convention, a constant z, or `_NO_Z`.
+        The same pass over the signal laws keeps each theta's marginal, d
+        the lcm of its law's denominators and a numerator per signal id."""
         if self._z is None:
             m = self.model
-            z_of, z_key = {}, {}
+            z_of, z_key, marginals = {}, {}, []
             for theta in m.thetas:
-                for (y, z), _w in m.signal_law[theta].items:
+                law = m.signal_law[theta].items
+                d, masses = lcm(*(w.denominator for _yz, w in law)), [0] * self._size
+                for (y, z), w in law:
                     j, zk = self._id_of(y), canonical_key(z)
                     if z_key.setdefault(j, zk) != zk:
                         raise NotRubinShape("design variable is not a function of the signal")
                     z_of.setdefault(j, z)
+                    masses[j] += w.numerator * (d // w.denominator)
+                marginals.append((d, tuple(masses)))
             zs = {z_key[j]: z for j, z in z_of.items()}
             other = _Y if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else _NO_Z
+            self._marginals = marginals
             self._z = tuple(z_of.get(j, other) for j in range(self._size))
         return self._z
 
@@ -624,14 +628,9 @@ class RubinContext:
         which a mapping's column completes.  The largest support size of
         the joints is kept too and checked against the cap once per call."""
         if self._tables is None:
-            m = self.model
-            distinct = check_distinct(m.grid) if m.phis else True
-            marginals = []
-            for t in m.thetas:
-                d, masses = lcm(*(w.denominator for _yz, w in m.signal_law[t].items)), [0] * self._size
-                for (y, _z), w in m.signal_law[t].items:
-                    masses[self._id_of(y)] += w.numerator * (d // w.denominator)
-                marginals.append((d, tuple(masses)))
+            self._z_of()  # which keeps the marginals
+            m, marginals = self.model, self._marginals
+            distinct = check_distinct(m.grid)
             joints, on_grid, largest = [], [[] for _ in self.phis], 0
             for t, phi in m.grid:
                 ti, p = m.thetas.index(t), self.phis.index(phi)
@@ -682,11 +681,11 @@ class RubinContext:
                 seen = {j: tuple(j // weights[i] % base for i in record.at)
                         for _d, mg in marginals for j, w in enumerate(mg) if w}
                 # the ignoring distribution of each theta (the law of the observed part) over its d
-                ignoring = [_tally((seen[j], w) for j, w in enumerate(mg) if w) for _d, mg in marginals]
+                ignoring = [key_sums((seen[j], w) for j, w in enumerate(mg) if w) for _d, mg in marginals]
             entries = self._entries(record, p, ids)[1]
             d, law = marginals[ti][0], ignoring[ti]
             hyp_63 = hyp_63 and entries.count(e) == len(entries)
-            hits = _tally((seen[j], w * s) for j, w, s in zip(ids, ws, entries) if s)
+            hits = key_sums((seen[j], w * s) for j, w, s in zip(ids, ws, entries) if s)
             k, (p0, w0) = sum(hits.values()), next(iter(law.items()))
             h0 = hits.get(p0, 0)  # each part's ratio hits/law is the first part's
             cond_62 = cond_62 and h0 > 0 and all(hits.get(part, 0) * w0 == h0 * w for part, w in law.items())
@@ -847,7 +846,7 @@ class PreparedCheck:
     the classified split, the ignored family and the target, which each
     test carries across (see `_ranked`).  Built once by `prepare`, then
     queried by `test` per inference type and observation, which share its
-    default priors."""
+    posterior columns under the default priors."""
 
     model: SurveyModel
     scheme: ObservationScheme
@@ -858,16 +857,17 @@ class PreparedCheck:
     target: object
 
     @cached_property
-    def default_priors(self) -> tuple:
-        """(priors, product priors) of a Bayesian test given none: uniform."""
-        return self._priors(None, None)
+    def _default_columns(self) -> tuple:
+        """`_target_columns` of both families under the priors of a Bayesian
+        test given none, uniform; built once per check."""
+        return _target_columns((self.family, self.ignored), self._priors(None, None), self.target)
 
     def posterior_verdicts(self) -> list:
         """Whether the posterior sets under the default priors are equal at
         each observation of the original family, in code order: the Bayes
         test at every observation in one pass over the columns, with no
         witness built."""
-        _reprs, columns = _target_columns((self.family, self.ignored), self.default_priors, self.target)
+        columns = self._default_columns[1]
         codes_b = self.ignored.observation_codes()
         found = (_posterior_sets(columns, (c, codes_b.get(k))) for k, c in self.family.observation_codes().items())
         return [a == b for a, b in found]
@@ -894,16 +894,17 @@ class PreparedCheck:
         elif inference_type == BAYESIAN:
             if x is None:
                 raise EngineError("Bayesian classification needs an observation")
-            explicit = priors or nuisance_priors is not None
-            priors, priors_star = self._priors(priors, nuisance_priors) if explicit else self.default_priors
-            result = posterior_equivalent(family, ignored, priors, priors_star, self.target, x)
+            if priors or nuisance_priors is not None:
+                result = posterior_equivalent(family, ignored, *self._priors(priors, nuisance_priors), self.target, x)
+            else:
+                result = _posterior_witness((family, ignored), *self._default_columns, x)
         else:
             raise EngineError(f"unknown inference type {inference_type!r}")
 
         m, policy = self.model, self.policy
         flags = [
             ("z_contains_y", m.z_contains_y),
-            ("non_separated_grid", bool(m.phis) and not check_distinct(m.grid)),
+            ("non_separated_grid", not check_distinct(m.grid)),
             ("local_vs_uniform", "local" if x is not None else "uniform"),
             ("policy", policy.kind),
             ("split_status", self.split.status),

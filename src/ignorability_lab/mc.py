@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from fractions import Fraction
 
-from .exactprob import FiniteDist, canonical_key, pushforward
+from .exactprob import FiniteDist, canonical_key, key_sums, pushforward
 from .sampling import (
     ObservationScheme,
     SurveyModel,
@@ -223,10 +223,8 @@ def compare_exact_vs_mc(
     outcomes, cutoffs = _thresholds(joint)
     # a draw only bumps its atom's count; hashing an observation key (a
     # nested tuple) is paid once per atom hit, not once per draw
-    counts: dict = {}
-    for atom, n in tally(cutoffs, seed, draws).items():
-        key = canonical_key(observe_world(outcomes[atom]))
-        counts[key] = counts.get(key, 0) + n
+    hits = tally(cutoffs, seed, draws).items()
+    counts = key_sums((canonical_key(observe_world(outcomes[atom])), n) for atom, n in hits)
     cells = []
     for outcome, weight in exact.items:
         key = canonical_key(outcome)

@@ -249,37 +249,37 @@ def signal_dist_from_table(
 
 
 def _normalize_grid(thetas, phis, grid):
-    if grid is not None:
-        out = []
-        for pair in grid:
-            theta, phi = pair
-            if theta not in thetas:
-                raise GridMiss(f"grid theta {theta!r} not in theta grid")
-            if phis and phi not in phis:
-                raise GridMiss(f"grid phi {phi!r} not in phi grid")
-            out.append((theta, phi))
-        return tuple(out)
-    if phis:
+    """The live (theta, phi) pairs: `grid`, each pair checked against the
+    theta grid and the phi grid, or else their product."""
+    if grid is None:
         return tuple((t, p) for t in thetas for p in phis)
-    return tuple((t, None) for t in thetas)
+    out = []
+    for theta, phi in grid:
+        if theta not in thetas:
+            raise GridMiss(f"grid theta {theta!r} not in theta grid")
+        if phi not in phis:
+            raise GridMiss(f"grid phi {phi!r} not in phi grid")
+        out.append((theta, phi))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class SurveyModel:
     """Parameter-indexed family of world distributions.
 
-    Fields are normalized by `SurveyModel.create`: grids are tuples, kernels
-    are materialized over the z values the signal laws can produce, and the
-    grid is the explicit list of live (theta, phi) pairs (phi is None when
-    there is no nuisance grid).
+    Fields are normalized by `SurveyModel.create`: grids are tuples, and
+    `designs` is the one design table, each phi's kernel materialized over
+    the z values the signal laws can produce, in phi-grid order.  A model
+    with no phi grid has one known design, the one-point grid: the table's
+    only key is None, and so is the phi of every grid point.  The grid is
+    the explicit list of live (theta, phi) pairs.
     """
 
     population: Population
     thetas: tuple
     signal_law: dict  # theta -> FiniteDist over (y, z) pairs
-    design: Kernel | None = None
+    designs: dict  # phi -> Kernel
     phis: tuple = ()
-    design_law: dict | None = None  # phi -> Kernel
     grid: tuple = ()
     z_contains_y: bool = False
     alphabet: tuple = ()
@@ -299,7 +299,7 @@ class SurveyModel:
         phis = tuple(phis)
         if not thetas:
             raise GridMiss("theta grid is empty")
-        if design is None and design_law is None:
+        if design is None and (design_law is None or not phis):
             raise EngineError("model needs a design kernel or a per-phi design law")
         if phis and design_law is None:
             raise EngineError("phi grid given without a design law")
@@ -322,34 +322,22 @@ class SurveyModel:
                     z_values.append(z)
             laws[theta] = law
         alphabet = sorted_distinct(v for law in laws.values() for (y, _z), _w in law.items for v in y)
-        if design is not None:
-            design = design.materialize(z_values)
-        materialized_law = None
-        if design_law is not None:
-            materialized_law = {}
-            for phi in phis if phis else ():
-                kern = design_law[phi] if not callable(design_law) else design_law(phi)
-                materialized_law[phi] = kern.materialize(z_values)
+        designs = {phi: (design_law[phi] if phis else design).materialize(z_values) for phi in phis or [None]}
         return SurveyModel(
             population=population,
             thetas=thetas,
             signal_law=laws,
-            design=design,
+            designs=designs,
             phis=phis,
-            design_law=materialized_law,
-            grid=_normalize_grid(thetas, phis, grid),
+            grid=_normalize_grid(thetas, tuple(designs), grid),
             z_contains_y=z_contains_y,
             alphabet=alphabet,
         )
 
     def design_for(self, phi=None) -> Kernel:
-        if phi is None:
-            if self.design is None:
-                raise GridMiss("model has per-phi designs; phi required")
-            return self.design
-        if self.design_law is None or phi not in self.design_law:
-            raise GridMiss(f"phi {phi!r} not in design law")
-        return self.design_law[phi]
+        if phi not in self.designs:
+            raise GridMiss("model has per-phi designs; phi required" if phi is None else f"phi {phi!r} not in design law")
+        return self.designs[phi]
 
     def check_point(self, theta, phi=None) -> tuple:
         point = (theta, phi)
@@ -362,9 +350,8 @@ class SurveyModel:
         """(sorted (y, z) pairs, sorted mappings): the two factors of the
         world space, worked out once per model and kept in its instance
         dict."""
-        kernels = [self.design] if self.design is not None else [self.design_law[phi] for phi in self.phis]
         yzs = sorted_distinct(yz for t in self.thetas for yz, _w in self.signal_law[t].items)
-        return yzs, sorted_distinct(r for k in kernels for _z, delta in k.entries for r, _w in delta.items)
+        return yzs, sorted_distinct(r for k in self.designs.values() for _z, delta in k.entries for r, _w in delta.items)
 
     def world_space(self) -> tuple:
         """The structural world space: every (y, z) the signal laws can

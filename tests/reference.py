@@ -29,13 +29,13 @@ def survey_family(m: SurveyModel) -> tuple:
     """(space, {grid point: law}) of a survey model: every (y, z) of a
     signal law with every mapping of a design, zero-probability worlds
     included, and each point's joint law of (y, z) and then r given z."""
-    kernels = [m.design] if m.design is not None else [m.design_law[phi] for phi in m.phis]
+    kernels = m.designs.values()
     yzs = list(dict.fromkeys(yz for theta in m.thetas for yz, _w in m.signal_law[theta].items))
     mappings = list(dict.fromkeys(r for k in kernels for _z, delta in k.entries for r, _w in delta.items))
     space = [WorldState(y, z, r) for y, z in yzs for r in mappings]
     laws = {}
     for theta, phi in m.grid:
-        kernel = m.design if phi is None else m.design_law[phi]
+        kernel = m.designs[phi]
         law = {}
         for (y, z), w in m.signal_law[theta].items:
             for r, wr in _design_at(kernel, z).items:
@@ -241,7 +241,7 @@ def rubin_audit(m: SurveyModel, x) -> tuple:
     phis = m.phis or (None,)
 
     def pi(phi, y):
-        kernel = m.design if phi is None else m.design_law[phi]
+        kernel = m.designs[phi]
         return sum((w for r, w in _design_at(kernel, z_of[y]).items if r == mapping), Fraction(0))
 
     at = [labels.index(k) for k in mapping]

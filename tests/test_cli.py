@@ -327,6 +327,21 @@ class TestCheck:
         # conditioned on one compatibility set, the whole signal image
         assert len(calls) == 2 + 2
 
+    def test_default_posterior_columns_built_once(self, capsys, models, monkeypatch):
+        # an all-observation Bayes check builds the posterior columns under
+        # the default priors once: the verdicts and the headline witness
+        # both read them
+        from ignorability_lab import inference
+
+        calls = []
+        real = inference._target_columns
+        monkeypatch.setattr(inference, "_target_columns", lambda *args: calls.append(args) or real(*args))
+        argv = ["check", models["srs_wor_n3"], "--inference", "bayes", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["observations_checked"] == 24
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("policy", ["dirac", "arbitrary", "marginal"])
     @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
     def test_target_values_computed_once_per_shape(self, capsys, models, monkeypatch, inference, policy):
@@ -389,6 +404,22 @@ class TestInputErrors:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["inclusion"], ["audit-rubin"], ["audit-rubin", "--x", "[[0],[1]]"]],
+        ids=["check", "inclusion", "audit-rubin", "audit-rubin-x"],
+    )
+    def test_gamma_phi_on_a_model_without_phi_grid(self, capsys, tmp_path, argv):
+        # a model with no phi grid has the one-point grid of phi None, so a
+        # gamma that names a phi is refused when the model is built, by
+        # every command alike
+        text = CATALOG["srs_wor_minimal"].replace("scheme = values_only", "scheme = values_and_mapping")
+        path = tmp_path / "gamma.model"
+        path.write_text(text.replace("theta = 1/3 2/3\n", "theta = 1/3 2/3\ngamma = 1/3:5 2/3:5\n"))
+        code, _, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 2
+        assert err == "error: grid phi 5 not in phi grid\n"
 
     @pytest.mark.parametrize(
         "model, old, new, message",

@@ -364,9 +364,8 @@ class TestWorldNumbering:
         m = build.model
         space = m.world_space()
         yzs = sorted_distinct(yz for t in m.thetas for yz, _w in m.signal_law[t].items)
-        kernels = [m.design] if m.design is not None else [m.design_law[phi] for phi in m.phis]
         mappings = sorted_distinct(
-            r for k in kernels for _z, delta in k.entries for r, _w in delta.items
+            r for k in m.designs.values() for _z, delta in k.entries for r, _w in delta.items
         )
         assert space == tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
         assert space == tuple(sorted(space, key=canonical_key))

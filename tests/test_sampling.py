@@ -338,6 +338,8 @@ def per_phi_model():
         (lambda: SurveyModel.create(U2, (), {}, design=DESIGN), GridMiss, "theta grid is empty"),
         (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}), EngineError,
          "model needs a design kernel or a per-phi design law"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}, design_law={"p": DESIGN}), EngineError,
+         "model needs a design kernel or a per-phi design law"),
         (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}, design=DESIGN, phis=("p",)), EngineError,
          "phi grid given without a design law"),
         (lambda: SurveyModel.create(U2, ("t",), {"t": "law"}, design=DESIGN), EngineError,
@@ -351,10 +353,21 @@ def per_phi_model():
         (lambda: per_phi_model().design_for(), GridMiss, "model has per-phi designs; phi required"),
         (lambda: per_phi_model().design_for("q"), GridMiss, "phi 'q' not in design law"),
     ],
-    ids=["empty-population", "repeated-unit", "unknown-scheme", "empty-theta-grid", "no-design", "phi-without-law",
+    ids=["empty-population", "repeated-unit", "unknown-scheme", "empty-theta-grid", "no-design", "law-without-phi-grid",
+         "phi-without-law",
          "law-not-a-dist", "signal-short", "grid-theta", "grid-phi", "phi-required", "phi-unknown"],
 )
 def test_malformed_model_parts(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def test_one_design_table():
+    # a model with no phi grid is the one-point grid: its table's only key
+    # is None; a per-phi model's keys are its phi grid; no second field
+    single, per_phi = SurveyModel.create(U2, ("t",), {"t": LAW}, design=DESIGN), per_phi_model()
+    assert tuple(single.designs) == (None,) and single.design_for() is single.designs[None]
+    assert tuple(per_phi.designs) == per_phi.phis == ("p",) and per_phi.design_for("p") is per_phi.designs["p"]
+    for m in (single, per_phi):
+        assert not hasattr(m, "design") and not hasattr(m, "design_law")
