@@ -871,6 +871,10 @@ class TestInclusion:
         assert "pi=1/2" in out
 
 
+# audit-rubin over every eighth distinct parseable mutant of the catalog
+AUDIT_RUBIN_MUTANTS_DIGEST = "c9da7f04b12467a11726dba9f7397e22ab38e234c22cf5d9e27e060077940b2e"
+
+
 class TestAuditRubin:
     def test_sweep(self, capsys, models):
         code, out, _ = run(capsys, ["audit-rubin", models["srs_wor_n3"], "--json"])
@@ -928,6 +932,30 @@ class TestAuditRubin:
         assert code == 0
         assert json.loads(out)["observations"] == 24
         assert len(set(mappings)) == len(mappings) == 6
+
+    def test_every_eighth_parseable_mutant(self, capsys, tmp_path, monkeypatch):
+        # a slice of the engine-level mutant sweep: audit-rubin, each run the
+        # first audit on a cold context, on every eighth distinct parseable
+        # document of the parser's corpus; no run ends in a traceback, and
+        # one digest over (document index, exit code, first stderr line)
+        # pins which documents are refused and with which message
+        from test_modelfile import diagnostics_corpus
+        from ignorability_lab.modelfile import ModelFileError, parse_model
+
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "20000")
+        documents = []
+        for text in dict.fromkeys(diagnostics_corpus()):
+            with contextlib.suppress(ModelFileError):
+                parse_model(text)
+                documents.append(text)
+        assert len(documents) == 1_969
+        digest, path = hashlib.sha256(), tmp_path / "mutant.model"
+        for index in range(0, len(documents), 8):
+            path.write_text(documents[index])
+            code, _out, err = run(capsys, ["audit-rubin", str(path)])
+            assert code != 3, (index, err)
+            digest.update(f"{index} {code} {err.partition(chr(10))[0]}\n".encode())
+        assert digest.hexdigest() == AUDIT_RUBIN_MUTANTS_DIGEST
 
 
 class TestMcVerify:
