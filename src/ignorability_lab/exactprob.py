@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable
 
@@ -88,9 +89,9 @@ def as_rational(value) -> Fraction:
 def canonical_key(value):
     """Total-order key for canonical values.
 
-    Ranks: None < numbers < strings < tuples < keyed objects.  Tuples are
-    compared elementwise by key, so nested structures order lexicographically
-    over their structural encoding.
+    Ranks: None < numbers < strings < tuples < keyed objects.  A tuple's key
+    is (3, its items' keys), so nested structures order lexicographically
+    over their structural encoding, and a pair's key holds its items' keys.
 
     A number keeps its type in the key (a bool becomes its int): no
     Fraction is built per key.  An int and a Fraction of equal value
@@ -229,11 +230,10 @@ def dist_new(pairs: Iterable) -> FiniteDist:
     """
     pairs = list(pairs)
     check_size(len(pairs))
-    merged: dict = {}
-    originals: dict = {}
+    merged, originals = {}, {}
     for outcome, weight in pairs:
         w = as_rational(weight)
-        if w < 0:
+        if w.numerator < 0:
             raise NegativeWeight(f"weight {w} of outcome {outcome!r}")
         key = canonical_key(outcome)
         if key in merged:
@@ -241,13 +241,10 @@ def dist_new(pairs: Iterable) -> FiniteDist:
         else:
             merged[key] = w
             originals[key] = outcome
-    total = sum(merged.values(), Fraction(0))
-    if total != 1:
-        raise NonUnitMass(f"weights sum to {total}, expected 1")
-    items = tuple(
-        (originals[key], merged[key]) for key in sorted(merged) if merged[key] > 0
-    )
-    return FiniteDist(items)
+    numerators, denominator = integer_masses(merged.values())  # the total, as integers
+    if sum(numerators) != denominator:
+        raise NonUnitMass(f"weights sum to {Fraction(sum(numerators), denominator)}, expected 1")
+    return FiniteDist(tuple((originals[key], merged[key]) for key in sorted(merged) if merged[key].numerator > 0))
 
 
 def point_mass(outcome) -> FiniteDist:
@@ -297,28 +294,31 @@ class Kernel:
 
     @staticmethod
     def from_mapping(mapping, rule: Callable | None = None) -> "Kernel":
-        pairs = list(mapping.items() if hasattr(mapping, "items") else mapping)
-        pairs.sort(key=lambda kv: canonical_key(kv[0]))
-        seen = set()
-        for value, dist in pairs:
-            key = canonical_key(value)
-            if key in seen:
+        pairs = mapping.items() if hasattr(mapping, "items") else mapping
+        keyed = sorted(((canonical_key(kv[0]), kv) for kv in pairs), key=lambda pair: pair[0])
+        index = {}
+        for key, (value, dist) in keyed:
+            if key in index:
                 raise IncomparableOutcomes(f"duplicate kernel input {value!r}")
-            seen.add(key)
             if not isinstance(dist, FiniteDist):
                 raise MissingKernelEntry(f"kernel value for {value!r} is not a FiniteDist")
-        return Kernel(tuple(pairs), rule)
+            index[key] = dist
+        kernel = Kernel(tuple(kv for _key, kv in keyed), rule)
+        vars(kernel)["index"] = index  # each input keyed once, kept as `index` keeps its value
+        return kernel
 
     @staticmethod
     def from_rule(rule: Callable) -> "Kernel":
         return Kernel((), rule)
 
-    def get(self, value) -> FiniteDist:
-        index = getattr(self, "_index", None)
-        if index is None:  # not a dataclass field: equality and hashing ignore it
-            index = {canonical_key(v): dist for v, dist in self.entries}
-            object.__setattr__(self, "_index", index)
-        dist = index.get(canonical_key(value))
+    @cached_property
+    def index(self) -> dict:
+        """{canonical_key(input): distribution}; not a field, so == and hash ignore it."""
+        return {canonical_key(v): dist for v, dist in self.entries}
+
+    def get(self, value, key=None) -> FiniteDist:
+        """The distribution at `value`, whose canonical key is `key` when given."""
+        dist = self.index.get(canonical_key(value) if key is None else key)
         if dist is not None:
             return dist
         if self.rule is not None:

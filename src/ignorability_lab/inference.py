@@ -19,7 +19,6 @@ Reports always carry the comparisons performed, never a bare verdict.
 from __future__ import annotations
 
 import itertools
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -375,20 +374,21 @@ class RubinContext:
 
     Signals are the tuples over the alphabet, numbered in product order,
     so the value of unit i in signal j is digit i of j in base |A|; no
-    signal tuple is kept.  Built on first use and then kept: z per signal
-    id; each signal's selection row at a phi (mappings by rank, one row
-    per design law object, equal rows one tuple); a `_Mapping` record per
-    observed mapping; the theta marginals as integer numerators per signal
-    id over one denominator per theta; the audit's joints.  A query keys
-    only the drawn values, and a mapping whose columns are all flat
-    answers `mar` and `oar` without them.  Nothing is kept per observed
-    value.  A row that raises is not kept and its column entry is
-    `_MARK`; a query that reaches a mark among its own ids builds that row
-    again, so it raises what a fresh context raises, in the same order:
-    phi by phi, ids ascending.  Draws
-    are checked in draw order, each value keyed before its unit is looked
-    up, after z is found to be a function of y; a mapping that cannot be
-    keyed raises where a fresh context keys it."""
+    signal tuple is kept.  The first query builds, in one pass over the
+    signal laws (`_z_of`), z per signal id, the theta marginals as integer
+    numerators per signal id over one denominator per theta, and each
+    signal's selection row at every phi: integer masses by mapping rank
+    over one scale per phi, one row per design law object.  Then kept as
+    queries need them: a `_Mapping` record per observed mapping and the
+    audit's joints.  A query keys only the drawn values, and a mapping
+    whose columns are all flat answers `mar` and `oar` without them.
+    Nothing is kept per observed value.  A row that raises is not kept
+    and its column entry is `_MARK`; a query that reaches a mark among its
+    own ids builds that row again, so it raises what a fresh context
+    raises, in the same order: phi by phi, ids ascending.  Draws are
+    checked in draw order, each value keyed before its unit is looked up,
+    after z is found to be a function of y; a mapping that cannot be keyed
+    raises where a fresh context keys it."""
 
     def __init__(self, m: SurveyModel):
         self.model = m
@@ -397,17 +397,9 @@ class RubinContext:
         self._base, self._size = base, base**n
         self._weights = tuple(base ** (n - 1 - i) for i in range(n))  # unit -> id weight
         self._rank = {canonical_key(a): i for i, a in enumerate(m.alphabet)}
-        self._z = self._marginals = None  # built by `_z_of`
-        self._at = [None] * len(self.phis)  # per phi position: `_rows_at`
-        self._shared = {}  # row -> the one tuple with its masses
-        self._law_rows = {}  # id(design law) -> its row
-        self._laws = []  # those laws, kept so that no id is reused
-        self._mapping_rank = {}  # canonical_key(mapping) -> rank
-        self._mappings = {}  # canonical_key(mapping) -> its `_Mapping`
-        self._tables = None
-
-    def _id_of(self, y) -> int:
-        return sum(self._rank[canonical_key(v)] * w for v, w in zip(y, self._weights))
+        self._z = self._marginals = self._at = self._tables = None  # by `_z_of` (`_at` per phi), `_audit_tables`
+        self._law_rows, self._laws = {}, []  # id(design law) -> its row; those laws, kept so that no id is reused
+        self._mapping_rank, self._mappings = {}, {}  # canonical_key(mapping) -> its rank; -> its `_Mapping`
 
     def _signal(self, j) -> tuple:
         alphabet, base = self.model.alphabet, self._base
@@ -427,55 +419,64 @@ class RubinContext:
         needs: the z the signal laws pair with it; for a signal of zero
         mass `_Y` by the z-contains-y convention, a constant z, or `_NO_Z`.
         The same pass over the signal laws keeps each theta's marginal, d
-        the lcm of its law's denominators and a numerator per signal id."""
+        the lcm of its law's denominators and a numerator per signal id;
+        then every phi's rows are built (`_rows`), each signal's design law
+        found by the key of its z."""
         if self._z is None:
-            m = self.model
-            z_of, z_key, marginals = {}, {}, []
+            m, rank, weights = self.model, self._rank.__getitem__, self._weights
+            seen, marginals = {}, []
             for theta in m.thetas:
                 law = m.signal_law[theta].items
-                d, masses = lcm(*(w.denominator for _yz, w in law)), [0] * self._size
+                d, masses = lcm(*[w.denominator for _yz, w in law]), [0] * self._size
                 for (y, z), w in law:
-                    j, zk = self._id_of(y), canonical_key(z)
-                    if z_key.setdefault(j, zk) != zk:
+                    zk = canonical_key(z)  # when z is the signal tuple itself, its key holds its values' keys
+                    j = sum(map(mul, map(rank, zk[1] if z is y and type(y) is tuple else map(canonical_key, y)), weights))
+                    if seen.setdefault(j, (z, zk))[1] != zk:
                         raise NotRubinShape("design variable is not a function of the signal")
-                    z_of.setdefault(j, z)
                     masses[j] += w.numerator * (d // w.denominator)
                 marginals.append((d, tuple(masses)))
-            zs = {z_key[j]: z for j, z in z_of.items()}
-            other = _Y if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else _NO_Z
+            zs = {zk: (z, zk) for z, zk in seen.values()}
+            other = (_Y, None) if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else (_NO_Z, None)
+            self._z, keys = zip(*(seen.get(j, other) for j in range(self._size)))  # key None: no z, or z the signal
             self._marginals = marginals
-            self._z = tuple(z_of.get(j, other) for j in range(self._size))
+            self._at = [self._rows(p, keys) for p in range(len(self.phis))]
+            self._law_rows.clear()  # rows are read from `_at` from here on
         return self._z
 
-    def _build_row(self, p, j) -> tuple:
-        """The masses of the mappings, by rank, under the design at the
-        p-th phi given signal j; trailing zeros are dropped."""
-        design = self.model.design_for(self.phis[p])
-        z = self._z_of()[j]
-        if z is _Y:
-            z = self._signal(j)
-        elif z is _NO_Z:
-            raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
-        delta = design.get(z)
+    def _build_row(self, p, j, delta=None) -> tuple:
+        """(row, d) of the design law at the p-th phi given signal j, or of `delta` (found by j's z key): its
+        mappings' masses by rank as integers over d, the lcm of its denominators; one row per law object."""
+        if delta is None:
+            z = self._z[j]
+            if z is _Y:
+                z = self._signal(j)
+            elif z is _NO_Z:
+                raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
+            delta = self.model.design_for(self.phis[p]).get(z)
         row = self._law_rows.get(id(delta))
         if row is None:
-            ranks = self._mapping_rank
-            masses = {ranks.setdefault(canonical_key(r), len(ranks)): w for r, w in delta.items}
-            row = tuple(masses.get(k, 0) for k in range(max(masses) + 1))
-            row = self._law_rows[id(delta)] = self._shared.setdefault(row, row)
+            ranks, items = self._mapping_rank, delta.items
+            keys = [ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in items]
+            row, d = [0] * (max(keys) + 1), lcm(*[w.denominator for _r, w in items])
+            for k, (_r, w) in zip(keys, items):
+                row[k] = w.numerator * (d // w.denominator)
+            row = self._law_rows[id(delta)] = tuple(row), d
             self._laws.append(delta)
         return row
 
-    def _rows_at(self, p) -> tuple:
-        """(each signal id's row, None where it raises; the distinct rows) at the p-th phi."""
-        if self._at[p] is None:
-            self._z_of()  # when z is not a function of y, every row raises that
-            rows = [None] * self._size
-            for j in range(self._size):
-                with suppress(Exception):
-                    rows[j] = self._build_row(p, j)
-            self._at[p] = rows, list({id(r): r for r in rows}.values())
-        return self._at[p]
+    def _rows(self, p, keys) -> tuple:
+        """(each signal id's row over one scale, None where it raises; the distinct rows;
+        that scale, the lcm of the rows' d) at the p-th phi, given each signal's z key."""
+        index, rows = self.model.design_for(self.phis[p]).index, [None] * self._size
+        for j, zk in enumerate(keys):
+            try:
+                rows[j] = self._build_row(p, j, index.get(zk))
+            except Exception:
+                pass
+        laws = {id(r): r for r in rows}  # None among them where a row raises
+        scale = lcm(*[r[1] for r in laws.values() if r])
+        scaled = {k: r and (r[0] if r[1] == scale else tuple([n * (scale // r[1]) for n in r[0]])) for k, r in laws.items()}
+        return [scaled[id(r)] for r in rows], list(scaled.values()), scale
 
     def _mapping(self, mapping) -> _Mapping:
         """The record of an observed mapping, laid out on its first query.
@@ -504,17 +505,16 @@ class RubinContext:
         return record
 
     def _column(self, record, p) -> tuple:
-        """(scale, entries) of the mapping at the p-th phi, scale the lcm of
-        its denominators in the distinct rows: one int when flat, else by id."""
+        """(scale, entries) of the mapping at the p-th phi, over the phi's
+        scale: one int when flat, else by id."""
         column = record.columns[p]
         if column is None:
-            rows, distinct = self._rows_at(p)
+            self._z_of()
+            rows, distinct, scale = self._at[p]
             rank = self._mapping_rank.get(record.key)  # every row at p is built
             masses = {id(r): r[rank] if rank is not None and rank < len(r) else 0 for r in distinct if r is not None}
-            scale = lcm(*(s.denominator for s in masses.values()))
-            scaled = {k: s.numerator * (scale // s.denominator) for k, s in masses.items()}
-            flat = None not in distinct and len(set(scaled.values())) < 2  # id(None) is no row's id
-            entries = scaled.popitem()[1] if flat else tuple(scaled.get(id(r), _MARK) for r in rows)
+            flat = None not in distinct and len(set(masses.values())) < 2  # id(None) is no row's id
+            entries = masses.popitem()[1] if flat else tuple(masses.get(id(r), _MARK) for r in rows)
             column = record.columns[p] = (scale, entries)
         return column
 
@@ -632,13 +632,13 @@ class RubinContext:
             m, marginals = self.model, self._marginals
             distinct = check_distinct(m.grid)
             joints, on_grid, largest = [], [[] for _ in self.phis], 0
+            positive = [[j for j, w in enumerate(mg) if w] for _d, mg in marginals]  # by theta position
             for t, phi in m.grid:
                 ti, p = m.thetas.index(t), self.phis.index(phi)
-                mg = marginals[ti][1]
-                ids, rows = [j for j, w in enumerate(mg) if w], self._rows_at(p)[0]
+                ids, mg, rows = positive[ti], marginals[ti][1], self._at[p][0]
                 joints.append((ti, p, ids, [mg[j] for j in ids]))
                 on_grid[p].append(ti)
-                size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j) for j in ids))
+                size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j)[0] for j in ids))
                 check_size(size)
                 largest = max(largest, size)
             self._tables = (distinct, marginals, joints, on_grid), largest

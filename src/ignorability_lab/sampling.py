@@ -397,7 +397,7 @@ def joint_masses(m: SurveyModel, points) -> dict:
     mappings = m.axes[1]
     # ranked per call: kept on the model, these keys would live as long as it
     yz_rank, r_rank = ({canonical_key(v): i for i, v in enumerate(vs)} for vs in m.axes)
-    signals = {}  # theta -> ((id of its first world, integer mass, z) per (y, z), denominator)
+    signals = {}  # theta -> ((id of its first world, integer mass, z, z's key) per (y, z), denominator)
     columns = {}  # id(design law) -> (that law, ranks of its r, integer masses, denominator)
     out, cap = {}, support_cap()
     for theta, phi in points:
@@ -408,11 +408,11 @@ def joint_masses(m: SurveyModel, points) -> dict:
         if signal is None:
             law = m.signal_law[theta]
             masses, denominator = integer_masses(law.weights())
-            signal = signals[theta] = ([(yz_rank[canonical_key(yz)] * len(mappings), a, yz[1])
-                                        for (yz, _w), a in zip(law.items, masses)], denominator)
+            signal = signals[theta] = ([(yz_rank[k] * len(mappings), a, yz[1], k[1][1])  # k[1]: y's and z's keys
+                                        for (yz, _w), a in zip(law.items, masses) for k in [canonical_key(yz)]], denominator)
         rows, size = [], 0
-        for base, a, z in signal[0]:
-            delta = design.get(z)
+        for base, a, z, zk in signal[0]:
+            delta = design.get(z, zk)
             check_size(size + len(delta.items), "world support", cap)
             size += len(delta.items)
             column = columns.get(id(delta))
