@@ -457,10 +457,14 @@ class RubinContext:
         if row is None:
             ranks, items = self._mapping_rank, delta.items
             keys = [ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in items]
-            row, d = [0] * (max(keys) + 1), lcm(*[w.denominator for _r, w in items])
-            for k, (_r, w) in zip(keys, items):
-                row[k] = w.numerator * (d // w.denominator)
-            row = self._law_rows[id(delta)] = tuple(row), d
+            if len(keys) == 1:  # one mapping: its mass over its own denominator
+                row = (0,) * keys[0] + (items[0][1].numerator,), items[0][1].denominator
+            else:
+                row, d = [0] * (max(keys) + 1), lcm(*[w.denominator for _r, w in items])
+                for k, (_r, w) in zip(keys, items):
+                    row[k] = w.numerator * (d // w.denominator)
+                row = tuple(row), d
+            self._law_rows[id(delta)] = row
             self._laws.append(delta)
         return row
 
@@ -473,9 +477,9 @@ class RubinContext:
                 rows[j] = self._build_row(p, j, index.get(zk))
             except Exception:
                 pass
-        laws = {id(r): r for r in rows}  # None among them where a row raises
-        scale = lcm(*[r[1] for r in laws.values() if r])
-        scaled = {k: r and (r[0] if r[1] == scale else tuple([n * (scale // r[1]) for n in r[0]])) for k, r in laws.items()}
+        distinct = {id(r): r for r in rows}  # None among them where a row raises
+        scale = lcm(*[r[1] for r in distinct.values() if r])
+        scaled = {k: r and (r[0] if r[1] == scale else tuple([n * (scale // r[1]) for n in r[0]])) for k, r in distinct.items()}
         return [scaled[id(r)] for r in rows], list(scaled.values()), scale
 
     def _mapping(self, mapping) -> _Mapping:
@@ -678,8 +682,8 @@ class RubinContext:
             if seen is None:
                 # signal id -> its values along the observed mapping, as digits
                 base, weights = self._base, self._weights
-                seen = {j: tuple(j // weights[i] % base for i in record.at)
-                        for _d, mg in marginals for j, w in enumerate(mg) if w}
+                seen = {j: tuple([j // weights[i] % base for i in record.at])
+                        for j in {j for _d, mg in marginals for j, w in enumerate(mg) if w}}
                 # the ignoring distribution of each theta (the law of the observed part) over its d
                 ignoring = [key_sums((seen[j], w) for j, w in enumerate(mg) if w) for _d, mg in marginals]
             entries = self._entries(record, p, ids)[1]
@@ -745,16 +749,11 @@ class RubinContext:
             # one positive ratio row / lik: each theta's is the first theta's
             hyp_72b = hyp_72b and row[0] > 0 and all(f * lik[0] == row[0] * n for f, n in zip(row, lik))
         concl_61, cond_62, concl_62, hyp_63, concl_63 = record.flags or self._mapping_flags(mapping, record)
-        pre_72 = all(n > 0 for n in lik)
-        hyp_72b = pre_72 and hyp_72b
+        hyp_72 = distinct and all(n > 0 for n in lik) and hyp_72b
 
-        audits = (
-            _RECORDS["6.1", mar and oar, concl_61],
-            _RECORDS["6.2", cond_62, concl_62],
-            _RECORDS["6.3", hyp_63, concl_63],
-            _RECORDS["7.1", mar and distinct, concl_71],
-            _RECORDS["7.2", pre_72 and distinct and hyp_72b, concl_72],
-        )
+        audits = (_RECORDS["6.1", mar and oar, concl_61], _RECORDS["6.2", cond_62, concl_62],
+                  _RECORDS["6.3", hyp_63, concl_63], _RECORDS["7.1", mar and distinct, concl_71],
+                  _RECORDS["7.2", hyp_72, concl_72])
         return RubinAuditReport(x=x, mar=mar, oar=oar, distinct=distinct, audits=audits)
 
 

@@ -887,6 +887,33 @@ class TestSharedRubinContext:
             gc.enable()
 
 
+class TestColdRubinContext:
+    def test_first_audit_finds_design_laws_by_z_key(self, monkeypatch):
+        # correlated signals, 1/2 on (0, 0) and on (1, 1), under two designs
+        # that each read one unit.  The first audit on a fresh context finds
+        # the design law of each signal of positive mass by the key of its z,
+        # so Kernel.get runs only for the two signals of zero mass at each
+        # phi, whose laws the rule builds: 4 calls where one per (phi,
+        # signal id) made 8.  The context keys each alphabet value, each z
+        # (a signal tuple, whose key holds its values' keys), each mapping
+        # of a design law, the observed mapping and the drawn value: 14
+        # canonical_key calls, down from 18.
+        from ignorability_lab import inference
+
+        m = rubin_model({"first": first_unit_or_both, "second": drop_by_second},
+                        {"c": dist_new([((y, y), F(1, 2)) for y in ((0, 0), (1, 1))])})
+        gets, keys = [], []
+        real_get, real_key = Kernel.get, inference.canonical_key
+        monkeypatch.setattr(Kernel, "get", lambda self, *args: gets.append(args) or real_get(self, *args))
+        monkeypatch.setattr(inference, "canonical_key", lambda value: keys.append(value) or real_key(value))
+        report = RubinContext(m).audit(((1,), (1,)))
+        assert sorted(gets) == [((0, 1),), ((0, 1),), ((1, 0),), ((1, 0),)]
+        assert len(keys) == 14
+        monkeypatch.undo()
+        assert report == RubinContext(m).audit(((1,), (1,)))
+        assert not any(a.counterexample() for a in report.audits if a.theorem != "6.2")
+
+
 # ---------------------------------------------------------------------------
 # The Rubin audit against the reference one, which enumerates every signal
 # and reads each theorem off its definition with Fractions.
