@@ -471,10 +471,10 @@ class RubinContext:
     def _rows(self, p, keys) -> tuple:
         """(each signal id's row over one scale, None where it raises; the distinct rows;
         that scale, the lcm of the rows' d) at the p-th phi, given each signal's z key."""
-        index, rows = self.model.design_for(self.phis[p]).index, [None] * self._size
+        design, rows = self.model.design_for(self.phis[p]), [None] * self._size
         for j, zk in enumerate(keys):
-            try:
-                rows[j] = self._build_row(p, j, index.get(zk))
+            try:  # a table that cannot be indexed raises at every signal, as `get` does
+                rows[j] = self._build_row(p, j, design.index.get(zk))
             except Exception:
                 pass
         distinct = {id(r): r for r in rows}  # None among them where a row raises
