@@ -89,9 +89,9 @@ def as_rational(value) -> Fraction:
 def canonical_key(value):
     """Total-order key for canonical values.
 
-    Ranks: None < numbers < strings < tuples < keyed objects.  A tuple's key
-    is (3, its items' keys), so nested structures order lexicographically
-    over their structural encoding, and a pair's key holds its items' keys.
+    Ranks: None < numbers < strings < tuples < keyed objects.  Tuples are
+    compared elementwise by key, so nested structures order lexicographically
+    over their structural encoding.
 
     A number keeps its type in the key (a bool becomes its int): no
     Fraction is built per key.  An int and a Fraction of equal value
@@ -125,6 +125,11 @@ def canonical_key(value):
     raise IncomparableOutcomes(
         f"outcome {value!r} of type {type(value).__name__} has no canonical order"
     )
+
+
+def item_keys(key) -> tuple:
+    """The items' canonical keys held in the canonical key of a tuple."""
+    return key[1]
 
 
 def sorted_distinct(values: Iterable) -> tuple:
@@ -230,7 +235,8 @@ def dist_new(pairs: Iterable) -> FiniteDist:
     """
     pairs = list(pairs)
     check_size(len(pairs))
-    merged, originals = {}, {}
+    merged: dict = {}
+    originals: dict = {}
     for outcome, weight in pairs:
         w = as_rational(weight)
         if w.numerator < 0:
@@ -244,7 +250,10 @@ def dist_new(pairs: Iterable) -> FiniteDist:
     numerators, denominator = integer_masses(merged.values())  # the total, as integers
     if sum(numerators) != denominator:
         raise NonUnitMass(f"weights sum to {Fraction(sum(numerators), denominator)}, expected 1")
-    return FiniteDist(tuple((originals[key], merged[key]) for key in sorted(merged) if merged[key].numerator > 0))
+    items = tuple(
+        (originals[key], merged[key]) for key in sorted(merged) if merged[key].numerator > 0
+    )
+    return FiniteDist(items)
 
 
 def point_mass(outcome) -> FiniteDist:

@@ -32,6 +32,7 @@ from .exactprob import (
     canonical_key,
     check_size,
     dist_new,
+    item_keys,
     key_sums,
     numbering,
     sorted_distinct,
@@ -397,9 +398,12 @@ class RubinContext:
         self._base, self._size = base, base**n
         self._weights = tuple(base ** (n - 1 - i) for i in range(n))  # unit -> id weight
         self._rank = {canonical_key(a): i for i, a in enumerate(m.alphabet)}
-        self._z = self._marginals = self._at = self._tables = None  # by `_z_of` (`_at` per phi), `_audit_tables`
-        self._law_rows, self._laws = {}, []  # id(design law) -> its row; those laws, kept so that no id is reused
-        self._mapping_rank, self._mappings = {}, {}  # canonical_key(mapping) -> its rank; -> its `_Mapping`
+        self._z = self._marginals = None  # built by `_z_of`
+        self._at = None  # per phi position: `_rows`, built by `_z_of`
+        self._laws = []  # the design laws given a row, kept so that no id is reused
+        self._mapping_rank = {}  # canonical_key(mapping) -> rank
+        self._mappings = {}  # canonical_key(mapping) -> its `_Mapping`
+        self._tables = None
 
     def _signal(self, j) -> tuple:
         alphabet, base = self.model.alphabet, self._base
@@ -429,8 +433,10 @@ class RubinContext:
                 law = m.signal_law[theta].items
                 d, masses = lcm(*[w.denominator for _yz, w in law]), [0] * self._size
                 for (y, z), w in law:
-                    zk = canonical_key(z)  # when z is the signal tuple itself, its key holds its values' keys
-                    j = sum(map(mul, map(rank, zk[1] if z is y and type(y) is tuple else map(canonical_key, y)), weights))
+                    zk = canonical_key(z)
+                    # when z is the signal tuple itself, its key holds its values' keys
+                    y_keys = item_keys(zk) if z is y and type(y) is tuple else map(canonical_key, y)
+                    j = sum(map(mul, map(rank, y_keys), weights))
                     if seen.setdefault(j, (z, zk))[1] != zk:
                         raise NotRubinShape("design variable is not a function of the signal")
                     masses[j] += w.numerator * (d // w.denominator)
@@ -439,13 +445,15 @@ class RubinContext:
             other = (_Y, None) if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else (_NO_Z, None)
             self._z, keys = zip(*(seen.get(j, other) for j in range(self._size)))  # key None: no z, or z the signal
             self._marginals = marginals
-            self._at = [self._rows(p, keys) for p in range(len(self.phis))]
-            self._law_rows.clear()  # rows are read from `_at` from here on
+            law_rows = {}  # id(design law) -> its row, for this pass
+            self._at = [self._rows(p, keys, law_rows) for p in range(len(self.phis))]
         return self._z
 
-    def _build_row(self, p, j, delta=None) -> tuple:
-        """(row, d) of the design law at the p-th phi given signal j, or of `delta` (found by j's z key): its
-        mappings' masses by rank as integers over d, the lcm of its denominators; one row per law object."""
+    def _build_row(self, p, j, law_rows, delta=None) -> tuple:
+        """(row, d) of the design law at the p-th phi given signal j, or of
+        `delta` (found by j's z key): its mappings' masses by rank as
+        integers over d, the lcm of its denominators; one row per law object
+        in `law_rows`."""
         if delta is None:
             z = self._z[j]
             if z is _Y:
@@ -453,33 +461,30 @@ class RubinContext:
             elif z is _NO_Z:
                 raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
             delta = self.model.design_for(self.phis[p]).get(z)
-        row = self._law_rows.get(id(delta))
+        row = law_rows.get(id(delta))
         if row is None:
-            ranks, items = self._mapping_rank, delta.items
-            keys = [ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in items]
-            if len(keys) == 1:  # one mapping: its mass over its own denominator
-                row = (0,) * keys[0] + (items[0][1].numerator,), items[0][1].denominator
-            else:
-                row, d = [0] * (max(keys) + 1), lcm(*[w.denominator for _r, w in items])
-                for k, (_r, w) in zip(keys, items):
-                    row[k] = w.numerator * (d // w.denominator)
-                row = tuple(row), d
-            self._law_rows[id(delta)] = row
+            ranks = self._mapping_rank
+            keys = [ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in delta.items]
+            row, d = [0] * (max(keys) + 1), lcm(*[w.denominator for _r, w in delta.items])
+            for k, (_r, w) in zip(keys, delta.items):
+                row[k] = w.numerator * (d // w.denominator)
+            row = law_rows[id(delta)] = tuple(row), d
             self._laws.append(delta)
         return row
 
-    def _rows(self, p, keys) -> tuple:
-        """(each signal id's row over one scale, None where it raises; the distinct rows;
-        that scale, the lcm of the rows' d) at the p-th phi, given each signal's z key."""
+    def _rows(self, p, keys, law_rows) -> tuple:
+        """(each signal id's row over one scale, None where it raises; the
+        distinct rows; that scale, the lcm of the rows' d) at the p-th phi,
+        given each signal's z key."""
         design, rows = self.model.design_for(self.phis[p]), [None] * self._size
         for j, zk in enumerate(keys):
             try:  # a table that cannot be indexed raises at every signal, as `get` does
-                rows[j] = self._build_row(p, j, design.index.get(zk))
+                rows[j] = self._build_row(p, j, law_rows, design.index.get(zk))
             except Exception:
                 pass
         distinct = {id(r): r for r in rows}  # None among them where a row raises
         scale = lcm(*[r[1] for r in distinct.values() if r])
-        scaled = {k: r and (r[0] if r[1] == scale else tuple([n * (scale // r[1]) for n in r[0]])) for k, r in distinct.items()}
+        scaled = {k: r and tuple([n * (scale // r[1]) for n in r[0]]) for k, r in distinct.items()}
         return [scaled[id(r)] for r in rows], list(scaled.values()), scale
 
     def _mapping(self, mapping) -> _Mapping:
@@ -528,7 +533,7 @@ class RubinContext:
         scale, entries = self._column(record, p)
         got = [entries] * len(ids) if type(entries) is int else list(map(entries.__getitem__, ids))
         if _MARK in got:
-            self._build_row(p, ids[got.index(_MARK)])
+            self._build_row(p, ids[got.index(_MARK)], {})
         return scale, got
 
     def _flat(self, record) -> bool:
@@ -639,10 +644,11 @@ class RubinContext:
             positive = [[j for j, w in enumerate(mg) if w] for _d, mg in marginals]  # by theta position
             for t, phi in m.grid:
                 ti, p = m.thetas.index(t), self.phis.index(phi)
-                ids, mg, rows = positive[ti], marginals[ti][1], self._at[p][0]
+                mg = marginals[ti][1]
+                ids, rows = positive[ti], self._at[p][0]
                 joints.append((ti, p, ids, [mg[j] for j in ids]))
                 on_grid[p].append(ti)
-                size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j)[0] for j in ids))
+                size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j, {})[0] for j in ids))
                 check_size(size)
                 largest = max(largest, size)
             self._tables = (distinct, marginals, joints, on_grid), largest
@@ -749,11 +755,16 @@ class RubinContext:
             # one positive ratio row / lik: each theta's is the first theta's
             hyp_72b = hyp_72b and row[0] > 0 and all(f * lik[0] == row[0] * n for f, n in zip(row, lik))
         concl_61, cond_62, concl_62, hyp_63, concl_63 = record.flags or self._mapping_flags(mapping, record)
-        hyp_72 = distinct and all(n > 0 for n in lik) and hyp_72b
+        pre_72 = all(n > 0 for n in lik)
+        hyp_72b = pre_72 and hyp_72b
 
-        audits = (_RECORDS["6.1", mar and oar, concl_61], _RECORDS["6.2", cond_62, concl_62],
-                  _RECORDS["6.3", hyp_63, concl_63], _RECORDS["7.1", mar and distinct, concl_71],
-                  _RECORDS["7.2", hyp_72, concl_72])
+        audits = (
+            _RECORDS["6.1", mar and oar, concl_61],
+            _RECORDS["6.2", cond_62, concl_62],
+            _RECORDS["6.3", hyp_63, concl_63],
+            _RECORDS["7.1", mar and distinct, concl_71],
+            _RECORDS["7.2", pre_72 and distinct and hyp_72b, concl_72],
+        )
         return RubinAuditReport(x=x, mar=mar, oar=oar, distinct=distinct, audits=audits)
 
 

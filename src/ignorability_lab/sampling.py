@@ -30,6 +30,7 @@ from .exactprob import (
     check_size,
     dist_new,
     integer_masses,
+    item_keys,
     pushforward,
     reduced,
     sorted_distinct,
@@ -408,8 +409,9 @@ def joint_masses(m: SurveyModel, points) -> dict:
         if signal is None:
             law = m.signal_law[theta]
             masses, denominator = integer_masses(law.weights())
-            signal = signals[theta] = ([(yz_rank[k] * len(mappings), a, yz[1], k[1][1])  # k[1]: y's and z's keys
-                                        for (yz, _w), a in zip(law.items, masses) for k in [canonical_key(yz)]], denominator)
+            keys = [canonical_key(yz) for yz, _w in law.items]
+            signal = signals[theta] = ([(yz_rank[k] * len(mappings), a, yz[1], item_keys(k)[1])  # z's key
+                                        for (yz, _w), a, k in zip(law.items, masses, keys)], denominator)
         rows, size = [], 0
         for base, a, z, zk in signal[0]:
             delta = design.get(z, zk)
