@@ -14,10 +14,11 @@ in DIGESTS or `DIFFERS` when it is not; it exits 1 when a row differs,
 fails or prints different bytes on a repeat.  The last two likelihood rows
 take most of the time (86,016 worlds at N=8 n=3).
 
-With --large it then runs the likelihood rows N=9 n=3 (258,048 worlds)
-and N=10 n=3 (737,280 worlds, the last rung under the default support
-cap), which take seconds each and several hundred MB; they are not part
-of the default run.
+With --large it then runs the likelihood rows N=9 n=3 (258,048 worlds),
+N=10 n=3 (737,280 worlds, the last rung under the default support cap)
+and N=7 n=4 (the one row with n > 3, 840 ordered samples), which take
+seconds each and several hundred MB; they are not part of the default
+run.
 
 Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K] [--large]
 """
@@ -37,7 +38,7 @@ RUNGS = ((4, 3), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3))
 # (N, n, inference) of every row
 ROWS = tuple((N, n, "likelihood") for N, n in RUNGS) + ((6, 3, "bayes"),)
 # the rows that --large adds
-LARGE_ROWS = ((9, 3, "likelihood"), (10, 3, "likelihood"))
+LARGE_ROWS = ((9, 3, "likelihood"), (10, 3, "likelihood"), (7, 4, "likelihood"))
 # SHA-256 of the stdout of each row
 DIGESTS = {
     (4, 3, "likelihood"): "3b090eafda66e822257e71eb0b0162c56099bce008d54cbff01d10d4938a586a",
@@ -49,6 +50,7 @@ DIGESTS = {
     (6, 3, "bayes"): "5466d03dc70bc46cb85ad36ec73865dd08cd158fada94c9ae5dc1663822c9242",
     (9, 3, "likelihood"): "f522b98ac54c9081308e343f93997c982695bbbba379ec8e6502442686a4325d",
     (10, 3, "likelihood"): "7b17208f782c3f3d20c8c6d920e637bc4f7f2e9194eee4d99059a665da594508",
+    (7, 4, "likelihood"): "5f26c33eb1d7dea4205b4b04c93f81bf5093c2ff055eed65b665ac33759b5e6b",
 }
 BASE = "srs_wor_n3"
 
@@ -85,7 +87,7 @@ def run_check(path: str, inference: str) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="runs per rung")
-    parser.add_argument("--large", action="store_true", help="also run N=9 n=3 and N=10 n=3")
+    parser.add_argument("--large", action="store_true", help="also run N=9 n=3, N=10 n=3 and N=7 n=4")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         failed = False

@@ -140,8 +140,7 @@ def _rubin_flags(rubin, observations, variant) -> tuple:
     if rubin is None:
         return ()
     try:
-        mar = all(rubin.mar(o) for o in observations)
-        oar = all(rubin.oar(o) for o in observations)
+        mar, oar = rubin.flags(observations)
     except NotRubinShape:
         return ()
     return (("mar", mar), ("oar", oar), ("mar_variant", variant))

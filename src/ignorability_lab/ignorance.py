@@ -100,16 +100,23 @@ class RandomVariableRef:
         return (4, "RandomVariableRef", canonical_key(self.name))
 
 
+# the three axis variables, one object each, so that every family codes
+# each of them once (see `Family.coded`)
+_SIGNAL = RandomVariableRef("signal", lambda w: w.y, "yz")
+_DESIGN_VARIABLE = RandomVariableRef("design_variable", lambda w: w.z, "yz")
+_SELECTION = RandomVariableRef("selection", lambda w: w.r, "r")
+
+
 def signal_rv() -> RandomVariableRef:
-    return RandomVariableRef("signal", lambda w: w.y, "yz")
+    return _SIGNAL
 
 
 def design_variable_rv() -> RandomVariableRef:
-    return RandomVariableRef("design_variable", lambda w: w.z, "yz")
+    return _DESIGN_VARIABLE
 
 
 def selection_rv() -> RandomVariableRef:
-    return RandomVariableRef("selection", lambda w: w.r, "r")
+    return _SELECTION
 
 
 def values_on_sample_rv(population) -> RandomVariableRef:
@@ -172,13 +179,13 @@ def _axis_keys(worlds: tuple, fn: Callable, reads, axes: tuple) -> list | None:
     return None
 
 
-def _numbered(worlds: tuple, var, axes: tuple | None = None) -> tuple:
-    """(world id -> code, code -> its first world id, var's function, its
-    value per world or None): `var` (a RandomVariableRef or a world
-    function) on every world, its values coded in canonical_key order.  A
-    declared variable on worlds numbered by `axes` is coded from the axes
-    and no value is kept; any other is keyed world by world, which is the
-    reference."""
+def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
+    """(world id -> code, code -> value, code -> canonical_key): `var` (a
+    RandomVariableRef or a world function) on every world, its values coded
+    in canonical_key order, a code's value the one at its first world.  A
+    declared variable on worlds numbered by `axes` is coded from the axes,
+    and only the value at each code's first world is made; any other is
+    keyed world by world, which is the reference."""
     fn, reads = (var.fn, var.reads) if isinstance(var, RandomVariableRef) else (var, None)
     keys = _axis_keys(worlds, fn, reads, axes) if axes is not None else None
     values = None
@@ -186,15 +193,8 @@ def _numbered(worlds: tuple, var, axes: tuple | None = None) -> tuple:
         values = [fn(w) for w in worlds]
         keys = [canonical_key(v) for v in values]
     codes, firsts = numbering(keys)
-    return tuple(codes), firsts, fn, values
-
-
-def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
-    """(world id -> code, code -> value, code -> canonical_key) of `var`
-    (see `_numbered`); a code's value is the one at its first world."""
-    codes, firsts, fn, values = _numbered(worlds, var, axes)
     values = tuple(fn(worlds[i]) if values is None else values[i] for i in firsts)
-    return codes, values, tuple(map(canonical_key, values))
+    return tuple(codes), values, tuple(map(canonical_key, values))
 
 
 @dataclass(frozen=True)
@@ -218,12 +218,10 @@ class SplitIndex:
     worlds_of: tuple  # v_bar-code -> (ascending world ids, their v-codes)
 
     @staticmethod
-    def build(worlds: tuple, v, v_bar, axes: tuple | None = None) -> "SplitIndex":
-        """Code each world's v- and v_bar-value (see `_code`; v's values
-        are not kept, so only its codes are made); `worlds` distinct and
-        sorted, numbered by `axes` when given."""
-        v_code = _numbered(worlds, v, axes)[0]
-        v_bar_code, v_bar_values, v_bar_keys = _code(worlds, v_bar, axes)
+    def build(worlds: tuple, v_code: tuple, v_bar_coding: tuple) -> "SplitIndex":
+        """Index `worlds`, distinct and sorted, by each world's v-code and
+        the `_code` of v_bar."""
+        v_bar_code, v_bar_values, v_bar_keys = v_bar_coding
         order = sorted(range(len(worlds)), key=v_bar_code.__getitem__)  # stable: ids ascend per code
         runs = (tuple(run) for _b, run in groupby(order, v_bar_code.__getitem__))
         worlds_of = tuple((ids, tuple(map(v_code.__getitem__, ids))) for ids in runs)
@@ -426,46 +424,65 @@ class Family:
     points), and ignoring a process produces another over the same world
     support (labels are (original label, nuisance index) pairs).
 
-    Worlds are numbered once: `worlds` lists them in canonical_key order
-    (for a hand-built family, those of `space` and of its `laws`' atoms;
-    a family given its numbering takes laws None), and `masses[p]` is the
-    reduced integer mass vector (ids, numerators, denominator) of each law,
-    in point order, of which `laws` is a view.  A survey model's family
-    keeps the `axes` of its numbering, (|(y, z) pairs|, |mappings|), so
-    that declared variables are coded per axis (see `_code`).  An ignored
-    family shares its original's numbering and per-world codes of
-    observations and targets.
+    Points are numbered once, in the order of `points`, and every
+    per-point table is a list indexed by that number: `vectors[i]` is the
+    reduced integer mass vector (ids, numerators, denominator) of the law
+    at point i, `obs[i]` its observation function and, on an ignored
+    family, `origins[i]` the number of the original point it came from and
+    its nuisance code (None unless the nuisance value is fixed).  A label
+    is keyed only where a caller names one: `number` maps each label to its
+    number, and `masses`, `laws` and `obs_fns` are views by label.
+
+    Worlds are numbered once too: `worlds` lists them in canonical_key
+    order (for a hand-built family, those of `space` and of its `laws`'
+    atoms; a family given its numbering takes laws None), and the ids of
+    a mass vector index them.  A survey model's family keeps the `axes` of
+    its numbering, (|(y, z) pairs|, |mappings|), so that declared
+    variables are coded per axis (see `_code`).  An ignored family shares
+    its original's numbering and per-world codes of observations and
+    targets.
     """
 
-    def __init__(self, points, laws, obs_fns, space=None, numbering=None):
+    def __init__(self, points, laws, obs_fns, space=None, numbering=None, origins=None):
         self.points = tuple(points)
-        self.obs_fns = dict(obs_fns)
         if numbering is None:  # a hand-built family: number its worlds here
             self.laws = dict(laws)
             # the measurable space may be larger than the union of supports:
             # zero-probability worlds still shape complements and Phi-sets
             worlds = sorted_distinct([*(space or ()), *(w for p in self.points for w, _m in self.laws[p].items)])
             ids = {canonical_key(w): i for i, w in enumerate(worlds)}
-            masses = {p: reduced([ids[canonical_key(w)] for w, _m in self.laws[p].items], *integer_masses(self.laws[p].weights()))
-                      for p in self.points}
-            numbering = (worlds, masses, {}, None)
-        self.worlds, self.masses, self._coded, self.axes = numbering
+            vectors = [reduced([ids[canonical_key(w)] for w, _m in self.laws[p].items], *integer_masses(self.laws[p].weights()))
+                       for p in self.points]
+            numbering = (worlds, vectors, [obs_fns[p] for p in self.points], {}, None)
+        self.worlds, self.vectors, self.obs, self._coded, self.axes = numbering
+        self.origins = origins
+
+    @cached_property
+    def number(self) -> dict:
+        return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def masses(self) -> dict:
+        return dict(zip(self.points, self.vectors))
 
     @cached_property
     def laws(self) -> dict:
-        return {p: vector_law(self.worlds, self.masses[p]) for p in self.points}
+        return {p: vector_law(self.worlds, vector) for p, vector in zip(self.points, self.vectors)}
+
+    @cached_property
+    def obs_fns(self) -> dict:
+        return dict(zip(self.points, self.obs))
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
-        masses = joint_masses(m, m.grid)
-        phis = {phi for _theta, phi in m.grid}
+        phis = dict.fromkeys(phi for _theta, phi in m.grid)
         if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS:  # reads the design at phi
             fns = {phi: observation_fn(m, phi, scheme) for phi in phis}
         else:
             fns = dict.fromkeys(phis, _observation_rv(m, scheme))
-        obs_fns = {point: fns[point[1]] for point in m.grid}
-        numbering = (m.world_space(), masses, {}, tuple(map(len, m.axes)))
-        return Family(m.grid, None, obs_fns, numbering=numbering)
+        numbering = (m.world_space(), joint_masses(m, m.grid), [fns[phi] for _theta, phi in m.grid], {},
+                     tuple(map(len, m.axes)))
+        return Family(m.grid, None, None, numbering=numbering)
 
     def coded(self, var) -> tuple:
         """(world id -> code, code -> value, code -> canonical_key): `var`
@@ -479,15 +496,15 @@ class Family:
 
     @cached_property
     def _interned(self) -> tuple:
-        """(observations, {key: code}, {point: (denominator, {code: integer
-        mass})}, {point: {per-world code: code}}): every observation of
-        positive mass numbered once, in canonical_key order, each key's value
-        that of the first point with mass on it, and each point's table summed
+        """(observations, {key: code}, [(denominator, {code: integer mass})],
+        [{per-world code: code}]): every observation of positive mass
+        numbered once, in canonical_key order, each key's value that of the
+        first point with mass on it, and per point number its table summed
         by per-world codes over its law's denominator, then re-coded through
-        its map; built on first use, keys merged once per observation function."""
-        codings = [self.coded(self.obs_fns[p]) for p in self.masses]
-        vectors = list(self.masses.values())
-        sums = [_integer_sums(vector, coding[0]) for vector, coding in zip(vectors, codings)]
+        its map; built on first use, keys merged once per observation
+        function."""
+        codings = [self.coded(fn) for fn in self.obs]
+        sums = [_integer_sums(vector, coding[0]) for vector, coding in zip(self.vectors, codings)]
         seen = {id(coding): set() for coding in codings}  # per coding: its codes met so far
         found = []  # (coding, code) of positive mass, in the order of their first point
         for coding, s in zip(codings, sums):
@@ -497,12 +514,12 @@ class Family:
         recode = {i: {} for i in seen}  # per coding: its codes -> merged codes
         for (coding, c), code in zip(found, merged):
             recode[id(coding)][c] = code
-        tables = {p: (vector[2], {recode[id(coding)][c]: n for c, n in s.items()})
-                  for p, vector, coding, s in zip(self.masses, vectors, codings, sums)}
+        tables = [(vector[2], {recode[id(coding)][c]: n for c, n in s.items()})
+                  for vector, coding, s in zip(self.vectors, codings, sums)]
         kept = [found[j] for j in firsts]  # the first (coding, code) of each merged code
         return (tuple(coding[1][c] for coding, c in kept),
                 {coding[2][c]: code for code, (coding, c) in enumerate(kept)}, tables,
-                {p: recode[id(coding)] for p, coding in zip(self.masses, codings)})
+                [recode[id(coding)] for coding in codings])
 
     def observation_support(self) -> tuple:
         """Every observation with positive mass at some point, in
@@ -518,19 +535,24 @@ class Family:
         """Code of observation x; None when it has zero mass at every point."""
         return self._interned[1].get(canonical_key(x))
 
-    def observation_sums(self, point) -> tuple:
-        """(denominator, {code: integer mass}): the observation distribution
-        at one point, each code's mass over the denominator."""
-        return self._interned[2][point]
+    def observation_tables(self) -> list:
+        """Per point number: (denominator, {code: integer mass}), the
+        observation distribution there, each code's mass over the
+        denominator."""
+        return self._interned[2]
 
-    def joint_sums(self, code: tuple) -> dict:
-        """{point: (denominator, {(observation code, code): integer mass})}:
-        each point's observation table split by a per-world `code`."""
+    def observation_sums(self, point) -> tuple:
+        """The observation table (see `observation_tables`) at one point."""
+        return self._interned[2][self.number[point]]
+
+    def joint_sums(self, code: tuple) -> list:
+        """Per point number: (denominator, {(observation code, code):
+        integer mass}), its observation table split by a per-world `code`."""
         pairs = {}  # per observation coding: each world's (observation code, code)
-        for p, recode in self._interned[3].items():
+        for fn, recode in zip(self.obs, self._interned[3]):
             if id(recode) not in pairs:
-                pairs[id(recode)] = tuple(zip(map(recode.get, self.coded(self.obs_fns[p])[0]), code))
-        return {p: (v[2], _integer_sums(v, pairs[id(self._interned[3][p])])) for p, v in self.masses.items()}
+                pairs[id(recode)] = tuple(zip(map(recode.get, self.coded(fn)[0]), code))
+        return [(v[2], _integer_sums(v, pairs[id(recode)])) for v, recode in zip(self.vectors, self._interned[3])]
 
 
 def make_split(
@@ -546,7 +568,7 @@ def make_split(
     The split is a complement when distinct worlds give distinct (v, v_bar)
     pairs, and a distinct one when the pairs also fill the product of the
     two images."""
-    index = SplitIndex.build(family.worlds, v, v_bar, family.axes)
+    index = SplitIndex.build(family.worlds, family.coded(v)[0], family.coded(v_bar))
     pairs = sum(map(len, index.compatible))  # distinct (v, v_bar) pairs
     if pairs < len(index.worlds):
         status = NOT_COMPLEMENT
@@ -573,32 +595,36 @@ def ignore_model(
     if split.index.worlds is not family.worlds:
         raise EngineError("the split was not made on this family; split it with make_split(family, v, v_bar)")
     index = split.index
-    parts = {p: _restrictions(vector, index) for p, vector in family.masses.items()}
-    for point, restrictions in parts.items():
+    parts = [_restrictions(vector, index) for vector in family.vectors]
+    for point, restrictions in zip(family.points, parts):
         empty = next((code for code, (_total, kept) in enumerate(restrictions) if not kept), None)
         if empty is not None:
             raise ZeroMassPhiSet(f"law at {point!r} has zero mass on the compatibility set "
                                  f"of {split.v_bar.name}={index.v_bar_values[empty]!r}")
 
-    # the grid of the ignored family is the set of (original point,
-    # nuisance index) pairs; `laws` gives each point its (nuisance index,
-    # nuisance law) pairs, a nuisance law being integer weights on v_bar-codes
+    # each original point gives its (nuisance index, nuisance code, nuisance
+    # law) triples, a nuisance law being integer weights on v_bar-codes
     if policy.kind == DIRAC_FIX:
-        fixed = [(value, ((b,), (1,), 1)) for b, value in enumerate(index.v_bar_values)]
-        laws = (fixed for _p in parts)
+        fixed = [(value, b, ((b,), (1,), 1)) for b, value in enumerate(index.v_bar_values)]
+        laws = (fixed for _vector in family.vectors)
     elif policy.kind == SINGLE_ARBITRARY:
         k = len(index.v_bar_values)
         law = (range(k), (1,) * k, k) if policy.dist is None else _nuisance_law(policy.dist, split)
-        laws = ([("arbitrary", law)] for _p in parts)
+        laws = ([("arbitrary", None, law)] for _vector in family.vectors)
     else:
         # each law re-randomized against its own nuisance marginal; under a
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
-        laws = ([(p, _marginal(family.masses[p], index.v_bar_code))] for p in parts)
-    masses = {(p, label): _atrandomize_ids(restrictions, split, law)
-              for (p, restrictions), pairs in zip(parts.items(), laws) for label, law in pairs}
-    obs_fns = {q: family.obs_fns[q[0]] for q in masses}
-    return Family(list(masses), None, obs_fns, numbering=(family.worlds, masses, family._coded, family.axes))
+        laws = ([(p, None, _marginal(vector, index.v_bar_code))] for p, vector in zip(family.points, family.vectors))
+    points, vectors, origins = [], [], []
+    for i, (p, restrictions, triples) in enumerate(zip(family.points, parts, laws)):
+        for label, b, law in triples:
+            points.append((p, label))
+            vectors.append(_atrandomize_ids(restrictions, split, law))
+            origins.append((i, b))
+    obs = [family.obs[i] for i, _b in origins]
+    return Family(points, None, None, numbering=(family.worlds, vectors, obs, family._coded, family.axes),
+                  origins=tuple(origins))
 
 
 @dataclass(frozen=True)
@@ -628,7 +654,13 @@ class ParameterFunction:
 
 
 def target_values(target, family: Family) -> dict:
-    """{point: value} of a point-indexed target, in point order.
+    """{point: value} of a point-indexed target, in point order (see
+    `point_values`)."""
+    return dict(zip(family.points, point_values(target, family)))
+
+
+def point_values(target, family: Family) -> list:
+    """The value of a point-indexed target at each point number.
 
     A marginal functional reads each law's marginal from the per-world
     codes of its variable, in code order, and is evaluated once per
@@ -638,15 +670,15 @@ def target_values(target, family: Family) -> dict:
     """
     if isinstance(target, MarginalFunctional):
         code, values, _keys = family.coded(target.var)
-        by_marginal, out = {}, {}
-        for p, vector in family.masses.items():
+        by_marginal, out = {}, []
+        for vector in family.vectors:
             marginal = _marginal(vector, code)
             if marginal not in by_marginal:
                 by_marginal[marginal] = target.fn(vector_law(values, marginal))
-            out[p] = by_marginal[marginal]
+            out.append(by_marginal[marginal])
         return out
     if isinstance(target, ParameterFunction):
-        return {p: target.fn(p) for p in family.points}
+        return [target.fn(p) for p in family.points]
     raise TargetNotTransformable(
         f"target {getattr(target, 'name', target)!r} has no per-point value"
     )
@@ -664,10 +696,10 @@ def transform_target(target, family: Family, ignored: Family):
         return target
     if isinstance(target, ParameterFunction):
         mapping = {}
-        for q in ignored.points:
+        for q, vector in zip(ignored.points, ignored.vectors):
             # on the one numbering of both families, equal laws have equal
             # reduced mass vectors
-            matches = [p for p in family.points if family.masses[p] == ignored.masses[q]]
+            matches = [p for p, v in zip(family.points, family.vectors) if v == vector]
             if not matches:
                 raise TargetNotTransformable(
                     f"ignored law at {q!r} equals no original law; the label "

@@ -37,6 +37,7 @@ from .exactprob import (
     numbering,
     sorted_distinct,
     summed,
+    support_cap,
     uniform,
     vector_law,
 )
@@ -48,9 +49,8 @@ from .ignorance import (
     dirac_fix,
     ignore_model,
     make_split,
-    target_values,
+    point_values,
     transform_target,
-    variation_independent,
 )
 from .sampling import (
     ObservationScheme,
@@ -98,35 +98,39 @@ class EquivalenceResult:
     witnesses: tuple
 
 
-def _ranked(original: Family, ignored: Family, target) -> tuple:
-    """(values, [{point: rank}]): the values of the target on the original
-    family and of its counterpart (`transform_target`) on the ignored one,
-    numbered in canonical_key order, the first of each key kept, and each
-    point's rank per family; each value object is keyed once, and a point
-    costs one lookup of its id.  The target is evaluated on each call (see
-    `target_values`), so a check builds its ranks once per test."""
+def _ranks(original: Family, ignored: Family, target) -> tuple:
+    """(values, [ranks]): the values of the target on the original family
+    and of its counterpart (`transform_target`) on the ignored one,
+    numbered in canonical_key order, the first of each key kept, and per
+    family the rank of each point number's value; each value object is
+    keyed once.  The target is evaluated on each call (see `point_values`),
+    so a check builds its ranks once per test."""
     target_star = transform_target(target, original, ignored)
-    sides = ((original, target_values(target, original)), (ignored, target_values(target_star, ignored)))
-    objects = {id(v): v for _family, values in sides for v in values.values()}
+    sides = (point_values(target, original), point_values(target_star, ignored))
+    objects = {id(v): v for values in sides for v in values}
     ranks, firsts = numbering([canonical_key(v) for v in objects.values()])
     by_id, reprs = dict(zip(objects, ranks)), list(objects.values())
-    return (tuple(reprs[i] for i in firsts),
-            [dict(zip(values, (by_id[id(v)] for v in values.values()))) for _family, values in sides])
+    return tuple(reprs[i] for i in firsts), [[by_id[id(v)] for v in values] for values in sides]
 
 
-def _coarse_table(family: Family, ranks: dict, columns: dict, width: int) -> dict:
+def _ranked(original: Family, ignored: Family, target) -> tuple:
+    """`_ranks` with each family's ranks by point label."""
+    reprs, ranks = _ranks(original, ignored, target)
+    return reprs, [dict(zip(f.points, r)) for f, r in zip((original, ignored), ranks)]
+
+
+def _coarse_table(family: Family, ranks: list, columns: dict, width: int) -> dict:
     """{value rank: row}: for each target value, the sup over its preimage
     of the mass of each compared observation, the likelihood of a coarsened
-    parameter.  `ranks` numbers each point's target value, and `columns`
-    maps the family's observation codes to the `width` compared
+    parameter.  `ranks` numbers the target value of each point number, and
+    `columns` maps the family's observation codes to the `width` compared
     observations.  A cell is (integer mass, denominator), compared with
     others by cross-multiplication."""
     table = {}
-    for p in family.points:
-        row = table.get(ranks[p])
+    for rank, (denominator, sums) in zip(ranks, family.observation_tables()):
+        row = table.get(rank)
         if row is None:
-            row = table[ranks[p]] = [(0, 1)] * width
-        denominator, sums = family.observation_sums(p)
+            row = table[rank] = [(0, 1)] * width
         for code, n in sums.items():
             j = columns.get(code)
             if j is not None and n * row[j][1] > row[j][0] * denominator:
@@ -143,14 +147,15 @@ def likelihood_equivalent(original: Family, ignored: Family, x, target) -> Equiv
     Target values and compared observations are numbered once, in
     canonical_key order, and the tables are indexed by those numbers.
     """
-    reprs, ranks = _ranked(original, ignored, target)
+    reprs, ranks = _ranks(original, ignored, target)
     if x is not None:
         xs = (x,)
         columns = [{family.observation_code(x): 0} for family in (original, ignored)]
     else:  # merged from the interned keys; an observation of the original is its own
         (xa, ca), (xb, cb) = ((f.observation_support(), f.observation_codes()) for f in (original, ignored))
         merged, firsts = numbering([*ca, *cb])  # the keys of each family in code order
-        xs = tuple((xa + xb)[i] for i in firsts)
+        both = xa + xb
+        xs = tuple(both[i] for i in firsts)
         columns = [dict(enumerate(merged[:len(ca)])), dict(enumerate(merged[len(ca):]))]
     table_a, table_b = (_coarse_table(f, r, cols, len(xs)) for f, r, cols in zip((original, ignored), ranks, columns))
     zeros = [(0, 1)] * len(xs)
@@ -219,7 +224,7 @@ def sampling_dist_equivalent(original: Family, ignored: Family, estimator, targe
     share their codings), the estimates of both are numbered once, and a
     point's distribution is keyed by its reduced integer mass vector on
     those numbers."""
-    reprs, ranks = _ranked(original, ignored, target)
+    reprs, ranks = _ranks(original, ignored, target)
     supports = [family.observation_support() for family in (original, ignored)]
     observations = {id(x): x for x in itertools.chain(*supports)}
     estimates = {i: estimator(x) for i, x in observations.items()}
@@ -228,11 +233,10 @@ def sampling_dist_equivalent(original: Family, ignored: Family, estimator, targe
     for family, xs, rank, group in zip((original, ignored), supports, ranks, groups):
         codes = [numbered[id(x)] for x in xs]
         first = dict(zip(reversed(codes), (estimates[id(x)] for x in reversed(xs))))  # the estimate of the lowest code
-        for p in family.points:
-            denominator, sums = family.observation_sums(p)
+        for r, (denominator, sums) in zip(rank, family.observation_tables()):
             key = summed(((codes[c], n) for c, n in sums.items()), denominator)
-            if key not in group.setdefault(rank[p], {}):
-                group[rank[p]][key] = vector_law(first, key)
+            if key not in group.setdefault(r, {}):
+                group[r][key] = vector_law(first, key)
     witnesses = []
     for v in sorted(groups[0].keys() | groups[1].keys()):
         da, db = (group.get(v, {}) for group in groups)
@@ -243,30 +247,32 @@ def sampling_dist_equivalent(original: Family, ignored: Family, estimator, targe
 
 
 def _target_columns(families, priors, target) -> tuple:
-    """(target values, per family its `_columns` under each prior): a point
-    target's code is its value's rank (see `_ranked`), a predictand's its
-    value's code per world, shared by both families (see `Family.coded`)."""
+    """(target values, per family its `_columns` under each prior, a prior
+    given as (point number, weight) pairs): a point target's code is its
+    value's rank (see `_ranks`), a predictand's its value's code per world,
+    shared by both families (see `Family.coded`)."""
     if isinstance(target, Predictand):
         if families[0].worlds is not families[1].worlds:
             raise EngineError("a predictand compares families on one numbering, as ignore_model builds")
         code, reprs, _keys = families[0].coded(target.fn)
         tables = [f.joint_sums(code) for f in families]
     else:
-        reprs, ranks = _ranked(*families, target)
-        tables = [{p: (d, {(c, rank[p]): n for c, n in sums.items()})
-                   for p in f.points for d, sums in [f.observation_sums(p)]} for f, rank in zip(families, ranks)]
+        reprs, ranks = _ranks(*families, target)
+        tables = [[(d, {(c, r): n for c, n in sums.items()}) for r, (d, sums) in zip(rank, f.observation_tables())]
+                  for f, rank in zip(families, ranks)]
     return reprs, [[_columns(table, q) for q in qs] for table, qs in zip(tables, priors)]
 
 
-def _columns(tables: dict, prior: FiniteDist) -> dict:
-    """{observation code: [(target code, weight)]}: per-point tables
-    {point: (denominator, {(observation code, target code): integer mass})}
-    under one prior, in prior order, each weight a point's prior mass times
-    its mass in integers over one denominator; a column's sum is the evidence."""
-    denominator = lcm(*(q.denominator * tables[p][0] for p, q in prior.items))
+def _columns(tables: list, prior: list) -> dict:
+    """{observation code: [(target code, weight)]}: per point number tables
+    (denominator, {(observation code, target code): integer mass}) under
+    one prior of (point number, weight) pairs, in prior order, each weight a
+    point's prior mass times its mass in integers over one denominator; a
+    column's sum is the evidence."""
+    denominator = lcm(*(q.denominator * tables[i][0] for i, q in prior))
     columns = {}
-    for p, q in prior.items:
-        d, table = tables[p]
+    for i, q in prior:
+        d, table = tables[i]
         factor = q.numerator * (denominator // (q.denominator * d))
         for (code, t), n in table.items():
             columns.setdefault(code, []).append((t, factor * n))
@@ -293,7 +299,8 @@ def posterior_equivalent(original: Family, ignored: Family, priors, priors_star,
     priors with zero evidence at x are excluded, and ZeroEvidence is raised
     when every original-side prior has zero evidence."""
     families = (original, ignored)
-    return _posterior_witness(families, *_target_columns(families, (priors, priors_star), target), x)
+    numbered = [[[(f.number[p], q) for p, q in prior.items] for prior in qs] for f, qs in zip(families, (priors, priors_star))]
+    return _posterior_witness(families, *_target_columns(families, numbered, target), x)
 
 
 def _posterior_witness(families, reprs, columns, x) -> EquivalenceResult:
@@ -306,8 +313,12 @@ def _posterior_witness(families, reprs, columns, x) -> EquivalenceResult:
 
 
 def check_distinct(grid) -> bool:
-    """Variation independence of the two parameter coordinates on the grid."""
-    return variation_independent(lambda g: g[0], lambda g: g[1], grid)
+    """Variation independence of the two parameter coordinates on the grid;
+    each coordinate is numbered by the first label equal to it, so no label
+    is hashed."""
+    thetas, phis = ([g[i] for g in grid] for i in (0, 1))
+    pairs = {(thetas.index(theta), phis.index(phi)) for theta, phi in grid}
+    return len(pairs) == len({t for t, _p in pairs}) * len({p for _t, p in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +412,7 @@ class RubinContext:
         self._z = self._marginals = None  # built by `_z_of`
         self._at = None  # per phi position: `_rows`, built by `_z_of`
         self._laws = []  # the design laws given a row, kept so that no id is reused
-        self._mapping_rank = {}  # canonical_key(mapping) -> rank
+        self._mapping_rank = dict(m.atoms.mapping_rank)  # canonical_key(mapping) -> rank, a rule's mappings after the model's
         self._mappings = {}  # canonical_key(mapping) -> its `_Mapping`
         self._tables = None
 
@@ -429,8 +440,8 @@ class RubinContext:
         if self._z is None:
             m, rank, weights = self.model, self._rank.__getitem__, self._weights
             seen, marginals = {}, []
-            for theta in m.thetas:
-                law = m.signal_law[theta].items
+            for law, _ranks in m.atoms.signals:  # by theta position
+                law = law.items
                 d, masses = lcm(*[w.denominator for _yz, w in law]), [0] * self._size
                 for (y, z), w in law:
                     zk = canonical_key(z)
@@ -463,8 +474,10 @@ class RubinContext:
             delta = self.model.design_for(self.phis[p]).get(z)
         row = law_rows.get(id(delta))
         if row is None:
-            ranks = self._mapping_rank
-            keys = [ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in delta.items]
+            keys = self.model.atoms.ranks.get(id(delta))  # None for a law a rule built here
+            if keys is None:
+                ranks = self._mapping_rank
+                keys = [ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in delta.items]
             row, d = [0] * (max(keys) + 1), lcm(*[w.denominator for _r, w in delta.items])
             for k, (_r, w) in zip(keys, delta.items):
                 row[k] = w.numerator * (d // w.denominator)
@@ -591,6 +604,22 @@ class RubinContext:
         self._keyed(record, mapping)
         return self._flat(record) or self._constant(record, self._ids(fixed, record, len(values)))
 
+    def flags(self, xs) -> tuple:
+        """(mar, oar) at every one of `xs`, observations of positive mass, as
+        `all(map(self.mar, xs))` and then `all(map(self.oar, xs))` give
+        them, each stopping at its first failure: `oar` is asked once per
+        observed mapping, and `mar` once per mapping whose columns are all
+        flat, where it holds at every observation."""
+        flat, mar = {}, True  # flat: observed mapping -> whether its columns are all flat
+        for x in xs:
+            mapping = tuple(x[1])
+            if not flat.get(mapping):
+                mar = self.mar(x)
+                if not mar:
+                    break
+                flat[mapping] = self._flat(self._mapping(mapping))
+        return mar, all(self.oar((None, mapping)) for mapping in dict.fromkeys(tuple(x[1]) for x in xs))
+
     def oar(self, x) -> bool:
         """Observed at random at the observed mapping: for every nuisance
         point and every value of the units outside the mapping, the
@@ -640,7 +669,7 @@ class RubinContext:
             self._z_of()  # which keeps the marginals
             m, marginals = self.model, self._marginals
             distinct = check_distinct(m.grid)
-            joints, on_grid, largest = [], [[] for _ in self.phis], 0
+            joints, on_grid, largest, cap = [], [[] for _ in self.phis], 0, support_cap()
             positive = [[j for j, w in enumerate(mg) if w] for _d, mg in marginals]  # by theta position
             for t, phi in m.grid:
                 ti, p = m.thetas.index(t), self.phis.index(phi)
@@ -649,7 +678,7 @@ class RubinContext:
                 joints.append((ti, p, ids, [mg[j] for j in ids]))
                 on_grid[p].append(ti)
                 size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j, {})[0] for j in ids))
-                check_size(size)
+                check_size(size, cap=cap)
                 largest = max(largest, size)
             self._tables = (distinct, marginals, joints, on_grid), largest
         check_size(self._tables[1])
@@ -854,7 +883,7 @@ def default_estimator(scheme: ObservationScheme):
 class PreparedCheck:
     """The observation-free part of a classification: the original family,
     the classified split, the ignored family and the target, which each
-    test carries across (see `_ranked`).  Built once by `prepare`, then
+    test carries across (see `_ranks`).  Built once by `prepare`, then
     queried by `test` per inference type and observation, which share its
     posterior columns under the default priors."""
 
@@ -869,8 +898,12 @@ class PreparedCheck:
     @cached_property
     def _default_columns(self) -> tuple:
         """`_target_columns` of both families under the priors of a Bayesian
-        test given none, uniform; built once per check."""
-        return _target_columns((self.family, self.ignored), self._priors(None, None), self.target)
+        test given none: uniform on the grid, and the product of that and
+        the uniform nuisance prior, which is uniform on the ignored points;
+        built once per check."""
+        families = (self.family, self.ignored)
+        priors = [[[(i, Fraction(1, len(f.points))) for i in range(len(f.points))]] for f in families]
+        return _target_columns(families, priors, self.target)
 
     def posterior_verdicts(self) -> list:
         """Whether the posterior sets under the default priors are equal at

@@ -16,11 +16,10 @@ the `z_contains_y` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .exactprob import (
     EngineError,
@@ -264,6 +263,20 @@ def _normalize_grid(thetas, phis, grid):
     return tuple(out)
 
 
+class Atoms(NamedTuple):
+    """The two axes of a model's world space and the integer rank of every
+    atom of every signal law and design law, worked out in one pass by
+    `SurveyModel.create` that keys each atom once; ints are kept, and keys
+    only for the distinct mappings."""
+
+    yzs: tuple  # the (y, z) pairs, sorted
+    mappings: tuple  # the mappings, sorted
+    signals: tuple  # per theta position: (its law, the rank of each of its (y, z) atoms)
+    designs: dict  # phi -> the design law at the z of each (y, z) rank
+    ranks: dict  # id(design law) -> the rank of each of its mappings
+    mapping_rank: dict  # canonical_key(mapping) -> rank
+
+
 @dataclass(frozen=True)
 class SurveyModel:
     """Parameter-indexed family of world distributions.
@@ -273,7 +286,8 @@ class SurveyModel:
     the z values the signal laws can produce, in phi-grid order.  A model
     with no phi grid has one known design, the one-point grid: the table's
     only key is None, and so is the phi of every grid point.  The grid is
-    the explicit list of live (theta, phi) pairs.
+    the explicit list of live (theta, phi) pairs.  `atoms` numbers the
+    atoms of the signal and design laws (see `Atoms`).
     """
 
     population: Population
@@ -284,6 +298,7 @@ class SurveyModel:
     grid: tuple = ()
     z_contains_y: bool = False
     alphabet: tuple = ()
+    atoms: Atoms = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def create(
@@ -305,25 +320,26 @@ class SurveyModel:
         if phis and design_law is None:
             raise EngineError("phi grid given without a design law")
         laws = {}
-        z_values = []
-        z_keys = set()
+        firsts, keys = {}, []  # canonical_key((y, z)) -> the first (y, z); per theta (its law, its atoms' keys)
         n = population.size
         for theta in thetas:
             law = signal_law[theta] if not callable(signal_law) else signal_law(theta)
             if not isinstance(law, FiniteDist):
                 raise EngineError(f"signal law for {theta!r} is not a FiniteDist")
-            for (y, z), _w in law.items:
+            for (y, _z), _w in law.items:
                 if len(y) != n:
                     raise EngineError(
                         f"signal {y!r} does not cover the population exactly"
                     )
-                zk = canonical_key(z)
-                if zk not in z_keys:
-                    z_keys.add(zk)
-                    z_values.append(z)
+            keys.append((law, [canonical_key(yz) for yz, _w in law.items]))
+            for (yz, _w), k in zip(law.items, keys[-1][1]):
+                firsts.setdefault(k, yz)
             laws[theta] = law
+        z_values = {}  # canonical_key(z) -> z, in order of first sight
+        for k, (_y, z) in firsts.items():
+            z_values.setdefault(item_keys(k)[1], z)
         alphabet = sorted_distinct(v for law in laws.values() for (y, _z), _w in law.items for v in y)
-        designs = {phi: (design_law[phi] if phis else design).materialize(z_values) for phi in phis or [None]}
+        designs = {phi: (design_law[phi] if phis else design).materialize(z_values.values()) for phi in phis or [None]}
         return SurveyModel(
             population=population,
             thetas=thetas,
@@ -333,6 +349,7 @@ class SurveyModel:
             grid=_normalize_grid(thetas, tuple(designs), grid),
             z_contains_y=z_contains_y,
             alphabet=alphabet,
+            atoms=_atoms(firsts, keys, designs),
         )
 
     def design_for(self, phi=None) -> Kernel:
@@ -346,13 +363,11 @@ class SurveyModel:
             raise GridMiss(f"grid point {point!r} not in model grid")
         return point
 
-    @cached_property
+    @property
     def axes(self) -> tuple:
         """(sorted (y, z) pairs, sorted mappings): the two factors of the
-        world space, worked out once per model and kept in its instance
-        dict."""
-        yzs = sorted_distinct(yz for t in self.thetas for yz, _w in self.signal_law[t].items)
-        return yzs, sorted_distinct(r for k in self.designs.values() for _z, delta in k.entries for r, _w in delta.items)
+        world space."""
+        return self.atoms.yzs, self.atoms.mappings
 
     def world_space(self) -> tuple:
         """The structural world space: every (y, z) the signal laws can
@@ -373,62 +388,85 @@ class SurveyModel:
         return tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
 
 
+def _atoms(firsts: dict, keys: list, designs: dict) -> Atoms:
+    """The `Atoms` of a model from its (y, z) pairs, first of each key, the
+    law of each theta with its atoms' keys, and the materialized designs;
+    each mapping of each design law object is keyed once."""
+    order = sorted(firsts)
+    rank = {k: i for i, k in enumerate(order)}
+    mapping_firsts, law_keys = {}, {}
+    for kernel in designs.values():
+        for _z, delta in kernel.entries:
+            if id(delta) not in law_keys:
+                law_keys[id(delta)] = [canonical_key(r) for r, _w in delta.items]
+                for (r, _w), k in zip(delta.items, law_keys[id(delta)]):
+                    mapping_firsts.setdefault(k, r)
+    mapping_rank = {k: i for i, k in enumerate(sorted(mapping_firsts))}
+    return Atoms(
+        yzs=tuple(firsts[k] for k in order),
+        mappings=tuple(mapping_firsts[k] for k in mapping_rank),
+        signals=tuple((law, tuple(map(rank.__getitem__, ks))) for law, ks in keys),
+        designs={phi: tuple(kernel.index[item_keys(k)[1]] for k in order) for phi, kernel in designs.items()},
+        ranks={i: tuple(map(mapping_rank.__getitem__, ks)) for i, ks in law_keys.items()},
+        mapping_rank=mapping_rank,
+    )
+
+
 def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
     """Exact joint law of the world under one grid point: its
     `joint_masses` with each id made a world and each mass a Fraction."""
     yzs, mappings = m.axes
-    ids, numerators, denominator = joint_masses(m, [(theta, phi)])[theta, phi]
+    ids, numerators, denominator = joint_masses(m, [(theta, phi)])[0]
     worlds = (WorldState(*yzs[i // len(mappings)], mappings[i % len(mappings)]) for i in ids)
     return FiniteDist(tuple((w, Fraction(n, denominator)) for w, n in zip(worlds, numerators)))
 
 
-def joint_masses(m: SurveyModel, points) -> dict:
-    """{grid point: (world ids, numerators, denominator)}: the exact joint
-    law of the world under each of `points`, grid points of m, p(y, z)
+def joint_masses(m: SurveyModel, points) -> list:
+    """[(world ids, numerators, denominator)]: the exact joint law of the
+    world under each of `points`, grid points of m, in their order, p(y, z)
     p(r | z), as a reduced integer mass vector (see `reduced`) on the ids
     of `m.world_space()`.  Each point is tested against the grid, after
     the support cap is read, unless `points` is `m.grid` itself.
 
-    Each theta's signal law is keyed and scaled over the lcm of its
-    denominators once per call, and each design column over its own, so
-    each mass is an integer product.  The law of r given (y, z) is the
-    design kernel at z, so 'selection reads only z' holds for every model
-    built without the z-contains-y opt-in.  (y, z) and r come in
-    canonical_key order, so the ids are distinct and ascending."""
-    mappings = m.axes[1]
-    # ranked per call: kept on the model, these keys would live as long as it
-    yz_rank, r_rank = ({canonical_key(v): i for i, v in enumerate(vs)} for vs in m.axes)
-    signals = {}  # theta -> ((id of its first world, integer mass, z, z's key) per (y, z), denominator)
+    Each atom is read by its rank in `m.atoms`, with no key made.  Each
+    theta's signal law is scaled over the lcm of its denominators once per
+    call, and each design column over its own, so each mass is an integer
+    product.  The law of r given (y, z) is the design kernel at z, so
+    'selection reads only z' holds for every model built without the
+    z-contains-y opt-in.  (y, z) and r come in canonical_key order, so the
+    ids are distinct and ascending."""
+    atoms = m.atoms
+    n_r = len(atoms.mappings)
+    signals = {}  # theta position -> ((rank, integer mass) per (y, z) atom, denominator)
     columns = {}  # id(design law) -> (that law, ranks of its r, integer masses, denominator)
-    out, cap = {}, support_cap()
+    out, cap = [], support_cap()
     for theta, phi in points:
         if points is not m.grid:  # the grid itself needs no test
             m.check_point(theta, phi)
-        design = m.design_for(phi)
-        signal = signals.get(theta)
+        m.design_for(phi)
+        t = m.thetas.index(theta)  # compared, not hashed
+        signal = signals.get(t)
         if signal is None:
-            law = m.signal_law[theta]
+            law, ranks = atoms.signals[t]
             masses, denominator = integer_masses(law.weights())
-            keys = [canonical_key(yz) for yz, _w in law.items]
-            signal = signals[theta] = ([(yz_rank[k] * len(mappings), a, yz[1], item_keys(k)[1])  # z's key
-                                        for (yz, _w), a, k in zip(law.items, masses, keys)], denominator)
+            signal = signals[t] = (list(zip(ranks, masses)), denominator)
+        laws = atoms.designs[phi]
         rows, size = [], 0
-        for base, a, z, zk in signal[0]:
-            delta = design.get(z, zk)
+        for k, a in signal[0]:
+            delta = laws[k]
             check_size(size + len(delta.items), "world support", cap)
             size += len(delta.items)
             column = columns.get(id(delta))
             if column is None:
-                ranks = [r_rank[canonical_key(r)] for r, _w in delta.items]
-                column = columns[id(delta)] = (delta, ranks, *integer_masses(delta.weights()))
-            rows.append((base, a, column))
+                column = columns[id(delta)] = (delta, atoms.ranks[id(delta)], *integer_masses(delta.weights()))
+            rows.append((k * n_r, a, column))
         denominator = lcm(*(column[3] for _base, _a, column in rows))
         ids, numerators = [], []
         for base, a, (_delta, ranks, masses, column_denominator) in rows:
             factor = a * (denominator // column_denominator)
             ids.extend([base + j for j in ranks])
             numerators.extend([factor * b for b in masses])
-        out[theta, phi] = reduced(ids, numerators, signal[1] * denominator)
+        out.append(reduced(ids, numerators, signal[1] * denominator))
     return out
 
 

@@ -239,8 +239,10 @@ class TestCheck:
         assert "error" in err
 
     def test_uniform_mar_flags_computed_once(self, capsys, models, monkeypatch):
-        # one Rubin context per command and one MAR query per observation,
-        # not one per observation pair
+        # one Rubin context per command and one MAR query per observed
+        # mapping, not one per observation pair: the 24 observations of
+        # srs_wor_n3 draw 6 mappings, each with flat columns, where MAR holds
+        # at every observation (see the test below)
         contexts, mar_queries = count_rubin(monkeypatch)
         argv = ["check", models["srs_wor_n3"], "--inference", "bayes",
                 "--mar-variant", "uniform", "--json"]
@@ -250,7 +252,41 @@ class TestCheck:
         assert payload["flags"]["mar"] is True
         assert payload["observations_checked"] == 24
         assert len(contexts) == 1
-        assert len(mar_queries) == 24
+        assert len(mar_queries) == 6
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_mar_asked_once_per_flat_mapping(self, monkeypatch, fail):
+        # the uniform flags ask MAR once per observed mapping whose columns
+        # are all flat and at each observation of any other mapping, up to
+        # the first where it fails.  z is the signal y on two units with
+        # values 0 and 1, and the design draws (1,) with mass 1/2 whatever y
+        # is (flat), and (1, 2) or (2, 1) with the other 1/2 as y_1 is 1 or
+        # not: each of those two observes y whole, so MAR holds at its
+        # observations, and only the second observation of (1,) is not
+        # asked.  With `fail` the other 1/2 goes to (2,) when y_1 is 0; the
+        # first observation of (2,), the second in order, has signals that
+        # differ at unit 1, so MAR fails there and nothing after it is asked
+        from ignorability_lab.cli import _rubin_flags
+        from ignorability_lab.exactprob import Kernel, bernoulli, uniform
+        from ignorability_lab.ignorance import Family
+        from ignorability_lab.inference import prepare_rubin
+        from ignorability_lab.sampling import Population, SurveyModel, iid_signal_dist, values_and_mapping
+
+        other = (2,) if fail else (2, 1)
+        pop = Population((1, 2))
+        design = Kernel.from_rule(lambda y: uniform([(1,), (1, 2) if y[0] == 1 else other]))
+        m = SurveyModel.create(pop, (F(1, 3),), {F(1, 3): iid_signal_dist(pop, bernoulli(F(1, 3)), z_of=lambda y: y)},
+                               design=design, z_contains_y=True)
+        scheme = values_and_mapping()
+        observations = Family.from_survey_model(m, scheme).observation_support()
+        rubin, asked = prepare_rubin(m, scheme), []
+        real = rubin.mar
+        monkeypatch.setattr(rubin, "mar", lambda x: asked.append(x) or real(x))
+        flags = dict(_rubin_flags(rubin, observations, "uniform"))
+        assert [x[1] for x in observations] == [(1,), other, (1,), *([(2,), (1, 2)] if fail else [(1, 2), (2, 1)]), (1, 2)]
+        assert [real(x) for x in observations] == [True, not fail, True, not fail, True, True]
+        assert flags["mar"] is not fail
+        assert asked == [x for i, x in enumerate(observations) if (i < 2 if fail else i != 2)]
 
     @pytest.mark.parametrize("extra", [[], ["--inference", "bayes"]])
     def test_oar_evaluated_once_per_mapping(self, capsys, models, monkeypatch, extra):

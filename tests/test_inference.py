@@ -206,6 +206,29 @@ class TestLikelihood:
         assert table[(F(1, 3), F(1, 3))] == F(1, 18)
 
 
+class TestPointNumbers:
+    def test_grid_labels_not_hashed(self, monkeypatch):
+        # srs_wor_n3 has the grid points (1/3, None) and (2/3, None); prepare
+        # and a likelihood test read every per-point table by point number
+        # and each law's atoms by their kept ranks, so no label is hashed.
+        # The only Fractions hashed are in the keys of the target's values,
+        # E[y_1] = 1/3 and 2/3, once on each family when they are ranked:
+        # 4, where keyed lookups by point made 160
+        from ignorability_lab.catalog import CATALOG
+        from ignorability_lab.ignorance import dirac_fix
+        from ignorability_lab.inference import prepare
+        from ignorability_lab.modelfile import parse_model
+
+        build = parse_model(CATALOG["srs_wor_n3"]).build()
+        hashed, real = [], F.__hash__
+        monkeypatch.setattr(F, "__hash__", lambda self: hashed.append(self) or real(self))
+        prepared = prepare(build.model, (build.v, build.v_bar), build.scheme, build.target, dirac_fix())
+        report = prepared.test(LIKELIHOOD_BASED, None, None, None, None)
+        monkeypatch.undo()
+        assert report.verdict == IGNORABLE
+        assert sorted(hashed) == [F(1, 3), F(1, 3), F(2, 3), F(2, 3)]
+
+
 def uniform_mar(m, scheme):
     """The uniform MAR flag as `check` reports it: local MAR at every
     positive-mass observation."""
@@ -896,8 +919,9 @@ class TestColdRubinContext:
         # phi, whose laws the rule builds: 4 calls where one per (phi,
         # signal id) made 8.  The context keys each alphabet value, each z
         # (a signal tuple, whose key holds its values' keys), each mapping
-        # of a design law, the observed mapping and the drawn value: 14
-        # canonical_key calls, down from 18.
+        # of a law the rule builds (the model's own design laws come with
+        # the ranks of their mappings), the observed mapping and the drawn
+        # value: 10 canonical_key calls, down from 14 and 18 before that.
         from ignorability_lab import inference
 
         m = rubin_model({"first": first_unit_or_both, "second": drop_by_second},
@@ -908,7 +932,7 @@ class TestColdRubinContext:
         monkeypatch.setattr(inference, "canonical_key", lambda value: keys.append(value) or real_key(value))
         report = RubinContext(m).audit(((1,), (1,)))
         assert sorted(gets) == [((0, 1),), ((0, 1),), ((1, 0),), ((1, 0),)]
-        assert len(keys) == 14
+        assert len(keys) == 10
         monkeypatch.undo()
         assert report == RubinContext(m).audit(((1,), (1,)))
         assert not any(a.counterexample() for a in report.audits if a.theorem != "6.2")

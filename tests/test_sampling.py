@@ -1,10 +1,12 @@
 """Survey model layer: indicators, inclusion probabilities, joints,
 observation schemes."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+import reference
 from reference import dist_eq
 from ignorability_lab import sampling
 from ignorability_lab.catalog import CATALOG
@@ -371,3 +373,37 @@ def test_one_design_table():
     assert tuple(per_phi.designs) == per_phi.phis == ("p",) and per_phi.design_for("p") is per_phi.designs["p"]
     for m in (single, per_phi):
         assert not hasattr(m, "design") and not hasattr(m, "design_law")
+
+
+def _rubin_sweep_models():
+    """The 210 two-unit models of the Rubin sweep (acceptance criterion 6)."""
+    from test_acceptance import RUBIN_KERNELS, RUBIN_SIGNALS, _rubin_model
+
+    def grids(names):
+        return [(n,) for n in sorted(names)] + list(itertools.combinations(sorted(names), 2))
+
+    return [_rubin_model(thetas, phis) for thetas in grids(RUBIN_SIGNALS) for phis in grids(RUBIN_KERNELS)]
+
+
+class TestKeptRanks:
+    """The joint read through the ranks `SurveyModel.create` keeps, with no
+    key made, against the reference's enumeration of every (y, z) and
+    mapping, each law built from Fractions."""
+
+    @staticmethod
+    def check(m):
+        space, laws = reference.survey_family(m)
+        worlds = m.world_space()
+        assert set(worlds) == set(space) and len(worlds) == len(space)
+        for (theta, phi), (ids, numerators, denominator) in zip(m.grid, sampling.joint_masses(m, m.grid)):
+            assert {worlds[i]: F(n, denominator) for i, n in zip(ids, numerators)} == laws[theta, phi]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_models(self, name):
+        self.check(parse_model(CATALOG[name]).build().model)
+
+    def test_rubin_sweep_models(self):
+        models = _rubin_sweep_models()
+        assert len(models) == 210
+        for m in models:
+            self.check(m)
