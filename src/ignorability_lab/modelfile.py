@@ -407,7 +407,7 @@ def parse_model(text: str) -> ModelDocument:
         raise _error(key, "distinct-grid", "duplicate theta label")
     entry = grids.get("phi")
     phis = tuple(map(_parse_label, entry[2])) if entry else ()
-    gamma = None
+    gamma, gamma_phis = None, []  # gamma_phis: (token, phi token, phi) of each pair
     entry = grids.get("gamma")
     if entry:
         gamma = []
@@ -419,6 +419,7 @@ def parse_model(text: str) -> ModelDocument:
             if phis and pair[1] not in phis:
                 raise _error(tok, "gamma-in-grid", f"gamma phi {right.text!r} not in the phi grid")
             gamma.append(pair)
+            gamma_phis.append((tok, right, pair[1]))
         gamma = tuple(gamma)
 
     signal = _Section(sections, "signal")
@@ -471,6 +472,8 @@ def parse_model(text: str) -> ModelDocument:
         n = _size(tok, tok, f"sample size must be a nonnegative integer, got {tok.text!r}")
     if variant in ("srs_wor", "srs_wr") and n is None:
         raise _error(variant_tok, "variant-params", f"variant {variant!r} needs a sample size n")
+    if variant == "srs_wor" and n > len(units):
+        raise _error(tok, "sample-fits-population", f"sample size {n} without replacement exceeds the population size {len(units)}")
     strata = None
     entry = design.get("strata")
     if entry:
@@ -499,6 +502,9 @@ def parse_model(text: str) -> ModelDocument:
         p = tuple(map(_parse_rational, entry[2]))
         if len(p) != len(units):
             raise _error(entry[0], "p-cover", "one inclusion probability per unit required")
+        for tok, q in zip(entry[2], p):
+            if variant == "poisson" and not 0 <= q <= 1:
+                raise _error(tok, "probability-range", f"inclusion probability {tok.text} outside [0, 1]")
     if variant == "poisson" and p is None:
         raise _error(variant_tok, "variant-params", "poisson design needs per-unit probabilities p")
     components = []
@@ -545,6 +551,13 @@ def parse_model(text: str) -> ModelDocument:
             for lab in phis or thetas:
                 if lab not in given:
                     raise _error(variant_tok, "weights-cover", f"no mixture weights for grid label {_show(lab)}")
+
+    # with no phi line a mixture's phi grid is its theta grid, and any other
+    # design has the one-point grid, which a document cannot name
+    for tok, right, phi in gamma_phis:
+        if not phis and (variant != "mixture" or phi not in thetas):
+            where = "the theta grid, a mixture's phi grid" if variant == "mixture" else "a phi grid; add a phi line"
+            raise _error(tok, "gamma-in-grid", f"gamma phi {right.text!r} not in {where}")
 
     observation = _Section(sections, "observation")
     scheme = _choose(observation.value("scheme"), SCHEME_KINDS, "observation scheme", "known-scheme")

@@ -395,6 +395,42 @@ class TestMixtureKeyedByTheta:
         assert all(canonical_key(m.design_for(label)) == want for label in m.phis)
 
 
+class TestValueRules:
+    """Value rules the engine also checks, located here so that a document
+    is refused at its token; models built through the Python API meet the
+    engine's own checks (test_designs.py, test_sampling.py)."""
+
+    @pytest.mark.parametrize(
+        "model, old, new, rule, message, col",
+        [
+            ("srs_wor_minimal", "n = 1", "n = 3", "sample-fits-population",
+             "sample size 3 without replacement exceeds the population size 2", 5),
+            ("poisson", "p = 1/2 1/2", "p = 1/2 -1", "probability-range", "inclusion probability -1 outside [0, 1]", 9),
+            ("poisson", "p = 1/2 1/2", "p = 3/2 1/2", "probability-range", "inclusion probability 3/2 outside [0, 1]", 5),
+            ("srs_wor_minimal", "theta = 1/3 2/3", "theta = 1/3 2/3\ngamma = 1/3:1/3 2/3:5", "gamma-in-grid",
+             "gamma phi '1/3' not in a phi grid; add a phi line", 9),
+            ("bernoulli_mixture", "phi = 1/3 1/2\ngamma = 1/3:1/3 1/2:1/2", "gamma = 1/3:1/3 1/2:5", "gamma-in-grid",
+             "gamma phi '5' not in the theta grid, a mixture's phi grid", 17),
+        ],
+        ids=["srs-n-above-units", "poisson-negative", "poisson-above-one", "gamma-phi-no-phi-line",
+             "gamma-phi-mixture-off-thetas"],
+    )
+    def test_refused_at_the_token(self, model, old, new, rule, message, col):
+        text = CATALOG[model]
+        assert text.count(old) == 1
+        err = expect_error(text.replace(old, new), SchemaError, f"{message} [{rule}]")
+        assert err.col == col
+
+    def test_accepted_edges(self):
+        # n = N without replacement, p at 0 and 1, srs_wr above N, and a
+        # mixture's gamma on its theta grid with no phi line all build
+        for model, old, new in (("srs_wor_minimal", "n = 1", "n = 2"), ("poisson", "p = 1/2 1/2", "p = 0 1"),
+                                ("srs_wor_minimal", "variant = srs_wor\nn = 1", "variant = srs_wr\nn = 3")):
+            parse_model(CATALOG[model].replace(old, new)).build()
+        m = parse_model(NO_PHI.replace("theta = 1/3 1/2\n", "theta = 1/3 1/2\ngamma = 1/3:1/2\n")).build().model
+        assert m.grid == ((F(1, 3), F(1, 2)),)
+
+
 class TestMutatedDocuments:
     @settings(max_examples=400, deadline=None)
     @given(mutated_documents())
@@ -412,13 +448,14 @@ RULES = {
     "key-value", "known-key", "known-scheme", "known-section", "known-selector",
     "known-target", "known-variant", "law-theta", "mass-pair", "nonempty",
     "nonnegative-mass", "numeric-alphabet", "one-law-per-theta", "one-value", "p-cover",
-    "required-key", "required-section", "section-header", "section-required", "signal-covers-population",
+    "probability-range", "required-key", "required-section", "sample-fits-population", "section-header",
+    "section-required", "signal-covers-population",
     "strata-cover", "unique-component", "unique-key", "unique-section", "unique-weights", "unit-exists",
     "unit-mass", "unlabelled-weights", "unordered-scheme", "value-in-alphabet", "variant-params",
     "weights-cover", "weights-in-grid",
 }
 DIGEST_REPLACEMENTS = REPLACEMENTS + ("-", "x", "0", "-1", "1:1", "[x", "0:-1")
-DIAGNOSTICS_DIGEST = "934c7466df53316cddfe8c28f332939c124ef274bb56e3f4c83e810d860eb2ec"
+DIAGNOSTICS_DIGEST = "5369acb80873d963b2d65df3acfd29d4a0119488c17dab2fd5a7e7434272f66e"
 
 
 def _render(lines):
@@ -497,6 +534,6 @@ def test_diagnostics_digest():
             outcome = f"{type(err).__name__} {err.line} {err.col} {err.rule} {err}"
         digest.update(outcome.encode("utf-8") + b"\n")
     assert count == 11_625
-    assert len(RULES) == 44
+    assert len(RULES) == 46
     assert rules == RULES
     assert digest.hexdigest() == DIAGNOSTICS_DIGEST
