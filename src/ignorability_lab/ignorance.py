@@ -319,10 +319,10 @@ def _integer_sums(vector: tuple, code: tuple) -> dict:
     return out
 
 
-def _marginal(vector: tuple, code: tuple) -> tuple:
+def _marginal(vector: tuple, code: tuple, cap: int | None = None) -> tuple:
     """The reduced integer mass vector on codes of an integer mass vector
-    pushed through a per-world `code`."""
-    check_size(len(vector[0]))
+    pushed through a per-world `code`; `cap` is the support cap, when read."""
+    check_size(len(vector[0]), cap=cap)
     return summed(zip(map(code.__getitem__, vector[0]), vector[1]), vector[2])
 
 
@@ -337,13 +337,13 @@ def _nuisance_law(dist: FiniteDist, split: ProcessSplit) -> tuple:
     return codes, weights, denominator
 
 
-def _restrictions(vector: tuple, index: SplitIndex) -> list:
+def _restrictions(vector: tuple, index: SplitIndex, cap: int | None = None) -> list:
     """Per v_bar-code b: (total, {v-code a: integer mass}), a law's
     numerators summed per v-code on the compatibility set Phi(b), divided by
     their gcd, the v-codes ascending; empty where the law puts no mass on
     Phi(b).  Each distinct compatibility set is scanned and reduced once,
     and the codes that share it share its restriction."""
-    sums, cap = _integer_sums(vector, index.v_code), support_cap()
+    sums, cap = _integer_sums(vector, index.v_code), support_cap() if cap is None else cap
     scanned, out = {}, []
     for codes in index.compatible:
         part = scanned.get(codes)
@@ -356,7 +356,7 @@ def _restrictions(vector: tuple, index: SplitIndex) -> list:
     return out
 
 
-def _atrandomize_ids(parts: list, split: ProcessSplit, nuisance: tuple) -> tuple:
+def _atrandomize_ids(parts: list, split: ProcessSplit, nuisance: tuple, cap: int | None = None) -> tuple:
     """The integer mass vector of atrandomize on a law given by its
     `_restrictions`, against a nuisance law of integer weights on
     v_bar-codes.
@@ -369,7 +369,7 @@ def _atrandomize_ids(parts: list, split: ProcessSplit, nuisance: tuple) -> tuple
     for b in codes:
         if not parts[b][1]:
             raise ZeroMassPhiSet(f"compatibility set of {split.v_bar.name}={index.v_bar_values[b]!r} has zero mass")
-    check_size(sum(len(parts[b][1]) for b in codes))
+    check_size(sum(len(parts[b][1]) for b in codes), cap=cap)
     denominator = lcm(*(parts[b][0] for b in codes))
     masses = []
     for b, weight in zip(codes, weights):
@@ -481,7 +481,7 @@ class Family:
         else:
             fns = dict.fromkeys(phis, _observation_rv(m, scheme))
         numbering = (m.world_space(), joint_masses(m, m.grid), [fns[phi] for _theta, phi in m.grid], {},
-                     tuple(map(len, m.axes)))
+                     (len(m.atoms.yzs), len(m.atoms.mappings)))
         return Family(m.grid, None, None, numbering=numbering)
 
     def coded(self, var) -> tuple:
@@ -594,8 +594,8 @@ def ignore_model(
     _require_complement(split)
     if split.index.worlds is not family.worlds:
         raise EngineError("the split was not made on this family; split it with make_split(family, v, v_bar)")
-    index = split.index
-    parts = [_restrictions(vector, index) for vector in family.vectors]
+    index, cap = split.index, support_cap()  # the cap read once per call
+    parts = [_restrictions(vector, index, cap) for vector in family.vectors]
     for point, restrictions in zip(family.points, parts):
         empty = next((code for code, (_total, kept) in enumerate(restrictions) if not kept), None)
         if empty is not None:
@@ -615,12 +615,12 @@ def ignore_model(
         # each law re-randomized against its own nuisance marginal; under a
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
-        laws = ([(p, None, _marginal(vector, index.v_bar_code))] for p, vector in zip(family.points, family.vectors))
+        laws = ([(p, None, _marginal(vector, index.v_bar_code, cap))] for p, vector in zip(family.points, family.vectors))
     points, vectors, origins = [], [], []
     for i, (p, restrictions, triples) in enumerate(zip(family.points, parts, laws)):
         for label, b, law in triples:
             points.append((p, label))
-            vectors.append(_atrandomize_ids(restrictions, split, law))
+            vectors.append(_atrandomize_ids(restrictions, split, law, cap))
             origins.append((i, b))
     obs = [family.obs[i] for i, _b in origins]
     return Family(points, None, None, numbering=(family.worlds, vectors, obs, family._coded, family.axes),
@@ -670,9 +670,9 @@ def point_values(target, family: Family) -> list:
     """
     if isinstance(target, MarginalFunctional):
         code, values, _keys = family.coded(target.var)
-        by_marginal, out = {}, []
+        by_marginal, out, cap = {}, [], support_cap()
         for vector in family.vectors:
-            marginal = _marginal(vector, code)
+            marginal = _marginal(vector, code, cap)
             if marginal not in by_marginal:
                 by_marginal[marginal] = target.fn(vector_law(values, marginal))
             out.append(by_marginal[marginal])

@@ -433,21 +433,24 @@ class RubinContext:
         """z of each signal id, which the selection mass given y alone
         needs: the z the signal laws pair with it; for a signal of zero
         mass `_Y` by the z-contains-y convention, a constant z, or `_NO_Z`.
-        The same pass over the signal laws keeps each theta's marginal, d
-        the lcm of its law's denominators and a numerator per signal id;
-        then every phi's rows are built (`_rows`), each signal's design law
-        found by the key of its z."""
+        Each distinct (y, z) of the model's atoms is keyed once; the same
+        pass over the signal laws, reading each atom's rank, keeps each
+        theta's marginal, d the lcm of its law's denominators and a
+        numerator per signal id; then every phi's rows are built (`_rows`),
+        each signal's design law found by the key of its z."""
         if self._z is None:
             m, rank, weights = self.model, self._rank.__getitem__, self._weights
+            signals = []  # per (y, z) rank: (signal id, z, z's key)
+            for y, z in m.atoms.yzs:
+                zk = canonical_key(z)
+                # when z is the signal tuple itself, its key holds its values' keys
+                y_keys = item_keys(zk) if z is y and type(y) is tuple else map(canonical_key, y)
+                signals.append((sum(map(mul, map(rank, y_keys), weights)), z, zk))
             seen, marginals = {}, []
-            for law, _ranks in m.atoms.signals:  # by theta position
-                law = law.items
-                d, masses = lcm(*[w.denominator for _yz, w in law]), [0] * self._size
-                for (y, z), w in law:
-                    zk = canonical_key(z)
-                    # when z is the signal tuple itself, its key holds its values' keys
-                    y_keys = item_keys(zk) if z is y and type(y) is tuple else map(canonical_key, y)
-                    j = sum(map(mul, map(rank, y_keys), weights))
+            for law, ranks in m.atoms.signals:  # by theta position
+                d, masses = lcm(*[w.denominator for _yz, w in law.items]), [0] * self._size
+                for k, (_yz, w) in zip(ranks, law.items):
+                    j, z, zk = signals[k]
                     if seen.setdefault(j, (z, zk))[1] != zk:
                         raise NotRubinShape("design variable is not a function of the signal")
                     masses[j] += w.numerator * (d // w.denominator)
@@ -864,7 +867,9 @@ def default_estimator(scheme: ObservationScheme):
             return tuple(v for v, _pi in x)
         return x[0]
 
-    def number(v) -> Fraction:
+    def number(v) -> int | Fraction:
+        if type(v) is int or type(v) is Fraction:  # exact already: no Fraction built per value
+            return v
         try:
             return Fraction(v)
         except (TypeError, ValueError):

@@ -363,12 +363,6 @@ class SurveyModel:
             raise GridMiss(f"grid point {point!r} not in model grid")
         return point
 
-    @property
-    def axes(self) -> tuple:
-        """(sorted (y, z) pairs, sorted mappings): the two factors of the
-        world space."""
-        return self.atoms.yzs, self.atoms.mappings
-
     def world_space(self) -> tuple:
         """The structural world space: every (y, z) the signal laws can
         produce combined with every selection mapping any design can
@@ -383,7 +377,7 @@ class SurveyModel:
         The product of the sorted (y, z) pairs and sorted mappings is in
         canonical_key order: (y, z, r) has id rank(y, z) * |R| + rank(r).
         """
-        yzs, mappings = self.axes
+        yzs, mappings = self.atoms.yzs, self.atoms.mappings
         check_size(len(yzs) * len(mappings), "world space")
         return tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
 
@@ -415,7 +409,7 @@ def _atoms(firsts: dict, keys: list, designs: dict) -> Atoms:
 def build_joint(m: SurveyModel, theta, phi=None) -> FiniteDist:
     """Exact joint law of the world under one grid point: its
     `joint_masses` with each id made a world and each mass a Fraction."""
-    yzs, mappings = m.axes
+    yzs, mappings = m.atoms.yzs, m.atoms.mappings
     ids, numerators, denominator = joint_masses(m, [(theta, phi)])[0]
     worlds = (WorldState(*yzs[i // len(mappings)], mappings[i % len(mappings)]) for i in ids)
     return FiniteDist(tuple((w, Fraction(n, denominator)) for w, n in zip(worlds, numerators)))
@@ -443,7 +437,7 @@ def joint_masses(m: SurveyModel, points) -> list:
     for theta, phi in points:
         if points is not m.grid:  # the grid itself needs no test
             m.check_point(theta, phi)
-        m.design_for(phi)
+        m.design_for(phi)  # a phi off the design table raises GridMiss here
         t = m.thetas.index(theta)  # compared, not hashed
         signal = signals.get(t)
         if signal is None:
