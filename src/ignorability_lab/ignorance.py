@@ -469,8 +469,9 @@ class Family:
     def laws(self) -> dict:
         return {p: vector_law(self.worlds, vector) for p, vector in zip(self.points, self.vectors)}
 
-    @cached_property
+    @property
     def obs_fns(self) -> dict:
+        """{label: observation function}, read-only: `obs` is the table."""
         return dict(zip(self.points, self.obs))
 
     @staticmethod
@@ -651,12 +652,6 @@ class ParameterFunction:
 
     name: str
     fn: Callable = field(compare=False)
-
-
-def target_values(target, family: Family) -> dict:
-    """{point: value} of a point-indexed target, in point order (see
-    `point_values`)."""
-    return dict(zip(family.points, point_values(target, family)))
 
 
 def point_values(target, family: Family) -> list:

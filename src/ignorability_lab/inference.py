@@ -51,6 +51,7 @@ from .ignorance import (
     make_split,
     point_values,
     transform_target,
+    variation_independent,
 )
 from .sampling import (
     ObservationScheme,
@@ -111,12 +112,6 @@ def _ranks(original: Family, ignored: Family, target) -> tuple:
     ranks, firsts = numbering([canonical_key(v) for v in objects.values()])
     by_id, reprs = dict(zip(objects, ranks)), list(objects.values())
     return tuple(reprs[i] for i in firsts), [[by_id[id(v)] for v in values] for values in sides]
-
-
-def _ranked(original: Family, ignored: Family, target) -> tuple:
-    """`_ranks` with each family's ranks by point label."""
-    reprs, ranks = _ranks(original, ignored, target)
-    return reprs, [dict(zip(f.points, r)) for f, r in zip((original, ignored), ranks)]
 
 
 def _coarse_table(family: Family, ranks: list, columns: dict, width: int) -> dict:
@@ -313,12 +308,10 @@ def _posterior_witness(families, reprs, columns, x) -> EquivalenceResult:
 
 
 def check_distinct(grid) -> bool:
-    """Variation independence of the two parameter coordinates on the grid;
-    each coordinate is numbered by the first label equal to it, so no label
-    is hashed."""
-    thetas, phis = ([g[i] for g in grid] for i in (0, 1))
-    pairs = {(thetas.index(theta), phis.index(phi)) for theta, phi in grid}
-    return len(pairs) == len({t for t, _p in pairs}) * len({p for _t, p in pairs})
+    """Variation independence of the two parameter coordinates on the grid
+    (a model's is asked on its grid positions, `m.atoms.grid`, so that no
+    label is keyed)."""
+    return variation_independent(lambda g: g[0], lambda g: g[1], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +405,7 @@ class RubinContext:
         self._z = self._marginals = None  # built by `_z_of`
         self._at = None  # per phi position: `_rows`, built by `_z_of`
         self._laws = []  # the design laws given a row, kept so that no id is reused
-        self._mapping_rank = dict(m.atoms.mapping_rank)  # canonical_key(mapping) -> rank, a rule's mappings after the model's
+        self._mapping_rank = None  # canonical_key(mapping) -> rank, a rule's mappings after the model's; built by `_z_of`
         self._mappings = {}  # canonical_key(mapping) -> its `_Mapping`
         self._tables = None
 
@@ -459,6 +452,7 @@ class RubinContext:
             other = (_Y, None) if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else (_NO_Z, None)
             self._z, keys = zip(*(seen.get(j, other) for j in range(self._size)))  # key None: no z, or z the signal
             self._marginals = marginals
+            self._mapping_rank = {canonical_key(r): i for i, r in enumerate(m.atoms.mappings)}
             law_rows = {}  # id(design law) -> its row, for this pass
             self._at = [self._rows(p, keys, law_rows) for p in range(len(self.phis))]
         return self._z
@@ -671,11 +665,10 @@ class RubinContext:
         if self._tables is None:
             self._z_of()  # which keeps the marginals
             m, marginals = self.model, self._marginals
-            distinct = check_distinct(m.grid)
+            distinct = check_distinct(m.atoms.grid)
             joints, on_grid, largest, cap = [], [[] for _ in self.phis], 0, support_cap()
             positive = [[j for j, w in enumerate(mg) if w] for _d, mg in marginals]  # by theta position
-            for t, phi in m.grid:
-                ti, p = m.thetas.index(t), self.phis.index(phi)
+            for ti, p in m.atoms.grid:
                 mg = marginals[ti][1]
                 ids, rows = positive[ti], self._at[p][0]
                 joints.append((ti, p, ids, [mg[j] for j in ids]))
@@ -812,7 +805,9 @@ def prepare_rubin(m: SurveyModel, scheme: ObservationScheme) -> RubinContext:
         raise NotRubinShape("the observation scheme must expose the selection mapping")
     context = vars(m).get("_rubin_context")
     if context is None:
-        context = vars(m)["_rubin_context"] = RubinContext(replace(m))
+        copy = replace(m)
+        vars(copy)["atoms"] = m.atoms  # the same fields, so the same atoms
+        context = vars(m)["_rubin_context"] = RubinContext(copy)
     return context
 
 
@@ -952,7 +947,7 @@ class PreparedCheck:
         m, policy = self.model, self.policy
         flags = [
             ("z_contains_y", m.z_contains_y),
-            ("non_separated_grid", not check_distinct(m.grid)),
+            ("non_separated_grid", not check_distinct(m.atoms.grid)),
             ("local_vs_uniform", "local" if x is not None else "uniform"),
             ("policy", policy.kind),
             ("split_status", self.split.status),

@@ -16,7 +16,8 @@ the `z_contains_y` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Iterable, NamedTuple
@@ -265,16 +266,16 @@ def _normalize_grid(thetas, phis, grid):
 
 class Atoms(NamedTuple):
     """The two axes of a model's world space and the integer rank of every
-    atom of every signal law and design law, worked out in one pass by
-    `SurveyModel.create` that keys each atom once; ints are kept, and keys
-    only for the distinct mappings."""
+    atom of every signal law and design law, worked out in one pass that
+    keys each atom once (see `SurveyModel.atoms`); ranks are kept, not
+    keys."""
 
     yzs: tuple  # the (y, z) pairs, sorted
     mappings: tuple  # the mappings, sorted
     signals: tuple  # per theta position: (its law, the rank of each of its (y, z) atoms)
     designs: dict  # phi -> the design law at the z of each (y, z) rank
     ranks: dict  # id(design law) -> the rank of each of its mappings
-    mapping_rank: dict  # canonical_key(mapping) -> rank
+    grid: tuple  # per grid point: (its theta's position, its phi's position in the design table)
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,6 @@ class SurveyModel:
     grid: tuple = ()
     z_contains_y: bool = False
     alphabet: tuple = ()
-    atoms: Atoms = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def create(
@@ -320,7 +320,7 @@ class SurveyModel:
         if phis and design_law is None:
             raise EngineError("phi grid given without a design law")
         laws = {}
-        firsts, keys = {}, []  # canonical_key((y, z)) -> the first (y, z); per theta (its law, its atoms' keys)
+        firsts, keys = {}, []  # see `_key_atoms`; per theta (its law, its atoms' keys)
         n = population.size
         for theta in thetas:
             law = signal_law[theta] if not callable(signal_law) else signal_law(theta)
@@ -331,16 +331,14 @@ class SurveyModel:
                     raise EngineError(
                         f"signal {y!r} does not cover the population exactly"
                     )
-            keys.append((law, [canonical_key(yz) for yz, _w in law.items]))
-            for (yz, _w), k in zip(law.items, keys[-1][1]):
-                firsts.setdefault(k, yz)
+            keys.append((law, _key_atoms(law, firsts)))
             laws[theta] = law
         z_values = {}  # canonical_key(z) -> z, in order of first sight
         for k, (_y, z) in firsts.items():
             z_values.setdefault(item_keys(k)[1], z)
         alphabet = sorted_distinct(v for law in laws.values() for (y, _z), _w in law.items for v in y)
         designs = {phi: (design_law[phi] if phis else design).materialize(z_values.values()) for phi in phis or [None]}
-        return SurveyModel(
+        m = SurveyModel(
             population=population,
             thetas=thetas,
             signal_law=laws,
@@ -349,8 +347,9 @@ class SurveyModel:
             grid=_normalize_grid(thetas, tuple(designs), grid),
             z_contains_y=z_contains_y,
             alphabet=alphabet,
-            atoms=_atoms(firsts, keys, designs),
         )
+        vars(m)["atoms"] = _atoms(firsts, keys, m)  # from the keys made above, as `atoms` would make them
+        return m
 
     def design_for(self, phi=None) -> Kernel:
         if phi not in self.designs:
@@ -362,6 +361,15 @@ class SurveyModel:
         if point not in self.grid:
             raise GridMiss(f"grid point {point!r} not in model grid")
         return point
+
+    @cached_property
+    def atoms(self) -> Atoms:
+        """The `Atoms` of the model, worked out from its fields on first use
+        and kept in its instance dict; not a field, so == and hash ignore
+        it, and a copy made by `dataclasses.replace` works out its own."""
+        firsts = {}
+        keys = [(law, _key_atoms(law, firsts)) for law in (self.signal_law[theta] for theta in self.thetas)]
+        return _atoms(firsts, keys, self)
 
     def world_space(self) -> tuple:
         """The structural world space: every (y, z) the signal laws can
@@ -382,10 +390,21 @@ class SurveyModel:
         return tuple(WorldState(y, z, r) for y, z in yzs for r in mappings)
 
 
-def _atoms(firsts: dict, keys: list, designs: dict) -> Atoms:
-    """The `Atoms` of a model from its (y, z) pairs, first of each key, the
-    law of each theta with its atoms' keys, and the materialized designs;
-    each mapping of each design law object is keyed once."""
+def _key_atoms(law: FiniteDist, firsts: dict) -> list:
+    """The canonical keys of a signal law's (y, z) atoms, each keyed once;
+    `firsts` keeps the first (y, z) met under each key."""
+    keys = [canonical_key(yz) for yz, _w in law.items]
+    for (yz, _w), k in zip(law.items, keys):
+        firsts.setdefault(k, yz)
+    return keys
+
+
+def _atoms(firsts: dict, keys: list, m: SurveyModel) -> Atoms:
+    """The `Atoms` of model m from its (y, z) pairs, first of each key, and
+    the law of each theta with its atoms' keys (see `_key_atoms`); each
+    mapping of each design law object is keyed once, and grid labels are
+    compared, not hashed."""
+    designs, phis = m.designs, tuple(m.designs)
     order = sorted(firsts)
     rank = {k: i for i, k in enumerate(order)}
     mapping_firsts, law_keys = {}, {}
@@ -402,7 +421,7 @@ def _atoms(firsts: dict, keys: list, designs: dict) -> Atoms:
         signals=tuple((law, tuple(map(rank.__getitem__, ks))) for law, ks in keys),
         designs={phi: tuple(kernel.index[item_keys(k)[1]] for k in order) for phi, kernel in designs.items()},
         ranks={i: tuple(map(mapping_rank.__getitem__, ks)) for i, ks in law_keys.items()},
-        mapping_rank=mapping_rank,
+        grid=tuple((m.thetas.index(theta), phis.index(phi)) for theta, phi in m.grid),
     )
 
 

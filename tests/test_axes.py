@@ -27,7 +27,7 @@ from ignorability_lab.ignorance import (
     selection_rv,
     signal_rv,
     single_arbitrary,
-    target_values,
+    point_values,
     values_on_sample_rv,
 )
 from ignorability_lab.modelfile import parse_model
@@ -95,8 +95,7 @@ def check_declared_equals_plain(m, scheme, policy):
 
     # observation support and tables, with the observations undeclared
     reference = Family.from_survey_model(m, scheme)
-    reference.obs_fns = {p: plain(fn) if isinstance(fn, RandomVariableRef) else fn
-                         for p, fn in reference.obs_fns.items()}
+    reference.obs = [plain(fn) if isinstance(fn, RandomVariableRef) else fn for fn in reference.obs]
     assert repr(fam.observation_support()) == repr(reference.observation_support())
     assert all(fam.observation_sums(p) == reference.observation_sums(p) for p in fam.points)
 
@@ -120,11 +119,11 @@ def check_declared_equals_plain(m, scheme, policy):
         assert ignored.points == ref_ignored.points
         assert all(ignored.laws[p].items == ref_ignored.laws[p].items for p in ignored.points)
         # ignored target marginals: declared, plain, and one pushforward per law
-        values = target_values(target, ignored)
-        plain_values = target_values(MarginalFunctional("signal_law", plain(target.var), target.fn), ref_ignored)
-        for p in ignored.points:
+        values = point_values(target, ignored)
+        plain_values = point_values(MarginalFunctional("signal_law", plain(target.var), target.fn), ref_ignored)
+        for p, value, plain_value in zip(ignored.points, values, plain_values, strict=True):
             law = pushforward(ignored.laws[p], target.var)
-            assert values[p].items == plain_values[p].items == law.items
+            assert value.items == plain_value.items == law.items
 
 
 def _ladder():

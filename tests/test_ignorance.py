@@ -45,7 +45,7 @@ from ignorability_lab.ignorance import (
     phi_set,
     selection_rv,
     single_arbitrary,
-    target_values,
+    point_values,
     transform_target,
     variation_independent,
 )
@@ -338,7 +338,7 @@ class TestFamily:
 
         # the support and every table come from one pass over the laws: no
         # later lookup evaluates an observation function again
-        fam.obs_fns = {p: no_rebuild for p in fam.points}
+        fam.obs = [no_rebuild] * len(fam.points)
         assert fam.observation_support() is first_call
         assert fam.observation_code(1) == 1
         assert all(fam.observation_sums(p) is tables[p] for p in fam.points)
@@ -401,7 +401,7 @@ class TestWorldNumbering:
                 assert sorted(table) == [family.observation_code(x) for x in d.support()]
                 assert [F(table[c], denominator) for c in sorted(table)] == list(d.weights())
             if isinstance(build.target, MarginalFunctional):
-                values = target_values(build.target, family)
+                values = dict(zip(family.points, point_values(build.target, family)))
                 for p in family.points:
                     law = pushforward(family.laws[p], build.target.var)
                     assert values[p] == build.target.fn(law)
@@ -677,8 +677,8 @@ class TestTargets:
         split = make_split(fam, first, second)
         ignored = ignore_model(fam, split, marginal_family())
         t = MarginalFunctional("first_law", first, lambda d: d)
-        values = target_values(t, fam)
-        starred = target_values(transform_target(t, fam, ignored), ignored)
+        values = dict(zip(fam.points, point_values(t, fam)))
+        starred = dict(zip(ignored.points, point_values(transform_target(t, fam, ignored), ignored)))
         for label in ("p", "q"):
             assert dist_eq(values[label], starred[(label, label)])
 
@@ -720,13 +720,13 @@ class TestTargets:
 
         t = MarginalFunctional("first_law", first, fn)
         with pytest.raises(ValueError):
-            target_values(t, fam)
+            point_values(t, fam)
         if raises == "on_the_second_law":
             with pytest.raises(ValueError):
-                target_values(t, fam)
+                point_values(t, fam)
             assert len(calls) == 2 + 2
         else:
-            values = target_values(t, fam)
+            values = dict(zip(fam.points, point_values(t, fam)))
             assert sorted(values) == ["p", "q"]
             for p in fam.points:
                 assert dist_eq(values[p], pushforward(fam.laws[p], first))
@@ -734,4 +734,4 @@ class TestTargets:
     def test_predictand_has_no_point_value(self):
         fam = two_by_two_family()
         with pytest.raises(TargetNotTransformable):
-            target_values(Predictand("w0", lambda w: w[0]), fam)
+            point_values(Predictand("w0", lambda w: w[0]), fam)

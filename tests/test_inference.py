@@ -62,7 +62,7 @@ from ignorability_lab.inference import (
     RubinAuditReport,
     RubinContext,
     ZeroEvidence,
-    _ranked,
+    _ranks,
     check_distinct,
     check_mar,
     check_oar,
@@ -400,11 +400,11 @@ class TestKeepFirst:
                                   lambda law: F(len(law)) if law.items[0][0] == "a" else len(law))
         original = mixed_family({"p1": uniform("bc"), "p2": uniform("ab"), "p3": point_mass("a"), "p4": point_mass("c")})
         ignored = mixed_family({"q1": point_mass("b"), "q2": uniform("abc"), "q3": uniform("bc")})
-        reprs, (ranks_a, ranks_b) = _ranked(original, ignored, size)
+        reprs, (ranks_a, ranks_b) = _ranks(original, ignored, size)
         seen = [size.fn(f.laws[p]) for f in (original, ignored) for p in f.points]
         assert typed(reprs) == typed(first_of_each_key(seen)) == [(F, 1), (int, 2), (F, 3)]
-        assert ranks_a == {"p1": 1, "p2": 1, "p3": 0, "p4": 0}
-        assert ranks_b == {"q1": 0, "q2": 2, "q3": 1}
+        assert dict(zip(original.points, ranks_a, strict=True)) == {"p1": 1, "p2": 1, "p3": 0, "p4": 0}
+        assert dict(zip(ignored.points, ranks_b, strict=True)) == {"q1": 0, "q2": 2, "q3": 1}
 
     def test_interned_observations(self):
         # two observation functions; key 2 is first met at p2 through the
@@ -918,10 +918,11 @@ class TestColdRubinContext:
         # so Kernel.get runs only for the two signals of zero mass at each
         # phi, whose laws the rule builds: 4 calls where one per (phi,
         # signal id) made 8.  The context keys each alphabet value, each z
-        # (a signal tuple, whose key holds its values' keys), each mapping
-        # of a law the rule builds (the model's own design laws come with
-        # the ranks of their mappings), the observed mapping and the drawn
-        # value: 10 canonical_key calls, down from 14 and 18 before that.
+        # (a signal tuple, whose key holds its values' keys), each of the
+        # model's distinct mappings once (its own design laws come with the
+        # ranks of their mappings), each mapping of a law the rule builds,
+        # the observed mapping and the drawn value: 12 canonical_key calls,
+        # down from 14 and 18 before that.
         from ignorability_lab import inference
 
         m = rubin_model({"first": first_unit_or_both, "second": drop_by_second},
@@ -932,7 +933,7 @@ class TestColdRubinContext:
         monkeypatch.setattr(inference, "canonical_key", lambda value: keys.append(value) or real_key(value))
         report = RubinContext(m).audit(((1,), (1,)))
         assert sorted(gets) == [((0, 1),), ((0, 1),), ((1, 0),), ((1, 0),)]
-        assert len(keys) == 10
+        assert len(keys) == 12
         monkeypatch.undo()
         assert report == RubinContext(m).audit(((1,), (1,)))
         assert not any(a.counterexample() for a in report.audits if a.theorem != "6.2")

@@ -1,6 +1,7 @@
 """Survey model layer: indicators, inclusion probabilities, joints,
 observation schemes."""
 
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -407,3 +408,17 @@ class TestKeptRanks:
         assert len(models) == 210
         for m in models:
             self.check(m)
+
+    def test_atoms_follow_the_fields(self):
+        # `atoms` is worked out from the model's fields: a model built field
+        # by field works out what `create` seeds, and a copy given other
+        # designs works out its own, never the original's ranks
+        thetas = (F(1, 3), F(2, 3))
+        m = iid_model(U3, None, srs_wor(2, U3), thetas)
+        census_model = iid_model(U3, None, census(U3), thetas)
+        direct = SurveyModel(**{f.name: getattr(m, f.name) for f in dataclasses.fields(m)})
+        assert "atoms" not in vars(direct) and direct.atoms == m.atoms
+        swapped = dataclasses.replace(m, designs=census_model.designs)
+        assert "atoms" not in vars(swapped) and swapped.atoms == census_model.atoms != m.atoms
+        for model in (direct, swapped):
+            self.check(model)
