@@ -343,6 +343,21 @@ class TestFamily:
         assert fam.observation_code(1) == 1
         assert all(fam.observation_sums(p) is tables[p] for p in fam.points)
 
+    @pytest.mark.parametrize("policy, want", [
+        (dirac_fix, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+        (single_arbitrary, [(0, None), (1, None)]),
+        (marginal_family, [(0, None), (1, None)]),
+    ])
+    def test_ignored_points_lead_to_their_origins(self, policy, want):
+        # each ignored point's number leads to its original point's number
+        # and the nuisance code it fixes, None when it fixes none
+        fam = two_by_two_family()
+        ignored = ignore_model(fam, make_split(fam, first, second), policy())
+        assert ignored.origins == tuple(want) and fam.origins is None
+        for q, (i, b) in zip(ignored.points, ignored.origins, strict=True):
+            assert q[0] == fam.points[i] and ignored.obs_fns[q] is fam.obs[i]
+            assert b is None or q[1] == (0, 1)[b]  # the value of `second` at code b
+
 
 def _catalog_and_rungs():
     """(name, model text) of every catalog model and two small SRS rungs."""
