@@ -153,20 +153,31 @@ def test_srs_rung_fractions_only_at_the_boundary(tmp_path):
 MC_DRAWS = (1, 7, 4095, 4096, 4097, 10007)
 MC_SEEDS = (0, 20260810, 2**64 - 1)
 MC_DIGEST = "c866e7119c111883995434ccd7e2620d0295025ac3416fa83b6ee738cbf59e1d"
+# The same over the benchmark's own runs: 100,000 draws (25 blocks) per
+# catalog model at seed 20260810, past the 3 blocks that MC_DIGEST reaches.
+MC_LONG_DIGEST = "500abbd0b8a8ebf0bfe8767ba6b755bc7995d7e229c1bff9bfb9322425ef546f"
 
 
-def test_mc_verify_digest(model_paths):
+def mc_verify_digest(model_paths, draw_counts, seeds):
     digest = hashlib.sha256()
     for name in sorted(model_paths):
-        for draws in MC_DRAWS:
-            for seed in MC_SEEDS:
+        for draws in draw_counts:
+            for seed in seeds:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = main(["mc-verify", model_paths[name], "--json",
                                  "--draws", str(draws), f"--seed={seed}"])
                 assert code == 0
                 digest.update(out.getvalue().encode("utf-8"))
-    assert digest.hexdigest() == MC_DIGEST
+    return digest.hexdigest()
+
+
+def test_mc_verify_digest(model_paths):
+    assert mc_verify_digest(model_paths, MC_DRAWS, MC_SEEDS) == MC_DIGEST
+
+
+def test_mc_verify_long_stream_digest(model_paths):
+    assert mc_verify_digest(model_paths, (100_000,), (20260810,)) == MC_LONG_DIGEST
 
 
 RUBIN_SWEEP = Path(__file__).parent.parent / "scripts" / "rubin_sweep.py"

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ignorability_lab import mc
 from ignorability_lab.catalog import CATALOG
@@ -85,9 +85,19 @@ class TestGenerator:
         assert [u64(-1, i) for i in range(5)] == [u64(2**64 - 1, i) for i in range(5)]
 
 
+def past_the_second_block(test):
+    """Explicit examples where the states of later blocks run on from the
+    first block's, at seeds on both sides of the 64-bit range."""
+    for draws in (2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK - 1):
+        for seed in (0, 2**64 - 1, -1, 2**70):
+            test = example(seed=seed, draws=draws)(test)
+    return test
+
+
 class TestBlocks:
     @settings(deadline=None)
     @given(st.integers(-(2**70), 2**70), st.integers(0, 3 * BLOCK + 5))
+    @past_the_second_block
     def test_blocks_equal_per_draw_stream(self, seed, draws):
         blocks = list(u64_blocks(seed, draws))
         assert all(len(b) == BLOCK for b in blocks[:-1])
