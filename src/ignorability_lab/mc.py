@@ -14,12 +14,16 @@ appear only at the comparison boundary of the report.
 
 Because draw i is a pure function of (seed, i), `compare_exact_vs_mc`
 evaluates the stream BLOCK draws at a time: each draw is a 128-bit slot of
-one Python int, and each slot computes mix64 exactly.  `tally` counts the
-draws per atom in buckets of their top byte: a bucket that no threshold
-splits lies inside one atom, so its draws are counted in C and credited
-to that atom at once.  Only the draws of split buckets are bisected, each
-between the atoms of its bucket's least and greatest value.  The counts
-equal a tally of `sample_world(..., index=i)` over the draws.
+one Python int, and each slot computes mix64 exactly in its low 64 bits.
+The slot states of the first block are worked out once; each later block's
+are the last block's plus BLOCK * 0x9E3779B97F4A7C15, mod 2^64 per slot.
+The upper 64 bits of a slot are never read.  `tally` counts the draws per
+atom in buckets of their top byte: a bucket that no threshold splits lies
+inside one atom, so its draws are counted in C and credited to that atom
+at once.  Only the draws of split buckets are bisected, each between the
+atoms of its bucket's least and greatest value, read in place from the
+block's bytes.  The counts equal a tally of `sample_world(..., index=i)`
+over the draws.
 """
 
 from __future__ import annotations
@@ -65,43 +69,46 @@ def _slot_bytes(seed: int, draws: int):
     of 128-bit slots, at most BLOCK slots at a time: draw k of a block is
     bytes 16k .. 16k + 7, its top byte byte 16k + 7.
 
-    Each slot of one int runs mix64 on its own state.  No sum or product
-    overflows a slot: the state sums stay below 2^77, and every slot holds
-    a value below 2^64 before each product by a 64-bit constant.  Masking
-    with `lanes` reduces each slot mod 2^64 and drops the bits a right
-    shift moves in from the slot above."""
+    Each slot of one int runs mix64 on its own state, the state of draw k
+    of the first block being seed + (k + 1) * GOLDEN_GAMMA mod 2^64; each
+    later block adds BLOCK * GOLDEN_GAMMA to every state.  No sum or
+    product overflows a slot: the first states sum to below 2^77, later
+    sums stay below 2^65, and every slot holds a value below 2^64 before
+    each product by a 64-bit constant.  Masking with `lanes` reduces each
+    slot mod 2^64 and drops the bits a right shift moves in from the slot
+    above.  The last shift is not masked: the bits it moves in from the
+    slot above land in bits 97 .. 127 of a slot, its upper half, which no
+    reader looks at (`_draws_of` reads the low halves, `tally` byte 7), and
+    leave the draw in bits 0 .. 63 exact."""
     n = min(BLOCK, draws)
     ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
     k = array("Q", bytes(16 * n))  # two 64-bit halves per slot
     k[::2] = array("Q", range(n))
     if sys.byteorder == "big":
         k.byteswap()
-    # slot k: k * GOLDEN_GAMMA, reduced mod 2^64 with the block's first state
-    steps = int.from_bytes(k.tobytes(), "little") * GOLDEN_GAMMA
     lanes = ones * MASK64
+    state = (int.from_bytes(k.tobytes(), "little") * GOLDEN_GAMMA
+             + ones * ((seed + GOLDEN_GAMMA) & MASK64)) & lanes
+    step = ones * (BLOCK * GOLDEN_GAMMA & MASK64)
     for first in range(0, draws, BLOCK):
         n = min(BLOCK, draws - first)
         if n < BLOCK:
             cut = (1 << (128 * n)) - 1
-            ones, steps, lanes = ones & cut, steps & cut, lanes & cut
-        z = (steps + ones * ((seed + (first + 1) * GOLDEN_GAMMA) & MASK64)) & lanes
-        z = ((z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
+            state, lanes = state & cut, lanes & cut
+        z = ((state ^ ((state >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
         z = ((z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB) & lanes
-        z ^= (z >> 31) & lanes
-        yield z.to_bytes(16 * n, "little")
+        yield (z ^ (z >> 31)).to_bytes(16 * n, "little")
+        state = (state + step) & lanes
 
 
-def _draws_of(raw: bytes) -> array:
+def _draws_of(raw: bytes):
+    """The draws of one block of `_slot_bytes`, the low halves of its
+    slots: read in place on a little-endian host, copied elsewhere."""
+    if sys.byteorder == "little":
+        return memoryview(raw).cast("Q")[::2]
     block = array("Q", raw)[::2]
-    if sys.byteorder == "big":
-        block.byteswap()
+    block.byteswap()
     return block
-
-
-def u64_blocks(seed: int, draws: int):
-    """Yield u64(seed, i) for i = 0 .. draws - 1, in arrays of at most
-    BLOCK draws."""
-    return map(_draws_of, _slot_bytes(seed, draws))
 
 
 def tally(cutoffs: list, seed: int, draws: int) -> Counter:

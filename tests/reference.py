@@ -11,7 +11,8 @@ input must not mix values that are equal across types (1 and Fraction(1),
 1 and True).  `rubin_audit` does the same for the missing-data theorems:
 it enumerates every signal and reads each theorem off its definition.
 
-`dist_eq` and `split_on` at the end are shorthands for the tests over the
+`u64_blocks` groups the engine's simulated draws into the blocks it
+evaluates them in.  `dist_eq` and `split_on` at the end are shorthands for the tests over the
 engine's own entries; the reference functions do not use them.
 `first_of_each_key` states the rule the engine's numberings keep when
 values of different types share a canonical_key.
@@ -20,6 +21,7 @@ values of different types share a canonical_key.
 import itertools
 from fractions import Fraction
 
+from ignorability_lab import mc
 from ignorability_lab.exactprob import canonical_key
 from ignorability_lab.ignorance import Family, make_split
 from ignorability_lab.sampling import SurveyModel, WorldState
@@ -302,6 +304,12 @@ def rubin_audit(m: SurveyModel, x) -> tuple:
         ("7.1", mar and distinct, proportional([phi for phi in phis if all(pi(phi, y) > 0 for y in completions)]), ()),
         ("7.2", pre_72 and distinct and hyp_72b, proportional(phis), ()),
     )
+
+
+def u64_blocks(seed: int, draws: int):
+    """Yield mc.u64(seed, i) for i = 0 .. draws - 1, in sequences of at
+    most mc.BLOCK draws, as `mc.tally` reads them."""
+    return map(mc._draws_of, mc._slot_bytes(seed, draws))
 
 
 def dist_eq(a, b) -> bool:

@@ -19,7 +19,6 @@ from ignorability_lab.mc import (
     sample_world,
     tally,
     u64,
-    u64_blocks,
 )
 from ignorability_lab.modelfile import parse_model
 from ignorability_lab.sampling import (
@@ -29,6 +28,7 @@ from ignorability_lab.sampling import (
     observation_fn,
     values_only,
 )
+from reference import u64_blocks
 
 U2 = Population((1, 2))
 
