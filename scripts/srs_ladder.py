@@ -6,11 +6,11 @@ Each rung's model is the `srs_wor_n3` catalog text with `units = 1 .. N`
 and `n = n`, for the six rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3),
 (7, 3), (8, 3).  The script writes the rungs to a temporary directory, runs
 `check <rung> --inference likelihood --json` on each in a fresh process,
-then `check <rung> --inference bayes --json` (every observation, 960
-at N=6 n=3) on N=6 n=3, and then `mc-verify <rung> --json --draws 100000
+then `check <rung> --inference bayes --json` (every observation, 960 at
+N=6 n=3) on N=6 n=3, and then `mc-verify <rung> --json --draws 100000
 --seed 20260810` on N=5 n=3 and N=6 n=3, rungs whose joints split every
-top-byte bucket of the simulation's tally.  It prints the wall time, the exit code and a
-SHA-256 of stdout of each row, with the child's peak resident set size
+top-byte bucket of the simulation's tally.  It prints the wall time, the
+exit code and a SHA-256 of stdout of each row, with the child's peak resident set size
 (`max_rss_mb`, from `os.wait4`), and `ok` when the digest is the one recorded
 in DIGESTS or `DIFFERS` when it is not; it exits 1 when a row differs,
 fails or prints different bytes on a repeat.  The last two likelihood rows

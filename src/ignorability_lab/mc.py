@@ -13,17 +13,14 @@ are bit-reproducible and independent of platform float behaviour.  Floats
 appear only at the comparison boundary of the report.
 
 Because draw i is a pure function of (seed, i), `compare_exact_vs_mc`
-evaluates the stream BLOCK draws at a time: each draw is a 128-bit slot of
-one Python int, and each slot computes mix64 exactly in its low 64 bits.
-The slot states of the first block are worked out once; each later block's
-are the last block's plus BLOCK * 0x9E3779B97F4A7C15, mod 2^64 per slot.
-The upper 64 bits of a slot are never read.  `tally` counts the draws per
+evaluates the stream BLOCK draws at a time: each draw is the low half of a
+128-bit slot of one Python int, whose upper half is never read, and each
+block's states run on from the last block's.  `tally` counts the draws per
 atom in buckets of their top byte: a bucket that no threshold splits lies
 inside one atom, so its draws are counted in C and credited to that atom
-at once.  Only the draws of split buckets are bisected, each between the
-atoms of its bucket's least and greatest value, read in place from the
-block's bytes.  The counts equal a tally of `sample_world(..., index=i)`
-over the draws.
+at once.  Only the draws of split buckets are read in place and bisected,
+each between the atoms of its bucket's least and greatest value.  The
+counts equal a tally of `sample_world(..., index=i)` over the draws.
 """
 
 from __future__ import annotations
@@ -69,17 +66,14 @@ def _slot_bytes(seed: int, draws: int):
     of 128-bit slots, at most BLOCK slots at a time: draw k of a block is
     bytes 16k .. 16k + 7, its top byte byte 16k + 7.
 
-    Each slot of one int runs mix64 on its own state, the state of draw k
-    of the first block being seed + (k + 1) * GOLDEN_GAMMA mod 2^64; each
-    later block adds BLOCK * GOLDEN_GAMMA to every state.  No sum or
-    product overflows a slot: the first states sum to below 2^77, later
-    sums stay below 2^65, and every slot holds a value below 2^64 before
-    each product by a 64-bit constant.  Masking with `lanes` reduces each
-    slot mod 2^64 and drops the bits a right shift moves in from the slot
-    above.  The last shift is not masked: the bits it moves in from the
-    slot above land in bits 97 .. 127 of a slot, its upper half, which no
-    reader looks at (`_draws_of` reads the low halves, `tally` byte 7), and
-    leave the draw in bits 0 .. 63 exact."""
+    Each slot of one int runs mix64 on its own state.  The first block's
+    states are worked out once; each later block adds BLOCK * GOLDEN_GAMMA
+    to every state.  No sum or product overflows a slot: the state sums
+    stay below 2^77, and every slot holds a value below 2^64 before each
+    product by a 64-bit constant.  Masking with `lanes` reduces each slot
+    mod 2^64 and drops the bits a right shift moves in from the slot above,
+    but for the last shift's: they land in bits 97 .. 127 of a slot, which
+    no reader looks at (`_draws_of` reads bits 0 .. 63, `tally` byte 7)."""
     n = min(BLOCK, draws)
     ones = int.from_bytes((b"\x01" + bytes(15)) * n, "little")
     k = array("Q", bytes(16 * n))  # two 64-bit halves per slot
@@ -102,8 +96,6 @@ def _slot_bytes(seed: int, draws: int):
 
 
 def _draws_of(raw: bytes):
-    """The draws of one block of `_slot_bytes`, the low halves of its
-    slots: read in place on a little-endian host, copied elsewhere."""
     if sys.byteorder == "little":
         return memoryview(raw).cast("Q")[::2]
     block = array("Q", raw)[::2]

@@ -12,8 +12,9 @@ input must not mix values that are equal across types (1 and Fraction(1),
 it enumerates every signal and reads each theorem off its definition.
 
 `u64_blocks` groups the engine's simulated draws into the blocks it
-evaluates them in.  `dist_eq` and `split_on` at the end are shorthands for the tests over the
-engine's own entries; the reference functions do not use them.
+evaluates them in.  `dist_eq` and `split_on` at the end are shorthands for
+the tests over the engine's own entries; the reference functions do not
+use them.
 `first_of_each_key` states the rule the engine's numberings keep when
 values of different types share a canonical_key.
 """
