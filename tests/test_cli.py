@@ -907,6 +907,28 @@ class TestInclusion:
         assert "pi=1/2" in out
 
 
+def every_eighth_mutant(capsys, tmp_path, monkeypatch, argv):
+    """Run `argv` + [path] on every eighth distinct parseable document of the
+    parser's mutant corpus, asserting that no run ends in a traceback, and
+    yield (document index, exit code, stdout, stderr) for each."""
+    from test_modelfile import diagnostics_corpus
+    from ignorability_lab.modelfile import ModelFileError, parse_model
+
+    monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "20000")
+    documents = []
+    for text in dict.fromkeys(diagnostics_corpus()):
+        with contextlib.suppress(ModelFileError):
+            parse_model(text)
+            documents.append(text)
+    assert len(documents) == 1_959
+    path = tmp_path / "mutant.model"
+    for index in range(0, len(documents), 8):
+        path.write_text(documents[index])
+        code, out, err = run(capsys, [*argv[:1], str(path), *argv[1:]])
+        assert code != 3, (index, err)
+        yield index, code, out, err
+
+
 # audit-rubin over every eighth distinct parseable mutant of the catalog
 AUDIT_RUBIN_MUTANTS_DIGEST = "0c077addcb7b8420d953f01ddd95dbca12bae1e7b16eb15f06e0896fb2b7891f"
 
@@ -971,30 +993,31 @@ class TestAuditRubin:
 
     def test_every_eighth_parseable_mutant(self, capsys, tmp_path, monkeypatch):
         # a slice of the engine-level mutant sweep: audit-rubin, each run the
-        # first audit on a cold context, on every eighth distinct parseable
-        # document of the parser's corpus; no run ends in a traceback, and
-        # one digest over (document index, exit code, first stderr line)
-        # pins which documents are refused and with which message
-        from test_modelfile import diagnostics_corpus
-        from ignorability_lab.modelfile import ModelFileError, parse_model
-
-        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "20000")
-        documents = []
-        for text in dict.fromkeys(diagnostics_corpus()):
-            with contextlib.suppress(ModelFileError):
-                parse_model(text)
-                documents.append(text)
-        assert len(documents) == 1_959
-        digest, path = hashlib.sha256(), tmp_path / "mutant.model"
-        for index in range(0, len(documents), 8):
-            path.write_text(documents[index])
-            code, _out, err = run(capsys, ["audit-rubin", str(path)])
-            assert code != 3, (index, err)
+        # first audit on a cold context; one digest over (document index,
+        # exit code, first stderr line) pins which documents are refused and
+        # with which message
+        digest = hashlib.sha256()
+        for index, code, _out, err in every_eighth_mutant(capsys, tmp_path, monkeypatch, ["audit-rubin"]):
             digest.update(f"{index} {code} {err.partition(chr(10))[0]}\n".encode())
         assert digest.hexdigest() == AUDIT_RUBIN_MUTANTS_DIGEST
 
 
+# mc-verify --json --draws 4097 --seed 1 over the same mutants
+MC_VERIFY_MUTANTS_DIGEST = "1a331f2ec205c570c6e52c09c9259657392fd936c07fb72cea964ddd2a892062"
+
+
 class TestMcVerify:
+    def test_every_eighth_parseable_mutant(self, capsys, tmp_path, monkeypatch):
+        # 4,097 draws cross a block edge; one digest over (document index,
+        # exit code, first stderr line, SHA-256 of stdout) pins the counts
+        # of every run as well as its refusals
+        digest = hashlib.sha256()
+        argv = ["mc-verify", "--json", "--draws", "4097", "--seed", "1"]
+        for index, code, out, err in every_eighth_mutant(capsys, tmp_path, monkeypatch, argv):
+            first = err.partition(chr(10))[0]
+            digest.update(f"{index} {code} {first} {hashlib.sha256(out.encode()).hexdigest()}\n".encode())
+        assert digest.hexdigest() == MC_VERIFY_MUTANTS_DIGEST
+
     def test_small_run(self, capsys, models):
         code, out, _ = run(
             capsys,
