@@ -15,12 +15,16 @@ appear only at the comparison boundary of the report.
 Because draw i is a pure function of (seed, i), `compare_exact_vs_mc`
 evaluates the stream BLOCK draws at a time: each draw is the low half of a
 128-bit slot of one Python int, whose upper half is never read, and each
-block's states run on from the last block's.  `tally` counts the draws per
-atom in buckets of their top byte: a bucket that no threshold splits lies
-inside one atom, so its draws are counted in C and credited to that atom
-at once.  Only the draws of split buckets are read in place and bisected,
-each between the atoms of its bucket's least and greatest value.  The
-counts equal a tally of `sample_world(..., index=i)` over the draws.
+block's states run on from the last block's.  Every atom of the joint gets
+the number of its observation cell once, and `tally` counts the draws per
+cell in buckets of their top byte.  A bucket whose atoms all lie in one
+cell is pure: a cell of at least SCAN_MIN pure buckets has its draws
+counted by one byte scan a block, and the draws of other pure buckets are
+counted per top byte in a Counter.  Only the draws of split buckets are
+read, each bisected between the atoms of its bucket's least and greatest
+value; when they are few, they are read at the ends of the gaps between
+them and the other draws are not touched.  The counts equal a tally of the
+cells of `sample_world(..., index=i)` over the draws.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter
 from fractions import Fraction
 
-from .exactprob import FiniteDist, canonical_key, key_sums, pushforward
+from .exactprob import FiniteDist, canonical_key, pushforward
 from .sampling import (
     ObservationScheme,
     SurveyModel,
@@ -103,40 +108,67 @@ def _draws_of(raw: bytes):
     return block
 
 
-def tally(cutoffs: list, seed: int, draws: int) -> Counter:
-    """Hits per atom of draws 0 .. draws - 1 of stream `seed`: atom a is
+# A draw costs the Counter about 50 ns and each scan's bytes.count about
+# 0.75 ns, the count running over the draws of every scanned cell.  With at
+# least SCAN_MIN of the 256 buckets, at most 64 cells are scanned: a draw
+# then costs at most 64 compares, about one Counter update.
+SCAN_MIN = 4
+# Reading split draws at the ends of their gaps costs about 110 ns a split
+# draw; compress makes an int of each of the block's draws, about 32 ns a
+# draw.  The gaps win while under about 32/110 of the draws are split.
+SPARSE = 4
+
+
+def tally(cutoffs: list, seed: int, draws: int, cells: list) -> Counter:
+    """Hits per cell of draws 0 .. draws - 1 of stream `seed`: atom a is
     hit by a draw u with cutoffs[a - 1] < u <= cutoffs[a], that is by
-    bisect_left(cutoffs, u) for non-decreasing `cutoffs`.
+    bisect_left(cutoffs, u) for non-decreasing `cutoffs`, and its hits go
+    to cell cells[a].
 
     Top byte b of a draw puts it in bucket [b * 2^56, (b + 1) * 2^56 - 1],
-    whose draws hit atoms first[b] .. last[b] only.  Where the two are
-    equal the bucket is unsplit, and its draws are counted per top byte;
-    the draws of split buckets are bisected between first[b] and last[b]."""
+    whose draws hit atoms first[b] .. last[b] only.  Where these lie in one
+    cell the bucket is pure.  The draws of a cell with at least SCAN_MIN
+    pure buckets are counted by one bytes.count a block; those of other
+    pure buckets by a Counter of their top bytes.  The draws of split
+    buckets are bisected between first[b] and last[b], read in place from
+    the gaps between them when they are under 1/SPARSE of the block."""
     # the atoms of each bucket's least and greatest value: the counts of
-    # the cutoffs below them
+    # the cutoffs below them; a pure bucket's cell, None for a split one
     first = [bisect_right(cutoffs, (b << 56) - 1) for b in range(256)]
     last = [bisect_right(cutoffs, ((b + 1) << 56) - 2) for b in range(256)]
-    split = bytes(map(int.__ne__, first, last))  # 1 at each split top byte
-    split_tops = bytes(compress(range(256), split))
+    cell_of = [cells[a] if len(set(cells[a : z + 1])) == 1 else None for a, z in zip(first, last)]
+    split = bytes(c is None for c in cell_of)  # 1 at each split top byte
     unsplit_tops = bytes(b for b in range(256) if not split[b])
-    hits = Counter()
-    per_top = Counter()
+    scanned = [c for c, k in Counter(cell_of).items() if c is not None and k >= SCAN_MIN]
+    slot = {c: i for i, c in enumerate(scanned)}
+    index = bytes(slot.get(c, 0) for c in cell_of)  # a scanned top byte's slot
+    unscanned = bytes(b for b in range(256) if cell_of[b] not in slot)
+    uncounted = bytes(b for b in range(256) if cell_of[b] in slot or split[b])
+    scans, hits, per_top = [0] * len(scanned), Counter(), Counter()
     for raw in _slot_bytes(seed, draws):
         tops = raw[7::16]
-        per_top.update(tops.translate(None, split_tops))
+        if scanned:
+            kept = tops.translate(index, unscanned)
+            scans = list(map(add, scans, map(kept.count, range(len(scans)))))
+        if len(uncounted) < 256:
+            per_top.update(tops.translate(None, uncounted))
         split_draw_tops = tops.translate(None, unsplit_tops)
-        if split_draw_tops:
-            hits.update(
-                map(
-                    bisect_left,
-                    repeat(cutoffs),
-                    compress(_draws_of(raw), tops.translate(split)),
-                    map(first.__getitem__, split_draw_tops),
-                    map(last.__getitem__, split_draw_tops),
-                )
-            )
+        if not split_draw_tops:
+            continue
+        if len(split_draw_tops) * SPARSE < len(tops):
+            # the pieces before each split draw, each after the first led
+            # by one added byte, run up to the split draws' positions; the
+            # trailing 0 keeps a single draw a tuple, and map stops before it
+            gaps = tops.translate(split).replace(b"\x01", b"\x01\x02").split(b"\x01")
+            del gaps[-1]
+            values = itemgetter(*accumulate(map(len, gaps)), 0)(_draws_of(raw))
+        else:
+            values = compress(_draws_of(raw), tops.translate(split))
+        lo, hi = map(first.__getitem__, split_draw_tops), map(last.__getitem__, split_draw_tops)
+        hits.update(map(cells.__getitem__, map(bisect_left, repeat(cutoffs), values, lo, hi)))
     for b, n in per_top.items():
-        hits[first[b]] += n
+        hits[cell_of[b]] += n
+    hits.update({c: n for c, n in zip(scanned, scans) if n})
     return hits
 
 
@@ -220,16 +252,15 @@ def compare_exact_vs_mc(
     joint = build_joint(m, theta, phi)
     exact = pushforward(joint, observe_world)
     outcomes, cutoffs = _thresholds(joint)
-    # a draw only bumps its atom's count; hashing an observation key (a
-    # nested tuple) is paid once per atom hit, not once per draw
-    hits = tally(cutoffs, seed, draws).items()
-    counts = key_sums((canonical_key(observe_world(outcomes[atom])), n) for atom, n in hits)
-    cells = []
-    for outcome, weight in exact.items:
-        key = canonical_key(outcome)
-        cells.append(
-            McCell(outcome=outcome, exact=weight, count=counts.get(key, 0), draws=draws)
-        )
+    # each atom's observation cell, numbered once: a draw only bumps its
+    # cell's count, and an observation key (a nested tuple) is hashed once
+    # per atom, not once per draw
+    ids = {}
+    hits = tally(cutoffs, seed, draws, [ids.setdefault(canonical_key(observe_world(o)), len(ids)) for o in outcomes])
+    cells = [
+        McCell(outcome=outcome, exact=weight, count=hits[ids[canonical_key(outcome)]], draws=draws)
+        for outcome, weight in exact.items
+    ]
     max_dev = max((c.deviation for c in cells), default=0.0)
     bound = max((c.band for c in cells), default=0.0)
     return McReport(

@@ -2,6 +2,7 @@
 
 from bisect import bisect_left
 from collections import Counter
+from operator import itemgetter
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -181,14 +182,23 @@ class TestCompareExactVsMc:
 TOP = 2**64 - 1
 
 
-def bisected_tally(cutoffs, seed, draws):
-    return Counter(bisect_left(cutoffs, u) for block in u64_blocks(seed, draws) for u in block)
+def bisected_tally(cutoffs, seed, draws, cells):
+    return Counter(cells[bisect_left(cutoffs, u)] for block in u64_blocks(seed, draws) for u in block)
 
 
-def split_buckets(cutoffs):
-    """Top bytes whose bucket [b * 2^56, (b + 1) * 2^56 - 1] holds draws of
-    two atoms."""
-    return {b for b in range(256) if bisect_left(cutoffs, b << 56) != bisect_left(cutoffs, ((b + 1) << 56) - 1)}
+def identity(cutoffs):
+    return range(len(cutoffs))
+
+
+def bucket_atoms(cutoffs, b):
+    """The atoms that bucket [b * 2^56, (b + 1) * 2^56 - 1] can hit."""
+    return range(bisect_left(cutoffs, b << 56), bisect_left(cutoffs, ((b + 1) << 56) - 1) + 1)
+
+
+def split_buckets(cutoffs, cells=None):
+    """Top bytes whose bucket holds draws of two atoms, or of two cells."""
+    cells = cells or identity(cutoffs)
+    return {b for b in range(256) if len({cells[a] for a in bucket_atoms(cutoffs, b)}) > 1}
 
 
 @st.composite
@@ -206,11 +216,38 @@ def cutoff_sets(draw):
     return sorted(cutoffs) + [TOP]
 
 
+@st.composite
+def cell_maps(draw, cutoffs):
+    """Atom -> cell maps from every atom in one cell to every atom in its
+    own, scattered or in runs of neighbouring atoms."""
+    k = draw(st.integers(1, len(cutoffs)))
+    cells = draw(st.lists(st.integers(0, k - 1), min_size=len(cutoffs), max_size=len(cutoffs)))
+    return sorted(cells) if draw(st.booleans()) else cells
+
+
+class Recorder(Counter):
+    """A Counter that keeps every bytes object it is updated with."""
+
+    seen = []
+
+    def update(self, items=(), **kwargs):
+        if isinstance(items, bytes):
+            Recorder.seen.append(items)
+        super().update(items, **kwargs)
+
+
 class TestTally:
     @settings(deadline=None, max_examples=150)
     @given(cutoff_sets(), st.integers(-(2**64), 2**64), st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1]))
     def test_equals_a_bisection_per_draw(self, cutoffs, seed, draws):
-        assert tally(cutoffs, seed, draws) == bisected_tally(cutoffs, seed, draws)
+        cells = identity(cutoffs)
+        assert tally(cutoffs, seed, draws, cells) == bisected_tally(cutoffs, seed, draws, cells)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data(), cutoff_sets(), st.integers(-(2**64), 2**64), st.sampled_from([1, BLOCK - 1, BLOCK + 1]))
+    def test_cells_equal_the_cells_of_a_bisection_per_draw(self, data, cutoffs, seed, draws):
+        cells = data.draw(cell_maps(cutoffs))
+        assert tally(cutoffs, seed, draws, cells) == bisected_tally(cutoffs, seed, draws, cells)
 
     @pytest.mark.parametrize(
         "cutoffs, split",
@@ -227,20 +264,60 @@ class TestTally:
     )
     @pytest.mark.parametrize("draws", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_shapes(self, cutoffs, split, draws):
+        cells = identity(cutoffs)
         assert len(split_buckets(cutoffs)) == split
-        assert tally(cutoffs, 11, draws) == bisected_tally(cutoffs, 11, draws)
+        assert tally(cutoffs, 11, draws, cells) == bisected_tally(cutoffs, 11, draws, cells)
+
+    @pytest.mark.parametrize("buckets", [mc.SCAN_MIN - 1, mc.SCAN_MIN])
+    @pytest.mark.parametrize("draws", [BLOCK, BLOCK + 1])
+    def test_cells_on_both_sides_of_scan_min(self, monkeypatch, buckets, draws):
+        # atom b fills bucket b, but bucket 255 is split; cell 0 holds
+        # `buckets` scattered pure buckets, every other atom a cell of its own
+        cutoffs = [(b << 56) - 1 for b in range(1, 256)] + [(255 << 56) + 5, TOP]
+        tops = [10, 50, 100, 200, 240][:buckets]
+        cells = [0 if a in tops else a + 1 for a in range(len(cutoffs))]
+        assert split_buckets(cutoffs, cells) == {255}
+        monkeypatch.setattr(mc, "Counter", Recorder)
+        monkeypatch.setattr(Recorder, "seen", [])
+        assert tally(cutoffs, 11, draws, cells) == bisected_tally(cutoffs, 11, draws, cells)
+        # the Counter sees cell 0's top bytes only below SCAN_MIN
+        counted = set().union(*Recorder.seen)
+        assert set(tops) & counted == (set(tops) if buckets < mc.SCAN_MIN else set())
+        assert 11 in counted and 255 not in counted
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_split_draws_on_both_sides_of_sparse(self, monkeypatch, over):
+        # the buckets of top bytes below 64 split; the first `draws` draws
+        # of stream 10, about 4,080 in one block, hold s split draws with
+        # SPARSE * s = draws - 1, just under 1/SPARSE of them, or = draws
+        cutoffs = sorted([(b << 56) + 1 for b in range(64)] + [(b << 56) - 1 for b in range(1, 257)])
+        cells = identity(cutoffs)
+        assert split_buckets(cutoffs) == set(range(64))
+        slack, draws = 0, None  # SPARSE * split draws - draws, per prefix
+        for n, u in enumerate(next(u64_blocks(10, BLOCK)), 1):
+            slack += mc.SPARSE * (u >> 56 < 64) - 1
+            if slack == (0 if over else -1) and n > BLOCK // 2:
+                draws = n
+        assert draws is not None
+        gets = []
+        monkeypatch.setattr(mc, "itemgetter", lambda *keys: gets.append(keys) or itemgetter(*keys))
+        assert tally(cutoffs, 10, draws, cells) == bisected_tally(cutoffs, 10, draws, cells)
+        assert len(gets) == (0 if over else 1)
 
 
-def bisections(monkeypatch, name, draws):
+def bisections(monkeypatch, name, draws, by_cell=False):
     """Draws bisected by `compare_exact_vs_mc` on a catalog model at its
-    first grid point, and that joint's split buckets."""
+    first grid point, and that joint's buckets split between two atoms or,
+    `by_cell`, between two observation cells."""
     build = parse_model(CATALOG[name]).build()
     theta, phi = build.model.grid[0]
     calls = []
     monkeypatch.setattr(mc, "bisect_left", lambda a, x, *bounds: calls.append(x) or bisect_left(a, x, *bounds))
     compare_exact_vs_mc(build.model, theta, phi, scheme=build.scheme, draws=draws, seed=20260810)
-    _outcomes, cutoffs = mc._thresholds(mc.build_joint(build.model, theta, phi))
-    return len(calls), len(split_buckets(cutoffs))
+    outcomes, cutoffs = mc._thresholds(mc.build_joint(build.model, theta, phi))
+    observe = observation_fn(build.model, phi, build.scheme)
+    cells = [canonical_key(observe(o)) for o in outcomes] if by_cell else None
+    return len(calls), len(split_buckets(cutoffs, cells))
 
 
 class TestTallyWork:
@@ -252,4 +329,12 @@ class TestTallyWork:
         # standard deviation; the slack is eight of them
         calls, split = bisections(monkeypatch, "srs_wor_n3", 100_000)
         assert split == 47
+        assert 0 < calls <= 100_000 * split // 256 + 1_000
+
+    def test_split_cell_draws_only(self, monkeypatch):
+        # 71 of 256 buckets straddle two atoms, 35 two observation cells;
+        # only the draws of those 35 are bisected
+        assert bisections(monkeypatch, "unordered_values", 100_000)[1] == 71
+        calls, split = bisections(monkeypatch, "unordered_values", 100_000, by_cell=True)
+        assert split == 35
         assert 0 < calls <= 100_000 * split // 256 + 1_000
