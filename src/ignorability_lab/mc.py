@@ -256,7 +256,8 @@ def compare_exact_vs_mc(
     # cell's count, and an observation key (a nested tuple) is hashed once
     # per atom, not once per draw
     ids = {}
-    hits = tally(cutoffs, seed, draws, [ids.setdefault(canonical_key(observe_world(o)), len(ids)) for o in outcomes])
+    atom_cells = [ids.setdefault(canonical_key(observe_world(o)), len(ids)) for o in outcomes]
+    hits = tally(cutoffs, seed, draws, atom_cells)
     cells = [
         McCell(outcome=outcome, exact=weight, count=hits[ids[canonical_key(outcome)]], draws=draws)
         for outcome, weight in exact.items
