@@ -21,10 +21,9 @@ cell in buckets of their top byte.  A bucket whose atoms all lie in one
 cell is pure: a cell of at least SCAN_MIN pure buckets has its draws
 counted by one byte scan a block, and the draws of other pure buckets are
 counted per top byte in a Counter.  Only the draws of split buckets are
-read, each bisected between the atoms of its bucket's least and greatest
-value; when they are few, they are read at the ends of the gaps between
-them and the other draws are not touched.  The counts equal a tally of the
-cells of `sample_world(..., index=i)` over the draws.
+read, at the ends of the gaps between them, each bisected between the
+atoms of its bucket's least and greatest value.  The counts equal a tally
+of the cells of `sample_world(..., index=i)` over the draws.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from operator import add, itemgetter
 from fractions import Fraction
 
@@ -113,10 +112,6 @@ def _draws_of(raw: bytes):
 # least SCAN_MIN of the 256 buckets, at most 64 cells are scanned: a draw
 # then costs at most 64 compares, about one Counter update.
 SCAN_MIN = 4
-# Reading split draws at the ends of their gaps costs about 110 ns a split
-# draw; compress makes an int of each of the block's draws, about 32 ns a
-# draw.  The gaps win while under about 32/110 of the draws are split.
-SPARSE = 4
 
 
 def tally(cutoffs: list, seed: int, draws: int, cells: list) -> Counter:
@@ -130,8 +125,8 @@ def tally(cutoffs: list, seed: int, draws: int, cells: list) -> Counter:
     cell the bucket is pure.  The draws of a cell with at least SCAN_MIN
     pure buckets are counted by one bytes.count a block; those of other
     pure buckets by a Counter of their top bytes.  The draws of split
-    buckets are bisected between first[b] and last[b], read in place from
-    the gaps between them when they are under 1/SPARSE of the block."""
+    buckets are read in place from the gaps between them and bisected
+    between first[b] and last[b]."""
     # the atoms of each bucket's least and greatest value: the counts of
     # the cutoffs below them; a pure bucket's cell, None for a split one
     first = [bisect_right(cutoffs, (b << 56) - 1) for b in range(256)]
@@ -155,15 +150,12 @@ def tally(cutoffs: list, seed: int, draws: int, cells: list) -> Counter:
         split_draw_tops = tops.translate(None, unsplit_tops)
         if not split_draw_tops:
             continue
-        if len(split_draw_tops) * SPARSE < len(tops):
-            # the pieces before each split draw, each after the first led
-            # by one added byte, run up to the split draws' positions; the
-            # trailing 0 keeps a single draw a tuple, and map stops before it
-            gaps = tops.translate(split).replace(b"\x01", b"\x01\x02").split(b"\x01")
-            del gaps[-1]
-            values = itemgetter(*accumulate(map(len, gaps)), 0)(_draws_of(raw))
-        else:
-            values = compress(_draws_of(raw), tops.translate(split))
+        # the pieces before each split draw, each after the first led by
+        # one added byte, run up to the split draws' positions; the
+        # trailing 0 keeps a single draw a tuple, and map stops before it
+        gaps = tops.translate(split).replace(b"\x01", b"\x01\x02").split(b"\x01")
+        del gaps[-1]
+        values = itemgetter(*accumulate(map(len, gaps)), 0)(_draws_of(raw))
         lo, hi = map(first.__getitem__, split_draw_tops), map(last.__getitem__, split_draw_tops)
         hits.update(map(cells.__getitem__, map(bisect_left, repeat(cutoffs), values, lo, hi)))
     for b, n in per_top.items():

@@ -2,7 +2,6 @@
 
 from bisect import bisect_left
 from collections import Counter
-from operator import itemgetter
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -285,25 +284,6 @@ class TestTally:
         assert set(tops) & counted == (set(tops) if buckets < mc.SCAN_MIN else set())
         assert 11 in counted and 255 not in counted
 
-    @pytest.mark.parametrize("over", [False, True])
-    def test_split_draws_on_both_sides_of_sparse(self, monkeypatch, over):
-        # the buckets of top bytes below 64 split; the first `draws` draws
-        # of stream 10, about 4,080 in one block, hold s split draws with
-        # SPARSE * s = draws - 1, just under 1/SPARSE of them, or = draws
-        cutoffs = sorted([(b << 56) + 1 for b in range(64)] + [(b << 56) - 1 for b in range(1, 257)])
-        cells = identity(cutoffs)
-        assert split_buckets(cutoffs) == set(range(64))
-        slack, draws = 0, None  # SPARSE * split draws - draws, per prefix
-        for n, u in enumerate(next(u64_blocks(10, BLOCK)), 1):
-            slack += mc.SPARSE * (u >> 56 < 64) - 1
-            if slack == (0 if over else -1) and n > BLOCK // 2:
-                draws = n
-        assert draws is not None
-        gets = []
-        monkeypatch.setattr(mc, "itemgetter", lambda *keys: gets.append(keys) or itemgetter(*keys))
-        assert tally(cutoffs, 10, draws, cells) == bisected_tally(cutoffs, 10, draws, cells)
-        assert len(gets) == (0 if over else 1)
-
 
 def bisections(monkeypatch, name, draws, by_cell=False):
     """Draws bisected by `compare_exact_vs_mc` on a catalog model at its
@@ -338,3 +318,14 @@ class TestTallyWork:
         calls, split = bisections(monkeypatch, "unordered_values", 100_000, by_cell=True)
         assert split == 35
         assert 0 < calls <= 100_000 * split // 256 + 1_000
+
+    @pytest.mark.parametrize("name, buckets", [("srs_wor_n3", 13), ("sampled_weights", 32), ("stratified", 0)])
+    def test_counter_buckets_on_the_catalog(self, monkeypatch, name, buckets):
+        # the benchmark's ops reach both sides of SCAN_MIN: the pure buckets
+        # of cells with fewer go to the Counter, 13 and 32 of them here
+        build = parse_model(CATALOG[name]).build()
+        theta, phi = build.model.grid[0]
+        monkeypatch.setattr(mc, "Counter", Recorder)
+        monkeypatch.setattr(Recorder, "seen", [])
+        compare_exact_vs_mc(build.model, theta, phi, scheme=build.scheme, draws=BLOCK, seed=20260810)
+        assert len(set().union(*Recorder.seen)) == buckets
