@@ -132,6 +132,11 @@ def item_keys(key) -> tuple:
     return key[1]
 
 
+def tuple_key(keys) -> tuple:
+    """The canonical key of a tuple whose items' canonical keys are `keys`."""
+    return (3, tuple(keys))
+
+
 def sorted_distinct(values: Iterable) -> tuple:
     """The values with distinct canonical_keys, the first of each kept, in
     canonical_key order."""

@@ -38,6 +38,7 @@ from .exactprob import (
     sorted_distinct,
     summed,
     support_cap,
+    tuple_key,
     vector_law,
 )
 from .sampling import (
@@ -145,9 +146,13 @@ def _observation_rv(m: SurveyModel, scheme: ObservationScheme):
     return observation_fn(m, None, scheme)
 
 
-def _ranks(values) -> list:
-    """The rank of each value's canonical_key among the distinct ones."""
-    return numbering([canonical_key(v) for v in values])[0]
+def _ranks(values) -> tuple:
+    """(ranks, firsts, keys): the rank of each value's canonical_key among
+    the distinct ones, and by rank the position where it first occurs and
+    its key."""
+    keys = [canonical_key(v) for v in values]
+    ranks, firsts = numbering(keys)
+    return ranks, firsts, [keys[i] for i in firsts]
 
 
 def _picker(positions) -> Callable:
@@ -157,25 +162,32 @@ def _picker(positions) -> Callable:
     return lambda t: tuple(t[p] for p in positions)
 
 
-def _axis_keys(worlds: tuple, fn: Callable, reads, axes: tuple) -> list | None:
-    """One sort key per world, equal where the canonical_keys of the
-    values of `fn` are equal and ordered as they are, read off the two axes
-    (|(y, z) pairs|, |mappings|) of world ids rank(y, z) * |mappings| +
-    rank(r); None when `reads` declares nothing."""
+def _axis_keys(worlds: tuple, fn: Callable, reads, axes: tuple) -> tuple | None:
+    """(one sort key per world, the canonical_key of the value of a sort
+    key, by code the first world or None): sort keys equal where the
+    canonical_keys of the values of `fn` are equal and ordered as they are,
+    read off the two axes (|(y, z) pairs|, |mappings|) of world ids
+    rank(y, z) * |mappings| + rank(r); a "yz" or "r" variable's sort keys
+    are its ranks, already codes, so their first worlds come with them.
+    None when `reads` declares nothing."""
     n_yz, n_r = axes
     if reads == "yz":  # one rank per (y, z) pair, repeated over its mappings
-        return list(chain.from_iterable(repeat(k, n_r) for k in _ranks(fn(w) for w in worlds[::n_r])))
+        ranks, firsts, keys = _ranks(fn(w) for w in worlds[::n_r])
+        return list(chain.from_iterable(repeat(k, n_r) for k in ranks)), keys.__getitem__, [i * n_r for i in firsts]
     if reads == "r":  # one rank per mapping, the same for every (y, z) pair
-        return _ranks(fn(w) for w in worlds[:n_r]) * n_yz
+        ranks, firsts, keys = _ranks(fn(w) for w in worlds[:n_r])
+        return ranks * n_yz, keys.__getitem__, firsts
     if isinstance(reads, Population):  # unit value ranks picked along each mapping
         heads = worlds[::n_r]
-        ranks = iter(_ranks(v for w in heads for v in w.y))
+        ranks, _firsts, keys = _ranks(v for w in heads for v in w.y)
+        ranks = iter(ranks)
         ys = [tuple(islice(ranks, len(w.y))) for w in heads]
         picks = [_picker([reads.index(k) for k in w.r]) for w in worlds[:n_r]]
-        return [pick(y) for y in ys for pick in picks]
+        return [pick(y) for y in ys for pick in picks], lambda t: tuple_key(map(keys.__getitem__, t)), None
     if isinstance(reads, tuple):  # a tuple orders by its parts in turn
         parts = [_axis_keys(worlds, r.fn, r.reads, axes) for r in reads]
-        return None if None in parts else list(zip(*parts))
+        if None not in parts:
+            return list(zip(*(p[0] for p in parts))), lambda t: tuple_key([p[1](k) for p, k in zip(parts, t)]), None
     return None
 
 
@@ -183,18 +195,16 @@ def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
     """(world id -> code, code -> value, code -> canonical_key): `var` (a
     RandomVariableRef or a world function) on every world, its values coded
     in canonical_key order, a code's value the one at its first world.  A
-    declared variable on worlds numbered by `axes` is coded from the axes,
-    and only the value at each code's first world is made; any other is
-    keyed world by world, which is the reference."""
+    declared variable on worlds numbered by `axes` is coded from the axes
+    (see `_axis_keys`): only the value at each code's first world is made,
+    and each key is built from the keys of the ranks, with no value keyed
+    twice; any other is keyed world by world, which is the reference."""
     fn, reads = (var.fn, var.reads) if isinstance(var, RandomVariableRef) else (var, None)
-    keys = _axis_keys(worlds, fn, reads, axes) if axes is not None else None
-    values = None
-    if keys is None:  # keyed world by world
-        values = [fn(w) for w in worlds]
-        keys = [canonical_key(v) for v in values]
-    codes, firsts = numbering(keys)
-    values = tuple(fn(worlds[i]) if values is None else values[i] for i in firsts)
-    return tuple(codes), values, tuple(map(canonical_key, values))
+    coded = _axis_keys(worlds, fn, reads, axes) if axes is not None else None
+    sort_keys, key_of, firsts = coded or ([canonical_key(fn(w)) for w in worlds], None, None)  # or world by world
+    codes, firsts = (sort_keys, firsts) if firsts is not None else numbering(sort_keys)  # "yz", "r": ranks are codes
+    keys = [sort_keys[i] for i in firsts]
+    return tuple(codes), tuple(fn(worlds[i]) for i in firsts), tuple(map(key_of, keys) if key_of else keys)
 
 
 @dataclass(frozen=True)

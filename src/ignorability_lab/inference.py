@@ -32,6 +32,7 @@ from .exactprob import (
     canonical_key,
     check_size,
     dist_new,
+    integer_masses,
     item_keys,
     key_sums,
     numbering,
@@ -356,6 +357,14 @@ _RECORDS = {(name, h, c): TheoremAudit(name, h, c, (("iff", h == c),) if name ==
             for name in ("6.1", "6.2", "6.3", "7.1", "7.2") for h in (False, True) for c in (False, True)}
 
 
+def _row(column) -> tuple:
+    """(row, d) of a design column (mapping ranks, integer masses, d): its masses by mapping rank, over d."""
+    row = [0] * (max(column[0]) + 1)
+    for k, n in zip(column[0], column[1]):
+        row[k] = n
+    return tuple(row), column[2]
+
+
 class _Mapping:
     """What a context keeps per observed mapping, laid out on its first
     query: its key and each draw's unit position (None for a unit outside
@@ -380,14 +389,14 @@ class RubinContext:
     Signals are the tuples over the alphabet, numbered in product order,
     so the value of unit i in signal j is digit i of j in base |A|; no
     signal tuple is kept.  The first query builds, in one pass over the
-    signal laws (`_z_of`), z per signal id, the theta marginals as integer
-    numerators per signal id over one denominator per theta, and each
-    signal's selection row at every phi: integer masses by mapping rank
-    over one scale per phi, one row per design law object.  Then kept as
-    queries need them: a `_Mapping` record per observed mapping and the
-    audit's joints.  A query keys only the drawn values, and a mapping
-    whose columns are all flat answers `mar` and `oar` without them.
-    Nothing is kept per observed value.  A row that raises is not kept
+    integer signal laws of `m.atoms` (`_z_of`), z per signal id, the theta
+    marginals as integer numerators per signal id over one denominator per
+    theta, and each signal's selection row at every phi: integer masses by
+    mapping rank over one scale per phi, one row per design column of the
+    atoms.  Then kept as queries need them: a `_Mapping` record per
+    observed mapping and the audit's joints.  A query keys only the drawn
+    values, and a mapping whose columns are all flat answers `mar` and
+    `oar` without them.  Nothing is kept per observed value.  A row that raises is not kept
     and its column entry is `_MARK`; a query that reaches a mark among its
     own ids builds that row again, so it raises what a fresh context
     raises, in the same order: phi by phi, ids ascending.  Draws are
@@ -404,7 +413,6 @@ class RubinContext:
         self._rank = {canonical_key(a): i for i, a in enumerate(m.alphabet)}
         self._z = self._marginals = None  # built by `_z_of`
         self._at = None  # per phi position: `_rows`, built by `_z_of`
-        self._laws = []  # the design laws given a row, kept so that no id is reused
         self._mapping_rank = None  # canonical_key(mapping) -> rank, a rule's mappings after the model's; built by `_z_of`
         self._mappings = {}  # canonical_key(mapping) -> its `_Mapping`
         self._tables = None
@@ -427,10 +435,11 @@ class RubinContext:
         needs: the z the signal laws pair with it; for a signal of zero
         mass `_Y` by the z-contains-y convention, a constant z, or `_NO_Z`.
         Each distinct (y, z) of the model's atoms is keyed once; the same
-        pass over the signal laws, reading each atom's rank, keeps each
-        theta's marginal, d the lcm of its law's denominators and a
-        numerator per signal id; then every phi's rows are built (`_rows`),
-        each signal's design law found by the key of its z."""
+        pass over `m.atoms.signals` sums each theta's marginal, its law's
+        integer masses by signal id over its denominator d, and keeps each
+        signal id's (y, z) rank, which a signal of zero mass under a
+        constant z takes from a signal of that z; then every phi's rows
+        are built (`_rows`)."""
         if self._z is None:
             m, rank, weights = self.model, self._rank.__getitem__, self._weights
             signals = []  # per (y, z) rank: (signal id, z, z's key)
@@ -439,57 +448,50 @@ class RubinContext:
                 # when z is the signal tuple itself, its key holds its values' keys
                 y_keys = item_keys(zk) if z is y and type(y) is tuple else map(canonical_key, y)
                 signals.append((sum(map(mul, map(rank, y_keys), weights)), z, zk))
-            seen, marginals = {}, []
-            for law, ranks in m.atoms.signals:  # by theta position
-                d, masses = lcm(*[w.denominator for _yz, w in law.items]), [0] * self._size
-                for k, (_yz, w) in zip(ranks, law.items):
+            seen, marginals = {}, []  # seen: signal id -> (z, z's key, (y, z) rank)
+            for ranks, masses, d in m.atoms.signals:  # by theta position
+                marginal = [0] * self._size
+                for k, n in zip(ranks, masses):
                     j, z, zk = signals[k]
-                    if seen.setdefault(j, (z, zk))[1] != zk:
+                    if seen.setdefault(j, (z, zk, k))[1] != zk:
                         raise NotRubinShape("design variable is not a function of the signal")
-                    masses[j] += w.numerator * (d // w.denominator)
-                marginals.append((d, tuple(masses)))
-            zs = {zk: (z, zk) for z, zk in seen.values()}
-            other = (_Y, None) if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else (_NO_Z, None)
-            self._z, keys = zip(*(seen.get(j, other) for j in range(self._size)))  # key None: no z, or z the signal
+                    marginal[j] += n
+                marginals.append((d, tuple(marginal)))
+            zs = {entry[1]: entry for entry in seen.values()}  # by z's key
+            other = (_Y, None, None) if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else (_NO_Z, None, None)
+            self._z, _keys, ranks = zip(*(seen.get(j, other) for j in range(self._size)))  # rank None: no z, or z the signal
             self._marginals = marginals
             self._mapping_rank = {canonical_key(r): i for i, r in enumerate(m.atoms.mappings)}
-            law_rows = {}  # id(design law) -> its row, for this pass
-            self._at = [self._rows(p, keys, law_rows) for p in range(len(self.phis))]
+            columns = {id(c): c for cs in m.atoms.designs.values() for c in cs}  # one per design law object
+            law_rows = {i: _row(c) for i, c in columns.items()}
+            self._at = [self._rows(p, ranks, law_rows) for p in range(len(self.phis))]
         return self._z
 
-    def _build_row(self, p, j, law_rows, delta=None) -> tuple:
-        """(row, d) of the design law at the p-th phi given signal j, or of
-        `delta` (found by j's z key): its mappings' masses by rank as
-        integers over d, the lcm of its denominators; one row per law object
-        in `law_rows`."""
-        if delta is None:
-            z = self._z[j]
-            if z is _Y:
-                z = self._signal(j)
-            elif z is _NO_Z:
-                raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
-            delta = self.model.design_for(self.phis[p]).get(z)
-        row = law_rows.get(id(delta))
-        if row is None:
-            keys = self.model.atoms.ranks.get(id(delta))  # None for a law a rule built here
-            if keys is None:
-                ranks = self._mapping_rank
-                keys = [ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in delta.items]
-            row, d = [0] * (max(keys) + 1), lcm(*[w.denominator for _r, w in delta.items])
-            for k, (_r, w) in zip(keys, delta.items):
-                row[k] = w.numerator * (d // w.denominator)
-            row = law_rows[id(delta)] = tuple(row), d
-            self._laws.append(delta)
-        return row
+    def _build_row(self, p, j) -> tuple:
+        """(row, d) of the design law at the p-th phi given signal j, one the
+        model's atoms do not hold (signal j has zero mass, and z is j itself
+        or there is none): the law `Kernel.get` gives, by its rule, its
+        mappings ranked after the model's (see `_row`)."""
+        z = self._z[j]
+        if z is _Y:
+            z = self._signal(j)
+        elif z is _NO_Z:
+            raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
+        delta = self.model.design_for(self.phis[p]).get(z)
+        ranks = self._mapping_rank
+        return _row(([ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in delta.items],
+                     *integer_masses(delta.weights())))
 
-    def _rows(self, p, keys, law_rows) -> tuple:
+    def _rows(self, p, ranks, law_rows) -> tuple:
         """(each signal id's row over one scale, None where it raises; the
         distinct rows; that scale, the lcm of the rows' d) at the p-th phi,
-        given each signal's z key."""
-        design, rows = self.model.design_for(self.phis[p]), [None] * self._size
-        for j, zk in enumerate(keys):
-            try:  # a table that cannot be indexed raises at every signal, as `get` does
-                rows[j] = self._build_row(p, j, law_rows, design.index.get(zk))
+        given each signal's (y, z) rank: the row of the atoms' design
+        column at that rank, from `law_rows` by id(column), or for a signal
+        of no rank `_build_row`'s."""
+        columns, rows = self.model.atoms.designs[self.phis[p]], [None] * self._size
+        for j, k in enumerate(ranks):
+            try:  # only a signal of no rank reads the rule, which may raise
+                rows[j] = self._build_row(p, j) if k is None else law_rows[id(columns[k])]
             except Exception:
                 pass
         distinct = {id(r): r for r in rows}  # None among them where a row raises
@@ -543,7 +545,7 @@ class RubinContext:
         scale, entries = self._column(record, p)
         got = [entries] * len(ids) if type(entries) is int else list(map(entries.__getitem__, ids))
         if _MARK in got:
-            self._build_row(p, ids[got.index(_MARK)], {})
+            self._build_row(p, ids[got.index(_MARK)])
         return scale, got
 
     def _flat(self, record) -> bool:
@@ -673,7 +675,7 @@ class RubinContext:
                 ids, rows = positive[ti], self._at[p][0]
                 joints.append((ti, p, ids, [mg[j] for j in ids]))
                 on_grid[p].append(ti)
-                size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j, {})[0] for j in ids))
+                size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j)[0] for j in ids))
                 check_size(size, cap=cap)
                 largest = max(largest, size)
             self._tables = (distinct, marginals, joints, on_grid), largest

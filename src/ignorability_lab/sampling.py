@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, product
 from math import lcm, prod
 from typing import Callable, Iterable, NamedTuple
 
@@ -228,14 +229,12 @@ def iid_signal_dist(
 
     `z_of` maps the signal tuple to the design-variable value it carries
     (identity for value-dependent designs, a constant for the rest)."""
-    import itertools
-
     z_of = z_of or (lambda y: None)
     check_size(len(unit_dist.items) ** population.size, "signal support")
     masses, denominator = integer_masses(unit_dist.weights())
     denominator **= population.size
     pairs = []
-    for combo in itertools.product(range(len(masses)), repeat=population.size):
+    for combo in product(range(len(masses)), repeat=population.size):
         y = tuple(unit_dist.items[i][0] for i in combo)
         pairs.append(((y, z_of(y)), Fraction(prod(masses[i] for i in combo), denominator)))
     return dist_new(pairs)
@@ -265,16 +264,15 @@ def _normalize_grid(thetas, phis, grid):
 
 
 class Atoms(NamedTuple):
-    """The two axes of a model's world space and the integer rank of every
-    atom of every signal law and design law, worked out in one pass that
-    keys each atom once (see `SurveyModel.atoms`); ranks are kept, not
-    keys."""
+    """The two axes of a model's world space and every signal law and design
+    law as integers on the ranks of its atoms, worked out in one pass that
+    keys each atom once (see `SurveyModel.atoms`); ranks and integer masses
+    are kept, not keys and not Fractions."""
 
     yzs: tuple  # the (y, z) pairs, sorted
     mappings: tuple  # the mappings, sorted
-    signals: tuple  # per theta position: (its law, the rank of each of its (y, z) atoms)
-    designs: dict  # phi -> the design law at the z of each (y, z) rank
-    ranks: dict  # id(design law) -> the rank of each of its mappings
+    signals: tuple  # per theta position: (ranks of its (y, z) atoms, integer masses, denominator)
+    designs: dict  # phi -> per (y, z) rank: the design law at its z, as (mapping ranks, integer masses, denominator)
     grid: tuple  # per grid point: (its theta's position, its phi's position in the design table)
 
 
@@ -287,8 +285,8 @@ class SurveyModel:
     the z values the signal laws can produce, in phi-grid order.  A model
     with no phi grid has one known design, the one-point grid: the table's
     only key is None, and so is the phi of every grid point.  The grid is
-    the explicit list of live (theta, phi) pairs.  `atoms` numbers the
-    atoms of the signal and design laws (see `Atoms`).
+    the explicit list of live (theta, phi) pairs.  `atoms` keeps the
+    signal and design laws as integers on numbered atoms (see `Atoms`).
     """
 
     population: Population
@@ -402,25 +400,25 @@ def _key_atoms(law: FiniteDist, firsts: dict) -> list:
 def _atoms(firsts: dict, keys: list, m: SurveyModel) -> Atoms:
     """The `Atoms` of model m from its (y, z) pairs, first of each key, and
     the law of each theta with its atoms' keys (see `_key_atoms`); each
-    mapping of each design law object is keyed once, and grid labels are
+    mapping of each design law object is keyed once, each law is scaled to
+    integers once, one column per law object, and grid labels are
     compared, not hashed."""
     designs, phis = m.designs, tuple(m.designs)
     order = sorted(firsts)
     rank = {k: i for i, k in enumerate(order)}
-    mapping_firsts, law_keys = {}, {}
-    for kernel in designs.values():
-        for _z, delta in kernel.entries:
-            if id(delta) not in law_keys:
-                law_keys[id(delta)] = [canonical_key(r) for r, _w in delta.items]
-                for (r, _w), k in zip(delta.items, law_keys[id(delta)]):
-                    mapping_firsts.setdefault(k, r)
+    laws = {id(delta): delta for kernel in designs.values() for _z, delta in kernel.entries}  # each law object once
+    law_keys, mapping_firsts = {i: [canonical_key(r) for r, _w in delta.items] for i, delta in laws.items()}, {}
+    for i, ks in law_keys.items():
+        for (r, _w), k in zip(laws[i].items, ks):
+            mapping_firsts.setdefault(k, r)
     mapping_rank = {k: i for i, k in enumerate(sorted(mapping_firsts))}
+    columns = {i: (tuple(map(mapping_rank.__getitem__, ks)), *integer_masses(laws[i].weights()))
+               for i, ks in law_keys.items()}  # one per law object
     return Atoms(
         yzs=tuple(firsts[k] for k in order),
         mappings=tuple(mapping_firsts[k] for k in mapping_rank),
-        signals=tuple((law, tuple(map(rank.__getitem__, ks))) for law, ks in keys),
-        designs={phi: tuple(kernel.index[item_keys(k)[1]] for k in order) for phi, kernel in designs.items()},
-        ranks={i: tuple(map(mapping_rank.__getitem__, ks)) for i, ks in law_keys.items()},
+        signals=tuple((tuple(map(rank.__getitem__, ks)), *integer_masses(law.weights())) for law, ks in keys),
+        designs={phi: tuple(columns[id(kernel.index[item_keys(k)[1]])] for k in order) for phi, kernel in designs.items()},
         grid=tuple((m.thetas.index(theta), phis.index(phi)) for theta, phi in m.grid),
     )
 
@@ -441,45 +439,31 @@ def joint_masses(m: SurveyModel, points) -> list:
     of `m.world_space()`.  Each point is tested against the grid, after
     the support cap is read, unless `points` is `m.grid` itself.
 
-    Each atom is read by its rank in `m.atoms`, with no key made.  Each
-    theta's signal law is scaled over the lcm of its denominators once per
-    call, and each design column over its own, so each mass is an integer
+    Each law is read from `m.atoms`, already integers on atom ranks: no key
+    is made and no Fraction scaled.  The design columns of a point are
+    brought over the lcm of their denominators, so each mass is an integer
     product.  The law of r given (y, z) is the design kernel at z, so
     'selection reads only z' holds for every model built without the
     z-contains-y opt-in.  (y, z) and r come in canonical_key order, so the
     ids are distinct and ascending."""
     atoms = m.atoms
     n_r = len(atoms.mappings)
-    signals = {}  # theta position -> ((rank, integer mass) per (y, z) atom, denominator)
-    columns = {}  # id(design law) -> (that law, ranks of its r, integer masses, denominator)
     out, cap = [], support_cap()
     for theta, phi in points:
         if points is not m.grid:  # the grid itself needs no test
             m.check_point(theta, phi)
         m.design_for(phi)  # a phi off the design table raises GridMiss here
-        t = m.thetas.index(theta)  # compared, not hashed
-        signal = signals.get(t)
-        if signal is None:
-            law, ranks = atoms.signals[t]
-            masses, denominator = integer_masses(law.weights())
-            signal = signals[t] = (list(zip(ranks, masses)), denominator)
-        laws = atoms.designs[phi]
-        rows, size = [], 0
-        for k, a in signal[0]:
-            delta = laws[k]
-            check_size(size + len(delta.items), "world support", cap)
-            size += len(delta.items)
-            column = columns.get(id(delta))
-            if column is None:
-                column = columns[id(delta)] = (delta, atoms.ranks[id(delta)], *integer_masses(delta.weights()))
-            rows.append((k * n_r, a, column))
-        denominator = lcm(*(column[3] for _base, _a, column in rows))
+        ranks, masses, signal_denominator = atoms.signals[m.thetas.index(theta)]  # compared, not hashed
+        columns = [atoms.designs[phi][k] for k in ranks]
+        for size in accumulate(len(column[0]) for column in columns):  # the running support size
+            check_size(size, "world support", cap)
+        denominator = lcm(*(column[2] for column in columns))
         ids, numerators = [], []
-        for base, a, (_delta, ranks, masses, column_denominator) in rows:
-            factor = a * (denominator // column_denominator)
-            ids.extend([base + j for j in ranks])
-            numerators.extend([factor * b for b in masses])
-        out.append(reduced(ids, numerators, signal[1] * denominator))
+        for k, a, (mapping_ranks, column_masses, column_denominator) in zip(ranks, masses, columns):
+            base, factor = k * n_r, a * (denominator // column_denominator)
+            ids.extend([base + j for j in mapping_ranks])
+            numerators.extend([factor * b for b in column_masses])
+        out.append(reduced(ids, numerators, signal_denominator * denominator))
     return out
 
 
@@ -532,16 +516,10 @@ def validate_observation(m: SurveyModel, scheme: ObservationScheme, x) -> None:
 
     if scheme.kind == VALUES_ONLY:
         check_values(x)
-    elif scheme.kind == VALUES_AND_MAPPING:
-        if not isinstance(x, tuple) or len(x) != 2:
-            raise UnknownObservation("expected (values, mapping)")
-        check_values(x[0])
-        check_mapping(x[1])
-        if len(x[0]) != len(x[1]):
-            raise UnknownObservation("values and mapping lengths differ")
-    elif scheme.kind == VALUES_MAPPING_DESIGN:
-        if not isinstance(x, tuple) or len(x) != 3:
-            raise UnknownObservation("expected (values, mapping, z)")
+    elif scheme.kind in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
+        shape, parts = ("(values, mapping)", 2) if scheme.kind == VALUES_AND_MAPPING else ("(values, mapping, z)", 3)
+        if not isinstance(x, tuple) or len(x) != parts:
+            raise UnknownObservation(f"expected {shape}")
         check_values(x[0])
         check_mapping(x[1])
         if len(x[0]) != len(x[1]):

@@ -18,8 +18,10 @@ from ignorability_lab.exactprob import (
     EngineError,
     Kernel,
     bernoulli,
+    canonical_key,
     condition,
     dist_new,
+    integer_masses,
     point_mass,
     pushforward,
 )
@@ -398,6 +400,16 @@ class TestKeptRanks:
         assert set(worlds) == set(space) and len(worlds) == len(space)
         for (theta, phi), (ids, numerators, denominator) in zip(m.grid, sampling.joint_masses(m, m.grid)):
             assert {worlds[i]: F(n, denominator) for i, n in zip(ids, numerators)} == laws[theta, phi]
+        # the atoms hold each law as integers on ranks: (atom ranks, masses, denominator)
+        def ranked(law, rank):
+            return tuple(rank[canonical_key(a)] for a, _w in law.items), *integer_masses(law.weights())
+
+        yz_rank = {canonical_key(yz): k for k, yz in enumerate(m.atoms.yzs)}
+        mapping_rank = {canonical_key(r): k for k, r in enumerate(m.atoms.mappings)}
+        assert (m.atoms.signals, m.atoms.designs) == (
+            tuple(ranked(m.signal_law[theta], yz_rank) for theta in m.thetas),
+            {phi: tuple(ranked(kernel.get(z), mapping_rank) for _y, z in m.atoms.yzs) for phi, kernel in m.designs.items()},
+        )
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_catalog_models(self, name):
