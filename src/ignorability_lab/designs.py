@@ -148,15 +148,16 @@ def select_max(population: Population) -> Kernel:
     maximal signal value, lowest label on ties.
 
     The kernel reads z and expects z to be the signal itself, so models
-    using it must be declared with z_contains_y.
+    using it must be declared with z_contains_y.  The rule returns one of
+    N point-mass laws built here, one per unit.
     """
+    laws = [point_mass((k,)) for k in population.labels]
 
     def rule(z):
         y = tuple(z)
         if len(y) != population.size:
             raise EngineError("select_max expects z to be the full signal")
-        best = max(range(len(y)), key=lambda i: (canonical_key(y[i]), -i))
-        return point_mass((population.labels[best],))
+        return laws[max(range(len(y)), key=lambda i: (canonical_key(y[i]), -i))]
 
     return Kernel.from_rule(rule)
 

@@ -342,14 +342,28 @@ class Kernel:
             return dist
         raise MissingKernelEntry(f"kernel has no entry for {value!r}")
 
-    def materialize(self, inputs: Iterable) -> "Kernel":
-        """Explicit finite table over `inputs`.
+    def materialize(self, inputs: dict, laws: dict | None = None) -> "Kernel":
+        """Explicit finite table over `inputs`, {canonical_key(value): value},
+        whose keys it keeps, with each distinct law one object: a law equal
+        to one in `laws` ({law: law}, filled in as met; calls may share it)
+        is that one unless its outcomes cannot be hashed, and is hashed once.
 
         The rule is kept as a fallback so structural probes (signal
         completions outside the realized support) stay answerable."""
-        return Kernel.from_mapping(
-            {value: self.get(value) for value in inputs}, rule=self.rule
-        )
+        laws, met = {} if laws is None else laws, {}  # met: id(law) -> (law, its shared law); holding the law holds its id
+
+        def shared(dist):
+            if id(dist) not in met:
+                try:
+                    met[id(dist)] = (dist, laws.setdefault(dist, dist))
+                except TypeError:  # an outcome that cannot be hashed
+                    return dist
+            return met[id(dist)][1]
+
+        index = {key: shared(self.get(inputs[key], key)) for key in sorted(inputs)}
+        kernel = Kernel(tuple((inputs[key], dist) for key, dist in index.items()), self.rule)
+        vars(kernel)["index"] = index  # as `from_mapping` keeps it
+        return kernel
 
     def canonical_key(self):
         return (4, "Kernel", canonical_key(tuple(self.entries)))

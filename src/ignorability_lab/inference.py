@@ -19,7 +19,7 @@ Reports always carry the comparisons performed, never a bare verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -393,20 +393,21 @@ class RubinContext:
     marginals as integer numerators per signal id over one denominator per
     theta, and each signal's selection row at every phi: integer masses by
     mapping rank over one scale per phi, one row per design column of the
-    atoms.  Then kept as queries need them: a `_Mapping` record per
-    observed mapping and the audit's joints.  A query keys only the drawn
-    values, and a mapping whose columns are all flat answers `mar` and
-    `oar` without them.  Nothing is kept per observed value.  A row that raises is not kept
-    and its column entry is `_MARK`; a query that reaches a mark among its
-    own ids builds that row again, so it raises what a fresh context
-    raises, in the same order: phi by phi, ids ascending.  Draws are
-    checked in draw order, each value keyed before its unit is looked up,
-    after z is found to be a function of y; a mapping that cannot be keyed
-    raises where a fresh context keys it."""
+    atoms, so one per distinct design law.  Then kept as queries need
+    them: a `_Mapping` record per observed mapping and the audit's joints.
+    A query keys only the drawn values, and a mapping whose columns are
+    all flat answers `mar` and `oar` without them.  Nothing is kept per
+    observed value.  A row that raises is not kept and its column entry
+    is `_MARK`; a query that reaches a mark among its own ids builds that
+    row again, so it raises what a fresh context raises, in the same
+    order: phi by phi, ids ascending.  Draws are checked in draw order,
+    each value keyed before its unit is looked up, after z is found to be
+    a function of y; a mapping that cannot be keyed raises where a fresh
+    context keys it."""
 
     def __init__(self, m: SurveyModel):
-        self.model = m
-        self.phis = tuple(m.designs)
+        self.population, self.alphabet, self.atoms, self.designs = m.population, m.alphabet, m.atoms, m.designs
+        self.z_contains_y, self.phis = m.z_contains_y, tuple(m.designs)
         n, base = m.population.size, len(m.alphabet)
         self._base, self._size = base, base**n
         self._weights = tuple(base ** (n - 1 - i) for i in range(n))  # unit -> id weight
@@ -418,7 +419,7 @@ class RubinContext:
         self._tables = None
 
     def _signal(self, j) -> tuple:
-        alphabet, base = self.model.alphabet, self._base
+        alphabet, base = self.alphabet, self._base
         return tuple(alphabet[j // w % base] for w in self._weights)
 
     def _offsets(self, units) -> list:
@@ -441,15 +442,15 @@ class RubinContext:
         constant z takes from a signal of that z; then every phi's rows
         are built (`_rows`)."""
         if self._z is None:
-            m, rank, weights = self.model, self._rank.__getitem__, self._weights
+            atoms, rank, weights = self.atoms, self._rank.__getitem__, self._weights
             signals = []  # per (y, z) rank: (signal id, z, z's key)
-            for y, z in m.atoms.yzs:
+            for y, z in atoms.yzs:
                 zk = canonical_key(z)
                 # when z is the signal tuple itself, its key holds its values' keys
                 y_keys = item_keys(zk) if z is y and type(y) is tuple else map(canonical_key, y)
                 signals.append((sum(map(mul, map(rank, y_keys), weights)), z, zk))
             seen, marginals = {}, []  # seen: signal id -> (z, z's key, (y, z) rank)
-            for ranks, masses, d in m.atoms.signals:  # by theta position
+            for ranks, masses, d in atoms.signals:  # by theta position
                 marginal = [0] * self._size
                 for k, n in zip(ranks, masses):
                     j, z, zk = signals[k]
@@ -458,11 +459,11 @@ class RubinContext:
                     marginal[j] += n
                 marginals.append((d, tuple(marginal)))
             zs = {entry[1]: entry for entry in seen.values()}  # by z's key
-            other = (_Y, None, None) if m.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else (_NO_Z, None, None)
+            other = (_Y, None, None) if self.z_contains_y else next(iter(zs.values())) if len(zs) == 1 else (_NO_Z, None, None)
             self._z, _keys, ranks = zip(*(seen.get(j, other) for j in range(self._size)))  # rank None: no z, or z the signal
             self._marginals = marginals
-            self._mapping_rank = {canonical_key(r): i for i, r in enumerate(m.atoms.mappings)}
-            columns = {id(c): c for cs in m.atoms.designs.values() for c in cs}  # one per design law object
+            self._mapping_rank = {canonical_key(r): i for i, r in enumerate(atoms.mappings)}
+            columns = {id(c): c for cs in atoms.designs.values() for c in cs}  # one per design law object
             law_rows = {i: _row(c) for i, c in columns.items()}
             self._at = [self._rows(p, ranks, law_rows) for p in range(len(self.phis))]
         return self._z
@@ -477,7 +478,7 @@ class RubinContext:
             z = self._signal(j)
         elif z is _NO_Z:
             raise NotRubinShape(f"cannot extend the design variable to signal {self._signal(j)!r}")
-        delta = self.model.design_for(self.phis[p]).get(z)
+        delta = self.designs[self.phis[p]].get(z)
         ranks = self._mapping_rank
         return _row(([ranks.setdefault(canonical_key(r), len(ranks)) for r, _w in delta.items],
                      *integer_masses(delta.weights())))
@@ -488,7 +489,7 @@ class RubinContext:
         given each signal's (y, z) rank: the row of the atoms' design
         column at that rank, from `law_rows` by id(column), or for a signal
         of no rank `_build_row`'s."""
-        columns, rows = self.model.atoms.designs[self.phis[p]], [None] * self._size
+        columns, rows = self.atoms.designs[self.phis[p]], [None] * self._size
         for j, k in enumerate(ranks):
             try:  # only a signal of no rank reads the rule, which may raise
                 rows[j] = self._build_row(p, j) if k is None else law_rows[id(columns[k])]
@@ -510,7 +511,7 @@ class RubinContext:
             key = None
         record = self._mappings.get(key)
         if record is None:
-            labels = self.model.population.labels
+            labels = self.population.labels
             at = tuple(labels.index(k) if k in labels else None for k in mapping)
             record = _Mapping(key, at, len(self.phis))
             if key is not None:
@@ -564,7 +565,7 @@ class RubinContext:
         for v, i, k in zip(values, record.at, mapping):
             vk = canonical_key(v)
             if i is None:
-                self.model.population.index(k)  # a unit outside the population raises
+                self.population.index(k)  # a unit outside the population raises
             if fixed.setdefault(i, vk) != vk:
                 return None
         return fixed
@@ -650,7 +651,7 @@ class RubinContext:
         `mapping`, one group at a time in order of their first id: the
         offsets of the units outside, each plus every offset of the units
         inside.  Nothing is built before the first group is asked for."""
-        labels = self.model.population.labels
+        labels = self.population.labels
         outside = [i for i, k in enumerate(labels) if k not in mapping]
         inside = self._offsets([i for i, k in enumerate(labels) if k in mapping])
         for o in self._offsets(outside):
@@ -666,11 +667,11 @@ class RubinContext:
         the joints is kept too and checked against the cap once per call."""
         if self._tables is None:
             self._z_of()  # which keeps the marginals
-            m, marginals = self.model, self._marginals
-            distinct = check_distinct(m.atoms.grid)
+            marginals = self._marginals
+            distinct = check_distinct(self.atoms.grid)
             joints, on_grid, largest, cap = [], [[] for _ in self.phis], 0, support_cap()
             positive = [[j for j, w in enumerate(mg) if w] for _d, mg in marginals]  # by theta position
-            for ti, p in m.atoms.grid:
+            for ti, p in self.atoms.grid:
                 mg = marginals[ti][1]
                 ids, rows = positive[ti], self._at[p][0]
                 joints.append((ti, p, ids, [mg[j] for j in ids]))
@@ -688,7 +689,7 @@ class RubinContext:
         columns and the kept audit tables only, so they are kept per mapping."""
         _distinct, marginals, joints, _on_grid = self._tables[0]
         if None in record.at:  # a unit outside the population raises here
-            self.model.population.index(mapping[record.at.index(None)])
+            self.population.index(mapping[record.at.index(None)])
         seen = ignoring = None
 
         # 6.3 hypothesis: the missingness mechanism is degenerate (entry e,
@@ -801,15 +802,13 @@ def prepare_rubin(m: SurveyModel, scheme: ObservationScheme) -> RubinContext:
 
     There is one context per model object, kept in the model's instance
     dict as `functools.cached_property` keeps a value, and freed with the
-    model.  It reads a field-for-field copy of the model, which holds no
-    context, so the two form no reference cycle."""
+    model.  The context holds the model's fields, not the model, so the
+    two form no reference cycle."""
     if scheme.kind not in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
         raise NotRubinShape("the observation scheme must expose the selection mapping")
     context = vars(m).get("_rubin_context")
     if context is None:
-        copy = replace(m)
-        vars(copy)["atoms"] = m.atoms  # the same fields, so the same atoms
-        context = vars(m)["_rubin_context"] = RubinContext(copy)
+        context = vars(m)["_rubin_context"] = RubinContext(m)
     return context
 
 

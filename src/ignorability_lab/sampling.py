@@ -335,7 +335,8 @@ class SurveyModel:
         for k, (_y, z) in firsts.items():
             z_values.setdefault(item_keys(k)[1], z)
         alphabet = sorted_distinct(v for law in laws.values() for (y, _z), _w in law.items for v in y)
-        designs = {phi: (design_law[phi] if phis else design).materialize(z_values.values()) for phi in phis or [None]}
+        shared = {}  # each distinct design law, one object for every phi
+        designs = {phi: (design_law[phi] if phis else design).materialize(z_values, shared) for phi in phis or [None]}
         m = SurveyModel(
             population=population,
             thetas=thetas,
@@ -401,8 +402,8 @@ def _atoms(firsts: dict, keys: list, m: SurveyModel) -> Atoms:
     """The `Atoms` of model m from its (y, z) pairs, first of each key, and
     the law of each theta with its atoms' keys (see `_key_atoms`); each
     mapping of each design law object is keyed once, each law is scaled to
-    integers once, one column per law object, and grid labels are
-    compared, not hashed."""
+    integers once, one column per law object (equal laws are one object,
+    see `Kernel.materialize`), and grid labels are compared, not hashed."""
     designs, phis = m.designs, tuple(m.designs)
     order = sorted(firsts)
     rank = {k: i for i, k in enumerate(order)}

@@ -971,7 +971,7 @@ class TestAuditRubin:
         assert code == 0
         assert json.loads(out)["observations"] == 24
         assert len(contexts) == 1
-        assert builds == [len(contexts[0].model.grid)]
+        assert builds == [len(contexts[0].atoms.grid)]
 
     def test_mapping_flags_built_once_per_mapping(self, capsys, models, monkeypatch):
         # the 6.x flags read only the observed mapping: srs_wor_n3 has 24
@@ -1002,21 +1002,42 @@ class TestAuditRubin:
         assert digest.hexdigest() == AUDIT_RUBIN_MUTANTS_DIGEST
 
 
+def mutant_digest(capsys, tmp_path, monkeypatch, argv) -> str:
+    """SHA-256 over (document index, exit code, first stderr line, SHA-256
+    of stdout) of `argv` on every eighth parseable mutant: it pins the
+    output of every run as well as its refusals."""
+    digest = hashlib.sha256()
+    for index, code, out, err in every_eighth_mutant(capsys, tmp_path, monkeypatch, argv):
+        first = err.partition(chr(10))[0]
+        digest.update(f"{index} {code} {first} {hashlib.sha256(out.encode()).hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
+# `check --json` under each inference type, and `enumerate --json`, over
+# the same mutants as audit-rubin: the rest of the engine-level sweep
+CHECK_AND_ENUMERATE_MUTANTS_DIGESTS = {
+    "likelihood": "dcf2108b249e4aadc9fd93accb2a983c48997b045daea14786059bf8ea1a7c5e",
+    "frequentist": "54020d88bff92c285d88006698eea1f2fbd46d0765270277befca00c2f9abdcd",
+    "bayes": "7cff1c08b9be42f718e70b4c8b327abfcda19e4970d5ae15fae2b906503d95f3",
+    "enumerate": "0062b574c9c71ae4b2a72ddf91b26dbf69c2f3800523b1cf2df968bd15ed2f6e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_AND_ENUMERATE_MUTANTS_DIGESTS))
+def test_every_eighth_parseable_mutant(capsys, tmp_path, monkeypatch, name):
+    argv = ["enumerate", "--json"] if name == "enumerate" else ["check", "--inference", name, "--json"]
+    assert mutant_digest(capsys, tmp_path, monkeypatch, argv) == CHECK_AND_ENUMERATE_MUTANTS_DIGESTS[name]
+
+
 # mc-verify --json --draws 4097 --seed 1 over the same mutants
 MC_VERIFY_MUTANTS_DIGEST = "1a331f2ec205c570c6e52c09c9259657392fd936c07fb72cea964ddd2a892062"
 
 
 class TestMcVerify:
     def test_every_eighth_parseable_mutant(self, capsys, tmp_path, monkeypatch):
-        # 4,097 draws cross a block edge; one digest over (document index,
-        # exit code, first stderr line, SHA-256 of stdout) pins the counts
-        # of every run as well as its refusals
-        digest = hashlib.sha256()
+        # 4,097 draws cross a block edge
         argv = ["mc-verify", "--json", "--draws", "4097", "--seed", "1"]
-        for index, code, out, err in every_eighth_mutant(capsys, tmp_path, monkeypatch, argv):
-            first = err.partition(chr(10))[0]
-            digest.update(f"{index} {code} {first} {hashlib.sha256(out.encode()).hexdigest()}\n".encode())
-        assert digest.hexdigest() == MC_VERIFY_MUTANTS_DIGEST
+        assert mutant_digest(capsys, tmp_path, monkeypatch, argv) == MC_VERIFY_MUTANTS_DIGEST
 
     def test_small_run(self, capsys, models):
         code, out, _ = run(

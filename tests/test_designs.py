@@ -178,6 +178,11 @@ class TestSelectMax:
         assert dist_eq(select_max(U2).get((2, 2)), point_mass((1,)))
         assert dist_eq(select_max(U3).get((1, 3, 3)), point_mass((2,)))
 
+    def test_one_law_object_per_argmax(self):
+        # the rule returns one of its N prebuilt laws, not a new one per z
+        kernel = select_max(U3)
+        assert kernel.get((1, 3, 2)) is kernel.get((2, 3, 3)) is not kernel.get((3, 1, 3))
+
     def test_first_order_dominance_over_marginal(self):
         # observing the max of iid draws stochastically dominates one draw
         alphabet = (1, 2, 3)

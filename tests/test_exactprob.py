@@ -341,6 +341,20 @@ class TestKernelIndex:
         assert k == twin and hash(k) == hash(twin) and repr(k) == repr(twin)
         assert {twin: "found"}[k] == "found"
 
+    def test_materialize_keeps_one_object_per_distinct_law(self):
+        # a rule that builds a fresh law per call: equal laws become the
+        # first one, also across calls that share `laws`; a law whose
+        # outcomes cannot be hashed is kept as it is
+        keyed = lambda values: {canonical_key(v): v for v in values}
+        parity = Kernel.from_rule(lambda v: point_mass(v % 2))
+        laws = {}
+        table = parity.materialize(keyed([3, 2, 1, 0]), laws)
+        assert table == Kernel.from_mapping({v: point_mass(v % 2) for v in range(4)})
+        assert table.get(0) is table.get(2) is not table.get(1) is table.get(3)
+        assert parity.materialize(keyed([5]), laws).get(5) is table.get(1)
+        listed = Kernel.from_rule(lambda v: point_mass([v % 2])).materialize(keyed(range(3)))
+        assert dist_eq(listed.get(0), listed.get(2)) and listed.get(0) is not listed.get(2)
+
     def test_rule_fallback_and_missing_entry(self):
         k = self.kernel(rule=lambda v: point_mass(("rule", v)))
         assert dist_eq(k.get("a"), bernoulli(F(1, 3)))

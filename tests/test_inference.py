@@ -882,8 +882,9 @@ class TestSharedRubinContext:
 
     def test_one_row_per_design_law_object(self):
         # a constant design gives every signal one law object, so one row is
-        # built for all of them; select-the-max gives one law per signal
-        for m, laws in ((srs_model(U3, 2), 1), (select_max_model(U3), 8)):
+        # built for all of them; select-the-max gives one law per unit that
+        # can hold the maximum, each one object however many signals it serves
+        for m, laws in ((srs_model(U3, 2), 1), (select_max_model(U3), 3)):
             rubin = prepare_rubin(m, values_and_mapping())
             for x in Family.from_survey_model(m, values_and_mapping()).observation_support():
                 rubin.mar(x)

@@ -388,6 +388,19 @@ def _rubin_sweep_models():
     return [_rubin_model(thetas, phis) for thetas in grids(RUBIN_SIGNALS) for phis in grids(RUBIN_KERNELS)]
 
 
+def test_one_law_object_per_distinct_design_law():
+    # the sweep's rules build a fresh law for every z; the model keeps the
+    # first law of each content for every later z and phi, so its atoms
+    # hold one design column per distinct law: 420 over the 210 models,
+    # where one per (phi, z) made 1,368
+    columns = 0
+    for m in _rubin_sweep_models():
+        laws = {id(law): law for kernel in m.designs.values() for _z, law in kernel.entries}
+        assert len(set(laws.values())) == len(laws)
+        columns += len({id(column) for cs in m.atoms.designs.values() for column in cs})
+    assert columns == 420
+
+
 class TestKeptRanks:
     """The joint read through the ranks `SurveyModel.create` keeps, with no
     key made, against the reference's enumeration of every (y, z) and
