@@ -29,10 +29,10 @@ def verdicts_for(name: str) -> dict:
         build.model, (build.v, build.v_bar), build.scheme, build.target, dirac_fix()
     )
     out = {}
-    rep = prepared.test(LIKELIHOOD_BASED, None, None, None, None)
+    rep = prepared.test(LIKELIHOOD_BASED, None)
     out["likelihood"] = (rep.verdict, rep.alpha)
     estimator = default_estimator(build.scheme)
-    rep = prepared.test(FREQUENTIST, None, estimator, None, None)
+    rep = prepared.test(FREQUENTIST, None, estimator)
     out["frequentist"] = (rep.verdict, None)
     # Bayesian verdicts are per observation: all of them in one pass, as
     # `check --inference bayes` without --x reads them

@@ -41,7 +41,7 @@ from .inference import (
 )
 from .ignorance import dirac_fix, marginal_family, single_arbitrary
 from .mc import compare_exact_vs_mc
-from .modelfile import parse_model
+from .modelfile import label_value, parse_model
 from .reports import (
     classification_payload,
     emit_report,
@@ -110,17 +110,20 @@ def _load(path: str):
     return parse_model(text).build()
 
 
-def _grid_label(text):
-    if text.lstrip("-").isdigit():
-        return int(text)
-    return _decode_literal(text)
+def _grid_label(option, text):
+    """The label a --theta or --phi names, read as the same text in a model
+    file reads; a refusal names the option."""
+    try:
+        return label_value(text)
+    except ValueError as err:
+        raise EngineError(f"{option}: {err}") from None
 
 
 def _find_point(model, theta_text, phi_text):
     if theta_text is None and phi_text is None:
         return model.grid[0]
-    wanted_theta = _grid_label(theta_text) if theta_text else None
-    wanted_phi = _grid_label(phi_text) if phi_text else None
+    wanted_theta = _grid_label("--theta", theta_text) if theta_text is not None else None
+    wanted_phi = _grid_label("--phi", phi_text) if phi_text is not None else None
     for theta, phi in model.grid:
         if wanted_theta is not None and canonical_key(theta) != canonical_key(wanted_theta):
             continue
@@ -175,7 +178,7 @@ def cmd_check(args) -> int:
     # without a concrete x runs in uniform mode (one alpha jointly across
     # all observations)
     o = None if args.inference == FREQUENTIST else x
-    headline = prepared.test(args.inference, o, estimator, None, None)
+    headline = prepared.test(args.inference, o, estimator)
     if verdicts is None:
         verdicts = [headline.verdict == IGNORABLE]
     informative = verdicts.count(False)

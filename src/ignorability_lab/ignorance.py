@@ -97,9 +97,6 @@ class RandomVariableRef:
     def __call__(self, world):
         return self.fn(world)
 
-    def canonical_key(self):
-        return (4, "RandomVariableRef", canonical_key(self.name))
-
 
 # the three axis variables, one object each, so that every family codes
 # each of them once (see `Family.coded`)

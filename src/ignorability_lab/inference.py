@@ -28,18 +28,14 @@ from typing import Iterator
 
 from .exactprob import (
     EngineError,
-    FiniteDist,
     canonical_key,
     check_size,
-    dist_new,
     integer_masses,
     item_keys,
     key_sums,
     numbering,
-    sorted_distinct,
     summed,
     support_cap,
-    uniform,
     vector_law,
 )
 from .ignorance import (
@@ -916,15 +912,7 @@ class PreparedCheck:
         found = (_posterior_sets(columns, (c, codes_b.get(k))) for k, c in self.family.observation_codes().items())
         return [a == b for a, b in found]
 
-    def _priors(self, priors, nuisance_priors) -> tuple:
-        priors = list(priors) if priors else [uniform(self.family.points)]
-        if nuisance_priors is None:
-            nuisance_priors = [uniform(sorted_distinct(index for _orig, index in self.ignored.points))]
-        return priors, [_product_prior(q, qn, self.ignored) for q in priors for qn in nuisance_priors]
-
-    def test(
-        self, inference_type: str, x, estimator, priors, nuisance_priors
-    ) -> ClassificationReport:
+    def test(self, inference_type: str, x, estimator=None) -> ClassificationReport:
         """Run the equivalence test of one inference type at x (None for
         the uniform reading).  The verdict is informative exactly when a
         witness inequality exists."""
@@ -938,10 +926,7 @@ class PreparedCheck:
         elif inference_type == BAYESIAN:
             if x is None:
                 raise EngineError("Bayesian classification needs an observation")
-            if priors or nuisance_priors is not None:
-                result = posterior_equivalent(family, ignored, *self._priors(priors, nuisance_priors), self.target, x)
-            else:
-                result = _posterior_witness((family, ignored), *self._default_columns, x)
+            result = _posterior_witness((family, ignored), *self._default_columns, x)
         else:
             raise EngineError(f"unknown inference type {inference_type!r}")
 
@@ -998,24 +983,8 @@ def classify(
     x=None,
     policy: NuisancePolicy | None = None,
     estimator=None,
-    priors=None,
-    nuisance_priors=None,
 ) -> ClassificationReport:
     """Decide whether the nuisance process is ignorable for one inference
     type: `prepare` the ignored family, then `test` it at x."""
     prepared = prepare(m, split, scheme, target, policy or dirac_fix())
-    return prepared.test(inference_type, x, estimator, priors, nuisance_priors)
-
-
-def _product_prior(prior: FiniteDist, nuisance_prior: FiniteDist, ignored: Family) -> FiniteDist:
-    point_keys = {canonical_key(p): p for p in ignored.points}
-    pairs = []
-    for p, qp in prior.items:
-        for index, qn in nuisance_prior.items:
-            key = canonical_key((p, index))
-            if key in point_keys:
-                pairs.append((point_keys[key], qp * qn))
-    total = sum((w for _, w in pairs), Fraction(0))
-    if total == 0:
-        raise ZeroEvidence("product prior puts no mass on the ignored grid")
-    return dist_new([(p, w / total) for p, w in pairs])
+    return prepared.test(inference_type, x, estimator)

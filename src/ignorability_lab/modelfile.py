@@ -121,22 +121,30 @@ def _tokenize(text: str):
             yield tokens
 
 
-def _parse_label(tok: Token):
+def label_value(text: str):
     """Grid/unit/alphabet labels: integers stay integers, p/q becomes an
-    exact rational, decimals are rejected, anything else is a word."""
-    number = _NUMBER.fullmatch(tok.text)
+    exact rational, anything else is a word.  A decimal or a zero
+    denominator raises ValueError."""
+    number = _NUMBER.fullmatch(text)
     if number is None:
-        return tok.text
+        return text
     if number[1] == ".":
-        frac = Fraction(tok.text).limit_denominator(10**6)
-        message = f"decimal literal {tok.text!r}; use {frac.numerator}/{frac.denominator}"
-        raise _error(tok, "exact-rational", message, BadRational)
+        frac = Fraction(text).limit_denominator(10**6)
+        raise ValueError(f"decimal literal {text!r}; use {frac.numerator}/{frac.denominator}")
     if number[1] is None:
-        return int(tok.text)
+        return int(text)
     try:
-        return Fraction(tok.text)
+        return Fraction(text)
     except ZeroDivisionError:
-        raise _error(tok, "exact-rational", f"zero denominator in {tok.text!r}", BadRational) from None
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _parse_label(tok: Token):
+    """`label_value` of a token, its refusal located there."""
+    try:
+        return label_value(tok.text)
+    except ValueError as err:
+        raise _error(tok, "exact-rational", str(err), BadRational) from None
 
 
 def _parse_rational(tok: Token) -> Fraction:

@@ -69,9 +69,6 @@ class Population:
         except ValueError:
             raise EngineError(f"unknown unit label {label!r}") from None
 
-    def canonical_key(self):
-        return (4, "Population", canonical_key(self.labels))
-
 
 @dataclass(frozen=True)
 class WorldState:
@@ -172,9 +169,6 @@ class ObservationScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise EngineError(f"unknown observation scheme {self.kind!r}")
-
-    def canonical_key(self):
-        return (4, "ObservationScheme", canonical_key((self.kind, int(self.unordered))))
 
 
 def values_only(unordered: bool = False) -> ObservationScheme:

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -424,6 +425,11 @@ class TestInputErrors:
             (["check", "srs_wor_n3", "--x", '["1/0"]'], "zero denominator"),
             (["enumerate", "srs_wor_minimal", "--theta", "1/0"], "zero denominator"),
             (["check", "srs_wor_minimal", "--x", "[1.5]"], 'float 1.5 in an observation literal; use "p/q"'),
+            (["enumerate", "srs_wor_minimal", "--theta=0.5"], "--theta: decimal literal '0.5'; use 1/2"),
+            (["mc-verify", "srs_wor_minimal", "--phi=1/0"], "--phi: zero denominator in '1/0'"),
+            (["mc-verify", "srs_wor_minimal", "--theta=--5"], "grid point (theta='--5', phi=None) not in the model"),
+            (["mc-verify", "srs_wor_minimal", "--theta=²"], "grid point (theta='²', phi=None) not in the model"),
+            (["mc-verify", "srs_wor_minimal", "--phi=²"], "grid point (theta=None, phi='²') not in the model"),
         ],
         ids=[
             "mc-verify-draws-0",
@@ -433,6 +439,11 @@ class TestInputErrors:
             "check-x-zero-denominator",
             "enumerate-theta-zero-denominator",
             "check-x-float",
+            "enumerate-theta-decimal",
+            "mc-verify-phi-zero-denominator",
+            "mc-verify-theta-double-minus",
+            "mc-verify-theta-superscript",
+            "mc-verify-phi-superscript",
         ],
     )
     def test_bad_argument(self, capsys, models, argv, message):
@@ -647,6 +658,20 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ignored law at ") and err.endswith("the label target does not restrict\n")
 
+    @pytest.mark.parametrize("policy", ["marginal", "arbitrary"])
+    @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
+    def test_label_target_with_conflicting_values(self, capsys, tmp_path, policy, inference):
+        # both thetas have one signal law, so the one ignored law matches
+        # originals of both labels
+        old, new = "iid 2/3 = 0:1/3 1:2/3", "iid 2/3 = 0:2/3 1:1/3"
+        assert old in CATALOG["srs_wor_minimal"]
+        text = CATALOG["srs_wor_minimal"].replace(old, new) + "\n[target]\nkind = grid_label\n"
+        path = tmp_path / "conflicting.model"
+        path.write_text(text)
+        code, out, err = run(capsys, ["check", str(path), "--policy", policy, "--inference", inference])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ignored law at ") and err.endswith("matches originals with conflicting target values\n")
+
     def test_bad_support_cap(self, capsys, models, monkeypatch):
         monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "abc")
         code, _, err = run(capsys, ["check", models["srs_wor_n3"]])
@@ -690,6 +715,25 @@ def fresh_process_stdout(argv):
         env=fresh_process_env(), capture_output=True, text=True, check=True,
     )
     return done.stdout
+
+
+ROOT = Path(__file__).parent.parent
+
+
+def test_uncovered_lists_the_lines_no_test_runs():
+    # tests/test_imports.py parses the engine's sources and imports none of
+    # them, so no line of `cli.console` runs under it
+    from ignorability_lab.cli import console
+
+    lines, start = inspect.getsourcelines(console)
+    at = start + next(i for i, line in enumerate(lines) if line.strip() == "code = main()")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "uncovered.py"), "-q", str(ROOT / "tests" / "test_imports.py")],
+        env=fresh_process_env(), cwd=ROOT, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"src/ignorability_lab/cli.py:{at}:     code = main()\n" in done.stdout
+    assert "src/ignorability_lab/cli.py: " in done.stdout and " lines not run\n" in done.stdout
 
 
 class TestClosedStdout:
@@ -873,8 +917,23 @@ class TestEnumerate:
             ("bernoulli_mixture", INTEGER_PHI, ["--theta", "1/2", "--phi", "2"], ["1/2", 2]),
             ("srs_wor_minimal", INTEGER_THETA, ["--theta", "2"], [2, None]),
             ("srs_wor_minimal", INTEGER_THETA, ["--theta", "-1"], None),
+            # words, as in a model file: neither is the integer it may look like
+            ("srs_wor_minimal", INTEGER_THETA, ["--theta=--5"], None),
+            ("srs_wor_minimal", INTEGER_THETA, ["--theta=²"], None),
+            ("bernoulli_mixture", INTEGER_PHI, ["--phi=²"], None),
+            ("srs_wor_minimal", (), ["--theta="], None),  # the empty word, not the first point
         ],
-        ids=["phi-skips-a-point", "integer-phi", "integer-phi-and-theta", "integer-theta", "negative-integer-theta"],
+        ids=[
+            "phi-skips-a-point",
+            "integer-phi",
+            "integer-phi-and-theta",
+            "integer-theta",
+            "negative-integer-theta",
+            "double-minus-theta",
+            "superscript-theta",
+            "superscript-phi",
+            "empty-theta",
+        ],
     )
     def test_grid_point_from_labels(self, capsys, tmp_path, model, edits, args, point):
         text = CATALOG[model]

@@ -223,7 +223,7 @@ class TestPointNumbers:
         hashed, real = [], F.__hash__
         monkeypatch.setattr(F, "__hash__", lambda self: hashed.append(self) or real(self))
         prepared = prepare(build.model, (build.v, build.v_bar), build.scheme, build.target, dirac_fix())
-        report = prepared.test(LIKELIHOOD_BASED, None, None, None, None)
+        report = prepared.test(LIKELIHOOD_BASED, None)
         monkeypatch.undo()
         assert report.verdict == IGNORABLE
         assert sorted(hashed) == [F(1, 3), F(1, 3), F(2, 3), F(2, 3)]
@@ -623,6 +623,18 @@ class TestRubinAudit:
             rubin_theorem_audit(m, ((1, 1), (1, 1)), values_and_mapping())
         with pytest.raises(NotRubinShape):
             rubin_theorem_audit(m, (1,), values_only())
+
+    def test_design_variable_not_a_function_of_the_signal(self):
+        # one signal pairs with two z values: the check reports no Rubin
+        # flags, and the audit refuses the model
+        law = dist_new([(((0, 1), "a"), F(1, 2)), (((0, 1), "b"), F(1, 2))])
+        design = Kernel.from_mapping({"a": srs_wor(1, U2), "b": srs_wor(2, U2)})
+        m = SurveyModel.create(population=U2, thetas=(F(1, 2),), signal_law={F(1, 2): law}, design=design)
+        scheme = values_and_mapping()
+        observations = Family.from_survey_model(m, scheme).observation_support()
+        assert _rubin_flags(prepare_rubin(m, scheme), observations, "uniform") == ()
+        with pytest.raises(NotRubinShape, match="^design variable is not a function of the signal$"):
+            rubin_theorem_audit(m, observations[0], scheme)
 
     def test_counterexample_helper(self):
         m = rubin_model({"k4": first_unit_or_both})

@@ -174,6 +174,26 @@ class TestInvalidDocuments:
         assert text.splitlines()[err.line - 1] == bad_line
         assert err.col == col
 
+    @pytest.mark.parametrize(
+        "model, old, new, message, bad_line, col",
+        [
+            ("srs_wor_minimal", "n = 1\n", "n = 1\ncomponent 0 = 1\n",
+             "components only belong to mixture designs", "component 0 = 1", 1),
+            ("srs_wor_minimal", "n = 1\n", "n = 1\nweights = 1\n",
+             "weights only belong to mixture designs", "weights = 1", 1),
+            ("bernoulli_mixture", "weights 1/3 = 1/6 1/6 2/3\nweights 1/2 = 1/4 1/4 1/2\n", "",
+             "mixture design needs weights", "variant = mixture", 11),
+        ],
+        ids=["component-off-mixture", "weights-off-mixture", "mixture-without-weights"],
+    )
+    def test_mixture_lines_that_do_not_fit_the_variant(self, model, old, new, message, bad_line, col):
+        text = CATALOG[model]
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        err = expect_error(text, SchemaError, f"{message} [variant-params]")
+        assert text.splitlines()[err.line - 1] == bad_line
+        assert err.col == col
+
     @pytest.mark.parametrize("scheme", ["values_and_mapping", "values_mapping_design", "values_and_sampled_weights"])
     def test_unordered_needs_values_only(self, scheme):
         text = CATALOG["unordered_values"].replace("scheme = values_only", f"scheme = {scheme}")

@@ -302,7 +302,7 @@ def test_population_mean_from_a_model_file(name):
     verdicts = prepared.posterior_verdicts()
     assert verdicts == [w[0] for w in want]
     assert len(xs) == n_observations and all(verdicts)  # both are ignorable under dirac_fix
-    (witness,) = prepared.test("bayes", xs[0], None, None, None).witnesses
+    (witness,) = prepared.test("bayes", xs[0]).witnesses
     detail = dict(witness.detail)
     got = ({as_set(d) for d in detail["original"]}, {as_set(d) for d in detail["ignored"]})
     assert (witness.equal, *got) == want[0]
