@@ -12,8 +12,9 @@ processes per workload (default 12), one workload after the other in
 turn, with PYTHONHASHSEED=0 and PYTHONDONTWRITEBYTECODE=1.  Per workload
 it prints the median and quartiles of the pass's wall milliseconds and
 the fewest reference samples any pass took.  A pass that ends with no
-sample is counted and reported, not raised.  It imports only `perfbench`
-and writes only to a temporary directory.
+sample is counted and reported, not raised, and the script then exits 1
+(0 when every pass took a sample).  It imports only `perfbench` and
+writes only to a temporary directory.
 """
 
 from __future__ import annotations
@@ -71,13 +72,15 @@ def main(argv=None) -> int:
                 os.makedirs(out_dir, exist_ok=True)
                 runs[name].append(warmup(name, out_dir))
     print("workload        runs  wall ms median [q1, q3]  fewest samples  passes with none")
+    empty = 0
     for name, done in runs.items():
         walls = sorted(wall for wall, _samples in done)
         q1, median, q3 = statistics.quantiles(walls, n=4) if len(walls) > 1 else walls * 3
         fewest = min(samples for _wall, samples in done)
         none = sum(samples == 0 for _wall, samples in done)
+        empty += none
         print(f"{name:<15} {len(done):>4}  {median:8.1f} [{q1:.1f}, {q3:.1f}]  {fewest:>14}  {none:>16}")
-    return 0
+    return 1 if empty else 0
 
 
 if __name__ == "__main__":

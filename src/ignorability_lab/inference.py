@@ -55,6 +55,7 @@ from .sampling import (
     SurveyModel,
     VALUES_AND_MAPPING,
     VALUES_MAPPING_DESIGN,
+    observed_ranks,
     values_and_mapping,
 )
 
@@ -363,19 +364,17 @@ def _row(column) -> tuple:
 
 class _Mapping:
     """What a context keeps per observed mapping, laid out on its first
-    query: its key and each draw's unit position (None for a unit outside
-    the population); then, as queries need them, the id offsets of the
-    units it leaves free (by the number of draws an x gives it, which is
-    the mapping's length but for a short values tuple), its selection
-    column at each phi position (its mass for every signal id as an
-    integer over one scale, one int when flat), whether every column is
-    flat, its `oar` flag and its 6.x flags."""
+    query: its key and each draw's unit position; then, as queries need
+    them, the id offsets of the units it leaves free, its selection column
+    at each phi position (its mass for every signal id as an integer over
+    one scale, one int when flat), whether every column is flat, its `oar`
+    flag and its 6.x flags."""
 
     __slots__ = ("key", "at", "offsets", "columns", "flat", "oar", "flags")
 
     def __init__(self, key, at, n_phis):
-        self.key, self.at, self.columns, self.offsets = key, at, [None] * n_phis, {}
-        self.flat = self.oar = self.flags = None
+        self.key, self.at, self.columns = key, at, [None] * n_phis
+        self.offsets = self.flat = self.oar = self.flags = None
 
 
 class RubinContext:
@@ -396,10 +395,8 @@ class RubinContext:
     observed value.  A row that raises is not kept and its column entry
     is `_MARK`; a query that reaches a mark among its own ids builds that
     row again, so it raises what a fresh context raises, in the same
-    order: phi by phi, ids ascending.  Draws are checked in draw order,
-    each value keyed before its unit is looked up, after z is found to be
-    a function of y; a mapping that cannot be keyed raises where a fresh
-    context keys it."""
+    order: phi by phi, ids ascending.  Every query first checks x's values
+    and mapping as the command line does (`observed_ranks`)."""
 
     def __init__(self, m: SurveyModel):
         self.population, self.alphabet, self.atoms, self.designs = m.population, m.alphabet, m.atoms, m.designs
@@ -496,30 +493,18 @@ class RubinContext:
         scaled = {k: r and tuple([n * (scale // r[1]) for n in r[0]]) for k, r in distinct.items()}
         return [scaled[id(r)] for r in rows], list(scaled.values()), scale
 
+    def _checked(self, x) -> list:
+        """The alphabet rank of each of x's values, once x's values and
+        mapping pass the command line's check (`observed_ranks`)."""
+        return observed_ranks(self._rank, self.population.labels, x[0], x[1])
+
     def _mapping(self, mapping) -> _Mapping:
-        """The record of an observed mapping, laid out on its first query.
-        Laying out raises nothing: a unit outside the population raises
-        when its draw is checked, and a mapping that cannot be keyed gets
-        a record of key None, not kept, on which `_keyed` raises."""
-        try:
-            key = canonical_key(mapping)
-        except EngineError:
-            key = None
+        """The record of an observed mapping, laid out on its first query."""
+        key = canonical_key(mapping)
         record = self._mappings.get(key)
         if record is None:
-            labels = self.population.labels
-            at = tuple(labels.index(k) if k in labels else None for k in mapping)
-            record = _Mapping(key, at, len(self.phis))
-            if key is not None:
-                self._mappings[key] = record
-        return record
-
-    @staticmethod
-    def _keyed(record, mapping) -> _Mapping:
-        """The record, once its mapping is known to have a key; where a fresh
-        context keys the mapping, one that has none raises."""
-        if record.key is None:
-            canonical_key(mapping)
+            at = tuple(map(self.population.labels.index, mapping))
+            record = self._mappings[key] = _Mapping(key, at, len(self.phis))
         return record
 
     def _column(self, record, p) -> tuple:
@@ -552,35 +537,25 @@ class RubinContext:
             record.flat = all(type(self._column(record, p)[1]) is int for p in range(len(self.phis)))
         return record.flat
 
-    def _drawn(self, values, mapping, record) -> dict | None:
-        """{unit position: value key} of the observed draws, or None when one
-        unit was drawn with two different values (impossible x); each value
-        is keyed, and its unit looked up, in draw order."""
-        self._z_of()  # z must be a function of y before any unit is looked up
+    def _drawn(self, ranks, record) -> dict | None:
+        """{unit position: value rank} of the observed draws, or None when
+        one unit was drawn with two different values (impossible x)."""
+        self._z_of()  # z must be a function of y before any answer
         fixed = {}
-        for v, i, k in zip(values, record.at, mapping):
-            vk = canonical_key(v)
-            if i is None:
-                self.population.index(k)  # a unit outside the population raises
-            if fixed.setdefault(i, vk) != vk:
+        for r, i in zip(ranks, record.at):
+            if fixed.setdefault(i, r) != r:
                 return None
         return fixed
 
-    def _ids(self, fixed, record, drawn) -> list:
-        """Ids of the signals that agree with the `drawn` draws `fixed` of
-        the mapping, ascending: the drawn values' id plus each id offset of
-        the units not drawn, so no other signal is looked at."""
-        base, rank, weights = 0, self._rank, self._weights
-        for i, vk in fixed.items():
-            r = rank.get(vk)
-            if r is None:  # a value outside the alphabet
-                return []
-            base += r * weights[i]
-        drawn = min(drawn, len(record.at))  # fewer values than units: the rest are free too
-        offsets = record.offsets.get(drawn)
-        if offsets is None:
-            offsets = record.offsets[drawn] = self._offsets([i for i in range(len(weights)) if i not in fixed])
-        return [base + o for o in offsets]
+    def _ids(self, fixed, record) -> list:
+        """Ids of the signals that agree with the draws `fixed` of the
+        mapping, ascending: the drawn values' id plus each id offset of the
+        units not drawn, so no other signal is looked at."""
+        weights = self._weights
+        if record.offsets is None:
+            record.offsets = self._offsets([i for i in range(len(weights)) if i not in fixed])
+        base = sum(r * weights[i] for i, r in fixed.items())
+        return [base + o for o in record.offsets]
 
     def _constant(self, record, ids) -> bool:
         """Whether the mapping has one mass across the signals `ids` at every
@@ -592,13 +567,10 @@ class RubinContext:
         """Missing at random at the observed (values, mapping): for every
         nuisance point, one selection mass of the observed mapping across
         every signal that agrees with the observed values."""
-        mapping, values = tuple(x[1]), tuple(x[0])
-        record = self._mapping(mapping)
-        fixed = self._drawn(values, mapping, record)
-        if fixed is None:
-            return True
-        self._keyed(record, mapping)
-        return self._flat(record) or self._constant(record, self._ids(fixed, record, len(values)))
+        ranks = self._checked(x)
+        record = self._mapping(x[1])
+        fixed = self._drawn(ranks, record)
+        return fixed is None or self._flat(record) or self._constant(record, self._ids(fixed, record))
 
     def flags(self, xs) -> tuple:
         """(mar, oar) at every one of `xs`, observations of positive mass, as
@@ -608,48 +580,45 @@ class RubinContext:
         flat, where it holds at every observation."""
         flat, mar = {}, True  # flat: observed mapping -> whether its columns are all flat
         for x in xs:
-            mapping = tuple(x[1])
-            if not flat.get(mapping):
+            if not flat.get(x[1]):
                 mar = self.mar(x)
                 if not mar:
                     break
-                flat[mapping] = self._flat(self._mapping(mapping))
-        return mar, all(self.oar((None, mapping)) for mapping in dict.fromkeys(tuple(x[1]) for x in xs))
+                flat[x[1]] = self._flat(self._mapping(x[1]))
+        return mar, all(map(self.oar, {x[1]: x for x in xs}.values()))  # an x per mapping, in first-seen order
 
     def oar(self, x) -> bool:
         """Observed at random at the observed mapping: for every nuisance
         point and every value of the units outside the mapping, the
         selection mass of the mapping does not depend on the values of the
         units inside it."""
-        mapping = tuple(x[1])
-        return self._oar_of(self._keyed(self._mapping(mapping), mapping), mapping)
+        self._checked(x)
+        return self._oar_of(self._mapping(x[1]))
 
-    def _oar_of(self, record, mapping) -> bool:
+    def _oar_of(self, record) -> bool:
         if record.oar is None:
-            groups = self._groups_of(mapping)
+            groups = self._groups_of(record)
             record.oar = self._flat(record) or all(self._constant(record, ids) for ids in groups)
         return record.oar
 
     def possible(self, x) -> bool:
         """Whether x has positive mass at some grid point: a signal of positive
         mass there agrees with x (and its z) and the design draws x's mapping."""
-        values, mapping = tuple(x[0]), tuple(x[1])
-        record = self._mapping(mapping)
-        fixed = self._drawn(values, mapping, record)
-        ids, zs = set(() if fixed is None else self._ids(fixed, record, len(values))), self._z_of()
+        ranks = self._checked(x)
+        record = self._mapping(x[1])
+        fixed = self._drawn(ranks, record)
+        ids, zs = set(() if fixed is None else self._ids(fixed, record)), self._z_of()
         joints = self._audit_tables()[2]
-        self._keyed(record, mapping)
         return any(j in ids and s > 0 and (len(x) == 2 or canonical_key(zs[j]) == canonical_key(x[2]))
                    for _t, p, positive, _ws in joints for j, s in zip(positive, self._entries(record, p, positive)[1]))
 
-    def _groups_of(self, mapping) -> Iterator[list]:
+    def _groups_of(self, record) -> Iterator[list]:
         """Ids of the signals grouped by their values at the units outside
-        `mapping`, one group at a time in order of their first id: the
-        offsets of the units outside, each plus every offset of the units
-        inside.  Nothing is built before the first group is asked for."""
-        labels = self.population.labels
-        outside = [i for i, k in enumerate(labels) if k not in mapping]
-        inside = self._offsets([i for i, k in enumerate(labels) if k in mapping])
+        the record's mapping, one group at a time in order of their first
+        id: the offsets of the units outside, each plus every offset of the
+        units inside.  Nothing is built before the first group is asked for."""
+        outside = [i for i in range(len(self._weights)) if i not in record.at]
+        inside = self._offsets(sorted(set(record.at)))
         for o in self._offsets(outside):
             yield [o + i for i in inside]
 
@@ -672,20 +641,18 @@ class RubinContext:
                 ids, rows = positive[ti], self._at[p][0]
                 joints.append((ti, p, ids, [mg[j] for j in ids]))
                 on_grid[p].append(ti)
-                size = sum(len(row) - row.count(0) for row in (rows[j] or self._build_row(p, j)[0] for j in ids))
+                size = sum(len(rows[j]) - rows[j].count(0) for j in ids)
                 check_size(size, cap=cap)
                 largest = max(largest, size)
             self._tables = (distinct, marginals, joints, on_grid), largest
         check_size(self._tables[1])
         return self._tables[0]
 
-    def _mapping_flags(self, mapping, record) -> tuple:
+    def _mapping_flags(self, record) -> tuple:
         """(6.1 conclusion, 6.2 condition, 6.2 conclusion, 6.3 hypothesis,
         6.3 conclusion) at an observed mapping.  They read the mapping, its
         columns and the kept audit tables only, so they are kept per mapping."""
         _distinct, marginals, joints, _on_grid = self._tables[0]
-        if None in record.at:  # a unit outside the population raises here
-            self.population.index(mapping[record.at.index(None)])
         seen = ignoring = None
 
         # 6.3 hypothesis: the missingness mechanism is degenerate (entry e,
@@ -737,18 +704,16 @@ class RubinContext:
         nothing.  The statistic is the identity on (observed values,
         mapping), the finest one, so its distributional equality is
         equivalent to equality for every statistic."""
-        values, mapping = tuple(x[0]), tuple(x[1])
-        if len(set(mapping)) != len(mapping):
+        ranks = self._checked(x)
+        if len(set(x[1])) != len(x[1]):
             raise NotRubinShape("the observed mapping repeats a unit")
-        # the signals that agree with x, shared by MAR and the likelihoods
-        record = self._mapping(mapping)
-        fixed = self._drawn(values, mapping, record)
-        ids = None if fixed is None else self._ids(fixed, record, len(values))
-        self._keyed(record, mapping)
-        mar = ids is None or self._flat(record) or self._constant(record, ids)
-        oar = self._oar_of(record, mapping)
+        # the signals that agree with x (no unit is drawn twice), shared by
+        # MAR and the likelihoods
+        record = self._mapping(x[1])
+        ids = self._ids(self._drawn(ranks, record), record)
+        mar = self._flat(record) or self._constant(record, ids)
+        oar = self._oar_of(record)
         distinct, marginals, _joints, on_grid = self._audit_tables()
-        completions = ids or []
 
         # Likelihoods for 7.x: marginal of the observed values, and joint mass
         # of (values, mapping), both by exact summation over the signals that
@@ -761,7 +726,7 @@ class RubinContext:
         # against any other, and among the rest equal cross products make
         # equal ratios, so each grid theta is checked against the first of
         # positive likelihood.
-        agreeing = [[mg[j] for j in completions] for _d, mg in marginals]
+        agreeing = [[mg[j] for j in ids] for _d, mg in marginals]
         lik = [sum(ns) for ns in agreeing]
         concl_71 = concl_72 = hyp_72b = True
         for p in range(len(self.phis)):
@@ -769,16 +734,16 @@ class RubinContext:
             if type(entries) is int:
                 hyp_72b = hyp_72b and entries > 0
                 continue
-            s = self._entries(record, p, completions)[1]
+            s = self._entries(record, p, ids)[1]
             row = [sum(map(mul, ns, s)) for ns in agreeing]
             t0 = next((t for t in on_grid[p] if lik[t]), None)
             proportional = t0 is None or all(lik[t0] * row[t] == row[t0] * lik[t] for t in on_grid[p])
             concl_72 = concl_72 and proportional
-            if ids is not None and all(e > 0 for e in s):
+            if all(e > 0 for e in s):
                 concl_71 = concl_71 and proportional
             # one positive ratio row / lik: each theta's is the first theta's
             hyp_72b = hyp_72b and row[0] > 0 and all(f * lik[0] == row[0] * n for f, n in zip(row, lik))
-        concl_61, cond_62, concl_62, hyp_63, concl_63 = record.flags or self._mapping_flags(mapping, record)
+        concl_61, cond_62, concl_62, hyp_63, concl_63 = record.flags or self._mapping_flags(record)
         pre_72 = all(n > 0 for n in lik)
         hyp_72b = pre_72 and hyp_72b
 

@@ -279,7 +279,7 @@ class ModelDocument:
     alloc: tuple | None = None
     p: tuple | None = None
     components: tuple | None = None
-    weights: tuple | None = None  # ((label-or-None, (w, ...)), ...)
+    weights: tuple | None = None  # ((label, (w, ...)), ...), one per grid label: an unlabelled line goes to each
     scheme_kind: str = "values_only"
     unordered: bool = False
     split_v: tuple = ("signal",)
@@ -668,11 +668,7 @@ def emit_model(doc: ModelDocument) -> str:
             lines.append(f"component {i} = {body}")
     if doc.weights is not None:
         for label, ws in doc.weights:
-            body = " ".join(_fmt(w) for w in ws)
-            if label is None:
-                lines.append(f"weights = {body}")
-            else:
-                lines.append(f"weights {_fmt(label)} = {body}")
+            lines.append(f"weights {_fmt(label)} = " + " ".join(_fmt(w) for w in ws))
     lines.append("")
     lines.append("[observation]")
     lines.append(f"scheme = {doc.scheme_kind}")

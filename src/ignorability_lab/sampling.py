@@ -486,43 +486,57 @@ def observation_distribution(
     return pushforward(build_joint(m, theta, phi), observe_world)
 
 
+def _value_ranks(ranks: dict, values) -> list:
+    """The rank of each observed value, `ranks` mapping an alphabet value's
+    canonical key to its rank, once the values part is a tuple of alphabet
+    values; else UnknownObservation."""
+    if not isinstance(values, tuple):
+        raise UnknownObservation(f"values part must be a tuple, got {values!r}")
+    out = []
+    for v in values:
+        r = ranks.get(canonical_key(v))
+        if r is None:
+            raise UnknownObservation(f"value {v!r} not in the signal alphabet")
+        out.append(r)
+    return out
+
+
+def observed_ranks(ranks: dict, labels: tuple, values, mapping) -> list:
+    """`_value_ranks` of the values part, once the mapping part is also a
+    tuple of units among `labels`, as long as the values part; else
+    UnknownObservation.  `validate_observation` and the Rubin queries check
+    a (values, mapping) observation here."""
+    out = _value_ranks(ranks, values)
+    if not isinstance(mapping, tuple):
+        raise UnknownObservation(f"mapping part must be a tuple, got {mapping!r}")
+    for k in mapping:
+        if k not in labels:
+            raise UnknownObservation(f"unit {k!r} not in the population")
+    if len(values) != len(mapping):
+        raise UnknownObservation("values and mapping lengths differ")
+    return out
+
+
 def validate_observation(m: SurveyModel, scheme: ObservationScheme, x) -> None:
     """Structural sanity check of an observation literal.
 
     Accepts any observation shaped for the scheme with values from the
-    signal alphabet and units from the population, also an impossible one
-    (zero mass everywhere), which `check` then rejects as an input error.
+    signal alphabet and units from the population (`observed_ranks`), also
+    an impossible one (zero mass everywhere), which `check` then rejects as
+    an input error.
     """
-    alphabet_keys = {canonical_key(v) for v in m.alphabet}
-
-    def check_values(values):
-        if not isinstance(values, tuple):
-            raise UnknownObservation(f"values part must be a tuple, got {values!r}")
-        for v in values:
-            if canonical_key(v) not in alphabet_keys:
-                raise UnknownObservation(f"value {v!r} not in the signal alphabet")
-
-    def check_mapping(r):
-        if not isinstance(r, tuple):
-            raise UnknownObservation(f"mapping part must be a tuple, got {r!r}")
-        for k in r:
-            if k not in m.population.labels:
-                raise UnknownObservation(f"unit {k!r} not in the population")
-
+    ranks = {canonical_key(v): i for i, v in enumerate(m.alphabet)}
     if scheme.kind == VALUES_ONLY:
-        check_values(x)
+        _value_ranks(ranks, x)
     elif scheme.kind in (VALUES_AND_MAPPING, VALUES_MAPPING_DESIGN):
         shape, parts = ("(values, mapping)", 2) if scheme.kind == VALUES_AND_MAPPING else ("(values, mapping, z)", 3)
         if not isinstance(x, tuple) or len(x) != parts:
             raise UnknownObservation(f"expected {shape}")
-        check_values(x[0])
-        check_mapping(x[1])
-        if len(x[0]) != len(x[1]):
-            raise UnknownObservation("values and mapping lengths differ")
+        observed_ranks(ranks, m.population.labels, x[0], x[1])
     elif scheme.kind == VALUES_AND_SAMPLED_WEIGHTS:
         if not isinstance(x, tuple):
             raise UnknownObservation("expected tuple of (value, weight) pairs")
         for pair in x:
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise UnknownObservation("expected (value, weight) pairs")
-            check_values((pair[0],))
+            _value_ranks(ranks, (pair[0],))

@@ -301,9 +301,9 @@ class TestCheck:
         mappings = []
         real = RubinContext._groups_of
 
-        def counting(self, mapping):
-            mappings.append(mapping)
-            return real(self, mapping)
+        def counting(self, record):
+            mappings.append(record.key)
+            return real(self, record)
 
         monkeypatch.setattr(RubinContext, "_groups_of", counting)
         code, out, _ = run(capsys, ["check", models["srs_wor_n3"], *extra, "--json"])
@@ -611,6 +611,27 @@ class TestInputErrors:
         monkeypatch.setattr(RubinContext, "audit", no_audit)
         code, out, err = run(capsys, ["audit-rubin", path, "--x", x])
         assert (code, out, err) == (2, "", f"error: observation {x} has zero mass at every grid point\n")
+
+    @pytest.mark.parametrize("command", ["check", "audit-rubin"])
+    @pytest.mark.parametrize("x, message", [
+        ("[[7,1],[1,2]]", "value 7 not in the signal alphabet"),
+        ("[[0,1],[1,9]]", "unit 9 not in the population"),
+        ("[[0],[1,2]]", "values and mapping lengths differ"),
+    ], ids=["value-outside-alphabet", "unit-outside-population", "fewer-values-than-units"])
+    def test_malformed_x_as_the_rubin_queries_refuse_it(self, capsys, models, command, x, message):
+        # the command line refuses a malformed x with the error each Rubin
+        # query raises for it
+        from ignorability_lab.inference import RubinContext
+        from ignorability_lab.modelfile import parse_model
+        from ignorability_lab.sampling import UnknownObservation
+
+        rubin = RubinContext(parse_model(CATALOG["srs_wor_n3"]).build().model)
+        for kind in ("mar", "oar", "possible", "audit"):
+            with pytest.raises(UnknownObservation) as info:
+                getattr(rubin, kind)(parse_observation_literal(x))
+            assert str(info.value) == message
+        code, out, err = run(capsys, [command, models["srs_wor_n3"], "--x", x])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["check", "audit-rubin"])
     @pytest.mark.parametrize("x", ["[[true,1],[1,2]]", "[[1,1],[false,2]]"])
@@ -1040,9 +1061,9 @@ class TestAuditRubin:
         mappings = []
         real = RubinContext._mapping_flags
 
-        def counting(self, mapping, mk):
-            mappings.append(mapping)
-            return real(self, mapping, mk)
+        def counting(self, record):
+            mappings.append(record.key)
+            return real(self, record)
 
         monkeypatch.setattr(RubinContext, "_mapping_flags", counting)
         code, out, _ = run(capsys, ["audit-rubin", models["srs_wor_n3"], "--json"])

@@ -17,6 +17,7 @@ from ignorability_lab.exactprob import (
     NegativeWeight,
     NonUnitMass,
     ZeroProbabilityEvent,
+    as_rational,
     bernoulli,
     canonical_key,
     condition,
@@ -365,3 +366,30 @@ class TestKernelIndex:
         assert dist_eq(bad.get("a"), bernoulli(F(1, 3)))
         with pytest.raises(MissingKernelEntry, match="rule returned non-distribution for 'b'"):
             bad.get("b")
+
+
+class TestRefusedAndOffSupport:
+    def test_as_rational(self):
+        assert as_rational("2/6") == F(1, 3)
+        with pytest.raises(IncomparableOutcomes, match="^bool is not a probability value$"):
+            as_rational(True)
+
+    def test_str_subclass_keys_as_its_text(self):
+        class Word(str):
+            pass
+
+        assert canonical_key(Word("hi")) == canonical_key("hi") == (2, "hi")
+
+    def test_mass_off_the_support(self):
+        assert bernoulli(F(1, 3)).mass(2) == 0
+        assert bernoulli(F(1, 3)).mass(1) == F(1, 3)
+
+    def test_uniform_on_nothing(self):
+        with pytest.raises(NonUnitMass, match="^uniform distribution needs a nonempty support$"):
+            uniform([])
+
+    def test_from_mapping_refusals(self):
+        with pytest.raises(IncomparableOutcomes, match="^duplicate kernel input 1$"):
+            Kernel.from_mapping([(1, point_mass(0)), (1, point_mass(1))])
+        with pytest.raises(MissingKernelEntry, match="^kernel value for 'a' is not a FiniteDist$"):
+            Kernel.from_mapping({"a": 0})

@@ -30,6 +30,7 @@ from ignorability_lab.ignorance import (
     NOT_COMPLEMENT,
     Family,
     MarginalFunctional,
+    NuisancePolicy,
     ParameterFunction,
     Predictand,
     RandomVariableRef,
@@ -705,6 +706,12 @@ class TestTargets:
         with pytest.raises(TargetNotTransformable):
             transform_target(t, fam, ignored)
 
+    def test_unsupported_target(self):
+        fam = two_by_two_family()
+        ignored = ignore_model(fam, make_split(fam, first, second), dirac_fix())
+        with pytest.raises(TargetNotTransformable, match="^unsupported target 'mean'$"):
+            transform_target("mean", fam, ignored)
+
     def test_parameter_function_restriction_succeeds_on_subset(self):
         laws = {
             "p": product(bernoulli(F(1, 3)), bernoulli(F(1, 2))),
@@ -750,3 +757,8 @@ class TestTargets:
         fam = two_by_two_family()
         with pytest.raises(TargetNotTransformable):
             point_values(Predictand("w0", lambda w: w[0]), fam)
+
+
+def test_unknown_nuisance_policy():
+    with pytest.raises(EngineError, match="^unknown nuisance policy 'bogus'$"):
+        NuisancePolicy("bogus")

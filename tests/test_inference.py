@@ -19,6 +19,7 @@ from reference import dist_eq, first_of_each_key, rubin_audit
 from ignorability_lab.cli import _rubin_flags
 from ignorability_lab.exactprob import (
     EngineError,
+    IncomparableOutcomes,
     Kernel,
     ModelTooLarge,
     bernoulli,
@@ -47,6 +48,7 @@ from ignorability_lab.ignorance import (
     _code,
     composite_rv,
     design_variable_rv,
+    dirac_fix,
     make_split,
     selection_rv,
     signal_rv,
@@ -70,6 +72,7 @@ from ignorability_lab.inference import (
     default_estimator,
     likelihood_equivalent,
     posterior_equivalent,
+    prepare,
     prepare_rubin,
     rubin_theorem_audit,
     sampling_dist_equivalent,
@@ -77,7 +80,9 @@ from ignorability_lab.inference import (
 from ignorability_lab.sampling import (
     Population,
     SurveyModel,
+    UnknownObservation,
     iid_signal_dist,
+    validate_observation,
     values_and_mapping,
     values_mapping_design,
     values_only,
@@ -215,8 +220,6 @@ class TestPointNumbers:
         # E[y_1] = 1/3 and 2/3, once on each family when they are ranked:
         # 4, where keyed lookups by point made 160
         from ignorability_lab.catalog import CATALOG
-        from ignorability_lab.ignorance import dirac_fix
-        from ignorability_lab.inference import prepare
         from ignorability_lab.modelfile import parse_model
 
         build = parse_model(CATALOG["srs_wor_n3"]).build()
@@ -595,6 +598,17 @@ class TestClassify:
         )
         assert make() == make()
 
+    def test_refused_tests_and_unknown_flag(self):
+        prepared = prepare(srs_model(U2, 1), (signal_rv(), selection_rv()), values_only(), e_y1_target(U2), dirac_fix())
+        for inference_type, message in ((FREQUENTIST, "frequentist classification needs an estimator"),
+                                         (BAYESIAN, "Bayesian classification needs an observation"),
+                                         ("bogus", "unknown inference type 'bogus'")):
+            with pytest.raises(EngineError) as info:
+                prepared.test(inference_type, None)
+            assert str(info.value) == message
+        with pytest.raises(KeyError, match="no_such_flag"):
+            prepared.test(LIKELIHOOD_BASED, None).flag("no_such_flag")
+
 
 class TestRubinAudit:
     def test_mar_and_oar_instance(self):
@@ -603,6 +617,8 @@ class TestRubinAudit:
         assert report.mar and report.oar
         a61 = report.audit("6.1")
         assert a61.hypothesis_true and a61.conclusion_true
+        with pytest.raises(KeyError, match="8.1"):
+            report.audit("8.1")
 
     def test_census_degenerate(self):
         m = rubin_model({"c": lambda y: point_mass((1, 2))})
@@ -852,32 +868,36 @@ class TestSharedRubinContext:
                 assert raised == any(y not in positive for y in agreeing), (values, r)
 
     @pytest.mark.parametrize("x, want", [
-        # each value is keyed before its unit is looked up
-        (((F(1, 2), 0), (1, 7)), {"mar": "unit label 7", "oar": True, "possible": "unit label 7", "audit": "unit label 7"}),
-        (((0.5, 0), (1, 7)), {"mar": "0.5", "oar": True, "possible": "0.5", "audit": "0.5"}),
+        # a value or unit outside the model, or fewer values than units: the
+        # command line's refusal, checked before anything else
+        (((F(1, 2), 0), (1, 7)), (UnknownObservation, "value Fraction(1, 2) not in the signal alphabet")),
+        (((0.5, 0), (1, 7)), (IncomparableOutcomes, "outcome 0.5 of type float has no canonical order")),
         (((0, 1), (1, 1)), {"mar": True, "oar": True, "possible": False, "audit": "repeats"}),
-        (((2,), (1,)), {"mar": True, "oar": False, "possible": False}),
-        # a float unit equal to a label is found, then the mapping has no key
+        (((2,), (1,)), (UnknownObservation, "value 2 not in the signal alphabet")),
+        # a float unit equal to a label passes the check, then the mapping has no key
         (((0,), (1.0,)), {"mar": "1.0", "oar": "1.0", "possible": "1.0", "audit": "1.0"}),
-        # the unit with no value is free: (0, 0) and (0, 1) agree
-        (((0,), (1, 2)), {"mar": False, "oar": False, "possible": True}),
-        # an unknown unit with no value is not looked up until the 6.x flags
-        (((0,), (1, 7)), {"mar": True, "oar": True, "possible": False, "audit": "unit label 7"}),
+        (((0,), (1, 2)), (UnknownObservation, "values and mapping lengths differ")),
+        (((0,), (1, 7)), (UnknownObservation, "unit 7 not in the population")),
     ], ids=["fraction-value-unknown-unit", "float-value-unknown-unit", "unit-drawn-twice",
             "value-outside-alphabet", "float-unit", "fewer-values-than-units", "unknown-unit-without-value"])
     def test_malformed_observations_answer_as_a_fresh_context(self, x, want):
-        # each query at x on a context that already answered x's mapping
-        # (every query at in-alphabet values) is a fresh context's answer:
-        # the result, or the error's type and message
+        # each query at x on a context already asked at x's mapping (every
+        # query at in-alphabet values) is a fresh context's answer: the
+        # result, or the error's type and message; a refused x raises what
+        # `validate_observation` raises for it
         m = rubin_model({"u": uniform_subsets, "k": first_unit_or_both, "d": drop_by_second})
         kinds = ("mar", "oar", "possible", "audit")
         used = RubinContext(m)
         for kind in kinds:
             _answer(lambda: getattr(used, kind)((tuple(0 for _ in x[1]), x[1])))
+        refused = _answer(lambda: validate_observation(m, values_and_mapping(), x))
+        assert refused == (want if isinstance(want, tuple) else None)
         for kind in kinds:
             fresh = _answer(lambda: getattr(RubinContext(m), kind)(x))
             assert _answer(lambda: getattr(used, kind)(x)) == fresh, kind
-            if isinstance(want.get(kind), str):
+            if isinstance(want, tuple):
+                assert fresh == want, kind
+            elif isinstance(want.get(kind), str):
                 assert isinstance(fresh, tuple) and want[kind] in fresh[1], kind
             elif kind in want:
                 assert fresh is want[kind], kind
@@ -934,16 +954,18 @@ class TestColdRubinContext:
         # (a signal tuple, whose key holds its values' keys), each of the
         # model's distinct mappings once (its own design laws come with the
         # ranks of their mappings), each mapping of a law the rule builds,
-        # the observed mapping and the drawn value: 12 canonical_key calls,
-        # down from 14 and 18 before that.
-        from ignorability_lab import inference
+        # the observed mapping and the drawn value (keyed by the observation
+        # check in `sampling`): 12 canonical_key calls, down from 14 and 18
+        # before that.
+        from ignorability_lab import inference, sampling
 
         m = rubin_model({"first": first_unit_or_both, "second": drop_by_second},
                         {"c": dist_new([((y, y), F(1, 2)) for y in ((0, 0), (1, 1))])})
         gets, keys = [], []
         real_get, real_key = Kernel.get, inference.canonical_key
         monkeypatch.setattr(Kernel, "get", lambda self, *args: gets.append(args) or real_get(self, *args))
-        monkeypatch.setattr(inference, "canonical_key", lambda value: keys.append(value) or real_key(value))
+        for module in (inference, sampling):
+            monkeypatch.setattr(module, "canonical_key", lambda value: keys.append(value) or real_key(value))
         report = RubinContext(m).audit(((1,), (1,)))
         assert sorted(gets) == [((0, 1),), ((0, 1),), ((1, 0),), ((1, 0),)]
         assert len(keys) == 12

@@ -409,10 +409,15 @@ class TestMixtureKeyedByTheta:
 
     def test_unlabelled_weights_go_to_every_label(self):
         text = NO_PHI.replace("weights 1/3 = 1/6 1/6 2/3\nweights 1/2 = 1/4 1/4 1/2\n", "weights = 1/4 1/4 1/2\n")
-        m = parse_model(text).build().model
+        doc = parse_model(text)
+        m = doc.build().model
         assert m.phis == m.thetas and len(m.grid) == 4
         want = canonical_key(parse_model(MIXTURE).build().model.design_for(F(1, 2)))
         assert all(canonical_key(m.design_for(label)) == want for label in m.phis)
+        # the round trip writes one labelled line per grid label
+        written = [line for line in emit_model(doc).splitlines() if line.startswith("weights")]
+        assert written == ["weights 1/3 = 1/4 1/4 1/2", "weights 1/2 = 1/4 1/4 1/2"]
+        assert parse_model(emit_model(doc)) == doc
 
 
 class TestValueRules:

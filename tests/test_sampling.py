@@ -65,6 +65,11 @@ class TestIndicatorsAndCounts:
         assert indicator_vector((), U3) == (0, 0, 0)
         assert count_vector((), U3) == (0, 0, 0)
 
+    def test_unknown_unit(self):
+        assert U3.index(3) == 2
+        with pytest.raises(EngineError, match="^unknown unit label 7$"):
+            U3.index(7)
+
     def test_full_census(self):
         r = tuple(U3.labels)
         assert indicator_vector(r, U3) == (1, 1, 1)
@@ -233,6 +238,8 @@ class TestObserve:
         w = WorldState((4, 6), None, (2,))
         got = observe(w, values_and_sampled_weights(), U2, design=design)
         assert got == ((6, F(1, 2)),)
+        with pytest.raises(EngineError, match="^sampled-weights scheme needs the design kernel$"):
+            observe(w, values_and_sampled_weights(), U2)
 
 
 class TestObservationDistribution:
