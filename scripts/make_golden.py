@@ -23,8 +23,9 @@ never rewrites the files.  Regenerate only on purpose and review the diff:
 
 With --check the corpus is regenerated into a temporary directory and
 compared with tests/golden/ instead; the script lists every case that
-differs, is missing from tests/golden/ or is no longer generated, and exits
-1 if there is any:
+differs (with the first stdout line where the committed and the fresh
+output part, or the fields that differ when stdout does not), is missing
+from tests/golden/ or is no longer generated, and exits 1 if there is any:
 
     PYTHONPATH=src python3 scripts/make_golden.py --check
 """
@@ -32,6 +33,7 @@ differs, is missing from tests/golden/ or is no longer generated, and exits
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -117,6 +119,19 @@ def _read_corpus(directory):
     return out
 
 
+def first_difference(committed: bytes, fresh: bytes) -> str:
+    """Where two records of one case part: the first stdout line that
+    differs, numbered from 1, on both sides (None past the last line), or
+    else the record fields that differ."""
+    old, new = json.loads(committed), json.loads(fresh)
+    pairs = itertools.zip_longest(old["stdout"].splitlines(), new["stdout"].splitlines())
+    for number, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            return f"stdout line {number}: committed {a!r}, fresh {b!r}"
+    fields = [k for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
+    return "fields " + ", ".join(fields) if fields else "file bytes only"
+
+
 def check_corpus() -> int:
     """Compare a fresh corpus with the committed one; 0 when identical."""
     committed = _read_corpus(GOLDEN) if os.path.isdir(GOLDEN) else {}
@@ -124,7 +139,8 @@ def check_corpus() -> int:
         write_corpus(tmp)
         fresh = _read_corpus(tmp)
     problems = (
-        [f"differs: {c}" for c in sorted(fresh) if c in committed and fresh[c] != committed[c]]
+        [f"differs: {c}: {first_difference(committed[c], fresh[c])}"
+         for c in sorted(fresh) if c in committed and fresh[c] != committed[c]]
         + [f"missing: {c}" for c in sorted(fresh) if c not in committed]
         + [f"extra: {c}" for c in sorted(committed) if c not in fresh]
     )

@@ -135,15 +135,13 @@ def _find_point(model, theta_text, phi_text):
     )
 
 
-def _rubin_flags(rubin, observations, variant) -> tuple:
+def _rubin_flags(m, scheme, observations, variant) -> tuple:
     """Missing-at-random / observed-at-random flags that hold when the
     condition holds at every one of `observations`, read from the model's
     Rubin context; none when the model and scheme are not in the shape
-    those checks require (no context, or a query raises NotRubinShape)."""
-    if rubin is None:
-        return ()
+    those checks require (`prepare_rubin` or a query raises NotRubinShape)."""
     try:
-        mar, oar = rubin.flags(observations)
+        mar, oar = prepare_rubin(m, scheme).flags(observations)
     except NotRubinShape:
         return ()
     return (("mar", mar), ("oar", oar), ("mar_variant", variant))
@@ -182,14 +180,10 @@ def cmd_check(args) -> int:
     if verdicts is None:
         verdicts = [headline.verdict == IGNORABLE]
     informative = verdicts.count(False)
-    try:
-        rubin = prepare_rubin(build.model, build.scheme)
-    except NotRubinShape:
-        rubin = None
     if o is None or args.mar_variant == "uniform":
-        extra = _rubin_flags(rubin, observations, "uniform")
+        extra = _rubin_flags(build.model, build.scheme, observations, "uniform")
     else:
-        extra = _rubin_flags(rubin, [o], "local")
+        extra = _rubin_flags(build.model, build.scheme, [o], "local")
     headline = replace(headline, flags=headline.flags + extra)
     overall = "informative" if informative else "ignorable"
 

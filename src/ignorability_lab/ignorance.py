@@ -438,7 +438,8 @@ class Family:
     family, `origins[i]` the number of the original point it came from and
     its nuisance code (None unless the nuisance value is fixed).  A label
     is keyed only where a caller names one: `number` maps each label to its
-    number, and `masses`, `laws` and `obs_fns` are views by label.
+    number, which indexes `vectors`, `obs` and `observation_tables()`, and
+    `laws` is the one view by label.
 
     Worlds are numbered once too: `worlds` lists them in canonical_key
     order (for a hand-built family, those of `space` and of its `laws`'
@@ -469,17 +470,8 @@ class Family:
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
-    def masses(self) -> dict:
-        return dict(zip(self.points, self.vectors))
-
-    @cached_property
     def laws(self) -> dict:
         return {p: vector_law(self.worlds, vector) for p, vector in zip(self.points, self.vectors)}
-
-    @property
-    def obs_fns(self) -> dict:
-        """{label: observation function}, read-only: `obs` is the table."""
-        return dict(zip(self.points, self.obs))
 
     @staticmethod
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
@@ -548,10 +540,6 @@ class Family:
         observation distribution there, each code's mass over the
         denominator."""
         return self._interned[2]
-
-    def observation_sums(self, point) -> tuple:
-        """The observation table (see `observation_tables`) at one point."""
-        return self._interned[2][self.number[point]]
 
     def joint_sums(self, code: tuple) -> list:
         """Per point number: (denominator, {(observation code, code):

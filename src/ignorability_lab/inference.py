@@ -910,10 +910,6 @@ class PreparedCheck:
             flags.append(
                 ("sampled_weights_convention", "pi computed from the realized design")
             )
-        if inference_type == BAYESIAN:
-            flags.append(
-                ("nuisance_prior_restriction", "finite user-supplied nuisance priors only")
-            )
         verdict = IGNORABLE if result.equivalent else INFORMATIVE
         return ClassificationReport(
             inference_type=inference_type,

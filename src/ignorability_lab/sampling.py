@@ -489,12 +489,13 @@ def observation_distribution(
 def _value_ranks(ranks: dict, values) -> list:
     """The rank of each observed value, `ranks` mapping an alphabet value's
     canonical key to its rank, once the values part is a tuple of alphabet
-    values; else UnknownObservation."""
+    values; else UnknownObservation.  A bool or float is no alphabet value,
+    even where it equals one."""
     if not isinstance(values, tuple):
         raise UnknownObservation(f"values part must be a tuple, got {values!r}")
     out = []
     for v in values:
-        r = ranks.get(canonical_key(v))
+        r = None if isinstance(v, (bool, float)) else ranks.get(canonical_key(v))
         if r is None:
             raise UnknownObservation(f"value {v!r} not in the signal alphabet")
         out.append(r)
@@ -503,14 +504,15 @@ def _value_ranks(ranks: dict, values) -> list:
 
 def observed_ranks(ranks: dict, labels: tuple, values, mapping) -> list:
     """`_value_ranks` of the values part, once the mapping part is also a
-    tuple of units among `labels`, as long as the values part; else
-    UnknownObservation.  `validate_observation` and the Rubin queries check
-    a (values, mapping) observation here."""
+    tuple of units among `labels` (a bool or float is none, even where it
+    equals one), as long as the values part; else UnknownObservation.
+    `validate_observation` and the Rubin queries check a (values, mapping)
+    observation here."""
     out = _value_ranks(ranks, values)
     if not isinstance(mapping, tuple):
         raise UnknownObservation(f"mapping part must be a tuple, got {mapping!r}")
     for k in mapping:
-        if k not in labels:
+        if isinstance(k, (bool, float)) or k not in labels:
             raise UnknownObservation(f"unit {k!r} not in the population")
     if len(values) != len(mapping):
         raise UnknownObservation("values and mapping lengths differ")

@@ -89,7 +89,7 @@ def check_declared_equals_plain(m, scheme, policy):
     fam = Family.from_survey_model(m, scheme)
     assert fam.axes is not None
     population = m.population
-    declared_obs = {fn for fn in fam.obs_fns.values() if isinstance(fn, RandomVariableRef)}
+    declared_obs = {fn for fn in fam.obs if isinstance(fn, RandomVariableRef)}
     for var in (*variables(population), *declared_obs):
         same_code(_code(fam.worlds, var, fam.axes), _code(fam.worlds, plain(var), fam.axes))
 
@@ -97,7 +97,8 @@ def check_declared_equals_plain(m, scheme, policy):
     reference = Family.from_survey_model(m, scheme)
     reference.obs = [plain(fn) if isinstance(fn, RandomVariableRef) else fn for fn in reference.obs]
     assert repr(fam.observation_support()) == repr(reference.observation_support())
-    assert all(fam.observation_sums(p) == reference.observation_sums(p) for p in fam.points)
+    tables, reference_tables = fam.observation_tables(), reference.observation_tables()
+    assert all(tables[fam.number[p]] == reference_tables[reference.number[p]] for p in fam.points)
 
     target = MarginalFunctional("signal_law", signal_rv(), lambda d: d)
     for v, v_bar in splits(population):

@@ -73,40 +73,40 @@ def population_mean_text(name: str) -> str:
 # N=5 n=2: (model, policy) -> digest.  select_max, and bernoulli_mixture
 # under dirac and arbitrary, are informative
 POPULATION_MEAN_DIGESTS = {
-    ("srs_wor_minimal", "dirac"): "2a892ba4f849c3c977a52ed17d5fc3752a7d41247c717a409d62dbb5cbea42d1",
-    ("srs_wor_minimal", "marginal"): "63eb7cb188a2d8d901df9ab6b68046651742e565e4ef36ada769f8e20a5b7d63",
-    ("srs_wor_minimal", "arbitrary"): "8e93c766ab247d117fd2fa60c975faabbebfa0d73a7498588c5d03be64d5511b",
-    ("srs_wor_n3", "dirac"): "a270e35010b0a9f75bbd76dc0c27cfabf4569cfabf35b9e413218555e07348c8",
-    ("srs_wor_n3", "marginal"): "9ac3aaa8b72a9cbfcbecbbf9cc5108d433e7f52da7da371da2884669e4ee5f4b",
-    ("srs_wor_n3", "arbitrary"): "bb50e9cf1e8c968d2d828ea075ba8a32fefdd5caa2a4f7ff6c8dda6533ad7a46",
-    ("srs_wr_duplicates", "dirac"): "41e7d84f12f098458700ffb7f7ff5f2cefe01dc602392b172971ca0601c821e2",
-    ("srs_wr_duplicates", "marginal"): "384d10ce06a93c71580be023a47c57c59495087dedd62ece622a5d256bc1ebd4",
-    ("srs_wr_duplicates", "arbitrary"): "ab1b07dfe937cbbd465e43e1d0042dff16c116e9a8911858800bea762fa003e8",
-    ("select_max", "dirac"): "0d5ffa387c0c2e5e1ca7836e055d68fc6d09f6a3253a5098028bb72f1edceca3",
-    ("select_max", "marginal"): "4037344106dca034285a0708f43077851864614cc9f703aacfac4bd74930504f",
-    ("select_max", "arbitrary"): "1b397184c4999b8b3f028c4df47f41cb79d682e1f9df50d72189562b33cf6fff",
-    ("bernoulli_mixture", "dirac"): "10e1b5967421118c1400dd5e678523381640612fe3823b50f846b1f49ef8c426",
-    ("bernoulli_mixture", "marginal"): "64d5451211cdd1b7b237e54b885f1071ddbfcd6c893efc3d4705caa63cd8cb4f",
-    ("bernoulli_mixture", "arbitrary"): "8e8a388af3422cee843e3bce50e77228572ce2be5952f737589e9f231a75fb75",
-    ("stratified", "dirac"): "666a47efb601afb095ec9c7c898b673961b5805b47a73ba9a2b088feff0dc857",
-    ("stratified", "marginal"): "5a44d6a644ad532aa361b0271b7e11342ca429b9909b56031b06199df230c177",
-    ("stratified", "arbitrary"): "5b2e44d14340d96ef4a8d74fcb55975fe043be1b0f065c807d960b79102d049a",
-    ("poisson", "dirac"): "66dcad39cf2a4a4f23de6505cb5b4a1bfa90347125b54c62176d611336617d1f",
-    ("poisson", "marginal"): "cea5b103b1687de62cfdec37c6689875ee27b134bcace1b1d92fa26d545721b3",
-    ("poisson", "arbitrary"): "41a328051909f2b9e3219c8a513c392929d494aab2cb2df680ca20da9e470ec0",
-    ("census", "dirac"): "9645defc26654be22e1be1c39c07376d1087e5645bceb8a855edd11010c05c2b",
-    ("census", "marginal"): "f61ed1014d296808395afb67a7c15834ba04e00f55f5d273734f108d84c1ed60",
-    ("census", "arbitrary"): "bd1128a4f9ccf1a176eb29d228db7614501dafbc2c81e3fdd576312d457e24fc",
-    ("sampled_weights", "dirac"): "1270e43fcee5dba485f421c449ba77893fd441df5282943e7a47130505e8f3a4",
-    ("sampled_weights", "marginal"): "e8221ca2c275b0263fc772c6eab4f28e474b04d606049f3a12eab96b83e50086",
-    ("sampled_weights", "arbitrary"): "d4458cb2da48119c41443f9a9d982bbf22870276c082a3e74298cab7206491a0",
-    ("unordered_values", "dirac"): "e95ca7811c9002824f81ab42b01d522ac05d25b131205f51d32befec9690aa89",
-    ("unordered_values", "marginal"): "13d53e40b6cc60f76d893c1085a0576c96c316f62e66c432595d046124604cbe",
-    ("unordered_values", "arbitrary"): "e35c22ed1a5fcb11151e3d2906c4e8c6cc838c4dc5a9b6c4308b835244cb5ebe",
-    ("correlated_joint", "dirac"): "aa1255c63e07fce30360af232a96423bcb8b630d0f1d65fe1771aaaf85e530ad",
-    ("correlated_joint", "marginal"): "8205978fbb1274eb9d06b62046e4cd8686b307621c44ac838403724c831eb054",
-    ("correlated_joint", "arbitrary"): "4af58ee2ab2bdc3d80332402f7110e0a935b008792d9d0fc1daca58dadf4e6d0",
-    ("srs_N5_n2", "dirac"): "dd54493d6c4ccbbb590179742bc4fcb51b72c813874a56775433bd971fa66df4",
+    ("srs_wor_minimal", "dirac"): "1eaf0146df45933e1230490705b6acd423c09689d17ece49c46e8e1cf4df0558",
+    ("srs_wor_minimal", "marginal"): "2b0049c57b93a5315dd0fe1a35dcb9841737bd8ed3bbe185316d1f045a88582f",
+    ("srs_wor_minimal", "arbitrary"): "541e62bc041918dc1396fd0531a72344198c8a5bedde72a2967e59450fd67d81",
+    ("srs_wor_n3", "dirac"): "0e072a584bd931f269c4ff392a4ae0706250439e1a08b979f0c9d31f76c9bffe",
+    ("srs_wor_n3", "marginal"): "d7152fc491215202f0597be3186643185ef7601cba30e19d21a9228f4ecac95c",
+    ("srs_wor_n3", "arbitrary"): "1546cf4fcc4f25c4d51501908979d038d5abca0c0bd588a9011d1e39a25511cd",
+    ("srs_wr_duplicates", "dirac"): "f977882b3eb8d5f150bc42d3c7a0f8624cbdfd4cedee5277866e7c6e0c033a5d",
+    ("srs_wr_duplicates", "marginal"): "d4ec97d7e73e321073a17b410575fac27cf0da6f893c68f6204e3e072a6d7712",
+    ("srs_wr_duplicates", "arbitrary"): "578f477d7e6b34af78fa585da9b163f5b8f2bd3d7fafde2fe6e773770887cc8d",
+    ("select_max", "dirac"): "2527a815e081d10069921a29827796aafab7ceedababd27009b1803145f617c1",
+    ("select_max", "marginal"): "1c4ac5e48721ada23130450ce4dd77efdbbd3f38ba4057378b99b7678ed1f020",
+    ("select_max", "arbitrary"): "b6d0eb6e8ac8f3094613389c293c5afd523c169267fdf8db168a3cb4ad725d9f",
+    ("bernoulli_mixture", "dirac"): "f325b65075d934701939c568771ad0cb67b83956769a8406ee590a8adfe73a55",
+    ("bernoulli_mixture", "marginal"): "bee50e2d1fe389dc6e3541fc2ceec16f12149acd97e2773769f7e6cad5c6510a",
+    ("bernoulli_mixture", "arbitrary"): "82dd1a9c5d7291a68e301b1bde85d2321bb69c94c9e5dadc226aaf6ea2ba1e46",
+    ("stratified", "dirac"): "d05e1e3f6a19785d42f3febb7672df3650deaa2df7f0399e4acbac7fc23d49d9",
+    ("stratified", "marginal"): "669e0fa489e8d5d974864c3ec990c23adbba9d9023da9e869cc5f9b8b5e90ae1",
+    ("stratified", "arbitrary"): "ace658540c008c6b7010a231657d052a55d7df4c69c2003f13d9fc90b1fd0844",
+    ("poisson", "dirac"): "352eb1966237991ea45889922e4f165f3cdd62160f9a04a78c18b925bb78f166",
+    ("poisson", "marginal"): "b7e4996edbe8cda93663df0635172636ac50ed24a08c1778929da07a22db3255",
+    ("poisson", "arbitrary"): "3d8f5f105b285106820bd2adcecb14f0391e60a05ffe5c5985a33a57ae211441",
+    ("census", "dirac"): "bb289183b9063ea94d455bbd9ea10f5e634455e4e9830fac06beb8584b9bd2b9",
+    ("census", "marginal"): "ea7b4656c44c2875c3874a4d766aa7a03706ff9cd94f0407e7b4f47dfa9c4a98",
+    ("census", "arbitrary"): "d580e35d4258fdf6ffe32e0709b3c6433a1740bc13d80e1acaaeb459f85c07ee",
+    ("sampled_weights", "dirac"): "fe5dfaff6d0631d8bd31b88117ed1895260608a8fcac7dfbf78a2388cfe2cd4b",
+    ("sampled_weights", "marginal"): "1de0899fff744d23e16d50aa36b3be31d49546582df897029a9f0f29aef6bbd2",
+    ("sampled_weights", "arbitrary"): "aaa2d5aac1f77544a8c51d898d10f682a6c897699e8cf50e7aec42b3ecd9cac7",
+    ("unordered_values", "dirac"): "17c34a4508d8f48f52dbe934be755f5b1064865ef19f06bcac807c2ad1e09481",
+    ("unordered_values", "marginal"): "d673b638c062347c1a5c50f8bda65d5daa405529bddcc83c041f3d7febb0d15c",
+    ("unordered_values", "arbitrary"): "891156068999d4b2aa743ab03842c85d1799f72365299ef70d14f4ec0fc15955",
+    ("correlated_joint", "dirac"): "377f54242289e49ba9a50ec5b585fb989f5cf603b6bd77deb2b0e30761e6bd89",
+    ("correlated_joint", "marginal"): "fcbc018810cc9c4da4871ed2e0c80f48a6d4872cd17bb1f214e27bf85cc52389",
+    ("correlated_joint", "arbitrary"): "289174cb43b26bb90f3c0aa6b655aeb6cae5ff8769ef466c35e95aa8182c71eb",
+    ("srs_N5_n2", "dirac"): "a80b364e886d4a9b5c0b764652a544cec3fc1a88eecaf07ab00204250e38b404",
 }
 
 
@@ -280,10 +280,10 @@ class TestCheck:
                                design=design, z_contains_y=True)
         scheme = values_and_mapping()
         observations = Family.from_survey_model(m, scheme).observation_support()
-        rubin, asked = prepare_rubin(m, scheme), []
+        rubin, asked = prepare_rubin(m, scheme), []  # the model's one context, which the flags read
         real = rubin.mar
         monkeypatch.setattr(rubin, "mar", lambda x: asked.append(x) or real(x))
-        flags = dict(_rubin_flags(rubin, observations, "uniform"))
+        flags = dict(_rubin_flags(m, scheme, observations, "uniform"))
         assert [x[1] for x in observations] == [(1,), other, (1,), *([(2,), (1, 2)] if fail else [(1, 2), (2, 1)]), (1, 2)]
         assert [real(x) for x in observations] == [True, not fail, True, not fail, True, True]
         assert flags["mar"] is not fail
@@ -1098,7 +1098,7 @@ def mutant_digest(capsys, tmp_path, monkeypatch, argv) -> str:
 CHECK_AND_ENUMERATE_MUTANTS_DIGESTS = {
     "likelihood": "dcf2108b249e4aadc9fd93accb2a983c48997b045daea14786059bf8ea1a7c5e",
     "frequentist": "54020d88bff92c285d88006698eea1f2fbd46d0765270277befca00c2f9abdcd",
-    "bayes": "7cff1c08b9be42f718e70b4c8b327abfcda19e4970d5ae15fae2b906503d95f3",
+    "bayes": "69420d0023bd2e8cfb97f463f0f78a084b8ca7a802da18b68cd3e21f3f43a45f",
     "enumerate": "0062b574c9c71ae4b2a72ddf91b26dbf69c2f3800523b1cf2df968bd15ed2f6e",
 }
 

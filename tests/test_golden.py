@@ -1,7 +1,8 @@
 """Golden corpus: every recorded command reproduces its exit code, stdout
 and stderr byte for byte, and the committed cases are exactly the ones
 scripts/make_golden.py generates.  The files are written only by that
-script; this test never rewrites them.  SHA-256 digests of `check --json`
+script; this test never rewrites them.  One SHA-256 over every case run
+without --json pins the human form.  SHA-256 digests of `check --json`
 on four SRS ladder rungs, the all-observation Bayes check included, pin the output of models larger than any in the
 corpus, and `scripts/rubin_sweep.py` checks the Rubin sweep against acceptance
 criterion 6's digest."""
@@ -43,11 +44,16 @@ def test_corpus_present():
     assert CASES
 
 
+def load_script(path):
+    """A script under scripts/, imported as a module."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_cases_match_generator():
-    spec = importlib.util.spec_from_file_location("make_golden", MAKE_GOLDEN)
-    make_golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_golden)
-    generated = {case: (model, args) for case, model, args in make_golden.cases()}
+    generated = {case: (model, args) for case, model, args in load_script(MAKE_GOLDEN).cases()}
     assert CASES == sorted(generated)
     for case in CASES:
         record = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
@@ -66,6 +72,23 @@ def test_golden(case, model_paths):
     assert err.getvalue() == record["stderr"]
 
 
+# One SHA-256 over the human form of every command on every catalog model:
+# each golden case run without --json, as the line "<case> <exit code>
+# <SHA-256 of stdout>", in the generator's case order.  The corpus holds
+# only the machine form; this pins the text the human reports print.
+HUMAN_DIGEST = "d2645900e723ee81e78f05107022b7a499128d7f29c7d45ac44a7fa78d918041"
+
+
+def test_human_output_digest(model_paths):
+    make_golden = load_script(MAKE_GOLDEN)
+    digest = hashlib.sha256()
+    for case, model, args in make_golden.cases():
+        human = [a for a in args if a != "--json"]
+        code, stdout, _stderr = make_golden.run_case(case, model_paths[model], human)
+        digest.update(f"{case} {code} {hashlib.sha256(stdout.encode('utf-8')).hexdigest()}\n".encode("utf-8"))
+    assert digest.hexdigest() == HUMAN_DIGEST
+
+
 SRS_LADDER = Path(__file__).parent.parent / "scripts" / "srs_ladder.py"
 # SHA-256 of `check --json` stdout on SRS ladder rungs, larger than any
 # catalog model: (N, n, inference, policy) -> digest.  The N=7 n=3
@@ -79,11 +102,11 @@ RUNG_DIGESTS = {
     (4, 3, "frequentist", "dirac"): "5fb9d8f2d839499149d4df44d5542429d8ffc0690687150777adb8ecc44a08c3",
     (4, 3, "frequentist", "arbitrary"): "b7c03aa98cb156a0724fa8ede2d2ce92feab4303587c5a37bd66e631fabb5eb3",
     (4, 3, "frequentist", "marginal"): "7556d98f53634b470b5ac61fab2efee5a0fadd4ee378c5129ebd8c6121b3a618",
-    (4, 3, "bayes", "dirac"): "d9b73d846de1c4a2ce9d33659b3c3b2249e4f65071d1b24d65bc19220538b370",
-    (4, 3, "bayes", "arbitrary"): "17474b5cb24464232ec79faa88d32ec38c47ce12d7a79774b3f02f901af6c253",
-    (4, 3, "bayes", "marginal"): "2d6b6e1d49600a7fae333750ddf0f7b7845c2c337a9df1e6ee007a7d8be466e7",
+    (4, 3, "bayes", "dirac"): "505693557bd373c0cf763e29db6e76016ed6cd6ba585538361e5e54bdf0c8999",
+    (4, 3, "bayes", "arbitrary"): "b48ce07052c184459359fc54f6fd48cb12d876319698755ea8fed0a9212805c5",
+    (4, 3, "bayes", "marginal"): "b21a06d71b438480bdb2621b227c1912c80db307cd0bed280dc81ac86a7b53f1",
     (5, 2, "likelihood", "dirac"): "289487d6f386ec7afaf87d1a9f23edd7f7754130ae2eb2c427c7a9740aad8c50",
-    (5, 3, "bayes", "dirac"): "757a42991fc60711cfe0f318fe4afff3892d866c870768e03bee23916394a066",
+    (5, 3, "bayes", "dirac"): "f20e0f41e2027a822e7cf120a4b98ef4f2b6c570e880e26dfee4c1f9b0388309",
     (7, 3, "likelihood", "dirac"): "2b5c6d6b8cf08436416a6d32c7b0fa48407721b0debc5fddad8f8e5d0f2f63e8",
     (7, 3, "likelihood", "arbitrary"): "c6970546b9980ebc12a92589856da74f29735fbc38459e5a0cab6207764ccadb",
     (7, 3, "likelihood", "marginal"): "37737e1250608eafd24bf60171e4b4f761faa09b358254b6586c58870659f217",
@@ -92,9 +115,7 @@ RUNG_DIGESTS = {
 
 @pytest.mark.parametrize("N, n, inference, policy", sorted(RUNG_DIGESTS))
 def test_srs_rung_digest(N, n, inference, policy, tmp_path):
-    spec = importlib.util.spec_from_file_location("srs_ladder", SRS_LADDER)
-    srs_ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(srs_ladder)
+    srs_ladder = load_script(SRS_LADDER)
     path = tmp_path / f"srs_N{N}_n{n}.model"
     path.write_text(srs_ladder.rung_text(N, n), encoding="utf-8")
     out = io.StringIO()
@@ -108,9 +129,7 @@ def test_srs_rung_digest(N, n, inference, policy, tmp_path):
 def _rung_calls(tmp_path, function) -> int:
     """Calls of `function`, recursive ones included, during an in-process
     `check --inference likelihood --json` on the SRS rung N=5 n=3."""
-    spec = importlib.util.spec_from_file_location("srs_ladder", SRS_LADDER)
-    srs_ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(srs_ladder)
+    srs_ladder = load_script(SRS_LADDER)
     path = tmp_path / "srs_N5_n3.model"
     path.write_text(srs_ladder.rung_text(5, 3), encoding="utf-8")
     profile = cProfile.Profile()
@@ -186,9 +205,7 @@ RUBIN_SWEEP = Path(__file__).parent.parent / "scripts" / "rubin_sweep.py"
 def test_rubin_sweep_script_checks_the_acceptance_digest(capsys):
     # the script sweeps criterion 6's models in its order, so the digest it
     # records and checks is the criterion's
-    spec = importlib.util.spec_from_file_location("rubin_sweep", RUBIN_SWEEP)
-    rubin_sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(rubin_sweep)
+    rubin_sweep = load_script(RUBIN_SWEEP)
     assert rubin_sweep.DIGEST == RUBIN_SWEEP_DIGEST
     assert rubin_sweep.main() == 0
     assert f"sha256 {RUBIN_SWEEP_DIGEST}  ok\n" in capsys.readouterr().out

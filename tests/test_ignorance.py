@@ -265,8 +265,9 @@ class TestIgnoreModel:
     ], ids=["split_only", "family_only"])
     def test_split_on_other_worlds_is_refused(self, split_space, space):
         fam = two_by_two_family()
-        fam = Family(fam.points, fam.laws, fam.obs_fns, space=space)
-        other = Family(fam.points, fam.laws, fam.obs_fns, space=split_space)
+        obs = dict(zip(fam.points, fam.obs))
+        fam = Family(fam.points, fam.laws, obs, space=space)
+        other = Family(fam.points, fam.laws, obs, space=split_space)
         with pytest.raises(EngineError, match=MADE_ELSEWHERE):
             ignore_model(fam, make_split(other, first, second), dirac_fix())
         assert ignore_model(fam, make_split(fam, first, second), dirac_fix()).worlds is fam.worlds
@@ -332,7 +333,7 @@ class TestFamily:
         fam = two_by_two_family()
         first_call = fam.observation_support()
         assert first_call == (0, 1)
-        tables = {p: fam.observation_sums(p) for p in fam.points}
+        tables = {p: fam.observation_tables()[fam.number[p]] for p in fam.points}
 
         def no_rebuild(w):
             raise AssertionError("observation function called again")
@@ -342,7 +343,7 @@ class TestFamily:
         fam.obs = [no_rebuild] * len(fam.points)
         assert fam.observation_support() is first_call
         assert fam.observation_code(1) == 1
-        assert all(fam.observation_sums(p) is tables[p] for p in fam.points)
+        assert all(fam.observation_tables()[fam.number[p]] is tables[p] for p in fam.points)
 
     @pytest.mark.parametrize("policy, want", [
         (dirac_fix, [(0, 0), (0, 1), (1, 0), (1, 1)]),
@@ -356,7 +357,7 @@ class TestFamily:
         ignored = ignore_model(fam, make_split(fam, first, second), policy())
         assert ignored.origins == tuple(want) and fam.origins is None
         for q, (i, b) in zip(ignored.points, ignored.origins, strict=True):
-            assert q[0] == fam.points[i] and ignored.obs_fns[q] is fam.obs[i]
+            assert q[0] == fam.points[i] and ignored.obs[ignored.number[q]] is fam.obs[i]
             assert b is None or q[1] == (0, 1)[b]  # the value of `second` at code b
 
 
@@ -396,7 +397,7 @@ class TestWorldNumbering:
             want = build_joint(m, theta, phi)
             assert dist_eq(law, want)
             assert law.items == want.items
-            assert tuple(space[i] for i in fam.masses[theta, phi][0]) == law.support()
+            assert tuple(space[i] for i in fam.vectors[fam.number[theta, phi]][0]) == law.support()
 
     @pytest.mark.parametrize("policy", [dirac_fix, single_arbitrary, marginal_family])
     @pytest.mark.parametrize("name, text", MODELS, ids=[name for name, _ in MODELS])
@@ -408,12 +409,12 @@ class TestWorldNumbering:
         ignored = ignore_model(fam, make_split(fam, build.v, build.v_bar), policy())
         for family in (fam, ignored):
             observed = {
-                p: pushforward(family.laws[p], family.obs_fns[p]) for p in family.points
+                p: pushforward(family.laws[p], family.obs[family.number[p]]) for p in family.points
             }
             want = sorted_distinct(x for d in observed.values() for x in d.support())
             assert family.observation_support() == want
             for p, d in observed.items():
-                denominator, table = family.observation_sums(p)
+                denominator, table = family.observation_tables()[family.number[p]]
                 assert sorted(table) == [family.observation_code(x) for x in d.support()]
                 assert [F(table[c], denominator) for c in sorted(table)] == list(d.weights())
             if isinstance(build.target, MarginalFunctional):
@@ -574,7 +575,7 @@ class TestIgnoreProperties:
         fam = Family(tuple(laws), laws, {p: (lambda w: w[0]) for p in laws}, space=space)
         ignored = ignore_model(fam, make_split(fam, first, second), marginal_family())
         for p in fam.points:
-            assert ignored.masses[(p, p)] == fam.masses[p]
+            assert ignored.vectors[ignored.number[p, p]] == fam.vectors[fam.number[p]]
 
 
 @st.composite
@@ -646,7 +647,9 @@ class TestCompatibilityPass:
         counted, scans = self.counted(split)
         ignored = ignore_model(fam, counted, policy())
         assert len(scans) == 2
-        assert ignored.masses == ignore_model(fam, split, policy()).masses
+        uncounted = ignore_model(fam, split, policy())
+        assert {q: ignored.vectors[i] for q, i in ignored.number.items()} == \
+            {q: uncounted.vectors[i] for q, i in uncounted.number.items()}
 
     def test_one_scan_per_distinct_set(self):
         # Phi(0) = Phi(1) over first values {0, 1}, Phi(2) over {2}: two

@@ -19,7 +19,6 @@ from reference import dist_eq, first_of_each_key, rubin_audit
 from ignorability_lab.cli import _rubin_flags
 from ignorability_lab.exactprob import (
     EngineError,
-    IncomparableOutcomes,
     Kernel,
     ModelTooLarge,
     bernoulli,
@@ -184,7 +183,7 @@ def signal_law_target():
 def likelihood_table(m, x, scheme=values_and_mapping()):
     """{grid point: mass of x} from the family's observation tables."""
     family = Family.from_survey_model(m, scheme)
-    tables = {p: family.observation_sums(p) for p in family.points}
+    tables = {p: family.observation_tables()[family.number[p]] for p in family.points}
     return {p: F(sums.get(family.observation_code(x), 0), d) for p, (d, sums) in tables.items()}
 
 
@@ -236,7 +235,7 @@ def uniform_mar(m, scheme):
     """The uniform MAR flag as `check` reports it: local MAR at every
     positive-mass observation."""
     observations = Family.from_survey_model(m, scheme).observation_support()
-    return dict(_rubin_flags(prepare_rubin(m, scheme), observations, "uniform"))["mar"]
+    return dict(_rubin_flags(m, scheme, observations, "uniform"))["mar"]
 
 
 class TestCheckMar:
@@ -419,7 +418,8 @@ class TestKeepFirst:
         seen = [obs[p](w) for p in fam.points for w in fam.laws[p].support()]
         assert typed(fam.observation_support()) == typed(first_of_each_key(seen)) == [(int, 1), (F, 2), (int, 3)]
         assert fam.observation_codes() == {canonical_key(v): c for c, v in enumerate((1, 2, 3))}
-        assert [fam.observation_sums(p) for p in fam.points] == [(1, {0: 1}), (2, {0: 1, 1: 1}), (2, {1: 1, 2: 1})]
+        assert [fam.observation_tables()[fam.number[p]] for p in fam.points] == \
+            [(1, {0: 1}), (2, {0: 1, 1: 1}), (2, {1: 1, 2: 1})]
 
     def test_estimator_numbering(self):
         # estimates 1 and Fraction(1) share a key; each family's laws show
@@ -436,7 +436,7 @@ class TestKeepFirst:
             assert typed(shown) == typed(kept[canonical_key(e)] for e in shown)
         sets = {side: [typed(law.support()) for law in laws] for side, laws in res.witnesses[0].detail[1:]}
         assert sets == {"original": [[(F, 1), (int, 2)], [(F, 1)]], "ignored": [[(int, 1), (int, 2)]]}
-        families = [({p: dict(f.laws[p].items) for p in f.points}, f.obs_fns, dict.fromkeys(f.points, 0))
+        families = [({p: dict(f.laws[p].items) for p in f.points}, dict(zip(f.points, f.obs)), dict.fromkeys(f.points, 0))
                     for f in (original, ignored)]
         assert res.equivalent is reference.sampling_dist_equivalent(*families, estimate)[0] is False
 
@@ -510,7 +510,7 @@ class TestPosteriorEquivalent:
         # a predictand's codes are per world: two families on different
         # worlds cannot share them
         fam, _ignored, predictand = self.mixed_predictand_sides()
-        other = Family(fam.points, fam.laws, fam.obs_fns, space=[(2, 0)])
+        other = Family(fam.points, fam.laws, dict(zip(fam.points, fam.obs)), space=[(2, 0)])
         prior = [uniform(fam.points)]
         with pytest.raises(EngineError, match="one numbering"):
             posterior_equivalent(fam, other, prior, prior, predictand, 0)
@@ -648,7 +648,7 @@ class TestRubinAudit:
         m = SurveyModel.create(population=U2, thetas=(F(1, 2),), signal_law={F(1, 2): law}, design=design)
         scheme = values_and_mapping()
         observations = Family.from_survey_model(m, scheme).observation_support()
-        assert _rubin_flags(prepare_rubin(m, scheme), observations, "uniform") == ()
+        assert _rubin_flags(m, scheme, observations, "uniform") == ()
         with pytest.raises(NotRubinShape, match="^design variable is not a function of the signal$"):
             rubin_theorem_audit(m, observations[0], scheme)
 
@@ -869,17 +869,21 @@ class TestSharedRubinContext:
 
     @pytest.mark.parametrize("x, want", [
         # a value or unit outside the model, or fewer values than units: the
-        # command line's refusal, checked before anything else
+        # command line's refusal, checked before anything else; a bool or
+        # float is no value or unit, even where it equals one
         (((F(1, 2), 0), (1, 7)), (UnknownObservation, "value Fraction(1, 2) not in the signal alphabet")),
-        (((0.5, 0), (1, 7)), (IncomparableOutcomes, "outcome 0.5 of type float has no canonical order")),
+        (((0.5, 0), (1, 7)), (UnknownObservation, "value 0.5 not in the signal alphabet")),
         (((0, 1), (1, 1)), {"mar": True, "oar": True, "possible": False, "audit": "repeats"}),
         (((2,), (1,)), (UnknownObservation, "value 2 not in the signal alphabet")),
-        # a float unit equal to a label passes the check, then the mapping has no key
-        (((0,), (1.0,)), {"mar": "1.0", "oar": "1.0", "possible": "1.0", "audit": "1.0"}),
+        (((0,), (1.0,)), (UnknownObservation, "unit 1.0 not in the population")),
         (((0,), (1, 2)), (UnknownObservation, "values and mapping lengths differ")),
         (((0,), (1, 7)), (UnknownObservation, "unit 7 not in the population")),
+        (((True,), (1,)), (UnknownObservation, "value True not in the signal alphabet")),
+        (((1.0,), (1,)), (UnknownObservation, "value 1.0 not in the signal alphabet")),
+        (((0,), (True,)), (UnknownObservation, "unit True not in the population")),
     ], ids=["fraction-value-unknown-unit", "float-value-unknown-unit", "unit-drawn-twice",
-            "value-outside-alphabet", "float-unit", "fewer-values-than-units", "unknown-unit-without-value"])
+            "value-outside-alphabet", "float-unit", "fewer-values-than-units", "unknown-unit-without-value",
+            "bool-value", "float-value", "bool-unit"])
     def test_malformed_observations_answer_as_a_fresh_context(self, x, want):
         # each query at x on a context already asked at x's mapping (every
         # query at in-alphabet values) is a fresh context's answer: the

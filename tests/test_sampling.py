@@ -3,6 +3,7 @@ observation schemes."""
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -311,6 +312,21 @@ class TestValidateObservation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(UnknownObservation):
             validate_observation(self.m, values_and_mapping(), ((1, 0), (2,)))
+
+    @pytest.mark.parametrize("scheme, x, message", [
+        (values_only(), (True,), "value True not in the signal alphabet"),
+        (values_only(), (1.0,), "value 1.0 not in the signal alphabet"),
+        (values_and_mapping(), ((True,), (2,)), "value True not in the signal alphabet"),
+        (values_and_mapping(), ((0.0,), (2,)), "value 0.0 not in the signal alphabet"),
+        (values_and_mapping(), ((1,), (True,)), "unit True not in the population"),
+        (values_and_mapping(), ((1,), (2.0,)), "unit 2.0 not in the population"),
+    ], ids=["bool-value", "float-value", "bool-value-with-mapping", "float-value-with-mapping",
+            "bool-unit", "float-unit"])
+    def test_rejects_bool_and_float_equal_to_a_value_or_unit(self, scheme, x, message):
+        # 1 and 0 are alphabet values and 1 and 2 units: an equal bool or
+        # float is still refused
+        with pytest.raises(UnknownObservation, match=f"^{re.escape(message)}$"):
+            validate_observation(self.m, scheme, x)
 
 
 def test_sampled_weights_pi_once_per_z(monkeypatch):
