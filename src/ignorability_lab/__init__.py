@@ -52,7 +52,6 @@ from .ignorance import (
     phi_set,
     single_arbitrary,
     transform_target,
-    variation_independent,
 )
 from .inference import (
     ClassificationReport,

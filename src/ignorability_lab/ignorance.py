@@ -204,9 +204,11 @@ def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
     return tuple(codes), tuple(fn(worlds[i]) for i in firsts), tuple(map(key_of, keys) if key_of else keys)
 
 
-@dataclass(frozen=True)
-class SplitIndex:
-    """A split's worlds numbered once, so the ignore path works on ints.
+@dataclass(frozen=True, eq=False)
+class ProcessSplit:
+    """A (v, v_bar) pair with its complement status, classified on a
+    family's worlds, which it numbers once so that the ignore path works on
+    ints; built by `make_split`.
 
     `worlds` are distinct and in canonical_key order; a world's id is its
     position there.  v- and v_bar-codes follow the canonical_key order of
@@ -216,31 +218,25 @@ class SplitIndex:
     as their ids, ascending, and their v-codes.
     """
 
-    worlds: tuple  # world id -> world
-    v_code: tuple  # world id -> v-code
-    v_bar_code: tuple  # world id -> v_bar-code
-    v_bar_values: tuple  # v_bar-code -> nuisance value
-    v_bar_codes: dict  # canonical_key(nuisance value) -> v_bar-code
-    compatible: tuple  # v_bar-code -> ascending v-codes
-    worlds_of: tuple  # v_bar-code -> (ascending world ids, their v-codes)
+    v: RandomVariableRef
+    v_bar: RandomVariableRef
+    status: str
+    worlds: tuple = field(repr=False)  # world id -> world
+    v_code: tuple = field(repr=False)  # world id -> v-code
+    v_bar_of: tuple = field(repr=False)  # world id -> v_bar-code
+    v_bar_values: tuple = field(repr=False)  # v_bar-code -> nuisance value
+    v_bar_codes: dict = field(repr=False)  # canonical_key(nuisance value) -> v_bar-code
+    compatible: tuple = field(repr=False)  # v_bar-code -> ascending v-codes
+    worlds_of: tuple = field(repr=False)  # v_bar-code -> (ascending world ids, their v-codes)
 
-    @staticmethod
-    def build(worlds: tuple, v_code: tuple, v_bar_coding: tuple) -> "SplitIndex":
-        """Index `worlds`, distinct and sorted, by each world's v-code and
-        the `_code` of v_bar."""
-        v_bar_code, v_bar_values, v_bar_keys = v_bar_coding
-        order = sorted(range(len(worlds)), key=v_bar_code.__getitem__)  # stable: ids ascend per code
-        runs = (tuple(run) for _b, run in groupby(order, v_bar_code.__getitem__))
-        worlds_of = tuple((ids, tuple(map(v_code.__getitem__, ids))) for ids in runs)
-        return SplitIndex(
-            worlds=worlds,
-            v_code=v_code,
-            v_bar_code=v_bar_code,
-            v_bar_values=v_bar_values,
-            v_bar_codes={k: c for c, k in enumerate(v_bar_keys)},
-            compatible=tuple(tuple(sorted(set(codes))) for _ids, codes in worlds_of),
-            worlds_of=worlds_of,
-        )
+    def is_complement(self) -> bool:
+        return self.status in (COMPLEMENT, DISTINCT_COMPLEMENT)
+
+    def v_bar_code(self, value) -> int:
+        code = self.v_bar_codes.get(canonical_key(value))
+        if code is None:
+            raise ValueNotInImage(f"{value!r} not in the image of {self.v_bar.name}")
+        return code
 
     @cached_property
     def _ids(self) -> dict:  # {canonical_key(world): id}, built on first use
@@ -256,42 +252,12 @@ class SplitIndex:
         return ids
 
 
-@dataclass(frozen=True)
-class ProcessSplit:
-    """A (v, v_bar) pair with its computed complement status and the index
-    of the worlds it was classified on."""
-
-    v: RandomVariableRef
-    v_bar: RandomVariableRef
-    status: str
-    index: SplitIndex = field(compare=False, repr=False)
-
-    def is_complement(self) -> bool:
-        return self.status in (COMPLEMENT, DISTINCT_COMPLEMENT)
-
-    def v_bar_code(self, value) -> int:
-        code = self.index.v_bar_codes.get(canonical_key(value))
-        if code is None:
-            raise ValueNotInImage(f"{value!r} not in the image of {self.v_bar.name}")
-        return code
-
-
-def variation_independent(h: Callable, h_prime: Callable, support: Iterable) -> bool:
-    """Literal image-product test: image(h, h') == image(h) x image(h')."""
-    support = list(support)
-    pairs = {(canonical_key(h(w)), canonical_key(h_prime(w))) for w in support}
-    left = {k for k, _ in pairs}
-    right = {k for _, k in pairs}
-    return len(pairs) == len(left) * len(right)
-
-
 def phi_set(v_bar_value, split: ProcessSplit) -> tuple:
     """Compatibility set for a nuisance value: all worlds whose v-value
     co-occurs (somewhere on the support) with that nuisance value, in
     canonical_key order."""
-    index = split.index
-    codes = set(index.compatible[split.v_bar_code(v_bar_value)])
-    return tuple(w for w, a in zip(index.worlds, index.v_code) if a in codes)
+    codes = set(split.compatible[split.v_bar_code(v_bar_value)])
+    return tuple(w for w, a in zip(split.worlds, split.v_code) if a in codes)
 
 
 def _require_complement(split: ProcessSplit) -> None:
@@ -311,10 +277,9 @@ def atrandomize(
     the operator is idempotent there.
     """
     _require_complement(split)
-    index = split.index
-    vector = (index.ids_of(P), *integer_masses(P.weights()))
-    law = _marginal(vector, index.v_bar_code) if nuisance is None else _nuisance_law(nuisance, split)
-    return vector_law(index.worlds, _atrandomize_ids(_restrictions(vector, index), split, law))
+    vector = (split.ids_of(P), *integer_masses(P.weights()))
+    law = _marginal(vector, split.v_bar_of) if nuisance is None else _nuisance_law(nuisance, split)
+    return vector_law(split.worlds, _atrandomize_ids(_restrictions(vector, split), split, law))
 
 
 def _integer_sums(vector: tuple, code: tuple) -> dict:
@@ -344,15 +309,15 @@ def _nuisance_law(dist: FiniteDist, split: ProcessSplit) -> tuple:
     return codes, weights, denominator
 
 
-def _restrictions(vector: tuple, index: SplitIndex, cap: int | None = None) -> list:
+def _restrictions(vector: tuple, split: ProcessSplit, cap: int | None = None) -> list:
     """Per v_bar-code b: (total, {v-code a: integer mass}), a law's
     numerators summed per v-code on the compatibility set Phi(b), divided by
     their gcd, the v-codes ascending; empty where the law puts no mass on
     Phi(b).  Each distinct compatibility set is scanned and reduced once,
     and the codes that share it share its restriction."""
-    sums, cap = _integer_sums(vector, index.v_code), support_cap() if cap is None else cap
+    sums, cap = _integer_sums(vector, split.v_code), support_cap() if cap is None else cap
     scanned, out = {}, []
-    for codes in index.compatible:
+    for codes in split.compatible:
         part = scanned.get(codes)
         if part is None:
             kept = {a: sums[a] for a in codes if a in sums}
@@ -372,17 +337,17 @@ def _atrandomize_ids(parts: list, split: ProcessSplit, nuisance: tuple, cap: int
     each v-code a there, times the weight of b, goes to the world (a, b),
     which no other b reaches.  The Dirac-fixed law at b, `((b,), (1,), 1)`,
     is the restriction to Phi(b) over its total."""
-    index, (codes, weights, weights_denominator) = split.index, nuisance
+    codes, weights, weights_denominator = nuisance
     for b in codes:
         if not parts[b][1]:
-            raise ZeroMassPhiSet(f"compatibility set of {split.v_bar.name}={index.v_bar_values[b]!r} has zero mass")
+            raise ZeroMassPhiSet(f"compatibility set of {split.v_bar.name}={split.v_bar_values[b]!r} has zero mass")
     check_size(sum(len(parts[b][1]) for b in codes), cap=cap)
     denominator = lcm(*(parts[b][0] for b in codes))
     masses = []
     for b, weight in zip(codes, weights):
         total, kept = parts[b]
         scale = weight * (denominator // total)
-        masses.extend((i, scale * kept[a]) for i, a in zip(*index.worlds_of[b]) if a in kept)
+        masses.extend((i, scale * kept[a]) for i, a in zip(*split.worlds_of[b]) if a in kept)
     if len(codes) > 1:  # the worlds of one code are already in id order
         masses.sort()
     return reduced(*zip(*masses), weights_denominator * denominator)
@@ -554,9 +519,9 @@ class Family:
 def make_split(
     family: Family, v: RandomVariableRef, v_bar: RandomVariableRef
 ) -> ProcessSplit:
-    """Classify (v, v_bar) on the family's worlds, indexed by their ids;
-    the one way to split.  A bare support is split as
-    `make_split(Family((), {}, {}, space=support), v, v_bar)`.
+    """Classify (v, v_bar) on the family's worlds, coding both on the
+    world ids (see `ProcessSplit`); the one way to split.  A bare support
+    is split as `make_split(Family((), {}, {}, space=support), v, v_bar)`.
 
     The worlds are model-global (never per parameter point) and structural:
     they include zero-probability worlds, so an almost-sure coupling such
@@ -564,15 +529,21 @@ def make_split(
     The split is a complement when distinct worlds give distinct (v, v_bar)
     pairs, and a distinct one when the pairs also fill the product of the
     two images."""
-    index = SplitIndex.build(family.worlds, family.coded(v)[0], family.coded(v_bar))
-    pairs = sum(map(len, index.compatible))  # distinct (v, v_bar) pairs
-    if pairs < len(index.worlds):
+    worlds, v_code = family.worlds, family.coded(v)[0]
+    v_bar_of, v_bar_values, v_bar_keys = family.coded(v_bar)
+    order = sorted(range(len(worlds)), key=v_bar_of.__getitem__)  # stable: ids ascend per code
+    runs = (tuple(run) for _b, run in groupby(order, v_bar_of.__getitem__))
+    worlds_of = tuple((ids, tuple(map(v_code.__getitem__, ids))) for ids in runs)
+    compatible = tuple(tuple(sorted(set(codes))) for _ids, codes in worlds_of)
+    pairs = sum(map(len, compatible))  # distinct (v, v_bar) pairs
+    if pairs < len(worlds):
         status = NOT_COMPLEMENT
-    elif pairs == len(set(index.v_code)) * len(index.v_bar_values):
+    elif pairs == len(set(v_code)) * len(v_bar_values):
         status = DISTINCT_COMPLEMENT
     else:
         status = COMPLEMENT
-    return ProcessSplit(v=v, v_bar=v_bar, status=status, index=index)
+    return ProcessSplit(v, v_bar, status, worlds, v_code, v_bar_of, v_bar_values,
+                        {k: c for c, k in enumerate(v_bar_keys)}, compatible, worlds_of)
 
 
 def ignore_model(
@@ -588,30 +559,30 @@ def ignore_model(
     which an ignored family shares with its original.
     """
     _require_complement(split)
-    if split.index.worlds is not family.worlds:
+    if split.worlds is not family.worlds:
         raise EngineError("the split was not made on this family; split it with make_split(family, v, v_bar)")
-    index, cap = split.index, support_cap()  # the cap read once per call
-    parts = [_restrictions(vector, index, cap) for vector in family.vectors]
+    cap = support_cap()  # read once per call
+    parts = [_restrictions(vector, split, cap) for vector in family.vectors]
     for point, restrictions in zip(family.points, parts):
         empty = next((code for code, (_total, kept) in enumerate(restrictions) if not kept), None)
         if empty is not None:
             raise ZeroMassPhiSet(f"law at {point!r} has zero mass on the compatibility set "
-                                 f"of {split.v_bar.name}={index.v_bar_values[empty]!r}")
+                                 f"of {split.v_bar.name}={split.v_bar_values[empty]!r}")
 
     # each original point gives its (nuisance index, nuisance code, nuisance
     # law) triples, a nuisance law being integer weights on v_bar-codes
     if policy.kind == DIRAC_FIX:
-        fixed = [(value, b, ((b,), (1,), 1)) for b, value in enumerate(index.v_bar_values)]
+        fixed = [(value, b, ((b,), (1,), 1)) for b, value in enumerate(split.v_bar_values)]
         laws = (fixed for _vector in family.vectors)
     elif policy.kind == SINGLE_ARBITRARY:
-        k = len(index.v_bar_values)
+        k = len(split.v_bar_values)
         law = (range(k), (1,) * k, k) if policy.dist is None else _nuisance_law(policy.dist, split)
         laws = ([("arbitrary", None, law)] for _vector in family.vectors)
     else:
         # each law re-randomized against its own nuisance marginal; under a
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
-        laws = ([(p, None, _marginal(vector, index.v_bar_code, cap))] for p, vector in zip(family.points, family.vectors))
+        laws = ([(p, None, _marginal(vector, split.v_bar_of, cap))] for p, vector in zip(family.points, family.vectors))
     points, vectors, origins = [], [], []
     for i, (p, restrictions, triples) in enumerate(zip(family.points, parts, laws)):
         for label, b, law in triples:

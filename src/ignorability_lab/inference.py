@@ -48,7 +48,6 @@ from .ignorance import (
     make_split,
     point_values,
     transform_target,
-    variation_independent,
 )
 from .sampling import (
     ObservationScheme,
@@ -306,10 +305,12 @@ def _posterior_witness(families, reprs, columns, x) -> EquivalenceResult:
 
 
 def check_distinct(grid) -> bool:
-    """Variation independence of the two parameter coordinates on the grid
-    (a model's is asked on its grid positions, `m.atoms.grid`, so that no
-    label is keyed)."""
-    return variation_independent(lambda g: g[0], lambda g: g[1], grid)
+    """Variation independence of the two parameter coordinates on the grid:
+    its distinct (theta, phi) pairs fill the product of the coordinates'
+    images (a model's is asked on its grid positions, `m.atoms.grid`, so
+    that no label is keyed)."""
+    pairs = set(grid)
+    return len(pairs) == len({t for t, _p in pairs}) * len({p for _t, p in pairs})
 
 
 # ---------------------------------------------------------------------------

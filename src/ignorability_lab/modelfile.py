@@ -415,6 +415,8 @@ def parse_model(text: str) -> ModelDocument:
         raise _error(key, "distinct-grid", "duplicate theta label")
     entry = grids.get("phi")
     phis = tuple(map(_parse_label, entry[2])) if entry else ()
+    if len(set(phis)) != len(phis):
+        raise _error(entry[0], "distinct-grid", "duplicate phi label")
     gamma, gamma_phis = None, []  # gamma_phis: (token, phi token, phi) of each pair
     entry = grids.get("gamma")
     if entry:
@@ -426,6 +428,8 @@ def parse_model(text: str) -> ModelDocument:
                 raise _error(tok, "gamma-in-grid", f"gamma theta {left.text!r} not in the theta grid")
             if phis and pair[1] not in phis:
                 raise _error(tok, "gamma-in-grid", f"gamma phi {right.text!r} not in the phi grid")
+            if pair in gamma:
+                raise _error(tok, "distinct-grid", f"duplicate gamma pair {tok.text!r}")
             gamma.append(pair)
             gamma_phis.append((tok, right, pair[1]))
         gamma = tuple(gamma)

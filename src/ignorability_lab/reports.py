@@ -149,8 +149,6 @@ def _float(value) -> str:
 
 def _aligned(rows) -> str:
     rows = [[str(c) for c in row] for row in rows]
-    if not rows:
-        return ""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return "\n".join(
         "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows
@@ -282,10 +280,8 @@ def emit_report(report, json_form: bool = False) -> str:
     return machine_json(payload) if json_form else human
 
 
-def _frac(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+def _frac(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _compact(value) -> str:

@@ -208,12 +208,11 @@ def observe(
         return (values, world.r)
     if scheme.kind == VALUES_MAPPING_DESIGN:
         return (values, world.r, world.z)
-    if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS:
-        if design is None:
-            raise EngineError("sampled-weights scheme needs the design kernel")
-        pi = inclusion_probabilities(design.get(world.z), population)
-        return tuple((v, pi[population.index(k)]) for v, k in zip(values, world.r))
-    raise EngineError(f"unknown observation scheme {scheme.kind!r}")
+    # values and sampled weights, the one kind left: `ObservationScheme` refuses any other
+    if design is None:
+        raise EngineError("sampled-weights scheme needs the design kernel")
+    pi = inclusion_probabilities(design.get(world.z), population)
+    return tuple((v, pi[population.index(k)]) for v, k in zip(values, world.r))
 
 
 def iid_signal_dist(
@@ -244,16 +243,19 @@ def signal_dist_from_table(
 
 def _normalize_grid(thetas, phis, grid):
     """The live (theta, phi) pairs: `grid`, each pair checked against the
-    theta grid and the phi grid, or else their product."""
+    theta grid and the phi grid and met once, or else their product, which
+    a repeated theta repeats."""
     if grid is None:
-        return tuple((t, p) for t in thetas for p in phis)
-    out = []
+        grid = [(t, p) for t in thetas for p in phis]
+    out = {}
     for theta, phi in grid:
         if theta not in thetas:
             raise GridMiss(f"grid theta {theta!r} not in theta grid")
         if phi not in phis:
             raise GridMiss(f"grid phi {phi!r} not in phi grid")
-        out.append((theta, phi))
+        if (theta, phi) in out:
+            raise GridMiss(f"grid point {(theta, phi)!r} repeated")
+        out[theta, phi] = None
     return tuple(out)
 
 
@@ -287,7 +289,6 @@ class SurveyModel:
     thetas: tuple
     signal_law: dict  # theta -> FiniteDist over (y, z) pairs
     designs: dict  # phi -> Kernel
-    phis: tuple = ()
     grid: tuple = ()
     z_contains_y: bool = False
     alphabet: tuple = ()
@@ -336,7 +337,6 @@ class SurveyModel:
             thetas=thetas,
             signal_law=laws,
             designs=designs,
-            phis=phis,
             grid=_normalize_grid(thetas, tuple(designs), grid),
             z_contains_y=z_contains_y,
             alphabet=alphabet,

@@ -207,6 +207,12 @@ def posterior_equivalent(original, ignored, priors, priors_star, x, predictand=N
     return set_a == set_b, set_a, set_b
 
 
+def distinct_grid(grid) -> bool:
+    """Rubin's distinct parameters on a list of (theta, phi) points: each
+    theta of the grid with each phi of the grid is a grid point."""
+    return all((t, phi) in grid for t, _ in grid for _, phi in grid)
+
+
 def rubin_audit(m: SurveyModel, x) -> tuple:
     """(mar, oar, distinct, (theorem, hypothesis, conclusion, notes) of
     6.1, 6.2, 6.3, 7.1 and 7.2) of the missing-data theorems at x = (values,
@@ -241,7 +247,7 @@ def rubin_audit(m: SurveyModel, x) -> tuple:
             if not m.z_contains_y and len(shared) != 1:
                 return "NotRubinShape"
             z_of[y] = y if m.z_contains_y else shared[0]
-    phis = m.phis or (None,)
+    phis = tuple(m.designs)
 
     def pi(phi, y):
         kernel = m.designs[phi]
@@ -256,7 +262,7 @@ def rubin_audit(m: SurveyModel, x) -> tuple:
         for phi in phis for u in signals
     )
     grid = list(m.grid)
-    distinct = not m.phis or all((t, phi) in grid for t, _ in grid for _, phi in grid)
+    distinct = distinct_grid(grid)
 
     # 6.x at each grid point: the ignoring law of the observed part y[at]
     # against its law jointly with the observed mapping (hits), of total k

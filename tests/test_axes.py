@@ -105,11 +105,10 @@ def check_declared_equals_plain(m, scheme, policy):
         split = make_split(fam, v, v_bar)
         ref_split = make_split(fam, plain(v), plain(v_bar))
         assert split.status == ref_split.status
-        index, ref = split.index, ref_split.index
-        assert index.worlds is ref.worlds
-        assert (index.v_code, index.v_bar_code, index.compatible) == (ref.v_code, ref.v_bar_code, ref.compatible)
-        assert repr(index.v_bar_values) == repr(ref.v_bar_values)
-        assert index.v_bar_codes == ref.v_bar_codes and index.worlds_of == ref.worlds_of
+        assert split.worlds is ref_split.worlds
+        assert (split.v_code, split.v_bar_of, split.compatible) == (ref_split.v_code, ref_split.v_bar_of, ref_split.compatible)
+        assert repr(split.v_bar_values) == repr(ref_split.v_bar_values)
+        assert split.v_bar_codes == ref_split.v_bar_codes and split.worlds_of == ref_split.worlds_of
         if not split.is_complement():
             continue
         ignored = outcome(lambda: ignore_model(fam, split, policy()))

@@ -1000,7 +1000,7 @@ def every_eighth_mutant(capsys, tmp_path, monkeypatch, argv):
         with contextlib.suppress(ModelFileError):
             parse_model(text)
             documents.append(text)
-    assert len(documents) == 1_959
+    assert len(documents) == 1_954
     path = tmp_path / "mutant.model"
     for index in range(0, len(documents), 8):
         path.write_text(documents[index])
@@ -1010,7 +1010,7 @@ def every_eighth_mutant(capsys, tmp_path, monkeypatch, argv):
 
 
 # audit-rubin over every eighth distinct parseable mutant of the catalog
-AUDIT_RUBIN_MUTANTS_DIGEST = "0c077addcb7b8420d953f01ddd95dbca12bae1e7b16eb15f06e0896fb2b7891f"
+AUDIT_RUBIN_MUTANTS_DIGEST = "83a47b548cb7caacd53606157e01dd975a52751f40845a4b5b883847e977780b"
 
 
 class TestAuditRubin:
@@ -1096,10 +1096,10 @@ def mutant_digest(capsys, tmp_path, monkeypatch, argv) -> str:
 # `check --json` under each inference type, and `enumerate --json`, over
 # the same mutants as audit-rubin: the rest of the engine-level sweep
 CHECK_AND_ENUMERATE_MUTANTS_DIGESTS = {
-    "likelihood": "dcf2108b249e4aadc9fd93accb2a983c48997b045daea14786059bf8ea1a7c5e",
-    "frequentist": "54020d88bff92c285d88006698eea1f2fbd46d0765270277befca00c2f9abdcd",
-    "bayes": "69420d0023bd2e8cfb97f463f0f78a084b8ca7a802da18b68cd3e21f3f43a45f",
-    "enumerate": "0062b574c9c71ae4b2a72ddf91b26dbf69c2f3800523b1cf2df968bd15ed2f6e",
+    "likelihood": "0702b6603c39a13e2ee263b98a4b9f72bff24360925d0fc460578d76c96e9ea9",
+    "frequentist": "1c67827913ba3b1ad8a1c957aa24d274930ce36c71f5d8ebd58c34b1944c11bc",
+    "bayes": "898f141d9e206de0840687e951d2ae5051868e6a8cc06bba0850054c9b49ad2a",
+    "enumerate": "54808c5b6002788c9396ffb819cac0fb1029f7b69d9408f33345dc019918ccf2",
 }
 
 
@@ -1110,7 +1110,7 @@ def test_every_eighth_parseable_mutant(capsys, tmp_path, monkeypatch, name):
 
 
 # mc-verify --json --draws 4097 --seed 1 over the same mutants
-MC_VERIFY_MUTANTS_DIGEST = "1a331f2ec205c570c6e52c09c9259657392fd936c07fb72cea964ddd2a892062"
+MC_VERIFY_MUTANTS_DIGEST = "0666c1999ef189d60ba1ce541740a716947cbe0aac8d8461b8734d6dd3ef3768"
 
 
 class TestMcVerify:

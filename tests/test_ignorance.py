@@ -48,7 +48,6 @@ from ignorability_lab.ignorance import (
     single_arbitrary,
     point_values,
     transform_target,
-    variation_independent,
 )
 from ignorability_lab.modelfile import parse_model
 from ignorability_lab.sampling import (
@@ -87,17 +86,6 @@ class TestClassifySplit:
         # both variables read the same coordinate: pairs cannot separate
         split = split_on(SQUARE, first, first)
         assert split.status == NOT_COMPLEMENT
-
-
-class TestVariationIndependence:
-    def test_full_product(self):
-        assert variation_independent(lambda w: w[0], lambda w: w[1], SQUARE)
-
-    def test_three_point(self):
-        assert not variation_independent(lambda w: w[0], lambda w: w[1], THREE_POINT)
-
-    def test_equal_nonconstant_maps(self):
-        assert not variation_independent(lambda w: w[0], lambda w: w[0], SQUARE)
 
 
 class TestPhiSet:
@@ -391,7 +379,7 @@ class TestWorldNumbering:
                 assert space[i * len(mappings) + j] == WorldState(y, z, r)
         fam = Family.from_survey_model(m, build.scheme)
         assert fam.worlds == space
-        assert make_split(fam, build.v, build.v_bar).index.worlds is fam.worlds
+        assert make_split(fam, build.v, build.v_bar).worlds is fam.worlds
         for theta, phi in m.grid:
             law = fam.laws[theta, phi]
             want = build_joint(m, theta, phi)
@@ -608,13 +596,13 @@ class TestSplitLayout:
         assert split.status == status
         # worlds of nuisance value b: their ids ascending, with the rank of
         # each one's first value among the distinct first values
-        index, firsts = split.index, sorted({a for a, _b, _c in support})
-        assert index.worlds == tuple(support)
-        assert index.v_bar_values == tuple(sorted({b for _a, b, _c in support}))
-        for code, b in enumerate(index.v_bar_values):
+        firsts = sorted({a for a, _b, _c in support})
+        assert split.worlds == tuple(support)
+        assert split.v_bar_values == tuple(sorted({b for _a, b, _c in support}))
+        for code, b in enumerate(split.v_bar_values):
             ids = tuple(i for i, w in enumerate(support) if w[1] == b)
-            assert index.worlds_of[code] == (ids, tuple(firsts.index(support[i][0]) for i in ids))
-        assert len(index.worlds_of) == len(index.v_bar_values)
+            assert split.worlds_of[code] == (ids, tuple(firsts.index(support[i][0]) for i in ids))
+        assert len(split.worlds_of) == len(split.v_bar_values)
 
 
 class TestCompatibilityPass:
@@ -632,8 +620,7 @@ class TestCompatibilityPass:
                 scans.append(self)
                 return super().__iter__()
 
-        index = replace(split.index, compatible=tuple(Counted(c) for c in split.index.compatible))
-        return replace(split, index=index), scans
+        return replace(split, compatible=tuple(Counted(c) for c in split.compatible)), scans
 
     @pytest.mark.parametrize("policy", [dirac_fix, single_arbitrary, marginal_family])
     def test_one_scan_per_law_on_a_distinct_complement(self, policy):
@@ -643,7 +630,7 @@ class TestCompatibilityPass:
                 for p, loads in (("p", (1, 2, 3, 4, 5, 6)), ("q", (6, 1, 1, 1, 1, 2)))}
         fam = Family(("p", "q"), laws, {p: first for p in laws})
         split = make_split(fam, first, second)
-        assert split.status == DISTINCT_COMPLEMENT and len(split.index.v_bar_values) == 3
+        assert split.status == DISTINCT_COMPLEMENT and len(split.v_bar_values) == 3
         counted, scans = self.counted(split)
         ignored = ignore_model(fam, counted, policy())
         assert len(scans) == 2

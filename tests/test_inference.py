@@ -290,6 +290,26 @@ class TestCheckDistinct:
         m = bernoulli_mixture_model()
         assert not check_distinct(m.grid)
 
+    @pytest.mark.parametrize(
+        "grid, distinct",
+        [
+            (((0, 0), (0, 1), (1, 0), (1, 1)), True),
+            (((0, 0), (0, 1), (1, 0)), False),
+            (((0, 0), (1, 1)), False),
+            # four points, but three distinct pairs on a 2 x 2 image
+            (((0, 0), (0, 0), (0, 1), (1, 0)), False),
+            (((0, 0), (0, 0), (1, 0)), True),
+        ],
+        ids=["full-product", "three-point", "diagonal", "repeated-off-product", "repeated-on-product"],
+    )
+    def test_position_grids(self, grid, distinct):
+        assert check_distinct(grid) is distinct
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=8))
+    def test_matches_the_reference_rule(self, grid):
+        assert check_distinct(grid) == reference.distinct_grid(grid)
+
 
 class TestLikelihoodEquivalent:
     def test_same_family_alpha_one(self):

@@ -248,6 +248,24 @@ class TestInvalidDocuments:
         assert text.splitlines()[err.line - 1] == "gamma ="
         assert err.col == 1
 
+    @pytest.mark.parametrize(
+        "old, new, message, col",
+        [
+            ("theta = 1/3 1/2", "theta = 1/3 1/3 1/2", "duplicate theta label", 1),
+            ("phi = 1/3 1/2", "phi = 1/3 1/3 1/2", "duplicate phi label", 1),
+            ("gamma = 1/3:1/3 1/2:1/2", "gamma = 1/3:1/3 1/3:1/3 1/2:1/2", "duplicate gamma pair '1/3:1/3'", 17),
+        ],
+        ids=["theta", "phi", "gamma"],
+    )
+    def test_repeated_grid_label(self, old, new, message, col):
+        # a repeated phi would give the model more phis than designs, and a
+        # repeated gamma pair would count its point twice in the grid prior
+        assert MIXTURE.count(old) == 1
+        text = MIXTURE.replace(old, new)
+        err = expect_error(text, SchemaError, f"{message} [distinct-grid]")
+        assert text.splitlines()[err.line - 1] == new
+        assert err.col == col
+
     @pytest.mark.parametrize("alloc, stratum", [("alloc =", 1), ("alloc = 1:1", 2), ("alloc = 2:1", 1)])
     def test_stratum_without_allocation(self, alloc, stratum):
         text = CATALOG["stratified"].replace("alloc = 1:1 2:1", alloc)
@@ -395,10 +413,10 @@ class TestMixtureKeyedByTheta:
 
     def test_weights_per_theta_label(self):
         m = parse_model(NO_PHI).build().model
-        assert m.phis == m.thetas == (F(1, 3), F(1, 2))
-        assert m.grid == tuple((t, phi) for t in m.thetas for phi in m.phis)
+        assert tuple(m.designs) == m.thetas == (F(1, 3), F(1, 2))
+        assert m.grid == tuple((t, phi) for t in m.thetas for phi in m.designs)
         declared = parse_model(MIXTURE).build().model  # the same weights under phi labels
-        for label in m.phis:
+        for label in m.designs:
             assert canonical_key(m.design_for(label)) == canonical_key(declared.design_for(label))
 
     def test_gamma_restricts_the_grid(self):
@@ -411,9 +429,9 @@ class TestMixtureKeyedByTheta:
         text = NO_PHI.replace("weights 1/3 = 1/6 1/6 2/3\nweights 1/2 = 1/4 1/4 1/2\n", "weights = 1/4 1/4 1/2\n")
         doc = parse_model(text)
         m = doc.build().model
-        assert m.phis == m.thetas and len(m.grid) == 4
+        assert tuple(m.designs) == m.thetas and len(m.grid) == 4
         want = canonical_key(parse_model(MIXTURE).build().model.design_for(F(1, 2)))
-        assert all(canonical_key(m.design_for(label)) == want for label in m.phis)
+        assert all(canonical_key(m.design_for(label)) == want for label in m.designs)
         # the round trip writes one labelled line per grid label
         written = [line for line in emit_model(doc).splitlines() if line.startswith("weights")]
         assert written == ["weights 1/3 = 1/4 1/4 1/2", "weights 1/2 = 1/4 1/4 1/2"]
@@ -480,7 +498,7 @@ RULES = {
     "weights-cover", "weights-in-grid",
 }
 DIGEST_REPLACEMENTS = REPLACEMENTS + ("-", "x", "0", "-1", "1:1", "[x", "0:-1")
-DIAGNOSTICS_DIGEST = "5369acb80873d963b2d65df3acfd29d4a0119488c17dab2fd5a7e7434272f66e"
+DIAGNOSTICS_DIGEST = "2222e17b275353ab5e00c4e4303c3d81f4fa9b00a04966866beabe02b4118f48"
 
 
 def _render(lines):

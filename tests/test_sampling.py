@@ -344,8 +344,7 @@ def test_sampled_weights_pi_once_per_z(monkeypatch):
     monkeypatch.setattr(sampling, "inclusion_probabilities", counting)
     family = Family.from_survey_model(m, build.scheme)
     assert family.observation_support()
-    phis = m.phis if m.phis else (None,)
-    assert len(calls) == sum(len(m.design_for(phi).entries) for phi in phis)
+    assert len(calls) == sum(len(m.design_for(phi).entries) for phi in m.designs)
     assert len(calls) < len(m.world_space())
 
 
@@ -378,12 +377,17 @@ def per_phi_model():
          "grid theta 'u' not in theta grid"),
         (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}, phis=("p",), design_law={"p": DESIGN},
                                     grid=(("t", "q"),)), GridMiss, "grid phi 'q' not in phi grid"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}, design=DESIGN, grid=(("t", None), ("t", None))), GridMiss,
+         "grid point ('t', None) repeated"),
+        (lambda: SurveyModel.create(U2, ("t", "t"), {"t": LAW}, design=DESIGN), GridMiss,
+         "grid point ('t', None) repeated"),
         (lambda: per_phi_model().design_for(), GridMiss, "model has per-phi designs; phi required"),
         (lambda: per_phi_model().design_for("q"), GridMiss, "phi 'q' not in design law"),
     ],
     ids=["empty-population", "repeated-unit", "unknown-scheme", "empty-theta-grid", "no-design", "law-without-phi-grid",
          "phi-without-law",
-         "law-not-a-dist", "signal-short", "grid-theta", "grid-phi", "phi-required", "phi-unknown"],
+         "law-not-a-dist", "signal-short", "grid-theta", "grid-phi", "grid-point-repeated", "product-theta-repeated",
+         "phi-required", "phi-unknown"],
 )
 def test_malformed_model_parts(build, error, message):
     with pytest.raises(error) as info:
@@ -396,9 +400,9 @@ def test_one_design_table():
     # is None; a per-phi model's keys are its phi grid; no second field
     single, per_phi = SurveyModel.create(U2, ("t",), {"t": LAW}, design=DESIGN), per_phi_model()
     assert tuple(single.designs) == (None,) and single.design_for() is single.designs[None]
-    assert tuple(per_phi.designs) == per_phi.phis == ("p",) and per_phi.design_for("p") is per_phi.designs["p"]
+    assert tuple(per_phi.designs) == ("p",) and per_phi.design_for("p") is per_phi.designs["p"]
     for m in (single, per_phi):
-        assert not hasattr(m, "design") and not hasattr(m, "design_law")
+        assert not any(hasattr(m, name) for name in ("design", "design_law", "phis"))
 
 
 def _rubin_sweep_models():
