@@ -7,7 +7,9 @@ N` and `n = n`, for the six rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3),
 (7, 3), (8, 3).  The script writes the rungs to a temporary directory, runs
 `check <rung> --inference likelihood --json` on each in a fresh process,
 then `check <rung> --inference bayes --json` (every observation, 960 at
-N=6 n=3) on N=6 n=3, and then `mc-verify <rung> --json --draws 100000
+N=6 n=3), likelihood `check --json` under `--policy marginal` and under
+`--policy arbitrary`, and `check <rung> --inference frequentist --json`
+on N=6 n=3, and then `mc-verify <rung> --json --draws 100000
 --seed 20260810` on N=5 n=3 and N=6 n=3, rungs whose joints split every
 top-byte bucket of the simulation's tally.  Each take-the-max rung is the
 `select_max` catalog text with `units = 1 .. N`, the alphabet 1 2 3 (each
@@ -44,11 +46,13 @@ from ignorability_lab.catalog import CATALOG
 
 SRS, MAX = "srs_wor_n3", "select_max"
 RUNGS = ((4, 3), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3))
-# (base model, N, n, command) of every row: "likelihood" and "bayes" name
-# the inference of a check; a take-the-max rung has no n
+# (base model, N, n, command) of every row: "likelihood", "frequentist" and
+# "bayes" name the inference of a check, under the Dirac policy unless
+# another follows a colon; a take-the-max rung has no n
 MAX_COMMANDS = ("likelihood", "audit-rubin", "mc-verify")
 ROWS = tuple((SRS, N, n, "likelihood") for N, n in RUNGS) + (
-    (SRS, 6, 3, "bayes"), (SRS, 5, 3, "mc-verify"), (SRS, 6, 3, "mc-verify"),
+    (SRS, 6, 3, "bayes"), (SRS, 6, 3, "likelihood:marginal"), (SRS, 6, 3, "likelihood:arbitrary"),
+    (SRS, 6, 3, "frequentist"), (SRS, 5, 3, "mc-verify"), (SRS, 6, 3, "mc-verify"),
     *((MAX, N, None, command) for N in (7, 8) for command in MAX_COMMANDS))
 # the rows that --large adds
 LARGE_ROWS = ((SRS, 9, 3, "likelihood"), (SRS, 10, 3, "likelihood"), (SRS, 7, 4, "likelihood"),
@@ -63,6 +67,9 @@ DIGESTS = {
     (SRS, 7, 3, "likelihood"): "2b5c6d6b8cf08436416a6d32c7b0fa48407721b0debc5fddad8f8e5d0f2f63e8",
     (SRS, 8, 3, "likelihood"): "6a3c669fae6be21aea3ccc66789324b65cabff537455ab675458e588ad8bde17",
     (SRS, 6, 3, "bayes"): "6202afdb193a91eeb04293e00bafcf59755917fa9912f995f86e4e11c15c03ea",
+    (SRS, 6, 3, "likelihood:marginal"): "b1c207607e52a39173b9b5c6bd7a81541b22bc49f8f93604245961fe6e64b4b7",
+    (SRS, 6, 3, "likelihood:arbitrary"): "70738da127262c0f078233975e9eaa6e655091627662153232e031512d18a64a",
+    (SRS, 6, 3, "frequentist"): "5fb9d8f2d839499149d4df44d5542429d8ffc0690687150777adb8ecc44a08c3",
     (SRS, 5, 3, "mc-verify"): "e46a39a2364fee7e83bf90be004415295d5d7ab50aa1d3822fa0affdf8945998",
     (SRS, 6, 3, "mc-verify"): "b65a5f50ffd316e81ae20d45def6e7d9285bab3e12eb6817afb579a7110dc057",
     (SRS, 9, 3, "likelihood"): "f522b98ac54c9081308e343f93997c982695bbbba379ec8e6502442686a4325d",
@@ -116,7 +123,8 @@ def command_args(path: str, command: str) -> list:
         return ["mc-verify", path, "--json", "--draws", "100000", "--seed", "20260810"]
     if command in ("enumerate", "audit-rubin"):
         return [command, path, "--json"]
-    return ["check", path, "--inference", command, "--json"]
+    inference, _colon, policy = command.partition(":")
+    return ["check", path, "--inference", inference, *(["--policy", policy] if policy else []), "--json"]
 
 
 def run_check(args: list) -> tuple:
