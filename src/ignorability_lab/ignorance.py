@@ -44,11 +44,13 @@ from .exactprob import (
 from .sampling import (
     VALUES_AND_MAPPING,
     VALUES_AND_SAMPLED_WEIGHTS,
+    VALUES_MAPPING_DESIGN,
     VALUES_ONLY,
     ObservationScheme,
     Population,
     SurveyModel,
     drawn_values,
+    inclusion_probabilities,
     joint_masses,
     observation_fn,
 )
@@ -86,9 +88,9 @@ class RandomVariableRef:
     `reads` declares what of a world (y, z, r) the value depends on, so
     that a family numbered on the two axes of its world ids codes the
     variable once per axis value instead of once per world: "yz" (only y
-    and z), "r" (only the mapping), a `Population` (the values y takes at
-    the units r draws, in draw order) or a tuple of declared variables (the
-    tuple of their values).  None declares nothing: every world is keyed."""
+    and z), "r" (only the mapping), a `Drawn` (the values y takes at the
+    units r draws) or a tuple of declared variables (the tuple of their
+    values).  None declares nothing: every world is keyed."""
 
     name: str
     fn: Callable = field(compare=False)
@@ -96,6 +98,18 @@ class RandomVariableRef:
 
     def __call__(self, world):
         return self.fn(world)
+
+
+@dataclass(frozen=True)
+class Drawn:
+    """What a variable of the drawn units reads: the values y takes at the
+    units r draws, in draw order, or sorted by canonical_key when
+    `unordered`, or each paired with its unit's inclusion probability
+    `pis[canonical_key(z)][unit index]` when `pis` is given."""
+
+    population: Population
+    unordered: bool = False
+    pis: dict | None = field(default=None, compare=False)
 
 
 # the three axis variables, one object each, so that every family codes
@@ -119,7 +133,7 @@ def selection_rv() -> RandomVariableRef:
 
 def values_on_sample_rv(population) -> RandomVariableRef:
     return RandomVariableRef(
-        "values_on_sample", lambda w: drawn_values(w, population), population
+        "values_on_sample", lambda w: drawn_values(w, population), Drawn(population)
     )
 
 
@@ -132,15 +146,23 @@ def composite_rv(refs: Iterable[RandomVariableRef]) -> RandomVariableRef:
     return RandomVariableRef(name, lambda w: tuple(r(w) for r in refs), reads)
 
 
-def _observation_rv(m: SurveyModel, scheme: ObservationScheme):
-    """The observation under a scheme that does not read the design, one
-    function for every phi: the values in draw order, or the values with
-    the mapping, as declared variables; any other as `observation_fn`."""
-    if scheme.kind == VALUES_ONLY and not scheme.unordered:
-        return values_on_sample_rv(m.population)
+def _observation_rv(m: SurveyModel, scheme: ObservationScheme, phi=None) -> RandomVariableRef:
+    """The observation under a scheme as a declared variable (see `Drawn`):
+    the values in draw order or sorted, with the mapping, or with the
+    mapping and the design variable, one variable for every phi; or the
+    values with their units' inclusion probabilities under the design at
+    phi.  Keyed world by world, `observation_fn` is the reference."""
+    population = m.population
+    if scheme.kind == VALUES_ONLY:
+        if not scheme.unordered:
+            return values_on_sample_rv(population)
+        return RandomVariableRef("unordered_values", observation_fn(m, None, scheme), Drawn(population, unordered=True))
     if scheme.kind == VALUES_AND_MAPPING:
-        return composite_rv([values_on_sample_rv(m.population), selection_rv()])
-    return observation_fn(m, None, scheme)
+        return composite_rv([values_on_sample_rv(population), selection_rv()])
+    if scheme.kind == VALUES_MAPPING_DESIGN:
+        return composite_rv([values_on_sample_rv(population), selection_rv(), design_variable_rv()])
+    pis = {canonical_key(z): inclusion_probabilities(d, population) for z, d in m.design_for(phi).entries}
+    return RandomVariableRef("sampled_weights", observation_fn(m, phi, scheme), Drawn(population, pis=pis))
 
 
 def _ranks(values) -> tuple:
@@ -174,13 +196,24 @@ def _axis_keys(worlds: tuple, fn: Callable, reads, axes: tuple) -> tuple | None:
     if reads == "r":  # one rank per mapping, the same for every (y, z) pair
         ranks, firsts, keys = _ranks(fn(w) for w in worlds[:n_r])
         return ranks * n_yz, keys.__getitem__, firsts
-    if isinstance(reads, Population):  # unit value ranks picked along each mapping
-        heads = worlds[::n_r]
+    if isinstance(reads, Drawn):  # unit value ranks picked along each mapping
+        heads, index = worlds[::n_r], reads.population.index
         ranks, _firsts, keys = _ranks(v for w in heads for v in w.y)
         ranks = iter(ranks)
         ys = [tuple(islice(ranks, len(w.y))) for w in heads]
-        picks = [_picker([reads.index(k) for k in w.r]) for w in worlds[:n_r]]
-        return [pick(y) for y in ys for pick in picks], lambda t: tuple_key(map(keys.__getitem__, t)), None
+        units = [[index(k) for k in w.r] for w in worlds[:n_r]]
+        key_of = lambda t: tuple_key(map(keys.__getitem__, t))
+        if reads.pis is not None:  # each value rank followed by the rank of its unit's pi at z
+            pi_ranks, _firsts, pi_keys = _ranks(p for pi in reads.pis.values() for p in pi)
+            pi_ranks = iter(pi_ranks)
+            by_z = {z: tuple(islice(pi_ranks, len(pi))) for z, pi in reads.pis.items()}
+            ys = [tuple(chain.from_iterable(zip(y, by_z[canonical_key(w.z)]))) for y, w in zip(ys, heads)]
+            units = [[j for u in us for j in (2 * u, 2 * u + 1)] for us in units]
+            key_of = lambda t: tuple_key([tuple_key([keys[t[j]], pi_keys[t[j + 1]]]) for j in range(0, len(t), 2)])
+        picks = list(map(_picker, units))
+        if reads.unordered:
+            return [tuple(sorted(pick(y))) for y in ys for pick in picks], key_of, None
+        return [pick(y) for y in ys for pick in picks], key_of, None
     if isinstance(reads, tuple):  # a tuple orders by its parts in turn
         parts = [_axis_keys(worlds, r.fn, r.reads, axes) for r in reads]
         if None not in parts:
@@ -278,8 +311,8 @@ def atrandomize(
     """
     _require_complement(split)
     vector = (split.ids_of(P), *integer_masses(P.weights()))
-    law = _marginal(vector, split.v_bar_of) if nuisance is None else _nuisance_law(nuisance, split)
-    return vector_law(split.worlds, _atrandomize_ids(_restrictions(vector, split), split, law))
+    law = summed(_integer_sums(vector, split.v_bar_of).items(), vector[2]) if nuisance is None else _nuisance_law(nuisance, split)
+    return vector_law(split.worlds, _atrandomize_ids(_restrictions(_integer_sums(vector, split.v_code), split), split, law))
 
 
 def _integer_sums(vector: tuple, code: tuple) -> dict:
@@ -287,15 +320,9 @@ def _integer_sums(vector: tuple, code: tuple) -> dict:
     the per-world `code` of their ids."""
     out: dict = {}
     for i, n in zip(vector[0], vector[1]):
-        out[code[i]] = out.get(code[i], 0) + n
+        c = code[i]
+        out[c] = out.get(c, 0) + n
     return out
-
-
-def _marginal(vector: tuple, code: tuple, cap: int | None = None) -> tuple:
-    """The reduced integer mass vector on codes of an integer mass vector
-    pushed through a per-world `code`; `cap` is the support cap, when read."""
-    check_size(len(vector[0]), cap=cap)
-    return summed(zip(map(code.__getitem__, vector[0]), vector[1]), vector[2])
 
 
 def _nuisance_law(dist: FiniteDist, split: ProcessSplit) -> tuple:
@@ -309,13 +336,13 @@ def _nuisance_law(dist: FiniteDist, split: ProcessSplit) -> tuple:
     return codes, weights, denominator
 
 
-def _restrictions(vector: tuple, split: ProcessSplit, cap: int | None = None) -> list:
+def _restrictions(sums: dict, split: ProcessSplit, cap: int | None = None) -> list:
     """Per v_bar-code b: (total, {v-code a: integer mass}), a law's
-    numerators summed per v-code on the compatibility set Phi(b), divided by
-    their gcd, the v-codes ascending; empty where the law puts no mass on
-    Phi(b).  Each distinct compatibility set is scanned and reduced once,
-    and the codes that share it share its restriction."""
-    sums, cap = _integer_sums(vector, split.v_code), support_cap() if cap is None else cap
+    numerators `sums` per v-code kept on the compatibility set Phi(b),
+    divided by their gcd, the v-codes ascending; empty where the law puts no
+    mass on Phi(b).  Each distinct compatibility set is scanned and reduced
+    once, and the codes that share it share its restriction."""
+    cap = support_cap() if cap is None else cap
     scanned, out = {}, []
     for codes in split.compatible:
         part = scanned.get(codes)
@@ -401,7 +428,11 @@ class Family:
     reduced integer mass vector (ids, numerators, denominator) of the law
     at point i, `obs[i]` its observation function and, on an ignored
     family, `origins[i]` the number of the original point it came from and
-    its nuisance code (None unless the nuisance value is fixed).  A label
+    its nuisance code (None unless the nuisance value is fixed).  An
+    ignored family keeps each point's law as its `mix`: the split, the
+    origin's `_restrictions` and the nuisance law, from which its tables
+    and marginals are summed; its `vectors` are built from those on first
+    read (`_atrandomize_ids`).  A label
     is keyed only where a caller names one: `number` maps each label to its
     number, which indexes `vectors`, `obs` and `observation_tables()`, and
     `laws` is the one view by label.
@@ -416,7 +447,7 @@ class Family:
     targets.
     """
 
-    def __init__(self, points, laws, obs_fns, space=None, numbering=None, origins=None):
+    def __init__(self, points, laws, obs_fns, space=None, numbering=None, origins=None, mix=None):
         self.points = tuple(points)
         if numbering is None:  # a hand-built family: number its worlds here
             self.laws = dict(laws)
@@ -427,8 +458,16 @@ class Family:
             vectors = [reduced([ids[canonical_key(w)] for w, _m in self.laws[p].items], *integer_masses(self.laws[p].weights()))
                        for p in self.points]
             numbering = (worlds, vectors, [obs_fns[p] for p in self.points], {}, None)
-        self.worlds, self.vectors, self.obs, self._coded, self.axes = numbering
-        self.origins = origins
+        self.worlds, vectors, self.obs, self._coded, self.axes = numbering
+        if vectors is not None:
+            self.vectors = vectors
+        self.origins, self.mix, self._by_code = origins, mix, {}
+
+    @cached_property
+    def vectors(self) -> list:
+        """An ignored family's mass vectors, built from its `mix` on first read."""
+        split, parts, laws, cap = self.mix
+        return [_atrandomize_ids(parts[i], split, law, cap) for (i, _b), law in zip(self.origins, laws)]
 
     @cached_property
     def number(self) -> dict:
@@ -442,7 +481,7 @@ class Family:
     def from_survey_model(m: SurveyModel, scheme: ObservationScheme) -> "Family":
         phis = dict.fromkeys(phi for _theta, phi in m.grid)
         if scheme.kind == VALUES_AND_SAMPLED_WEIGHTS:  # reads the design at phi
-            fns = {phi: observation_fn(m, phi, scheme) for phi in phis}
+            fns = {phi: _observation_rv(m, scheme, phi) for phi in phis}
         else:
             fns = dict.fromkeys(phis, _observation_rv(m, scheme))
         numbering = (m.world_space(), joint_masses(m, m.grid), [fns[phi] for _theta, phi in m.grid], {},
@@ -469,18 +508,17 @@ class Family:
         its map; built on first use, keys merged once per observation
         function."""
         codings = [self.coded(fn) for fn in self.obs]
-        sums = [_integer_sums(vector, coding[0]) for vector, coding in zip(self.vectors, codings)]
+        sums = self._sums([coding[0] for coding in codings])
         seen = {id(coding): set() for coding in codings}  # per coding: its codes met so far
         found = []  # (coding, code) of positive mass, in the order of their first point
-        for coding, s in zip(codings, sums):
+        for coding, (_d, s) in zip(codings, sums):
             found.extend((coding, c) for c in s.keys() - seen[id(coding)])  # one coding's codes have distinct keys
             seen[id(coding)].update(s)
         merged, firsts = numbering([coding[2][c] for coding, c in found])
         recode = {i: {} for i in seen}  # per coding: its codes -> merged codes
         for (coding, c), code in zip(found, merged):
             recode[id(coding)][c] = code
-        tables = [(vector[2], {recode[id(coding)][c]: n for c, n in s.items()})
-                  for vector, coding, s in zip(self.vectors, codings, sums)]
+        tables = [(d, {recode[id(coding)][c]: n for c, n in s.items()}) for coding, (d, s) in zip(codings, sums)]
         kept = [found[j] for j in firsts]  # the first (coding, code) of each merged code
         return (tuple(coding[1][c] for coding, c in kept),
                 {coding[2][c]: code for code, (coding, c) in enumerate(kept)}, tables,
@@ -513,7 +551,71 @@ class Family:
         for fn, recode in zip(self.obs, self._interned[3]):
             if id(recode) not in pairs:
                 pairs[id(recode)] = tuple(zip(map(recode.get, self.coded(fn)[0]), code))
-        return [(v[2], _integer_sums(v, pairs[id(recode)])) for v, recode in zip(self.vectors, self._interned[3])]
+        return self._sums([pairs[id(recode)] for recode in self._interned[3]])
+
+    def _sums(self, codes: list) -> list:
+        """Per point number i: (denominator, {code: integer mass}), its law
+        summed by the per-world code `codes[i]`, as `_integer_sums` sums its
+        reduced mass vector.  An ignored point's law is summed from its
+        `mix`, with no vector built: its masses are, over each nuisance code
+        b's worlds, the restriction to Phi(b) scaled by b's weight over the
+        restriction's total, and their gcd is that of those scales, each
+        restriction's own gcd being 1."""
+        if self.mix is None:
+            return [(v[2], _integer_sums(v, code)) for v, code in zip(self.vectors, codes)]
+        split, parts, laws, _cap = self.mix
+        out = []
+        for (i, _b), (nuisance, weights, weights_denominator), code in zip(self.origins, laws, codes):
+            denominator = lcm(*(parts[i][b][0] for b in nuisance))
+            scales = [w * (denominator // parts[i][b][0]) for b, w in zip(nuisance, weights)]
+            g = gcd(*scales)
+            sums = {}
+            for b, scale in zip(nuisance, scales):
+                kept, scale = parts[i][b][1].get, scale // g
+                for w, a in zip(*split.worlds_of[b]):
+                    n = kept(a)
+                    if n:  # None off the restriction
+                        c = code[w]
+                        sums[c] = sums.get(c, 0) + scale * n
+            out.append((weights_denominator * denominator // g, sums))
+        return out
+
+    def _sums_by(self, code: tuple) -> list:
+        """`_sums` with one per-world `code` at every point, kept per code
+        on a family of mass vectors: an ignored family's restrictions and a
+        target's marginals may read the same sums."""
+        if self.mix is not None:
+            return self._sums([code] * len(self.points))
+        if id(code) not in self._by_code:  # the code is kept with its sums, so its id stays its own
+            self._by_code[id(code)] = (code, self._sums([code] * len(self.points)))
+        return self._by_code[id(code)][1]
+
+    def marginals(self, code: tuple) -> list:
+        """Per point number: the reduced integer mass vector on codes of its
+        law pushed through a per-world `code`.  On an ignored family whose
+        `code` is a function of the split's v-code, a point's marginal is
+        its restrictions' pushforwards weighted by the nuisance law, each
+        (origin, distinct compatibility set) pushed once, and a point whose
+        nuisance law weights one restriction has that one's marginal
+        object; any other is its law's sums by `code` (see `_sums_by`)."""
+        if self.mix is not None:
+            split, parts, laws, _cap = self.mix
+            of_v = dict(zip(split.v_code, code))
+            if code is split.v_code or list(map(of_v.__getitem__, split.v_code)) == list(code):
+                pushed, out = {}, []  # per (origin, id of a restriction): its marginal
+                for (i, _b), (nuisance, weights, weights_denominator) in zip(self.origins, laws):
+                    mass = {}  # per restriction the nuisance law weighs: its weight
+                    for b, w in zip(nuisance, weights):
+                        key = (i, id(parts[i][b]))
+                        if key not in pushed:
+                            pushed[key] = summed(((of_v[a], n) for a, n in parts[i][b][1].items()), parts[i][b][0])
+                        mass[key] = mass.get(key, 0) + w
+                    denominator = lcm(*(pushed[k][2] for k in mass))
+                    out.append(pushed[key] if len(mass) == 1 else summed(
+                        ((c, w * (denominator // pushed[k][2]) * n) for k, w in mass.items() for c, n in zip(*pushed[k][:2])),
+                        weights_denominator * denominator))
+                return out
+        return [summed(sums.items(), denominator) for denominator, sums in self._sums_by(code)]
 
 
 def make_split(
@@ -562,7 +664,7 @@ def ignore_model(
     if split.worlds is not family.worlds:
         raise EngineError("the split was not made on this family; split it with make_split(family, v, v_bar)")
     cap = support_cap()  # read once per call
-    parts = [_restrictions(vector, split, cap) for vector in family.vectors]
+    parts = [_restrictions(sums, split, cap) for _d, sums in family._sums_by(split.v_code)]
     for point, restrictions in zip(family.points, parts):
         empty = next((code for code, (_total, kept) in enumerate(restrictions) if not kept), None)
         if empty is not None:
@@ -582,16 +684,17 @@ def ignore_model(
         # each law re-randomized against its own nuisance marginal; under a
         # distinct complement this is the product of the two marginals, so
         # an already-independent family is returned unchanged
-        laws = ([(p, None, _marginal(vector, split.v_bar_of, cap))] for p, vector in zip(family.points, family.vectors))
-    points, vectors, origins = [], [], []
+        laws = ([(p, None, summed(sums.items(), d))] for p, (d, sums) in zip(family.points, family._sums_by(split.v_bar_of)))
+    points, nuisances, origins = [], [], []
     for i, (p, restrictions, triples) in enumerate(zip(family.points, parts, laws)):
         for label, b, law in triples:
+            check_size(sum(len(restrictions[c][1]) for c in law[0]), cap=cap)  # the atoms of the ignored law
             points.append((p, label))
-            vectors.append(_atrandomize_ids(restrictions, split, law, cap))
+            nuisances.append(law)
             origins.append((i, b))
     obs = [family.obs[i] for i, _b in origins]
-    return Family(points, None, None, numbering=(family.worlds, vectors, obs, family._coded, family.axes),
-                  origins=tuple(origins))
+    return Family(points, None, None, numbering=(family.worlds, None, obs, family._coded, family.axes),
+                  origins=tuple(origins), mix=(split, parts, nuisances, cap))
 
 
 @dataclass(frozen=True)
@@ -620,23 +723,23 @@ class ParameterFunction:
     fn: Callable = field(compare=False)
 
 
-def point_values(target, family: Family) -> list:
+def point_values(target, family: Family, memo: dict | None = None) -> list:
     """The value of a point-indexed target at each point number.
 
     A marginal functional reads each law's marginal from the per-world
-    codes of its variable, in code order, and is evaluated once per
-    distinct marginal.  Predictands are world functions, not point
+    codes of its variable, in code order (see `Family.marginals`), and is
+    evaluated once per distinct marginal in `memo`, which families on one
+    numbering may share.  Predictands are world functions, not point
     functions; they have no per-point value and cannot index likelihood or
     estimator tables.
     """
     if isinstance(target, MarginalFunctional):
         code, values, _keys = family.coded(target.var)
-        by_marginal, out, cap = {}, [], support_cap()
-        for vector in family.vectors:
-            marginal = _marginal(vector, code, cap)
-            if marginal not in by_marginal:
-                by_marginal[marginal] = target.fn(vector_law(values, marginal))
-            out.append(by_marginal[marginal])
+        memo, out = {} if memo is None else memo, []
+        for marginal in family.marginals(code):
+            if marginal not in memo:
+                memo[marginal] = target.fn(vector_law(values, marginal))
+            out.append(memo[marginal])
         return out
     if isinstance(target, ParameterFunction):
         return [target.fn(p) for p in family.points]

@@ -101,10 +101,10 @@ def _ranks(original: Family, ignored: Family, target) -> tuple:
     and of its counterpart (`transform_target`) on the ignored one,
     numbered in canonical_key order, the first of each key kept, and per
     family the rank of each point number's value; each value object is
-    keyed once.  The target is evaluated on each call (see `point_values`),
-    so a check builds its ranks once per test."""
-    target_star = transform_target(target, original, ignored)
-    sides = (point_values(target, original), point_values(target_star, ignored))
+    keyed once.  Each call evaluates the target once per distinct marginal
+    of both families when they share their codings (see `point_values`)."""
+    memo, target_star = {}, transform_target(target, original, ignored)
+    sides = (point_values(target, original, memo), point_values(target_star, ignored, memo if ignored._coded is original._coded else {}))
     objects = {id(v): v for values in sides for v in values}
     ranks, firsts = numbering([canonical_key(v) for v in objects.values()])
     by_id, reprs = dict(zip(objects, ranks)), list(objects.values())

@@ -243,8 +243,7 @@ def signal_dist_from_table(
 
 def _normalize_grid(thetas, phis, grid):
     """The live (theta, phi) pairs: `grid`, each pair checked against the
-    theta grid and the phi grid and met once, or else their product, which
-    a repeated theta repeats."""
+    theta grid and the phi grid and met once, or else their product."""
     if grid is None:
         grid = [(t, p) for t in thetas for p in phis]
     out = {}
@@ -332,12 +331,19 @@ class SurveyModel:
         alphabet = sorted_distinct(v for law in laws.values() for (y, _z), _w in law.items for v in y)
         shared = {}  # each distinct design law, one object for every phi
         designs = {phi: (design_law[phi] if phis else design).materialize(z_values, shared) for phi in phis or [None]}
+        grid = _normalize_grid(thetas, tuple(designs), grid)
+        for kind, labels in (("theta", thetas), ("phi", phis)):  # as the model file's distinct-grid rule
+            seen = set()
+            for label in labels:
+                if label in seen:
+                    raise GridMiss(f"{kind} {label!r} repeated in the {kind} grid")
+                seen.add(label)
         m = SurveyModel(
             population=population,
             thetas=thetas,
             signal_law=laws,
             designs=designs,
-            grid=_normalize_grid(thetas, tuple(designs), grid),
+            grid=grid,
             z_contains_y=z_contains_y,
             alphabet=alphabet,
         )

@@ -18,6 +18,7 @@ from ignorability_lab.ignorance import (
     MarginalFunctional,
     RandomVariableRef,
     _code,
+    _integer_sums,
     composite_rv,
     design_variable_rv,
     dirac_fix,
@@ -35,6 +36,7 @@ from ignorability_lab.sampling import (
     Population,
     SurveyModel,
     iid_signal_dist,
+    observation_fn,
     signal_dist_from_table,
     values_and_mapping,
     values_and_sampled_weights,
@@ -89,8 +91,14 @@ def check_declared_equals_plain(m, scheme, policy):
     fam = Family.from_survey_model(m, scheme)
     assert fam.axes is not None
     population = m.population
-    declared_obs = {fn for fn in fam.obs if isinstance(fn, RandomVariableRef)}
-    for var in (*variables(population), *declared_obs):
+    # every scheme's observation is declared, one variable per phi (the
+    # sampled weights read the design at phi), and codes as
+    # `observation_fn` keyed world by world
+    declared_obs = {id(fn): (fn, phi) for (_theta, phi), fn in zip(fam.points, fam.obs)}
+    for fn, phi in declared_obs.values():
+        assert isinstance(fn, RandomVariableRef) and fn.reads is not None
+        same_code(fam.coded(fn), _code(fam.worlds, observation_fn(m, phi, scheme)))
+    for var in (*variables(population), *(fn for fn, _phi in declared_obs.values())):
         same_code(_code(fam.worlds, var, fam.axes), _code(fam.worlds, plain(var), fam.axes))
 
     # observation support and tables, with the observations undeclared
@@ -117,6 +125,10 @@ def check_declared_equals_plain(m, scheme, policy):
             assert ignored == ref_ignored
             continue
         assert ignored.points == ref_ignored.points
+        # each point's table summed from its restrictions is the sum of its
+        # built vector
+        codes = [ignored.coded(fn)[0] for fn in ignored.obs]
+        assert ignored._sums(codes) == [(v[2], _integer_sums(v, code)) for v, code in zip(ignored.vectors, codes)]
         assert all(ignored.laws[p].items == ref_ignored.laws[p].items for p in ignored.points)
         # ignored target marginals: declared, plain, and one pushforward per law
         values = point_values(target, ignored)

@@ -359,10 +359,11 @@ class TestCheck:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["observations_checked"] == 24
-        # 2 grid points, and of the 2 x 6 (point, fixed nuisance value)
-        # pairs one per point: their laws of the signal are the point's law
-        # conditioned on one compatibility set, the whole signal image
-        assert len(calls) == 2 + 2
+        # 2 grid points, and the 2 x 6 (point, fixed nuisance value) pairs
+        # add none: their laws of the signal are the point's law conditioned
+        # on one compatibility set, the whole signal image, and both
+        # families share one memo of marginals
+        assert len(calls) == 2
 
     def test_default_posterior_columns_built_once(self, capsys, models, monkeypatch):
         # an all-observation Bayes check builds the posterior columns under
@@ -383,7 +384,8 @@ class TestCheck:
     @pytest.mark.parametrize("inference", ["likelihood", "frequentist", "bayes"])
     def test_target_values_computed_once_per_shape(self, capsys, models, monkeypatch, inference, policy):
         # every (inference, policy) shape evaluates the marginal target once
-        # per distinct law of the signal of each family: 2 on each side
+        # per distinct law of the signal of both families: the ignored laws
+        # of the signal are those of the 2 grid points
         from ignorability_lab import modelfile
         from ignorability_lab.ignorance import MarginalFunctional
 
@@ -398,7 +400,7 @@ class TestCheck:
         argv = ["check", models["srs_wor_n3"], "--inference", inference, "--policy", policy, "--json"]
         code, _, _ = run(capsys, argv)
         assert code == 0
-        assert len(calls) == 4
+        assert len(calls) == 2
 
 
 class TestInputErrors:

@@ -333,6 +333,39 @@ class TestFamily:
         assert fam.observation_code(1) == 1
         assert all(fam.observation_tables()[fam.number[p]] is tables[p] for p in fam.points)
 
+    def test_ignored_laws_read_their_restrictions(self, monkeypatch):
+        # a Dirac likelihood check of srs_wor_n3 builds no ignored mass
+        # vector: its observation tables and target marginals are summed
+        # from each origin's restrictions, and the target is evaluated once
+        # per distinct marginal of both families; the vectors read
+        # afterwards are what `_atrandomize_ids` builds, the laws that
+        # atrandomize gives each original law at its fixed nuisance value
+        from ignorability_lab import ignorance
+        from ignorability_lab.inference import IGNORABLE, LIKELIHOOD_BASED, prepare
+
+        build = parse_model(CATALOG["srs_wor_n3"]).build()
+        built, calls, real = [], [], ignorance._atrandomize_ids
+        monkeypatch.setattr(ignorance, "_atrandomize_ids", lambda *args: built.append(args) or real(*args))
+        target = MarginalFunctional(build.target.name, build.target.var,
+                                    lambda law: calls.append(law) or build.target.fn(law))
+        prepared = prepare(build.model, (build.v, build.v_bar), build.scheme, target, dirac_fix())
+        assert prepared.test(LIKELIHOOD_BASED, None).verdict == IGNORABLE
+        assert built == []
+        keys = [canonical_key(law) for law in calls]
+        assert len(keys) == len(set(keys)) == 2
+
+        fam, ignored, split = prepared.family, prepared.ignored, prepared.split
+        assert ignored.mix[0] is split
+        _split, parts, laws, cap = ignored.mix
+        vectors = ignored.vectors
+        assert len(built) == len(ignored.points) == 12
+        assert vectors == [real(parts[i], split, law, cap) for (i, _b), law in zip(ignored.origins, laws)]
+        for q, (i, b) in zip(ignored.points, ignored.origins, strict=True):
+            want = atrandomize(fam.laws[fam.points[i]], split, nuisance=point_mass(split.v_bar_values[b]))
+            assert ignored.laws[q].items == want.items
+        marginals = {canonical_key(pushforward(f.laws[p], target.var)) for f in (fam, ignored) for p in f.points}
+        assert len(marginals) == len(calls)
+
     @pytest.mark.parametrize("policy, want", [
         (dirac_fix, [(0, 0), (0, 1), (1, 0), (1, 1)]),
         (single_arbitrary, [(0, None), (1, None)]),

@@ -381,12 +381,17 @@ def per_phi_model():
          "grid point ('t', None) repeated"),
         (lambda: SurveyModel.create(U2, ("t", "t"), {"t": LAW}, design=DESIGN), GridMiss,
          "grid point ('t', None) repeated"),
+        (lambda: SurveyModel.create(U2, ("t", "t"), {"t": LAW}, design=DESIGN, grid=(("t", None),)), GridMiss,
+         "theta 't' repeated in the theta grid"),
+        (lambda: SurveyModel.create(U2, ("t",), {"t": LAW}, phis=("p", "p"), design_law={"p": DESIGN}), GridMiss,
+         "phi 'p' repeated in the phi grid"),
         (lambda: per_phi_model().design_for(), GridMiss, "model has per-phi designs; phi required"),
         (lambda: per_phi_model().design_for("q"), GridMiss, "phi 'q' not in design law"),
     ],
     ids=["empty-population", "repeated-unit", "unknown-scheme", "empty-theta-grid", "no-design", "law-without-phi-grid",
          "phi-without-law",
          "law-not-a-dist", "signal-short", "grid-theta", "grid-phi", "grid-point-repeated", "product-theta-repeated",
+         "theta-repeated", "phi-repeated",
          "phi-required", "phi-unknown"],
 )
 def test_malformed_model_parts(build, error, message):
