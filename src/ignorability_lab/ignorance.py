@@ -509,6 +509,11 @@ class Family:
         function."""
         codings = [self.coded(fn) for fn in self.obs]
         sums = self._sums([coding[0] for coding in codings])
+        if len(set(map(id, codings))) == 1:  # one coding, whose codes are in canonical_key order
+            coding, order = codings[0], sorted(set().union(*(s for _d, s in sums)))
+            recode = {c: code for code, c in enumerate(order)}
+            return (tuple(coding[1][c] for c in order), {coding[2][c]: code for code, c in enumerate(order)},
+                    [(d, {recode[c]: n for c, n in s.items()}) for d, s in sums], [recode] * len(codings))
         seen = {id(coding): set() for coding in codings}  # per coding: its codes met so far
         found = []  # (coding, code) of positive mass, in the order of their first point
         for coding, (_d, s) in zip(codings, sums):
