@@ -21,6 +21,7 @@ from ignorability_lab.exactprob import (
     product,
     pushforward,
     sorted_distinct,
+    summed,
     uniform,
 )
 from ignorability_lab.designs import constant, srs_wor
@@ -38,6 +39,7 @@ from ignorability_lab.ignorance import (
     ValueNotInImage,
     WorldNotInSupport,
     ZeroMassPhiSet,
+    _integer_sums,
     atrandomize,
     dirac_fix,
     ignore_model,
@@ -365,6 +367,23 @@ class TestFamily:
             assert ignored.laws[q].items == want.items
         marginals = {canonical_key(pushforward(f.laws[p], target.var)) for f in (fam, ignored) for p in f.points}
         assert len(marginals) == len(calls)
+
+    @pytest.mark.parametrize("policy", [
+        dirac_fix(), single_arbitrary(dist_new([(0, F(3, 4)), (1, F(1, 4))])), marginal_family(),
+    ], ids=["dirac", "arbitrary_3_1", "marginal"])
+    def test_restriction_sums_are_the_vectors_sums(self, policy):
+        # on THREE_POINT the two nuisance values have different compatibility
+        # sets, so the uniform law's restrictions have totals 3 and 1; the
+        # weights 3/4 and 1/4 then scale both by 3, a factor the tables and
+        # marginals summed from the restrictions divide out as the reduced
+        # vectors do
+        fam = Family(("p",), {"p": uniform(THREE_POINT)}, {"p": first})
+        ignored = ignore_model(fam, make_split(fam, first, second), policy)
+        for var in (first, second):  # a function of the v-code, and not
+            code = fam.coded(var)[0]
+            sums = [(v[2], _integer_sums(v, code)) for v in ignored.vectors]
+            assert ignored._sums([code] * len(ignored.points)) == sums
+            assert ignored.marginals(code) == [summed(s.items(), d) for d, s in sums]
 
     @pytest.mark.parametrize("policy, want", [
         (dirac_fix, [(0, 0), (0, 1), (1, 0), (1, 1)]),
