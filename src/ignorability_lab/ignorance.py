@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice, repeat
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -638,9 +638,10 @@ def make_split(
     two images."""
     worlds, v_code = family.worlds, family.coded(v)[0]
     v_bar_of, v_bar_values, v_bar_keys = family.coded(v_bar)
-    order = sorted(range(len(worlds)), key=v_bar_of.__getitem__)  # stable: ids ascend per code
-    runs = (tuple(run) for _b, run in groupby(order, v_bar_of.__getitem__))
-    worlds_of = tuple((ids, tuple(map(v_code.__getitem__, ids))) for ids in runs)
+    runs = [[] for _b in v_bar_values]  # per code its world ids, ascending
+    for i, b in enumerate(v_bar_of):
+        runs[b].append(i)
+    worlds_of = tuple((tuple(ids), tuple(map(v_code.__getitem__, ids))) for ids in runs)
     compatible = tuple(tuple(sorted(set(codes))) for _ids, codes in worlds_of)
     pairs = sum(map(len, compatible))  # distinct (v, v_bar) pairs
     if pairs < len(worlds):
