@@ -23,11 +23,10 @@ import os
 import re
 import sys
 import traceback
-from dataclasses import replace
 from fractions import Fraction
 
 from .catalog import CATALOG
-from .exactprob import EngineError, canonical_key, pushforward
+from .exactprob import EngineError, canonical_key, pushforward, replace
 from .ignorance import Family
 from .inference import (
     BAYESIAN,

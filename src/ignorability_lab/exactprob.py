@@ -16,7 +16,6 @@ structural.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -193,8 +192,105 @@ def vector_law(outcomes, vector) -> FiniteDist:
     return FiniteDist(tuple((outcomes[i], Fraction(n, denominator)) for i, n in zip(ids, numerators)))
 
 
-@dataclass(frozen=True)
-class FiniteDist:
+MISSING = object()  # the default of a field that has none
+
+
+class FrozenRecordError(AttributeError):
+    """An attempt to set or delete an attribute of a record."""
+
+
+class Field:
+    """A record field: its name, its default (`MISSING` for none) and
+    whether == and hash (`compare`) and repr (`repr`) read it."""
+
+    def __init__(self, default=MISSING, compare=True, repr=True):
+        self.name, self.default, self.compare, self.repr = None, default, compare, repr
+
+
+field = Field  # a field's options, given as its class attribute
+
+
+class Record:
+    """Base of the engine's records: frozen dataclasses with no code generated.
+
+    A subclass declares its fields as annotated class attributes, each with
+    an optional default or `field(...)`, and `eq=False` in its class
+    statement keeps identity == and hash.  Construction, `__post_init__`,
+    ==, hash, repr and the FrozenRecordError on setting or deleting an
+    attribute follow a frozen dataclass.  A record built per world or atom
+    writes its own `__init__`, one `object.__setattr__` per field.
+    """
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        declared = []
+        for name in vars(cls).get("__annotations__", {}):
+            spec = vars(cls).get(name, MISSING)
+            if isinstance(spec, Field):  # as in a dataclass, the default becomes the class attribute
+                delattr(cls, name)
+                if spec.default is not MISSING:
+                    setattr(cls, name, spec.default)
+            else:
+                spec = Field(spec)
+            spec.name = name
+            declared.append(spec)
+        cls._fields = tuple(declared)
+        cls._compared = tuple(f.name for f in declared if f.compare)
+        cls._shown = tuple(f.name for f in declared if f.repr)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments but {len(args)} were given")
+        for f, value in zip(fields, args + tuple(kwargs.pop(f.name, f.default) for f in fields[len(args):])):
+            if value is MISSING:
+                raise TypeError(f"{type(self).__name__}() missing argument {f.name!r}")
+            object.__setattr__(self, f.name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({body})"
+
+
+def fields(record) -> tuple:
+    """The `Field`s of a record or record class, in order."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A record of `record`'s class with `changes` in place of its fields,
+    built by its `__init__`, as `dataclasses.replace` builds one."""
+    for f in record._fields:
+        changes.setdefault(f.name, getattr(record, f.name))
+    return type(record)(**changes)
+
+
+class FiniteDist(Record):
     """Exact probability distribution on a finite support.
 
     `items` is the canonical form: pairs (outcome, weight) with distinct
@@ -204,6 +300,9 @@ class FiniteDist:
     """
 
     items: tuple
+
+    def __init__(self, items):
+        object.__setattr__(self, "items", items)
 
     def support(self) -> tuple:
         return tuple(o for o, _ in self.items)
@@ -293,8 +392,7 @@ def condition(d: FiniteDist, event: Callable) -> FiniteDist:
     return dist_new([(o, w / total) for o, w in kept])
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record):
     """Finite association from input values to distributions.
 
     `entries` is the canonical table.  `rule` is an optional fallback used

@@ -18,7 +18,6 @@ product of the two marginals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -30,6 +29,8 @@ from .exactprob import (
     EngineError,
     FiniteDist,
     NonUnitMass,
+    Record,
+    field,
     canonical_key,
     check_size,
     integer_masses,
@@ -50,7 +51,7 @@ from .sampling import (
     Population,
     SurveyModel,
     drawn_values,
-    inclusion_probabilities,
+    inclusion_table,
     joint_masses,
     observation_fn,
 )
@@ -81,8 +82,7 @@ class TargetNotTransformable(EngineError):
     """No natural counterpart of the target exists in the ignored model."""
 
 
-@dataclass(frozen=True)
-class RandomVariableRef:
+class RandomVariableRef(Record):
     """Named evaluator on world states.
 
     `reads` declares what of a world (y, z, r) the value depends on, so
@@ -100,8 +100,7 @@ class RandomVariableRef:
         return self.fn(world)
 
 
-@dataclass(frozen=True)
-class Drawn:
+class Drawn(Record):
     """What a variable of the drawn units reads: the values y takes at the
     units r draws, in draw order, or sorted by canonical_key when
     `unordered`, or each paired with its unit's inclusion probability
@@ -161,8 +160,8 @@ def _observation_rv(m: SurveyModel, scheme: ObservationScheme, phi=None) -> Rand
         return composite_rv([values_on_sample_rv(population), selection_rv()])
     if scheme.kind == VALUES_MAPPING_DESIGN:
         return composite_rv([values_on_sample_rv(population), selection_rv(), design_variable_rv()])
-    pis = {canonical_key(z): inclusion_probabilities(d, population) for z, d in m.design_for(phi).entries}
-    return RandomVariableRef("sampled_weights", observation_fn(m, phi, scheme), Drawn(population, pis=pis))
+    pis = inclusion_table(m, phi)  # one table, for the function and the axis coding
+    return RandomVariableRef("sampled_weights", observation_fn(m, phi, scheme, pis), Drawn(population, pis=pis))
 
 
 def _ranks(values) -> tuple:
@@ -237,8 +236,7 @@ def _code(worlds: tuple, var, axes: tuple | None = None) -> tuple:
     return tuple(codes), tuple(fn(worlds[i]) for i in firsts), tuple(map(key_of, keys) if key_of else keys)
 
 
-@dataclass(frozen=True, eq=False)
-class ProcessSplit:
+class ProcessSplit(Record, eq=False):
     """A (v, v_bar) pair with its complement status, classified on a
     family's worlds, which it numbers once so that the ignore path works on
     ints; built by `make_split`.
@@ -385,8 +383,7 @@ SINGLE_ARBITRARY = "single_arbitrary"
 MARGINAL_FAMILY = "marginal_family"
 
 
-@dataclass(frozen=True)
-class NuisancePolicy:
+class NuisancePolicy(Record):
     """How the ignored model re-randomizes the nuisance process.
 
     dirac_fix treats the nuisance as fixed (one Dirac law per nuisance
@@ -703,16 +700,14 @@ def ignore_model(
                   origins=tuple(origins), mix=(split, parts, nuisances, cap))
 
 
-@dataclass(frozen=True)
-class Predictand:
+class Predictand(Record):
     """Target that is a function of the world only (prediction)."""
 
     name: str
     fn: Callable = field(compare=False)
 
 
-@dataclass(frozen=True)
-class MarginalFunctional:
+class MarginalFunctional(Record):
     """Target that is a function of the law of one random variable
     (estimation of a feature of the signal model, typically)."""
 
@@ -721,8 +716,7 @@ class MarginalFunctional:
     fn: Callable = field(compare=False)
 
 
-@dataclass(frozen=True)
-class ParameterFunction:
+class ParameterFunction(Record):
     """Target that is a function of the family point label itself."""
 
     name: str

@@ -19,7 +19,6 @@ Reports always carry the comparisons performed, never a bare verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -28,6 +27,7 @@ from typing import Iterator
 
 from .exactprob import (
     EngineError,
+    Record,
     canonical_key,
     check_size,
     integer_masses,
@@ -80,8 +80,7 @@ IGNORABLE = "ignorable"
 INFORMATIVE = "informative"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One comparison performed by an equivalence test."""
 
     kind: str
@@ -89,8 +88,7 @@ class Witness:
     detail: tuple  # ((name, value), ...) canonical-value payload
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Record):
     equivalent: bool
     alpha: Fraction | None
     witnesses: tuple
@@ -319,8 +317,7 @@ def check_distinct(grid) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremAudit:
+class TheoremAudit(Record):
     theorem: str
     hypothesis_true: bool
     conclusion_true: bool
@@ -330,13 +327,19 @@ class TheoremAudit:
         return self.hypothesis_true and not self.conclusion_true
 
 
-@dataclass(frozen=True)
-class RubinAuditReport:
+class RubinAuditReport(Record):
     x: object
     mar: bool
     oar: bool
     distinct: bool
     audits: tuple
+
+    def __init__(self, x, mar, oar, distinct, audits):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "mar", mar)
+        object.__setattr__(self, "oar", oar)
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "audits", audits)
 
     def audit(self, name: str) -> TheoremAudit:
         for a in self.audits:
@@ -796,8 +799,7 @@ def rubin_theorem_audit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     inference_type: str
     verdict: str
     alpha: Fraction | None
@@ -842,8 +844,7 @@ def default_estimator(scheme: ObservationScheme):
     return mean
 
 
-@dataclass(frozen=True)
-class PreparedCheck:
+class PreparedCheck(Record):
     """The observation-free part of a classification: the original family,
     the classified split, the ignored family and the target, which each
     test carries across (see `_ranks`).  Built once by `prepare`, then

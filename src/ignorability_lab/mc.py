@@ -33,12 +33,11 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, itemgetter
 from fractions import Fraction
 
-from .exactprob import FiniteDist, canonical_key, pushforward
+from .exactprob import FiniteDist, Record, canonical_key, pushforward
 from .sampling import (
     ObservationScheme,
     SurveyModel,
@@ -187,12 +186,17 @@ def sample_world(
     return outcomes[bisect_left(cutoffs, u64(seed, index))]
 
 
-@dataclass(frozen=True)
-class McCell:
+class McCell(Record):
     outcome: object
     exact: Fraction
     count: int
     draws: int
+
+    def __init__(self, outcome, exact, count, draws):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "draws", draws)
 
     @property
     def frequency(self) -> float:
@@ -212,8 +216,7 @@ class McCell:
         return self.deviation <= self.band
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(Record):
     draws: int
     seed: int
     cells: tuple

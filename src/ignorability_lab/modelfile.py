@@ -34,10 +34,9 @@ their source location.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactprob import EngineError, dist_new, expectation
+from .exactprob import EngineError, Record, dist_new, expectation
 from .designs import constant, fixed_design, mixture_design, poisson, select_max, srs_wor, srs_wr, stratified
 from .ignorance import (
     MarginalFunctional,
@@ -87,11 +86,15 @@ class BadRational(ModelFileError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     text: str
     line: int
     col: int
+
+    def __init__(self, text, line, col):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 _START = Token("", 1, 1)  # where a missing section or key is reported
@@ -263,8 +266,7 @@ class _Section:
         return [e for e in self.entries if e[0].text in keys]
 
 
-@dataclass(frozen=True)
-class ModelDocument:
+class ModelDocument(Record):
     """Parsed, normalized model description."""
 
     units: tuple
@@ -335,8 +337,7 @@ class ModelDocument:
         return BuildResult(model=model, scheme=scheme, v=v, v_bar=v_bar, target=target)
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(Record):
     model: SurveyModel
     scheme: ObservationScheme
     v: RandomVariableRef

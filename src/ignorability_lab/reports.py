@@ -16,10 +16,9 @@ renders each repeated law or world object once per call at each indent.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from .exactprob import FiniteDist
+from .exactprob import FiniteDist, Record, fields
 from .inference import ClassificationReport, RubinAuditReport
 from .mc import McReport
 from .sampling import WorldState
@@ -47,11 +46,17 @@ def to_jsonable(value):
         return [to_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
-    if is_dataclass(value):
-        # field by field: `asdict` would turn a nested law into {"items": ...}
-        attributes = ((f.name, getattr(value, f.name)) for f in fields(value))
-        return {k: to_jsonable(v) for k, v in attributes if not callable(v)}
-    return repr(value)
+    if isinstance(value, Record):
+        names = [f.name for f in fields(value)]
+    elif hasattr(value, "__dataclass_fields__"):  # a dataclass from outside the engine
+        import dataclasses
+
+        names = [f.name for f in dataclasses.fields(value)]
+    else:
+        return repr(value)
+    # field by field: `asdict` would turn a nested law into {"items": ...}
+    attributes = ((name, getattr(value, name)) for name in names)
+    return {k: to_jsonable(v) for k, v in attributes if not callable(v)}
 
 
 def machine_json(payload) -> str:

@@ -16,7 +16,6 @@ the `z_contains_y` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, product
@@ -27,6 +26,7 @@ from .exactprob import (
     EngineError,
     FiniteDist,
     Kernel,
+    Record,
     canonical_key,
     check_size,
     dist_new,
@@ -47,8 +47,7 @@ class UnknownObservation(EngineError):
     """An observation literal malformed for the scheme or alphabet."""
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(Record):
     """Finite ordered set of unit labels."""
 
     labels: tuple
@@ -70,13 +69,17 @@ class Population:
             raise EngineError(f"unknown unit label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(Record):
     """One elementary outcome: signal, design-variable value, selection."""
 
     y: tuple
     z: object
     r: tuple
+
+    def __init__(self, y, z, r):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "r", r)
 
     def canonical_key(self):
         return (4, "WorldState", canonical_key((self.y, self.z, self.r)))
@@ -155,8 +158,7 @@ SCHEME_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ObservationScheme:
+class ObservationScheme(Record):
     """What the statistician sees: a deterministic function of (T[Y], T, Z).
 
     `unordered` sorts the drawn-values tuple (labels and draw order both
@@ -271,8 +273,7 @@ class Atoms(NamedTuple):
     grid: tuple  # per grid point: (its theta's position, its phi's position in the design table)
 
 
-@dataclass(frozen=True)
-class SurveyModel:
+class SurveyModel(Record):
     """Parameter-indexed family of world distributions.
 
     Fields are normalized by `SurveyModel.create`: grids are tuples, and
@@ -365,7 +366,7 @@ class SurveyModel:
     def atoms(self) -> Atoms:
         """The `Atoms` of the model, worked out from its fields on first use
         and kept in its instance dict; not a field, so == and hash ignore
-        it, and a copy made by `dataclasses.replace` works out its own."""
+        it, and a copy made by `exactprob.replace` works out its own."""
         firsts = {}
         keys = [(law, _key_atoms(law, firsts)) for law in (self.signal_law[theta] for theta in self.thetas)]
         return _atoms(firsts, keys, self)
@@ -468,14 +469,20 @@ def joint_masses(m: SurveyModel, points) -> list:
     return out
 
 
-def observation_fn(m: SurveyModel, phi, scheme: ObservationScheme) -> Callable:
+def inclusion_table(m: SurveyModel, phi) -> dict:
+    """{canonical_key(z): inclusion probabilities} of the design at phi."""
+    return {canonical_key(z): inclusion_probabilities(d, m.population) for z, d in m.design_for(phi).entries}
+
+
+def observation_fn(m: SurveyModel, phi, scheme: ObservationScheme, pis: dict | None = None) -> Callable:
     """The scheme as a function of one world under nuisance point phi; the
     sampled-weights scheme reads the design at phi, with the inclusion
-    probabilities of each of its z computed once."""
+    probabilities of each of its z computed once, or read from `pis`, its
+    `inclusion_table`, when given."""
     if scheme.kind != VALUES_AND_SAMPLED_WEIGHTS:
         return lambda w: observe(w, scheme, m.population)
     population = m.population
-    pis = {canonical_key(z): inclusion_probabilities(d, population) for z, d in m.design_for(phi).entries}
+    pis = inclusion_table(m, phi) if pis is None else pis
 
     def observe_world(w):
         pi = pis[canonical_key(w.z)]

@@ -2,7 +2,6 @@
 
 import importlib.util
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from ignorability_lab.exactprob import (
     point_mass,
     product,
     pushforward,
+    replace,
     sorted_distinct,
     summed,
     uniform,
@@ -334,6 +334,30 @@ class TestFamily:
         assert fam.observation_support() is first_call
         assert fam.observation_code(1) == 1
         assert all(fam.observation_tables()[fam.number[p]] is tables[p] for p in fam.points)
+
+    def test_inclusion_probabilities_once_per_design_law(self, monkeypatch):
+        # the sampled-weights observation function and its axis coding read
+        # one inclusion table per phi: one `inclusion_probabilities` call per
+        # design law of the build, and the family still codes as before
+        from ignorability_lab import ignorance, sampling
+
+        build = parse_model(CATALOG["sampled_weights"]).build()
+        reference_family = Family.from_survey_model(build.model, build.scheme)
+        calls = []
+        original = sampling.inclusion_probabilities
+
+        def counted(delta, population):
+            calls.append(delta)
+            return original(delta, population)
+
+        for module in (sampling, ignorance):
+            monkeypatch.setattr(module, "inclusion_probabilities", counted, raising=False)
+        fam = Family.from_survey_model(build.model, build.scheme)
+        laws = [law for kernel in build.model.designs.values() for _z, law in kernel.entries]
+        assert len(laws) == len(build.model.designs) == 1
+        assert calls == laws
+        assert fam.observation_support() == reference_family.observation_support()
+        assert fam.observation_tables() == reference_family.observation_tables()
 
     def test_ignored_laws_read_their_restrictions(self, monkeypatch):
         # a Dirac likelihood check of srs_wor_n3 builds no ignored mass

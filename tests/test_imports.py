@@ -1,7 +1,11 @@
 """The engine is standard-library only: every absolute import of every
-module under src/ignorability_lab names a standard-library module."""
+module under src/ignorability_lab names a standard-library module.  It
+also starts without `dataclasses` and `inspect`, which its records do not
+need."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +31,16 @@ def test_every_engine_module_is_read():
 def test_only_standard_library_imports(path):
     outside = sorted(set(absolute_imports(path)) - sys.stdlib_module_names)
     assert outside == [], f"{path.name} imports {outside}"
+
+
+def test_engine_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, so that no other test's imports count
+    code = (
+        "import sys, ignorability_lab.cli, ignorability_lab.mc; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(SOURCES[0].parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,6 @@
 """Likelihoods, missing-at-random checks, equivalence tests, classifier,
 and the missing-data theorem audits."""
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -29,6 +28,7 @@ from ignorability_lab.exactprob import (
     numbering,
     point_mass,
     pushforward,
+    replace,
     uniform,
 )
 from ignorability_lab.designs import (
@@ -839,7 +839,7 @@ class TestSharedRubinContext:
         support = Family.from_survey_model(m, scheme).observation_support()
         for x in data.draw(st.permutations(support)):
             got = _answer(lambda: rubin.audit(x))
-            assert got == _answer(lambda: RubinContext(dataclasses.replace(m)).audit(x)), x
+            assert got == _answer(lambda: RubinContext(replace(m)).audit(x)), x
             if isinstance(got, RubinAuditReport):
                 assert dict(got.audit("6.2").notes)["iff"] is True, x
                 assert not any(a.counterexample() for a in got.audits if a.theorem != "6.2"), x
@@ -950,7 +950,7 @@ class TestSharedRubinContext:
         m = rubin_model({"u": uniform_subsets})
         rubin = prepare_rubin(m, values_and_mapping())
         assert prepare_rubin(m, values_mapping_design()) is rubin
-        assert prepare_rubin(dataclasses.replace(m), values_and_mapping()) is not rubin
+        assert prepare_rubin(replace(m), values_and_mapping()) is not rubin
 
     def test_freed_with_its_model(self):
         m = rubin_model({"u": uniform_subsets, "k": first_unit_or_both})

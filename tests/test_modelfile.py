@@ -3,7 +3,6 @@ located diagnostics."""
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from ignorability_lab.catalog import CATALOG
-from ignorability_lab.exactprob import EngineError, canonical_key
+from ignorability_lab.exactprob import EngineError, canonical_key, replace
 from ignorability_lab.ignorance import MarginalFunctional, ParameterFunction
 from ignorability_lab.modelfile import (
     BadRational,

@@ -13,13 +13,12 @@ give the same `repr`, `==`, `!=` and `hash`, the same defaults and
 
 import dataclasses
 import itertools
-from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 
 import pytest
 
 from ignorability_lab.catalog import CATALOG
-from ignorability_lab.exactprob import EngineError, FiniteDist, Kernel
+from ignorability_lab.exactprob import MISSING, EngineError, FiniteDist, Kernel, fields, replace
 from ignorability_lab.ignorance import (
     Drawn,
     Family,
@@ -217,6 +216,18 @@ class TestRecordContract:
                 assert value is getattr(twin, name) if default is MISSING else value == default
             if SPECS[cls][0]:
                 assert (built == cls(**required)) and hashed(built) == hashed(twin)
+
+    def test_construction_refusals(self, cls, samples):
+        # too many arguments, a missing one, or one given twice
+        spec = SPECS[cls][1]
+        values = [getattr(samples[cls][0], name) for name, *_ in spec]
+        for make in (cls, TWINS[cls]):
+            with pytest.raises(TypeError):
+                make(*values, None)
+            with pytest.raises(TypeError):
+                make()
+            with pytest.raises(TypeError):
+                make(*values, **{spec[0][0]: values[0]})
 
     def test_frozen(self, cls, samples):
         for r in samples[cls][:2]:

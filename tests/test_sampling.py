@@ -1,7 +1,6 @@
 """Survey model layer: indicators, inclusion probabilities, joints,
 observation schemes."""
 
-import dataclasses
 import itertools
 import re
 from fractions import Fraction as F
@@ -22,9 +21,11 @@ from ignorability_lab.exactprob import (
     canonical_key,
     condition,
     dist_new,
+    fields,
     integer_masses,
     point_mass,
     pushforward,
+    replace,
 )
 from ignorability_lab.designs import census, constant, srs_wor, srs_wr, select_max
 from ignorability_lab.sampling import (
@@ -473,9 +474,9 @@ class TestKeptRanks:
         thetas = (F(1, 3), F(2, 3))
         m = iid_model(U3, None, srs_wor(2, U3), thetas)
         census_model = iid_model(U3, None, census(U3), thetas)
-        direct = SurveyModel(**{f.name: getattr(m, f.name) for f in dataclasses.fields(m)})
+        direct = SurveyModel(**{f.name: getattr(m, f.name) for f in fields(m)})
         assert "atoms" not in vars(direct) and direct.atoms == m.atoms
-        swapped = dataclasses.replace(m, designs=census_model.designs)
+        swapped = replace(m, designs=census_model.designs)
         assert "atoms" not in vars(swapped) and swapped.atoms == census_model.atoms != m.atoms
         for model in (direct, swapped):
             self.check(model)
