@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from ignorability_lab.exactprob import FiniteDist
+from ignorability_lab.ignorance import NuisancePolicy, RandomVariableRef
 from ignorability_lab.reports import machine_json, to_jsonable
 from ignorability_lab.sampling import WorldState
 
@@ -76,7 +77,9 @@ def test_engine_types():
     world = WorldState((1, 0), (1, 0), (2,))
     law = FiniteDist(((world, Fraction(1, 2)), ((0, 1), Fraction(1, 2))))
     assert machine_json(law) == reference(law)
-    assert machine_json([float("nan"), float("-inf"), 0.5]) == "[\n NaN,\n -Infinity,\n 0.5\n]"
+    assert machine_json([float("nan"), float("-inf"), float("inf"), 0.5]) == (
+        "[\n NaN,\n -Infinity,\n Infinity,\n 0.5\n]"
+    )
 
 
 @st.composite
@@ -131,3 +134,12 @@ def test_to_jsonable_converts_a_nested_law_field_by_field():
     law = FiniteDist((((0, 1), Fraction(1, 4)), ((1, 0), Fraction(3, 4))))
     assert to_jsonable(Box(law)) == {"law": to_jsonable(law)}
     assert machine_json(Box(law)) == machine_json({"law": law})
+
+
+def test_to_jsonable_converts_an_engine_record_field_by_field():
+    # an engine record is no dataclass: it takes its own branch
+    law = FiniteDist((((0, 1), Fraction(1, 4)), ((1, 0), Fraction(3, 4))))
+    policy = NuisancePolicy("single_arbitrary", law)
+    assert to_jsonable(policy) == {"kind": "single_arbitrary", "dist": to_jsonable(law)}
+    assert to_jsonable(RandomVariableRef("first", len)) == {"name": "first", "reads": None}
+    assert machine_json(policy) == reference(policy)
