@@ -235,22 +235,30 @@ class Record:
             spec.name = name
             declared.append(spec)
         cls._fields = tuple(declared)
+        cls._names = tuple(f.name for f in declared)
         cls._compared = tuple(f.name for f in declared if f.compare)
         cls._shown = tuple(f.name for f in declared if f.repr)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
+        if kwargs or len(args) != len(self._names):
+            args = self._arguments(args, kwargs)
+        vars(self).update(zip(self._names, args))  # what object.__setattr__ does per field
+        self.__post_init__()
+
+    def _arguments(self, args, kwargs) -> list:
+        """Each field's value: `args` in order, then by name or by default."""
+        fields, values = self._fields, list(args)
         if len(args) > len(fields):
             raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments but {len(args)} were given")
-        for f, value in zip(fields, args + tuple(kwargs.pop(f.name, f.default) for f in fields[len(args):])):
-            if value is MISSING:
+        for f in fields[len(args):]:
+            values.append(kwargs.pop(f.name, f.default))
+            if values[-1] is MISSING:
                 raise TypeError(f"{type(self).__name__}() missing argument {f.name!r}")
-            object.__setattr__(self, f.name, value)
         if kwargs:
             raise TypeError(f"{type(self).__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
-        self.__post_init__()
+        return values
 
     def __post_init__(self):
         pass

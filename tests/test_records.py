@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from ignorability_lab.catalog import CATALOG
-from ignorability_lab.exactprob import MISSING, EngineError, FiniteDist, Kernel, fields, replace
+from ignorability_lab.exactprob import MISSING, EngineError, FiniteDist, Kernel, Record, fields, replace
 from ignorability_lab.ignorance import (
     Drawn,
     Family,
@@ -274,7 +274,7 @@ def test_post_init_refusals(cls, changes, message, samples):
 
 
 def test_every_record_class_is_pinned():
-    assert len(SPECS) == 24
+    assert set(Record.__subclasses__()) == set(SPECS) and len(SPECS) == 24
 
 
 def test_a_law_keeps_its_own_repr():
