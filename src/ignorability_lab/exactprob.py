@@ -201,24 +201,23 @@ class FrozenRecordError(AttributeError):
 
 class Field:
     """A record field: its name, its default (`MISSING` for none) and
-    whether == and hash (`compare`) and repr (`repr`) read it."""
+    whether == and hash (`compare`) and repr (`repr`) read it.  Given as a
+    field's class attribute, it sets those options."""
 
     def __init__(self, default=MISSING, compare=True, repr=True):
         self.name, self.default, self.compare, self.repr = None, default, compare, repr
-
-
-field = Field  # a field's options, given as its class attribute
 
 
 class Record:
     """Base of the engine's records: frozen dataclasses with no code generated.
 
     A subclass declares its fields as annotated class attributes, each with
-    an optional default or `field(...)`, and `eq=False` in its class
+    an optional default or `Field(...)`, and `eq=False` in its class
     statement keeps identity == and hash.  Construction, `__post_init__`,
     ==, hash, repr and the FrozenRecordError on setting or deleting an
-    attribute follow a frozen dataclass.  A record built per world or atom
-    writes its own `__init__`, one `object.__setattr__` per field.
+    attribute follow a frozen dataclass.  A record built thousands of times
+    a pass (a world, a law, a model-file token) writes its own `__init__`,
+    one `object.__setattr__` per field.
     """
 
     def __init_subclass__(cls, eq=True, **kwargs):
@@ -242,9 +241,10 @@ class Record:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._names):
+        names = self._names
+        if kwargs or len(args) != len(names):
             args = self._arguments(args, kwargs)
-        vars(self).update(zip(self._names, args))  # what object.__setattr__ does per field
+        self.__dict__.update(zip(names, args))  # past the frozen __setattr__
         self.__post_init__()
 
     def _arguments(self, args, kwargs) -> list:
@@ -410,7 +410,7 @@ class Kernel(Record):
     """
 
     entries: tuple  # ((input, FiniteDist), ...) sorted by input key
-    rule: Callable | None = field(default=None, compare=False)
+    rule: Callable | None = Field(default=None, compare=False)
 
     @staticmethod
     def from_mapping(mapping, rule: Callable | None = None) -> "Kernel":

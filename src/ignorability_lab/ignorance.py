@@ -27,10 +27,10 @@ from typing import Callable, Iterable
 
 from .exactprob import (
     EngineError,
+    Field,
     FiniteDist,
     NonUnitMass,
     Record,
-    field,
     canonical_key,
     check_size,
     integer_masses,
@@ -93,8 +93,8 @@ class RandomVariableRef(Record):
     values).  None declares nothing: every world is keyed."""
 
     name: str
-    fn: Callable = field(compare=False)
-    reads: object = field(default=None, compare=False)
+    fn: Callable = Field(compare=False)
+    reads: object = Field(default=None, compare=False)
 
     def __call__(self, world):
         return self.fn(world)
@@ -108,7 +108,7 @@ class Drawn(Record):
 
     population: Population
     unordered: bool = False
-    pis: dict | None = field(default=None, compare=False)
+    pis: dict | None = Field(default=None, compare=False)
 
 
 # the three axis variables, one object each, so that every family codes
@@ -252,13 +252,13 @@ class ProcessSplit(Record, eq=False):
     v: RandomVariableRef
     v_bar: RandomVariableRef
     status: str
-    worlds: tuple = field(repr=False)  # world id -> world
-    v_code: tuple = field(repr=False)  # world id -> v-code
-    v_bar_of: tuple = field(repr=False)  # world id -> v_bar-code
-    v_bar_values: tuple = field(repr=False)  # v_bar-code -> nuisance value
-    v_bar_codes: dict = field(repr=False)  # canonical_key(nuisance value) -> v_bar-code
-    compatible: tuple = field(repr=False)  # v_bar-code -> ascending v-codes
-    worlds_of: tuple = field(repr=False)  # v_bar-code -> (ascending world ids, their v-codes)
+    worlds: tuple = Field(repr=False)  # world id -> world
+    v_code: tuple = Field(repr=False)  # world id -> v-code
+    v_bar_of: tuple = Field(repr=False)  # world id -> v_bar-code
+    v_bar_values: tuple = Field(repr=False)  # v_bar-code -> nuisance value
+    v_bar_codes: dict = Field(repr=False)  # canonical_key(nuisance value) -> v_bar-code
+    compatible: tuple = Field(repr=False)  # v_bar-code -> ascending v-codes
+    worlds_of: tuple = Field(repr=False)  # v_bar-code -> (ascending world ids, their v-codes)
 
     def is_complement(self) -> bool:
         return self.status in (COMPLEMENT, DISTINCT_COMPLEMENT)
@@ -704,7 +704,7 @@ class Predictand(Record):
     """Target that is a function of the world only (prediction)."""
 
     name: str
-    fn: Callable = field(compare=False)
+    fn: Callable = Field(compare=False)
 
 
 class MarginalFunctional(Record):
@@ -713,14 +713,14 @@ class MarginalFunctional(Record):
 
     name: str
     var: RandomVariableRef
-    fn: Callable = field(compare=False)
+    fn: Callable = Field(compare=False)
 
 
 class ParameterFunction(Record):
     """Target that is a function of the family point label itself."""
 
     name: str
-    fn: Callable = field(compare=False)
+    fn: Callable = Field(compare=False)
 
 
 def point_values(target, family: Family, memo: dict | None = None) -> list:

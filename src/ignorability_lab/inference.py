@@ -334,13 +334,6 @@ class RubinAuditReport(Record):
     distinct: bool
     audits: tuple
 
-    def __init__(self, x, mar, oar, distinct, audits):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "mar", mar)
-        object.__setattr__(self, "oar", oar)
-        object.__setattr__(self, "distinct", distinct)
-        object.__setattr__(self, "audits", audits)
-
     def audit(self, name: str) -> TheoremAudit:
         for a in self.audits:
             if a.theorem == name:
@@ -758,7 +751,7 @@ class RubinContext:
             _RECORDS["7.1", mar and distinct, concl_71],
             _RECORDS["7.2", pre_72 and distinct and hyp_72b, concl_72],
         )
-        return RubinAuditReport(x=x, mar=mar, oar=oar, distinct=distinct, audits=audits)
+        return RubinAuditReport(x, mar, oar, distinct, audits)
 
 
 def prepare_rubin(m: SurveyModel, scheme: ObservationScheme) -> RubinContext:

@@ -192,12 +192,6 @@ class McCell(Record):
     count: int
     draws: int
 
-    def __init__(self, outcome, exact, count, draws):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "draws", draws)
-
     @property
     def frequency(self) -> float:
         return self.count / self.draws
@@ -254,7 +248,7 @@ def compare_exact_vs_mc(
     atom_cells = [ids.setdefault(canonical_key(observe_world(o)), len(ids)) for o in outcomes]
     hits = tally(cutoffs, seed, draws, atom_cells)
     cells = [
-        McCell(outcome=outcome, exact=weight, count=hits[ids[canonical_key(outcome)]], draws=draws)
+        McCell(outcome, weight, hits[ids[canonical_key(outcome)]], draws)
         for outcome, weight in exact.items
     ]
     max_dev = max((c.deviation for c in cells), default=0.0)

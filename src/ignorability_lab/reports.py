@@ -16,9 +16,10 @@ renders each repeated law or world object once per call at each indent.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
-from .exactprob import FiniteDist, Record, fields
+from .exactprob import FiniteDist, Record
 from .inference import ClassificationReport, RubinAuditReport
 from .mc import McReport
 from .sampling import WorldState
@@ -47,11 +48,9 @@ def to_jsonable(value):
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, Record):
-        names = [f.name for f in fields(value)]
-    elif hasattr(value, "__dataclass_fields__"):  # a dataclass from outside the engine
-        import dataclasses
-
-        names = [f.name for f in dataclasses.fields(value)]
+        names = value._names
+    elif hasattr(value, "__dataclass_fields__"):  # a dataclass from outside the engine, so one is loaded
+        names = [f.name for f in sys.modules["dataclasses"].fields(value)]
     else:
         return repr(value)
     # field by field: `asdict` would turn a nested law into {"items": ...}
