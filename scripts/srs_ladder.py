@@ -9,7 +9,11 @@ N` and `n = n`, for the six rungs (N, n) = (4, 3), (5, 2), (5, 3), (6, 3),
 then `check <rung> --inference bayes --json` (every observation, 960 at
 N=6 n=3), likelihood `check --json` under `--policy marginal` and under
 `--policy arbitrary`, and `check <rung> --inference frequentist --json`
-on N=6 n=3, and then `mc-verify <rung> --json --draws 100000
+on N=6 n=3, likelihood `check --json` on N=6 n=3 with the target made the
+grid label (`[target] kind = grid_label`) under `--policy marginal`,
+`--policy arbitrary` and `--policy dirac` (the one check path that reads
+the ignored laws' mass vectors; the Dirac row exits 2, its ignored laws
+equal no original law), and then `mc-verify <rung> --json --draws 100000
 --seed 20260810` on N=5 n=3 and N=6 n=3, rungs whose joints split every
 top-byte bucket of the simulation's tally.  Each take-the-max rung is the
 `select_max` catalog text with `units = 1 .. N`, the alphabet 1 2 3 (each
@@ -19,8 +23,10 @@ likelihood --json`, `audit-rubin --json` and the same `mc-verify`.  It
 prints the wall time, the exit code and a SHA-256 of stdout of each row,
 with the child's peak resident set size (`max_rss_mb`, from `os.wait4`),
 and `ok` when the digest is the one recorded in DIGESTS or `DIFFERS` when
-it is not; it exits 1 when a row differs, fails or prints different bytes
-on a repeat.  The last two SRS likelihood rows take most of the time
+it is not; a row that writes to stderr has stdout and stderr digested
+together.  It exits 1 when a row differs, exits with another code than
+its recorded one (0 unless EXITS names it) or prints different bytes on a
+repeat.  The last two SRS likelihood rows take most of the time
 (86,016 worlds at N=8 n=3).
 
 With --large it then runs the SRS likelihood rows N=9 n=3 (258,048
@@ -48,17 +54,21 @@ SRS, MAX = "srs_wor_n3", "select_max"
 RUNGS = ((4, 3), (5, 2), (5, 3), (6, 3), (7, 3), (8, 3))
 # (base model, N, n, command) of every row: "likelihood", "frequentist" and
 # "bayes" name the inference of a check, under the Dirac policy unless
-# another follows a colon; a take-the-max rung has no n
+# another follows a colon; "label" is a likelihood check of the rung with
+# the grid label as its target; a take-the-max rung has no n
 MAX_COMMANDS = ("likelihood", "audit-rubin", "mc-verify")
 ROWS = tuple((SRS, N, n, "likelihood") for N, n in RUNGS) + (
     (SRS, 6, 3, "bayes"), (SRS, 6, 3, "likelihood:marginal"), (SRS, 6, 3, "likelihood:arbitrary"),
-    (SRS, 6, 3, "frequentist"), (SRS, 5, 3, "mc-verify"), (SRS, 6, 3, "mc-verify"),
+    (SRS, 6, 3, "frequentist"), *((SRS, 6, 3, f"label:{policy}") for policy in ("marginal", "arbitrary", "dirac")),
+    (SRS, 5, 3, "mc-verify"), (SRS, 6, 3, "mc-verify"),
     *((MAX, N, None, command) for N in (7, 8) for command in MAX_COMMANDS))
 # the rows that --large adds
 LARGE_ROWS = ((SRS, 9, 3, "likelihood"), (SRS, 10, 3, "likelihood"), (SRS, 7, 4, "likelihood"),
               (SRS, 8, 3, "enumerate"), (SRS, 8, 3, "mc-verify"),
               *((MAX, 9, None, command) for command in MAX_COMMANDS))
-# SHA-256 of the stdout of each row
+# the exit code of each row that does not exit 0
+EXITS = {(SRS, 6, 3, "label:dirac"): 2}
+# SHA-256 of the stdout of each row (and of its stderr after it, when not empty)
 DIGESTS = {
     (SRS, 4, 3, "likelihood"): "3b090eafda66e822257e71eb0b0162c56099bce008d54cbff01d10d4938a586a",
     (SRS, 5, 2, "likelihood"): "289487d6f386ec7afaf87d1a9f23edd7f7754130ae2eb2c427c7a9740aad8c50",
@@ -70,6 +80,9 @@ DIGESTS = {
     (SRS, 6, 3, "likelihood:marginal"): "b1c207607e52a39173b9b5c6bd7a81541b22bc49f8f93604245961fe6e64b4b7",
     (SRS, 6, 3, "likelihood:arbitrary"): "70738da127262c0f078233975e9eaa6e655091627662153232e031512d18a64a",
     (SRS, 6, 3, "frequentist"): "5fb9d8f2d839499149d4df44d5542429d8ffc0690687150777adb8ecc44a08c3",
+    (SRS, 6, 3, "label:marginal"): "7d823d95bd071960014b26bfabcef26e61a40a8f43054e5c35e3b1fe9dfb17f2",
+    (SRS, 6, 3, "label:arbitrary"): "d1ee31cdaee3f5e63e971bfc9c53e2ccb9193d5d5a5316bd3192ec95e0063383",
+    (SRS, 6, 3, "label:dirac"): "d11ba766089b6f777cdb2bf2d7ca6ba7d2f7301e02c734c591be061b3b95d5da",
     (SRS, 5, 3, "mc-verify"): "e46a39a2364fee7e83bf90be004415295d5d7ab50aa1d3822fa0affdf8945998",
     (SRS, 6, 3, "mc-verify"): "b65a5f50ffd316e81ae20d45def6e7d9285bab3e12eb6817afb579a7110dc057",
     (SRS, 9, 3, "likelihood"): "f522b98ac54c9081308e343f93997c982695bbbba379ec8e6502442686a4325d",
@@ -103,8 +116,12 @@ def _units(N: int) -> str:
     return "units = " + " ".join(str(k) for k in range(1, N + 1)) + "\n"
 
 
-def rung_text(N: int, n: int) -> str:
-    return _edited(SRS, (("units = 1 2 3\n", _units(N)), ("n = 2\n", f"n = {n}\n")))
+def rung_text(N: int, n: int, label: bool = False) -> str:
+    """The SRS rung, with the grid label as its target when `label`."""
+    edits = [("units = 1 2 3\n", _units(N)), ("n = 2\n", f"n = {n}\n")]
+    if label:
+        edits.append(("kind = unit_expectation\nunit = 1\n", "kind = grid_label\n"))
+    return _edited(SRS, edits)
 
 
 def max_text(N: int) -> str:
@@ -124,23 +141,26 @@ def command_args(path: str, command: str) -> list:
     if command in ("enumerate", "audit-rubin"):
         return [command, path, "--json"]
     inference, _colon, policy = command.partition(":")
+    inference = "likelihood" if inference == "label" else inference
     return ["check", path, "--inference", inference, *(["--policy", policy] if policy else []), "--json"]
 
 
 def run_check(args: list) -> tuple:
-    """(wall seconds, exit code, SHA-256 of stdout, peak RSS in MB) of one
-    fresh run of a row's command line; the peak is the child's own, read
-    from `os.wait4`."""
+    """(wall seconds, exit code, SHA-256 of stdout and of stderr when not
+    empty, peak RSS in MB) of one fresh run of a row's command line; the
+    peak is the child's own, read from `os.wait4`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ignorability_lab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     argv = [sys.executable, "-m", "ignorability_lab.cli", *args]
     start = time.perf_counter()
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env) as child:
+    with tempfile.TemporaryFile() as err, subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env) as child:
         out = child.stdout.read()
         _pid, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
-    wall = time.perf_counter() - start
+        wall = time.perf_counter() - start
+        err.seek(0)
+        out += err.read()
     return wall, child.returncode, hashlib.sha256(out).hexdigest(), usage.ru_maxrss / 1024
 
 
@@ -158,14 +178,14 @@ def main(argv=None) -> int:
             label = f"N={N} n={n}" if base == SRS else f"{MAX} N={N}"
             path = os.path.join(tmp, f"{base}_N{N}_n{n}.model")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(rung_text(N, n) if base == SRS else max_text(N))
+                fh.write(max_text(N) if base == MAX else rung_text(N, n, command.startswith("label")))
             runs = [run_check(command_args(path, command)) for _ in range(max(args.repeat, 1))]
             walls = ", ".join(f"{wall:.2f}" for wall, _code, _digest, _rss in runs)
             peaks = ", ".join(f"{rss:.0f}" for _wall, _code, _digest, rss in runs)
             codes = sorted({code for _wall, code, _digest, _rss in runs})
             digests = sorted({digest for _wall, _code, digest, _rss in runs})
             verdict = "ok" if digests == [DIGESTS.get(row)] else "DIFFERS"
-            failed = failed or codes != [0] or verdict != "ok"
+            failed = failed or codes != [EXITS.get(row, 0)] or verdict != "ok"
             digest = digests[0] if len(digests) == 1 else "differs between runs"
             code = ",".join(str(c) for c in codes)
             print(f"{label} {command}  wall_s {walls}  max_rss_mb {peaks}  exit {code}  sha256 {digest}  {verdict}", flush=True)
