@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 
 from .catalog import CATALOG
@@ -418,6 +417,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # here only: it loads linecache and tokenize
         traceback.print_exc()
         return 3
 

@@ -34,6 +34,7 @@ from .exactprob import (
     canonical_key,
     check_size,
     integer_masses,
+    key_sums,
     numbering,
     reduced,
     sorted_distinct,
@@ -308,19 +309,15 @@ def atrandomize(
     the operator is idempotent there.
     """
     _require_complement(split)
-    vector = (split.ids_of(P), *integer_masses(P.weights()))
-    law = summed(_integer_sums(vector, split.v_bar_of).items(), vector[2]) if nuisance is None else _nuisance_law(nuisance, split)
-    return vector_law(split.worlds, _atrandomize_ids(_restrictions(_integer_sums(vector, split.v_code), split), split, law))
-
-
-def _integer_sums(vector: tuple, code: tuple) -> dict:
-    """{code: integer mass}: an integer mass vector's numerators summed by
-    the per-world `code` of their ids."""
-    out: dict = {}
-    for i, n in zip(vector[0], vector[1]):
-        c = code[i]
-        out[c] = out.get(c, 0) + n
-    return out
+    ids, (numerators, denominator) = split.ids_of(P), integer_masses(P.weights())
+    law = summed(zip(map(split.v_bar_of.__getitem__, ids), numerators), denominator) if nuisance is None else _nuisance_law(nuisance, split)
+    parts = _restrictions(key_sums(zip(map(split.v_code.__getitem__, ids), numerators)), split)
+    for b in law[0]:
+        if not parts[b][1]:
+            raise ZeroMassPhiSet(f"compatibility set of {split.v_bar.name}={split.v_bar_values[b]!r} has zero mass")
+    check_size(sum(len(parts[b][1]) for b in law[0]))
+    denominator, sums = _mixed(parts, split, law, range(len(split.worlds)))
+    return vector_law(split.worlds, summed(sums.items(), denominator))
 
 
 def _nuisance_law(dist: FiniteDist, split: ProcessSplit) -> tuple:
@@ -340,7 +337,6 @@ def _restrictions(sums: dict, split: ProcessSplit, cap: int | None = None) -> li
     divided by their gcd, the v-codes ascending; empty where the law puts no
     mass on Phi(b).  Each distinct compatibility set is scanned and reduced
     once, and the codes that share it share its restriction."""
-    cap = support_cap() if cap is None else cap
     scanned, out = {}, []
     for codes in split.compatible:
         part = scanned.get(codes)
@@ -353,29 +349,31 @@ def _restrictions(sums: dict, split: ProcessSplit, cap: int | None = None) -> li
     return out
 
 
-def _atrandomize_ids(parts: list, split: ProcessSplit, nuisance: tuple, cap: int | None = None) -> tuple:
-    """The integer mass vector of atrandomize on a law given by its
-    `_restrictions`, against a nuisance law of integer weights on
-    v_bar-codes.
+def _mixed(parts: list, split: ProcessSplit, nuisance: tuple, code) -> tuple:
+    """(denominator, {code: integer mass}): the ignored law of a law given
+    by its `_restrictions` against a nuisance law of integer weights on
+    v_bar-codes (codes, weights, denominator), summed by the per-world
+    `code`; the one builder of an ignored law.
 
     For each nuisance code b the law is conditioned on Phi(b): the mass of
-    each v-code a there, times the weight of b, goes to the world (a, b),
-    which no other b reaches.  The Dirac-fixed law at b, `((b,), (1,), 1)`,
+    each v-code a there, times the weight of b over the restriction's
+    total, goes to the world (a, b), which no other b reaches.  The gcd of
+    those scales is divided out; by world id it is the masses' own, each
+    restriction's gcd being 1.  The Dirac-fixed law at b, `((b,), (1,), 1)`,
     is the restriction to Phi(b) over its total."""
     codes, weights, weights_denominator = nuisance
-    for b in codes:
-        if not parts[b][1]:
-            raise ZeroMassPhiSet(f"compatibility set of {split.v_bar.name}={split.v_bar_values[b]!r} has zero mass")
-    check_size(sum(len(parts[b][1]) for b in codes), cap=cap)
     denominator = lcm(*(parts[b][0] for b in codes))
-    masses = []
-    for b, weight in zip(codes, weights):
-        total, kept = parts[b]
-        scale = weight * (denominator // total)
-        masses.extend((i, scale * kept[a]) for i, a in zip(*split.worlds_of[b]) if a in kept)
-    if len(codes) > 1:  # the worlds of one code are already in id order
-        masses.sort()
-    return reduced(*zip(*masses), weights_denominator * denominator)
+    scales = [w * (denominator // parts[b][0]) for b, w in zip(codes, weights)]
+    g = gcd(*scales)
+    sums = {}
+    for b, scale in zip(codes, scales):
+        kept, scale = parts[b][1].get, scale // g
+        for w, a in zip(*split.worlds_of[b]):
+            n = kept(a)
+            if n:  # None off the restriction
+                c = code[w]
+                sums[c] = sums.get(c, 0) + scale * n
+    return weights_denominator * denominator // g, sums
 
 
 DIRAC_FIX = "dirac_fix"
@@ -427,9 +425,8 @@ class Family:
     family, `origins[i]` the number of the original point it came from and
     its nuisance code (None unless the nuisance value is fixed).  An
     ignored family keeps each point's law as its `mix`: the split, the
-    origin's `_restrictions` and the nuisance law, from which its tables
-    and marginals are summed; its `vectors` are built from those on first
-    read (`_atrandomize_ids`).  A label
+    origins' `_restrictions` and the nuisance laws, from which `_mixed`
+    sums its tables, and its `vectors` by world id on first read.  A label
     is keyed only where a caller names one: `number` maps each label to its
     number, which indexes `vectors`, `obs` and `observation_tables()`, and
     `laws` is the one view by label.
@@ -462,9 +459,8 @@ class Family:
 
     @cached_property
     def vectors(self) -> list:
-        """An ignored family's mass vectors, built from its `mix` on first read."""
-        split, parts, laws, cap = self.mix
-        return [_atrandomize_ids(parts[i], split, law, cap) for (i, _b), law in zip(self.origins, laws)]
+        """An ignored family's mass vectors, mixed by world id on first read."""
+        return [summed(sums.items(), d) for d, sums in self._sums([range(len(self.worlds))] * len(self.points))]
 
     @cached_property
     def number(self) -> dict:
@@ -557,30 +553,14 @@ class Family:
 
     def _sums(self, codes: list) -> list:
         """Per point number i: (denominator, {code: integer mass}), its law
-        summed by the per-world code `codes[i]`, as `_integer_sums` sums its
-        reduced mass vector.  An ignored point's law is summed from its
-        `mix`, with no vector built: its masses are, over each nuisance code
-        b's worlds, the restriction to Phi(b) scaled by b's weight over the
-        restriction's total, and their gcd is that of those scales, each
-        restriction's own gcd being 1."""
+        summed by the per-world code `codes[i]`: its reduced mass vector's
+        numerators summed by the code of their ids, or an ignored point's
+        law mixed from its `mix` (see `_mixed`), with no vector built."""
         if self.mix is None:
-            return [(v[2], _integer_sums(v, code)) for v, code in zip(self.vectors, codes)]
-        split, parts, laws, _cap = self.mix
-        out = []
-        for (i, _b), (nuisance, weights, weights_denominator), code in zip(self.origins, laws, codes):
-            denominator = lcm(*(parts[i][b][0] for b in nuisance))
-            scales = [w * (denominator // parts[i][b][0]) for b, w in zip(nuisance, weights)]
-            g = gcd(*scales)
-            sums = {}
-            for b, scale in zip(nuisance, scales):
-                kept, scale = parts[i][b][1].get, scale // g
-                for w, a in zip(*split.worlds_of[b]):
-                    n = kept(a)
-                    if n:  # None off the restriction
-                        c = code[w]
-                        sums[c] = sums.get(c, 0) + scale * n
-            out.append((weights_denominator * denominator // g, sums))
-        return out
+            return [(d, key_sums(zip(map(code.__getitem__, ids), numerators)))
+                    for (ids, numerators, d), code in zip(self.vectors, codes)]
+        split, parts, laws = self.mix
+        return [_mixed(parts[i], split, law, code) for (i, _b), law, code in zip(self.origins, laws, codes)]
 
     def _sums_by(self, code: tuple) -> list:
         """`_sums` with one per-world `code` at every point, kept per code
@@ -601,7 +581,7 @@ class Family:
         nuisance law weights one restriction has that one's marginal
         object; any other is its law's sums by `code` (see `_sums_by`)."""
         if self.mix is not None:
-            split, parts, laws, _cap = self.mix
+            split, parts, laws = self.mix
             of_v = dict(zip(split.v_code, code))
             if code is split.v_code or list(map(of_v.__getitem__, split.v_code)) == list(code):
                 pushed, out = {}, []  # per (origin, id of a restriction): its marginal
@@ -677,12 +657,11 @@ def ignore_model(
     # each original point gives its (nuisance index, nuisance code, nuisance
     # law) triples, a nuisance law being integer weights on v_bar-codes
     if policy.kind == DIRAC_FIX:
-        fixed = [(value, b, ((b,), (1,), 1)) for b, value in enumerate(split.v_bar_values)]
-        laws = (fixed for _vector in family.vectors)
+        laws = repeat([(value, b, ((b,), (1,), 1)) for b, value in enumerate(split.v_bar_values)])
     elif policy.kind == SINGLE_ARBITRARY:
         k = len(split.v_bar_values)
         law = (range(k), (1,) * k, k) if policy.dist is None else _nuisance_law(policy.dist, split)
-        laws = ([("arbitrary", None, law)] for _vector in family.vectors)
+        laws = repeat([("arbitrary", None, law)])
     else:
         # each law re-randomized against its own nuisance marginal; under a
         # distinct complement this is the product of the two marginals, so
@@ -697,7 +676,7 @@ def ignore_model(
             origins.append((i, b))
     obs = [family.obs[i] for i, _b in origins]
     return Family(points, None, None, numbering=(family.worlds, None, obs, family._coded, family.axes),
-                  origins=tuple(origins), mix=(split, parts, nuisances, cap))
+                  origins=tuple(origins), mix=(split, parts, nuisances))
 
 
 class Predictand(Record):

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 
 from ignorability_lab import designs
 from ignorability_lab.catalog import CATALOG
-from ignorability_lab.exactprob import EngineError, Kernel, dist_new, pushforward
+from ignorability_lab.exactprob import EngineError, Kernel, dist_new, key_sums, pushforward
 from ignorability_lab.ignorance import (
     Family,
     MarginalFunctional,
     RandomVariableRef,
     _code,
-    _integer_sums,
     composite_rv,
     design_variable_rv,
     dirac_fix,
@@ -128,7 +127,8 @@ def check_declared_equals_plain(m, scheme, policy):
         # each point's table summed from its restrictions is the sum of its
         # built vector
         codes = [ignored.coded(fn)[0] for fn in ignored.obs]
-        assert ignored._sums(codes) == [(v[2], _integer_sums(v, code)) for v, code in zip(ignored.vectors, codes)]
+        assert ignored._sums(codes) == [(d, key_sums(zip(map(code.__getitem__, ids), numerators)))
+                                        for (ids, numerators, d), code in zip(ignored.vectors, codes)]
         assert all(ignored.laws[p].items == ref_ignored.laws[p].items for p in ignored.points)
         # ignored target marginals: declared, plain, and one pushforward per law
         values = point_values(target, ignored)

@@ -3,6 +3,7 @@
 import importlib.util
 import random
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from ignorability_lab.exactprob import (
     bernoulli,
     canonical_key,
     dist_new,
+    key_sums,
     point_mass,
     product,
     pushforward,
@@ -39,7 +41,6 @@ from ignorability_lab.ignorance import (
     ValueNotInImage,
     WorldNotInSupport,
     ZeroMassPhiSet,
-    _integer_sums,
     atrandomize,
     dirac_fix,
     ignore_model,
@@ -241,6 +242,17 @@ class TestIgnoreModel:
         assert ignore_model(ignored, split, policy()).worlds is fam.worlds
 
     @pytest.mark.parametrize("policy", [dirac_fix, single_arbitrary, marginal_family])
+    def test_reignoring_builds_no_vectors(self, policy):
+        # ignoring an ignored family reads its restrictions' sums and its
+        # points, never its mass vectors
+        fam = two_by_two_family()
+        split = make_split(fam, first, second)
+        ignored = ignore_model(fam, split, policy())
+        twice = ignore_model(ignored, split, policy())
+        assert "vectors" not in vars(ignored) and "vectors" not in vars(twice)
+        assert len(twice.points) == len(ignored.points) * (len(split.v_bar_values) if policy is dirac_fix else 1)
+
+    @pytest.mark.parametrize("policy", [dirac_fix, single_arbitrary, marginal_family])
     def test_split_missing_a_world_of_the_laws(self, policy):
         # (1, 1) carries mass but is not a world of the split
         fam = two_by_two_family()
@@ -359,33 +371,28 @@ class TestFamily:
         assert fam.observation_support() == reference_family.observation_support()
         assert fam.observation_tables() == reference_family.observation_tables()
 
-    def test_ignored_laws_read_their_restrictions(self, monkeypatch):
+    def test_ignored_laws_read_their_restrictions(self):
         # a Dirac likelihood check of srs_wor_n3 builds no ignored mass
         # vector: its observation tables and target marginals are summed
         # from each origin's restrictions, and the target is evaluated once
         # per distinct marginal of both families; the vectors read
-        # afterwards are what `_atrandomize_ids` builds, the laws that
-        # atrandomize gives each original law at its fixed nuisance value
-        from ignorability_lab import ignorance
+        # afterwards are the laws that atrandomize gives each original law
+        # at its fixed nuisance value
         from ignorability_lab.inference import IGNORABLE, LIKELIHOOD_BASED, prepare
 
         build = parse_model(CATALOG["srs_wor_n3"]).build()
-        built, calls, real = [], [], ignorance._atrandomize_ids
-        monkeypatch.setattr(ignorance, "_atrandomize_ids", lambda *args: built.append(args) or real(*args))
+        calls = []
         target = MarginalFunctional(build.target.name, build.target.var,
                                     lambda law: calls.append(law) or build.target.fn(law))
         prepared = prepare(build.model, (build.v, build.v_bar), build.scheme, target, dirac_fix())
         assert prepared.test(LIKELIHOOD_BASED, None).verdict == IGNORABLE
-        assert built == []
+        assert "vectors" not in vars(prepared.ignored)
         keys = [canonical_key(law) for law in calls]
         assert len(keys) == len(set(keys)) == 2
 
         fam, ignored, split = prepared.family, prepared.ignored, prepared.split
         assert ignored.mix[0] is split
-        _split, parts, laws, cap = ignored.mix
-        vectors = ignored.vectors
-        assert len(built) == len(ignored.points) == 12
-        assert vectors == [real(parts[i], split, law, cap) for (i, _b), law in zip(ignored.origins, laws)]
+        assert len(ignored.vectors) == len(ignored.points) == 12
         for q, (i, b) in zip(ignored.points, ignored.origins, strict=True):
             want = atrandomize(fam.laws[fam.points[i]], split, nuisance=point_mass(split.v_bar_values[b]))
             assert ignored.laws[q].items == want.items
@@ -405,9 +412,33 @@ class TestFamily:
         ignored = ignore_model(fam, make_split(fam, first, second), policy)
         for var in (first, second):  # a function of the v-code, and not
             code = fam.coded(var)[0]
-            sums = [(v[2], _integer_sums(v, code)) for v in ignored.vectors]
+            sums = [(d, key_sums(zip(map(code.__getitem__, ids), numerators))) for ids, numerators, d in ignored.vectors]
             assert ignored._sums([code] * len(ignored.points)) == sums
             assert ignored.marginals(code) == [summed(s.items(), d) for d, s in sums]
+
+    @pytest.mark.parametrize("policy, dist", [
+        (dirac_fix(), None),
+        (single_arbitrary(dist_new([(0, F(3, 4)), (1, F(1, 4))])), {0: F(3, 4), 1: F(1, 4)}),
+        (marginal_family(), None),
+    ], ids=["dirac", "arbitrary_3_1", "marginal"])
+    def test_ignored_laws_match_the_reference(self, policy, dist):
+        # on THREE_POINT the uniform law's restrictions have totals 3 and 1,
+        # which the 3/4-1/4 law scales by 3 each: every ignored law is the
+        # naive reference's, and its sums by world id, by v and by v_bar are
+        # those of the reference law over its least denominator
+        laws = {"p": dict.fromkeys(THREE_POINT, F(1, 3)), "q": dict(zip(THREE_POINT, (F(1, 6), F(1, 3), F(1, 2))))}
+        fam = Family(tuple(laws), {p: dist_new(list(law.items())) for p, law in laws.items()}, dict.fromkeys(laws, first))
+        ignored = ignore_model(fam, make_split(fam, first, second), policy)
+        want = reference.ignore(THREE_POINT, tuple(laws), laws, first, second, policy.kind, dist)
+        assert sorted(want, key=repr) == sorted(ignored.points, key=repr)
+        assert all(dict(ignored.laws[q].items) == want[q] for q in ignored.points)
+        for code in (range(len(fam.worlds)), fam.coded(first)[0], fam.coded(second)[0]):
+            sums = []
+            for q in ignored.points:
+                denominator = lcm(*(m.denominator for m in want[q].values()))
+                pairs = [(code[fam.worlds.index(w)], m * denominator) for w, m in want[q].items()]
+                sums.append((denominator, {c: sum(n for k, n in pairs if k == c) for c, _n in pairs}))
+            assert ignored._sums([code] * len(ignored.points)) == sums
 
     @pytest.mark.parametrize("policy, want", [
         (dirac_fix, [(0, 0), (0, 1), (1, 0), (1, 1)]),
@@ -744,6 +775,39 @@ class TestIgnoreSizeCap:
         with pytest.raises(ModelTooLarge) as info:
             ignore_model(fam, split, policy())
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            # the restriction to Phi(0), whose v-codes are both first values
+            (1, "support of size 2 exceeds cap 1"),
+            # the law mixed against its own nuisance marginal: two worlds
+            # from Phi(0), one from Phi(1)
+            (2, "support of size 3 exceeds cap 2"),
+        ],
+    )
+    def test_cap_below_atrandomize(self, monkeypatch, cap, message):
+        P = uniform(THREE_POINT)
+        split = split_on(THREE_POINT, first, second)
+        fixed = atrandomize(P, split, nuisance=point_mass(1))
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", str(cap))
+        with pytest.raises(ModelTooLarge) as info:
+            atrandomize(P, split)
+        assert str(info.value) == message
+        if cap == 2:  # Phi(1) alone has one v-code
+            assert atrandomize(P, split, nuisance=point_mass(1)).items == fixed.items
+
+    def test_atrandomize_zero_mass_before_cap(self, monkeypatch):
+        # the zero-mass set is found before the mixed law of two worlds
+        # meets a cap of 1, each restriction being within it
+        split = split_on(((0, 0), (1, 1), (2, 2)), first, second)
+        P = dist_new([((0, 0), F(1, 2)), ((1, 1), F(1, 2))])
+        all_three, first_two = uniform([0, 1, 2]), uniform([0, 1])  # built under the default cap
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "1")
+        with pytest.raises(ZeroMassPhiSet, match=r"^compatibility set of second=2 has zero mass$"):
+            atrandomize(P, split, nuisance=all_three)
+        with pytest.raises(ModelTooLarge, match="^support of size 2 exceeds cap 1$"):
+            atrandomize(P, split, nuisance=first_two)
 
 
 class TestTargets:

@@ -1,7 +1,8 @@
 """The engine is standard-library only: every absolute import of every
 module under src/ignorability_lab names a standard-library module.  It
 also starts without `dataclasses` and `inspect`, which its records do not
-need."""
+need, and without `traceback` (with its `linecache` and `tokenize`),
+which only an internal error needs."""
 
 import ast
 import os
@@ -37,7 +38,7 @@ def test_engine_imports_neither_dataclasses_nor_inspect():
     # a fresh interpreter, so that no other test's imports count
     code = (
         "import sys, ignorability_lab.cli, ignorability_lab.mc; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'traceback', 'linecache', 'tokenize'} & set(sys.modules)))"
     )
     src = str(SOURCES[0].parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
