@@ -316,8 +316,8 @@ def atrandomize(
         if not parts[b][1]:
             raise ZeroMassPhiSet(f"compatibility set of {split.v_bar.name}={split.v_bar_values[b]!r} has zero mass")
     check_size(sum(len(parts[b][1]) for b in law[0]))
-    denominator, sums = _mixed(parts, split, law, range(len(split.worlds)))
-    return vector_law(split.worlds, summed(sums.items(), denominator))
+    mixed_denominator, sums = _mixed(parts, split, law, range(len(split.worlds)))
+    return vector_law(split.worlds, summed(sums.items(), mixed_denominator))
 
 
 def _nuisance_law(dist: FiniteDist, split: ProcessSplit) -> tuple:

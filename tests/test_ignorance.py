@@ -430,14 +430,13 @@ class TestFamily:
         fam = Family(tuple(laws), {p: dist_new(list(law.items())) for p, law in laws.items()}, dict.fromkeys(laws, first))
         ignored = ignore_model(fam, make_split(fam, first, second), policy)
         want = reference.ignore(THREE_POINT, tuple(laws), laws, first, second, policy.kind, dist)
-        assert sorted(want, key=repr) == sorted(ignored.points, key=repr)
+        assert set(want) == set(ignored.points)
         assert all(dict(ignored.laws[q].items) == want[q] for q in ignored.points)
         for code in (range(len(fam.worlds)), fam.coded(first)[0], fam.coded(second)[0]):
             sums = []
             for q in ignored.points:
                 denominator = lcm(*(m.denominator for m in want[q].values()))
-                pairs = [(code[fam.worlds.index(w)], m * denominator) for w, m in want[q].items()]
-                sums.append((denominator, {c: sum(n for k, n in pairs if k == c) for c, _n in pairs}))
+                sums.append((denominator, key_sums((code[fam.worlds.index(w)], m * denominator) for w, m in want[q].items())))
             assert ignored._sums([code] * len(ignored.points)) == sums
 
     @pytest.mark.parametrize("policy, want", [
@@ -789,13 +788,10 @@ class TestIgnoreSizeCap:
     def test_cap_below_atrandomize(self, monkeypatch, cap, message):
         P = uniform(THREE_POINT)
         split = split_on(THREE_POINT, first, second)
-        fixed = atrandomize(P, split, nuisance=point_mass(1))
         monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", str(cap))
         with pytest.raises(ModelTooLarge) as info:
             atrandomize(P, split)
         assert str(info.value) == message
-        if cap == 2:  # Phi(1) alone has one v-code
-            assert atrandomize(P, split, nuisance=point_mass(1)).items == fixed.items
 
     def test_atrandomize_zero_mass_before_cap(self, monkeypatch):
         # the zero-mass set is found before the mixed law of two worlds
