@@ -13,7 +13,8 @@ on N=6 n=3, likelihood `check --json` on N=6 n=3 with the target made the
 grid label (`[target] kind = grid_label`) under `--policy marginal`,
 `--policy arbitrary` and `--policy dirac` (the one check path that reads
 the ignored laws' mass vectors; the Dirac row exits 2, its ignored laws
-equal no original law), and then `mc-verify <rung> --json --draws 100000
+equal no original law), `audit-rubin <rung> --json` on N=6 n=3 (every
+observation, 960), and then `mc-verify <rung> --json --draws 100000
 --seed 20260810` on N=5 n=3 and N=6 n=3, rungs whose joints split every
 top-byte bucket of the simulation's tally.  Each take-the-max rung is the
 `select_max` catalog text with `units = 1 .. N`, the alphabet 1 2 3 (each
@@ -31,9 +32,10 @@ repeat.  The last two SRS likelihood rows take most of the time
 
 With --large it then runs the SRS likelihood rows N=9 n=3 (258,048
 worlds), N=10 n=3 (737,280 worlds, the last rung under the default support
-cap) and N=7 n=4 (the one row with n > 3, 840 ordered samples), `enumerate
---json` and `mc-verify` on N=8 n=3, and the three take-the-max rows on
-N=9 (19,683 signals); they take seconds each and several hundred MB, and
+cap) and N=7 n=4 (the one row with n > 3, 840 ordered samples),
+`audit-rubin --json` on N=10 n=3 (5,760 observations), `enumerate --json`
+and `mc-verify` on N=8 n=3, and the three take-the-max rows on N=9 (19,683
+signals); they take seconds each and several hundred MB, and
 are not part of the default run.
 
 Usage: PYTHONPATH=src python3 scripts/srs_ladder.py [--repeat K] [--large]
@@ -60,11 +62,11 @@ MAX_COMMANDS = ("likelihood", "audit-rubin", "mc-verify")
 ROWS = tuple((SRS, N, n, "likelihood") for N, n in RUNGS) + (
     (SRS, 6, 3, "bayes"), (SRS, 6, 3, "likelihood:marginal"), (SRS, 6, 3, "likelihood:arbitrary"),
     (SRS, 6, 3, "frequentist"), *((SRS, 6, 3, f"label:{policy}") for policy in ("marginal", "arbitrary", "dirac")),
-    (SRS, 5, 3, "mc-verify"), (SRS, 6, 3, "mc-verify"),
+    (SRS, 6, 3, "audit-rubin"), (SRS, 5, 3, "mc-verify"), (SRS, 6, 3, "mc-verify"),
     *((MAX, N, None, command) for N in (7, 8) for command in MAX_COMMANDS))
 # the rows that --large adds
 LARGE_ROWS = ((SRS, 9, 3, "likelihood"), (SRS, 10, 3, "likelihood"), (SRS, 7, 4, "likelihood"),
-              (SRS, 8, 3, "enumerate"), (SRS, 8, 3, "mc-verify"),
+              (SRS, 10, 3, "audit-rubin"), (SRS, 8, 3, "enumerate"), (SRS, 8, 3, "mc-verify"),
               *((MAX, 9, None, command) for command in MAX_COMMANDS))
 # the exit code of each row that does not exit 0
 EXITS = {(SRS, 6, 3, "label:dirac"): 2}
@@ -83,11 +85,13 @@ DIGESTS = {
     (SRS, 6, 3, "label:marginal"): "7d823d95bd071960014b26bfabcef26e61a40a8f43054e5c35e3b1fe9dfb17f2",
     (SRS, 6, 3, "label:arbitrary"): "d1ee31cdaee3f5e63e971bfc9c53e2ccb9193d5d5a5316bd3192ec95e0063383",
     (SRS, 6, 3, "label:dirac"): "d11ba766089b6f777cdb2bf2d7ca6ba7d2f7301e02c734c591be061b3b95d5da",
+    (SRS, 6, 3, "audit-rubin"): "c12d604fde38839ab70f1335bc2082972fc693162ffdf8342ab3dc281c380165",
     (SRS, 5, 3, "mc-verify"): "e46a39a2364fee7e83bf90be004415295d5d7ab50aa1d3822fa0affdf8945998",
     (SRS, 6, 3, "mc-verify"): "b65a5f50ffd316e81ae20d45def6e7d9285bab3e12eb6817afb579a7110dc057",
     (SRS, 9, 3, "likelihood"): "f522b98ac54c9081308e343f93997c982695bbbba379ec8e6502442686a4325d",
     (SRS, 10, 3, "likelihood"): "7b17208f782c3f3d20c8c6d920e637bc4f7f2e9194eee4d99059a665da594508",
     (SRS, 7, 4, "likelihood"): "5f26c33eb1d7dea4205b4b04c93f81bf5093c2ff055eed65b665ac33759b5e6b",
+    (SRS, 10, 3, "audit-rubin"): "2ff481efbc89b70af385b7b8b89e47393b0b86dfac4a7efffc147687f9a86f34",
     (SRS, 8, 3, "enumerate"): "485d004f19756438872aae303557a09a776e0648e792af7f9bcaeba350948ab3",
     (SRS, 8, 3, "mc-verify"): "163edf82b755b9c6293cf6665cb4c5b330e06cd1af4e5f46e32c109acd811734",
     (MAX, 7, None, "likelihood"): "33f1af14ea9b3251ee3b4057260a5a82d913dda4afef58d13d478f86f5dcf3e8",
@@ -168,8 +172,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="runs per rung")
     parser.add_argument("--large", action="store_true",
-                        help="also run the SRS rows N=9 n=3, N=10 n=3, N=7 n=4 and N=8 n=3 "
-                             "enumerate and mc-verify, and take-the-max N=9")
+                        help="also run the SRS rows N=9 n=3, N=10 n=3 (likelihood and audit-rubin), "
+                             "N=7 n=4 and N=8 n=3 enumerate and mc-verify, and take-the-max N=9")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         failed = False
