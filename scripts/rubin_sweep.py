@@ -3,7 +3,8 @@
 
 Sweeps every model built from the signal and missingness catalogs below
 (two units, binary values, grids of size one or two), audits every
-positive-probability observation, and reports how often each theorem's
+positive-probability observation (listed by the model's Rubin context,
+with no world space built), and reports how often each theorem's
 hypotheses and conclusion hold.  A counterexample row would mean the
 audit found hypotheses true and conclusion false somewhere; the engine's
 soundness claim is that this never happens.
@@ -24,8 +25,7 @@ import time
 from fractions import Fraction as F
 
 from ignorability_lab.exactprob import Kernel, dist_new, point_mass, uniform
-from ignorability_lab.ignorance import Family
-from ignorability_lab.inference import rubin_theorem_audit
+from ignorability_lab.inference import prepare_rubin
 from ignorability_lab.reports import machine_json, rubin_payload
 from ignorability_lab.sampling import (
     Population,
@@ -81,10 +81,9 @@ def main() -> int:
     digest = hashlib.sha256()
     for thetas in grids(list(SIGNALS)):  # in the order listed
         for phis in grids(sorted(KERNELS)):
-            model = build_model(thetas, phis)
-            family = Family.from_survey_model(model, values_and_mapping())
-            for x in family.observation_support():
-                report = rubin_theorem_audit(model, x, values_and_mapping())
+            rubin = prepare_rubin(build_model(thetas, phis), values_and_mapping())
+            for x in rubin.observations(values_and_mapping()):
+                report = rubin.audit(x)
                 audits += 1
                 digest.update(machine_json(rubin_payload(report)).encode() + b"\n")
                 for name in THEOREMS:

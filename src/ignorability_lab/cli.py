@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .catalog import CATALOG
 from .exactprob import EngineError, canonical_key, pushforward, replace
-from .ignorance import Family
 from .inference import (
     BAYESIAN,
     FREQUENTIST,
@@ -277,7 +276,7 @@ def cmd_audit_rubin(args) -> int:
         if not rubin.possible(xs[0]):
             raise EngineError(_ZERO_MASS.format(args.x))
     else:
-        xs = Family.from_survey_model(build.model, build.scheme).observation_support()
+        xs = rubin.observations(build.scheme)
     reports = [rubin.audit(x) for x in xs]
     counterexamples = sum(
         1 for r in reports for a in r.audits if a.counterexample()

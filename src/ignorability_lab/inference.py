@@ -22,7 +22,7 @@ import itertools
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import is_, mul
 from typing import Iterator
 
 from .exactprob import (
@@ -43,6 +43,7 @@ from .ignorance import (
     NuisancePolicy,
     Predictand,
     ProcessSplit,
+    _picker,
     dirac_fix,
     ignore_model,
     make_split,
@@ -334,6 +335,13 @@ class RubinAuditReport(Record):
     distinct: bool
     audits: tuple
 
+    def __init__(self, x, mar, oar, distinct, audits):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "mar", mar)
+        object.__setattr__(self, "oar", oar)
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "audits", audits)
+
     def audit(self, name: str) -> TheoremAudit:
         for a in self.audits:
             if a.theorem == name:
@@ -361,22 +369,22 @@ def _row(column) -> tuple:
 
 class _Mapping:
     """What a context keeps per observed mapping, laid out on its first
-    query: its key and each draw's unit position; then, as queries need
-    them, the id offsets of the units it leaves free, its selection column
-    at each phi position (its mass for every signal id as an integer over
-    one scale, one int when flat), whether every column is flat, its `oar`
-    flag and its 6.x flags."""
+    query: its key, the mapping as first asked and each draw's unit
+    position; then, as queries need them, the id offsets of the units it
+    leaves free, its selection column at each phi position (its mass for
+    every signal id as an integer over one scale, one int when flat),
+    whether every column is flat, its `oar` flag and its 6.x flags."""
 
-    __slots__ = ("key", "at", "offsets", "columns", "flat", "oar", "flags")
+    __slots__ = ("key", "units", "at", "offsets", "columns", "flat", "oar", "flags")
 
-    def __init__(self, key, at, n_phis):
-        self.key, self.at, self.columns = key, at, [None] * n_phis
+    def __init__(self, key, units, at, n_phis):
+        self.key, self.units, self.at, self.columns = key, units, at, [None] * n_phis
         self.offsets = self.flat = self.oar = self.flags = None
 
 
 class RubinContext:
     """The observation-free part of the missing-data checks on one model,
-    built by `prepare_rubin` and queried by `mar`, `oar`, `possible` and `audit`.
+    built by `prepare_rubin` and queried by `mar`, `oar`, `possible`, `audit` and `observations`.
 
     Signals are the tuples over the alphabet, numbered in product order,
     so the value of unit i in signal j is digit i of j in base |A|; no
@@ -387,8 +395,9 @@ class RubinContext:
     mapping rank over one scale per phi, one row per design column of the
     atoms, so one per distinct design law.  Then kept as queries need
     them: a `_Mapping` record per observed mapping and the audit's joints.
-    A query keys only the drawn values, and a mapping whose columns are
-    all flat answers `mar` and `oar` without them.  Nothing is kept per
+    A query keys only the drawn values, and its mapping only where no
+    record holds that mapping's very unit objects; a mapping whose columns
+    are all flat answers `mar` and `oar` without the values.  Nothing is kept per
     observed value.  A row that raises is not kept and its column entry
     is `_MARK`; a query that reaches a mark among its own ids builds that
     row again, so it raises what a fresh context raises, in the same
@@ -406,6 +415,7 @@ class RubinContext:
         self._at = None  # per phi position: `_rows`, built by `_z_of`
         self._mapping_rank = None  # canonical_key(mapping) -> rank, a rule's mappings after the model's; built by `_z_of`
         self._mappings = {}  # canonical_key(mapping) -> its `_Mapping`
+        self._asked = {}  # mapping as first asked -> its `_Mapping`
         self._tables = None
 
     def _signal(self, j) -> tuple:
@@ -425,20 +435,14 @@ class RubinContext:
         """z of each signal id, which the selection mass given y alone
         needs: the z the signal laws pair with it; for a signal of zero
         mass `_Y` by the z-contains-y convention, a constant z, or `_NO_Z`.
-        Each distinct (y, z) of the model's atoms is keyed once; the same
-        pass over `m.atoms.signals` sums each theta's marginal, its law's
+        Each distinct (y, z) of the model's atoms is keyed once
+        (`_signals`); a pass over `m.atoms.signals` sums each theta's marginal, its law's
         integer masses by signal id over its denominator d, and keeps each
         signal id's (y, z) rank, which a signal of zero mass under a
         constant z takes from a signal of that z; then every phi's rows
         are built (`_rows`)."""
         if self._z is None:
-            atoms, rank, weights = self.atoms, self._rank.__getitem__, self._weights
-            signals = []  # per (y, z) rank: (signal id, z, z's key)
-            for y, z in atoms.yzs:
-                zk = canonical_key(z)
-                # when z is the signal tuple itself, its key holds its values' keys
-                y_keys = item_keys(zk) if z is y and type(y) is tuple else map(canonical_key, y)
-                signals.append((sum(map(mul, map(rank, y_keys), weights)), z, zk))
+            atoms, signals = self.atoms, self._signals
             seen, marginals = {}, []  # seen: signal id -> (z, z's key, (y, z) rank)
             for ranks, masses, d in atoms.signals:  # by theta position
                 marginal = [0] * self._size
@@ -457,6 +461,17 @@ class RubinContext:
             law_rows = {i: _row(c) for i, c in columns.items()}
             self._at = [self._rows(p, ranks, law_rows) for p in range(len(self.phis))]
         return self._z
+
+    @cached_property
+    def _signals(self) -> list:
+        """Per (y, z) rank of the atoms: (its signal id, z, z's key), each z keyed once."""
+        rank, weights, signals = self._rank.__getitem__, self._weights, []
+        for y, z in self.atoms.yzs:
+            zk = canonical_key(z)
+            # when z is the signal tuple itself, its key holds its values' keys
+            y_keys = item_keys(zk) if z is y and type(y) is tuple else map(canonical_key, y)
+            signals.append((sum(map(mul, map(rank, y_keys), weights)), z, zk))
+        return signals
 
     def _build_row(self, p, j) -> tuple:
         """(row, d) of the design law at the p-th phi given signal j, one the
@@ -496,12 +511,18 @@ class RubinContext:
         return observed_ranks(self._rank, self.population.labels, x[0], x[1])
 
     def _mapping(self, mapping) -> _Mapping:
-        """The record of an observed mapping, laid out on its first query."""
-        key = canonical_key(mapping)
-        record = self._mappings.get(key)
-        if record is None:
-            at = tuple(map(self.population.labels.index, mapping))
-            record = self._mappings[key] = _Mapping(key, at, len(self.phis))
+        """The record of an observed mapping, laid out on its first query.
+        A mapping whose units are the very objects of a record's has that
+        record's key, so it is found with no key made; any other is keyed,
+        which raises where a fresh context's keying does (a unit equal to a
+        label, of a type that has no canonical order)."""
+        record = self._asked.get(mapping)
+        if record is None or not all(map(is_, mapping, record.units)):
+            key = canonical_key(mapping)
+            record = self._mappings.get(key)
+            if record is None:
+                at = tuple(map(self.population.labels.index, mapping))
+                record = self._mappings[key] = self._asked[mapping] = _Mapping(key, mapping, at, len(self.phis))
         return record
 
     def _column(self, record, p) -> tuple:
@@ -530,8 +551,8 @@ class RubinContext:
     def _flat(self, record) -> bool:
         """Whether the mapping's column is flat at every phi: its mass is then
         one constant wherever it is looked at."""
-        if record.flat is None:
-            record.flat = all(type(self._column(record, p)[1]) is int for p in range(len(self.phis)))
+        if record.flat is None:  # every column is built
+            record.flat = all([type(self._column(record, p)[1]) is int for p in range(len(self.phis))])
         return record.flat
 
     def _drawn(self, ranks, record) -> dict | None:
@@ -544,14 +565,15 @@ class RubinContext:
                 return None
         return fixed
 
-    def _ids(self, fixed, record) -> list:
-        """Ids of the signals that agree with the draws `fixed` of the
-        mapping, ascending: the drawn values' id plus each id offset of the
-        units not drawn, so no other signal is looked at."""
+    def _ids(self, ranks, at, record) -> list:
+        """Ids of the signals that agree with the mapping's draws, value
+        `ranks` at unit positions `at` with no unit twice, ascending: the
+        drawn values' id plus each id offset of the units not drawn, so no
+        other signal is looked at."""
         weights = self._weights
         if record.offsets is None:
-            record.offsets = self._offsets([i for i in range(len(weights)) if i not in fixed])
-        base = sum(r * weights[i] for i, r in fixed.items())
+            record.offsets = self._offsets([i for i in range(len(weights)) if i not in record.at])
+        base = sum(map(mul, ranks, map(weights.__getitem__, at)))
         return [base + o for o in record.offsets]
 
     def _constant(self, record, ids) -> bool:
@@ -567,7 +589,7 @@ class RubinContext:
         ranks = self._checked(x)
         record = self._mapping(x[1])
         fixed = self._drawn(ranks, record)
-        return fixed is None or self._flat(record) or self._constant(record, self._ids(fixed, record))
+        return fixed is None or self._flat(record) or self._constant(record, self._ids(fixed.values(), fixed, record))
 
     def flags(self, xs) -> tuple:
         """(mar, oar) at every one of `xs`, observations of positive mass, as
@@ -604,10 +626,40 @@ class RubinContext:
         ranks = self._checked(x)
         record = self._mapping(x[1])
         fixed = self._drawn(ranks, record)
-        ids, zs = set(() if fixed is None else self._ids(fixed, record)), self._z_of()
+        ids, zs = set(() if fixed is None else self._ids(fixed.values(), fixed, record)), self._z_of()
         joints = self._audit_tables()[2]
         return any(j in ids and s > 0 and (len(x) == 2 or canonical_key(zs[j]) == canonical_key(x[2]))
                    for _t, p, positive, _ws in joints for j, s in zip(positive, self._entries(record, p, positive)[1]))
+
+    def observations(self, scheme: ObservationScheme) -> tuple:
+        """`Family.observation_support()` under `scheme` (z only under
+        `values_mapping_design`) with no world built: the signals that reach
+        each design law object at some grid point, picked along each mapping
+        it weights, in canonical_key order.  As building the world space
+        does, its size is checked first, and then every mapping's units."""
+        atoms, with_z = self.atoms, scheme.kind == VALUES_MAPPING_DESIGN
+        check_size(len(atoms.yzs) * len(atoms.mappings), "world space")
+        units = [tuple(map(self.population.index, r)) for r in atoms.mappings]
+        signals, base, weights = self._signals, self._base, self._weights
+        reach = {}  # id(design column) -> (column, the (y, z) ranks of positive mass that reach it)
+        for ti, p in atoms.grid:
+            columns = atoms.designs[self.phis[p]]
+            for k, n in zip(*atoms.signals[ti][:2]):
+                if n:
+                    reach.setdefault(id(columns[k]), (columns[k], set()))[1].add(k)
+        cells = set()  # (value ranks along the mapping and z's key, or None, mapping rank)
+        for column, ks in reach.values():
+            # each signal's value ranks by unit, then z's key or None
+            drawn = [(*[j // w % base for w in weights], zk if with_z else None) for j, _z, zk in map(signals.__getitem__, ks)]
+            for r, n in zip(column[0], column[1]):
+                if n:
+                    cells.update(zip(map(_picker((*units[r], -1)), drawn), itertools.repeat(r)))
+        zs = {}  # z's key -> the first z of the atoms with that key
+        for _j, z, zk in signals:
+            zs.setdefault(zk, z)
+        alphabet, mappings = self.alphabet, atoms.mappings
+        return tuple((tuple([alphabet[i] for i in v[:-1]]), mappings[r], *((zs[v[-1]],) if with_z else ()))
+                     for v, r in sorted(cells, key=lambda c: (c[0][:-1], c[1], c[0][-1])))
 
     def _groups_of(self, record) -> Iterator[list]:
         """Ids of the signals grouped by their values at the units outside
@@ -705,10 +757,19 @@ class RubinContext:
         if len(set(x[1])) != len(x[1]):
             raise NotRubinShape("the observed mapping repeats a unit")
         # the signals that agree with x (no unit is drawn twice), shared by
-        # MAR and the likelihoods
+        # MAR and the likelihoods, and each non-flat column's entries at
+        # them, read once in phi order: MAR's up to its first failure here,
+        # the rest in the likelihoods' loop, so a mark raises where it did
         record = self._mapping(x[1])
-        ids = self._ids(self._drawn(ranks, record), record)
-        mar = self._flat(record) or self._constant(record, ids)
+        self._z_of()  # z must be a function of y before any answer
+        ids, read, mar = self._ids(ranks, record.at, record), {}, True
+        if not self._flat(record):  # which builds every column
+            for p, (_e, entries) in enumerate(record.columns):
+                if type(entries) is not int:
+                    read[p] = s = self._entries(record, p, ids)[1]
+                    if len(set(s)) > 1:
+                        mar = False
+                        break
         oar = self._oar_of(record)
         distinct, marginals, _joints, on_grid = self._audit_tables()
 
@@ -726,22 +787,21 @@ class RubinContext:
         agreeing = [[mg[j] for j in ids] for _d, mg in marginals]
         lik = [sum(ns) for ns in agreeing]
         concl_71 = concl_72 = hyp_72b = True
-        for p in range(len(self.phis)):
-            entries = self._column(record, p)[1]
+        for p, (_e, entries) in enumerate(record.columns):
             if type(entries) is int:
                 hyp_72b = hyp_72b and entries > 0
                 continue
-            s = self._entries(record, p, ids)[1]
+            s = read[p] if p in read else self._entries(record, p, ids)[1]
             row = [sum(map(mul, ns, s)) for ns in agreeing]
             t0 = next((t for t in on_grid[p] if lik[t]), None)
             proportional = t0 is None or all(lik[t0] * row[t] == row[t0] * lik[t] for t in on_grid[p])
             concl_72 = concl_72 and proportional
-            if all(e > 0 for e in s):
+            if 0 not in s:
                 concl_71 = concl_71 and proportional
             # one positive ratio row / lik: each theta's is the first theta's
             hyp_72b = hyp_72b and row[0] > 0 and all(f * lik[0] == row[0] * n for f, n in zip(row, lik))
         concl_61, cond_62, concl_62, hyp_63, concl_63 = record.flags or self._mapping_flags(record)
-        pre_72 = all(n > 0 for n in lik)
+        pre_72 = 0 not in lik
         hyp_72b = pre_72 and hyp_72b
 
         audits = (
