@@ -517,7 +517,7 @@ class RubinContext:
         which raises where a fresh context's keying does (a unit equal to a
         label, of a type that has no canonical order)."""
         record = self._asked.get(mapping)
-        if record is None or not all(map(is_, mapping, record.units)):
+        if record is None or mapping is not record.units and not all(map(is_, mapping, record.units)):
             key = canonical_key(mapping)
             record = self._mappings.get(key)
             if record is None:
@@ -784,15 +784,14 @@ class RubinContext:
         # against any other, and among the rest equal cross products make
         # equal ratios, so each grid theta is checked against the first of
         # positive likelihood.
-        agreeing = [[mg[j] for j in ids] for _d, mg in marginals]
-        lik = [sum(ns) for ns in agreeing]
+        lik = [sum(map(mg.__getitem__, ids)) for _d, mg in marginals]
         concl_71 = concl_72 = hyp_72b = True
         for p, (_e, entries) in enumerate(record.columns):
             if type(entries) is int:
                 hyp_72b = hyp_72b and entries > 0
                 continue
             s = read[p] if p in read else self._entries(record, p, ids)[1]
-            row = [sum(map(mul, ns, s)) for ns in agreeing]
+            row = [sum(map(mul, map(mg.__getitem__, ids), s)) for _d, mg in marginals]
             t0 = next((t for t in on_grid[p] if lik[t]), None)
             proportional = t0 is None or all(lik[t0] * row[t] == row[t0] * lik[t] for t in on_grid[p])
             concl_72 = concl_72 and proportional
