@@ -1031,6 +1031,28 @@ class TestAuditRubin:
         assert code == 0
         assert "theorem" in out
 
+    def test_observations_listed_without_a_world_space(self, capsys, models, monkeypatch):
+        # without --x every catalog model whose scheme exposes the mapping
+        # prints the same bytes with Family and the world space refused
+        from ignorability_lab.ignorance import Family
+        from ignorability_lab.sampling import SurveyModel
+
+        names = [name for name, text in CATALOG.items()
+                 if "scheme = values_and_mapping" in text or "scheme = values_mapping_design" in text]
+        want = {name: run(capsys, ["audit-rubin", models[name], "--json"]) for name in names}
+        for cls, name in ((Family, "from_survey_model"), (SurveyModel, "world_space")):
+            monkeypatch.setattr(cls, name, lambda *args: pytest.fail("a world space was built"))
+        for name in names:
+            assert run(capsys, ["audit-rubin", models[name], "--json"]) == want[name], name
+            assert want[name][0] == 0, name
+
+    def test_model_past_the_cap_exits_2(self, capsys, models, monkeypatch):
+        # srs_wor_n3: 8 signals and 6 mappings make 48 worlds
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "47")
+        code, out, err = run(capsys, ["audit-rubin", models["srs_wor_n3"], "--json"])
+        assert (code, out) == (2, "")
+        assert "world space of size 48 exceeds cap 47" in err
+
     def test_values_only_rejected(self, capsys, models):
         code, _, err = run(capsys, ["audit-rubin", models["select_max"]])
         assert code == 2

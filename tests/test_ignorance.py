@@ -13,7 +13,9 @@ from reference import dist_eq, split_on
 from ignorability_lab.catalog import CATALOG
 from ignorability_lab.exactprob import (
     EngineError,
+    FiniteDist,
     ModelTooLarge,
+    NonUnitMass,
     bernoulli,
     canonical_key,
     dist_new,
@@ -203,6 +205,18 @@ class TestIgnoreModel:
         assert dist_eq(
             pushforward(law, first), pushforward(fam.laws["p"], first)
         )
+
+    def test_arbitrary_law_whose_weights_miss_one(self):
+        # a FiniteDist built by hand is not normalized as dist_new would; a
+        # nuisance law of total 3/4 is refused by ignore_model and by
+        # atrandomize alike
+        fam = Family(("p",), {"p": uniform(THREE_POINT)}, {"p": first})
+        split = make_split(fam, first, second)
+        law = FiniteDist(((0, F(1, 2)), (1, F(1, 4))))
+        for ignoring in (lambda: ignore_model(fam, split, single_arbitrary(law)),
+                         lambda: atrandomize(uniform(THREE_POINT), split, nuisance=law)):
+            with pytest.raises(NonUnitMass, match="^weights sum to 3/4, expected 1$"):
+                ignoring()
 
     def test_marginal_family_keeps_margins_and_independence(self):
         fam = two_by_two_family()

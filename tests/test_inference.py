@@ -5,6 +5,7 @@ import gc
 import itertools
 import random
 import weakref
+from decimal import Decimal
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -15,9 +16,11 @@ from test_axes import grids, survey_models
 
 import reference
 from reference import dist_eq, first_of_each_key, rubin_audit
+from ignorability_lab.catalog import CATALOG
 from ignorability_lab.cli import _rubin_flags
 from ignorability_lab.exactprob import (
     EngineError,
+    IncomparableOutcomes,
     Kernel,
     ModelTooLarge,
     bernoulli,
@@ -76,6 +79,7 @@ from ignorability_lab.inference import (
     rubin_theorem_audit,
     sampling_dist_equivalent,
 )
+from ignorability_lab.modelfile import parse_model
 from ignorability_lab.sampling import (
     Population,
     SurveyModel,
@@ -926,6 +930,22 @@ class TestSharedRubinContext:
             elif kind in want:
                 assert fresh is want[kind], kind
 
+    def test_unit_of_a_type_with_no_canonical_order(self):
+        # Decimal(1) equals unit 1 and hashes as it does, so the command
+        # line's check passes it and a dict keyed by the mapping would find
+        # the record of (1,); keying the mapping refuses it, on a context
+        # already asked at (1,) as on a fresh one
+        m = rubin_model({"u": uniform_subsets, "k": first_unit_or_both, "d": drop_by_second})
+        x, kinds = ((0,), (Decimal(1),)), ("mar", "oar", "possible", "audit")
+        used = RubinContext(m)
+        for kind in kinds:
+            getattr(used, kind)(((0,), (1,)))
+        assert validate_observation(m, values_and_mapping(), x) is None
+        for kind in kinds:
+            fresh = _answer(lambda: getattr(RubinContext(m), kind)(x))
+            assert fresh == (IncomparableOutcomes, "outcome Decimal('1') of type Decimal has no canonical order"), kind
+            assert _answer(lambda: getattr(used, kind)(x)) == fresh, kind
+
     def test_kept_tables_still_check_the_support_cap(self, monkeypatch):
         # the second audit of a mapping reads only kept tables and flags;
         # a cap lowered in between still stops it
@@ -965,6 +985,40 @@ class TestSharedRubinContext:
             assert model_ref() is None and rubin_ref() is None
         finally:
             gc.enable()
+
+
+class TestRubinObservations:
+    """`RubinContext.observations` against the family's observation support,
+    the same observations as the same objects in the same order, or the
+    same refusal."""
+
+    def _check(self, m):
+        for scheme in (values_and_mapping(), values_mapping_design()):
+            want = _answer(lambda: Family.from_survey_model(m, scheme).observation_support())
+            got = _answer(lambda: prepare_rubin(m, scheme).observations(scheme))
+            assert got == want and repr(got) == repr(want), scheme.kind
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_models(self, name):
+        self._check(parse_model(CATALOG[name]).build().model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rubin_shape_models())
+    def test_rubin_shape_models(self, case):
+        self._check(case[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(survey_models())
+    def test_random_survey_models(self, case):
+        self._check(case[0])
+
+    def test_world_space_cap_checked_first(self, monkeypatch):
+        # srs_wor_n3 under a cap of 47: its 8 signals and 6 mappings make 48
+        # worlds, refused with the world space's message
+        m = parse_model(CATALOG["srs_wor_n3"]).build().model
+        monkeypatch.setenv("IGNORABILITY_LAB_MAX_SUPPORT", "47")
+        with pytest.raises(ModelTooLarge, match="^world space of size 48 exceeds cap 47$"):
+            prepare_rubin(m, values_and_mapping()).observations(values_and_mapping())
 
 
 class TestColdRubinContext:

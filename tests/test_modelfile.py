@@ -210,6 +210,13 @@ class TestInvalidDocuments:
         text = MINIMAL + "\n[target]\nkind = variance\n"
         expect_error(text, SchemaError, "unknown target kind")
 
+    def test_build_refuses_a_target_kind_the_parser_never_makes(self):
+        # the parser refuses an unknown kind with its line; a document made
+        # by hand reaches the build's own refusal
+        doc = replace(parse_model(MINIMAL), target_kind="variance")
+        with pytest.raises(EngineError, match="^unknown target kind 'variance'$"):
+            doc.build()
+
     def test_target_unit_not_in_population(self):
         text = MINIMAL + "\n[target]\nkind = unit_expectation\nunit = 9\n"
         expect_error(text, SchemaError, "not in the population")

@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import enum
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -114,6 +115,20 @@ def test_subclasses_take_the_general_path():
     assert machine_json(value) == reference(value)
     assert machine_json(value) == (
         '{\n "2": [\n  false,\n  3\n ],\n "k": [\n  "\\u00e9",\n  true\n ],\n "z": 3\n}'
+    )
+
+
+def test_fraction_subclass_and_unknown_values_match_the_reference():
+    # a Fraction subclass is written as its fraction text, and a value of no
+    # known kind as its repr, by the writer and by to_jsonable alike
+    class Share(Fraction):
+        pass
+
+    value = {"share": Share(3, 4), "whole": [Share(2), Share(-1, 3)], "other": Decimal("0.5")}
+    assert to_jsonable(Decimal("0.5")) == "Decimal('0.5')"
+    assert machine_json(value) == reference(value)
+    assert machine_json(value) == (
+        '{\n "other": "Decimal(\'0.5\')",\n "share": "3/4",\n "whole": [\n  "2/1",\n  "-1/3"\n ]\n}'
     )
 
 
