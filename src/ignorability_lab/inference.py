@@ -436,13 +436,13 @@ class RubinContext:
         needs: the z the signal laws pair with it; for a signal of zero
         mass `_Y` by the z-contains-y convention, a constant z, or `_NO_Z`.
         Each distinct (y, z) of the model's atoms is keyed once
-        (`_signals`); a pass over `m.atoms.signals` sums each theta's marginal, its law's
+        (`_signal_ids`); a pass over `m.atoms.signals` sums each theta's marginal, its law's
         integer masses by signal id over its denominator d, and keeps each
         signal id's (y, z) rank, which a signal of zero mass under a
         constant z takes from a signal of that z; then every phi's rows
         are built (`_rows`)."""
         if self._z is None:
-            atoms, signals = self.atoms, self._signals
+            atoms, signals = self.atoms, self._signal_ids()
             seen, marginals = {}, []  # seen: signal id -> (z, z's key, (y, z) rank)
             for ranks, masses, d in atoms.signals:  # by theta position
                 marginal = [0] * self._size
@@ -462,9 +462,9 @@ class RubinContext:
             self._at = [self._rows(p, ranks, law_rows) for p in range(len(self.phis))]
         return self._z
 
-    @cached_property
-    def _signals(self) -> list:
-        """Per (y, z) rank of the atoms: (its signal id, z, z's key), each z keyed once."""
+    def _signal_ids(self) -> list:
+        """Per (y, z) rank of the atoms: (its signal id, z, z's key), each z
+        keyed once per call; not kept, as the keys outweigh the tables."""
         rank, weights, signals = self._rank.__getitem__, self._weights, []
         for y, z in self.atoms.yzs:
             zk = canonical_key(z)
@@ -640,7 +640,7 @@ class RubinContext:
         atoms, with_z = self.atoms, scheme.kind == VALUES_MAPPING_DESIGN
         check_size(len(atoms.yzs) * len(atoms.mappings), "world space")
         units = [tuple(map(self.population.index, r)) for r in atoms.mappings]
-        signals, base, weights = self._signals, self._base, self._weights
+        signals, base, weights = self._signal_ids(), self._base, self._weights
         reach = {}  # id(design column) -> (column, the (y, z) ranks of positive mass that reach it)
         for ti, p in atoms.grid:
             columns = atoms.designs[self.phis[p]]
